@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -96,28 +97,13 @@ def _write_run_dir(out: Path, run: model.TrainResult, point: model.TradeoffPoint
     )
 
 
-def _point_from_run(run: model.TrainResult, train_ds, test_ds) -> model.TradeoffPoint:
-    ev_train = model.evaluate(run.state, train_ds)
-    ev_test = model.evaluate(run.state, test_ds)
-    return model.TradeoffPoint(
-        beta_prime=run.beta_prime,
-        ce_train=ev_train.cross_entropy,
-        kl_train=ev_train.kl_term,
-        ce_test=ev_test.cross_entropy,
-        kl_test=ev_test.kl_term,
-        acc_test=ev_test.accuracy,
-        ixt=ev_test.bounds.unconditional,
-        ixt_given_y=ev_test.bounds.aggregate,
-    )
-
-
 def _cmd_train(args) -> int:
     cfg_path = _require_file(args.config)
     cfg = data_io.load_config(cfg_path)
     out = _prepare_dir(args.out)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
     run = model.train(cfg, train_ds, test_ds)
-    point = _point_from_run(run, train_ds, test_ds)
+    point = model.tradeoff_point(run, train_ds, test_ds)
     _write_run_dir(out, run, point)
     final = run.metrics[-1]
     doc = {"out": str(out), "final_step": final.step, "point": point.to_json_dict()}
@@ -168,10 +154,12 @@ def _cmd_sweep(args) -> int:
     out = _prepare_dir(args.out)
     dirs = [_prepare_dir(out / f"point_{i:03d}") for i in range(len(betas))]
     payloads = [(cfg, i, bp, str(dirs[i])) for i, bp in enumerate(betas)]
-    if args.jobs == 1:
+    # the pool starts every worker up front, so never ask for more than can run
+    workers = min(args.jobs, len(betas), os.cpu_count() or 1)
+    if workers == 1:
         points = [_sweep_worker(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_sweep_worker, payloads))
     _write_report_csv(points, out / "sweep.csv")
     doc = {"out": str(out), "points": points}

@@ -26,10 +26,17 @@ __all__ = [
     "Tape",
     "GradCheckReport",
     "grad_check",
+    "logsumexp_rows",
     "ACTIVATIONS",
 ]
 
 ACTIVATIONS = ("relu", "softplus", "tanh")
+
+
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))) of a matrix, shifted by each row's maximum."""
+    mx = a.max(axis=1)
+    return mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))
 
 
 class ShapeError(ValueError):
@@ -308,9 +315,7 @@ class Tape:
         sv = self._value[s]
         if sv.ndim != 2:
             raise ShapeError("logsumexp_rows: input must be a matrix")
-        mx = sv.max(axis=1)
-        out = mx + np.log(np.exp(sv - mx[:, None]).sum(axis=1))
-        return self._push("logsumexp_rows", (s,), out)
+        return self._push("logsumexp_rows", (s,), logsumexp_rows(sv))
 
     def pick(self, s: int, labels: np.ndarray) -> int:
         sv = self._value[s]
@@ -393,8 +398,7 @@ class Tape:
         if kind == "add_rows":
             return ins[0] + ins[1][None, :]
         if kind == "logsumexp_rows":
-            mx = ins[0].max(axis=1)
-            return mx + np.log(np.exp(ins[0] - mx[:, None]).sum(axis=1))
+            return logsumexp_rows(ins[0])
         if kind == "pick":
             return ins[0][np.arange(ins[0].shape[0]), aux]
         raise AssertionError(f"unknown op kind {kind!r}")

@@ -25,6 +25,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .diffcore import logsumexp_rows
+
 __all__ = [
     "MODE_AS_PRINTED",
     "MODE_CITED_SOURCE",
@@ -120,16 +122,11 @@ def _bound_on_codes(codes: np.ndarray, dim: int, sigma2: float, eta2: float, mod
         d2 = np.einsum("bnd,bnd->bn", diff, diff)
         if mode == MODE_AS_PRINTED:
             kernel = -0.5 * np.sqrt(d2) / width
-            inner_logs[start:stop] = _logsumexp_rows(kernel)
+            inner_logs[start:stop] = logsumexp_rows(kernel)
         else:
             kernel = -0.5 * d2 / width
-            inner_logs[start:stop] = _logsumexp_rows(kernel) - np.log(n)
+            inner_logs[start:stop] = logsumexp_rows(kernel) - np.log(n)
     return float(-np.mean(inner_logs) - dim * np.log(sigma2 / width))
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    mx = a.max(axis=1)
-    return mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))
 
 
 def mixture_bound(data: EmbeddedDataset, mode: str = MODE_CITED_SOURCE) -> float:

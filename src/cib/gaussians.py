@@ -30,7 +30,11 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class DiagGaussian:
-    """Diagonal-covariance Gaussian: mean vector and elementwise log-variance."""
+    """Diagonal-covariance Gaussian(s): mean and elementwise log-variance.
+
+    The last axis is the coordinate axis; leading axes, if any, index a batch
+    of independent Gaussians (a (N, d) mean holds N of them).
+    """
 
     mean: np.ndarray
     log_var: np.ndarray
@@ -38,16 +42,16 @@ class DiagGaussian:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
         object.__setattr__(self, "log_var", np.asarray(self.log_var, dtype=np.float64))
-        if self.mean.ndim != 1 or self.mean.shape != self.log_var.shape:
+        if self.mean.ndim < 1 or self.mean.shape != self.log_var.shape:
             raise ValueError(
-                f"mean and log_var must be equal-length vectors, got {self.mean.shape} and {self.log_var.shape}"
+                f"mean and log_var must be equal-shape arrays, got {self.mean.shape} and {self.log_var.shape}"
             )
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.log_var))):
             raise ValueError("DiagGaussian parameters must be finite")
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -87,22 +91,28 @@ class ClassSurrogate:
         return self.class_means.shape[1]
 
 
-def log_pdf(g: DiagGaussian, t: np.ndarray) -> float:
-    """Exact log-density of ``g`` at the point ``t``."""
+def log_pdf(g: DiagGaussian, t: np.ndarray) -> float | np.ndarray:
+    """Exact log-density of ``g`` at the point ``t`` (one row per batched Gaussian)."""
     t = np.asarray(t, dtype=np.float64)
     if t.shape != g.mean.shape:
         raise ValueError(f"point has dimension {t.shape}, distribution has {g.mean.shape}")
     z = (t - g.mean) ** 2 * np.exp(-g.log_var)
-    return float(-0.5 * np.sum(LOG_TWO_PI + g.log_var + z))
+    lp = -0.5 * np.sum(LOG_TWO_PI + g.log_var + z, axis=-1)
+    return float(lp) if lp.ndim == 0 else lp
 
 
-def kl_diag(g1: DiagGaussian, g2: DiagGaussian) -> float:
-    """Closed-form KL(g1 || g2) between diagonal Gaussians of equal dimension."""
+def kl_diag(g1: DiagGaussian, g2: DiagGaussian) -> float | np.ndarray:
+    """Closed-form KL(g1 || g2) between diagonal Gaussians of equal dimension.
+
+    Batch axes broadcast; a single pair gives a float, a batch an array of
+    per-row KLs.
+    """
     if g1.dim != g2.dim:
         raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     dl = g1.log_var - g2.log_var
     z = (g1.mean - g2.mean) ** 2 * np.exp(-g2.log_var)
-    return float(0.5 * np.sum(np.exp(dl) + z - 1.0 - dl))
+    kl = 0.5 * np.sum(np.exp(dl) + z - 1.0 - dl, axis=-1)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def sample_reparam(g: DiagGaussian, eps: np.ndarray) -> np.ndarray:
@@ -117,16 +127,27 @@ def sample_reparam(g: DiagGaussian, eps: np.ndarray) -> np.ndarray:
     return g.mean + np.exp(0.5 * g.log_var) * eps
 
 
-def surrogate_component(s: ClassSurrogate, y: int) -> DiagGaussian:
-    """The class-y surrogate expanded to an explicit DiagGaussian."""
-    if not 0 <= y < s.class_count:
-        raise ValueError(f"unknown class label {y}; surrogate covers 0..{s.class_count - 1}")
-    d = s.dim
-    return DiagGaussian(s.class_means[y], np.full(d, 2.0 * s.class_log_sigma[y]))
+def surrogate_component(s: ClassSurrogate, y: int | np.ndarray) -> DiagGaussian:
+    """The class-y surrogate expanded to an explicit DiagGaussian.
+
+    An array of labels gives one Gaussian per label, batched along its axes.
+    """
+    y = np.asarray(y, dtype=np.intp)
+    unknown = (y < 0) | (y >= s.class_count)
+    if np.any(unknown):
+        raise ValueError(
+            f"unknown class label {int(y[unknown].flat[0])}; surrogate covers 0..{s.class_count - 1}"
+        )
+    log_var = np.repeat((2.0 * s.class_log_sigma[y])[..., None], s.dim, axis=-1)
+    return DiagGaussian(s.class_means[y], log_var)
 
 
-def kl_to_surrogate(g: DiagGaussian, s: ClassSurrogate, y: int) -> float:
-    """KL from an encoder output to the spherical surrogate of class ``y``."""
+def kl_to_surrogate(g: DiagGaussian, s: ClassSurrogate, y: int | np.ndarray) -> float | np.ndarray:
+    """KL from encoder output(s) to the spherical surrogate of class ``y``.
+
+    With a batched ``g`` and a matching array of labels the result holds one
+    KL per row.
+    """
     if g.dim != s.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {s.dim}")
     return kl_diag(g, surrogate_component(s, y))

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import data_io, estimators, objectives
 from .data_io import Dataset, MetricsRow
-from .diffcore import ParamStore, Tape
-from .gaussians import ClassSurrogate, DiagGaussian, kl_to_surrogate
+from .diffcore import ParamStore, Tape, logsumexp_rows
+from .gaussians import ClassSurrogate, DiagGaussian
 from .objectives import beta_to_beta_prime
 
 __all__ = [
@@ -40,7 +40,9 @@ __all__ = [
     "build_state",
     "make_loss_fn",
     "train",
+    "loss_terms",
     "evaluate",
+    "tradeoff_point",
     "sweep",
     "run_sweep_point",
 ]
@@ -173,12 +175,7 @@ def _naive_bayes_log_probs(s: ClassSurrogate, t: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_priors = np.log(s.priors)
     scores = -quad + (log_priors - 0.5 * d * (math.log(2.0 * math.pi) + log_var))[None, :]
-    return scores - _logsumexp_rows(scores)[:, None]
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    mx = a.max(axis=1)
-    return mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))
+    return scores - logsumexp_rows(scores)[:, None]
 
 
 def decode_softmax(head: "DecoderHead", t: np.ndarray) -> np.ndarray:
@@ -221,7 +218,7 @@ class DecoderHead:
         if self.variant == "naive_bayes":
             return _naive_bayes_log_probs(self._surrogate(), t)
         scores = t @ self.store.get("head.W").T + self.store.get("head.b")
-        return scores - _logsumexp_rows(scores)[:, None]
+        return scores - logsumexp_rows(scores)[:, None]
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         return self.log_probs(t)
@@ -392,12 +389,16 @@ class _Sgd:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Deterministic metrics of one model on one dataset."""
+    """Deterministic metrics of one model on one dataset.
+
+    ``bounds`` holds the O(N^2) information-plane bounds when :func:`evaluate`
+    computed them, and is None from :func:`loss_terms`, which skips them.
+    """
 
     accuracy: float
     cross_entropy: float
     kl_term: float
-    bounds: estimators.BoundReport
+    bounds: estimators.BoundReport | None = None
 
 
 @dataclass
@@ -439,50 +440,79 @@ class TradeoffPoint:
         }
 
 
-def evaluate(state: ModelState, ds: Dataset, sample_predictions: bool = False) -> EvalResult:
-    """Accuracy, Monte-Carlo cross-entropy, exact KL term, and bound report.
-
-    Predictions are made from the encoder *mean* (no latent sampling) unless
-    ``sample_predictions`` is set, in which case one reparameterized draw from
-    the fixed evaluation stream is classified instead.  The cross-entropy uses
-    EVAL_MC_SAMPLES frozen draws, so the whole result is deterministic.
-    """
-    encoder = state.encoder
-    if ds.dim != encoder.in_dim:
-        raise ValueError(f"dataset dimension {ds.dim} does not match encoder input {encoder.in_dim}")
+def _encode_split(state: ModelState, ds: Dataset) -> np.ndarray:
+    if ds.dim != state.encoder.in_dim:
+        raise ValueError(f"dataset dimension {ds.dim} does not match encoder input {state.encoder.in_dim}")
     if int(ds.labels.max()) >= state.class_count:
         raise ValueError("dataset labels exceed the model's class count")
-    means = encoder.encode_batch(ds.features)
-    log_var = encoder.log_var()
-    d = encoder.bottleneck_dim
+    return state.encoder.encode_batch(ds.features)
 
+
+def _terms_of_codes(
+    state: ModelState, ds: Dataset, means: np.ndarray, sample_predictions: bool
+) -> EvalResult:
+    log_var = state.encoder.log_var()
     rng = np.random.default_rng(EVAL_NOISE_SEED)
-    noise = rng.standard_normal((EVAL_MC_SAMPLES, ds.count, d))
+    noise = rng.standard_normal((EVAL_MC_SAMPLES, ds.count, means.shape[1]))
 
     points = means if not sample_predictions else means + math.exp(0.5 * log_var) * noise[0]
     predictions = np.argmax(state.head.log_probs(points), axis=1)
     accuracy = float(np.mean(predictions == ds.labels))
 
-    encodings = [DiagGaussian(means[i], np.full(d, log_var)) for i in range(ds.count)]
     breakdown = objectives.cib_loss(
-        ds.labels, encodings, state.head.log_probs, state.surrogate(),
-        beta_prime=0.0, mc_samples=EVAL_MC_SAMPLES, noise=noise,
+        ds.labels, DiagGaussian(means, np.full(means.shape, log_var)), state.head.log_probs,
+        state.surrogate(), beta_prime=0.0, mc_samples=EVAL_MC_SAMPLES, noise=noise,
     )
-    kl = breakdown.kl_term
+    return EvalResult(accuracy=accuracy, cross_entropy=breakdown.cross_entropy, kl_term=breakdown.kl_term)
+
+
+def loss_terms(state: ModelState, ds: Dataset) -> EvalResult:
+    """Accuracy, Monte-Carlo cross-entropy and exact KL term; ``bounds`` is None.
+
+    Predictions are made from the encoder *mean* (no latent sampling).  The
+    cross-entropy uses EVAL_MC_SAMPLES frozen draws, so the whole result is
+    deterministic.  Both loss terms come from one :func:`objectives.cib_loss`
+    call on the batched encoder outputs.  Metrics rows and the train split of
+    a trade-off point use this, since they keep no bounds.
+    """
+    return _terms_of_codes(state, ds, _encode_split(state, ds), False)
+
+
+def evaluate(state: ModelState, ds: Dataset, sample_predictions: bool = False) -> EvalResult:
+    """:func:`loss_terms` plus the pairwise-mixture bound report of the same codes.
+
+    With ``sample_predictions`` one reparameterized draw from the fixed
+    evaluation stream is classified instead of the encoder mean.  The bounds
+    cost O(N^2) in the split size; only the test split of a trade-off point
+    needs them.
+    """
+    means = _encode_split(state, ds)
+    terms = _terms_of_codes(state, ds, means, sample_predictions)
     embedded = estimators.EmbeddedDataset(
-        codes=means,
-        labels=ds.labels,
-        sigma2=encoder.sigma2,
-        eta2=encoder.eta2(),
+        codes=means, labels=ds.labels, sigma2=state.encoder.sigma2, eta2=state.encoder.eta2()
     )
     report = estimators.bound_report(embedded, estimators.MODE_CITED_SOURCE)
-    return EvalResult(
-        accuracy=accuracy, cross_entropy=breakdown.cross_entropy, kl_term=kl, bounds=report
+    return EvalResult(terms.accuracy, terms.cross_entropy, terms.kl_term, bounds=report)
+
+
+def tradeoff_point(run: TrainResult, train_ds: Dataset, test_ds: Dataset) -> TradeoffPoint:
+    """The trade-off point of a finished run: loss terms on both splits, bounds on the test split."""
+    ev_train = loss_terms(run.state, train_ds)
+    ev_test = evaluate(run.state, test_ds)
+    return TradeoffPoint(
+        beta_prime=run.beta_prime,
+        ce_train=ev_train.cross_entropy,
+        kl_train=ev_train.kl_term,
+        ce_test=ev_test.cross_entropy,
+        kl_test=ev_test.kl_term,
+        acc_test=ev_test.accuracy,
+        ixt=ev_test.bounds.unconditional,
+        ixt_given_y=ev_test.bounds.aggregate,
     )
 
 
 def _metrics_row(state: ModelState, ds: Dataset, beta_prime: float, step: int) -> MetricsRow:
-    ev = evaluate(state, ds)
+    ev = loss_terms(state, ds)
     return MetricsRow(
         step=step,
         cross_entropy=ev.cross_entropy,
@@ -499,26 +529,13 @@ def _diagnose_nonfinite(
 ) -> int:
     """Dataset index of the first sample with a non-finite loss contribution."""
     means = state.encoder.encode_batch(x)
-    std = math.exp(0.5 * state.encoder.log_var())
-    rows = np.arange(x.shape[0])
-    bad = ~np.isfinite(np.sum(means, axis=1))
-    for s in range(noise.shape[0]):
-        lp = state.head.log_probs(means + std * noise[s])[rows, labels]
-        bad |= ~np.isfinite(lp)
-    sur = state.surrogate()
-    kl_bad = ~np.isfinite(
-        np.array(
-            [
-                kl_to_surrogate(
-                    DiagGaussian(means[i], np.full(means.shape[1], state.encoder.log_var())),
-                    sur,
-                    int(labels[i]),
-                )
-                for i in rows
-            ]
-        )
+    bad = ~np.all(np.isfinite(means), axis=1)
+    # rows already known bad get placeholder codes, which DiagGaussian accepts
+    codes = DiagGaussian(np.where(bad[:, None], 0.0, means), np.full(means.shape, state.encoder.log_var()))
+    true_lp, kl = objectives.loss_rows(
+        labels, codes, state.head.log_probs, state.surrogate(), noise.shape[0], noise
     )
-    bad |= kl_bad
+    bad |= ~np.all(np.isfinite(true_lp), axis=1) | ~np.isfinite(kl)
     first = int(np.flatnonzero(bad)[0]) if np.any(bad) else 0
     return int(batch_idx[first])
 
@@ -647,16 +664,4 @@ def run_sweep_point(config: dict, index: int, beta_prime: float) -> tuple[Tradeo
     cfg["seed"] = derive_seed(int(config["seed"]), index)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
     run = train(cfg, train_ds, test_ds)
-    ev_train = evaluate(run.state, train_ds)
-    ev_test = evaluate(run.state, test_ds)
-    point = TradeoffPoint(
-        beta_prime=float(beta_prime),
-        ce_train=ev_train.cross_entropy,
-        kl_train=ev_train.kl_term,
-        ce_test=ev_test.cross_entropy,
-        kl_test=ev_test.kl_term,
-        acc_test=ev_test.accuracy,
-        ixt=ev_test.bounds.unconditional,
-        ixt_given_y=ev_test.bounds.aggregate,
-    )
-    return point, run, test_ds
+    return tradeoff_point(run, train_ds, test_ds), run, test_ds

@@ -25,6 +25,7 @@ __all__ = [
     "beta_to_beta_prime",
     "beta_prime_to_beta",
     "cross_entropy_term",
+    "loss_rows",
     "cib_loss",
     "cib_loss_graph",
 ]
@@ -91,27 +92,31 @@ def cross_entropy_term(true_class_log_probs: np.ndarray) -> float:
 Decoder = Callable[[np.ndarray], np.ndarray]
 
 
-def cib_loss(
+def loss_rows(
     labels: Sequence[int],
-    encodings: Sequence[DiagGaussian],
+    encodings: DiagGaussian | Sequence[DiagGaussian],
     decoder: Decoder,
     surrogate: ClassSurrogate,
-    beta_prime: float,
     mc_samples: int,
     noise: np.ndarray,
-) -> LossBreakdown:
-    """Evaluate the training loss on a batch, deterministically for fixed noise.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample loss contributions: (N, S) true-class log-probs and (N,) KLs.
 
-    ``decoder`` maps a (n, d) matrix of bottleneck points to (n, K) class
-    log-probabilities.  ``noise`` holds the frozen standard-normal draws with
-    shape (mc_samples, N, d).  The KL summand uses the closed form, so only
-    the cross-entropy half carries Monte-Carlo error.
+    ``encodings`` is one batched (N, d) DiagGaussian or a sequence of N
+    single ones, which is stacked into one.  Non-finite values are returned,
+    not rejected, so callers can locate the rows that produced them.
     """
-    if beta_prime < 0.0:
-        raise ValueError("beta_prime must be nonnegative")
     if mc_samples < 1:
         raise ValueError("mc_samples must be at least 1")
-    n = len(encodings)
+    if not isinstance(encodings, DiagGaussian):
+        if len(encodings) == 0:
+            raise ValueError("empty batch")
+        encodings = DiagGaussian(
+            np.stack([g.mean for g in encodings]), np.stack([g.log_var for g in encodings])
+        )
+    if encodings.mean.ndim != 2:
+        raise ValueError(f"encodings must be a (N, d) batch, got shape {encodings.mean.shape}")
+    n, d = encodings.mean.shape
     if n == 0:
         raise ValueError("empty batch")
     labels = np.asarray(labels, dtype=np.intp)
@@ -120,21 +125,44 @@ def cib_loss(
     if np.any(labels < 0) or np.any(labels >= surrogate.class_count):
         bad = int(labels[(labels < 0) | (labels >= surrogate.class_count)][0])
         raise ValueError(f"label {bad} not covered by the surrogate")
-    d = encodings[0].dim
-    means = np.stack([g.mean for g in encodings])
-    stds = np.exp(0.5 * np.stack([g.log_var for g in encodings]))
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != (mc_samples, n, d):
         raise ValueError(f"noise must have shape {(mc_samples, n, d)}, got {noise.shape}")
 
+    stds = np.exp(0.5 * encodings.log_var)
     rows = np.arange(n)
     true_lp = np.empty((n, mc_samples))
     for s in range(mc_samples):
-        t = means + stds * noise[s]
+        t = encodings.mean + stds * noise[s]
         true_lp[:, s] = decoder(t)[rows, labels]
-    ce = cross_entropy_term(true_lp)
-    kl = float(np.mean([kl_to_surrogate(g, surrogate, int(y)) for g, y in zip(encodings, labels)]))
-    return LossBreakdown(cross_entropy=ce, kl_term=kl, beta_prime=float(beta_prime))
+    return true_lp, kl_to_surrogate(encodings, surrogate, labels)
+
+
+def cib_loss(
+    labels: Sequence[int],
+    encodings: DiagGaussian | Sequence[DiagGaussian],
+    decoder: Decoder,
+    surrogate: ClassSurrogate,
+    beta_prime: float,
+    mc_samples: int,
+    noise: np.ndarray,
+) -> LossBreakdown:
+    """Evaluate the training loss on a batch, deterministically for fixed noise.
+
+    ``encodings`` is one batched (N, d) DiagGaussian, or a sequence of N
+    single ones.  ``decoder`` maps a (n, d) matrix of bottleneck points to
+    (n, K) class log-probabilities.  ``noise`` holds the frozen
+    standard-normal draws with shape (mc_samples, N, d).  The KL summand uses
+    the closed form, computed for the whole batch in one
+    :func:`kl_to_surrogate` call, so only the cross-entropy half carries
+    Monte-Carlo error.
+    """
+    if beta_prime < 0.0:
+        raise ValueError("beta_prime must be nonnegative")
+    true_lp, kl = loss_rows(labels, encodings, decoder, surrogate, mc_samples, noise)
+    return LossBreakdown(
+        cross_entropy=cross_entropy_term(true_lp), kl_term=float(np.mean(kl)), beta_prime=float(beta_prime)
+    )
 
 
 ScoresGraph = Callable[[Tape, int], int]

@@ -1,10 +1,12 @@
 """Command-line surface: exit codes, artifacts, and JSON mode."""
 
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
-from cib import data_io
+from cib import cli, data_io
 from cib.cli import REPORT_HEADER, run
 from helpers import random_encoder, random_joint
 
@@ -85,6 +87,27 @@ class TestTrain:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+    def test_acceptance_7_artifacts_are_byte_stable(self, tmp_path):
+        # sha256 of the bytes this config has always written; the loss terms
+        # and bounds must not change in their last bit
+        cfg = _write_config(
+            tmp_path,
+            dataset={"kind": "gmm", "classes": 2, "dim": 2, "per_class": 500, "sep": 4.0, "seed": 7},
+            encoder={"layer_dims": [2, 8, 2]},
+            optim={"steps": 2000, "batch": 64, "log_every": 500},
+            seed=7,
+        )
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("metrics.csv", "point.json")
+        }
+        assert digests == {
+            "metrics.csv": "259ac96d0983aa6418590b9fbd6242347b78e54b9084f7910d54899bfead5f02",
+            "point.json": "28e0410adf881cba9d2951d9cfe589ed158adccf51b837ecadf7c32e8d867a6e",
+        }
+
 class TestSweep:
     def test_writes_point_dirs_and_aggregate(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -106,6 +129,37 @@ class TestSweep:
         assert run(["sweep", "--config", str(cfg), "--betas", "0,0.5", "--out", str(out2), "--jobs", "2"]) == 0
         for rel in ("sweep.csv", "point_000/checkpoint.json", "point_001/point.json"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+
+    @pytest.mark.parametrize(
+        "jobs,betas,cores,expected",
+        [(64, "0,0.5,1", 2, 2), (8, "0,0.5", 16, 2), (3, "0,0.5,1,2", 16, 3), (4, "0", 16, None)],
+    )
+    def test_jobs_clamped_to_points_and_cores(self, tmp_path, monkeypatch, jobs, betas, cores, expected):
+        started = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", str(cfg), "--betas", betas, "--out", str(out), "--jobs", str(jobs)]
+        assert run(argv) == 0
+        assert started == ([] if expected is None else [expected])
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + len(betas.split(","))
 
     def test_bad_betas_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

@@ -157,6 +157,58 @@ class TestClassSurrogate:
             assert kl_to_surrogate(g, s, y) == pytest.approx(per_coord, abs=1e-12)
 
 
+class TestBatched:
+    def _batch(self, seed=0, n=37, d=2):
+        rng = np.random.default_rng(seed)
+        means = rng.uniform(-2, 2, (n, d))
+        log_var = rng.uniform(-1, 1, (n, d))
+        return DiagGaussian(means, log_var), rng.integers(0, 2, n)
+
+    def test_batch_keeps_coordinate_axis_last(self):
+        g, _ = self._batch(n=5, d=3)
+        assert g.dim == 3
+        with pytest.raises(ValueError):
+            DiagGaussian(np.zeros((5, 3)), np.zeros((5, 2)))
+
+    def test_kl_to_surrogate_equals_per_row_calls(self):
+        s = _surrogate()
+        g, labels = self._batch()
+        batched = kl_to_surrogate(g, s, labels)
+        rows = [
+            kl_to_surrogate(DiagGaussian(g.mean[i], g.log_var[i]), s, int(labels[i]))
+            for i in range(labels.size)
+        ]
+        assert batched.shape == labels.shape
+        assert batched.tolist() == rows
+
+    def test_kl_diag_equals_per_row_calls(self):
+        g1, _ = self._batch(seed=1, n=20, d=9)
+        g2, _ = self._batch(seed=2, n=20, d=9)
+        batched = kl_diag(g1, g2)
+        rows = [
+            kl_diag(DiagGaussian(g1.mean[i], g1.log_var[i]), DiagGaussian(g2.mean[i], g2.log_var[i]))
+            for i in range(20)
+        ]
+        assert batched.tolist() == rows
+
+    def test_surrogate_component_stacks_per_label(self):
+        s = _surrogate()
+        labels = np.array([1, 0, 1])
+        batched = surrogate_component(s, labels)
+        for i, y in enumerate(labels):
+            single = surrogate_component(s, int(y))
+            assert batched.mean[i].tolist() == single.mean.tolist()
+            assert batched.log_var[i].tolist() == single.log_var.tolist()
+        with pytest.raises(ValueError, match="unknown class label 2"):
+            surrogate_component(s, np.array([0, 2]))
+
+    def test_log_pdf_is_per_row(self):
+        g, _ = self._batch(seed=3, n=4)
+        t = np.random.default_rng(4).normal(size=(4, 2))
+        rows = [log_pdf(DiagGaussian(g.mean[i], g.log_var[i]), t[i]) for i in range(4)]
+        assert log_pdf(g, t).tolist() == rows
+
+
 class TestKlGraph:
     def _setup(self, seed=0):
         rng = np.random.default_rng(seed)

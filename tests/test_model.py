@@ -16,6 +16,7 @@ from cib.model import (
     decode_softmax,
     derive_seed,
     evaluate,
+    loss_terms,
     make_loss_fn,
     run_sweep_point,
     sweep,
@@ -268,6 +269,18 @@ class TestTrain:
         assert err.value.step is not None
         assert err.value.sample_index is not None
 
+    def test_diagnose_nonfinite_names_the_bad_row(self):
+        state = _state()
+        x = np.random.default_rng(2).normal(size=(5, 2))
+        x[3] = 1e200  # finite code, but its squared distances overflow
+        labels = np.array([0, 1, 0, 1, 1])
+        noise = np.random.default_rng(3).standard_normal((2, 5, 2))
+        batch_idx = np.array([40, 41, 42, 43, 44])
+        assert np.all(np.isfinite(state.encoder.encode_batch(x)))
+        assert model._diagnose_nonfinite(state, x, labels, noise, batch_idx) == 43
+        x[3] = np.inf  # non-finite code
+        assert model._diagnose_nonfinite(state, x, labels, noise, batch_idx) == 43
+
     def test_missing_class_rejected(self):
         feats = np.random.default_rng(0).normal(size=(10, 2))
         ds = Dataset(feats, np.zeros(10, dtype=int), 2)
@@ -373,6 +386,16 @@ class TestEvaluate:
             for i in range(10)
         )
         assert evaluate(state, ds).accuracy == pytest.approx(hits / 10, abs=0)
+
+    def test_loss_terms_match_evaluate_without_bounds(self):
+        cfg = _config()
+        train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
+        state = train(cfg, train_ds).state
+        terms, ev = loss_terms(state, train_ds), evaluate(state, train_ds)
+        assert terms.bounds is None and ev.bounds is not None
+        assert (terms.accuracy, terms.cross_entropy, terms.kl_term) == (
+            ev.accuracy, ev.cross_entropy, ev.kl_term
+        )
 
     def test_evaluate_is_deterministic(self):
         cfg = _config()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cib import discrete_oracle as oracle
-from cib.diffcore import ParamStore, Tape, grad_check
+from cib.diffcore import ParamStore, Tape, grad_check, logsumexp_rows
 from cib.gaussians import ClassSurrogate, DiagGaussian, kl_to_surrogate, sample_reparam
 from cib.objectives import (
     LossBreakdown,
@@ -151,6 +151,20 @@ class TestCibLoss:
         first, second = cib_loss(*args), cib_loss(*args)
         assert first.total == second.total
         assert first.cross_entropy == second.cross_entropy
+
+    def test_batched_encodings_equal_list_form(self):
+        rng = np.random.default_rng(11)
+        means, log_var = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 2))
+        encs = [DiagGaussian(means[i], log_var[i]) for i in range(6)]
+        noise = rng.standard_normal((3, 6, 2))
+        labels = [0, 1, 1, 0, 1, 0]
+
+        def decoder(t):
+            return t - logsumexp_rows(t)[:, None]
+
+        listed = cib_loss(labels, encs, decoder, _toy_surrogate(), 0.7, 3, noise)
+        batched = cib_loss(labels, DiagGaussian(means, log_var), decoder, _toy_surrogate(), 0.7, 3, noise)
+        assert batched == listed
 
     def test_label_outside_surrogate_rejected(self):
         g = DiagGaussian(np.zeros(2), np.zeros(2))
