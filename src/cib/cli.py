@@ -9,7 +9,9 @@ command prints exactly one JSON document on stdout and nothing else.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +27,7 @@ from .model import NonFiniteLossError
 __all__ = ["run", "main"]
 
 REPORT_HEADER = "beta_prime,ce_test,kl_test,acc_test,ixt,ixt_given_y"
+POINT_KEYS = tuple(f.name for f in dataclasses.fields(model.TradeoffPoint))
 
 
 class _CliError(Exception):
@@ -92,8 +95,8 @@ def _write_run_dir(out: Path, run: model.TrainResult, point: model.TradeoffPoint
         run.state, run.state.surrogate(), run.state.head, run.state.config, out / "checkpoint.json"
     )
     data_io.write_metrics(run.metrics, out / "metrics.csv")
-    (out / "point.json").write_text(
-        json.dumps(point.to_json_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
+    data_io.write_text_atomic(
+        out / "point.json", json.dumps(point.to_json_dict(), sort_keys=True, indent=1) + "\n"
     )
 
 
@@ -135,7 +138,7 @@ def _write_report_csv(points: list[dict], path: Path) -> None:
                 for k in ("beta_prime", "ce_test", "kl_test", "acc_test", "ixt", "ixt_given_y")
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data_io.write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _cmd_sweep(args) -> int:
@@ -299,8 +302,24 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _point_problem(doc) -> str | None:
+    """Why a parsed point.json cannot be a trade-off point, or None if it can."""
+    if not isinstance(doc, dict):
+        return "point.json is not a JSON object"
+    lacking = [key for key in POINT_KEYS if key not in doc]
+    if lacking:
+        return f"point.json lacks {', '.join(lacking)}"
+    bad = [
+        key for key in POINT_KEYS
+        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)) or not math.isfinite(doc[key])
+    ]
+    if bad:
+        return f"point.json holds non-finite or non-numeric values for {', '.join(bad)}"
+    return None
+
+
 def _cmd_report(args) -> int:
-    missing: list[str] = []
+    problems: list[str] = []
     points: list[dict] = []
     for run_dir in args.runs:
         rd = Path(run_dir)
@@ -310,11 +329,20 @@ def _cmd_report(args) -> int:
             if not (rd / name).is_file()
         ]
         if absent:
-            missing.append(f"{run_dir}: missing {', '.join(absent)}")
+            problems.append(f"{run_dir}: missing {', '.join(absent)}")
             continue
-        points.append(json.loads((rd / "point.json").read_text(encoding="utf-8")))
-    if missing:
-        raise _CliError("incomplete run directories:\n  " + "\n  ".join(missing))
+        try:
+            doc = json.loads((rd / "point.json").read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            problems.append(f"{run_dir}: point.json is not valid JSON ({exc})")
+            continue
+        problem = _point_problem(doc)
+        if problem:
+            problems.append(f"{run_dir}: {problem}")
+            continue
+        points.append(doc)
+    if problems:
+        raise _CliError("unusable run directories:\n  " + "\n  ".join(problems))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_report_csv(points, out)

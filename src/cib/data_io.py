@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "write_metrics",
+    "write_text_atomic",
     "read_metrics",
     "load_config",
     "validate_config",
@@ -280,12 +282,32 @@ def write_idx(
         f.write(labels.astype(np.uint8).tobytes())
 
 
+# --------------------------------------------------------------------- atomic text files
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` so that the file is either complete or absent.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path`` in one rename; if writing fails, the temporary file is
+    removed and a previous ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # --------------------------------------------------------------------- JSON documents
 
 
 def _dump_json(obj: Any, path: str | Path) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
@@ -397,7 +419,7 @@ def write_metrics(series: Sequence[MetricsRow], path: str | Path) -> None:
                 ]
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_metrics(path: str | Path) -> list[MetricsRow]:

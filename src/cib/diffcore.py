@@ -1,10 +1,11 @@
 """Reverse-mode differentiation over the op set the bottleneck models need.
 
 Values are float64 numpy arrays: scalars are shape-() arrays, batches are
-2-D ``(batch, dim)`` matrices.  A :class:`Tape` records primitive ops in
-topological order together with cached forward values; :meth:`Tape.backward`
-walks the records once in reverse and returns a flat gradient aligned with
-the bound :class:`ParamStore`.
+2-D ``(batch, dim)`` matrices.  A :class:`Tape` records primitive ops, and
+three fused ops of the training loss, in topological order together with
+cached forward values; :meth:`Tape.backward` walks the records once in
+reverse and returns a flat gradient aligned with the bound
+:class:`ParamStore`.
 
 This is deliberately not a general autodiff system: no broadcasting rules
 beyond the few ops that need them, no higher-order derivatives.
@@ -12,6 +13,7 @@ beyond the few ops that need them, no higher-order derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -27,6 +29,7 @@ __all__ = [
     "GradCheckReport",
     "grad_check",
     "logsumexp_rows",
+    "activate",
     "ACTIVATIONS",
 ]
 
@@ -121,26 +124,35 @@ class ParamStore:
         return dup
 
 
-def _stable_softplus(x: np.ndarray) -> np.ndarray:
-    # ln(1+e^x) overflows past ~x=40; use max(x,0)+log1p(e^-|x|)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def activate(x: np.ndarray, kind: str) -> np.ndarray:
+    """Elementwise hidden-layer activation: the forward rule of :meth:`Tape.activation`."""
+    if kind == "relu":
+        return np.maximum(x, 0.0)
+    if kind == "softplus":
+        # ln(1+e^x) overflows past ~x=40; use max(x,0)+log1p(e^-|x|)
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    if kind == "tanh":
+        return np.tanh(x)
+    raise ValueError(f"unsupported activation: {kind!r} (choose from {ACTIVATIONS})")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # each branch is exact on its own half-line; only the discarded one can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = np.exp(x)
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), ex / (1.0 + ex))
 
 
 class Tape:
-    """Topologically ordered record of primitive ops with cached values.
+    """Topologically ordered record of ops with cached values.
 
     Node handles are plain ints; inputs always reference strictly earlier
     nodes.  Construction runs the forward computation eagerly, so reading
-    :meth:`val` is free and :meth:`replay` reproduces values bit-exactly.
+    :meth:`val` is free.  Besides the primitives there are three fused loss
+    ops (:meth:`kl_to_surrogate_rows`, :meth:`naive_bayes_scores`,
+    :meth:`softmax_nll`); each performs the numpy operations of the primitive
+    chain it stands for in the same order, forward and backward, so it gives
+    the chain's values and gradients bit for bit with fewer nodes.
     A tape is single-threaded; build a separate tape per concurrent task.
     """
 
@@ -188,16 +200,7 @@ class Tape:
         return self._push("affine", (x, w, b), out, aux=label)
 
     def activation(self, x: int, kind: str) -> int:
-        if kind not in ACTIVATIONS:
-            raise ValueError(f"unsupported activation: {kind!r} (choose from {ACTIVATIONS})")
-        xv = self._value[x]
-        if kind == "relu":
-            out = np.maximum(xv, 0.0)
-        elif kind == "softplus":
-            out = _stable_softplus(xv)
-        else:
-            out = np.tanh(xv)
-        return self._push("act", (x,), out, aux=kind)
+        return self._push("act", (x,), activate(self._value[x], kind), aux=kind)
 
     def _binary(self, kind: str, a: int, b: int) -> int:
         av, bv = self._value[a], self._value[b]
@@ -250,12 +253,6 @@ class Tape:
 
     def mean_all(self, x: int) -> int:
         return self._push("mean_all", (x,), np.mean(self._value[x]))
-
-    def dot(self, a: int, b: int) -> int:
-        av, bv = self._value[a], self._value[b]
-        if av.ndim != 1 or av.shape != bv.shape:
-            raise ShapeError(f"dot: need equal-length vectors, got {av.shape} and {bv.shape}")
-        return self._push("dot", (a, b), np.dot(av, bv))
 
     def bcast(self, s: int, shape: tuple[int, ...]) -> int:
         sv = self._value[s]
@@ -324,198 +321,309 @@ class Tape:
             raise ShapeError("pick: need (B,K) scores and (B,) labels")
         return self._push("pick", (s,), sv[np.arange(sv.shape[0]), labels], aux=labels)
 
-    # ------------------------------------------------------------------ engine
+    # ------------------------------------------------------------------ fused loss ops
 
-    def replay(self) -> None:
-        """Recompute every cached value in order from current leaf values.
+    def kl_to_surrogate_rows(
+        self, means: int, log_var: int, mu: int, log_sigma: int, labels: np.ndarray
+    ) -> int:
+        """Per-row KL(N(m_i, e^v I) || N(mu_{y_i}, sigma_{y_i}^2 I)), a (B,) node.
 
-        Param leaves re-read the bound store, so a replay after an optimizer
-        step refreshes the whole tape.  For fixed leaves the recomputation is
-        bit-identical to the original forward pass.
+        ``means`` is (B, d), ``log_var`` the scalar log-variance v, ``mu``
+        (K, d) and ``log_sigma`` (K,).  The chain it fuses is
+        0.5 * (d e^(v - lv_y) + |m - mu_y|^2 e^(-lv_y) + d lv_y - d v - d)
+        with lv_y = 2 log sigma_y.
         """
-        for nid in range(len(self._kind)):
-            kind = self._kind[nid]
-            if kind == "const":
-                continue
-            if kind == "param":
-                spec: SliceSpec = self._aux[nid]  # type: ignore[assignment]
-                self._value[nid] = self.store.values[spec.offset : spec.offset + spec.size].reshape(spec.shape).copy()
-                continue
-            ins = [self._value[i] for i in self._inputs[nid]]
-            self._value[nid] = self._recompute(kind, ins, self._aux[nid])
+        mv, lv, muv, lsv = (self._value[i] for i in (means, log_var, mu, log_sigma))
+        labels = np.asarray(labels, dtype=np.intp)
+        if (mv.ndim != 2 or lv.shape != () or muv.ndim != 2 or muv.shape[1] != mv.shape[1]
+                or lsv.shape != (muv.shape[0],) or labels.shape != (mv.shape[0],)):
+            raise ShapeError(
+                f"kl_to_surrogate_rows: means{mv.shape} log_var{lv.shape} mu{muv.shape} "
+                f"log_sigma{lsv.shape} labels{labels.shape} do not agree"
+            )
+        d = float(mv.shape[1])
+        lv_y = lsv[labels] * 2.0
+        diff = mv - muv[labels]
+        sq_dist = (diff * diff).sum(axis=1)
+        lv_b = np.full(labels.shape, lv)
+        gap, neg_lv_y = lv_b - lv_y, lv_y * -1.0
+        with np.errstate(over="ignore"):
+            ratio, inv_var = np.exp(gap), np.exp(neg_lv_y)
+        rows = ratio * d + sq_dist * inv_var
+        rows += lv_y * d
+        rows += lv_b * -d
+        rows += np.full(labels.shape, -d)
+        return self._push(
+            "kl_to_surrogate_rows", (means, log_var, mu, log_sigma), rows * 0.5,
+            aux=(labels, diff, sq_dist, ratio, inv_var),
+        )
 
-    def _recompute(self, kind: str, ins: list[np.ndarray], aux: object) -> np.ndarray:
-        if kind == "affine":
-            x, w, b = ins
-            return x @ w.T + b if x.ndim == 2 else w @ x + b
-        if kind == "act":
-            if aux == "relu":
-                return np.maximum(ins[0], 0.0)
-            if aux == "softplus":
-                return _stable_softplus(ins[0])
-            return np.tanh(ins[0])
-        if kind == "add":
-            return ins[0] + ins[1]
-        if kind == "sub":
-            return ins[0] - ins[1]
-        if kind == "mul":
-            return ins[0] * ins[1]
-        if kind == "add_n":
-            out = ins[0].copy()
-            for v in ins[1:]:
-                out += v
-            return out
-        if kind == "scale":
-            return ins[0] * aux  # type: ignore[operator]
-        if kind == "add_const":
-            return ins[0] + aux  # type: ignore[operator]
-        if kind == "exp":
-            return np.exp(ins[0])
-        if kind == "log":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.log(ins[0])
-        if kind == "sum_all":
-            return np.asarray(np.sum(ins[0]))
-        if kind == "mean_all":
-            return np.asarray(np.mean(ins[0]))
-        if kind == "dot":
-            return np.asarray(np.dot(ins[0], ins[1]))
-        if kind == "bcast":
-            return np.full(aux, ins[0])  # type: ignore[arg-type]
-        if kind == "mul_scalar":
-            return ins[0] * ins[1]
-        if kind == "take":
-            return ins[0][aux]
-        if kind == "take_rows":
-            return ins[0][aux]
-        if kind == "row_sum":
-            return ins[0].sum(axis=1)
-        if kind == "pairwise_sqdist":
-            diff = ins[0][:, None, :] - ins[1][None, :, :]
-            return np.einsum("bkd,bkd->bk", diff, diff)
-        if kind == "mul_rows":
-            return ins[0] * ins[1][None, :]
-        if kind == "add_rows":
-            return ins[0] + ins[1][None, :]
-        if kind == "logsumexp_rows":
-            return logsumexp_rows(ins[0])
-        if kind == "pick":
-            return ins[0][np.arange(ins[0].shape[0]), aux]
-        raise AssertionError(f"unknown op kind {kind!r}")
+    def naive_bayes_scores(self, t: int, mu: int, log_sigma: int, log_priors: np.ndarray) -> int:
+        """Class scores log p(y) + log N(t_b; mu_y, sigma_y^2 I), a (B, K) node.
+
+        ``t`` is (B, d), ``mu`` (K, d), ``log_sigma`` (K,) and ``log_priors`` a
+        fixed (K,) array.  Scores are unnormalized log-probabilities.
+        """
+        tv, muv, lsv = self._value[t], self._value[mu], self._value[log_sigma]
+        log_priors = np.asarray(log_priors, dtype=np.float64)
+        if (tv.ndim != 2 or muv.ndim != 2 or tv.shape[1] != muv.shape[1]
+                or lsv.shape != (muv.shape[0],) or log_priors.shape != lsv.shape):
+            raise ShapeError(
+                f"naive_bayes_scores: t{tv.shape} mu{muv.shape} log_sigma{lsv.shape} "
+                f"log_priors{log_priors.shape} do not agree"
+            )
+        d = tv.shape[1]
+        log_var = lsv * 2.0
+        diff = tv[:, None, :] - muv[None, :, :]
+        sq_dist = np.einsum("bkd,bkd->bk", diff, diff)
+        neg_log_var = log_var * -1.0
+        with np.errstate(over="ignore"):
+            inv_var = np.exp(neg_log_var)
+        half_inv_var = inv_var * 0.5
+        offset = log_var * (-0.5 * d) + (log_priors - 0.5 * d * math.log(2.0 * math.pi))
+        scores = (sq_dist * half_inv_var[None, :]) * -1.0 + offset[None, :]
+        return self._push(
+            "naive_bayes_scores", (t, mu, log_sigma), scores, aux=(diff, sq_dist, inv_var, half_inv_var)
+        )
+
+    def softmax_nll(self, scores: int, labels: np.ndarray) -> int:
+        """Per-row negative log-softmax of the labelled class, a (B,) node."""
+        sv = self._value[scores]
+        labels = np.asarray(labels, dtype=np.intp)
+        if sv.ndim != 2 or labels.shape != (sv.shape[0],):
+            raise ShapeError("softmax_nll: need (B,K) scores and (B,) labels")
+        lse = logsumexp_rows(sv)
+        return self._push(
+            "softmax_nll", (scores,), lse - sv[np.arange(sv.shape[0]), labels], aux=(labels, lse)
+        )
+
+    # ------------------------------------------------------------------ engine
 
     def backward(self, output: int, seed: float = 1.0) -> np.ndarray:
         """Accumulate d(output)/d(theta) for every parameter of the bound store.
 
         The output node must be scalar.  The walk is sequential and purely a
         function of the recorded tape, so repeated calls are bit-identical.
+        A node's first incoming adjoint is kept as is and later ones are
+        added out of place; no adjoint array is ever written to.
         """
         if self._value[output].shape != ():
             raise ShapeError(
                 f"backward needs a scalar output node, got shape {self._value[output].shape}"
             )
         grad = np.zeros(self.store.size if self.store is not None else 0)
-        adj: list[np.ndarray | None] = [None] * len(self._kind)
+        adj: list[np.ndarray | None] = [None] * (output + 1)
         adj[output] = np.asarray(float(seed))
 
         def push(nid: int, g: np.ndarray) -> None:
-            if adj[nid] is None:
-                adj[nid] = np.zeros_like(self._value[nid])
-            adj[nid] += g  # type: ignore[operator]
+            a = adj[nid]
+            adj[nid] = g if a is None else a + g
 
+        kinds, inputs, values, auxes = self._kind, self._inputs, self._value, self._aux
         for nid in range(output, -1, -1):
             g = adj[nid]
             if g is None:
                 continue
-            kind = self._kind[nid]
-            ins = self._inputs[nid]
-            aux = self._aux[nid]
-            if kind == "const":
-                continue
+            kind = kinds[nid]
             if kind == "param":
-                spec: SliceSpec = aux  # type: ignore[assignment]
+                spec: SliceSpec = auxes[nid]  # type: ignore[assignment]
                 grad[spec.offset : spec.offset + spec.size] += np.asarray(g).ravel()
-            elif kind == "affine":
-                xv, wv = self._value[ins[0]], self._value[ins[1]]
-                if xv.ndim == 2:
-                    push(ins[0], g @ wv)
-                    push(ins[1], g.T @ xv)
-                    push(ins[2], g.sum(axis=0))
-                else:
-                    push(ins[0], wv.T @ g)
-                    push(ins[1], np.outer(g, xv))
-                    push(ins[2], g)
-            elif kind == "act":
-                xv = self._value[ins[0]]
-                if aux == "relu":
-                    push(ins[0], g * (xv > 0.0))
-                elif aux == "softplus":
-                    push(ins[0], g * _sigmoid(xv))
-                else:
-                    push(ins[0], g * (1.0 - self._value[nid] ** 2))
-            elif kind == "add":
-                push(ins[0], g)
-                push(ins[1], g)
-            elif kind == "sub":
-                push(ins[0], g)
-                push(ins[1], -g)
-            elif kind == "mul":
-                push(ins[0], g * self._value[ins[1]])
-                push(ins[1], g * self._value[ins[0]])
-            elif kind == "add_n":
-                for i in ins:
-                    push(i, g)
-            elif kind == "scale":
-                push(ins[0], g * aux)  # type: ignore[operator]
-            elif kind == "add_const":
-                push(ins[0], g)
-            elif kind == "exp":
-                push(ins[0], g * self._value[nid])
-            elif kind == "log":
-                push(ins[0], g / self._value[ins[0]])
-            elif kind == "sum_all":
-                push(ins[0], np.full_like(self._value[ins[0]], g))
-            elif kind == "mean_all":
-                xv = self._value[ins[0]]
-                push(ins[0], np.full_like(xv, g / xv.size))
-            elif kind == "dot":
-                push(ins[0], g * self._value[ins[1]])
-                push(ins[1], g * self._value[ins[0]])
-            elif kind == "bcast":
-                push(ins[0], np.asarray(np.sum(g)))
-            elif kind == "mul_scalar":
-                push(ins[0], g * self._value[ins[1]])
-                push(ins[1], np.asarray(np.sum(g * self._value[ins[0]])))
-            elif kind == "take":
-                gv = np.zeros_like(self._value[ins[0]])
-                np.add.at(gv, aux, g)
-                push(ins[0], gv)
-            elif kind == "take_rows":
-                gm = np.zeros_like(self._value[ins[0]])
-                np.add.at(gm, aux, g)
-                push(ins[0], gm)
-            elif kind == "row_sum":
-                push(ins[0], np.broadcast_to(g[:, None], self._value[ins[0]].shape).copy())
-            elif kind == "pairwise_sqdist":
-                tv, mv = self._value[ins[0]], self._value[ins[1]]
-                w = 2.0 * g[:, :, None] * (tv[:, None, :] - mv[None, :, :])
-                push(ins[0], w.sum(axis=1))
-                push(ins[1], -w.sum(axis=0))
-            elif kind == "mul_rows":
-                push(ins[0], g * self._value[ins[1]][None, :])
-                push(ins[1], (g * self._value[ins[0]]).sum(axis=0))
-            elif kind == "add_rows":
-                push(ins[0], g)
-                push(ins[1], g.sum(axis=0))
-            elif kind == "logsumexp_rows":
-                sv, out = self._value[ins[0]], self._value[nid]
-                push(ins[0], np.exp(sv - out[:, None]) * g[:, None])
-            elif kind == "pick":
-                gs = np.zeros_like(self._value[ins[0]])
-                gs[np.arange(gs.shape[0]), aux] = g
-                push(ins[0], gs)
-            else:
-                raise AssertionError(f"unknown op kind {kind!r}")
+            elif kind != "const":
+                _BACKWARD[kind](values, inputs[nid], auxes[nid], nid, g, push)
         return grad
+
+
+# ---------------------------------------------------------------------- backward rules
+#
+# One rule per op kind.  A rule receives the tape's value list, the node's
+# inputs, aux and id, and the node's adjoint ``g``; it hands the adjoint of
+# each input to ``push``.  Rules never write into ``g`` or into an array they
+# have pushed, so a pushed array may be shared between nodes.
+
+
+def _bw_affine(v, ins, aux, nid, g, push):
+    xv, wv = v[ins[0]], v[ins[1]]
+    if xv.ndim == 2:
+        push(ins[0], g @ wv)
+        push(ins[1], g.T @ xv)
+        push(ins[2], g.sum(axis=0))
+    else:
+        push(ins[0], wv.T @ g)
+        push(ins[1], np.outer(g, xv))
+        push(ins[2], g)
+
+
+def _bw_act(v, ins, aux, nid, g, push):
+    if aux == "relu":
+        push(ins[0], g * (v[ins[0]] > 0.0))
+    elif aux == "softplus":
+        push(ins[0], g * _sigmoid(v[ins[0]]))
+    else:
+        push(ins[0], g * (1.0 - v[nid] ** 2))
+
+
+def _bw_pass(v, ins, aux, nid, g, push):
+    for i in ins:
+        push(i, g)
+
+
+def _bw_sub(v, ins, aux, nid, g, push):
+    push(ins[0], g)
+    push(ins[1], -g)
+
+
+def _bw_mul(v, ins, aux, nid, g, push):
+    push(ins[0], g * v[ins[1]])
+    push(ins[1], g * v[ins[0]])
+
+
+def _bw_scale(v, ins, aux, nid, g, push):
+    push(ins[0], g * aux)
+
+
+def _bw_exp(v, ins, aux, nid, g, push):
+    push(ins[0], g * v[nid])
+
+
+def _bw_log(v, ins, aux, nid, g, push):
+    push(ins[0], g / v[ins[0]])
+
+
+def _bw_sum_all(v, ins, aux, nid, g, push):
+    push(ins[0], np.full_like(v[ins[0]], g))
+
+
+def _bw_mean_all(v, ins, aux, nid, g, push):
+    xv = v[ins[0]]
+    push(ins[0], np.full_like(xv, g / xv.size))
+
+
+def _bw_bcast(v, ins, aux, nid, g, push):
+    push(ins[0], np.asarray(np.sum(g)))
+
+
+def _bw_mul_scalar(v, ins, aux, nid, g, push):
+    push(ins[0], g * v[ins[1]])
+    push(ins[1], np.asarray(np.sum(g * v[ins[0]])))
+
+
+def _bw_take(v, ins, aux, nid, g, push):
+    gv = np.zeros_like(v[ins[0]])
+    np.add.at(gv, aux, g)
+    push(ins[0], gv)
+
+
+def _bw_row_sum(v, ins, aux, nid, g, push):
+    push(ins[0], np.broadcast_to(g[:, None], v[ins[0]].shape))
+
+
+def _bw_pairwise_sqdist(v, ins, aux, nid, g, push):
+    tv, mv = v[ins[0]], v[ins[1]]
+    w = 2.0 * g[:, :, None] * (tv[:, None, :] - mv[None, :, :])
+    push(ins[0], w.sum(axis=1))
+    push(ins[1], -w.sum(axis=0))
+
+
+def _bw_mul_rows(v, ins, aux, nid, g, push):
+    push(ins[0], g * v[ins[1]][None, :])
+    push(ins[1], (g * v[ins[0]]).sum(axis=0))
+
+
+def _bw_add_rows(v, ins, aux, nid, g, push):
+    push(ins[0], g)
+    push(ins[1], g.sum(axis=0))
+
+
+def _bw_logsumexp_rows(v, ins, aux, nid, g, push):
+    push(ins[0], np.exp(v[ins[0]] - v[nid][:, None]) * g[:, None])
+
+
+def _bw_pick(v, ins, aux, nid, g, push):
+    gs = np.zeros_like(v[ins[0]])
+    gs[np.arange(gs.shape[0]), aux] = g
+    push(ins[0], gs)
+
+
+# The fused rules below replay the backward rules of the chains they fuse,
+# node by node in reverse, keeping every product's grouping; a comment names
+# the chain node whose adjoint a line forms.
+
+
+def _bw_kl_to_surrogate_rows(v, ins, aux, nid, g, push):
+    means, log_var, mu, log_sigma = ins
+    labels, diff, sq_dist, ratio, inv_var = aux
+    d = float(diff.shape[1])
+    g = g * 0.5  # the five summands
+    g_lv_b = g * -d  # broadcast encoder log-variance
+    g_lv_y = g * d  # per-row surrogate log-variance
+    g_sq_dist = g * inv_var
+    g_lv_y = g_lv_y + g * sq_dist * inv_var * -1.0  # through e^(-lv_y)
+    g_gap = g * d * ratio  # through e^(v - lv_y)
+    g_lv_b = g_lv_b + g_gap
+    g_lv_y = g_lv_y + -g_gap
+    push(log_var, np.asarray(np.sum(g_lv_b)))
+    g_sq = np.broadcast_to(g_sq_dist[:, None], diff.shape)
+    g_diff = g_sq * diff + g_sq * diff
+    push(means, g_diff)
+    g_mu = np.zeros_like(v[mu])
+    np.add.at(g_mu, labels, -g_diff)
+    push(mu, g_mu)
+    g_log_sigma = np.zeros_like(v[log_sigma])
+    np.add.at(g_log_sigma, labels, g_lv_y * 2.0)
+    push(log_sigma, g_log_sigma)
+
+
+def _bw_naive_bayes_scores(v, ins, aux, nid, g, push):
+    t, mu, log_sigma = ins
+    diff, sq_dist, inv_var, half_inv_var = aux
+    d = diff.shape[2]
+    g_log_var = g.sum(axis=0) * (-0.5 * d)  # through the offset row
+    g_quad = g * -1.0
+    g_sq_dist = g_quad * half_inv_var[None, :]
+    g_half_inv_var = (g_quad * sq_dist).sum(axis=0)
+    g_log_var = g_log_var + g_half_inv_var * 0.5 * inv_var * -1.0  # through e^(-log_var)
+    w = 2.0 * g_sq_dist[:, :, None] * diff
+    push(t, w.sum(axis=1))
+    push(mu, -w.sum(axis=0))
+    push(log_sigma, g_log_var * 2.0)
+
+
+def _bw_softmax_nll(v, ins, aux, nid, g, push):
+    labels, lse = aux
+    sv = v[ins[0]]
+    g_pick = np.zeros_like(sv)
+    g_pick[np.arange(sv.shape[0]), labels] = -g
+    push(ins[0], g_pick)
+    push(ins[0], np.exp(sv - lse[:, None]) * g[:, None])
+
+
+_BACKWARD: dict[str, Callable] = {
+    "affine": _bw_affine,
+    "act": _bw_act,
+    "add": _bw_pass,
+    "sub": _bw_sub,
+    "mul": _bw_mul,
+    "add_n": _bw_pass,
+    "scale": _bw_scale,
+    "add_const": _bw_pass,
+    "exp": _bw_exp,
+    "log": _bw_log,
+    "sum_all": _bw_sum_all,
+    "mean_all": _bw_mean_all,
+    "bcast": _bw_bcast,
+    "mul_scalar": _bw_mul_scalar,
+    "take": _bw_take,
+    "take_rows": _bw_take,
+    "row_sum": _bw_row_sum,
+    "pairwise_sqdist": _bw_pairwise_sqdist,
+    "mul_rows": _bw_mul_rows,
+    "add_rows": _bw_add_rows,
+    "logsumexp_rows": _bw_logsumexp_rows,
+    "pick": _bw_pick,
+    "kl_to_surrogate_rows": _bw_kl_to_surrogate_rows,
+    "naive_bayes_scores": _bw_naive_bayes_scores,
+    "softmax_nll": _bw_softmax_nll,
+}
 
 
 @dataclass(frozen=True)

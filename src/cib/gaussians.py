@@ -167,21 +167,7 @@ def kl_to_surrogate_graph(
     the shared isotropic encoder log-variance, ``mu`` a (K, d) node of class
     means and ``log_sigma`` a (K,) node of class log standard deviations.
     Returns a (B,) node; the result is exact (no sampling), mirroring
-    :func:`kl_to_surrogate` coordinate-additively over the bottleneck.
+    :func:`kl_to_surrogate` coordinate-additively over the bottleneck.  It is
+    one fused :meth:`Tape.kl_to_surrogate_rows` node.
     """
-    b, d = tape.val(means).shape
-    labels = np.asarray(labels, dtype=np.intp)
-    log_var_y = tape.scale(tape.take(log_sigma, labels), 2.0)  # (B,) log sigma_y^2
-    diff = tape.sub(means, tape.take_rows(mu, labels))
-    sq_dist = tape.row_sum(tape.mul(diff, diff))
-    lv_b = tape.bcast(log_var, (b,))
-    var_ratio = tape.scale(tape.exp(tape.sub(lv_b, log_var_y)), float(d))
-    mahal = tape.mul(sq_dist, tape.exp(tape.neg(log_var_y)))
-    terms = [
-        var_ratio,
-        mahal,
-        tape.scale(log_var_y, float(d)),
-        tape.scale(lv_b, -float(d)),
-        tape.const(np.full(b, -float(d))),
-    ]
-    return tape.scale(tape.add_n(terms), 0.5)
+    return tape.kl_to_surrogate_rows(means, log_var, mu, log_sigma, labels)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data_io, estimators, objectives
 from .data_io import Dataset, MetricsRow
-from .diffcore import ParamStore, Tape, logsumexp_rows
+from .diffcore import ParamStore, Tape, activate, logsumexp_rows
 from .gaussians import ClassSurrogate, DiagGaussian
 from .objectives import beta_to_beta_prime
 
@@ -76,16 +76,6 @@ def derive_seed(base: int, index: int) -> int:
 _INIT_STREAM, _SHUFFLE_STREAM, _NOISE_STREAM = 0, 1, 2
 
 
-def _act(x: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "softplus":
-        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    if kind == "tanh":
-        return np.tanh(x)
-    raise ValueError(f"unsupported activation: {kind!r}")
-
-
 @dataclass
 class EncoderModel:
     """Feed-forward encoder f(x) with an isotropic noise model on its output."""
@@ -128,7 +118,7 @@ class EncoderModel:
         for l, (wn, bn) in enumerate(self.weight_names()):
             h = h @ self.store.get(wn).T + self.store.get(bn)
             if l < len(self.layer_dims) - 2:
-                h = _act(h, self.activation)
+                h = activate(h, self.activation)
         return h
 
     def encode(self, x: np.ndarray) -> DiagGaussian:
@@ -227,23 +217,14 @@ class DecoderHead:
         """Unnormalized class-score node for a (N, d) bottleneck node."""
         if self.variant == "softmax":
             return tape.affine(t, tape.param("head.W"), tape.param("head.b"), label="head")
-        d = self.bottleneck_dim
         mu = tape.param("sur.mu")
         if "sur.log_sigma" in self.store.names():
-            log_var = tape.scale(tape.param("sur.log_sigma"), 2.0)
+            log_sigma = tape.param("sur.log_sigma")
         else:
-            log_var = tape.const(np.zeros(len(self.priors)))
-        quad = tape.mul_rows(
-            tape.pairwise_sqdist(t, mu),
-            tape.scale(tape.exp(tape.neg(log_var)), 0.5),
-        )
+            log_sigma = tape.const(np.zeros(len(self.priors)))
         with np.errstate(divide="ignore"):
             log_priors = np.log(self.priors)
-        offset = tape.add(
-            tape.scale(log_var, -0.5 * d),
-            tape.const(log_priors - 0.5 * d * math.log(2.0 * math.pi)),
-        )
-        return tape.add_rows(tape.neg(quad), offset)
+        return tape.naive_bayes_scores(t, mu, log_sigma, log_priors)
 
 
 @dataclass

@@ -199,8 +199,7 @@ def cib_loss_graph(
     nll_draws = []
     for s in range(noise.shape[0]):
         t = tape.add(means, tape.mul_scalar(tape.const(noise[s]), std))
-        scores = scores_graph(tape, t)
-        nll_draws.append(tape.sub(tape.logsumexp_rows(scores), tape.pick(scores, labels)))
+        nll_draws.append(tape.softmax_nll(scores_graph(tape, t), labels))
     ce = tape.mean_all(tape.scale(tape.add_n(nll_draws), 1.0 / noise.shape[0]))
     kl = tape.mean_all(kl_to_surrogate_graph(tape, means, log_var, mu, log_sigma, labels))
     total = tape.add(ce, tape.scale(kl, float(beta_prime)))

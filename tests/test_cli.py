@@ -270,6 +270,28 @@ class TestReport:
         err = capsys.readouterr().err
         assert "not_a_run" in err and "checkpoint.json" in err
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda p: p.pop("ixt"), "ixt"),
+        (lambda p: p.update(ce_test=float("nan")), "ce_test"),
+        (lambda p: p.update(kl_train=float("inf")), "kl_train"),
+        (lambda p: p.update(acc_test="0.5"), "acc_test"),
+    ])
+    def test_unusable_point_json_rejected_naming_the_directory(self, tmp_path, capsys, edit, named):
+        good, bad = tmp_path / "good_run", tmp_path / "bad_run"
+        point = dict.fromkeys(cli.POINT_KEYS, 0.5)
+        for rd in (good, bad):
+            rd.mkdir()
+            (rd / "checkpoint.json").write_text("{}")
+            (rd / "metrics.csv").write_text("")
+            (rd / "point.json").write_text(json.dumps(point))
+        edit(point)
+        (bad / "point.json").write_text(json.dumps(point))
+        out = tmp_path / "r.csv"
+        assert run(["report", "--runs", str(good), "--out", str(out)]) == 0
+        assert run(["report", "--runs", str(good), str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bad_run" in err and named in err and "good_run" not in err
+
 
 class TestUsage:
     def test_unknown_flag_exits_one(self, capsys):

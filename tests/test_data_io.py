@@ -250,6 +250,50 @@ class TestMetricsCsv:
             assert back == row  # float equality: repr round-trips exactly
 
 
+class TestAtomicWrites:
+    class _FailingFile:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[: len(text) // 2])
+            self.f.flush()
+            raise OSError("no space left on device")
+
+    @pytest.mark.parametrize("writer", ["metrics", "dataset"])
+    def test_failed_write_keeps_previous_file_and_leaves_no_temporary(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "artifact"
+        ds = gen_gmm(GmmSpec(class_count=2, dim=2, sep=4.0, per_class=3, seed=0))
+        rows = [MetricsRow(step, 0.5, 0.25, 1.0, 0.75, 0.5) for step in range(3)]
+        write = {
+            "metrics": lambda n: write_metrics(rows[:n], path),
+            "dataset": lambda n: data_io.save_dataset(Dataset(ds.features[:n], ds.labels[:n], 2), path),
+        }[writer]
+        write(2)
+        before = path.read_bytes()
+        real_open = open
+        monkeypatch.setattr(data_io, "open", lambda *a, **k: self._FailingFile(real_open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="no space left"):
+            write(3)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        data_io.write_text_atomic(path, "old\n")
+        data_io.write_text_atomic(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+
 class TestConfig:
     def test_defaults_are_applied(self):
         cfg = validate_config(_tiny_config())

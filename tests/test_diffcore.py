@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from cib.diffcore import NonFiniteError, ParamStore, ShapeError, Tape, grad_check
-from helpers import central_difference
+from helpers import (
+    central_difference,
+    chain_kl_to_surrogate_rows,
+    chain_naive_bayes_scores,
+    chain_softmax_nll,
+)
 
 
 class TestParamStore:
@@ -151,7 +156,10 @@ def _loss_through(op_builder, params, seed):
     return build
 
 
-# One entry per primitive op: (name, param arrays, graph builder).
+LOG_PRIORS3 = np.log([0.2, 0.5, 0.3])
+
+
+# One entry per op: (name, param arrays, graph builder).
 def _op_cases():
     rng = np.random.default_rng(123)
     u = lambda *shape: rng.uniform(-2.0, 2.0, size=shape)
@@ -176,7 +184,6 @@ def _op_cases():
         ("log", {"x": pos(4)}, lambda t: t.log(t.param("x"))),
         ("sum_all", {"x": u(3, 2)}, lambda t: t.sum_all(t.param("x"))),
         ("mean_all", {"x": u(3, 2)}, lambda t: t.mean_all(t.param("x"))),
-        ("dot", {"a": u(4), "b": u(4)}, lambda t: t.dot(t.param("a"), t.param("b"))),
         ("bcast", {"s": u()}, lambda t: t.bcast(t.param("s"), (6,))),
         ("mul_scalar", {"x": u(5), "s": u()}, lambda t: t.mul_scalar(t.param("x"), t.param("s"))),
         ("take", {"v": u(4)}, lambda t: t.take(t.param("v"), labels5[:4])),
@@ -188,6 +195,11 @@ def _op_cases():
         ("add_rows", {"x": u(4, 3), "c": u(3)}, lambda t: t.add_rows(t.param("x"), t.param("c"))),
         ("logsumexp_rows", {"s": u(4, 3)}, lambda t: t.logsumexp_rows(t.param("s"))),
         ("pick", {"s": u(5, 3)}, lambda t: t.pick(t.param("s"), labels5)),
+        ("kl_to_surrogate_rows", {"m": u(5, 2), "v": u(), "mu": u(3, 2), "ls": u(3)},
+         lambda t: t.kl_to_surrogate_rows(t.param("m"), t.param("v"), t.param("mu"), t.param("ls"), labels5)),
+        ("naive_bayes_scores", {"t": u(4, 2), "mu": u(3, 2), "ls": u(3)},
+         lambda t: t.naive_bayes_scores(t.param("t"), t.param("mu"), t.param("ls"), LOG_PRIORS3)),
+        ("softmax_nll", {"s": u(5, 3)}, lambda t: t.softmax_nll(t.param("s"), labels5)),
     ]
     return cases
 
@@ -255,7 +267,7 @@ def test_gradient_is_linear_in_the_loss():
     tape = Tape(store)
     w = tape.param("w")
     l1 = tape.sum_all(tape.mul(w, w))
-    l2 = tape.dot(w, tape.const(rng.uniform(-1.0, 1.0, size=5)))
+    l2 = tape.sum_all(tape.mul(w, tape.const(rng.uniform(-1.0, 1.0, size=5))))
     a, b = 0.37, -2.5
     combined = tape.add(tape.scale(l1, a), tape.scale(l2, b))
     g1 = tape.backward(l1)
@@ -264,30 +276,92 @@ def test_gradient_is_linear_in_the_loss():
     np.testing.assert_allclose(gc, a * g1 + b * g2, atol=1e-12, rtol=0)
 
 
-def test_replay_is_bit_identical():
-    rng = np.random.default_rng(5)
-    store = ParamStore([("W", rng.uniform(-1, 1, (3, 3))), ("b", rng.uniform(-1, 1, 3))])
-    tape = Tape(store)
-    h = tape.affine(tape.const(rng.uniform(-1, 1, (4, 3))), tape.param("W"), tape.param("b"))
-    h = tape.activation(h, "tanh")
-    out = tape.mean_all(tape.mul(h, h))
-    before = [tape.val(i).copy() for i in range(len(tape))]
-    g_before = tape.backward(out)
-    tape.replay()
-    after = [tape.val(i) for i in range(len(tape))]
-    for x, y in zip(before, after):
-        np.testing.assert_array_equal(x, y)
-    np.testing.assert_array_equal(g_before, tape.backward(out))
+def _fused_and_chain(params, fused, chain, seed):
+    """Values and gradients of one op built fused and as its primitive chain."""
+    store = ParamStore(list(params.items()))
+    out = []
+    for build in (fused, chain):
+        tape = Tape(store)
+        node = build(tape)
+        weights = np.random.default_rng(seed).uniform(-1.0, 1.0, size=tape.val(node).shape)
+        loss = tape.sum_all(tape.mul(node, tape.const(weights)))
+        out.append((tape.val(node), tape.backward(loss), len(tape)))
+    return out
 
 
-def test_replay_rereads_mutated_store():
-    store = ParamStore([("w", np.array([1.0, 2.0]))])
+class TestFusedOpsMatchChains:
+    """Each fused op gives its primitive chain's values and gradients exactly."""
+
+    labels = np.array([2, 0, 1, 2, 2, 0])
+
+    def _params(self, seed, **shapes):
+        rng = np.random.default_rng(seed)
+        return {name: rng.uniform(-2.0, 2.0, size=shape) for name, shape in shapes.items()}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kl_to_surrogate_rows(self, seed):
+        params = self._params(seed, m=(6, 3), v=(), mu=(3, 3), ls=(3,))
+        args = lambda t: (t.param("m"), t.param("v"), t.param("mu"), t.param("ls"), self.labels)
+        (fv, fg, fn), (cv, cg, cn) = _fused_and_chain(
+            params, lambda t: t.kl_to_surrogate_rows(*args(t)),
+            lambda t: chain_kl_to_surrogate_rows(t, *args(t)), seed,
+        )
+        assert np.array_equal(fv, cv) and np.array_equal(fg, cg)
+        assert fn < cn
+
+    @pytest.mark.parametrize("learned_sigma", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_naive_bayes_scores(self, seed, learned_sigma):
+        params = self._params(seed, t=(6, 3), mu=(3, 3), ls=(3,))
+        if not learned_sigma:
+            params["ls"] = np.zeros(3)
+
+        def chain(t):
+            log_var = t.scale(t.param("ls"), 2.0) if learned_sigma else t.const(np.zeros(3))
+            return chain_naive_bayes_scores(t, t.param("t"), t.param("mu"), log_var, LOG_PRIORS3)
+
+        def fused(t):
+            log_sigma = t.param("ls") if learned_sigma else t.const(np.zeros(3))
+            return t.naive_bayes_scores(t.param("t"), t.param("mu"), log_sigma, LOG_PRIORS3)
+
+        (fv, fg, fn), (cv, cg, cn) = _fused_and_chain(params, fused, chain, seed)
+        assert np.array_equal(fv, cv) and np.array_equal(fg, cg)
+        assert fn < cn
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_softmax_nll(self, seed):
+        params = self._params(seed, s=(6, 3))
+        (fv, fg, fn), (cv, cg, cn) = _fused_and_chain(
+            params, lambda t: t.softmax_nll(t.param("s"), self.labels),
+            lambda t: chain_softmax_nll(t, t.param("s"), self.labels), seed,
+        )
+        assert np.array_equal(fv, cv) and np.array_equal(fg, cg)
+        assert fn < cn
+
+    def test_shape_mismatch_rejected(self):
+        store = ParamStore([("m", np.zeros((4, 2))), ("v", np.zeros(())), ("mu", np.zeros((3, 3))),
+                            ("ls", np.zeros(3))])
+        tape = Tape(store)
+        m, v, mu, ls = (tape.param(n) for n in ("m", "v", "mu", "ls"))
+        with pytest.raises(ShapeError):
+            tape.kl_to_surrogate_rows(m, v, mu, ls, np.zeros(4, dtype=int))
+        with pytest.raises(ShapeError):
+            tape.naive_bayes_scores(m, mu, ls, LOG_PRIORS3)
+        with pytest.raises(ShapeError):
+            tape.softmax_nll(mu, np.zeros(4, dtype=int))
+
+
+def test_adjoints_are_never_written_in_place():
+    """A node's adjoint may be shared with another node: backward must not mutate it."""
+    store = ParamStore([("w", np.array([0.5, -1.5, 2.0]))])
     tape = Tape(store)
-    out = tape.sum_all(tape.mul(tape.param("w"), tape.param("w")))
-    assert float(tape.val(out)) == 5.0
-    store.set("w", np.array([3.0, 0.0]))
-    tape.replay()
-    assert float(tape.val(out)) == 9.0
+    w = tape.param("w")
+    a = tape.add(w, w)
+    b = tape.add_n([a, a, tape.mul(w, w)])
+    out = tape.sum_all(tape.mul(b, b))
+    g = tape.backward(out)
+    wv = store.get("w")
+    np.testing.assert_allclose(g, 2.0 * (4.0 * wv + wv * wv) * (4.0 + 2.0 * wv), rtol=1e-15)
 
 
 class TestGradCheck:

@@ -9,6 +9,7 @@ from cib import data_io, model
 from cib.data_io import Dataset, validate_config
 from cib.diffcore import Tape, grad_check
 from cib.gaussians import ClassSurrogate, log_pdf, surrogate_component
+from helpers import chain_loss_graph
 from cib.model import (
     NonFiniteLossError,
     build_state,
@@ -212,6 +213,49 @@ class TestFullLossGradient:
         lossfn = make_loss_fn(state, x, labels, 1.3, noise)
         report = grad_check(lossfn, state.store, eps=1e-5, tol=1e-5)
         assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_name}"
+
+
+class TestFusedLossGraph:
+    """The loss graph built from fused ops equals its primitive-op chain bit for bit."""
+
+    @pytest.mark.parametrize("head", ["softmax", "naive_bayes"])
+    @pytest.mark.parametrize("learn_sigma", [True, False])
+    @pytest.mark.parametrize("noise_mode", ["fixed_sigma", "learned_eta"])
+    @pytest.mark.parametrize("mc_samples", [1, 3])
+    def test_values_and_gradient_match_primitive_chain(self, head, learn_sigma, noise_mode, mc_samples):
+        rng = np.random.default_rng(5)
+        cfg = _config(
+            encoder={"layer_dims": [3, 5, 2], "noise_mode": noise_mode, "sigma2": 0.5},
+            decoder={"variant": head},
+            surrogate={"learn_sigma": learn_sigma},
+        )
+        state = build_state(cfg, np.array([0.2, 0.5, 0.3]), rng)
+        state.store.set("sur.mu", rng.uniform(-1, 1, (3, 2)))
+        if learn_sigma:
+            state.store.set("sur.log_sigma", rng.uniform(-0.5, 0.5, 3))
+        if noise_mode == "learned_eta":
+            state.store.set("enc.log_eta2", np.array(-0.7))
+        x = rng.uniform(-2, 2, (8, 3))
+        labels = rng.integers(0, 3, 8)
+        noise = rng.standard_normal((mc_samples, 8, 2))
+        fused, chain = Tape(state.store), Tape(state.store)
+        fused_nodes = state.loss_graph(fused, x, labels, 0.8, noise)
+        chain_nodes = chain_loss_graph(state, chain, x, labels, 0.8, noise)
+        for f, c in zip(fused_nodes, chain_nodes):
+            assert fused.val(f) == chain.val(c)
+        assert np.array_equal(fused.backward(fused_nodes[0]), chain.backward(chain_nodes[0]))
+        assert len(fused) < len(chain)
+
+    @pytest.mark.parametrize("head", ["softmax", "naive_bayes"])
+    def test_training_matches_primitive_chain(self, head, monkeypatch):
+        cfg = _config(decoder={"variant": head}, encoder={"layer_dims": [2, 4, 2], "noise_mode": "learned_eta"},
+                      loss={"beta_prime": 1.0, "mc_samples": 2})
+        ds_train, _ = data_io.dataset_from_config(cfg["dataset"])
+        fused = train(cfg, ds_train)
+        monkeypatch.setattr(model.ModelState, "loss_graph", chain_loss_graph)
+        chained = train(cfg, ds_train)
+        assert np.array_equal(fused.state.store.values, chained.state.store.values)
+        assert fused.metrics == chained.metrics
 
 
 class TestTrain:
