@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -354,7 +355,9 @@ def _cmd_report(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; each parse gets its own namespace."""
     parser = _Parser(prog="cib", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -417,7 +420,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("report", help="aggregate run directories into a trade-off CSV")
-    p.add_argument("--runs", nargs="*", default=[])
+    p.add_argument("--runs", nargs="*", default=())
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_report)

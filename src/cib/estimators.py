@@ -16,6 +16,9 @@ default each class is averaged over its own sample count and classes are
 combined with relative frequencies, so the aggregate cannot scale with the
 dataset size.  The printed alternatives (outer 1/N over the restricted sum;
 absolute-count weights) are available behind flags.
+
+Pairwise distances come from direct coordinate differences summed in a fixed
+order, in tiles of ``max(1, _TILE // N)`` rows, so memory is O(d * _TILE).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ MODE_AS_PRINTED = "as-printed"
 MODE_CITED_SOURCE = "cited-source"
 _MODES = (MODE_AS_PRINTED, MODE_CITED_SOURCE)
 
-_BLOCK = 1024  # row blocking keeps the N x N distance work in bounded memory
+_TILE = 1 << 15  # elements per (rows, N) distance tile: memory stays O(d * _TILE) at any N
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,8 @@ class EmbeddedDataset:
     def __post_init__(self):
         object.__setattr__(self, "codes", np.asarray(self.codes, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.intp))
-        if self.codes.ndim != 2 or self.codes.shape[0] < 1:
-            raise ValueError("codes must be a nonempty (N, d) matrix")
+        if self.codes.ndim != 2 or self.codes.shape[0] < 1 or self.codes.shape[1] < 1:
+            raise ValueError(f"codes must be a nonempty (N, d) matrix, got shape {self.codes.shape}")
         if not np.all(np.isfinite(self.codes)):
             raise ValueError("codes must be finite")
         if self.labels.shape != (self.codes.shape[0],):
@@ -108,24 +111,56 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
 
 
+def _sq_distances(cols: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Squared distances from code rows ``start:stop`` to every code row.
+
+    ``cols`` is the C-contiguous (d, N) transpose of the codes, so each numpy
+    call below runs over a (rows, N) inner axis.  The coordinate squares are
+    summed in a fixed order: two chains, over the even and over the odd
+    coordinates; each full chunk of 8 coordinates enters its chain from last
+    to first, the remaining coordinates in order, then the chains are added.
+    That is the order of numpy's two-lane ``einsum("bnd,bnd->bn")`` reduction,
+    so the bounds keep the bits of the direct-difference einsum they replace.
+    Returns a C-contiguous (rows, N) array; ``logsumexp_rows`` sums along its
+    rows, and another memory order would change that summation order.
+    """
+    sq = cols[:, start:stop, None] - cols[:, None, :]
+    sq *= sq
+    dim = sq.shape[0]
+    full = dim - dim % 8
+    chains = []
+    for lane in (0, 1):
+        order = [c + k for c in range(0, full, 8) for k in (6 + lane, 4 + lane, 2 + lane, lane)]
+        order += range(full + lane, dim, 2)
+        if order:
+            acc = sq[order[0]]
+            for k in order[1:]:
+                acc += sq[k]
+            chains.append(acc)
+    if len(chains) == 2:
+        chains[0] += chains[1]
+    return chains[0]
+
+
 def _bound_on_codes(codes: np.ndarray, dim: int, sigma2: float, eta2: float, mode: str) -> float:
     n = codes.shape[0]
     width = eta2 + sigma2
     inner_logs = np.empty(n)
+    cols = np.ascontiguousarray(codes.T)
     # direct pairwise differences (no dot-product expansion: the sqrt in
-    # as-printed mode would amplify its cancellation error); row blocks keep
-    # the (block, N, d) intermediate in bounded memory
-    block_rows = max(1, min(_BLOCK, int(4e6 / max(1, n * codes.shape[1]))))
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        diff = codes[start:stop, None, :] - codes[None, :, :]
-        d2 = np.einsum("bnd,bnd->bn", diff, diff)
+    # as-printed mode would amplify its cancellation error), one tile of rows
+    # at a time so the (d, rows, N) intermediate stays within _TILE * d
+    rows = max(1, _TILE // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        kernel = _sq_distances(cols, start, stop)
         if mode == MODE_AS_PRINTED:
-            kernel = -0.5 * np.sqrt(d2) / width
-            inner_logs[start:stop] = logsumexp_rows(kernel)
-        else:
-            kernel = -0.5 * d2 / width
-            inner_logs[start:stop] = logsumexp_rows(kernel) - np.log(n)
+            np.sqrt(kernel, out=kernel)
+        kernel *= -0.5
+        kernel /= width
+        inner_logs[start:stop] = logsumexp_rows(kernel)
+    if mode == MODE_CITED_SOURCE:
+        inner_logs -= np.log(n)
     return float(-np.mean(inner_logs) - dim * np.log(sigma2 / width))
 
 

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 
+from cib.diffcore import logsumexp_rows
 from cib.discrete_oracle import DiscreteEncoder, DiscreteJoint, ProductSurrogate
+from cib.estimators import MODE_AS_PRINTED
 
 
 def random_joint(rng, nx, ny, floor=0.05):
@@ -143,3 +145,33 @@ def chain_loss_graph(state, tape, x, labels, beta_prime, noise):
     kl = tape.mean_all(chain_kl_to_surrogate_rows(tape, means, log_var, mu, log_sigma, labels))
     total = tape.add(ce, tape.scale(kl, float(beta_prime)))
     return total, ce, kl
+
+
+# --------------------------------------------------------------------- mixture-bound reference
+#
+# The mixture bound with the pairwise distances of each row block reduced by
+# einsum over a (block, N, d) difference tensor.  The tiled per-coordinate
+# kernel behind cib.estimators must reproduce it bit for bit.
+
+
+def einsum_distance_tile(codes, start, stop):
+    diff = codes[start:stop, None, :] - codes[None, :, :]
+    return np.einsum("bnd,bnd->bn", diff, diff)
+
+
+def einsum_bound_on_codes(codes, dim, sigma2, eta2, mode):
+    """Drop-in for ``estimators._bound_on_codes``."""
+    n = codes.shape[0]
+    width = eta2 + sigma2
+    inner_logs = np.empty(n)
+    block_rows = max(1, min(1024, int(4e6 / max(1, n * codes.shape[1]))))
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        d2 = einsum_distance_tile(codes, start, stop)
+        if mode == MODE_AS_PRINTED:
+            kernel = -0.5 * np.sqrt(d2) / width
+            inner_logs[start:stop] = logsumexp_rows(kernel)
+        else:
+            kernel = -0.5 * d2 / width
+            inner_logs[start:stop] = logsumexp_rows(kernel) - np.log(n)
+    return float(-np.mean(inner_logs) - dim * np.log(sigma2 / width))

@@ -302,3 +302,21 @@ class TestUsage:
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run(["frobnicate"]) == 1
+
+    def test_cached_parser_leaves_no_state_between_runs(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        not_a_run, out = tmp_path / "not_a_run", tmp_path / "r.csv"
+        not_a_run.mkdir()
+        assert run(["report", "--runs", str(not_a_run), "--out", str(out)]) == 1
+        assert run(["train", "--out", str(out)]) == 1  # parse error: --config missing
+        assert run(["report", "--out", str(out)]) == 0
+        assert out.read_text() == REPORT_HEADER + "\n"
+        parser = cli._build_parser()
+        report = parser.parse_args(["report", "--out", "a"])
+        parallel = parser.parse_args(["sweep", "--config", "c", "--betas", "1", "--out", "b", "--jobs", "2"])
+        serial = parser.parse_args(["sweep", "--config", "c", "--betas", "1", "--out", "b"])
+        assert serial.jobs == 1 and parallel.jobs == 2
+        assert not hasattr(parallel, "runs") and not hasattr(report, "jobs")
+        with pytest.raises(AttributeError):
+            report.runs.append("leaked")  # the shared default cannot be mutated
+        assert list(parser.parse_args(["report", "--out", "a"]).runs) == []

@@ -1,6 +1,7 @@
 """Tape engine: forward values, reverse-mode gradients, and the checker itself."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ def _op_cases():
 @pytest.mark.parametrize("name,params,builder", _op_cases(), ids=lambda c: c if isinstance(c, str) else "")
 def test_primitive_op_gradients_match_central_differences(name, params, builder):
     store = ParamStore(list(params.items()))
-    lossfn = _loss_through(builder, params, seed=hash(name) % (2**32))
+    lossfn = _loss_through(builder, params, seed=zlib.crc32(name.encode()))
     tape, out = lossfn(store)
     analytic = tape.backward(out)
 

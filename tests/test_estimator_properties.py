@@ -1,0 +1,79 @@
+"""Property tests of the mixture bounds over drawn codes and noise levels."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cib.estimators import (
+    MODE_AS_PRINTED,
+    MODE_CITED_SOURCE,
+    EmbeddedDataset,
+    bound_report,
+    mixture_bound,
+)
+
+# derandomized so that a tier-1 failure replays from its test id; no
+# example database is written
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+COORD = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False,
+                  allow_subnormal=False)
+MODES = st.sampled_from([MODE_AS_PRINTED, MODE_CITED_SOURCE])
+
+
+@st.composite
+def code_matrices(draw, max_rows=24, max_dim=9):
+    n = draw(st.integers(1, max_rows))
+    d = draw(st.integers(1, max_dim))
+    return draw(arrays(np.float64, (n, d), elements=COORD))
+
+
+def _close(a, b):
+    return a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+@PROPERTY
+@given(codes=code_matrices(), mode=MODES, seed=st.integers(0, 2**32 - 1),
+       sigma2=st.floats(0.1, 10.0), eta2=st.floats(0.0, 5.0))
+def test_row_permutation_invariance(codes, mode, seed, sigma2, eta2):
+    perm = np.random.default_rng(seed).permutation(codes.shape[0])
+    labels = np.zeros(codes.shape[0], dtype=int)
+    data = EmbeddedDataset(codes, labels, sigma2, eta2)
+    shuffled = EmbeddedDataset(codes[perm], labels, sigma2, eta2)
+    assert _close(mixture_bound(shuffled, mode), mixture_bound(data, mode))
+
+
+@PROPERTY
+@given(data=st.data(), codes=code_matrices(), mode=MODES,
+       sigma2=st.floats(0.1, 10.0), eta2=st.floats(0.0, 5.0))
+def test_translation_invariance(data, codes, mode, sigma2, eta2):
+    shift = data.draw(arrays(np.float64, (codes.shape[1],), elements=COORD))
+    labels = np.zeros(codes.shape[0], dtype=int)
+    moved = EmbeddedDataset(codes + shift, labels, sigma2, eta2)
+    assert _close(mixture_bound(moved, mode), mixture_bound(EmbeddedDataset(codes, labels, sigma2, eta2), mode))
+
+
+@PROPERTY
+@given(codes=code_matrices(), sigmas=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=4))
+def test_cited_source_lies_in_zero_log_n_and_falls_as_sigma2_grows(codes, sigmas):
+    n = codes.shape[0]
+    labels = np.zeros(n, dtype=int)
+    values = [mixture_bound(EmbeddedDataset(codes, labels, s2, 0.0), MODE_CITED_SOURCE)
+              for s2 in sorted(sigmas)]
+    for value in values:
+        assert -1e-12 <= value <= math.log(n) + 1e-12
+    for wider, narrower in zip(values[1:], values):
+        assert wider <= narrower + 1e-12
+
+
+@PROPERTY
+@given(codes=code_matrices(), mode=MODES, label=st.integers(0, 9),
+       sigma2=st.floats(0.1, 10.0), eta2=st.floats(0.0, 5.0))
+def test_single_class_aggregate_equals_unconditional(codes, mode, label, sigma2, eta2):
+    data = EmbeddedDataset(codes, np.full(codes.shape[0], label), sigma2, eta2)
+    report = bound_report(data, mode)
+    assert report.aggregate == report.unconditional

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cib import estimators
 from cib.estimators import (
     MODE_AS_PRINTED,
     MODE_CITED_SOURCE,
@@ -14,6 +15,7 @@ from cib.estimators import (
     conditional_bound,
     mixture_bound,
 )
+from helpers import einsum_bound_on_codes, einsum_distance_tile
 
 
 def naive_bound(codes, sigma2, eta2, mode):
@@ -87,6 +89,10 @@ class TestMixtureBound:
             EmbeddedDataset(np.zeros((2, 2)), np.zeros(2, dtype=int), sigma2=0.0)
         with pytest.raises(ValueError):
             EmbeddedDataset(np.zeros((2, 2)), np.zeros(2, dtype=int), sigma2=1.0, eta2=-0.1)
+
+    def test_zero_width_codes_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            EmbeddedDataset(np.zeros((5, 0)), np.zeros(5, dtype=int), sigma2=1.0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -206,3 +212,52 @@ class TestBoundReport:
             if report.aggregate > report.unconditional + 1e-12:
                 violations += 1
         print(f"\nas-printed conditioning direction violated on {violations}/10 instances")
+
+
+def _every_bound(data, mode):
+    """Every value the public functions derive from the kernel, in a fixed order."""
+    values = [mixture_bound(data, mode)]
+    for y in np.unique(data.labels):
+        values.append(conditional_bound(data, int(y), mode))
+        values.append(conditional_bound(data, int(y), mode, printed_outer_normalization=True))
+    for outer in (False, True):
+        for weights in (False, True):
+            report = bound_report(data, mode, outer, weights)
+            values += [report.unconditional, report.aggregate]
+            values += [v for _, (_, v) in sorted(report.per_class.items())]
+    return values
+
+
+class TestTiledKernel:
+    """The tiled per-coordinate kernel reproduces the einsum reference bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 33))
+    def test_sq_distances_equal_einsum_tile(self, d):
+        rng = np.random.default_rng(d)
+        for n in (1, 2, 7, 300):
+            codes = rng.normal(scale=3.0, size=(n, d))
+            if n > 2:
+                codes[-1] = codes[0]
+            cols = np.ascontiguousarray(codes.T)
+            for start, stop in ((0, n), (0, 1), (n // 2, n), (n - 1, n)):
+                got = estimators._sq_distances(cols, start, stop)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, einsum_distance_tile(codes, start, stop))
+
+    @pytest.mark.parametrize("mode", [MODE_AS_PRINTED, MODE_CITED_SOURCE])
+    @pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (23, 5), (40, 8), (61, 11)])
+    def test_bounds_equal_einsum_reference_at_any_tile_size(self, monkeypatch, mode, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        codes = rng.normal(scale=2.0, size=(n, d))
+        labels = rng.integers(0, 3, size=n)
+        if n > 2:
+            codes[1] = codes[0]
+            labels[-1] = 7  # a one-sample class
+        data = EmbeddedDataset(codes, labels, sigma2=0.8, eta2=0.35)
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "_bound_on_codes", einsum_bound_on_codes)
+            expected = _every_bound(data, mode)
+        # several tiles with a ragged last one, one-row tiles, one tile
+        for tile in (4 * n - 1, 1, estimators._TILE):
+            monkeypatch.setattr(estimators, "_TILE", tile)
+            assert _every_bound(data, mode) == expected
