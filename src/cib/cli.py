@@ -258,7 +258,10 @@ def _cmd_oracle(args) -> int:
         enc = discrete_oracle.DiscreteEncoder(
             np.asarray(doc["q"], dtype=np.float64), tuple(doc["arities"])
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        samples = [(int(x), int(y)) for x, y in doc["samples"]] if "samples" in doc else None
+        if samples and not all(0 <= x < joint.nx and 0 <= y < joint.ny for x, y in samples):
+            raise ValueError(f"samples need 0 <= x < {joint.nx} and 0 <= y < {joint.ny}")
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise _CliError(f"{inst_path}: bad oracle instance: {exc}") from exc
 
     rep = discrete_oracle.info_report(joint, enc)
@@ -277,8 +280,7 @@ def _cmd_oracle(args) -> int:
     verdicts["decomposition"] = (
         abs(decomp.gap) < 1e-12 and abs(decomp.kl_residual - expected_residual) < 1e-12
     )
-    if "samples" in doc:
-        samples = [(int(x), int(y)) for x, y in doc["samples"]]
+    if samples is not None:
         opt = discrete_oracle.surrogate_optimality_check(samples, enc)
         verdicts["surrogate_optimality"] = abs(opt.gap) < 1e-10
 

@@ -12,6 +12,12 @@ the class-conditional total correlation).
 The latent alphabet is a product of per-coordinate alphabets; joint outcomes
 are indexed in C order (last coordinate fastest), capped at 64 outcomes so
 exhaustive sums stay sub-second.
+
+Tables are stored C-contiguous, because numpy sums in memory order.  An
+encoder family is evaluated in one stacked pass per alphabet size, and sample
+KLs in one pass over rows; every entropy and KL is still summed whole per
+encoder or row, so the batched values equal the per-encoder ones bit for bit.
+Sample indices outside the encoder's rows, or negative labels, are errors.
 """
 
 from __future__ import annotations
@@ -62,6 +68,15 @@ def entropy(p: np.ndarray) -> float:
     return float(-np.sum(_xlogx(np.asarray(p, dtype=np.float64))))
 
 
+def _entropies(tables: np.ndarray) -> np.ndarray:
+    """``entropy(tables[k])`` for every k of a C-contiguous stack.
+
+    Each row of the reshape is one table in C order, summed by one reduction
+    as ``entropy`` sums it, so the values are equal bit for bit.
+    """
+    return -np.sum(_xlogx(tables).reshape(tables.shape[0], -1), axis=1)
+
+
 def kl_discrete(p: np.ndarray, q: np.ndarray) -> float:
     """KL(p || q) in nats; +inf where p puts mass outside q's support."""
     p = np.asarray(p, dtype=np.float64).ravel()
@@ -74,6 +89,21 @@ def kl_discrete(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[support] * (np.log(p[support]) - np.log(q[support]))))
 
 
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``kl_discrete(p[i], q[i])`` for every row i of two (rows, n) tables.
+
+    Rows where both sides are strictly positive take one batched sum; the
+    others (zeros, NaN) go through ``kl_discrete`` for its 0 log 0 and +inf.
+    """
+    out = np.empty(p.shape[0])
+    full = np.all(p > 0.0, axis=1) & np.all(q > 0.0, axis=1)
+    pf, qf = p[full], q[full]
+    out[full] = np.sum(pf * (np.log(pf) - np.log(qf)), axis=1)
+    for i in np.flatnonzero(~full):
+        out[i] = kl_discrete(p[i], q[i])
+    return out
+
+
 @dataclass(frozen=True)
 class DiscreteJoint:
     """Joint probability table p(x, y) over finite feature and class alphabets."""
@@ -81,7 +111,7 @@ class DiscreteJoint:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
+        object.__setattr__(self, "p", np.ascontiguousarray(self.p, dtype=np.float64))
         if self.p.ndim != 2 or self.p.shape[0] < 1 or self.p.shape[1] < 1:
             raise ValueError("joint table must be a nonempty 2-D array")
         if np.any(self.p < 0.0):
@@ -111,7 +141,7 @@ class DiscreteEncoder:
     arities: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
+        object.__setattr__(self, "q", np.ascontiguousarray(self.q, dtype=np.float64))
         object.__setattr__(self, "arities", tuple(int(a) for a in self.arities))
         if self.q.ndim != 2 or self.q.shape[0] < 1:
             raise ValueError("encoder table must be a nonempty 2-D array")
@@ -276,20 +306,37 @@ def equivalence_scan(
     """Check that both objectives pick the same minimizers over a finite family.
 
     Ties are resolved as argmin *sets*: every encoder within ``tie_tol`` of
-    the family minimum belongs to the set.
+    the family minimum belongs to the set.  The family is evaluated in one
+    stacked pass per latent alphabet size; each encoder's entropies are the
+    sums ``info_report`` forms, so the values match it bit for bit.
     """
     if not encoders:
         raise ValueError("encoder family must be non-empty")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    for enc in encoders:
+        if enc.nx != joint.nx:
+            raise ValueError(f"encoder covers {enc.nx} feature values, joint has {joint.nx}")
     beta_prime = beta / (1.0 - beta)
+    h_xy = entropy(joint.p)
+    h_x = entropy(joint.p.sum(axis=1))
+    h_y = entropy(joint.p.sum(axis=0))
+    groups: dict[int, list[int]] = {}
+    for k, enc in enumerate(encoders):
+        groups.setdefault(enc.nt, []).append(k)
     l_ib = np.empty(len(encoders))
     l_cib = np.empty(len(encoders))
-    for k, enc in enumerate(encoders):
-        rep = info_report(joint, enc)
-        vals = objective_values(rep, beta, beta_prime)
-        l_ib[k] = vals.l_ib
-        l_cib[k] = vals.l_cib
+    for members in groups.values():
+        q = np.stack([encoders[k].q for k in members])
+        p3 = joint.p[None, :, :, None] * q[:, :, None, :]  # (K, nx, ny, nt)
+        p_yt = p3.sum(axis=1)
+        h_xyt = _entropies(p3)
+        h_xt = _entropies(p3.sum(axis=2))
+        h_yt = _entropies(p_yt)
+        h_t = _entropies(p_yt.sum(axis=1))
+        h_y_given_t = h_yt - h_t
+        l_ib[members] = h_y_given_t + beta * (h_x + h_t - h_xt)
+        l_cib[members] = h_y_given_t + beta_prime * (h_xy + h_yt - h_y - h_xyt)
     argmin_ib = tuple(int(k) for k in np.flatnonzero(l_ib <= l_ib.min() + tie_tol))
     argmin_cib = tuple(int(k) for k in np.flatnonzero(l_cib <= l_cib.min() + tie_tol))
     return EquivalenceScan(
@@ -340,6 +387,11 @@ class ProductSurrogate:
         return reduce(np.multiply.outer, self.factors[y]).ravel()
 
 
+def _expand_all(surrogate: ProductSurrogate) -> np.ndarray:
+    """(classes, nt) table whose row y is ``surrogate.expand(y)``."""
+    return np.stack([surrogate.expand(y) for y in range(surrogate.class_count)])
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     """Both sides of the surrogate-KL decomposition.
@@ -370,14 +422,15 @@ def decomposition_check(
     A surrogate zero where the induced q(T|Y) has mass yields an infinite KL,
     reported as such on both sides.
     """
+    if enc.nx != joint.nx:
+        raise ValueError(f"encoder covers {enc.nx} feature values, joint has {joint.nx}")
     if surrogate.class_count != joint.ny or surrogate.arities != enc.arities:
         raise ValueError("surrogate must cover the joint's classes and the encoder's alphabet")
-    expanded = [surrogate.expand(y) for y in range(joint.ny)]
+    expanded = _expand_all(surrogate)
+    xs, ys = np.nonzero(joint.p > 0.0)  # x-major
     lhs = 0.0
-    for x in range(joint.nx):
-        for y in range(joint.ny):
-            if joint.p[x, y] > 0.0:
-                lhs += joint.p[x, y] * kl_discrete(enc.q[x], expanded[y])
+    for weight, kl in zip(joint.p[xs, ys], _kl_rows(enc.q[xs], expanded[ys])):
+        lhs += weight * kl
     ind = induced(joint, enc)
     p_y = joint.p.sum(axis=0)
     residual = 0.0
@@ -424,13 +477,27 @@ def _conditional_from_samples(
     return t_given_y / counts[:, None], counts
 
 
+def _checked_samples(samples: Sequence[tuple[int, int]], enc: DiscreteEncoder) -> np.ndarray:
+    """Samples as an (N, 2) index array; rejects x outside [0, nx) and y < 0."""
+    samples = np.asarray(samples, dtype=np.intp)
+    if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 1:
+        raise ValueError("samples must be a nonempty sequence of (x, y) pairs")
+    xs, ys = samples.T
+    if np.any((xs < 0) | (xs >= enc.nx)):
+        raise ValueError(f"sample feature index outside [0, {enc.nx})")
+    if np.any(ys < 0):
+        raise ValueError("sample class label is negative")
+    return samples
+
+
 def sample_kl_objective(
     samples: Sequence[tuple[int, int]], enc: DiscreteEncoder, surrogate: ProductSurrogate
 ) -> float:
     """(1/N) sum_i KL(q(T|x_i) || r(T|y_i)) for a candidate product surrogate."""
-    samples = np.asarray(samples, dtype=np.intp)
-    expanded = [surrogate.expand(y) for y in range(surrogate.class_count)]
-    return float(np.mean([kl_discrete(enc.q[x], expanded[y]) for x, y in samples]))
+    xs, ys = _checked_samples(samples, enc).T
+    if np.any(ys >= surrogate.class_count):
+        raise ValueError(f"sample class label outside the surrogate's {surrogate.class_count} classes")
+    return float(np.mean(_kl_rows(enc.q[xs], _expand_all(surrogate)[ys])))
 
 
 @dataclass(frozen=True)
@@ -456,17 +523,14 @@ def surrogate_optimality_check(
     equals the average of KL(q(T|x_i) || q(T|y_i)) plus the conditional total
     correlation TC(T|y_i).  Returns both sides.
     """
-    samples = np.asarray(samples, dtype=np.intp)
-    if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 1:
-        raise ValueError("samples must be a nonempty sequence of (x, y) pairs")
-    class_count = int(samples[:, 1].max()) + 1
+    samples = _checked_samples(samples, enc)
+    xs, ys = samples.T
+    class_count = int(ys.max()) + 1
     t_given_y, _ = _conditional_from_samples(samples, enc, class_count)
     best = optimal_product_surrogate(t_given_y, enc.arities)
     lhs_min = sample_kl_objective(samples, enc, best)
-    tc = np.array([kl_discrete(t_given_y[y], best.expand(y)) for y in range(class_count)])
-    rhs = float(
-        np.mean([kl_discrete(enc.q[x], t_given_y[y]) + tc[y] for x, y in samples])
-    )
+    tc = _kl_rows(t_given_y, _expand_all(best))
+    rhs = float(np.mean(_kl_rows(enc.q[xs], t_given_y[ys]) + tc[ys]))
     return OptimalityReport(lhs_min=lhs_min, rhs=rhs, surrogate=best)
 
 

@@ -5,7 +5,19 @@ import math
 import numpy as np
 
 from cib.diffcore import logsumexp_rows
-from cib.discrete_oracle import DiscreteEncoder, DiscreteJoint, ProductSurrogate
+from cib.discrete_oracle import (
+    DecompositionReport,
+    DiscreteEncoder,
+    DiscreteJoint,
+    EquivalenceScan,
+    OptimalityReport,
+    ProductSurrogate,
+    induced,
+    info_report,
+    kl_discrete,
+    objective_values,
+    optimal_product_surrogate,
+)
 from cib.estimators import MODE_AS_PRINTED
 
 
@@ -40,6 +52,35 @@ def random_product_surrogate(rng, ny, arities, floor=0.05):
             class_factors.append(f / f.sum())
         factors.append(tuple(class_factors))
     return ProductSurrogate(tuple(factors))
+
+
+def sparse_rows(rng, shape, zero_frac, floor=0.05):
+    """Random stochastic rows (last axis) with about ``zero_frac`` of entries set to 0.
+
+    Every row keeps at least one positive entry.
+    """
+    t = rng.uniform(floor, 1.0, size=shape)
+    t[rng.random(shape) < zero_frac] = 0.0
+    rows = t.reshape(-1, shape[-1])
+    for i in np.flatnonzero(rows.sum(axis=1) == 0.0):
+        rows[i, rng.integers(0, shape[-1])] = 1.0
+    return t / t.sum(axis=-1, keepdims=True)
+
+
+def sparse_joint(rng, nx, ny, zero_frac):
+    """Joint table with zero cells in which every class keeps positive mass."""
+    p = np.ascontiguousarray(sparse_rows(rng, (ny, nx), zero_frac).T)
+    return DiscreteJoint(p / p.sum())
+
+
+def sparse_encoder(rng, nx, arities, zero_frac):
+    return DiscreteEncoder(sparse_rows(rng, (nx, int(np.prod(arities))), zero_frac), tuple(arities))
+
+
+def sparse_product_surrogate(rng, ny, arities, zero_frac):
+    return ProductSurrogate(tuple(
+        tuple(sparse_rows(rng, (a,), zero_frac) for a in arities) for _ in range(ny)
+    ))
 
 
 def random_samples(rng, nx, ny, n):
@@ -175,3 +216,70 @@ def einsum_bound_on_codes(codes, dim, sigma2, eta2, mode):
             kernel = -0.5 * d2 / width
             inner_logs[start:stop] = logsumexp_rows(kernel) - np.log(n)
     return float(-np.mean(inner_logs) - dim * np.log(sigma2 / width))
+
+
+# --------------------------------------------------------------------- discrete-oracle references
+#
+# The per-encoder and per-sample loops of the oracle.  The stacked family
+# pass and the row-wise sample KLs of cib.discrete_oracle must reproduce them
+# bit for bit.
+
+
+def loop_equivalence_scan(joint, encoders, beta, tie_tol=1e-10):
+    """``equivalence_scan`` as one ``info_report`` per encoder."""
+    if not encoders:
+        raise ValueError("encoder family must be non-empty")
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    beta_prime = beta / (1.0 - beta)
+    l_ib = np.empty(len(encoders))
+    l_cib = np.empty(len(encoders))
+    for k, enc in enumerate(encoders):
+        vals = objective_values(info_report(joint, enc), beta, beta_prime)
+        l_ib[k] = vals.l_ib
+        l_cib[k] = vals.l_cib
+    argmin_ib = tuple(int(k) for k in np.flatnonzero(l_ib <= l_ib.min() + tie_tol))
+    argmin_cib = tuple(int(k) for k in np.flatnonzero(l_cib <= l_cib.min() + tie_tol))
+    return EquivalenceScan(beta, beta_prime, argmin_ib, argmin_cib, l_ib, l_cib)
+
+
+def loop_sample_kl_objective(samples, enc, surrogate):
+    """``sample_kl_objective`` as one ``kl_discrete`` per sample."""
+    samples = np.asarray(samples, dtype=np.intp)
+    expanded = [surrogate.expand(y) for y in range(surrogate.class_count)]
+    return float(np.mean([kl_discrete(enc.q[x], expanded[y]) for x, y in samples]))
+
+
+def loop_surrogate_optimality_check(samples, enc):
+    """``surrogate_optimality_check`` with per-sample and per-class KL lists."""
+    samples = np.asarray(samples, dtype=np.intp)
+    class_count = int(samples[:, 1].max()) + 1
+    counts = np.zeros(class_count, dtype=np.int64)
+    t_given_y = np.zeros((class_count, enc.nt))
+    for x, y in samples:
+        counts[y] += 1
+        t_given_y[y] += enc.q[x]
+    t_given_y = t_given_y / counts[:, None]
+    best = optimal_product_surrogate(t_given_y, enc.arities)
+    lhs_min = loop_sample_kl_objective(samples, enc, best)
+    tc = np.array([kl_discrete(t_given_y[y], best.expand(y)) for y in range(class_count)])
+    rhs = float(np.mean([kl_discrete(enc.q[x], t_given_y[y]) + tc[y] for x, y in samples]))
+    return OptimalityReport(lhs_min=lhs_min, rhs=rhs, surrogate=best)
+
+
+def loop_decomposition_check(joint, enc, surrogate):
+    """``decomposition_check`` with one ``kl_discrete`` per (x, y) cell, x-major."""
+    expanded = [surrogate.expand(y) for y in range(joint.ny)]
+    lhs = 0.0
+    for x in range(joint.nx):
+        for y in range(joint.ny):
+            if joint.p[x, y] > 0.0:
+                lhs += joint.p[x, y] * kl_discrete(enc.q[x], expanded[y])
+    ind = induced(joint, enc)
+    p_y = joint.p.sum(axis=0)
+    residual = 0.0
+    for y in range(joint.ny):
+        if p_y[y] > 0.0:
+            residual += p_y[y] * kl_discrete(ind.t_given_y[y], expanded[y])
+    rep = info_report(joint, enc)
+    return DecompositionReport(lhs=lhs, i_xt_given_y=rep.I_XT_given_Y, kl_residual=residual)

@@ -231,6 +231,16 @@ class TestOracle:
         path.write_text(json.dumps({"p": [[0.5, 0.6]], "q": [[1.0]], "arities": [1]}))
         assert run(["oracle", "--instance", str(path)]) == 1
 
+    @pytest.mark.parametrize("bad", [[3, 0], [-1, 0], [0, -1], [0, 2]])
+    def test_out_of_range_sample_rejected(self, tmp_path, capsys, bad):
+        # the instance has 3 feature values and 2 classes
+        inst = _write_instance(tmp_path, with_samples=True)
+        doc = json.loads(inst.read_text())
+        doc["samples"].append(bad)
+        inst.write_text(json.dumps(doc))
+        assert run(["oracle", "--instance", str(inst)]) == 1
+        assert "bad oracle instance" in capsys.readouterr().err
+
 
 class TestReport:
     def test_empty_run_list_writes_header_only(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Exact-oracle identities over finite probability tables."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -21,7 +23,21 @@ from cib.discrete_oracle import (
     sample_kl_objective,
     surrogate_optimality_check,
 )
-from helpers import random_arities, random_encoder, random_joint, random_samples
+from cib.cli import run
+from helpers import (
+    loop_decomposition_check,
+    loop_equivalence_scan,
+    loop_sample_kl_objective,
+    loop_surrogate_optimality_check,
+    random_arities,
+    random_encoder,
+    random_joint,
+    random_product_surrogate,
+    random_samples,
+    sparse_encoder,
+    sparse_joint,
+    sparse_product_surrogate,
+)
 
 
 class TestValidation:
@@ -318,3 +334,190 @@ class TestSurrogateOptimality:
         enc = random_encoder(rng, 3, (2,))
         with pytest.raises(ValueError, match="no samples"):
             surrogate_optimality_check([(0, 0), (1, 2)], enc)
+
+
+# nt from 1 to 64; (4,) and (2, 2), (8,) and (2, 2, 2), (64,) and (2,) * 6
+# share a group in the stacked scan
+ARITY_POOL = [(1,), (2,), (3,), (4,), (2, 2), (2, 3), (8,), (2, 2, 2), (3, 3, 3),
+              (4, 4), (16, 4), (64,), (2,) * 6, (4, 4, 4)]
+
+
+def _pick_arities(rng):
+    return ARITY_POOL[int(rng.integers(0, len(ARITY_POOL)))]
+
+
+class TestBatchedMatchesLoops:
+    """The stacked family pass and the row-wise sample KLs against the loops in helpers."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equivalence_scan_matches_per_encoder_loop(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for size in (1, 2, 7, 30):
+            nx, ny = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            zero_frac = float(rng.choice([0.0, 0.3, 0.6]))
+            joint = sparse_joint(rng, nx, ny, zero_frac)
+            encoders = [sparse_encoder(rng, nx, _pick_arities(rng), zero_frac) for _ in range(size)]
+            for beta in (0.0, float(rng.uniform(0.0, 1.0)), 0.9):
+                scan = equivalence_scan(joint, encoders, beta)
+                ref = loop_equivalence_scan(joint, encoders, beta)
+                assert scan.l_ib.tobytes() == ref.l_ib.tobytes()
+                assert scan.l_cib.tobytes() == ref.l_cib.tobytes()
+                assert (scan.argmin_ib, scan.argmin_cib) == (ref.argmin_ib, ref.argmin_cib)
+                assert scan.beta_prime == ref.beta_prime
+
+    def test_equivalence_scan_matches_with_an_empty_class(self):
+        rng = np.random.default_rng(106)
+        p = np.zeros((4, 3))
+        p[:, [0, 2]] = sparse_joint(rng, 4, 2, 0.3).p
+        joint = DiscreteJoint(p)
+        encoders = [sparse_encoder(rng, 4, _pick_arities(rng), 0.3) for _ in range(12)]
+        scan = equivalence_scan(joint, encoders, 0.4)
+        ref = loop_equivalence_scan(joint, encoders, 0.4)
+        assert scan.l_ib.tobytes() == ref.l_ib.tobytes()
+        assert scan.l_cib.tobytes() == ref.l_cib.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sample_kls_match_per_sample_loops(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        objectives = []
+        for _ in range(10):
+            nx, ny = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            arities = _pick_arities(rng)
+            zero_frac = float(rng.choice([0.0, 0.3, 0.6]))
+            enc = sparse_encoder(rng, nx, arities, zero_frac)
+            samples = random_samples(rng, nx, ny, int(rng.integers(ny, 25)))
+            surrogate = sparse_product_surrogate(rng, ny, arities, zero_frac)
+            value = sample_kl_objective(samples, enc, surrogate)
+            assert value == loop_sample_kl_objective(samples, enc, surrogate)
+            assert sample_kl_objective(samples.tolist(), enc, surrogate) == value
+            objectives.append(value)
+
+            rep = surrogate_optimality_check(samples, enc)
+            ref = loop_surrogate_optimality_check(samples, enc)
+            assert (rep.lhs_min, rep.rhs) == (ref.lhs_min, ref.rhs)
+            for ours, theirs in zip(rep.surrogate.factors, ref.surrogate.factors):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
+        # partial support reached: some objectives are +inf, some finite
+        assert any(math.isinf(v) for v in objectives) and any(math.isfinite(v) for v in objectives)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_decomposition_matches_per_cell_loop(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        for _ in range(10):
+            nx, ny = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            arities = _pick_arities(rng)
+            zero_frac = float(rng.choice([0.0, 0.3, 0.6]))
+            joint = sparse_joint(rng, nx, ny, zero_frac)
+            enc = sparse_encoder(rng, nx, arities, zero_frac)
+            for surrogate in (sparse_product_surrogate(rng, ny, arities, zero_frac),
+                              optimal_product_surrogate(induced(joint, enc).t_given_y, arities)):
+                rep = decomposition_check(joint, enc, surrogate)
+                ref = loop_decomposition_check(joint, enc, surrogate)
+                assert (rep.lhs, rep.i_xt_given_y, rep.kl_residual) == (
+                    ref.lhs, ref.i_xt_given_y, ref.kl_residual)
+
+    def test_tables_are_stored_c_contiguous(self):
+        # sums run in memory order, so a transposed input would sum differently
+        rng = np.random.default_rng(400)
+        p = np.asfortranarray(random_joint(rng, 5, 3).p)
+        q = np.asfortranarray(random_encoder(rng, 5, (2, 4)).q)
+        joint, enc = DiscreteJoint(p), DiscreteEncoder(q, (2, 4))
+        assert joint.p.flags.c_contiguous and enc.q.flags.c_contiguous
+        c_rep = info_report(DiscreteJoint(p.copy(order="C")), DiscreteEncoder(q.copy(order="C"), (2, 4)))
+        f_rep = info_report(joint, enc)
+        assert (f_rep.I_XT, f_rep.I_XT_given_Y, f_rep.H_Y_given_T) == (
+            c_rep.I_XT, c_rep.I_XT_given_Y, c_rep.H_Y_given_T)
+
+
+class TestFamilyValidation:
+    def test_member_with_wrong_feature_count_rejected(self):
+        rng = np.random.default_rng(18)
+        joint = random_joint(rng, 3, 2)
+        encoders = [random_encoder(rng, 3, (2,)), random_encoder(rng, 4, (2,))]
+        with pytest.raises(ValueError, match="4 feature values, joint has 3"):
+            equivalence_scan(joint, encoders, beta=0.5)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5])
+    def test_beta_out_of_range_rejected(self, beta):
+        rng = np.random.default_rng(19)
+        with pytest.raises(ValueError, match="beta"):
+            equivalence_scan(random_joint(rng, 3, 2), [random_encoder(rng, 3, (2,))], beta=beta)
+
+
+class TestSampleIndices:
+    """A sample outside the encoder's rows or with a negative label is an error, not a wrap."""
+
+    @pytest.mark.parametrize("bad, message", [((3, 0), "feature index"), ((-1, 0), "feature index"),
+                                              ((0, -1), "negative")])
+    def test_optimality_check_rejects_bad_sample(self, bad, message):
+        enc = random_encoder(np.random.default_rng(20), 3, (2, 2))
+        with pytest.raises(ValueError, match=message):
+            surrogate_optimality_check([(0, 0), (1, 1), bad], enc)
+
+    @pytest.mark.parametrize("bad, message", [((3, 0), "feature index"), ((-1, 0), "feature index"),
+                                              ((0, -1), "negative"), ((0, 2), "2 classes")])
+    def test_sample_kl_objective_rejects_bad_sample(self, bad, message):
+        rng = np.random.default_rng(21)
+        enc = random_encoder(rng, 3, (2, 2))
+        surrogate = random_product_surrogate(rng, 2, (2, 2))
+        with pytest.raises(ValueError, match=message):
+            sample_kl_objective([(0, 0), (1, 1), bad], enc, surrogate)
+
+
+def _bit_guard_digests(tmp_path, capsys):
+    """sha256 of oracle outputs on seeded instances, families and searches."""
+    rng = np.random.default_rng(20261018)
+    docs = []
+    for k in range(6):
+        nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        arities = random_arities(rng, max_outcomes=64)
+        zero_frac = 0.0 if k < 3 else 0.3
+        joint = sparse_joint(rng, nx, ny, zero_frac)
+        enc = sparse_encoder(rng, nx, arities, zero_frac)
+        docs.append({"p": joint.p.tolist(), "q": enc.q.tolist(), "arities": list(arities),
+                     "samples": random_samples(rng, nx, ny, 12).tolist()})
+    oracle = hashlib.sha256()
+    for k, doc in enumerate(docs):
+        path = tmp_path / f"instance-{k}.json"
+        path.write_text(json.dumps(doc))
+        run(["oracle", "--instance", str(path), "--json"])
+        oracle.update(capsys.readouterr().out.encode())
+
+    joint = sparse_joint(rng, 4, 3, 0.2)
+    shapes = [(4,), (2, 2), (8,), (2, 4), (3,), (2, 2, 2), (16,)]
+    encoders = [sparse_encoder(rng, 4, shapes[k % len(shapes)], 0.3 if k % 2 else 0.0)
+                for k in range(40)]
+    family = hashlib.sha256()
+    argmins = []
+    for beta in np.arange(0.0, 0.95, 0.1):
+        scan = equivalence_scan(joint, encoders, float(beta))
+        family.update(scan.l_ib.tobytes() + scan.l_cib.tobytes())
+        argmins.append([list(scan.argmin_ib), list(scan.argmin_cib)])
+    family.update(json.dumps(argmins).encode())
+
+    values = []
+    for arities in [(2, 2), (2, 3), (2, 2, 2), (4,)]:
+        enc = sparse_encoder(rng, 5, arities, 0.25)
+        samples = random_samples(rng, 5, 3, 14)
+        rep = surrogate_optimality_check(samples, enc)
+        values += [rep.lhs_min, rep.rhs]
+        values += [sample_kl_objective(samples, enc, cand)
+                   for cand in perturbed_product_surrogates(rep.surrogate, step=0.01)]
+        values.append(sample_kl_objective(samples, enc, sparse_product_surrogate(rng, 3, arities, 0.2)))
+        joint = sparse_joint(rng, 5, 3, 0.25)
+        for surrogate in (sparse_product_surrogate(rng, 3, arities, 0.3),
+                          random_product_surrogate(rng, 3, arities)):
+            dec = decomposition_check(joint, enc, surrogate)
+            values += [dec.lhs, dec.i_xt_given_y, dec.kl_residual]
+    search = hashlib.sha256(np.array(values).tobytes())
+    return {"oracle_json": oracle.hexdigest(), "family": family.hexdigest(), "search": search.hexdigest()}
+
+
+def test_oracle_outputs_are_bit_stable(tmp_path, capsys):
+    # sha256 of what the oracle has always computed on these seeded inputs,
+    # zero cells and infinite KLs included; a reordered sum moves them
+    assert _bit_guard_digests(tmp_path, capsys) == {
+        "oracle_json": "464d7a5c58c0ee21dc6c20ba7f15e5e139cbfb2d04b47f7faa3c28f2bd16155a",
+        "family": "6f493d2ffc6fd8e9d78df6bcf2fe05c0e9c6dedd79acd07afb7d358c165987de",
+        "search": "cb8fcc351b3688d0e37d0e0303579495a370052b4f8e9f8bfafa449e4a07d2c4",
+    }
