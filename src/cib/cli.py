@@ -210,6 +210,12 @@ def _cmd_gradcheck(args) -> int:
         raise _CliError(f"--layers must be a comma-separated list of ints: {exc}") from exc
     if len(dims) < 2:
         raise _CliError("--layers needs at least input and bottleneck sizes")
+    for flag, value in (("--batch", args.batch), ("--classes", args.classes)):
+        if value < 1:
+            raise _CliError(f"{flag} must be at least 1, got {value}")
+    for flag, value in (("--eps", args.eps), ("--tol", args.tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise _CliError(f"{flag} must be positive and finite, got {value}")
     heads = ["softmax", "naive_bayes"] if args.head == "both" else [args.head]
     rng = np.random.default_rng(args.seed)
     x = rng.uniform(-2.0, 2.0, size=(args.batch, dims[0]))

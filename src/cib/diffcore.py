@@ -1,14 +1,16 @@
-"""Reverse-mode differentiation over the op set the bottleneck models need.
+"""Reverse-mode differentiation for the training loss of the bottleneck models.
 
 Values are float64 numpy arrays: scalars are shape-() arrays, batches are
-2-D ``(batch, dim)`` matrices.  A :class:`Tape` records primitive ops, and
-three fused ops of the training loss, in topological order together with
+2-D ``(batch, dim)`` matrices.  A :class:`Tape` records a few scalar
+primitives and three fused loss ops (the encoder net, the Monte-Carlo
+cross-entropy, the per-row surrogate KL) in topological order together with
 cached forward values; :meth:`Tape.backward` walks the records once in
 reverse and returns a flat gradient aligned with the bound
 :class:`ParamStore`.
 
 This is deliberately not a general autodiff system: no broadcasting rules
-beyond the few ops that need them, no higher-order derivatives.
+beyond the few ops that need them, no higher-order derivatives, and no op
+the library does not record.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ ACTIVATIONS = ("relu", "softplus", "tanh")
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise log(sum(exp(a))) of a matrix, shifted by each row's maximum."""
-    mx = a.max(axis=1)
+    mx = np.maximum.reduce(a, axis=1)  # a.max(axis=1) without its wrapper
     return mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))
 
 
@@ -125,22 +127,191 @@ class ParamStore:
 
 
 def activate(x: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise hidden-layer activation: the forward rule of :meth:`Tape.activation`."""
+    """Elementwise hidden-layer activation of the encoder (:meth:`Tape.mlp`, ``encode_batch``)."""
+    return _activate(x, kind)[0]
+
+
+def _activate(x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The activation and, for softplus, e^(-|x|), which its derivative reuses."""
     if kind == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0), None
     if kind == "softplus":
         # ln(1+e^x) overflows past ~x=40; use max(x,0)+log1p(e^-|x|)
-        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        e = np.exp(-np.abs(x))
+        return np.maximum(x, 0.0) + np.log1p(e), e
     if kind == "tanh":
-        return np.tanh(x)
+        return np.tanh(x), None
     raise ValueError(f"unsupported activation: {kind!r} (choose from {ACTIVATIONS})")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # each branch is exact on its own half-line; only the discarded one can overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        ex = np.exp(x)
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), ex / (1.0 + ex))
+def _mean(x: np.ndarray) -> np.float64:
+    """``np.mean(x)`` of a nonempty float64 array: the same sum and division, without the wrapper."""
+    return x.sum() / x.size
+
+
+def _act_grad(kind: str, g: np.ndarray, pre: np.ndarray, out: np.ndarray, e: np.ndarray | None):
+    """Adjoint of ``pre`` through ``out, e = _activate(pre, kind)`` for the output adjoint ``g``."""
+    if kind == "relu":
+        return g * (pre > 0.0)
+    if kind == "softplus":
+        # the sigmoid as 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, each exact
+        # on its half-line; e = e^(-|x|) serves both branches and cannot overflow
+        return g * (np.where(pre >= 0, 1.0, e) / (1.0 + e))
+    return g * (1.0 - out**2)
+
+
+def _naive_bayes_scores(tv, muv, lsv, log_priors):
+    """Scores log p(y) + log N(t_b; mu_y, sigma_y^2 I) of a (B, d) batch, and their backward cache."""
+    d = tv.shape[1]
+    log_var = lsv * 2.0
+    diff = tv[:, None, :] - muv[None, :, :]
+    sq_dist = np.einsum("bkd,bkd->bk", diff, diff)
+    neg_log_var = log_var * -1.0
+    with np.errstate(over="ignore"):
+        inv_var = np.exp(neg_log_var)
+    half_inv_var = inv_var * 0.5
+    offset = log_var * (-0.5 * d) + (log_priors - 0.5 * d * math.log(2.0 * math.pi))
+    scores = offset[None, :] - sq_dist * half_inv_var[None, :]  # (-q) + offset, exactly
+    return scores, (diff, sq_dist, inv_var, half_inv_var)
+
+
+def _naive_bayes_grads(cache, g, need_log_sigma: bool):
+    """Adjoints of (t, mu, log_sigma) for the score adjoint ``g``; the last is None unless asked for."""
+    diff, sq_dist, inv_var, half_inv_var = cache
+    d = diff.shape[2]
+    g_log_sigma = None
+    if need_log_sigma:
+        g_log_var = g.sum(axis=0) * (-0.5 * d)  # through the offset row
+    g_quad = g * -1.0
+    g_sq_dist = g_quad * half_inv_var[None, :]
+    if need_log_sigma:
+        g_half_inv_var = (g_quad * sq_dist).sum(axis=0)
+        g_log_var = g_log_var - g_half_inv_var * 0.5 * inv_var  # through e^(-log_var); a + (-b) is a - b
+        g_log_sigma = g_log_var * 2.0
+    w = 2.0 * g_sq_dist[:, :, None] * diff
+    return w.sum(axis=1), -w.sum(axis=0), g_log_sigma
+
+
+def _softmax_nll(sv: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row negative log-softmax of the labelled class, and the row log-sum-exps.
+
+    ``rows`` is ``np.arange(B)``, passed in so that repeated calls share it.
+    """
+    lse = logsumexp_rows(sv)
+    return lse - sv[rows, labels], lse
+
+
+def _softmax_nll_grad(sv, rows, labels, lse, g):
+    """Adjoint of the scores for the (B,) adjoint ``g``: the log-sum-exp's minus ``g`` at the labels.
+
+    The chain adds the log-sum-exp part onto a matrix that is 0 except for
+    -g at the labels, which gives the same sums except that 0.0 + (-0.0) is
+    +0.0.  Such a zero reaches the gradient only as a zero, and adding it
+    onto the zeroed gradient makes it +0.0 there too.
+    """
+    g_scores = np.exp(sv - lse[:, None]) * g[:, None]
+    g_scores[rows, labels] -= g
+    return g_scores
+
+
+# ---------------------------------------------------------------------- backward rules
+#
+# One rule per op kind.  A rule receives the tape's value list, the node's
+# inputs, aux and id, and the node's adjoint ``g``; it hands the adjoint of
+# each input to ``push``.  Rules never write into ``g`` or into an array they
+# have pushed, so a pushed array may be shared between nodes.
+#
+# The fused rules replay the backward rules of the primitive chains they
+# fuse, node by node in reverse, keeping every product's grouping and the
+# order in which adjoints reach a shared node; a comment names the chain
+# node whose adjoint a line forms.
+
+
+def _bw_pass(v, ins, aux, nid, g, push):
+    for i in ins:
+        push(i, g)
+
+
+def _bw_scale(v, ins, aux, nid, g, push):
+    push(ins[0], g * aux)
+
+
+def _bw_exp(v, ins, aux, nid, g, push):
+    push(ins[0], g * v[nid])
+
+
+def _bw_log(v, ins, aux, nid, g, push):
+    push(ins[0], g / v[ins[0]])
+
+
+def _bw_mean_all(v, ins, aux, nid, g, push):
+    xv = v[ins[0]]
+    push(ins[0], np.full(xv.shape, g / xv.size))
+
+
+def _bw_mlp(v, ins, aux, nid, g, push):
+    activation, inputs, pres, exps = aux
+    for l in range(len(inputs) - 1, -1, -1):
+        w = ins[2 * l]
+        if l:  # the first layer's input is the fixed batch: no adjoint
+            g_in = g @ v[w]
+        push(w, g.T @ inputs[l])
+        push(ins[2 * l + 1], g.sum(axis=0))
+        if l:
+            g = _act_grad(activation, g_in, pres[l - 1], inputs[l], exps[l - 1])
+
+
+def _bw_mc_cross_entropy(v, ins, aux, nid, g, push):
+    means, log_var, p, q = ins
+    head, noise, rows, labels, std, draws, need_std, need_q = aux
+    b = labels.shape[0]
+    g_nll = np.full(b, g / b * (1.0 / noise.shape[0]))  # the batch mean, then the 1/S scale
+    g_p = g_q = g_std = None
+    for s in range(len(draws) - 1, -1, -1):
+        scores, lse, cache = draws[s]
+        g_scores = _softmax_nll_grad(scores, rows, labels, lse, g_nll)
+        if head == "softmax":
+            g_t, gp, gq = g_scores @ v[p], g_scores.T @ cache, g_scores.sum(axis=0)
+        else:
+            g_t, gp, gq = _naive_bayes_grads(cache, g_scores, need_q)
+        # the chain gave each draw its own score leaves, summed from the last draw on;
+        # each draw's reparameterization pushes to the means on its own
+        g_p = gp if g_p is None else g_p + gp
+        if need_q:
+            g_q = gq if g_q is None else g_q + gq
+        push(means, g_t)
+        if need_std:
+            g_eps = np.asarray(np.sum(g_t * noise[s]))  # the draw's noise * std product
+            g_std = g_eps if g_std is None else g_std + g_eps
+    push(p, g_p)
+    if need_q:
+        push(q, g_q)
+    if need_std:
+        push(log_var, g_std * std * 0.5)  # through e^(v / 2)
+
+
+def _bw_kl_to_surrogate_rows(v, ins, aux, nid, g, push):
+    means, log_var, mu, log_sigma = ins
+    labels, diff, sq_dist, ratio, inv_var, need_lv, need_ls = aux
+    d = float(diff.shape[1])
+    g = g * 0.5  # the five summands
+    g_sq_dist = g * inv_var
+    if need_lv or need_ls:
+        g_gap = g * d * ratio  # through e^(v - lv_y)
+    if need_lv:
+        push(log_var, np.asarray(np.sum(g * -d + g_gap)))  # broadcast encoder log-variance
+    g_sq = g_sq_dist[:, None]
+    g_diff = g_sq * diff * 2.0  # the chain's p + p, exactly
+    push(means, g_diff)
+    g_mu = np.zeros(v[mu].shape)
+    np.subtract.at(g_mu, labels, g_diff)  # adds -g_diff row by row
+    push(mu, g_mu)
+    if need_ls:
+        # per-row surrogate log-variance lv_y, then through e^(-lv_y) and e^(v - lv_y); a + (-b) is a - b
+        g_lv_y = g * d - g * sq_dist * inv_var - g_gap
+        g_log_sigma = np.zeros(v[log_sigma].shape)
+        np.add.at(g_log_sigma, labels, g_lv_y * 2.0)
+        push(log_sigma, g_log_sigma)
 
 
 class Tape:
@@ -148,13 +319,40 @@ class Tape:
 
     Node handles are plain ints; inputs always reference strictly earlier
     nodes.  Construction runs the forward computation eagerly, so reading
-    :meth:`val` is free.  Besides the primitives there are three fused loss
-    ops (:meth:`kl_to_surrogate_rows`, :meth:`naive_bayes_scores`,
-    :meth:`softmax_nll`); each performs the numpy operations of the primitive
-    chain it stands for in the same order, forward and backward, so it gives
-    the chain's values and gradients bit for bit with fewer nodes.
-    A tape is single-threaded; build a separate tape per concurrent task.
+    :meth:`val` is free.  A node is *live* when it depends on a parameter
+    leaf; :meth:`backward` visits live nodes only, and the fused ops form no
+    adjoint for a dead input such as a fixed log-variance.
+
+    Besides a few scalar primitives the tape records three fused ops, which
+    together make the training loss of the whole model family:
+
+    - :meth:`mlp`: the encoder's feed-forward net, all layers;
+    - :meth:`mc_cross_entropy`: the Monte-Carlo cross-entropy over all S
+      reparameterized draws (draw, class scores, softmax NLL, mean);
+    - :meth:`kl_to_surrogate_rows`: the per-row KL to the class surrogate.
+
+    Each performs the numpy operations of the primitive chain it stands for
+    in the same order and under the same ``np.errstate`` scopes, forward and
+    backward, and hands its adjoints to shared nodes in the chain's order, so
+    it gives the chain's values and gradients bit for bit.
+
+    :meth:`param` leaves are views of the bound store, not copies: a tape is
+    valid only until its store changes, so take :meth:`backward` before the
+    parameters are updated.  A tape is single-threaded; build a separate tape
+    per concurrent task.
     """
+
+    _rules: Mapping[str, Callable] = MappingProxyType({
+        "add": _bw_pass,
+        "scale": _bw_scale,
+        "add_const": _bw_pass,
+        "exp": _bw_exp,
+        "log": _bw_log,
+        "mean_all": _bw_mean_all,
+        "mlp": _bw_mlp,
+        "mc_cross_entropy": _bw_mc_cross_entropy,
+        "kl_to_surrogate_rows": _bw_kl_to_surrogate_rows,
+    })
 
     def __init__(self, store: ParamStore | None = None):
         self.store = store
@@ -162,6 +360,7 @@ class Tape:
         self._inputs: list[tuple[int, ...]] = []
         self._value: list[np.ndarray] = []
         self._aux: list[object] = []
+        self._live: list[bool] = []
 
     def __len__(self) -> int:
         return len(self._kind)
@@ -170,10 +369,12 @@ class Tape:
         return self._value[node]
 
     def _push(self, kind: str, inputs: tuple[int, ...], value: np.ndarray, aux: object = None) -> int:
+        live = self._live
         self._kind.append(kind)
         self._inputs.append(inputs)
         self._value.append(np.asarray(value, dtype=np.float64))
         self._aux.append(aux)
+        live.append(kind == "param" or any(live[i] for i in inputs))
         return len(self._kind) - 1
 
     # ------------------------------------------------------------------ leaves
@@ -182,59 +383,23 @@ class Tape:
         return self._push("const", (), np.asarray(value, dtype=np.float64))
 
     def param(self, name: str) -> int:
+        """Leaf reading the named slice of the bound store (a view, see the class notes)."""
         if self.store is None:
             raise ValueError("tape has no bound ParamStore")
-        return self._push("param", (), self.store.get(name).copy(), aux=self.store.spec(name))
+        spec = self.store.spec(name)
+        view = self.store.values[spec.offset : spec.offset + spec.size].reshape(spec.shape)
+        return self._push("param", (), view, aux=spec)
 
-    # ------------------------------------------------------------------ ops
-
-    def affine(self, x: int, w: int, b: int, label: str = "affine") -> int:
-        """``x @ W.T + b`` for a batch ``x`` of shape (B, d_in), or ``W x + b``
-        for a single vector of shape (d_in,)."""
-        xv, wv, bv = self._value[x], self._value[w], self._value[b]
-        if wv.ndim != 2 or bv.shape != (wv.shape[0],) or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[1]:
-            raise ShapeError(
-                f"affine {label!r}: x{xv.shape} W{wv.shape} b{bv.shape} do not agree"
-            )
-        out = xv @ wv.T + bv if xv.ndim == 2 else wv @ xv + bv
-        return self._push("affine", (x, w, b), out, aux=label)
-
-    def activation(self, x: int, kind: str) -> int:
-        return self._push("act", (x,), activate(self._value[x], kind), aux=kind)
-
-    def _binary(self, kind: str, a: int, b: int) -> int:
-        av, bv = self._value[a], self._value[b]
-        if av.shape != bv.shape:
-            raise ShapeError(f"{kind}: shapes {av.shape} and {bv.shape} differ")
-        op = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[kind]
-        return self._push(kind, (a, b), op(av, bv))
+    # ------------------------------------------------------------------ primitives
 
     def add(self, a: int, b: int) -> int:
-        return self._binary("add", a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        return self._binary("sub", a, b)
-
-    def mul(self, a: int, b: int) -> int:
-        return self._binary("mul", a, b)
-
-    def add_n(self, nodes: Sequence[int]) -> int:
-        if not nodes:
-            raise ValueError("add_n needs at least one node")
-        shape = self._value[nodes[0]].shape
-        for n in nodes[1:]:
-            if self._value[n].shape != shape:
-                raise ShapeError("add_n: all operands must share one shape")
-        out = self._value[nodes[0]].copy()
-        for n in nodes[1:]:
-            out += self._value[n]
-        return self._push("add_n", tuple(nodes), out)
+        av, bv = self._value[a], self._value[b]
+        if av.shape != bv.shape:
+            raise ShapeError(f"add: shapes {av.shape} and {bv.shape} differ")
+        return self._push("add", (a, b), av + bv)
 
     def scale(self, x: int, c: float) -> int:
         return self._push("scale", (x,), self._value[x] * float(c), aux=float(c))
-
-    def neg(self, x: int) -> int:
-        return self.scale(x, -1.0)
 
     def add_const(self, x: int, c: float) -> int:
         return self._push("add_const", (x,), self._value[x] + float(c), aux=float(c))
@@ -248,80 +413,88 @@ class Tape:
         with np.errstate(divide="ignore", invalid="ignore"):
             return self._push("log", (x,), np.log(self._value[x]))
 
-    def sum_all(self, x: int) -> int:
-        return self._push("sum_all", (x,), np.sum(self._value[x]))
-
     def mean_all(self, x: int) -> int:
-        return self._push("mean_all", (x,), np.mean(self._value[x]))
-
-    def bcast(self, s: int, shape: tuple[int, ...]) -> int:
-        sv = self._value[s]
-        if sv.shape != ():
-            raise ShapeError("bcast: input must be a scalar node")
-        return self._push("bcast", (s,), np.full(shape, sv), aux=tuple(shape))
-
-    def mul_scalar(self, x: int, s: int) -> int:
-        sv = self._value[s]
-        if sv.shape != ():
-            raise ShapeError("mul_scalar: second input must be a scalar node")
-        return self._push("mul_scalar", (x, s), self._value[x] * sv)
-
-    def take(self, v: int, idx: np.ndarray) -> int:
-        vv = self._value[v]
-        if vv.ndim != 1:
-            raise ShapeError("take: input must be a vector")
-        idx = np.asarray(idx, dtype=np.intp)
-        return self._push("take", (v,), vv[idx], aux=idx)
-
-    def take_rows(self, m: int, idx: np.ndarray) -> int:
-        mv = self._value[m]
-        if mv.ndim != 2:
-            raise ShapeError("take_rows: input must be a matrix")
-        idx = np.asarray(idx, dtype=np.intp)
-        return self._push("take_rows", (m,), mv[idx], aux=idx)
-
-    def row_sum(self, x: int) -> int:
         xv = self._value[x]
-        if xv.ndim != 2:
-            raise ShapeError("row_sum: input must be a matrix")
-        return self._push("row_sum", (x,), xv.sum(axis=1))
-
-    def pairwise_sqdist(self, t: int, m: int) -> int:
-        """Squared Euclidean distances between rows of t (B,d) and rows of m (K,d)."""
-        tv, mv = self._value[t], self._value[m]
-        if tv.ndim != 2 or mv.ndim != 2 or tv.shape[1] != mv.shape[1]:
-            raise ShapeError(f"pairwise_sqdist: shapes {tv.shape} and {mv.shape} do not agree")
-        diff = tv[:, None, :] - mv[None, :, :]
-        return self._push("pairwise_sqdist", (t, m), np.einsum("bkd,bkd->bk", diff, diff))
-
-    def mul_rows(self, x: int, w: int) -> int:
-        """Multiply each column k of x (B,K) by w[k]."""
-        xv, wv = self._value[x], self._value[w]
-        if xv.ndim != 2 or wv.shape != (xv.shape[1],):
-            raise ShapeError(f"mul_rows: shapes {xv.shape} and {wv.shape} do not agree")
-        return self._push("mul_rows", (x, w), xv * wv[None, :])
-
-    def add_rows(self, x: int, c: int) -> int:
-        """Add c (K,) to every row of x (B,K)."""
-        xv, cv = self._value[x], self._value[c]
-        if xv.ndim != 2 or cv.shape != (xv.shape[1],):
-            raise ShapeError(f"add_rows: shapes {xv.shape} and {cv.shape} do not agree")
-        return self._push("add_rows", (x, c), xv + cv[None, :])
-
-    def logsumexp_rows(self, s: int) -> int:
-        sv = self._value[s]
-        if sv.ndim != 2:
-            raise ShapeError("logsumexp_rows: input must be a matrix")
-        return self._push("logsumexp_rows", (s,), logsumexp_rows(sv))
-
-    def pick(self, s: int, labels: np.ndarray) -> int:
-        sv = self._value[s]
-        labels = np.asarray(labels, dtype=np.intp)
-        if sv.ndim != 2 or labels.shape != (sv.shape[0],):
-            raise ShapeError("pick: need (B,K) scores and (B,) labels")
-        return self._push("pick", (s,), sv[np.arange(sv.shape[0]), labels], aux=labels)
+        return self._push("mean_all", (x,), _mean(xv))
 
     # ------------------------------------------------------------------ fused loss ops
+
+    def mlp(self, x: np.ndarray, weights: Sequence[int], activation: str) -> int:
+        """Output of a feed-forward net on the fixed (B, d_in) batch ``x``.
+
+        ``weights`` holds the nodes W_0, b_0, W_1, b_1, ...: layer l maps h to
+        ``h @ W_l.T + b_l``, and every layer but the last then applies
+        ``activation``.  ``x`` is data, not a node, so no adjoint is formed
+        for it.
+        """
+        if len(weights) < 2 or len(weights) % 2:
+            raise ValueError("mlp needs (W, b) node pairs")
+        h = np.asarray(x, dtype=np.float64)
+        n = len(weights) // 2
+        inputs, pres, exps = [], [], []
+        for l in range(n):
+            wv, bv = self._value[weights[2 * l]], self._value[weights[2 * l + 1]]
+            if h.ndim != 2 or wv.ndim != 2 or bv.shape != (wv.shape[0],) or h.shape[1] != wv.shape[1]:
+                raise ShapeError(f"mlp layer {l}: x{h.shape} W{wv.shape} b{bv.shape} do not agree")
+            inputs.append(h)
+            h = h @ wv.T + bv
+            if l < n - 1:
+                pres.append(h)
+                h, e = _activate(h, activation)
+                exps.append(e)
+        return self._push("mlp", tuple(weights), h, aux=(activation, inputs, pres, exps))
+
+    def mc_cross_entropy(
+        self, means: int, log_var: int, noise: np.ndarray, labels: np.ndarray,
+        head: str, p: int, q: int, log_priors: np.ndarray | None = None,
+    ) -> int:
+        """Monte-Carlo cross-entropy of the labels, a scalar node.
+
+        Draw s is ``t_s = means + e^(v/2) noise[s]`` for the (B, d) ``means``,
+        the scalar log-variance node ``log_var`` = v and the fixed (S, B, d)
+        ``noise``; the value is the batch mean of
+        ``(1/S) sum_s -log softmax(scores(t_s))[y]``.  ``head`` names the score
+        rule: ``"softmax"`` scores ``t @ W.T + b`` with ``p``, ``q`` = W (K, d)
+        and b (K,); ``"naive_bayes"`` scores log p(y) + log N(t; mu_y,
+        sigma_y^2 I) with ``p``, ``q`` = mu (K, d) and log sigma (K,) and the
+        fixed (K,) ``log_priors``.
+        """
+        mv, lv, pv, qv = (self._value[i] for i in (means, log_var, p, q))
+        noise = np.asarray(noise, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.intp)
+        if (mv.ndim != 2 or lv.shape != () or noise.ndim != 3 or noise.shape[0] < 1
+                or noise.shape[1:] != mv.shape or labels.shape != (mv.shape[0],)
+                or pv.ndim != 2 or pv.shape[1] != mv.shape[1] or qv.shape != (pv.shape[0],)):
+            raise ShapeError(
+                f"mc_cross_entropy: means{mv.shape} log_var{lv.shape} noise{noise.shape} "
+                f"labels{labels.shape} head {pv.shape} {qv.shape} do not agree"
+            )
+        if head == "naive_bayes":
+            log_priors = np.asarray(log_priors, dtype=np.float64)
+            if log_priors.shape != qv.shape:
+                raise ShapeError(f"mc_cross_entropy: log_priors{log_priors.shape} for {qv.shape[0]} classes")
+        elif head != "softmax":
+            raise ValueError(f"unknown score head: {head!r}")
+        with np.errstate(over="ignore"):
+            std = np.exp(lv * 0.5)
+        rows = np.arange(mv.shape[0])
+        draws = []
+        total = None
+        for eps in noise:
+            t = mv + eps * std
+            if head == "softmax":
+                scores, cache = t @ pv.T + qv, t
+            else:
+                scores, cache = _naive_bayes_scores(t, pv, qv, log_priors)
+            nll, lse = _softmax_nll(scores, rows, labels)
+            draws.append((scores, lse, cache))
+            if total is None:
+                total = nll
+            else:
+                total += nll
+        ce = _mean(total * (1.0 / noise.shape[0]))
+        aux = (head, noise, rows, labels, std, draws, self._live[log_var], self._live[q])
+        return self._push("mc_cross_entropy", (means, log_var, p, q), ce, aux=aux)
 
     def kl_to_surrogate_rows(
         self, means: int, log_var: int, mu: int, log_sigma: int, labels: np.ndarray
@@ -345,57 +518,16 @@ class Tape:
         lv_y = lsv[labels] * 2.0
         diff = mv - muv[labels]
         sq_dist = (diff * diff).sum(axis=1)
-        lv_b = np.full(labels.shape, lv)
-        gap, neg_lv_y = lv_b - lv_y, lv_y * -1.0
+        # the scalar v broadcasts: each element is the chain's v_b[i] op x
+        gap, neg_lv_y = lv - lv_y, lv_y * -1.0
         with np.errstate(over="ignore"):
             ratio, inv_var = np.exp(gap), np.exp(neg_lv_y)
         rows = ratio * d + sq_dist * inv_var
         rows += lv_y * d
-        rows += lv_b * -d
-        rows += np.full(labels.shape, -d)
-        return self._push(
-            "kl_to_surrogate_rows", (means, log_var, mu, log_sigma), rows * 0.5,
-            aux=(labels, diff, sq_dist, ratio, inv_var),
-        )
-
-    def naive_bayes_scores(self, t: int, mu: int, log_sigma: int, log_priors: np.ndarray) -> int:
-        """Class scores log p(y) + log N(t_b; mu_y, sigma_y^2 I), a (B, K) node.
-
-        ``t`` is (B, d), ``mu`` (K, d), ``log_sigma`` (K,) and ``log_priors`` a
-        fixed (K,) array.  Scores are unnormalized log-probabilities.
-        """
-        tv, muv, lsv = self._value[t], self._value[mu], self._value[log_sigma]
-        log_priors = np.asarray(log_priors, dtype=np.float64)
-        if (tv.ndim != 2 or muv.ndim != 2 or tv.shape[1] != muv.shape[1]
-                or lsv.shape != (muv.shape[0],) or log_priors.shape != lsv.shape):
-            raise ShapeError(
-                f"naive_bayes_scores: t{tv.shape} mu{muv.shape} log_sigma{lsv.shape} "
-                f"log_priors{log_priors.shape} do not agree"
-            )
-        d = tv.shape[1]
-        log_var = lsv * 2.0
-        diff = tv[:, None, :] - muv[None, :, :]
-        sq_dist = np.einsum("bkd,bkd->bk", diff, diff)
-        neg_log_var = log_var * -1.0
-        with np.errstate(over="ignore"):
-            inv_var = np.exp(neg_log_var)
-        half_inv_var = inv_var * 0.5
-        offset = log_var * (-0.5 * d) + (log_priors - 0.5 * d * math.log(2.0 * math.pi))
-        scores = (sq_dist * half_inv_var[None, :]) * -1.0 + offset[None, :]
-        return self._push(
-            "naive_bayes_scores", (t, mu, log_sigma), scores, aux=(diff, sq_dist, inv_var, half_inv_var)
-        )
-
-    def softmax_nll(self, scores: int, labels: np.ndarray) -> int:
-        """Per-row negative log-softmax of the labelled class, a (B,) node."""
-        sv = self._value[scores]
-        labels = np.asarray(labels, dtype=np.intp)
-        if sv.ndim != 2 or labels.shape != (sv.shape[0],):
-            raise ShapeError("softmax_nll: need (B,K) scores and (B,) labels")
-        lse = logsumexp_rows(sv)
-        return self._push(
-            "softmax_nll", (scores,), lse - sv[np.arange(sv.shape[0]), labels], aux=(labels, lse)
-        )
+        rows += lv * -d
+        rows += -d
+        aux = (labels, diff, sq_dist, ratio, inv_var, self._live[log_var], self._live[log_sigma])
+        return self._push("kl_to_surrogate_rows", (means, log_var, mu, log_sigma), rows * 0.5, aux=aux)
 
     # ------------------------------------------------------------------ engine
 
@@ -419,211 +551,20 @@ class Tape:
             a = adj[nid]
             adj[nid] = g if a is None else a + g
 
-        kinds, inputs, values, auxes = self._kind, self._inputs, self._value, self._aux
+        kinds, inputs, values, auxes, live, rules = (
+            self._kind, self._inputs, self._value, self._aux, self._live, self._rules
+        )
         for nid in range(output, -1, -1):
             g = adj[nid]
-            if g is None:
+            if g is None or not live[nid]:
                 continue
             kind = kinds[nid]
             if kind == "param":
                 spec: SliceSpec = auxes[nid]  # type: ignore[assignment]
                 grad[spec.offset : spec.offset + spec.size] += np.asarray(g).ravel()
-            elif kind != "const":
-                _BACKWARD[kind](values, inputs[nid], auxes[nid], nid, g, push)
+            else:
+                rules[kind](values, inputs[nid], auxes[nid], nid, g, push)
         return grad
-
-
-# ---------------------------------------------------------------------- backward rules
-#
-# One rule per op kind.  A rule receives the tape's value list, the node's
-# inputs, aux and id, and the node's adjoint ``g``; it hands the adjoint of
-# each input to ``push``.  Rules never write into ``g`` or into an array they
-# have pushed, so a pushed array may be shared between nodes.
-
-
-def _bw_affine(v, ins, aux, nid, g, push):
-    xv, wv = v[ins[0]], v[ins[1]]
-    if xv.ndim == 2:
-        push(ins[0], g @ wv)
-        push(ins[1], g.T @ xv)
-        push(ins[2], g.sum(axis=0))
-    else:
-        push(ins[0], wv.T @ g)
-        push(ins[1], np.outer(g, xv))
-        push(ins[2], g)
-
-
-def _bw_act(v, ins, aux, nid, g, push):
-    if aux == "relu":
-        push(ins[0], g * (v[ins[0]] > 0.0))
-    elif aux == "softplus":
-        push(ins[0], g * _sigmoid(v[ins[0]]))
-    else:
-        push(ins[0], g * (1.0 - v[nid] ** 2))
-
-
-def _bw_pass(v, ins, aux, nid, g, push):
-    for i in ins:
-        push(i, g)
-
-
-def _bw_sub(v, ins, aux, nid, g, push):
-    push(ins[0], g)
-    push(ins[1], -g)
-
-
-def _bw_mul(v, ins, aux, nid, g, push):
-    push(ins[0], g * v[ins[1]])
-    push(ins[1], g * v[ins[0]])
-
-
-def _bw_scale(v, ins, aux, nid, g, push):
-    push(ins[0], g * aux)
-
-
-def _bw_exp(v, ins, aux, nid, g, push):
-    push(ins[0], g * v[nid])
-
-
-def _bw_log(v, ins, aux, nid, g, push):
-    push(ins[0], g / v[ins[0]])
-
-
-def _bw_sum_all(v, ins, aux, nid, g, push):
-    push(ins[0], np.full_like(v[ins[0]], g))
-
-
-def _bw_mean_all(v, ins, aux, nid, g, push):
-    xv = v[ins[0]]
-    push(ins[0], np.full_like(xv, g / xv.size))
-
-
-def _bw_bcast(v, ins, aux, nid, g, push):
-    push(ins[0], np.asarray(np.sum(g)))
-
-
-def _bw_mul_scalar(v, ins, aux, nid, g, push):
-    push(ins[0], g * v[ins[1]])
-    push(ins[1], np.asarray(np.sum(g * v[ins[0]])))
-
-
-def _bw_take(v, ins, aux, nid, g, push):
-    gv = np.zeros_like(v[ins[0]])
-    np.add.at(gv, aux, g)
-    push(ins[0], gv)
-
-
-def _bw_row_sum(v, ins, aux, nid, g, push):
-    push(ins[0], np.broadcast_to(g[:, None], v[ins[0]].shape))
-
-
-def _bw_pairwise_sqdist(v, ins, aux, nid, g, push):
-    tv, mv = v[ins[0]], v[ins[1]]
-    w = 2.0 * g[:, :, None] * (tv[:, None, :] - mv[None, :, :])
-    push(ins[0], w.sum(axis=1))
-    push(ins[1], -w.sum(axis=0))
-
-
-def _bw_mul_rows(v, ins, aux, nid, g, push):
-    push(ins[0], g * v[ins[1]][None, :])
-    push(ins[1], (g * v[ins[0]]).sum(axis=0))
-
-
-def _bw_add_rows(v, ins, aux, nid, g, push):
-    push(ins[0], g)
-    push(ins[1], g.sum(axis=0))
-
-
-def _bw_logsumexp_rows(v, ins, aux, nid, g, push):
-    push(ins[0], np.exp(v[ins[0]] - v[nid][:, None]) * g[:, None])
-
-
-def _bw_pick(v, ins, aux, nid, g, push):
-    gs = np.zeros_like(v[ins[0]])
-    gs[np.arange(gs.shape[0]), aux] = g
-    push(ins[0], gs)
-
-
-# The fused rules below replay the backward rules of the chains they fuse,
-# node by node in reverse, keeping every product's grouping; a comment names
-# the chain node whose adjoint a line forms.
-
-
-def _bw_kl_to_surrogate_rows(v, ins, aux, nid, g, push):
-    means, log_var, mu, log_sigma = ins
-    labels, diff, sq_dist, ratio, inv_var = aux
-    d = float(diff.shape[1])
-    g = g * 0.5  # the five summands
-    g_lv_b = g * -d  # broadcast encoder log-variance
-    g_lv_y = g * d  # per-row surrogate log-variance
-    g_sq_dist = g * inv_var
-    g_lv_y = g_lv_y + g * sq_dist * inv_var * -1.0  # through e^(-lv_y)
-    g_gap = g * d * ratio  # through e^(v - lv_y)
-    g_lv_b = g_lv_b + g_gap
-    g_lv_y = g_lv_y + -g_gap
-    push(log_var, np.asarray(np.sum(g_lv_b)))
-    g_sq = np.broadcast_to(g_sq_dist[:, None], diff.shape)
-    g_diff = g_sq * diff + g_sq * diff
-    push(means, g_diff)
-    g_mu = np.zeros_like(v[mu])
-    np.add.at(g_mu, labels, -g_diff)
-    push(mu, g_mu)
-    g_log_sigma = np.zeros_like(v[log_sigma])
-    np.add.at(g_log_sigma, labels, g_lv_y * 2.0)
-    push(log_sigma, g_log_sigma)
-
-
-def _bw_naive_bayes_scores(v, ins, aux, nid, g, push):
-    t, mu, log_sigma = ins
-    diff, sq_dist, inv_var, half_inv_var = aux
-    d = diff.shape[2]
-    g_log_var = g.sum(axis=0) * (-0.5 * d)  # through the offset row
-    g_quad = g * -1.0
-    g_sq_dist = g_quad * half_inv_var[None, :]
-    g_half_inv_var = (g_quad * sq_dist).sum(axis=0)
-    g_log_var = g_log_var + g_half_inv_var * 0.5 * inv_var * -1.0  # through e^(-log_var)
-    w = 2.0 * g_sq_dist[:, :, None] * diff
-    push(t, w.sum(axis=1))
-    push(mu, -w.sum(axis=0))
-    push(log_sigma, g_log_var * 2.0)
-
-
-def _bw_softmax_nll(v, ins, aux, nid, g, push):
-    labels, lse = aux
-    sv = v[ins[0]]
-    g_pick = np.zeros_like(sv)
-    g_pick[np.arange(sv.shape[0]), labels] = -g
-    push(ins[0], g_pick)
-    push(ins[0], np.exp(sv - lse[:, None]) * g[:, None])
-
-
-_BACKWARD: dict[str, Callable] = {
-    "affine": _bw_affine,
-    "act": _bw_act,
-    "add": _bw_pass,
-    "sub": _bw_sub,
-    "mul": _bw_mul,
-    "add_n": _bw_pass,
-    "scale": _bw_scale,
-    "add_const": _bw_pass,
-    "exp": _bw_exp,
-    "log": _bw_log,
-    "sum_all": _bw_sum_all,
-    "mean_all": _bw_mean_all,
-    "bcast": _bw_bcast,
-    "mul_scalar": _bw_mul_scalar,
-    "take": _bw_take,
-    "take_rows": _bw_take,
-    "row_sum": _bw_row_sum,
-    "pairwise_sqdist": _bw_pairwise_sqdist,
-    "mul_rows": _bw_mul_rows,
-    "add_rows": _bw_add_rows,
-    "logsumexp_rows": _bw_logsumexp_rows,
-    "pick": _bw_pick,
-    "kl_to_surrogate_rows": _bw_kl_to_surrogate_rows,
-    "naive_bayes_scores": _bw_naive_bayes_scores,
-    "softmax_nll": _bw_softmax_nll,
-}
 
 
 @dataclass(frozen=True)

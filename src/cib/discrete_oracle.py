@@ -372,7 +372,7 @@ class ProductSurrogate:
             if tuple(f.size for f in class_factors) != arities:
                 raise ValueError("all classes must share the coordinate arities")
             for j, f in enumerate(class_factors):
-                if np.any(f < 0.0) or abs(float(f.sum()) - 1.0) > 1e-12:
+                if not np.all(np.isfinite(f)) or np.any(f < 0.0) or abs(float(f.sum()) - 1.0) > 1e-12:
                     raise ValueError(f"factor (class {y}, coordinate {j}) is not a distribution")
 
     @property

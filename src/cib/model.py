@@ -12,6 +12,7 @@ parameters; every run is a deterministic function of its seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import data_io, estimators, objectives
 from .data_io import Dataset, MetricsRow
-from .diffcore import ParamStore, Tape, activate, logsumexp_rows
+from .diffcore import NonFiniteError, ParamStore, Tape, activate, logsumexp_rows
 from .gaussians import ClassSurrogate, DiagGaussian
 from .objectives import beta_to_beta_prime
 
@@ -101,13 +102,17 @@ class EncoderModel:
         """Log of the isotropic bottleneck variance."""
         if self.noise_mode == "fixed_sigma":
             return math.log(self.sigma2)
-        eta2 = math.exp(float(self.store.get("enc.log_eta2")))
-        return math.log(eta2 + self.sigma2)
+        return math.log(self.eta2() + self.sigma2)
 
     def eta2(self) -> float:
+        """Learned noise variance exp(log eta^2); NonFiniteError if it overflows a float."""
         if self.noise_mode == "fixed_sigma":
             return 0.0
-        return math.exp(float(self.store.get("enc.log_eta2")))
+        log_eta2 = float(self.store.get("enc.log_eta2"))
+        try:
+            return math.exp(log_eta2)
+        except OverflowError:
+            raise NonFiniteError(f"learned noise variance exp({log_eta2}) overflows") from None
 
     def encode_batch(self, x: np.ndarray) -> np.ndarray:
         """Mean embeddings for a batch; returns the (N, d) matrix f(x)."""
@@ -130,13 +135,9 @@ class EncoderModel:
         return DiagGaussian(mean, np.full(self.bottleneck_dim, self.log_var()))
 
     def means_graph(self, tape: Tape, x: np.ndarray) -> int:
-        """Tape node of the (N, d) mean embeddings, differentiable in the weights."""
-        h = tape.const(np.asarray(x, dtype=np.float64))
-        for l, (wn, bn) in enumerate(self.weight_names()):
-            h = tape.affine(h, tape.param(wn), tape.param(bn), label=wn)
-            if l < len(self.layer_dims) - 2:
-                h = tape.activation(h, self.activation)
-        return h
+        """Tape node of the (N, d) mean embeddings: one :meth:`Tape.mlp` node over the weights."""
+        weights = [tape.param(name) for pair in self.weight_names() for name in pair]
+        return tape.mlp(x, weights, self.activation)
 
     def log_var_graph(self, tape: Tape) -> int:
         """Scalar tape node of the bottleneck log-variance."""
@@ -213,18 +214,22 @@ class DecoderHead:
     def __call__(self, t: np.ndarray) -> np.ndarray:
         return self.log_probs(t)
 
-    def scores_graph(self, tape: Tape, t: int) -> int:
-        """Unnormalized class-score node for a (N, d) bottleneck node."""
-        if self.variant == "softmax":
-            return tape.affine(t, tape.param("head.W"), tape.param("head.b"), label="head")
-        mu = tape.param("sur.mu")
-        if "sur.log_sigma" in self.store.names():
-            log_sigma = tape.param("sur.log_sigma")
-        else:
-            log_sigma = tape.const(np.zeros(len(self.priors)))
+    @functools.cached_property
+    def log_priors(self) -> np.ndarray:
+        """log p(y) of the fixed priors; -inf for a zero prior."""
         with np.errstate(divide="ignore"):
-            log_priors = np.log(self.priors)
-        return tape.naive_bayes_scores(t, mu, log_sigma, log_priors)
+            return np.log(self.priors)
+
+    def score_rule(self, tape: Tape, mu: int, log_sigma: int) -> tuple:
+        """The score arguments of :meth:`Tape.mc_cross_entropy`: ``(head, p, q, log_priors)``.
+
+        The softmax readout records its own W, b leaves; naive Bayes scores
+        with the surrogate's ``mu`` and ``log_sigma`` nodes, which the KL term
+        shares.
+        """
+        if self.variant == "softmax":
+            return "softmax", tape.param("head.W"), tape.param("head.b"), None
+        return "naive_bayes", mu, log_sigma, self.log_priors
 
 
 @dataclass
@@ -260,8 +265,9 @@ class ModelState:
             log_sigma = tape.param("sur.log_sigma")
         else:
             log_sigma = tape.const(np.zeros(self.class_count))
+        score_rule = self.head.score_rule(tape, mu, log_sigma)
         return objectives.cib_loss_graph(
-            tape, means, log_var, labels, self.head.scores_graph, mu, log_sigma, beta_prime, noise
+            tape, means, log_var, labels, score_rule, mu, log_sigma, beta_prime, noise
         )
 
 

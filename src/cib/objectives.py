@@ -165,15 +165,12 @@ def cib_loss(
     )
 
 
-ScoresGraph = Callable[[Tape, int], int]
-
-
 def cib_loss_graph(
     tape: Tape,
     means: int,
     log_var: int,
     labels: np.ndarray,
-    scores_graph: ScoresGraph,
+    score_rule: tuple,
     mu: int,
     log_sigma: int,
     beta_prime: float,
@@ -182,10 +179,12 @@ def cib_loss_graph(
     """Build the differentiable loss on ``tape``; returns (total, ce, kl) nodes.
 
     ``means`` is the (B, d) encoder-mean node, ``log_var`` the scalar encoder
-    log-variance node, ``scores_graph`` a builder mapping a (B, d) bottleneck
-    node to a (B, K) class-score node (unnormalized log-probabilities), and
-    ``noise`` the frozen (S, B, d) standard-normal draws.  Values on the
-    returned nodes match :func:`cib_loss` on the same inputs.
+    log-variance node, ``score_rule`` the score arguments
+    ``(head, p, q, log_priors)`` of :meth:`Tape.mc_cross_entropy` (see
+    ``DecoderHead.score_rule``), and ``noise`` the frozen (S, B, d)
+    standard-normal draws.  The cross-entropy is one fused node over all
+    draws and the KL one fused node over the batch.  Values on the returned
+    nodes match :func:`cib_loss` on the same inputs.
     """
     if beta_prime < 0.0:
         raise ValueError("beta_prime must be nonnegative")
@@ -195,12 +194,7 @@ def cib_loss_graph(
     if noise.ndim != 3 or noise.shape[1:] != (b, d) or noise.shape[0] < 1:
         raise ValueError(f"noise must have shape (S, {b}, {d}), got {noise.shape}")
 
-    std = tape.exp(tape.scale(log_var, 0.5))
-    nll_draws = []
-    for s in range(noise.shape[0]):
-        t = tape.add(means, tape.mul_scalar(tape.const(noise[s]), std))
-        nll_draws.append(tape.softmax_nll(scores_graph(tape, t), labels))
-    ce = tape.mean_all(tape.scale(tape.add_n(nll_draws), 1.0 / noise.shape[0]))
+    ce = tape.mc_cross_entropy(means, log_var, noise, labels, *score_rule)
     kl = tape.mean_all(kl_to_surrogate_graph(tape, means, log_var, mu, log_sigma, labels))
     total = tape.add(ce, tape.scale(kl, float(beta_prime)))
     return total, ce, kl

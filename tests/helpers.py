@@ -1,10 +1,22 @@
 """Shared randomized-instance builders and small numerical oracles."""
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
-from cib.diffcore import logsumexp_rows
+from cib.diffcore import (
+    ShapeError,
+    Tape,
+    _act_grad,
+    _activate,
+    _bw_pass,
+    _naive_bayes_grads,
+    _naive_bayes_scores,
+    _softmax_nll,
+    _softmax_nll_grad,
+    logsumexp_rows,
+)
 from cib.discrete_oracle import (
     DecompositionReport,
     DiscreteEncoder,
@@ -112,11 +124,272 @@ def gaussian_quadrature_kl(m1, v1, m2, v2, lo=-12.0, hi=12.0, n=240001):
     return float(np.trapezoid(integrand, t))
 
 
-# --------------------------------------------------------------------- primitive-op reference chains
+# --------------------------------------------------------------------- test-only tape ops
 #
-# The training loss as chains of primitive tape ops.  The fused ops
-# (Tape.kl_to_surrogate_rows, Tape.naive_bayes_scores, Tape.softmax_nll) must
-# reproduce these bit for bit, values and gradients.
+# The primitive ops of the training-loss chains, and per-draw ops (one score
+# and one NLL node per Monte-Carlo draw).  The library records none of them:
+# its three fused ops (Tape.mlp, Tape.mc_cross_entropy,
+# Tape.kl_to_surrogate_rows) must reproduce the chains below bit for bit,
+# values and gradients.
+
+
+def _bw_affine(v, ins, aux, nid, g, push):
+    xv, wv = v[ins[0]], v[ins[1]]
+    if xv.ndim == 2:
+        push(ins[0], g @ wv)
+        push(ins[1], g.T @ xv)
+        push(ins[2], g.sum(axis=0))
+    else:
+        push(ins[0], wv.T @ g)
+        push(ins[1], np.outer(g, xv))
+        push(ins[2], g)
+
+
+def _bw_act(v, ins, aux, nid, g, push):
+    kind, e = aux
+    push(ins[0], _act_grad(kind, g, v[ins[0]], v[nid], e))
+
+
+def _bw_sub(v, ins, aux, nid, g, push):
+    push(ins[0], g)
+    push(ins[1], -g)
+
+
+def _bw_mul(v, ins, aux, nid, g, push):
+    push(ins[0], g * v[ins[1]])
+    push(ins[1], g * v[ins[0]])
+
+
+def _bw_sum_all(v, ins, aux, nid, g, push):
+    push(ins[0], np.full_like(v[ins[0]], g))
+
+
+def _bw_bcast(v, ins, aux, nid, g, push):
+    push(ins[0], np.asarray(np.sum(g)))
+
+
+def _bw_mul_scalar(v, ins, aux, nid, g, push):
+    push(ins[0], g * v[ins[1]])
+    push(ins[1], np.asarray(np.sum(g * v[ins[0]])))
+
+
+def _bw_take(v, ins, aux, nid, g, push):
+    gv = np.zeros_like(v[ins[0]])
+    np.add.at(gv, aux, g)
+    push(ins[0], gv)
+
+
+def _bw_row_sum(v, ins, aux, nid, g, push):
+    push(ins[0], np.broadcast_to(g[:, None], v[ins[0]].shape))
+
+
+def _bw_pairwise_sqdist(v, ins, aux, nid, g, push):
+    tv, mv = v[ins[0]], v[ins[1]]
+    w = 2.0 * g[:, :, None] * (tv[:, None, :] - mv[None, :, :])
+    push(ins[0], w.sum(axis=1))
+    push(ins[1], -w.sum(axis=0))
+
+
+def _bw_mul_rows(v, ins, aux, nid, g, push):
+    push(ins[0], g * v[ins[1]][None, :])
+    push(ins[1], (g * v[ins[0]]).sum(axis=0))
+
+
+def _bw_add_rows(v, ins, aux, nid, g, push):
+    push(ins[0], g)
+    push(ins[1], g.sum(axis=0))
+
+
+def _bw_logsumexp_rows(v, ins, aux, nid, g, push):
+    push(ins[0], np.exp(v[ins[0]] - v[nid][:, None]) * g[:, None])
+
+
+def _bw_pick(v, ins, aux, nid, g, push):
+    gs = np.zeros_like(v[ins[0]])
+    gs[np.arange(gs.shape[0]), aux] = g
+    push(ins[0], gs)
+
+
+def _bw_naive_bayes_scores(v, ins, aux, nid, g, push):
+    for node, adjoint in zip(ins, _naive_bayes_grads(aux, g, True)):
+        push(node, adjoint)
+
+
+def _bw_softmax_nll(v, ins, aux, nid, g, push):
+    rows, labels, lse = aux
+    push(ins[0], _softmax_nll_grad(v[ins[0]], rows, labels, lse, g))
+
+
+class ChainTape(Tape):
+    """A :class:`Tape` that also records the primitive and per-draw ops of the reference chains.
+
+    Its parameter leaves are copies of the store, not views, so a reference
+    graph shares no memory with the store it is compared on.
+    """
+
+    _rules = MappingProxyType({
+        **Tape._rules,
+        "affine": _bw_affine,
+        "act": _bw_act,
+        "sub": _bw_sub,
+        "mul": _bw_mul,
+        "add_n": _bw_pass,
+        "sum_all": _bw_sum_all,
+        "bcast": _bw_bcast,
+        "mul_scalar": _bw_mul_scalar,
+        "take": _bw_take,
+        "take_rows": _bw_take,
+        "row_sum": _bw_row_sum,
+        "pairwise_sqdist": _bw_pairwise_sqdist,
+        "mul_rows": _bw_mul_rows,
+        "add_rows": _bw_add_rows,
+        "logsumexp_rows": _bw_logsumexp_rows,
+        "pick": _bw_pick,
+        "naive_bayes_scores": _bw_naive_bayes_scores,
+        "softmax_nll": _bw_softmax_nll,
+    })
+
+    def param(self, name):
+        if self.store is None:
+            raise ValueError("tape has no bound ParamStore")
+        return self._push("param", (), self.store.get(name).copy(), aux=self.store.spec(name))
+
+    def affine(self, x, w, b, label="affine"):
+        """``x @ W.T + b`` for a batch ``x`` of shape (B, d_in), or ``W x + b``
+        for a single vector of shape (d_in,)."""
+        xv, wv, bv = self._value[x], self._value[w], self._value[b]
+        if wv.ndim != 2 or bv.shape != (wv.shape[0],) or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[1]:
+            raise ShapeError(f"affine {label!r}: x{xv.shape} W{wv.shape} b{bv.shape} do not agree")
+        out = xv @ wv.T + bv if xv.ndim == 2 else wv @ xv + bv
+        return self._push("affine", (x, w, b), out, aux=label)
+
+    def activation(self, x, kind):
+        out, e = _activate(self._value[x], kind)
+        return self._push("act", (x,), out, aux=(kind, e))
+
+    def _binary(self, kind, a, b):
+        av, bv = self._value[a], self._value[b]
+        if av.shape != bv.shape:
+            raise ShapeError(f"{kind}: shapes {av.shape} and {bv.shape} differ")
+        op = {"sub": np.subtract, "mul": np.multiply}[kind]
+        return self._push(kind, (a, b), op(av, bv))
+
+    def sub(self, a, b):
+        return self._binary("sub", a, b)
+
+    def mul(self, a, b):
+        return self._binary("mul", a, b)
+
+    def add_n(self, nodes):
+        if not nodes:
+            raise ValueError("add_n needs at least one node")
+        shape = self._value[nodes[0]].shape
+        for n in nodes[1:]:
+            if self._value[n].shape != shape:
+                raise ShapeError("add_n: all operands must share one shape")
+        out = self._value[nodes[0]].copy()
+        for n in nodes[1:]:
+            out += self._value[n]
+        return self._push("add_n", tuple(nodes), out)
+
+    def neg(self, x):
+        return self.scale(x, -1.0)
+
+    def sum_all(self, x):
+        return self._push("sum_all", (x,), np.sum(self._value[x]))
+
+    def bcast(self, s, shape):
+        sv = self._value[s]
+        if sv.shape != ():
+            raise ShapeError("bcast: input must be a scalar node")
+        return self._push("bcast", (s,), np.full(shape, sv), aux=tuple(shape))
+
+    def mul_scalar(self, x, s):
+        sv = self._value[s]
+        if sv.shape != ():
+            raise ShapeError("mul_scalar: second input must be a scalar node")
+        return self._push("mul_scalar", (x, s), self._value[x] * sv)
+
+    def take(self, v, idx):
+        vv = self._value[v]
+        if vv.ndim != 1:
+            raise ShapeError("take: input must be a vector")
+        idx = np.asarray(idx, dtype=np.intp)
+        return self._push("take", (v,), vv[idx], aux=idx)
+
+    def take_rows(self, m, idx):
+        mv = self._value[m]
+        if mv.ndim != 2:
+            raise ShapeError("take_rows: input must be a matrix")
+        idx = np.asarray(idx, dtype=np.intp)
+        return self._push("take_rows", (m,), mv[idx], aux=idx)
+
+    def row_sum(self, x):
+        xv = self._value[x]
+        if xv.ndim != 2:
+            raise ShapeError("row_sum: input must be a matrix")
+        return self._push("row_sum", (x,), xv.sum(axis=1))
+
+    def pairwise_sqdist(self, t, m):
+        """Squared Euclidean distances between rows of t (B,d) and rows of m (K,d)."""
+        tv, mv = self._value[t], self._value[m]
+        if tv.ndim != 2 or mv.ndim != 2 or tv.shape[1] != mv.shape[1]:
+            raise ShapeError(f"pairwise_sqdist: shapes {tv.shape} and {mv.shape} do not agree")
+        diff = tv[:, None, :] - mv[None, :, :]
+        return self._push("pairwise_sqdist", (t, m), np.einsum("bkd,bkd->bk", diff, diff))
+
+    def mul_rows(self, x, w):
+        """Multiply each column k of x (B,K) by w[k]."""
+        xv, wv = self._value[x], self._value[w]
+        if xv.ndim != 2 or wv.shape != (xv.shape[1],):
+            raise ShapeError(f"mul_rows: shapes {xv.shape} and {wv.shape} do not agree")
+        return self._push("mul_rows", (x, w), xv * wv[None, :])
+
+    def add_rows(self, x, c):
+        """Add c (K,) to every row of x (B,K)."""
+        xv, cv = self._value[x], self._value[c]
+        if xv.ndim != 2 or cv.shape != (xv.shape[1],):
+            raise ShapeError(f"add_rows: shapes {xv.shape} and {cv.shape} do not agree")
+        return self._push("add_rows", (x, c), xv + cv[None, :])
+
+    def logsumexp_rows(self, s):
+        sv = self._value[s]
+        if sv.ndim != 2:
+            raise ShapeError("logsumexp_rows: input must be a matrix")
+        return self._push("logsumexp_rows", (s,), logsumexp_rows(sv))
+
+    def pick(self, s, labels):
+        sv = self._value[s]
+        labels = np.asarray(labels, dtype=np.intp)
+        if sv.ndim != 2 or labels.shape != (sv.shape[0],):
+            raise ShapeError("pick: need (B,K) scores and (B,) labels")
+        return self._push("pick", (s,), sv[np.arange(sv.shape[0]), labels], aux=labels)
+
+    def naive_bayes_scores(self, t, mu, log_sigma, log_priors):
+        """Class scores log p(y) + log N(t_b; mu_y, sigma_y^2 I) of one draw, a (B, K) node."""
+        tv, muv, lsv = self._value[t], self._value[mu], self._value[log_sigma]
+        log_priors = np.asarray(log_priors, dtype=np.float64)
+        if (tv.ndim != 2 or muv.ndim != 2 or tv.shape[1] != muv.shape[1]
+                or lsv.shape != (muv.shape[0],) or log_priors.shape != lsv.shape):
+            raise ShapeError(
+                f"naive_bayes_scores: t{tv.shape} mu{muv.shape} log_sigma{lsv.shape} "
+                f"log_priors{log_priors.shape} do not agree"
+            )
+        scores, cache = _naive_bayes_scores(tv, muv, lsv, log_priors)
+        return self._push("naive_bayes_scores", (t, mu, log_sigma), scores, aux=cache)
+
+    def softmax_nll(self, scores, labels):
+        """Per-row negative log-softmax of the labelled class of one draw, a (B,) node."""
+        sv = self._value[scores]
+        labels = np.asarray(labels, dtype=np.intp)
+        if sv.ndim != 2 or labels.shape != (sv.shape[0],):
+            raise ShapeError("softmax_nll: need (B,K) scores and (B,) labels")
+        rows = np.arange(sv.shape[0])
+        nll, lse = _softmax_nll(sv, rows, labels)
+        return self._push("softmax_nll", (scores,), nll, aux=(rows, labels, lse))
+
+
+# --------------------------------------------------------------------- reference chains
 
 
 def chain_kl_to_surrogate_rows(tape, means, log_var, mu, log_sigma, labels):
@@ -156,34 +429,58 @@ def chain_softmax_nll(tape, scores, labels):
     return tape.sub(tape.logsumexp_rows(scores), tape.pick(scores, labels))
 
 
-def chain_loss_graph(state, tape, x, labels, beta_prime, noise):
-    """``ModelState.loss_graph`` built from primitive ops only; returns (total, ce, kl)."""
+def chain_means(tape, encoder, x):
+    """The encoder net as one affine and one activation node per layer."""
+    h = tape.const(np.asarray(x, dtype=np.float64))
+    for l, (wn, bn) in enumerate(encoder.weight_names()):
+        h = tape.affine(h, tape.param(wn), tape.param(bn), label=wn)
+        if l < len(encoder.layer_dims) - 2:
+            h = tape.activation(h, encoder.activation)
+    return h
+
+
+def chain_loss_graph(state, tape, x, labels, beta_prime, noise, per_draw_ops=False):
+    """``ModelState.loss_graph`` on a :class:`ChainTape`; returns (total, ce, kl).
+
+    By default every op is a primitive.  With ``per_draw_ops`` the graph is
+    the one of per-draw fused ops (27 nodes for the acceptance-7 net): each
+    draw records its own reparameterization, its score rule as one
+    ``naive_bayes_scores`` node (or an affine readout) with its own leaves,
+    and one ``softmax_nll`` node, and the KL is one ``kl_to_surrogate_rows``
+    node.
+    """
     learned_sigma = "sur.log_sigma" in state.store.names()
     labels = np.asarray(labels, dtype=np.intp)
-    means = state.encoder.means_graph(tape, x)
+    means = chain_means(tape, state.encoder, x)
     log_var = state.encoder.log_var_graph(tape)
     mu = tape.param("sur.mu")
     log_sigma = tape.param("sur.log_sigma") if learned_sigma else tape.const(np.zeros(state.class_count))
+    with np.errstate(divide="ignore"):
+        log_priors = np.log(state.priors)
 
     def scores_graph(t):
         if state.head.variant == "softmax":
             return tape.affine(t, tape.param("head.W"), tape.param("head.b"), label="head")
         head_mu = tape.param("sur.mu")
+        if per_draw_ops:
+            head_ls = tape.param("sur.log_sigma") if learned_sigma else tape.const(np.zeros(state.class_count))
+            return tape.naive_bayes_scores(t, head_mu, head_ls, log_priors)
         if learned_sigma:
             class_log_var = tape.scale(tape.param("sur.log_sigma"), 2.0)
         else:
             class_log_var = tape.const(np.zeros(state.class_count))
-        with np.errstate(divide="ignore"):
-            log_priors = np.log(state.priors)
         return chain_naive_bayes_scores(tape, t, head_mu, class_log_var, log_priors)
 
+    nll = tape.softmax_nll if per_draw_ops else (lambda s, y: chain_softmax_nll(tape, s, y))
     std = tape.exp(tape.scale(log_var, 0.5))
     nll_draws = []
     for s in range(noise.shape[0]):
         t = tape.add(means, tape.mul_scalar(tape.const(noise[s]), std))
-        nll_draws.append(chain_softmax_nll(tape, scores_graph(t), labels))
+        nll_draws.append(nll(scores_graph(t), labels))
     ce = tape.mean_all(tape.scale(tape.add_n(nll_draws), 1.0 / noise.shape[0]))
-    kl = tape.mean_all(chain_kl_to_surrogate_rows(tape, means, log_var, mu, log_sigma, labels))
+    kl_rows = tape.kl_to_surrogate_rows if per_draw_ops else (
+        lambda *args: chain_kl_to_surrogate_rows(tape, *args))
+    kl = tape.mean_all(kl_rows(means, log_var, mu, log_sigma, labels))
     total = tape.add(ce, tape.scale(kl, float(beta_prime)))
     return total, ce, kl
 

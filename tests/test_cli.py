@@ -185,6 +185,21 @@ class TestEstimate:
         assert doc["mode"] == "cited-source"
         assert [set(e) for e in doc["per_class"]] == [{"label", "count", "value"}] * 2
 
+    def test_overflowing_learned_noise_is_a_numerical_failure(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"})
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        ckpt = json.loads((out / "checkpoint.json").read_text())
+        ckpt["params"]["enc.log_eta2"]["values"] = [1000.0]
+        (out / "checkpoint.json").write_text(json.dumps(ckpt))
+        data = tmp_path / "d.json"
+        assert run("gen-data --classes 2 --dim 2 --per-class 5 --sep 4 --seed 5 "
+                   f"--out {data}".split()) == 0
+        capsys.readouterr()
+        code = run(["estimate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data)])
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_as_printed_mode_flag(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         out = tmp_path / "run"
@@ -207,6 +222,50 @@ class TestGradcheck:
 
     def test_impossible_tolerance_fails_with_exit_two(self, capsys):
         assert run(["gradcheck", "--tol", "1e-30"]) == 2
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--batch", "0"], "--batch"),
+        (["--classes", "0"], "--classes"),
+        (["--eps", "0"], "--eps"),
+        (["--eps=-1e-5"], "--eps"),
+        (["--eps", "nan"], "--eps"),
+        (["--eps", "inf"], "--eps"),
+        (["--tol", "0"], "--tol"),
+        (["--tol", "nan"], "--tol"),
+        (["--tol", "inf"], "--tol"),
+    ])
+    def test_bad_argument_exits_one_naming_the_flag(self, argv, flag, capsys):
+        assert run(["gradcheck", *argv]) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
+    def test_json_output_is_byte_stable(self, capsys):
+        # sha256 of the documents these checks have always printed: the
+        # analytic gradients and every central difference keep their bits
+        cases = {
+            "default": [],
+            "learned_eta_mc3": ["--noise-mode", "learned_eta", "--mc-samples", "3", "--classes", "3",
+                                "--batch", "5"],
+            "relu_3layers": ["--activation", "relu", "--layers", "3,5,4,2", "--classes", "3", "--batch", "6",
+                             "--mc-samples", "2"],
+            "tanh_softmax_eta": ["--activation", "tanh", "--head", "softmax", "--noise-mode", "learned_eta",
+                                 "--layers", "2,4,3", "--seed", "4"],
+            "nb_relu_mc3": ["--head", "naive_bayes", "--activation", "relu", "--mc-samples", "3",
+                            "--layers", "4,6,2", "--beta-prime", "0.3", "--seed", "2"],
+            "bench_shape": ["--layers", "8,32,3", "--classes", "3", "--batch", "16", "--seed", "1"],
+        }
+        digests = {}
+        for name, argv in cases.items():
+            assert run(["gradcheck", *argv, "--json"]) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == {
+            "default": "eefc1008a36e26f185a95b1f9845634d90b986791d7341fcc549a2b02982759d",
+            "learned_eta_mc3": "f37cb01f68ae49288d5e981a74be9faac78a776693f25cd4815dfb0c0287cefb",
+            "relu_3layers": "9a5445ac307df250a44f53f04e681ac7ccd128cae90174da7bc94fb64e47347b",
+            "tanh_softmax_eta": "e0fed2f8ea389aa908bd0159df067140c04815d3b9850d15c6ac8ed233c76679",
+            "nb_relu_mc3": "6d4864fe0378577deb03d63b01b1f978784ee8245634ed4cfebc2440d7fcb87d",
+            "bench_shape": "76b45875ea48f6ff91aa4d7733401bf286c24da7e3c1da783fbcd386ae537e62",
+        }
 
 
 class TestOracle:

@@ -6,8 +6,9 @@ import zlib
 import numpy as np
 import pytest
 
-from cib.diffcore import NonFiniteError, ParamStore, ShapeError, Tape, grad_check
+from cib.diffcore import NonFiniteError, ParamStore, ShapeError, Tape, _act_grad, _activate, grad_check
 from helpers import (
+    ChainTape,
     central_difference,
     chain_kl_to_surrogate_rows,
     chain_naive_bayes_scores,
@@ -45,19 +46,19 @@ class TestParamStore:
 class TestAffine:
     def test_identity_weights_pass_input_through(self):
         store = ParamStore([("W", np.eye(2)), ("b", np.zeros(2))])
-        tape = Tape(store)
+        tape = ChainTape(store)
         out = tape.affine(tape.const([3.0, 4.0]), tape.param("W"), tape.param("b"))
         np.testing.assert_array_equal(tape.val(out), [3.0, 4.0])
 
     def test_zero_weights_return_bias(self):
         store = ParamStore([("W", np.zeros((2, 3))), ("b", np.array([1.0, 2.0]))])
-        tape = Tape(store)
+        tape = ChainTape(store)
         out = tape.affine(tape.const([5.0, -1.0, 7.0]), tape.param("W"), tape.param("b"))
         np.testing.assert_array_equal(tape.val(out), [1.0, 2.0])
 
     def test_dimension_mismatch_names_the_layer(self):
         store = ParamStore([("W", np.zeros((2, 3))), ("b", np.zeros(2))])
-        tape = Tape(store)
+        tape = ChainTape(store)
         with pytest.raises(ShapeError, match="enc.layer0"):
             tape.affine(tape.const([1.0, 2.0]), tape.param("W"), tape.param("b"), label="enc.layer0")
 
@@ -68,7 +69,7 @@ class TestAffine:
         x = rng.uniform(-2.0, 2.0, size=2)
         store = ParamStore([("W", w0), ("b", b0)])
 
-        tape = Tape(store)
+        tape = ChainTape(store)
         out = tape.sum_all(tape.affine(tape.const(x), tape.param("W"), tape.param("b")))
         analytic = tape.backward(out)
 
@@ -84,29 +85,29 @@ class TestAffine:
 
 class TestActivations:
     def test_softplus_at_zero_is_log_two(self):
-        tape = Tape()
+        tape = ChainTape()
         out = tape.activation(tape.const(np.array(0.0)), "softplus")
         assert tape.val(out) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_relu_values(self):
-        tape = Tape()
+        tape = ChainTape()
         out = tape.activation(tape.const([-1.0, 2.0]), "relu")
         np.testing.assert_array_equal(tape.val(out), [0.0, 2.0])
 
     def test_softplus_derivative_at_zero_is_half(self):
         store = ParamStore([("x", np.array(0.0))])
-        tape = Tape(store)
+        tape = ChainTape(store)
         out = tape.activation(tape.param("x"), "softplus")
         grad = tape.backward(out)
         assert grad[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_softplus_is_stable_for_large_inputs(self):
-        tape = Tape()
+        tape = ChainTape()
         out = tape.activation(tape.const([100.0, -100.0]), "softplus")
         np.testing.assert_allclose(tape.val(out), [100.0, 0.0], atol=1e-12)
 
     def test_unknown_kind_rejected(self):
-        tape = Tape()
+        tape = ChainTape()
         with pytest.raises(ValueError):
             tape.activation(tape.const([1.0]), "sigmoid")
 
@@ -121,7 +122,7 @@ class TestBackwardBasics:
 
     def test_single_coordinate_output_gives_unit_vector(self):
         store = ParamStore([("w", np.arange(4.0))])
-        tape = Tape(store)
+        tape = ChainTape(store)
         out = tape.sum_all(tape.take(tape.param("w"), np.array([2])))
         grad = tape.backward(out)
         np.testing.assert_array_equal(grad, [0.0, 0.0, 1.0, 0.0])
@@ -135,7 +136,7 @@ class TestBackwardBasics:
 
     def test_seed_scales_gradient(self):
         store = ParamStore([("w", np.array([2.0]))])
-        tape = Tape(store)
+        tape = ChainTape(store)
         out = tape.sum_all(tape.mul(tape.param("w"), tape.param("w")))
         np.testing.assert_allclose(tape.backward(out, seed=3.0), 3.0 * tape.backward(out))
 
@@ -146,7 +147,7 @@ def _loss_through(op_builder, params, seed):
     weights = {}
 
     def build(store):
-        tape = Tape(store)
+        tape = ChainTape(store)
         out = op_builder(tape)
         shape = tape.val(out).shape
         if "w" not in weights:
@@ -158,6 +159,12 @@ def _loss_through(op_builder, params, seed):
 
 
 LOG_PRIORS3 = np.log([0.2, 0.5, 0.3])
+X53 = np.random.default_rng(6).uniform(-2.0, 2.0, size=(5, 3))
+NOISE252 = np.random.default_rng(5).standard_normal((2, 5, 2))
+
+
+def _mlp(activation, *names):
+    return lambda t: t.mlp(X53, [t.param(n) for n in names], activation)
 
 
 # One entry per op: (name, param arrays, graph builder).
@@ -201,6 +208,19 @@ def _op_cases():
         ("naive_bayes_scores", {"t": u(4, 2), "mu": u(3, 2), "ls": u(3)},
          lambda t: t.naive_bayes_scores(t.param("t"), t.param("mu"), t.param("ls"), LOG_PRIORS3)),
         ("softmax_nll", {"s": u(5, 3)}, lambda t: t.softmax_nll(t.param("s"), labels5)),
+        ("mlp_linear", {"W0": u(2, 3), "b0": u(2)}, _mlp("relu", "W0", "b0")),
+        ("mlp_relu", {"W0": u(4, 3), "b0": u(4), "W1": u(2, 4), "b1": u(2)},
+         _mlp("relu", "W0", "b0", "W1", "b1")),
+        ("mlp_softplus", {"W0": u(4, 3), "b0": u(4), "W1": u(3, 4), "b1": u(3), "W2": u(2, 3), "b2": u(2)},
+         _mlp("softplus", "W0", "b0", "W1", "b1", "W2", "b2")),
+        ("mlp_tanh", {"W0": u(4, 3), "b0": u(4), "W1": u(2, 4), "b1": u(2)},
+         _mlp("tanh", "W0", "b0", "W1", "b1")),
+        ("mc_cross_entropy_softmax", {"m": u(5, 2), "v": u(), "W": u(3, 2), "b": u(3)},
+         lambda t: t.mc_cross_entropy(t.param("m"), t.param("v"), NOISE252, labels5, "softmax",
+                                      t.param("W"), t.param("b"))),
+        ("mc_cross_entropy_naive_bayes", {"m": u(5, 2), "v": u(), "mu": u(3, 2), "ls": u(3)},
+         lambda t: t.mc_cross_entropy(t.param("m"), t.param("v"), NOISE252, labels5, "naive_bayes",
+                                      t.param("mu"), t.param("ls"), LOG_PRIORS3)),
     ]
     return cases
 
@@ -225,7 +245,7 @@ def test_primitive_op_gradients_match_central_differences(name, params, builder)
 
 def _two_layer_loss(x, labels):
     def lossfn(store):
-        tape = Tape(store)
+        tape = ChainTape(store)
         h = tape.affine(tape.const(x), tape.param("W0"), tape.param("b0"))
         h = tape.activation(h, "softplus")
         scores = tape.affine(h, tape.param("W1"), tape.param("b1"))
@@ -265,7 +285,7 @@ def test_two_layer_softplus_network_matches_central_differences():
 def test_gradient_is_linear_in_the_loss():
     rng = np.random.default_rng(3)
     store = ParamStore([("w", rng.uniform(-2.0, 2.0, size=5))])
-    tape = Tape(store)
+    tape = ChainTape(store)
     w = tape.param("w")
     l1 = tape.sum_all(tape.mul(w, w))
     l2 = tape.sum_all(tape.mul(w, tape.const(rng.uniform(-1.0, 1.0, size=5))))
@@ -282,7 +302,7 @@ def _fused_and_chain(params, fused, chain, seed):
     store = ParamStore(list(params.items()))
     out = []
     for build in (fused, chain):
-        tape = Tape(store)
+        tape = ChainTape(store)
         node = build(tape)
         weights = np.random.default_rng(seed).uniform(-1.0, 1.0, size=tape.val(node).shape)
         loss = tape.sum_all(tape.mul(node, tape.const(weights)))
@@ -339,10 +359,70 @@ class TestFusedOpsMatchChains:
         assert np.array_equal(fv, cv) and np.array_equal(fg, cg)
         assert fn < cn
 
+    @pytest.mark.parametrize("activation", ["relu", "softplus", "tanh"])
+    @pytest.mark.parametrize("hidden", [0, 1, 2, 3])
+    def test_mlp(self, hidden, activation):
+        dims = [3, 5, 4, 6][: hidden + 1] + [2]
+        shapes = {}
+        for l in range(len(dims) - 1):
+            shapes[f"W{l}"], shapes[f"b{l}"] = (dims[l + 1], dims[l]), (dims[l + 1],)
+        params = self._params(hidden, **shapes)
+        x = np.random.default_rng(9).uniform(-2.0, 2.0, size=(6, 3))
+
+        def chain(t):
+            h = t.const(x)
+            for l in range(len(dims) - 1):
+                h = t.affine(h, t.param(f"W{l}"), t.param(f"b{l}"))
+                if l < len(dims) - 2:
+                    h = t.activation(h, activation)
+            return h
+
+        (fv, fg, fn), (cv, cg, cn) = _fused_and_chain(
+            params, lambda t: t.mlp(x, [t.param(n) for n in params], activation), chain, hidden,
+        )
+        assert np.array_equal(fv, cv) and np.array_equal(fg, cg)
+        assert fn < cn
+
+    @pytest.mark.parametrize("head", ["softmax", "naive_bayes"])
+    @pytest.mark.parametrize("draws", [1, 3])
+    @pytest.mark.parametrize("learned", [True, False])
+    def test_mc_cross_entropy(self, head, draws, learned):
+        """All S draws in one node; ``learned`` False makes v and the class log sigmas constants."""
+        params = self._params(draws, m=(6, 3), v=(), p=(3, 3), q=(3,))
+        noise = np.random.default_rng(draws).standard_normal((draws, 6, 3))
+        naive_bayes = head == "naive_bayes"
+
+        def leaves(t):
+            v = t.param("v") if learned else t.const(params["v"])
+            q = t.param("q") if learned or not naive_bayes else t.const(np.zeros(3))
+            return t.param("m"), v, t.param("p"), q
+
+        def fused(t):
+            m, v, p, q = leaves(t)
+            return t.mc_cross_entropy(m, v, noise, self.labels, head, p, q, LOG_PRIORS3 if naive_bayes else None)
+
+        def chain(t):
+            m, v, p, q = leaves(t)
+            std = t.exp(t.scale(v, 0.5))
+            nll = []
+            for s in range(draws):
+                point = t.add(m, t.mul_scalar(t.const(noise[s]), std))
+                if naive_bayes:
+                    log_var = t.scale(q, 2.0) if learned else q
+                    scores = chain_naive_bayes_scores(t, point, p, log_var, LOG_PRIORS3)
+                else:
+                    scores = t.affine(point, p, q)
+                nll.append(chain_softmax_nll(t, scores, self.labels))
+            return t.mean_all(t.scale(t.add_n(nll), 1.0 / draws))
+
+        (fv, fg, fn), (cv, cg, cn) = _fused_and_chain(params, fused, chain, draws)
+        assert fv == cv and np.array_equal(fg, cg)
+        assert fn < cn
+
     def test_shape_mismatch_rejected(self):
         store = ParamStore([("m", np.zeros((4, 2))), ("v", np.zeros(())), ("mu", np.zeros((3, 3))),
-                            ("ls", np.zeros(3))])
-        tape = Tape(store)
+                            ("ls", np.zeros(3)), ("p", np.zeros((3, 2)))])
+        tape = ChainTape(store)
         m, v, mu, ls = (tape.param(n) for n in ("m", "v", "mu", "ls"))
         with pytest.raises(ShapeError):
             tape.kl_to_surrogate_rows(m, v, mu, ls, np.zeros(4, dtype=int))
@@ -350,12 +430,56 @@ class TestFusedOpsMatchChains:
             tape.naive_bayes_scores(m, mu, ls, LOG_PRIORS3)
         with pytest.raises(ShapeError):
             tape.softmax_nll(mu, np.zeros(4, dtype=int))
+        with pytest.raises(ShapeError):
+            tape.mlp(np.zeros((4, 2)), [mu, ls], "relu")
+        with pytest.raises(ShapeError):
+            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 3)), np.zeros(4, dtype=int), "softmax", mu, ls)
+        with pytest.raises(ShapeError):
+            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 2)), np.zeros(4, dtype=int), "naive_bayes",
+                                  tape.param("p"), ls, LOG_PRIORS3[:2])
+        with pytest.raises(ValueError, match="unknown score head"):
+            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 2)), np.zeros(4, dtype=int), "probit",
+                                  tape.param("p"), ls)
+
+
+def test_dead_nodes_are_not_visited():
+    """A node that depends on no parameter gets no backward call."""
+    store = ParamStore([("w", np.array([0.5, 1.5]))])
+    tape = ChainTape(store)
+    dead = tape.exp(tape.const(np.array(0.3)))
+    out = tape.sum_all(tape.mul_scalar(tape.param("w"), dead))
+    calls = []
+    tape._rules = {**tape._rules, "exp": lambda *args: calls.append(args)}
+    grad = tape.backward(out)
+    assert calls == []
+    np.testing.assert_array_equal(grad, np.full(2, tape.val(dead)))
+
+
+def test_param_leaves_are_views_of_the_store():
+    store = ParamStore([("w", np.arange(3.0)), ("v", np.ones((2, 2)))])
+    tape = Tape(store)
+    w, v = tape.param("w"), tape.param("v")
+    assert np.shares_memory(tape.val(w), store.values) and np.shares_memory(tape.val(v), store.values)
+    assert tape.val(v).shape == (2, 2)
+
+
+def test_softplus_derivative_matches_the_two_branch_sigmoid():
+    """exp(-|x|) from the forward pass gives the bits of 1/(1+e^-x) and e^x/(1+e^x)."""
+    rng = np.random.default_rng(2)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2,
+             np.inf, -np.inf]
+    x = np.concatenate([np.linspace(-800.0, 800.0, 4001), edges, rng.standard_normal(2000) * 30.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = np.exp(x)
+        reference = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), ex / (1.0 + ex))
+    out, e = _activate(x, "softplus")
+    assert np.array_equal(_act_grad("softplus", np.ones_like(x), x, out, e), reference)
 
 
 def test_adjoints_are_never_written_in_place():
     """A node's adjoint may be shared with another node: backward must not mutate it."""
     store = ParamStore([("w", np.array([0.5, -1.5, 2.0]))])
-    tape = Tape(store)
+    tape = ChainTape(store)
     w = tape.param("w")
     a = tape.add(w, w)
     b = tape.add_n([a, a, tape.mul(w, w)])
@@ -371,7 +495,7 @@ class TestGradCheck:
         store = ParamStore([("theta", rng.uniform(-2.0, 2.0, size=6))])
 
         def lossfn(s):
-            tape = Tape(s)
+            tape = ChainTape(s)
             th = tape.param("theta")
             return tape, tape.scale(tape.sum_all(tape.mul(th, th)), 0.5)
 
@@ -382,13 +506,13 @@ class TestGradCheck:
     def test_zero_eps_rejected(self):
         store = ParamStore([("w", np.ones(1))])
         with pytest.raises(ValueError):
-            grad_check(lambda s: (_t := Tape(s), _t.sum_all(_t.param("w")))[0:2], store, eps=0.0, tol=1e-5)
+            grad_check(lambda s: (_t := ChainTape(s), _t.sum_all(_t.param("w")))[0:2], store, eps=0.0, tol=1e-5)
 
     def test_nonfinite_loss_raises(self):
         store = ParamStore([("w", np.array([0.0]))])
 
         def lossfn(s):
-            tape = Tape(s)
+            tape = ChainTape(s)
             return tape, tape.sum_all(tape.log(tape.param("w")))
 
         with pytest.raises(NonFiniteError):
@@ -399,7 +523,7 @@ class TestGradCheck:
         before = store.values.copy()
 
         def lossfn(s):
-            tape = Tape(s)
+            tape = ChainTape(s)
             return tape, tape.sum_all(tape.mul(tape.param("w"), tape.param("w")))
 
         report = grad_check(lossfn, store, eps=1e-6, tol=1e-6)

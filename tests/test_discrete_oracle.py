@@ -254,6 +254,22 @@ class TestDecomposition:
         assert rep.kl_residual == pytest.approx(0.0, abs=1e-14)
         assert rep.lhs == pytest.approx(rep.i_xt_given_y, abs=1e-14)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_surrogate_factor_rejected(self, bad):
+        with pytest.raises(ValueError, match="not a distribution"):
+            ProductSurrogate(((np.array([bad, bad]),),))
+        with pytest.raises(ValueError, match="not a distribution"):
+            ProductSurrogate(((np.array([0.5, 0.5]), np.array([1.0, bad])),))
+
+    def test_optimal_surrogate_of_an_empty_class_rejected(self):
+        # the zero column leaves class 1 with no mass: its conditional is 0/0
+        joint = DiscreteJoint(np.array([[0.5, 0.0], [0.5, 0.0]]))
+        enc = DiscreteEncoder(np.array([[0.7, 0.3], [0.2, 0.8]]), (2,))
+        with np.errstate(invalid="ignore"):
+            t_given_y = induced(joint, enc).t_given_y
+        with pytest.raises(ValueError, match="not a distribution"):
+            optimal_product_surrogate(t_given_y, (2,))
+
     def test_unsupported_surrogate_reports_infinity(self):
         joint = DiscreteJoint(np.array([[0.5, 0.5]]))
         enc = DiscreteEncoder(np.array([[0.5, 0.5]]), (2,))

@@ -1,15 +1,16 @@
 """Encoder, decoder heads, training determinism, evaluation, and sweeps."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from cib import data_io, model
+from cib import data_io, diffcore, gaussians, model, objectives
 from cib.data_io import Dataset, validate_config
-from cib.diffcore import Tape, grad_check
+from cib.diffcore import NonFiniteError, Tape, grad_check
 from cib.gaussians import ClassSurrogate, log_pdf, surrogate_component
-from helpers import chain_loss_graph
+from helpers import ChainTape, chain_loss_graph
 from cib.model import (
     NonFiniteLossError,
     build_state,
@@ -74,6 +75,15 @@ class TestEncode:
         assert state.encoder.eta2() == pytest.approx(0.5, abs=1e-15)
         assert state.encoder.log_var() == pytest.approx(math.log(0.5 + 1e-4), abs=1e-15)
 
+    def test_overflowing_learned_noise_raises_nonfinite(self):
+        cfg = _config(encoder={"layer_dims": [2, 2], "noise_mode": "learned_eta"})
+        state = build_state(cfg, np.array([0.5, 0.5]))
+        state.store.set("enc.log_eta2", np.array(1000.0))
+        with pytest.raises(NonFiniteError, match="overflows"):
+            state.encoder.eta2()
+        with pytest.raises(NonFiniteError, match="overflows"):
+            state.encoder.log_var()
+
     def test_dimension_mismatch_rejected(self):
         state = _state()
         with pytest.raises(ValueError):
@@ -86,7 +96,7 @@ class TestEncode:
         weights = rng.uniform(-1, 1, (3, 2))
 
         def lossfn(store):
-            tape = Tape(store)
+            tape = ChainTape(store)
             means = state.encoder.means_graph(tape, x)
             return tape, tape.sum_all(tape.mul(means, tape.const(weights)))
 
@@ -215,17 +225,55 @@ class TestFullLossGradient:
         assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_name}"
 
 
+def _reference_loss_graph(per_draw_ops):
+    """A ``ModelState.loss_graph`` stand-in that builds one of the reference graphs."""
+
+    def loss_graph(state, tape, x, labels, beta_prime, noise):
+        return chain_loss_graph(state, tape, x, labels, beta_prime, noise, per_draw_ops=per_draw_ops)
+
+    return loss_graph
+
+
+def _train_with_reference(monkeypatch, cfg, train_ds, per_draw_ops):
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "Tape", ChainTape)
+        patch.setattr(model.ModelState, "loss_graph", _reference_loss_graph(per_draw_ops))
+        return train(cfg, train_ds)
+
+
 class TestFusedLossGraph:
-    """The loss graph built from fused ops equals its primitive-op chain bit for bit."""
+    """The loss graph of fused nodes equals its reference graphs bit for bit.
+
+    The references are the graph of primitive ops and the graph of per-draw
+    fused ops (one affine and activation node per layer, one score and NLL
+    node per draw), built on a :class:`ChainTape` with copied leaves.
+    """
 
     @pytest.mark.parametrize("head", ["softmax", "naive_bayes"])
     @pytest.mark.parametrize("learn_sigma", [True, False])
     @pytest.mark.parametrize("noise_mode", ["fixed_sigma", "learned_eta"])
     @pytest.mark.parametrize("mc_samples", [1, 3])
     def test_values_and_gradient_match_primitive_chain(self, head, learn_sigma, noise_mode, mc_samples):
+        self._check_against_references([3, 5, 2], "softplus", head, learn_sigma, noise_mode, mc_samples)
+
+    @pytest.mark.parametrize("layer_dims", [[3, 2], [3, 5, 2], [3, 5, 4, 2], [3, 5, 4, 3, 2]],
+                             ids=lambda dims: "x".join(map(str, dims)))
+    @pytest.mark.parametrize("activation", ["relu", "softplus", "tanh"])
+    @pytest.mark.parametrize("head", ["softmax", "naive_bayes"])
+    @pytest.mark.parametrize("learn_sigma", [True, False])
+    @pytest.mark.parametrize("noise_mode", ["fixed_sigma", "learned_eta"])
+    @pytest.mark.parametrize("mc_samples", [1, 3])
+    def test_model_family_matches_reference_graphs(
+        self, layer_dims, activation, head, learn_sigma, noise_mode, mc_samples
+    ):
+        self._check_against_references(layer_dims, activation, head, learn_sigma, noise_mode, mc_samples)
+
+    @staticmethod
+    def _check_against_references(layer_dims, activation, head, learn_sigma, noise_mode, mc_samples):
         rng = np.random.default_rng(5)
         cfg = _config(
-            encoder={"layer_dims": [3, 5, 2], "noise_mode": noise_mode, "sigma2": 0.5},
+            encoder={"layer_dims": layer_dims, "activation": activation, "noise_mode": noise_mode,
+                     "sigma2": 0.5},
             decoder={"variant": head},
             surrogate={"learn_sigma": learn_sigma},
         )
@@ -238,13 +286,16 @@ class TestFusedLossGraph:
         x = rng.uniform(-2, 2, (8, 3))
         labels = rng.integers(0, 3, 8)
         noise = rng.standard_normal((mc_samples, 8, 2))
-        fused, chain = Tape(state.store), Tape(state.store)
+        fused = Tape(state.store)
         fused_nodes = state.loss_graph(fused, x, labels, 0.8, noise)
-        chain_nodes = chain_loss_graph(state, chain, x, labels, 0.8, noise)
-        for f, c in zip(fused_nodes, chain_nodes):
-            assert fused.val(f) == chain.val(c)
-        assert np.array_equal(fused.backward(fused_nodes[0]), chain.backward(chain_nodes[0]))
-        assert len(fused) < len(chain)
+        fused_grad = fused.backward(fused_nodes[0])
+        for per_draw_ops in (False, True):
+            chain = ChainTape(state.store)
+            chain_nodes = chain_loss_graph(state, chain, x, labels, 0.8, noise, per_draw_ops=per_draw_ops)
+            for f, c in zip(fused_nodes, chain_nodes):
+                assert fused.val(f) == chain.val(c)
+            assert np.array_equal(fused_grad, chain.backward(chain_nodes[0]))
+            assert len(fused) < len(chain)
 
     @pytest.mark.parametrize("head", ["softmax", "naive_bayes"])
     def test_training_matches_primitive_chain(self, head, monkeypatch):
@@ -252,10 +303,68 @@ class TestFusedLossGraph:
                       loss={"beta_prime": 1.0, "mc_samples": 2})
         ds_train, _ = data_io.dataset_from_config(cfg["dataset"])
         fused = train(cfg, ds_train)
-        monkeypatch.setattr(model.ModelState, "loss_graph", chain_loss_graph)
-        chained = train(cfg, ds_train)
+        chained = _train_with_reference(monkeypatch, cfg, ds_train, per_draw_ops=False)
         assert np.array_equal(fused.state.store.values, chained.state.store.values)
         assert fused.metrics == chained.metrics
+
+    @pytest.mark.parametrize("per_draw_ops", [False, True])
+    @pytest.mark.parametrize("overrides", [
+        {"decoder": {"variant": "softmax"}},
+        {"decoder": {"variant": "naive_bayes"}},
+        {"encoder": {"layer_dims": [2, 5, 4, 2], "activation": "relu"},
+         "surrogate": {"learn_sigma": False}, "loss": {"beta_prime": 0.5, "mc_samples": 3}},
+        {"encoder": {"layer_dims": [2, 4, 2], "activation": "tanh", "noise_mode": "learned_eta"},
+         "decoder": {"variant": "softmax"}},
+        {"surrogate": {"learn_sigma": True, "update": "alternating"}},
+        {"optim": {"kind": "sgd", "lr": 0.05, "steps": 40, "batch": 16, "log_every": 20}},
+    ], ids=["softmax", "naive_bayes", "relu-3-layers-S3-fixed-sigma-y", "tanh-softmax-eta", "alternating", "sgd"])
+    def test_training_matches_reference(self, overrides, per_draw_ops, monkeypatch):
+        base = {"encoder": {"layer_dims": [2, 4, 2], "noise_mode": "learned_eta"},
+                "loss": {"beta_prime": 1.0, "mc_samples": 2}}
+        cfg = _config(**{**base, **overrides})
+        ds_train, _ = data_io.dataset_from_config(cfg["dataset"])
+        fused = train(cfg, ds_train)
+        reference = _train_with_reference(monkeypatch, cfg, ds_train, per_draw_ops)
+        assert np.array_equal(fused.state.store.values, reference.state.store.values)
+        assert fused.metrics == reference.metrics
+
+    def test_reference_desk_run_is_matched_for_2000_steps(self, monkeypatch):
+        """The acceptance-7 run: 2000 Adam steps on the 2-8-2 softplus net, naive Bayes head."""
+        cfg = _config(
+            dataset={"kind": "gmm", "classes": 2, "dim": 2, "per_class": 500, "sep": 4.0, "seed": 7},
+            encoder={"layer_dims": [2, 8, 2]},
+            optim={"steps": 2000, "batch": 64, "log_every": 500},
+        )
+        ds_train, _ = data_io.dataset_from_config(cfg["dataset"])
+        fused = train(cfg, ds_train)
+        reference = _train_with_reference(monkeypatch, cfg, ds_train, per_draw_ops=True)
+        assert np.array_equal(fused.state.store.values, reference.state.store.values)
+        assert fused.metrics == reference.metrics
+
+    @pytest.mark.parametrize("head", ["softmax", "naive_bayes"])
+    def test_one_step_calls_each_traced_entry_point_once(self, head, monkeypatch):
+        """The benchmark times a step through these names; each must stay on the path."""
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        kl_graph = counted("kl_to_surrogate_graph", gaussians.kl_to_surrogate_graph)
+        monkeypatch.setattr(gaussians, "kl_to_surrogate_graph", kl_graph)
+        monkeypatch.setattr(objectives, "kl_to_surrogate_graph", kl_graph)
+        monkeypatch.setattr(objectives, "cib_loss_graph", counted("cib_loss_graph", objectives.cib_loss_graph))
+        monkeypatch.setattr(model.ModelState, "loss_graph", counted("loss_graph", model.ModelState.loss_graph))
+        monkeypatch.setattr(diffcore.Tape, "backward", counted("backward", diffcore.Tape.backward))
+        monkeypatch.setattr(model._Adam, "update", counted("update", model._Adam.update))
+        cfg = _config(decoder={"variant": head}, optim={"steps": 1, "batch": 16})
+        ds_train, _ = data_io.dataset_from_config(cfg["dataset"])
+        train(cfg, ds_train)
+        assert counts == {name: 1 for name in
+                          ("loss_graph", "cib_loss_graph", "kl_to_surrogate_graph", "backward", "update")}
 
 
 class TestTrain:

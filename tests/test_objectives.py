@@ -215,13 +215,10 @@ class TestGraphConsistency:
 
     def _build(self, store, labels, noise, beta_prime):
         tape = Tape(store)
-
-        def scores_graph(t, t_node):
-            return t.affine(t_node, t.param("W"), t.param("b"))
-
+        score_rule = ("softmax", tape.param("W"), tape.param("b"), None)
         total, ce, kl = cib_loss_graph(
             tape, tape.param("means"), tape.param("log_var"), labels,
-            scores_graph, tape.param("mu"), tape.param("log_sigma"), beta_prime, noise,
+            score_rule, tape.param("mu"), tape.param("log_sigma"), beta_prime, noise,
         )
         return tape, total, ce, kl
 
