@@ -10,9 +10,9 @@ from . import data_io, diffcore, discrete_oracle, estimators, gaussians, model, 
 from .data_io import Dataset, GmmSpec
 from .diffcore import ParamStore, Tape, grad_check
 from .estimators import EmbeddedDataset, bound_report
-from .gaussians import ClassSurrogate, DiagGaussian, kl_diag, kl_to_surrogate, log_pdf, sample_reparam
+from .gaussians import ClassSurrogate, kl_to_surrogate
 from .model import TradeoffPoint, evaluate, sweep, train
-from .objectives import LossBreakdown, beta_prime_to_beta, beta_to_beta_prime, cib_loss
+from .objectives import beta_prime_to_beta, beta_to_beta_prime, cib_loss
 
 __version__ = "0.1.0"
 
@@ -32,16 +32,11 @@ __all__ = [
     "EmbeddedDataset",
     "bound_report",
     "ClassSurrogate",
-    "DiagGaussian",
-    "kl_diag",
     "kl_to_surrogate",
-    "log_pdf",
-    "sample_reparam",
     "TradeoffPoint",
     "evaluate",
     "sweep",
     "train",
-    "LossBreakdown",
     "beta_prime_to_beta",
     "beta_to_beta_prime",
     "cib_loss",

@@ -151,8 +151,8 @@ def _cmd_sweep(args) -> int:
         raise _CliError(f"--betas must be a comma-separated list of numbers: {exc}") from exc
     if not betas:
         raise _CliError("--betas must list at least one value")
-    if any(b < 0.0 for b in betas):
-        raise _CliError("beta' values must be nonnegative")
+    if not all(0.0 <= b < math.inf for b in betas):
+        raise _CliError(f"beta' values must be finite and nonnegative, got {args.betas}")
     if args.jobs < 1:
         raise _CliError("--jobs must be at least 1")
     out = _prepare_dir(args.out)

@@ -484,9 +484,12 @@ def validate_config(config: dict) -> dict:
 
     enc = cfg["encoder"]
     dims = enc.get("layer_dims")
-    if not isinstance(dims, list) or len(dims) < 2 or any(int(d) < 1 for d in dims):
+    if not isinstance(dims, list) or len(dims) < 2:
         raise ConfigError("encoder.layer_dims must list at least input and bottleneck sizes")
     enc["layer_dims"] = [int(d) for d in dims]
+    for i, d in enumerate(enc["layer_dims"]):
+        if d < 1:
+            raise ConfigError(f"encoder.layer_dims entry {i} is {d}; every width must be positive")
     if enc["noise_mode"] not in ("fixed_sigma", "learned_eta"):
         raise ConfigError(f"unknown encoder.noise_mode: {enc['noise_mode']!r}")
     if not float(enc["sigma2"]) > 0.0:
@@ -503,8 +506,8 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("loss must set exactly one of beta, beta_prime")
     if int(loss["mc_samples"]) < 1:
         raise ConfigError("loss.mc_samples must be at least 1")
-    if "beta_prime" in loss and float(loss["beta_prime"]) < 0.0:
-        raise ConfigError("loss.beta_prime must be nonnegative")
+    if "beta_prime" in loss and not 0.0 <= float(loss["beta_prime"]) < math.inf:
+        raise ConfigError(f"loss.beta_prime must be finite and nonnegative, got {loss['beta_prime']}")
 
     opt = cfg["optim"]
     if opt["kind"] not in ("adam", "sgd"):

@@ -1,13 +1,13 @@
-"""Diagonal Gaussians over the bottleneck space and the per-class surrogate family.
+"""The spherical class surrogates r(T|Y) and the closed-form KL to them.
 
-Provides densities, the closed-form KL divergence, reparameterized sampling,
-and the spherical class-conditional surrogate r(T|Y) used both as the KL
-regularizer target and as the generative side of the naive Bayes decoder.
+The encoder is isotropic, q(T|x) = N(f(x), sigma^2 I), so a batch of encoder
+outputs is a (N, d) matrix of means with one scalar log-variance.  Its KL to
+the spherical surrogate of each sample's class is exact; the same surrogate
+is the generative side of the naive Bayes decoder.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,43 +15,10 @@ import numpy as np
 from .diffcore import Tape
 
 __all__ = [
-    "DiagGaussian",
     "ClassSurrogate",
-    "log_pdf",
-    "kl_diag",
-    "sample_reparam",
     "kl_to_surrogate",
-    "surrogate_component",
     "kl_to_surrogate_graph",
 ]
-
-LOG_TWO_PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class DiagGaussian:
-    """Diagonal-covariance Gaussian(s): mean and elementwise log-variance.
-
-    The last axis is the coordinate axis; leading axes, if any, index a batch
-    of independent Gaussians (a (N, d) mean holds N of them).
-    """
-
-    mean: np.ndarray
-    log_var: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "log_var", np.asarray(self.log_var, dtype=np.float64))
-        if self.mean.ndim < 1 or self.mean.shape != self.log_var.shape:
-            raise ValueError(
-                f"mean and log_var must be equal-shape arrays, got {self.mean.shape} and {self.log_var.shape}"
-            )
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.log_var))):
-            raise ValueError("DiagGaussian parameters must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -91,66 +58,27 @@ class ClassSurrogate:
         return self.class_means.shape[1]
 
 
-def log_pdf(g: DiagGaussian, t: np.ndarray) -> float | np.ndarray:
-    """Exact log-density of ``g`` at the point ``t`` (one row per batched Gaussian)."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != g.mean.shape:
-        raise ValueError(f"point has dimension {t.shape}, distribution has {g.mean.shape}")
-    z = (t - g.mean) ** 2 * np.exp(-g.log_var)
-    lp = -0.5 * np.sum(LOG_TWO_PI + g.log_var + z, axis=-1)
-    return float(lp) if lp.ndim == 0 else lp
+def kl_to_surrogate(means: np.ndarray, log_var: float, s: ClassSurrogate, labels: np.ndarray) -> np.ndarray:
+    """Per-row KL( N(means[i], exp(log_var) I) || r(T | labels[i]) ) in closed form.
 
-
-def kl_diag(g1: DiagGaussian, g2: DiagGaussian) -> float | np.ndarray:
-    """Closed-form KL(g1 || g2) between diagonal Gaussians of equal dimension.
-
-    Batch axes broadcast; a single pair gives a float, a batch an array of
-    per-row KLs.
+    ``means`` is a (N, d) matrix of encoder means and ``log_var`` the shared
+    scalar log-variance; returns the (N,) KLs.
     """
-    if g1.dim != g2.dim:
-        raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    dl = g1.log_var - g2.log_var
-    z = (g1.mean - g2.mean) ** 2 * np.exp(-g2.log_var)
-    kl = 0.5 * np.sum(np.exp(dl) + z - 1.0 - dl, axis=-1)
-    return float(kl) if kl.ndim == 0 else kl
-
-
-def sample_reparam(g: DiagGaussian, eps: np.ndarray) -> np.ndarray:
-    """Reparameterized draw mean + exp(log_var / 2) * eps.
-
-    ``eps`` is a standard-normal vector supplied by the caller so that the
-    draw is a deterministic, differentiable function of the parameters.
-    """
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != g.mean.shape:
-        raise ValueError(f"noise has dimension {eps.shape}, distribution has {g.mean.shape}")
-    return g.mean + np.exp(0.5 * g.log_var) * eps
-
-
-def surrogate_component(s: ClassSurrogate, y: int | np.ndarray) -> DiagGaussian:
-    """The class-y surrogate expanded to an explicit DiagGaussian.
-
-    An array of labels gives one Gaussian per label, batched along its axes.
-    """
-    y = np.asarray(y, dtype=np.intp)
-    unknown = (y < 0) | (y >= s.class_count)
+    means = np.asarray(means, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    if means.ndim != 2 or means.shape[1] != s.dim:
+        raise ValueError(f"dimension mismatch: codes {means.shape} vs surrogate dimension {s.dim}")
+    if labels.shape != means.shape[:1]:
+        raise ValueError(f"need one label per code, got {labels.shape} for {means.shape[0]} codes")
+    unknown = (labels < 0) | (labels >= s.class_count)
     if np.any(unknown):
         raise ValueError(
-            f"unknown class label {int(y[unknown].flat[0])}; surrogate covers 0..{s.class_count - 1}"
+            f"unknown class label {int(labels[unknown][0])}; surrogate covers 0..{s.class_count - 1}"
         )
-    log_var = np.repeat((2.0 * s.class_log_sigma[y])[..., None], s.dim, axis=-1)
-    return DiagGaussian(s.class_means[y], log_var)
-
-
-def kl_to_surrogate(g: DiagGaussian, s: ClassSurrogate, y: int | np.ndarray) -> float | np.ndarray:
-    """KL from encoder output(s) to the spherical surrogate of class ``y``.
-
-    With a batched ``g`` and a matching array of labels the result holds one
-    KL per row.
-    """
-    if g.dim != s.dim:
-        raise ValueError(f"dimension mismatch: {g.dim} vs {s.dim}")
-    return kl_diag(g, surrogate_component(s, y))
+    lv_y = 2.0 * s.class_log_sigma[labels]
+    dl = log_var - lv_y[:, None]
+    z = (means - s.class_means[labels]) ** 2 * np.exp(-lv_y)[:, None]
+    return 0.5 * np.sum(np.exp(dl) + z - 1.0 - dl, axis=-1)
 
 
 def kl_to_surrogate_graph(

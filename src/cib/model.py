@@ -8,6 +8,9 @@ softmax readout, and a naive Bayes classifier fitted to the class surrogate
 parameters, which owns no parameters of its own.  Training minimizes the
 class-conditional bottleneck loss jointly over encoder weights and surrogate
 parameters; every run is a deterministic function of its seed.
+Evaluation works on the same inputs as training, the (N, d) matrix of encoder
+means and the scalar log-variance: one kernel gives accuracy, cross-entropy
+and KL for metrics rows and trade-off points alike.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from . import data_io, estimators, objectives
 from .data_io import Dataset, MetricsRow
 from .diffcore import NonFiniteError, ParamStore, Tape, activate, logsumexp_rows
-from .gaussians import ClassSurrogate, DiagGaussian
+from .gaussians import ClassSurrogate
 from .objectives import beta_to_beta_prime
 
 __all__ = [
@@ -126,14 +129,6 @@ class EncoderModel:
                 h = activate(h, self.activation)
         return h
 
-    def encode(self, x: np.ndarray) -> DiagGaussian:
-        """Encoder output distribution q(T | X = x) for a single input."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.in_dim,):
-            raise ValueError(f"input must have dimension {self.in_dim}, got {x.shape}")
-        mean = self.encode_batch(x[None, :])[0]
-        return DiagGaussian(mean, np.full(self.bottleneck_dim, self.log_var()))
-
     def means_graph(self, tape: Tape, x: np.ndarray) -> int:
         """Tape node of the (N, d) mean embeddings: one :meth:`Tape.mlp` node over the weights."""
         weights = [tape.param(name) for pair in self.weight_names() for name in pair]
@@ -210,9 +205,6 @@ class DecoderHead:
             return _naive_bayes_log_probs(self._surrogate(), t)
         scores = t @ self.store.get("head.W").T + self.store.get("head.b")
         return scores - logsumexp_rows(scores)[:, None]
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        return self.log_probs(t)
 
     @functools.cached_property
     def log_priors(self) -> np.ndarray:
@@ -432,25 +424,28 @@ def _encode_split(state: ModelState, ds: Dataset) -> np.ndarray:
         raise ValueError(f"dataset dimension {ds.dim} does not match encoder input {state.encoder.in_dim}")
     if int(ds.labels.max()) >= state.class_count:
         raise ValueError("dataset labels exceed the model's class count")
-    return state.encoder.encode_batch(ds.features)
+    means = state.encoder.encode_batch(ds.features)
+    if not np.all(np.isfinite(means)):
+        raise ValueError("encoder codes must be finite")
+    return means
 
 
-def _terms_of_codes(
-    state: ModelState, ds: Dataset, means: np.ndarray, sample_predictions: bool
-) -> EvalResult:
-    log_var = state.encoder.log_var()
+def _terms_of_codes(state: ModelState, ds: Dataset, means: np.ndarray) -> EvalResult:
     rng = np.random.default_rng(EVAL_NOISE_SEED)
     noise = rng.standard_normal((EVAL_MC_SAMPLES, ds.count, means.shape[1]))
-
-    points = means if not sample_predictions else means + math.exp(0.5 * log_var) * noise[0]
-    predictions = np.argmax(state.head.log_probs(points), axis=1)
+    predictions = np.argmax(state.head.log_probs(means), axis=1)
     accuracy = float(np.mean(predictions == ds.labels))
 
-    breakdown = objectives.cib_loss(
-        ds.labels, DiagGaussian(means, np.full(means.shape, log_var)), state.head.log_probs,
-        state.surrogate(), beta_prime=0.0, mc_samples=EVAL_MC_SAMPLES, noise=noise,
+    true_lp, kl = objectives.cib_loss(
+        ds.labels, means, state.encoder.log_var(), state.head.log_probs, state.surrogate(), noise
     )
-    return EvalResult(accuracy=accuracy, cross_entropy=breakdown.cross_entropy, kl_term=breakdown.kl_term)
+    # -inf (a zero-probability true class) is reported as an infinite cross-entropy
+    if np.any(np.isnan(true_lp)) or np.any(true_lp == np.inf):
+        raise ValueError("log-probabilities must be finite or -inf")
+    kl_term = float(np.mean(kl))
+    if not kl_term >= -1e-9:
+        raise ValueError(f"kl_term must be nonnegative, got {kl_term}")
+    return EvalResult(accuracy=accuracy, cross_entropy=float(-np.mean(true_lp)), kl_term=kl_term)
 
 
 def loss_terms(state: ModelState, ds: Dataset) -> EvalResult:
@@ -459,22 +454,20 @@ def loss_terms(state: ModelState, ds: Dataset) -> EvalResult:
     Predictions are made from the encoder *mean* (no latent sampling).  The
     cross-entropy uses EVAL_MC_SAMPLES frozen draws, so the whole result is
     deterministic.  Both loss terms come from one :func:`objectives.cib_loss`
-    call on the batched encoder outputs.  Metrics rows and the train split of
-    a trade-off point use this, since they keep no bounds.
+    call on the encoder means.  Metrics rows and the train split of a
+    trade-off point use this, since they keep no bounds.
     """
-    return _terms_of_codes(state, ds, _encode_split(state, ds), False)
+    return _terms_of_codes(state, ds, _encode_split(state, ds))
 
 
-def evaluate(state: ModelState, ds: Dataset, sample_predictions: bool = False) -> EvalResult:
+def evaluate(state: ModelState, ds: Dataset) -> EvalResult:
     """:func:`loss_terms` plus the pairwise-mixture bound report of the same codes.
 
-    With ``sample_predictions`` one reparameterized draw from the fixed
-    evaluation stream is classified instead of the encoder mean.  The bounds
-    cost O(N^2) in the split size; only the test split of a trade-off point
-    needs them.
+    The bounds cost O(N^2) in the split size; only the test split of a
+    trade-off point needs them.
     """
     means = _encode_split(state, ds)
-    terms = _terms_of_codes(state, ds, means, sample_predictions)
+    terms = _terms_of_codes(state, ds, means)
     embedded = estimators.EmbeddedDataset(
         codes=means, labels=ds.labels, sigma2=state.encoder.sigma2, eta2=state.encoder.eta2()
     )
@@ -516,13 +509,10 @@ def _diagnose_nonfinite(
 ) -> int:
     """Dataset index of the first sample with a non-finite loss contribution."""
     means = state.encoder.encode_batch(x)
-    bad = ~np.all(np.isfinite(means), axis=1)
-    # rows already known bad get placeholder codes, which DiagGaussian accepts
-    codes = DiagGaussian(np.where(bad[:, None], 0.0, means), np.full(means.shape, state.encoder.log_var()))
-    true_lp, kl = objectives.loss_rows(
-        labels, codes, state.head.log_probs, state.surrogate(), noise.shape[0], noise
+    true_lp, kl = objectives.cib_loss(
+        labels, means, state.encoder.log_var(), state.head.log_probs, state.surrogate(), noise
     )
-    bad |= ~np.all(np.isfinite(true_lp), axis=1) | ~np.isfinite(kl)
+    bad = ~np.all(np.isfinite(means), axis=1) | ~np.all(np.isfinite(true_lp), axis=1) | ~np.isfinite(kl)
     first = int(np.flatnonzero(bad)[0]) if np.any(bad) else 0
     return int(batch_idx[first])
 
@@ -643,8 +633,6 @@ def sweep(config: dict, beta_primes: Sequence[float]) -> list[TradeoffPoint]:
 
 def run_sweep_point(config: dict, index: int, beta_prime: float) -> tuple[TradeoffPoint, TrainResult, Dataset]:
     """Train and evaluate one sweep entry; returns (point, run, test split)."""
-    if beta_prime < 0.0:
-        raise ValueError(f"beta_prime must be nonnegative, got {beta_prime}")
     cfg = data_io.validate_config(config)
     cfg["loss"] = {k: v for k, v in cfg["loss"].items() if k not in ("beta", "beta_prime")}
     cfg["loss"]["beta_prime"] = float(beta_prime)

@@ -1,6 +1,7 @@
 """Shared randomized-instance builders and small numerical oracles."""
 
 import math
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -580,3 +581,85 @@ def loop_decomposition_check(joint, enc, surrogate):
             residual += p_y[y] * kl_discrete(ind.t_given_y[y], expanded[y])
     rep = info_report(joint, enc)
     return DecompositionReport(lhs=lhs, i_xt_given_y=rep.I_XT_given_Y, kl_residual=residual)
+
+
+# --------------------------------------------------------------------- evaluation reference
+#
+# The evaluation path of a general diagonal-Gaussian object layer: codes are
+# wrapped as DiagGaussians, each sample's class surrogate is expanded to one,
+# and the loss rows are reduced through cross_entropy_term.  Evaluation on
+# (N, d) codes and the scalar log-variance must reproduce it bit for bit.
+
+
+@dataclass(frozen=True)
+class DiagGaussian:
+    """Diagonal Gaussian(s): mean and elementwise log-variance, coordinates last."""
+
+    mean: np.ndarray
+    log_var: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
+        object.__setattr__(self, "log_var", np.asarray(self.log_var, dtype=np.float64))
+        if self.mean.ndim < 1 or self.mean.shape != self.log_var.shape:
+            raise ValueError("mean and log_var must be equal-shape arrays")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.log_var))):
+            raise ValueError("DiagGaussian parameters must be finite")
+
+
+def kl_diag(g1, g2):
+    """Closed-form KL(g1 || g2) per batch row."""
+    dl = g1.log_var - g2.log_var
+    z = (g1.mean - g2.mean) ** 2 * np.exp(-g2.log_var)
+    return 0.5 * np.sum(np.exp(dl) + z - 1.0 - dl, axis=-1)
+
+
+def surrogate_component(s, y):
+    """The class-y surrogates expanded to one DiagGaussian per label."""
+    y = np.asarray(y, dtype=np.intp)
+    if np.any((y < 0) | (y >= s.class_count)):
+        raise ValueError("unknown class label")
+    log_var = np.repeat((2.0 * s.class_log_sigma[y])[..., None], s.dim, axis=-1)
+    return DiagGaussian(s.class_means[y], log_var)
+
+
+def loss_rows(labels, encodings, decoder, surrogate, noise):
+    """(N, S) true-class log-probs and (N,) KLs of a batched DiagGaussian."""
+    labels = np.asarray(labels, dtype=np.intp)
+    n = encodings.mean.shape[0]
+    stds = np.exp(0.5 * encodings.log_var)
+    rows = np.arange(n)
+    true_lp = np.empty((n, noise.shape[0]))
+    for s in range(noise.shape[0]):
+        true_lp[:, s] = decoder(encodings.mean + stds * noise[s])[rows, labels]
+    return true_lp, kl_diag(encodings, surrogate_component(surrogate, labels))
+
+
+def cross_entropy_term(true_class_log_probs):
+    lp = np.asarray(true_class_log_probs, dtype=np.float64)
+    if np.any(np.isnan(lp)) or np.any(lp == np.inf):
+        raise ValueError("log-probabilities must be finite or -inf")
+    return float(-np.mean(lp))
+
+
+def reference_loss_terms(state, ds, mc_samples, noise_seed):
+    """(accuracy, cross_entropy, kl_term) of ``model.loss_terms`` through DiagGaussian objects."""
+    means = state.encoder.encode_batch(ds.features)
+    log_var = state.encoder.log_var()
+    noise = np.random.default_rng(noise_seed).standard_normal((mc_samples, ds.count, means.shape[1]))
+    accuracy = float(np.mean(np.argmax(state.head.log_probs(means), axis=1) == ds.labels))
+    codes = DiagGaussian(means, np.full(means.shape, log_var))
+    true_lp, kl = loss_rows(ds.labels, codes, state.head.log_probs, state.surrogate(), noise)
+    return accuracy, cross_entropy_term(true_lp), float(np.mean(kl))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_diagnose_nonfinite(state, x, labels, noise, batch_idx):
+    """``model._diagnose_nonfinite`` with placeholder codes for rows already known bad."""
+    means = state.encoder.encode_batch(x)
+    bad = ~np.all(np.isfinite(means), axis=1)
+    codes = DiagGaussian(np.where(bad[:, None], 0.0, means), np.full(means.shape, state.encoder.log_var()))
+    true_lp, kl = loss_rows(labels, codes, state.head.log_probs, state.surrogate(), noise)
+    bad |= ~np.all(np.isfinite(true_lp), axis=1) | ~np.isfinite(kl)
+    first = int(np.flatnonzero(bad)[0]) if np.any(bad) else 0
+    return int(batch_idx[first])

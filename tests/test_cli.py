@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, artifacts, and JSON mode."""
 
+import ast
+import collections
 import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cib import cli, data_io
+from cib import cli, data_io, estimators, gaussians, model, objectives
 from cib.cli import REPORT_HEADER, run
 from helpers import random_encoder, random_joint
 
@@ -77,6 +81,14 @@ class TestTrain:
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, loss={"beta": 0.5, "beta_prime": 1.0})
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_nonfinite_beta_prime_exits_one_naming_the_field(self, tmp_path, capsys, value):
+        cfg = _write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace('"beta_prime": 1.0', f'"beta_prime": {value}'))
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert "loss.beta_prime" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_identical_invocations_produce_identical_bytes(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -163,8 +175,9 @@ class TestSweep:
 
     def test_bad_betas_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
-        assert run(["sweep", "--config", str(cfg), "--betas", "a,b", "--out", str(tmp_path / "s")]) == 1
-        assert run(["sweep", "--config", str(cfg), "--betas", "-1", "--out", str(tmp_path / "s")]) == 1
+        for betas in ("a,b", "-1", "nan,1", "1,inf"):
+            assert run(["sweep", "--config", str(cfg), "--betas", betas, "--out", str(tmp_path / "s")]) == 1
+            assert not (tmp_path / "s").exists()  # rejected before any directory is made
 
 
 class TestEstimate:
@@ -233,6 +246,9 @@ class TestGradcheck:
         (["--tol", "0"], "--tol"),
         (["--tol", "nan"], "--tol"),
         (["--tol", "inf"], "--tol"),
+        (["--layers", "2,0,2"], "layer_dims entry 1 is 0"),
+        (["--beta-prime", "nan"], "loss.beta_prime"),
+        (["--beta-prime", "inf"], "loss.beta_prime"),
     ])
     def test_bad_argument_exits_one_naming_the_flag(self, argv, flag, capsys):
         assert run(["gradcheck", *argv]) == 1
@@ -389,3 +405,47 @@ class TestUsage:
         with pytest.raises(AttributeError):
             report.runs.append("leaked")  # the shared default cannot be mutated
         assert list(parser.parse_args(["report", "--out", "a"]).runs) == []
+
+
+class TestTracedEntryPoints:
+    """The benchmark wraps these names; each must exist and fire on a training command."""
+
+    def test_train_calls_each_evaluation_entry_point(self, tmp_path, monkeypatch, capsys):
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        kl = counted("kl_to_surrogate", gaussians.kl_to_surrogate)
+        monkeypatch.setattr(gaussians, "kl_to_surrogate", kl)
+        monkeypatch.setattr(objectives, "kl_to_surrogate", kl)
+        monkeypatch.setattr(objectives, "cib_loss", counted("cib_loss", objectives.cib_loss))
+        monkeypatch.setattr(model, "evaluate", counted("evaluate", model.evaluate))
+        monkeypatch.setattr(estimators, "bound_report", counted("bound_report", estimators.bound_report))
+        monkeypatch.setattr(
+            model.EncoderModel, "encode_batch", counted("encode_batch", model.EncoderModel.encode_batch)
+        )
+        cfg = _write_config(tmp_path)  # 6 steps logged every 3: metrics rows at steps 0, 3 and 6
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        # one per metrics row, plus the train and test splits of the trade-off point
+        per_split = 3 + 2
+        assert counts == {"cib_loss": per_split, "kl_to_surrogate": per_split, "encode_batch": per_split,
+                          "evaluate": 1, "bound_report": 1}
+
+    def test_every_wrapped_name_exists(self):
+        tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "layers.py").read_text())
+        lists = {
+            node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("FUNCTIONS", "METHODS")
+        }
+        assert lists["FUNCTIONS"] and lists["METHODS"]
+        for home, attr, _ in lists["FUNCTIONS"]:
+            assert callable(getattr(importlib.import_module(f"cib.{home}"), attr, None)), f"cib.{home}.{attr}"
+        for home, cls_name, method, _ in lists["METHODS"]:
+            cls = getattr(importlib.import_module(f"cib.{home}"), cls_name, None)
+            assert cls is not None and method in cls.__dict__, f"cib.{home}.{cls_name}.{method}"

@@ -318,6 +318,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="exactly one"):
             validate_config(bad)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_beta_prime_must_be_finite_and_nonnegative(self, value):
+        bad = _tiny_config()
+        bad["loss"] = {"beta_prime": value}
+        with pytest.raises(ConfigError, match="loss.beta_prime"):
+            validate_config(bad)
+
+    def test_nonpositive_layer_width_named(self):
+        bad = _tiny_config()
+        bad["encoder"]["layer_dims"] = [2, 0, 2]
+        with pytest.raises(ConfigError, match="layer_dims entry 1 is 0"):
+            validate_config(bad)
+
     def test_unknown_keys_rejected(self):
         bad = _tiny_config()
         bad["extra"] = 1

@@ -9,8 +9,8 @@ import pytest
 from cib import data_io, diffcore, gaussians, model, objectives
 from cib.data_io import Dataset, validate_config
 from cib.diffcore import NonFiniteError, Tape, grad_check
-from cib.gaussians import ClassSurrogate, log_pdf, surrogate_component
-from helpers import ChainTape, chain_loss_graph
+from cib.gaussians import ClassSurrogate
+from helpers import ChainTape, chain_loss_graph, reference_diagnose_nonfinite, reference_loss_terms
 from cib.model import (
     NonFiniteLossError,
     build_state,
@@ -51,22 +51,20 @@ class TestEncode:
         for name in ("enc.W0", "enc.W1"):
             state.store.set(name, np.zeros(state.store.spec(name).shape))
         state.store.set("enc.b1", np.array([3.0, -1.0]))
-        for x in (np.zeros(2), np.array([5.0, -2.0])):
-            np.testing.assert_allclose(state.encoder.encode(x).mean, [3.0, -1.0], atol=1e-15)
+        x = np.array([[0.0, 0.0], [5.0, -2.0]])
+        np.testing.assert_allclose(state.encoder.encode_batch(x), [[3.0, -1.0], [3.0, -1.0]], atol=1e-15)
 
     def test_single_identity_layer_passes_input(self):
         cfg = _config(encoder={"layer_dims": [2, 2]})
         state = build_state(cfg, np.array([0.5, 0.5]))
         state.store.set("enc.W0", np.eye(2))
-        g = state.encoder.encode(np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(g.mean, [1.0, 2.0])
-        assert g.log_var[0] == pytest.approx(math.log(1.0), abs=1e-15)
+        np.testing.assert_array_equal(state.encoder.encode_batch(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
+        assert state.encoder.log_var() == pytest.approx(math.log(1.0), abs=1e-15)
 
     def test_fixed_sigma_variance(self):
         cfg = _config(encoder={"layer_dims": [2, 2], "sigma2": 0.25})
         state = build_state(cfg, np.array([0.5, 0.5]))
-        g = state.encoder.encode(np.zeros(2))
-        np.testing.assert_allclose(np.exp(g.log_var), 0.25, atol=1e-15)
+        assert math.exp(state.encoder.log_var()) == pytest.approx(0.25, abs=1e-15)
 
     def test_learned_eta_adds_floor(self):
         cfg = _config(encoder={"layer_dims": [2, 2], "noise_mode": "learned_eta", "sigma2": 1e-4})
@@ -87,7 +85,7 @@ class TestEncode:
     def test_dimension_mismatch_rejected(self):
         state = _state()
         with pytest.raises(ValueError):
-            state.encoder.encode(np.zeros(3))
+            state.encoder.encode_batch(np.zeros((1, 3)))
 
     def test_mean_gradient_wrt_weights_passes_check(self):
         state = _state(seed=5)
@@ -117,16 +115,20 @@ class TestDecodeNaiveBayes:
             probs = decode_naive_bayes(s, s.class_means[y])
             assert int(np.argmax(probs)) == y
 
-    def test_matches_direct_bayes_rule_from_log_pdf(self):
+    def test_matches_direct_bayes_rule_from_gaussian_density(self):
         rng = np.random.default_rng(4)
         s = ClassSurrogate(
             rng.uniform(-2, 2, (3, 2)), rng.uniform(-0.5, 0.5, 3), np.array([0.2, 0.5, 0.3])
         )
+
+        def density(t, y):
+            var = math.exp(2.0 * s.class_log_sigma[y])
+            sq = float(np.sum((t - s.class_means[y]) ** 2))
+            return math.exp(-0.5 * sq / var) / (2.0 * math.pi * var)  # d = 2
+
         for _ in range(20):
             t = rng.uniform(-3, 3, 2)
-            joint = np.array(
-                [s.priors[y] * math.exp(log_pdf(surrogate_component(s, y), t)) for y in range(3)]
-            )
+            joint = np.array([s.priors[y] * density(t, y) for y in range(3)])
             expected = joint / joint.sum()
             np.testing.assert_allclose(decode_naive_bayes(s, t), expected, atol=1e-12, rtol=0)
 
@@ -557,12 +559,85 @@ class TestEvaluate:
         a, b = evaluate(result.state, train_ds), evaluate(result.state, train_ds)
         assert (a.accuracy, a.cross_entropy, a.kl_term) == (b.accuracy, b.cross_entropy, b.kl_term)
 
-    def test_sampled_predictions_flag_changes_points_not_contract(self):
-        cfg = _config()
-        train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        result = train(cfg, train_ds)
-        ev = evaluate(result.state, train_ds, sample_predictions=True)
-        assert 0.0 <= ev.accuracy <= 1.0
+    def test_zero_probability_true_class_gives_infinite_cross_entropy(self, monkeypatch):
+        state = _state()
+        ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
+        monkeypatch.setattr(state.head, "log_probs", lambda t: np.tile([0.0, -np.inf], (t.shape[0], 1)))
+        assert loss_terms(state, ds).cross_entropy == np.inf
+
+    def test_nan_log_probability_rejected(self, monkeypatch):
+        state = _state()
+        ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
+        monkeypatch.setattr(state.head, "log_probs", lambda t: np.full((t.shape[0], 2), np.nan))
+        with pytest.raises(ValueError, match="finite or -inf"):
+            loss_terms(state, ds)
+
+    def test_negative_kl_rejected(self, monkeypatch):
+        state = _state()
+        ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
+        real = objectives.cib_loss
+
+        def shifted(*args):
+            true_lp, kl = real(*args)
+            return true_lp, np.full_like(kl, -1e-6)
+
+        monkeypatch.setattr(objectives, "cib_loss", shifted)
+        for fn in (loss_terms, evaluate):
+            with pytest.raises(ValueError, match="kl_term must be nonnegative"):
+                fn(state, ds)
+
+    def test_nonfinite_codes_rejected(self):
+        state = _state()
+        state.store.set("enc.b0", np.full(4, 1e300))
+        state.store.set("enc.W1", np.full((2, 4), 1e300))  # the second layer overflows
+        ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
+        for fn in (loss_terms, evaluate):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="codes must be finite"):
+                fn(state, ds)
+
+
+class TestEvaluationKernel:
+    """Evaluation on codes is ``==`` to the DiagGaussian object path of ``helpers``."""
+
+    @staticmethod
+    def _case(head, learn_sigma, noise_mode, d, seed):
+        rng = np.random.default_rng(seed)
+        cfg = _config(
+            dataset={"kind": "gmm", "classes": 3, "dim": 3, "per_class": 10, "sep": 2.0, "seed": seed},
+            encoder={"layer_dims": [3, 5, d], "noise_mode": noise_mode, "sigma2": 0.5},
+            decoder={"variant": head},
+            surrogate={"learn_sigma": learn_sigma},
+        )
+        state = build_state(cfg, np.array([0.2, 0.5, 0.3]), rng)
+        state.store.values[:] = rng.uniform(-1.0, 1.0, state.store.size)
+        ds = Dataset(rng.normal(size=(30, 3)), np.arange(30) % 3, 3)
+        return state, ds, rng
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("noise_mode", ["fixed_sigma", "learned_eta"])
+    @pytest.mark.parametrize("learn_sigma", [True, False])
+    @pytest.mark.parametrize("head", ["softmax", "naive_bayes"])
+    def test_loss_terms_evaluate_and_diagnosis_match_reference(
+        self, head, learn_sigma, noise_mode, d, monkeypatch
+    ):
+        state, ds, rng = self._case(head, learn_sigma, noise_mode, d, seed=d)
+        for mc in (1, 3, 16):
+            monkeypatch.setattr(model, "EVAL_MC_SAMPLES", mc)
+            expected = reference_loss_terms(state, ds, mc, model.EVAL_NOISE_SEED)
+            terms, ev = loss_terms(state, ds), evaluate(state, ds)
+            assert (terms.accuracy, terms.cross_entropy, terms.kl_term) == expected
+            assert (ev.accuracy, ev.cross_entropy, ev.kl_term) == expected
+
+            x, labels = ds.features[:12].copy(), ds.labels[:12]
+            noise = rng.standard_normal((mc, 12, d))
+            batch_idx = np.arange(100, 112)
+            args = (state, x, labels, noise, batch_idx)
+            assert model._diagnose_nonfinite(*args) == reference_diagnose_nonfinite(*args) == 100
+            x[7] = 1e200  # overflows in the encoder or the loss, unless every hidden unit is off
+            x[9] = np.inf
+            assert model._diagnose_nonfinite(*args) == reference_diagnose_nonfinite(*args) in (107, 109)
+            x[7] = 0.0
+            assert model._diagnose_nonfinite(*args) == reference_diagnose_nonfinite(*args) == 109
 
 
 class TestSweep:

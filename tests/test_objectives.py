@@ -7,16 +7,16 @@ import pytest
 
 from cib import discrete_oracle as oracle
 from cib.diffcore import ParamStore, Tape, grad_check, logsumexp_rows
-from cib.gaussians import ClassSurrogate, DiagGaussian, kl_to_surrogate, sample_reparam
-from cib.objectives import (
-    LossBreakdown,
-    beta_prime_to_beta,
-    beta_to_beta_prime,
-    cib_loss,
-    cib_loss_graph,
-    cross_entropy_term,
+from cib.gaussians import ClassSurrogate
+from cib.objectives import beta_prime_to_beta, beta_to_beta_prime, cib_loss, cib_loss_graph
+from helpers import (
+    DiagGaussian,
+    gaussian_quadrature_kl,
+    loss_rows,
+    random_encoder,
+    random_joint,
+    random_product_surrogate,
 )
-from helpers import gaussian_quadrature_kl, random_encoder, random_joint, random_product_surrogate
 
 
 class TestBetaMaps:
@@ -42,42 +42,6 @@ class TestBetaMaps:
             beta_prime_to_beta(-1.0)
 
 
-class TestCrossEntropyTerm:
-    def test_certain_decoder_gives_zero(self):
-        assert cross_entropy_term(np.zeros((3, 2))) == 0.0
-
-    def test_uniform_decoder_over_four_classes(self):
-        lp = np.full((5, 1), math.log(0.25))
-        assert cross_entropy_term(lp) == pytest.approx(math.log(4.0), abs=1e-15)
-
-    def test_zero_probability_true_class_is_infinite(self):
-        lp = np.array([[math.log(0.5)], [-np.inf]])
-        assert cross_entropy_term(lp) == np.inf
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy_term(np.zeros((0, 1)))
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy_term(np.array([[np.nan]]))
-
-
-class TestLossBreakdown:
-    def test_total_is_affine_combination(self):
-        lb = LossBreakdown(cross_entropy=1.25, kl_term=0.5, beta_prime=3.0)
-        assert lb.total == 1.25 + 3.0 * 0.5
-
-    def test_negative_kl_rejected(self):
-        with pytest.raises(ValueError):
-            LossBreakdown(cross_entropy=1.0, kl_term=-1e-6, beta_prime=1.0)
-
-    def test_monotone_in_beta_prime_when_kl_positive(self):
-        values = [LossBreakdown(2.0, 0.4, bp).total for bp in (0.0, 0.5, 1.0, 4.0)]
-        assert values == sorted(values)
-        assert values[0] < values[-1]
-
-
 def _toy_surrogate():
     return ClassSurrogate(
         class_means=np.array([[1.0, 0.0], [-1.0, 0.5]]),
@@ -94,27 +58,24 @@ def _uniform_decoder(k):
 
 
 class TestCibLoss:
-    def test_zero_beta_prime_reduces_to_cross_entropy(self):
+    def test_uniform_decoder_gives_log_k_per_draw(self):
         rng = np.random.default_rng(0)
-        encs = [DiagGaussian(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(4)]
         noise = rng.standard_normal((3, 4, 2))
-        lb = cib_loss([0, 1, 0, 1], encs, _uniform_decoder(2), _toy_surrogate(), 0.0, 3, noise)
-        assert lb.total == lb.cross_entropy
-        assert lb.cross_entropy == pytest.approx(math.log(2.0), abs=1e-12)
+        lp, kl = cib_loss([0, 1, 0, 1], rng.uniform(-1, 1, (4, 2)), 0.3, _uniform_decoder(2), _toy_surrogate(), noise)
+        assert lp.shape == (4, 3) and kl.shape == (4,)
+        assert float(-np.mean(lp)) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matching_surrogate_gives_zero_kl(self):
         s = _toy_surrogate()
-        g = DiagGaussian(s.class_means[0], np.full(2, 2.0 * s.class_log_sigma[0]))
-        lb = cib_loss([0], [g], _uniform_decoder(2), s, 2.0, 1, np.zeros((1, 1, 2)))
-        assert lb.kl_term == 0.0
+        _, kl = cib_loss([0], s.class_means[[0]], 2.0 * s.class_log_sigma[0], _uniform_decoder(2), s,
+                         np.zeros((1, 1, 2)))
+        assert kl.tolist() == [0.0]
 
     def test_two_sample_batch_matches_manual_summation(self):
         rng = np.random.default_rng(77)
         s = _toy_surrogate()
-        encs = [
-            DiagGaussian(np.array([0.3, -0.4]), np.array([-0.1, 0.2])),
-            DiagGaussian(np.array([-1.2, 0.9]), np.array([0.4, -0.6])),
-        ]
+        means = np.array([[0.3, -0.4], [-1.2, 0.9]])
+        log_var = -0.35
         labels = [1, 0]
         mc = 2
         noise = rng.standard_normal((mc, 2, 2))
@@ -126,59 +87,62 @@ class TestCibLoss:
             mx = scores.max(axis=1, keepdims=True)
             return scores - (mx + np.log(np.exp(scores - mx).sum(axis=1, keepdims=True)))
 
-        beta_prime = 1.7
-        lb = cib_loss(labels, encs, decoder, s, beta_prime, mc, noise)
+        lp, kl = cib_loss(labels, means, log_var, decoder, s, noise)
 
         # independent per-sample summation with scalar building blocks
-        per_sample = []
-        for i, (g, y) in enumerate(zip(encs, labels)):
-            ce_i = 0.0
+        std, v = math.exp(0.5 * log_var), math.exp(log_var)
+        for i, y in enumerate(labels):
             for smp in range(mc):
-                t = sample_reparam(g, noise[smp, i])
-                ce_i -= decoder(t[None, :])[0, y] / mc
-            per_sample.append((ce_i, kl_to_surrogate(g, s, y)))
-        ce_manual = sum(p[0] for p in per_sample) / 2.0
-        kl_manual = sum(p[1] for p in per_sample) / 2.0
-        assert lb.cross_entropy == pytest.approx(ce_manual, abs=1e-12)
-        assert lb.kl_term == pytest.approx(kl_manual, abs=1e-12)
-        assert lb.total == pytest.approx(ce_manual + beta_prime * kl_manual, abs=1e-12)
+                t = means[i] + std * noise[smp, i]
+                assert lp[i, smp] == pytest.approx(decoder(t[None, :])[0, y], abs=1e-12)
+            v_y = math.exp(2.0 * s.class_log_sigma[y])
+            kl_i = sum(
+                0.5 * (v / v_y + (means[i, j] - s.class_means[y, j]) ** 2 / v_y - 1.0 - math.log(v / v_y))
+                for j in range(2)
+            )
+            assert kl[i] == pytest.approx(kl_i, abs=1e-12)
 
     def test_deterministic_for_fixed_noise(self):
         rng = np.random.default_rng(5)
-        encs = [DiagGaussian(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(3)]
         noise = rng.standard_normal((2, 3, 2))
-        args = ([0, 1, 1], encs, _uniform_decoder(2), _toy_surrogate(), 0.7, 2, noise)
-        first, second = cib_loss(*args), cib_loss(*args)
-        assert first.total == second.total
-        assert first.cross_entropy == second.cross_entropy
+        args = ([0, 1, 1], rng.uniform(-1, 1, (3, 2)), 0.2, _uniform_decoder(2), _toy_surrogate(), noise)
+        (lp1, kl1), (lp2, kl2) = cib_loss(*args), cib_loss(*args)
+        assert lp1.tolist() == lp2.tolist() and kl1.tolist() == kl2.tolist()
 
-    def test_batched_encodings_equal_list_form(self):
+    def test_rows_equal_diag_gaussian_reference(self):
         rng = np.random.default_rng(11)
-        means, log_var = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 2))
-        encs = [DiagGaussian(means[i], log_var[i]) for i in range(6)]
+        means, log_var = rng.uniform(-1, 1, (6, 2)), -0.4
         noise = rng.standard_normal((3, 6, 2))
         labels = [0, 1, 1, 0, 1, 0]
 
         def decoder(t):
             return t - logsumexp_rows(t)[:, None]
 
-        listed = cib_loss(labels, encs, decoder, _toy_surrogate(), 0.7, 3, noise)
-        batched = cib_loss(labels, DiagGaussian(means, log_var), decoder, _toy_surrogate(), 0.7, 3, noise)
-        assert batched == listed
+        lp, kl = cib_loss(labels, means, log_var, decoder, _toy_surrogate(), noise)
+        codes = DiagGaussian(means, np.full(means.shape, log_var))
+        ref_lp, ref_kl = loss_rows(labels, codes, decoder, _toy_surrogate(), noise)
+        assert lp.tolist() == ref_lp.tolist() and kl.tolist() == ref_kl.tolist()
+
+    def test_draw_count_comes_from_noise(self):
+        lp, _ = cib_loss([0, 1], np.zeros((2, 2)), 0.0, _uniform_decoder(2), _toy_surrogate(), np.zeros((5, 2, 2)))
+        assert lp.shape == (2, 5)
+        for bad in (np.zeros((0, 2, 2)), np.zeros((1, 3, 2)), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="noise must have shape"):
+                cib_loss([0, 1], np.zeros((2, 2)), 0.0, _uniform_decoder(2), _toy_surrogate(), bad)
+        with pytest.raises(ValueError, match="nonempty"):
+            cib_loss([], np.zeros((0, 2)), 0.0, _uniform_decoder(2), _toy_surrogate(), np.zeros((1, 0, 2)))
 
     def test_label_outside_surrogate_rejected(self):
-        g = DiagGaussian(np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError, match="not covered"):
-            cib_loss([2], [g], _uniform_decoder(2), _toy_surrogate(), 1.0, 1, np.zeros((1, 1, 2)))
+        with pytest.raises(ValueError, match="unknown class label 2"):
+            cib_loss([2], np.zeros((1, 2)), 0.0, _uniform_decoder(2), _toy_surrogate(), np.zeros((1, 1, 2)))
 
     def test_kl_term_matches_quadrature_in_one_dimension(self):
         s = ClassSurrogate(
             class_means=np.array([[0.0]]), class_log_sigma=np.array([0.0]), priors=np.array([1.0])
         )
-        g = DiagGaussian(np.array([1.0]), np.array([math.log(0.25)]))
-        lb = cib_loss([0], [g], _uniform_decoder(1), s, 1.0, 1, np.zeros((1, 1, 1)))
+        _, kl = cib_loss([0], np.array([[1.0]]), math.log(0.25), _uniform_decoder(1), s, np.zeros((1, 1, 1)))
         oracle_value = gaussian_quadrature_kl(1.0, 0.25, 0.0, 1.0)
-        assert lb.kl_term == pytest.approx(oracle_value, abs=1e-6)
+        assert kl[0] == pytest.approx(oracle_value, abs=1e-6)
 
 
 def test_surrogate_kl_dominates_conditional_information():
@@ -227,8 +191,6 @@ class TestGraphConsistency:
         beta_prime = 0.8
         tape, total, ce, kl = self._build(store, labels, noise, beta_prime)
 
-        lv = float(store.get("log_var"))
-        encs = [DiagGaussian(m, np.full(3, lv)) for m in store.get("means")]
         s = ClassSurrogate(store.get("mu"), store.get("log_sigma"), np.array([0.5, 0.5]))
         w, bb = store.get("W"), store.get("b")
 
@@ -237,10 +199,11 @@ class TestGraphConsistency:
             mx = scores.max(axis=1, keepdims=True)
             return scores - (mx + np.log(np.exp(scores - mx).sum(axis=1, keepdims=True)))
 
-        lb = cib_loss(labels, encs, decoder, s, beta_prime, 2, noise)
-        assert float(tape.val(ce)) == pytest.approx(lb.cross_entropy, abs=1e-12)
-        assert float(tape.val(kl)) == pytest.approx(lb.kl_term, abs=1e-12)
-        assert float(tape.val(total)) == pytest.approx(lb.total, abs=1e-12)
+        lp, kl_rows = cib_loss(labels, store.get("means"), float(store.get("log_var")), decoder, s, noise)
+        ce_plain, kl_plain = float(-np.mean(lp)), float(np.mean(kl_rows))
+        assert float(tape.val(ce)) == pytest.approx(ce_plain, abs=1e-12)
+        assert float(tape.val(kl)) == pytest.approx(kl_plain, abs=1e-12)
+        assert float(tape.val(total)) == pytest.approx(ce_plain + beta_prime * kl_plain, abs=1e-12)
 
     def test_full_graph_passes_gradient_check(self):
         store, labels, noise = self._random_setup(13)
