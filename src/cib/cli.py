@@ -13,7 +13,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -159,7 +158,7 @@ def _cmd_sweep(args) -> int:
     dirs = [_prepare_dir(out / f"point_{i:03d}") for i in range(len(betas))]
     payloads = [(cfg, i, bp, str(dirs[i])) for i, bp in enumerate(betas)]
     # the pool starts every worker up front, so never ask for more than can run
-    workers = min(args.jobs, len(betas), os.cpu_count() or 1)
+    workers = min(args.jobs, len(betas), estimators.usable_cores())
     if workers == 1:
         points = [_sweep_worker(p) for p in payloads]
     else:

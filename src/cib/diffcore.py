@@ -38,10 +38,14 @@ __all__ = [
 ACTIVATIONS = ("relu", "softplus", "tanh")
 
 
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(a))) of a matrix, shifted by each row's maximum."""
+def logsumexp_rows(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Row-wise log(sum(exp(a))) of a matrix, shifted by each row's maximum.
+
+    With ``overwrite`` the shifted exponentials are formed in ``a`` itself.
+    """
     mx = np.maximum.reduce(a, axis=1)  # a.max(axis=1) without its wrapper
-    return mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))
+    shifted = np.subtract(a, mx[:, None], out=a if overwrite else None)
+    return mx + np.log(np.exp(shifted, out=shifted).sum(axis=1))
 
 
 class ShapeError(ValueError):

@@ -18,11 +18,21 @@ dataset size.  The printed alternatives (outer 1/N over the restricted sum;
 absolute-count weights) are available behind flags.
 
 Pairwise distances come from direct coordinate differences summed in a fixed
-order, in tiles of ``max(1, _TILE // N)`` rows, so memory is O(d * _TILE).
+order, in tiles of rows.  The main process splits the code rows into two
+halves and fills the second on a helper thread (numpy releases the GIL on the
+(rows, N) tiles); a ``cib sweep`` pool worker, or a process with one usable
+core, uses one thread.  Each thread gets tiles of ``max(1, _TILE // threads
+// N)`` rows and its own reused (d, rows, N) buffer, so the total memory stays
+O(d * _TILE) at any N.  Every row's logsumexp is formed whole inside one tile,
+so the bits do not depend on the thread count or the tile size.
 """
 
 from __future__ import annotations
 
+import contextvars
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -111,7 +121,22 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
 
 
-def _sq_distances(cols: np.ndarray, start: int, stop: int) -> np.ndarray:
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _bound_threads() -> int:
+    """Threads for one bound: two, or one on a single usable core or inside a
+    process-pool worker (its sibling workers already hold the other cores)."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return min(2, usable_cores())
+
+
+def _sq_distances(cols: np.ndarray, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
     """Squared distances from code rows ``start:stop`` to every code row.
 
     ``cols`` is the C-contiguous (d, N) transpose of the codes, so each numpy
@@ -122,11 +147,14 @@ def _sq_distances(cols: np.ndarray, start: int, stop: int) -> np.ndarray:
     That is the order of numpy's two-lane ``einsum("bnd,bnd->bn")`` reduction,
     so the bounds keep the bits of the direct-difference einsum they replace.
     Returns a C-contiguous (rows, N) array; ``logsumexp_rows`` sums along its
-    rows, and another memory order would change that summation order.
+    rows, and another memory order would change that summation order.  The
+    differences are formed in the head of ``buf``, a flat float64 array of at
+    least d * rows * N elements, and the result is a view into it.
     """
-    sq = cols[:, start:stop, None] - cols[:, None, :]
+    dim, n = cols.shape
+    sq = buf[: dim * (stop - start) * n].reshape(dim, stop - start, n)
+    np.subtract(cols[:, start:stop, None], cols[:, None, :], out=sq)
     sq *= sq
-    dim = sq.shape[0]
     full = dim - dim % 8
     chains = []
     for lane in (0, 1):
@@ -147,18 +175,38 @@ def _bound_on_codes(codes: np.ndarray, dim: int, sigma2: float, eta2: float, mod
     width = eta2 + sigma2
     inner_logs = np.empty(n)
     cols = np.ascontiguousarray(codes.T)
+    threads = _bound_threads()
     # direct pairwise differences (no dot-product expansion: the sqrt in
     # as-printed mode would amplify its cancellation error), one tile of rows
-    # at a time so the (d, rows, N) intermediate stays within _TILE * d
-    rows = max(1, _TILE // n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        kernel = _sq_distances(cols, start, stop)
-        if mode == MODE_AS_PRINTED:
-            np.sqrt(kernel, out=kernel)
-        kernel *= -0.5
-        kernel /= width
-        inner_logs[start:stop] = logsumexp_rows(kernel)
+    # at a time so each thread's (d, rows, N) buffer stays within d * _TILE / threads
+    rows = max(1, _TILE // threads // n)
+
+    def fill(start: int, stop: int, buf: np.ndarray) -> None:
+        """``inner_logs[start:stop]``, tile by tile through one buffer."""
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
+            kernel = _sq_distances(cols, lo, hi, buf)
+            if mode == MODE_AS_PRINTED:
+                np.sqrt(kernel, out=kernel)
+            kernel *= -0.5
+            kernel /= width
+            inner_logs[lo:hi] = logsumexp_rows(kernel, overwrite=True)
+
+    if threads == 1 or n <= rows:
+        fill(0, n, np.empty(dim * min(rows, n) * n))
+    else:
+        # each row's logsumexp is formed whole inside one tile, so the bits
+        # do not depend on which thread fills which half; the helper runs in
+        # a copy of this context so that it keeps the caller's np.errstate.
+        # Both buffers come from this thread and every tile is worked in
+        # place, so the helper allocates only row vectors: blocks freed in a
+        # helper thread's malloc arena stay resident and raise peak RSS.
+        half = (n + 1) // 2
+        bufs = np.empty((2, dim * min(rows, half) * n))
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            second = helper.submit(contextvars.copy_context().run, fill, half, n, bufs[1])
+            fill(0, half, bufs[0])
+            second.result()
     if mode == MODE_CITED_SOURCE:
         inner_logs -= np.log(n)
     return float(-np.mean(inner_logs) - dim * np.log(sigma2 / width))

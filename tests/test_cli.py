@@ -144,7 +144,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "jobs,betas,cores,expected",
-        [(64, "0,0.5,1", 2, 2), (8, "0,0.5", 16, 2), (3, "0,0.5,1,2", 16, 3), (4, "0", 16, None)],
+        [(64, "0,0.5,1", 2, 2), (8, "0,0.5", 16, 2), (3, "0,0.5,1,2", 16, 3), (4, "0", 16, None),
+         (2, "0,0.5", 1, None)],
     )
     def test_jobs_clamped_to_points_and_cores(self, tmp_path, monkeypatch, jobs, betas, cores, expected):
         started = []
@@ -165,7 +166,7 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(estimators, "usable_cores", lambda: cores)
         cfg = _write_config(tmp_path)
         out = tmp_path / "s"
         argv = ["sweep", "--config", str(cfg), "--betas", betas, "--out", str(out), "--jobs", str(jobs)]

@@ -1,6 +1,7 @@
 """Property tests of the mixture bounds over drawn codes and noise levels."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cib import estimators
 from cib.estimators import (
     MODE_AS_PRINTED,
     MODE_CITED_SOURCE,
@@ -77,3 +79,17 @@ def test_single_class_aggregate_equals_unconditional(codes, mode, label, sigma2,
     data = EmbeddedDataset(codes, np.full(codes.shape[0], label), sigma2, eta2)
     report = bound_report(data, mode)
     assert report.aggregate == report.unconditional
+
+
+@PROPERTY
+@given(codes=code_matrices(max_rows=60), mode=MODES, seed=st.integers(0, 2**32 - 1),
+       threads=st.sampled_from([1, 2]), tile=st.integers(1, 4000),
+       sigma2=st.floats(0.1, 10.0), eta2=st.floats(0.0, 5.0))
+def test_report_does_not_depend_on_thread_count_or_tile_size(codes, mode, seed, threads, tile, sigma2, eta2):
+    labels = np.random.default_rng(seed).integers(0, 3, size=codes.shape[0])
+    data = EmbeddedDataset(codes, labels, sigma2, eta2)
+    with mock.patch.object(estimators, "_bound_threads", lambda: 1):
+        expected = bound_report(data, mode).to_json_dict()
+    with (mock.patch.object(estimators, "_bound_threads", lambda: threads),
+          mock.patch.object(estimators, "_TILE", tile)):
+        assert bound_report(data, mode).to_json_dict() == expected

@@ -1,6 +1,8 @@
 """Mixture bounds against a naive double-loop reference and their invariances."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -239,14 +241,20 @@ class TestTiledKernel:
             if n > 2:
                 codes[-1] = codes[0]
             cols = np.ascontiguousarray(codes.T)
+            reused = np.full(d * n * n + 5, np.nan)  # shared by every tile, larger than any of them
             for start, stop in ((0, n), (0, 1), (n // 2, n), (n - 1, n)):
-                got = estimators._sq_distances(cols, start, stop)
-                assert got.flags.c_contiguous
+                fresh = np.empty(d * (stop - start) * n)
+                got = estimators._sq_distances(cols, start, stop, fresh)
+                assert got.flags.c_contiguous and np.shares_memory(got, fresh)
                 assert np.array_equal(got, einsum_distance_tile(codes, start, stop))
+                into = estimators._sq_distances(cols, start, stop, reused)
+                assert into.flags.c_contiguous and np.shares_memory(into, reused)
+                assert np.array_equal(into, got)
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("mode", [MODE_AS_PRINTED, MODE_CITED_SOURCE])
-    @pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (23, 5), (40, 8), (61, 11)])
-    def test_bounds_equal_einsum_reference_at_any_tile_size(self, monkeypatch, mode, n, d):
+    @pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (23, 5), (40, 8), (61, 11), (2000, 8)])
+    def test_bounds_equal_einsum_reference_at_any_tile_size(self, monkeypatch, threads, mode, n, d):
         rng = np.random.default_rng(100 * n + d)
         codes = rng.normal(scale=2.0, size=(n, d))
         labels = rng.integers(0, 3, size=n)
@@ -257,7 +265,99 @@ class TestTiledKernel:
         with monkeypatch.context() as m:
             m.setattr(estimators, "_bound_on_codes", einsum_bound_on_codes)
             expected = _every_bound(data, mode)
-        # several tiles with a ragged last one, one-row tiles, one tile
-        for tile in (4 * n - 1, 1, estimators._TILE):
+        monkeypatch.setattr(estimators, "_bound_threads", lambda: threads)
+        # several tiles with a ragged last one, one-row tiles, one tile; at
+        # N = 2000 wider ragged tiles, and one-row tiles for the unconditional
+        # bound only, to keep the test short
+        ragged = 4 * n - 1 if n < 100 else 16 * n - 1
+        for tile in (ragged, 1, estimators._TILE):
             monkeypatch.setattr(estimators, "_TILE", tile)
-            assert _every_bound(data, mode) == expected
+            if tile == 1 and n > 100:
+                assert mixture_bound(data, mode) == expected[0]
+            else:
+                assert _every_bound(data, mode) == expected
+
+
+class _RecordingExecutor(estimators.ThreadPoolExecutor):
+    """The helper-thread pool, counting how often a bound starts one."""
+
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+
+def _wide_data(n=300, d=4, seed=3):
+    rng = np.random.default_rng(seed)
+    return EmbeddedDataset(rng.normal(size=(n, d)), rng.integers(0, 3, size=n), sigma2=0.9, eta2=0.2)
+
+
+class TestThreads:
+    """Code rows split over a helper thread: counted, propagated, never leaked."""
+
+    def test_usable_cores_reads_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert estimators.usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert estimators.usable_cores() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert estimators.usable_cores() == 1
+
+    @pytest.mark.parametrize(
+        "cores,pool_worker,helpers", [(1, False, 0), (2, True, 0), (16, True, 0), (2, False, 1), (16, False, 1)]
+    )
+    def test_helper_only_with_a_spare_core_outside_pool_workers(self, monkeypatch, cores, pool_worker, helpers):
+        data = _wide_data()
+        expected = einsum_bound_on_codes(data.codes, data.dim, data.sigma2, data.eta2, MODE_CITED_SOURCE)
+        monkeypatch.setattr(estimators, "usable_cores", lambda: cores)
+        monkeypatch.setattr(estimators.multiprocessing, "parent_process",
+                            lambda: object() if pool_worker else None)
+        monkeypatch.setattr(_RecordingExecutor, "started", 0)
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", _RecordingExecutor)
+        assert estimators._bound_threads() == (1 if cores == 1 or pool_worker else 2)
+        assert mixture_bound(data) == expected
+        assert _RecordingExecutor.started == helpers
+
+    def test_one_tile_starts_no_helper(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_bound_threads", lambda: 2)
+        monkeypatch.setattr(_RecordingExecutor, "started", 0)
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", _RecordingExecutor)
+        mixture_bound(_wide_data(n=40))  # 40 * 40 elements fit one tile of _TILE // 2
+        assert _RecordingExecutor.started == 0
+
+    @pytest.mark.parametrize("failing_row", [0, 140, 150, 299])
+    def test_failure_in_either_half_raises_and_leaks_no_thread(self, monkeypatch, failing_row):
+        # 300 rows: the calling thread fills rows 0-149, the helper 150-299
+        data = _wide_data()
+        real = estimators._sq_distances
+
+        def failing(cols, start, stop, buf):
+            if start <= failing_row < stop:
+                raise RuntimeError(f"injected failure at row {failing_row}")
+            return real(cols, start, stop, buf)
+
+        monkeypatch.setattr(estimators, "_bound_threads", lambda: 2)
+        monkeypatch.setattr(estimators, "_TILE", 2 * 300 * 10)  # 10-row tiles, 15 per half
+        monkeypatch.setattr(estimators, "_sq_distances", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"row {failing_row}"):
+            bound_report(data)
+        assert threading.active_count() == before
+
+    def test_helper_keeps_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_bound_threads", lambda: 2)
+        monkeypatch.setattr(estimators, "_TILE", 2 * 300 * 10)
+        seen = []
+        real = estimators._sq_distances
+
+        def recording(cols, start, stop, buf):
+            seen.append((threading.get_ident(), np.geterr()["under"]))
+            return real(cols, start, stop, buf)
+
+        monkeypatch.setattr(estimators, "_sq_distances", recording)
+        with np.errstate(under="raise"):
+            mixture_bound(_wide_data())
+        assert len({ident for ident, _ in seen}) == 2
+        assert {mode for _, mode in seen} == {"raise"}
