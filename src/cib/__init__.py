@@ -12,7 +12,7 @@ from .diffcore import ParamStore, Tape, grad_check
 from .estimators import EmbeddedDataset, bound_report
 from .gaussians import ClassSurrogate, kl_to_surrogate
 from .model import TradeoffPoint, evaluate, sweep, train
-from .objectives import beta_prime_to_beta, beta_to_beta_prime, cib_loss
+from .objectives import beta_to_beta_prime, cib_loss
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "evaluate",
     "sweep",
     "train",
-    "beta_prime_to_beta",
     "beta_to_beta_prime",
     "cib_loss",
     "__version__",

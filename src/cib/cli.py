@@ -26,7 +26,7 @@ from .model import NonFiniteLossError
 
 __all__ = ["run", "main"]
 
-REPORT_HEADER = "beta_prime,ce_test,kl_test,acc_test,ixt,ixt_given_y"
+REPORT_KEYS = ("beta_prime", "ce_test", "kl_test", "acc_test", "ixt", "ixt_given_y")
 POINT_KEYS = tuple(f.name for f in dataclasses.fields(model.TradeoffPoint))
 
 
@@ -91,9 +91,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _write_run_dir(out: Path, run: model.TrainResult, point: model.TradeoffPoint) -> None:
-    data_io.save_checkpoint(
-        run.state, run.state.surrogate(), run.state.head, run.state.config, out / "checkpoint.json"
-    )
+    # by keyword: the traced benchmark (perfbench/layers.py) reads the file size from ``path``
+    data_io.save_checkpoint(run.state, path=out / "checkpoint.json")
     data_io.write_metrics(run.metrics, out / "metrics.csv")
     data_io.write_text_atomic(
         out / "point.json", json.dumps(point.to_json_dict(), sort_keys=True, indent=1) + "\n"
@@ -124,20 +123,15 @@ def _cmd_train(args) -> int:
 
 def _sweep_worker(payload) -> dict:
     cfg, index, beta_prime, dir_str = payload
-    point, run, _ = model.run_sweep_point(cfg, index, beta_prime)
+    point, run = model.run_sweep_point(cfg, index, beta_prime)
     _write_run_dir(Path(dir_str), run, point)
     return point.to_json_dict()
 
 
 def _write_report_csv(points: list[dict], path: Path) -> None:
-    lines = [REPORT_HEADER]
+    lines = [",".join(REPORT_KEYS)]
     for p in sorted(points, key=lambda q: q["beta_prime"]):
-        lines.append(
-            ",".join(
-                repr(float(p[k]))
-                for k in ("beta_prime", "ce_test", "kl_test", "acc_test", "ixt", "ixt_given_y")
-            )
-        )
+        lines.append(",".join(repr(float(p[k])) for k in REPORT_KEYS))
     data_io.write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -166,7 +160,7 @@ def _cmd_sweep(args) -> int:
             points = list(pool.map(_sweep_worker, payloads))
     _write_report_csv(points, out / "sweep.csv")
     doc = {"out": str(out), "points": points}
-    lines = [f"swept {len(betas)} points -> {out}", REPORT_HEADER]
+    lines = [f"swept {len(betas)} points -> {out}", ",".join(REPORT_KEYS)]
     for p in points:
         lines.append(
             f"{p['beta_prime']},{p['ce_test']:.6f},{p['kl_test']:.6f},"
@@ -179,7 +173,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_estimate(args) -> int:
     ckpt_path = _require_file(args.checkpoint)
     data_path = _require_file(args.data)
-    encoder, surrogate, head, config = data_io.load_checkpoint(ckpt_path)
+    encoder = data_io.load_checkpoint(path=ckpt_path).encoder
     ds = data_io.load_dataset(data_path)
     codes = encoder.encode_batch(ds.features)
     embedded = estimators.EmbeddedDataset(

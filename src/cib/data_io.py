@@ -3,7 +3,9 @@
 All on-disk artifacts are deterministic functions of their inputs: floats are
 serialized with ``repr`` (shortest decimal that round-trips, never more than
 17 significant digits), JSON keys are sorted, and nothing except an explicit
-provenance field carries wall-clock state.
+provenance field carries wall-clock state.  A checkpoint holds one
+``model.ModelState`` whole: :func:`save_checkpoint` writes it and
+:func:`load_checkpoint` returns it.
 """
 
 from __future__ import annotations
@@ -335,44 +337,32 @@ def load_dataset(path: str | Path) -> Dataset:
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(model, surrogate, head, config: dict, path: str | Path) -> None:
-    """Write a versioned JSON checkpoint of all parameter slices.
+def save_checkpoint(state, path: str | Path) -> None:
+    """Write a versioned JSON checkpoint of a ``model.ModelState``.
 
-    The encoder, surrogate, and decoder-head parameters all live in the
-    model's parameter store; class priors ride along separately since they
-    are fitted, not trained.  Serialization is canonical, so saving a loaded
-    checkpoint reproduces the file byte for byte.
+    Every parameter slice of the state's store goes in, with the validated
+    config and the class priors (fitted, not trained).  Serialization is
+    canonical, so saving a loaded checkpoint reproduces the file byte for byte.
     """
-    store = model.store
+    store = state.store
     params = {
-        name: {
-            "shape": list(store.spec(name).shape),
-            "values": store.get(name).ravel().tolist(),
-        }
+        name: {"shape": list(store.spec(name).shape), "values": store.get(name).ravel().tolist()}
         for name in store.names()
     }
-    _dump_json(
-        {
-            "format_version": CHECKPOINT_VERSION,
-            "config": config,
-            "params": params,
-            "priors": surrogate.priors.tolist(),
-        },
-        path,
-    )
+    doc = {"format_version": CHECKPOINT_VERSION, "config": state.config, "params": params,
+           "priors": state.priors.tolist()}
+    _dump_json(doc, path)
 
 
 def load_checkpoint(path: str | Path):
-    """Rebuild (model, surrogate, head, config) from a checkpoint file."""
+    """Rebuild the ``model.ModelState`` a checkpoint file holds; its slices must fit the config."""
     from . import model as _model
 
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version: {version!r}")
-    config = doc["config"]
-    priors = np.asarray(doc["priors"], dtype=np.float64)
-    state = _model.build_state(config, priors)
+    state = _model.build_state(doc["config"], np.asarray(doc["priors"], dtype=np.float64))
     saved = doc["params"]
     names = set(state.store.names())
     if set(saved) != names:
@@ -386,7 +376,8 @@ def load_checkpoint(path: str | Path):
                 f"slice {name!r} has shape {shape}, config implies {state.store.spec(name).shape}"
             )
         state.store.set(name, np.asarray(entry["values"], dtype=np.float64).reshape(shape))
-    return state.encoder, state.surrogate(), state.head, config
+    state.surrogate()  # rejects priors that are negative or do not sum to 1, and non-finite sur.* values
+    return state
 
 
 # --------------------------------------------------------------------- metrics CSV
@@ -492,8 +483,8 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"encoder.layer_dims entry {i} is {d}; every width must be positive")
     if enc["noise_mode"] not in ("fixed_sigma", "learned_eta"):
         raise ConfigError(f"unknown encoder.noise_mode: {enc['noise_mode']!r}")
-    if not float(enc["sigma2"]) > 0.0:
-        raise ConfigError("encoder.sigma2 must be positive")
+    if not 0.0 < float(enc["sigma2"]) < math.inf:
+        raise ConfigError(f"encoder.sigma2 must be positive and finite, got {enc['sigma2']}")
     if cfg["decoder"]["variant"] not in ("softmax", "naive_bayes"):
         raise ConfigError(f"unknown decoder.variant: {cfg['decoder']['variant']!r}")
     if cfg["surrogate"]["update"] not in ("gradient", "alternating"):
@@ -512,8 +503,10 @@ def validate_config(config: dict) -> dict:
     opt = cfg["optim"]
     if opt["kind"] not in ("adam", "sgd"):
         raise ConfigError(f"unknown optim.kind: {opt['kind']!r}")
-    if int(opt["steps"]) < 0 or int(opt["batch"]) < 1 or float(opt["lr"]) <= 0.0:
-        raise ConfigError("optim needs steps >= 0, batch >= 1, lr > 0")
+    if int(opt["steps"]) < 0 or int(opt["batch"]) < 1:
+        raise ConfigError("optim needs steps >= 0, batch >= 1")
+    if not 0.0 < float(opt["lr"]) < math.inf:
+        raise ConfigError(f"optim.lr must be positive and finite, got {opt['lr']}")
     if int(opt["log_every"]) < 1:
         raise ConfigError("optim.log_every must be at least 1")
 

@@ -247,29 +247,25 @@ def conditional_bound(
 
 
 def aggregate_conditional(
-    per_class: Mapping[int, tuple[int, float]] | list[tuple[int, int, float]],
+    per_class: Mapping[int, tuple[int, float]],
     total: int,
     printed_count_weights: bool = False,
 ) -> float:
     """Combine per-class bounds into a bound on I(X;T|Y).
 
-    ``per_class`` maps label -> (count, value) (or lists (label, count,
-    value) triples).  The default weighting is by relative class frequency
-    N_y / N; ``printed_count_weights`` switches to the absolute-count
-    weighting of the compact published form (which scales with N).
+    ``per_class`` maps label -> (count, value).  The default weighting is by
+    relative class frequency N_y / N; ``printed_count_weights`` switches to
+    the absolute-count weighting of the compact published form (which scales
+    with N).
     """
-    if isinstance(per_class, Mapping):
-        triples = [(y, c, v) for y, (c, v) in per_class.items()]
-    else:
-        triples = list(per_class)
-    if not triples:
+    if not per_class:
         raise ValueError("need at least one class")
-    counts = np.array([c for _, c, _ in triples], dtype=np.int64)
+    counts = np.array([c for c, _ in per_class.values()], dtype=np.int64)
     if np.any(counts <= 0):
         raise ValueError("class counts must be positive")
     if int(counts.sum()) != total:
         raise ValueError(f"class counts sum to {int(counts.sum())}, expected {total}")
-    values = np.array([v for _, _, v in triples], dtype=np.float64)
+    values = np.array([v for _, v in per_class.values()], dtype=np.float64)
     if printed_count_weights:
         return float(np.sum(counts * values))
     return float(np.sum((counts / total) * values))

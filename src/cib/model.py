@@ -8,6 +8,8 @@ softmax readout, and a naive Bayes classifier fitted to the class surrogate
 parameters, which owns no parameters of its own.  Training minimizes the
 class-conditional bottleneck loss jointly over encoder weights and surrogate
 parameters; every run is a deterministic function of its seed.
+Encoder, surrogate and head share one parameter store and form one
+:class:`ModelState`, the value a run returns and a checkpoint holds.
 Evaluation works on the same inputs as training, the (N, d) matrix of encoder
 means and the scalar log-variance: one kernel gives accuracy, cross-entropy
 and KL for metrics rows and trade-off points alike.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,8 +41,6 @@ __all__ = [
     "EVAL_MC_SAMPLES",
     "EVAL_NOISE_SEED",
     "derive_seed",
-    "decode_naive_bayes",
-    "decode_softmax",
     "build_state",
     "make_loss_fn",
     "train",
@@ -141,43 +141,14 @@ class EncoderModel:
         return tape.log(tape.add_const(tape.exp(tape.param("enc.log_eta2")), self.sigma2))
 
 
-def decode_naive_bayes(s: ClassSurrogate, t: np.ndarray) -> np.ndarray:
-    """Class posterior q(y | t) of the naive Bayes classifier fitted to ``s``.
-
-    Scores are accumulated in log space and normalized with log-sum-exp, so
-    far-from-mean points cannot underflow to an all-zero posterior.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != (s.dim,):
-        raise ValueError(f"point must have dimension {s.dim}, got {t.shape}")
-    return np.exp(_naive_bayes_log_probs(s, t[None, :])[0])
-
-
-def _naive_bayes_log_probs(s: ClassSurrogate, t: np.ndarray) -> np.ndarray:
-    d = s.dim
-    log_var = 2.0 * s.class_log_sigma
-    diff = t[:, None, :] - s.class_means[None, :, :]
-    quad = np.einsum("nkd,nkd->nk", diff, diff) * (0.5 * np.exp(-log_var))[None, :]
-    with np.errstate(divide="ignore"):
-        log_priors = np.log(s.priors)
-    scores = -quad + (log_priors - 0.5 * d * (math.log(2.0 * math.pi) + log_var))[None, :]
-    return scores - logsumexp_rows(scores)[:, None]
-
-
-def decode_softmax(head: "DecoderHead", t: np.ndarray) -> np.ndarray:
-    """Class probabilities softmax(W t + b) of the parametric readout."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 1:
-        raise ValueError("decode_softmax expects a single bottleneck point")
-    return np.exp(head.log_probs(t[None, :])[0])
-
-
 @dataclass
 class DecoderHead:
     """Decoder q(y | t): either a softmax readout or a fitted naive Bayes rule.
 
-    The naive Bayes variant references the surrogate parameters and owns no
-    trainable parameters of its own.
+    The naive Bayes variant scores with the class surrogate's slices and owns
+    no trainable parameters of its own.  The head is where those slices are
+    read: :attr:`learns_sigma` says whether ``sur.log_sigma`` exists (without
+    it every sigma_y is 1), and :meth:`surrogate` builds the surrogate.
     """
 
     variant: str
@@ -185,25 +156,35 @@ class DecoderHead:
     priors: np.ndarray
     bottleneck_dim: int
 
-    def owned_param_names(self) -> list[str]:
-        return ["head.W", "head.b"] if self.variant == "softmax" else []
+    @property
+    def learns_sigma(self) -> bool:
+        return "sur.log_sigma" in self.store.names()
 
-    def _surrogate(self) -> ClassSurrogate:
+    def surrogate(self) -> ClassSurrogate:
+        """The class surrogate over the current ``sur.*`` slices and the priors; checks both."""
         mu = self.store.get("sur.mu")
-        if "sur.log_sigma" in self.store.names():
-            ls = self.store.get("sur.log_sigma")
-        else:
-            ls = np.zeros(mu.shape[0])
-        return ClassSurrogate(mu, ls, self.priors)
+        log_sigma = self.store.get("sur.log_sigma") if self.learns_sigma else np.zeros(mu.shape[0])
+        return ClassSurrogate(mu, log_sigma, self.priors)
 
     def log_probs(self, t: np.ndarray) -> np.ndarray:
-        """Normalized class log-probabilities for a (N, d) batch of points."""
+        """Normalized class log-probabilities for a (N, d) batch of points.
+
+        Naive Bayes scores are accumulated in log space and normalized with
+        log-sum-exp, so far-from-mean points cannot underflow to an all-zero
+        posterior.
+        """
         t = np.asarray(t, dtype=np.float64)
-        if t.ndim != 2 or t.shape[1] != self.bottleneck_dim:
-            raise ValueError(f"points must be (N, {self.bottleneck_dim}), got {t.shape}")
+        d = self.bottleneck_dim
+        if t.ndim != 2 or t.shape[1] != d:
+            raise ValueError(f"points must be (N, {d}), got {t.shape}")
         if self.variant == "naive_bayes":
-            return _naive_bayes_log_probs(self._surrogate(), t)
-        scores = t @ self.store.get("head.W").T + self.store.get("head.b")
+            s = self.surrogate()
+            log_var = 2.0 * s.class_log_sigma
+            diff = t[:, None, :] - s.class_means[None, :, :]
+            quad = np.einsum("nkd,nkd->nk", diff, diff) * (0.5 * np.exp(-log_var))[None, :]
+            scores = -quad + (self.log_priors - 0.5 * d * (math.log(2.0 * math.pi) + log_var))[None, :]
+        else:
+            scores = t @ self.store.get("head.W").T + self.store.get("head.b")
         return scores - logsumexp_rows(scores)[:, None]
 
     @functools.cached_property
@@ -226,7 +207,13 @@ class DecoderHead:
 
 @dataclass
 class ModelState:
-    """Everything a run owns: parameters, encoder, decoder head, priors."""
+    """The whole model of a run: parameters, encoder, decoder head, priors and config.
+
+    It is the one value that crosses run boundaries: :func:`train` returns it
+    inside a :class:`TrainResult`, evaluation reads it, and
+    :func:`data_io.save_checkpoint` / :func:`data_io.load_checkpoint` write
+    and rebuild it whole.
+    """
 
     config: dict
     store: ParamStore
@@ -239,13 +226,7 @@ class ModelState:
         return self.priors.shape[0]
 
     def surrogate(self) -> ClassSurrogate:
-        return self.head._surrogate()
-
-    def surrogate_param_names(self) -> list[str]:
-        names = ["sur.mu"]
-        if "sur.log_sigma" in self.store.names():
-            names.append("sur.log_sigma")
-        return names
+        return self.head.surrogate()
 
     def loss_graph(
         self, tape: Tape, x: np.ndarray, labels: np.ndarray, beta_prime: float, noise: np.ndarray
@@ -253,7 +234,7 @@ class ModelState:
         means = self.encoder.means_graph(tape, x)
         log_var = self.encoder.log_var_graph(tape)
         mu = tape.param("sur.mu")
-        if "sur.log_sigma" in self.store.names():
+        if self.head.learns_sigma:
             log_sigma = tape.param("sur.log_sigma")
         else:
             log_sigma = tape.const(np.zeros(self.class_count))
@@ -407,16 +388,7 @@ class TradeoffPoint:
             raise ValueError("information-plane bounds must be finite")
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta_prime": self.beta_prime,
-            "ce_train": self.ce_train,
-            "kl_train": self.kl_train,
-            "ce_test": self.ce_test,
-            "kl_test": self.kl_test,
-            "acc_test": self.acc_test,
-            "ixt": self.ixt,
-            "ixt_given_y": self.ixt_given_y,
-        }
+        return asdict(self)
 
 
 def _encode_split(state: ModelState, ds: Dataset) -> np.ndarray:
@@ -526,7 +498,7 @@ def _alternating_moment_step(state: ModelState, train: Dataset) -> None:
     for y in range(state.class_count):
         rows = means[train.labels == y]
         mu[y] = rows.mean(axis=0)
-        if "sur.log_sigma" in state.store.names():
+        if state.head.learns_sigma:
             sigma2_y = float(np.mean((rows - mu[y]) ** 2)) + var
             state.store.get("sur.log_sigma")[y] = 0.5 * math.log(sigma2_y)
 
@@ -581,7 +553,7 @@ def train(
     if alternating:
         _alternating_moment_step(state, train_ds)
 
-    sur_slices = [state.store.spec(name) for name in state.surrogate_param_names()]
+    sur_slices = [state.store.spec(name) for name in state.store.names() if name.startswith("sur.")]
     metrics: list[MetricsRow] = [_metrics_row(state, train_ds, beta_prime, 0)]
     order = np.empty(0, dtype=np.intp)
     pos = 0
@@ -631,12 +603,12 @@ def sweep(config: dict, beta_primes: Sequence[float]) -> list[TradeoffPoint]:
     return [run_sweep_point(config, i, bp)[0] for i, bp in enumerate(beta_primes)]
 
 
-def run_sweep_point(config: dict, index: int, beta_prime: float) -> tuple[TradeoffPoint, TrainResult, Dataset]:
-    """Train and evaluate one sweep entry; returns (point, run, test split)."""
+def run_sweep_point(config: dict, index: int, beta_prime: float) -> tuple[TradeoffPoint, TrainResult]:
+    """Train and evaluate one sweep entry; returns (point, run)."""
     cfg = data_io.validate_config(config)
     cfg["loss"] = {k: v for k, v in cfg["loss"].items() if k not in ("beta", "beta_prime")}
     cfg["loss"]["beta_prime"] = float(beta_prime)
     cfg["seed"] = derive_seed(int(config["seed"]), index)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
     run = train(cfg, train_ds, test_ds)
-    return tradeoff_point(run, train_ds, test_ds), run, test_ds
+    return tradeoff_point(run, train_ds, test_ds), run

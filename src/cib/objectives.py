@@ -23,7 +23,6 @@ from .gaussians import ClassSurrogate, kl_to_surrogate, kl_to_surrogate_graph
 
 __all__ = [
     "beta_to_beta_prime",
-    "beta_prime_to_beta",
     "cib_loss",
     "cib_loss_graph",
 ]
@@ -43,13 +42,6 @@ def beta_to_beta_prime(beta: float) -> float:
             )
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     return beta / (1.0 - beta)
-
-
-def beta_prime_to_beta(beta_prime: float) -> float:
-    """Inverse map beta = beta' / (1 + beta')."""
-    if beta_prime < 0.0:
-        raise ValueError(f"beta_prime must be nonnegative, got {beta_prime}")
-    return beta_prime / (1.0 + beta_prime)
 
 
 def cib_loss(

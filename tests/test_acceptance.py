@@ -248,9 +248,8 @@ def test_criterion_9_formats(tmp_path):
     cfg = _reference_config(steps=0)
     state = model.build_state(cfg, np.array([0.5, 0.5]), np.random.default_rng(1))
     p1, p2 = tmp_path / "c1.json", tmp_path / "c2.json"
-    data_io.save_checkpoint(state, state.surrogate(), state.head, cfg, p1)
-    encoder, surrogate, head, config = data_io.load_checkpoint(p1)
-    data_io.save_checkpoint(encoder, surrogate, head, config, p2)
+    data_io.save_checkpoint(state, p1)
+    data_io.save_checkpoint(data_io.load_checkpoint(p1), p2)
     ckpt_ok = p1.read_bytes() == p2.read_bytes()
 
     # metrics parse-back

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cib import cli, data_io, estimators, gaussians, model, objectives
-from cib.cli import REPORT_HEADER, run
+from cib.cli import REPORT_KEYS, run
 from helpers import random_encoder, random_joint
 
 
@@ -90,6 +90,18 @@ class TestTrain:
         assert "loss.beta_prime" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("block,key,value", [
+        ("optim", "lr", float("nan")),
+        ("optim", "lr", float("inf")),
+        ("encoder", "sigma2", float("inf")),
+    ])
+    def test_nonfinite_lr_or_sigma2_exits_one_naming_the_field(self, tmp_path, capsys, block, key, value):
+        defaults = {"optim": {"steps": 6, "batch": 8, "log_every": 3}, "encoder": {"layer_dims": [2, 3, 2]}}
+        cfg = _write_config(tmp_path, **{block: dict(defaults[block], **{key: value})})
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert f"{block}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_identical_invocations_produce_identical_bytes(self, tmp_path):
         cfg = _write_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -131,7 +143,7 @@ class TestSweep:
         for i in range(2):
             assert (out / f"point_{i:03d}" / "checkpoint.json").is_file()
         csv = (out / "sweep.csv").read_text().splitlines()
-        assert csv[0] == REPORT_HEADER
+        assert csv[0] == "beta_prime,ce_test,kl_test,acc_test,ixt,ixt_given_y"
         assert len(csv) == 3
 
     def test_parallel_jobs_match_sequential(self, tmp_path):
@@ -214,6 +226,20 @@ class TestEstimate:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_priors_not_summing_to_one_exit_one(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        ckpt = json.loads((out / "checkpoint.json").read_text())
+        ckpt["priors"] = [0.5, 0.4]
+        (out / "checkpoint.json").write_text(json.dumps(ckpt))
+        data = tmp_path / "d.json"
+        assert run(f"gen-data --classes 2 --dim 2 --per-class 5 --sep 4 --seed 5 --out {data}".split()) == 0
+        capsys.readouterr()
+        assert run(["estimate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert "priors must be nonnegative and sum to 1" in captured.err and captured.out == ""
+
     def test_as_printed_mode_flag(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         out = tmp_path / "run"
@@ -250,6 +276,7 @@ class TestGradcheck:
         (["--layers", "2,0,2"], "layer_dims entry 1 is 0"),
         (["--beta-prime", "nan"], "loss.beta_prime"),
         (["--beta-prime", "inf"], "loss.beta_prime"),
+        (["--sigma2", "inf"], "encoder.sigma2"),
     ])
     def test_bad_argument_exits_one_naming_the_flag(self, argv, flag, capsys):
         assert run(["gradcheck", *argv]) == 1
@@ -322,7 +349,7 @@ class TestReport:
     def test_empty_run_list_writes_header_only(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert run(["report", "--out", str(out)]) == 0
-        assert out.read_text() == REPORT_HEADER + "\n"
+        assert out.read_text() == ",".join(REPORT_KEYS) + "\n"
 
     def test_single_run_row_matches_point_json(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -396,7 +423,7 @@ class TestUsage:
         assert run(["report", "--runs", str(not_a_run), "--out", str(out)]) == 1
         assert run(["train", "--out", str(out)]) == 1  # parse error: --config missing
         assert run(["report", "--out", str(out)]) == 0
-        assert out.read_text() == REPORT_HEADER + "\n"
+        assert out.read_text() == ",".join(REPORT_KEYS) + "\n"
         parser = cli._build_parser()
         report = parser.parse_args(["report", "--out", "a"])
         parallel = parser.parse_args(["sweep", "--config", "c", "--betas", "1", "--out", "b", "--jobs", "2"])

@@ -171,17 +171,16 @@ class TestCheckpoints:
         rng = np.random.default_rng(2)
         state = model.build_state(cfg, np.array([0.5, 0.5]), rng)
         first = tmp_path / "ckpt.json"
-        data_io.save_checkpoint(state, state.surrogate(), state.head, cfg, first)
-        encoder, surrogate, head, config = data_io.load_checkpoint(first)
+        data_io.save_checkpoint(state, first)
         second = tmp_path / "ckpt2.json"
-        data_io.save_checkpoint(encoder, surrogate, head, config, second)
+        data_io.save_checkpoint(data_io.load_checkpoint(first), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_unknown_version_rejected(self, tmp_path):
         cfg = validate_config(_tiny_config())
         state = model.build_state(cfg, np.array([0.5, 0.5]))
         path = tmp_path / "ckpt.json"
-        data_io.save_checkpoint(state, state.surrogate(), state.head, cfg, path)
+        data_io.save_checkpoint(state, path)
         doc = json.loads(path.read_text())
         doc["format_version"] = 2
         path.write_text(json.dumps(doc))
@@ -192,7 +191,7 @@ class TestCheckpoints:
         cfg = validate_config(_tiny_config())
         state = model.build_state(cfg, np.array([0.5, 0.5]))
         path = tmp_path / "ckpt.json"
-        data_io.save_checkpoint(state, state.surrogate(), state.head, cfg, path)
+        data_io.save_checkpoint(state, path)
         doc = json.loads(path.read_text())
         doc["params"]["enc.W0"]["shape"] = [2, 3]
         path.write_text(json.dumps(doc))
@@ -204,21 +203,19 @@ class TestCheckpoints:
         rng = np.random.default_rng(3)
         state = model.build_state(cfg, np.array([0.25, 0.75]), rng)
         path = tmp_path / "ckpt.json"
-        data_io.save_checkpoint(state, state.surrogate(), state.head, cfg, path)
-        encoder, surrogate, head, _ = data_io.load_checkpoint(path)
-        np.testing.assert_array_equal(encoder.store.values, state.store.values)
-        np.testing.assert_array_equal(surrogate.priors, state.priors)
+        data_io.save_checkpoint(state, path)
+        loaded = data_io.load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.store.values, state.store.values)
+        np.testing.assert_array_equal(loaded.priors, state.priors)
+        assert loaded.config == state.config
 
     def test_loaded_model_reproduces_evaluation_without_drift(self, tmp_path):
         cfg = validate_config(_tiny_config())
         train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
         run = model.train(cfg, train_ds, test_ds)
         path = tmp_path / "ckpt.json"
-        data_io.save_checkpoint(run.state, run.state.surrogate(), run.state.head, cfg, path)
-        encoder, surrogate, head, config = data_io.load_checkpoint(path)
-        loaded = model.ModelState(
-            config=config, store=encoder.store, encoder=encoder, head=head, priors=surrogate.priors
-        )
+        data_io.save_checkpoint(run.state, path)
+        loaded = data_io.load_checkpoint(path)
         before = model.evaluate(run.state, test_ds)
         after = model.evaluate(loaded, test_ds)
         assert after.accuracy == before.accuracy

@@ -9,13 +9,10 @@ import pytest
 from cib import data_io, diffcore, gaussians, model, objectives
 from cib.data_io import Dataset, validate_config
 from cib.diffcore import NonFiniteError, Tape, grad_check
-from cib.gaussians import ClassSurrogate
 from helpers import ChainTape, chain_loss_graph, reference_diagnose_nonfinite, reference_loss_terms
 from cib.model import (
     NonFiniteLossError,
     build_state,
-    decode_naive_bayes,
-    decode_softmax,
     derive_seed,
     evaluate,
     loss_terms,
@@ -102,91 +99,106 @@ class TestEncode:
         assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_name}"
 
 
+def _nb_head(means, log_sigma, priors):
+    """A naive Bayes head whose surrogate has these (K, 2) means, (K,) log-sigmas and priors."""
+    state = build_state(_config(encoder={"layer_dims": [2, 2]}), np.asarray(priors, dtype=float))
+    state.store.set("sur.mu", np.asarray(means, dtype=float))
+    state.store.set("sur.log_sigma", np.asarray(log_sigma, dtype=float))
+    return state.head
+
+
+def _probs(head, t):
+    """Class probabilities of a (N, d) batch, or of one point as a (1, d) batch."""
+    return np.exp(head.log_probs(np.atleast_2d(t)))
+
+
 class TestDecodeNaiveBayes:
     def test_symmetric_classes_split_evenly_at_origin(self):
-        s = ClassSurrogate(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.zeros(2), np.array([0.5, 0.5]))
-        np.testing.assert_allclose(decode_naive_bayes(s, np.zeros(2)), [0.5, 0.5], atol=1e-15)
+        head = _nb_head([[1.0, 1.0], [-1.0, -1.0]], np.zeros(2), [0.5, 0.5])
+        np.testing.assert_allclose(_probs(head, np.zeros(2)), [[0.5, 0.5]], atol=1e-15)
+        # every point of the perpendicular bisector t = (a, -a) is equidistant from both means
+        line = np.array([[a, -a] for a in (-3.0, -0.5, 0.0, 2.0)])
+        np.testing.assert_allclose(_probs(head, line), np.full((4, 2), 0.5), atol=1e-15)
 
     def test_class_mean_is_classified_to_its_class(self):
-        s = ClassSurrogate(
-            np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]]), np.zeros(3), np.full(3, 1 / 3)
-        )
+        means = np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]])
+        head = _nb_head(means, np.zeros(3), np.full(3, 1 / 3))
+        np.testing.assert_array_equal(np.argmax(_probs(head, means), axis=1), [0, 1, 2])
         for y in range(3):
-            probs = decode_naive_bayes(s, s.class_means[y])
-            assert int(np.argmax(probs)) == y
+            assert int(np.argmax(_probs(head, means[y])[0])) == y
 
     def test_matches_direct_bayes_rule_from_gaussian_density(self):
         rng = np.random.default_rng(4)
-        s = ClassSurrogate(
-            rng.uniform(-2, 2, (3, 2)), rng.uniform(-0.5, 0.5, 3), np.array([0.2, 0.5, 0.3])
-        )
+        means, log_sigma, priors = rng.uniform(-2, 2, (3, 2)), rng.uniform(-0.5, 0.5, 3), np.array([0.2, 0.5, 0.3])
+        head = _nb_head(means, log_sigma, priors)
 
         def density(t, y):
-            var = math.exp(2.0 * s.class_log_sigma[y])
-            sq = float(np.sum((t - s.class_means[y]) ** 2))
+            var = math.exp(2.0 * log_sigma[y])
+            sq = float(np.sum((t - means[y]) ** 2))
             return math.exp(-0.5 * sq / var) / (2.0 * math.pi * var)  # d = 2
 
-        for _ in range(20):
-            t = rng.uniform(-3, 3, 2)
-            joint = np.array([s.priors[y] * density(t, y) for y in range(3)])
-            expected = joint / joint.sum()
-            np.testing.assert_allclose(decode_naive_bayes(s, t), expected, atol=1e-12, rtol=0)
+        points = rng.uniform(-3, 3, (20, 2))
+        expected = np.array([[priors[y] * density(t, y) for y in range(3)] for t in points])
+        expected /= expected.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(_probs(head, points), expected, atol=1e-12, rtol=0)
+        for t, row in zip(points, expected):
+            np.testing.assert_allclose(_probs(head, t), [row], atol=1e-12, rtol=0)
 
     def test_output_is_a_distribution_even_far_from_means(self):
-        s = ClassSurrogate(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2), np.array([0.5, 0.5]))
-        for t in (np.array([1e4, -1e4]), np.array([-250.0, 3.0]), np.zeros(2)):
-            probs = decode_naive_bayes(s, t)
+        head = _nb_head([[1.0, 0.0], [-1.0, 0.0]], np.zeros(2), [0.5, 0.5])
+        points = np.array([[1e4, -1e4], [-250.0, 3.0], [0.0, 0.0]])
+        for batch in (points, *points):
+            probs = _probs(head, batch)
             assert np.all(probs >= 0.0)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
     def test_argmax_is_shift_invariant_in_log_scores(self):
         # log-space normalization: scaling all priors cannot change the argmax
         rng = np.random.default_rng(11)
         means = rng.uniform(-2, 2, (3, 2))
-        s = ClassSurrogate(means, np.zeros(3), np.full(3, 1 / 3))
-        for _ in range(10):
-            t = rng.uniform(-5, 5, 2)
-            base = decode_naive_bayes(s, t)
-            nearest = int(np.argmin(np.linalg.norm(means - t, axis=1)))
-            assert int(np.argmax(base)) == nearest
-
+        head = _nb_head(means, np.zeros(3), np.full(3, 1 / 3))
+        points = rng.uniform(-5, 5, (10, 2))
+        nearest = np.argmin(np.linalg.norm(means[None, :, :] - points[:, None, :], axis=2), axis=1)
+        np.testing.assert_array_equal(np.argmax(_probs(head, points), axis=1), nearest)
+        for t, y in zip(points, nearest):
+            assert int(np.argmax(_probs(head, t)[0])) == y
 
 
 class TestDecodeSoftmax:
     def test_zero_parameters_give_uniform(self):
         cfg = _config(decoder={"variant": "softmax"}, encoder={"layer_dims": [2, 2]})
         state = build_state(cfg, np.full(3, 1 / 3))
-        np.testing.assert_allclose(
-            decode_softmax(state.head, np.array([0.7, -0.3])), np.full(3, 1 / 3), atol=1e-15
-        )
+        np.testing.assert_allclose(_probs(state.head, np.array([0.7, -0.3])), np.full((1, 3), 1 / 3), atol=1e-15)
+        batch = np.random.default_rng(2).uniform(-4, 4, (6, 2))
+        np.testing.assert_allclose(_probs(state.head, batch), np.full((6, 3), 1 / 3), atol=1e-15)
 
     def test_large_bias_dominates(self):
         cfg = _config(decoder={"variant": "softmax"}, encoder={"layer_dims": [2, 2]})
         state = build_state(cfg, np.array([0.5, 0.5]))
         state.store.set("head.b", np.array([50.0, 0.0]))
-        probs = decode_softmax(state.head, np.zeros(2))
-        assert probs[0] > 1.0 - 1e-12
+        assert _probs(state.head, np.zeros(2))[0, 0] > 1.0 - 1e-12
+        assert np.all(_probs(state.head, np.zeros((4, 2)))[:, 0] > 1.0 - 1e-12)
 
     def test_normalization_on_random_inputs(self):
         rng = np.random.default_rng(3)
         cfg = _config(decoder={"variant": "softmax"}, encoder={"layer_dims": [2, 2]})
         state = build_state(cfg, np.array([0.5, 0.5]), rng)
-        for _ in range(25):
-            probs = decode_softmax(state.head, rng.uniform(-4, 4, 2))
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        points = rng.uniform(-4, 4, (25, 2))
+        for batch in (points, *points):
+            probs = _probs(state.head, batch)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12, rtol=0)
             assert np.all(probs >= 0.0)
 
 
 class TestHeadAccounting:
     def test_naive_bayes_head_owns_no_parameters(self):
         state = _state()
-        assert state.head.owned_param_names() == []
         assert not any(name.startswith("head.") for name in state.store.names())
 
     def test_softmax_head_owns_its_readout(self):
         cfg = _config(decoder={"variant": "softmax"})
         state = build_state(cfg, np.array([0.5, 0.5]))
-        assert state.head.owned_param_names() == ["head.W", "head.b"]
+        assert [name for name in state.store.names() if name.startswith("head.")] == ["head.W", "head.b"]
 
     def test_gradients_flow_only_to_encoder_and_surrogate_for_nb_head(self):
         rng = np.random.default_rng(6)
@@ -536,10 +548,8 @@ class TestEvaluate:
         labels = rng.integers(0, 2, 10)
         ds = Dataset(feats, labels, 2)
         means = state.encoder.encode_batch(feats)
-        hits = sum(
-            int(np.argmax(decode_naive_bayes(state.surrogate(), means[i]))) == labels[i]
-            for i in range(10)
-        )
+        hits = sum(int(np.argmax(state.head.log_probs(means[i : i + 1])[0])) == labels[i] for i in range(10))
+        assert int(np.sum(np.argmax(state.head.log_probs(means), axis=1) == labels)) == hits
         assert evaluate(state, ds).accuracy == pytest.approx(hits / 10, abs=0)
 
     def test_loss_terms_match_evaluate_without_bounds(self):

@@ -1,4 +1,4 @@
-"""Training-loss assembly and the beta <-> beta' correspondence."""
+"""Training-loss assembly and the beta -> beta' map."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from cib import discrete_oracle as oracle
 from cib.diffcore import ParamStore, Tape, grad_check, logsumexp_rows
 from cib.gaussians import ClassSurrogate
-from cib.objectives import beta_prime_to_beta, beta_to_beta_prime, cib_loss, cib_loss_graph
+from cib.objectives import beta_to_beta_prime, cib_loss, cib_loss_graph
 from helpers import (
     DiagGaussian,
     gaussian_quadrature_kl,
@@ -25,11 +25,6 @@ class TestBetaMaps:
         assert beta_to_beta_prime(0.5) == pytest.approx(1.0, abs=1e-15)
         assert beta_to_beta_prime(0.9) == pytest.approx(9.0, abs=1e-12)
 
-    def test_inverse_map(self):
-        assert beta_prime_to_beta(9.0) == pytest.approx(0.9, abs=1e-15)
-        for beta in (0.0, 0.25, 0.5, 0.77):
-            assert beta_prime_to_beta(beta_to_beta_prime(beta)) == pytest.approx(beta, abs=1e-14)
-
     def test_beta_of_one_rejected_with_reason(self):
         with pytest.raises(ValueError, match="compression"):
             beta_to_beta_prime(1.0)
@@ -38,8 +33,6 @@ class TestBetaMaps:
         for bad in (-0.1, 1.5):
             with pytest.raises(ValueError):
                 beta_to_beta_prime(bad)
-        with pytest.raises(ValueError):
-            beta_prime_to_beta(-1.0)
 
 
 def _toy_surrogate():
