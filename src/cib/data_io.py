@@ -17,14 +17,19 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
+
+from .diffcore import ACTIVATIONS
 
 __all__ = [
     "IdxFormatError",
     "CheckpointError",
     "ConfigError",
+    "ConfigField",
+    "CONFIG_FIELDS",
+    "REQUIRED",
     "Dataset",
     "GmmSpec",
     "MetricsRow",
@@ -106,12 +111,11 @@ class GmmSpec:
     seed: int
 
     def __post_init__(self):
-        if self.class_count < 2:
-            raise ValueError("need at least 2 classes")
-        if self.dim < 1 or self.per_class < 1:
-            raise ValueError("dim and per_class must be positive")
-        if self.sep < 0.0:
-            raise ValueError("separation must be nonnegative")
+        for name, low in (("class_count", 2), ("dim", 1), ("per_class", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not 0.0 <= self.sep < math.inf:
+            raise ValueError(f"sep must be finite and nonnegative, got {self.sep}")
 
 
 def _normal_cdf(z: float) -> float:
@@ -313,15 +317,8 @@ def _dump_json(obj: Any, path: str | Path) -> None:
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    _dump_json(
-        {
-            "features": ds.features.tolist(),
-            "labels": ds.labels.tolist(),
-            "class_count": ds.class_count,
-            "provenance": ds.provenance,
-        },
-        path,
-    )
+    _dump_json({"features": ds.features.tolist(), "labels": ds.labels.tolist(),
+                "class_count": ds.class_count, "provenance": ds.provenance}, path)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -396,20 +393,11 @@ class MetricsRow:
 
 
 def write_metrics(series: Sequence[MetricsRow], path: str | Path) -> None:
-    lines = [METRICS_HEADER]
-    for row in series:
-        lines.append(
-            ",".join(
-                [
-                    str(row.step),
-                    repr(row.cross_entropy),
-                    repr(row.kl_term),
-                    repr(row.beta_prime),
-                    repr(row.total),
-                    repr(row.accuracy),
-                ]
-            )
-        )
+    lines = [METRICS_HEADER] + [
+        ",".join([str(row.step)] + [repr(v) for v in (row.cross_entropy, row.kl_term, row.beta_prime,
+                                                      row.total, row.accuracy)])
+        for row in series
+    ]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -428,93 +416,129 @@ def read_metrics(path: str | Path) -> list[MetricsRow]:
 
 # --------------------------------------------------------------------- run configuration
 
-_CONFIG_DEFAULTS = {
-    "encoder": {"activation": "softplus", "noise_mode": "fixed_sigma", "sigma2": 1.0},
-    "decoder": {"variant": "naive_bayes"},
-    "surrogate": {"learn_sigma": True, "update": "gradient", "priors": "train"},
-    "loss": {"mc_samples": 1},
-    "optim": {"kind": "adam", "lr": 1e-3, "steps": 1000, "batch": 64, "log_every": 100},
-}
+class ConfigField(NamedTuple):
+    """One row of :data:`CONFIG_FIELDS`; ``when`` limits a dataset field to one dataset kind."""
 
-_ALLOWED = {
-    "top": {"dataset", "encoder", "decoder", "surrogate", "loss", "optim", "seed"},
-    "encoder": {"layer_dims", "activation", "noise_mode", "sigma2"},
-    "decoder": {"variant"},
-    "surrogate": {"learn_sigma", "update", "priors"},
-    "loss": {"beta", "beta_prime", "mc_samples"},
-    "optim": {"kind", "lr", "steps", "batch", "log_every"},
-    "dataset": {
-        "kind", "classes", "dim", "per_class", "test_per_class", "sep", "seed",
-        "standardize", "train", "test",
-        "train_images", "train_labels", "test_images", "test_labels",
-    },
-}
+    block: str  # "" for a top-level key
+    key: str
+    kind: str  # int, float, bool, choice, str (a path) or ints (a list of widths)
+    allowed: Any  # "[low, high)" or "(low, high)" for int, float and ints; the choices of a choice
+    default: Any  # REQUIRED, None (optional, nothing filled in) or the value filled in
+    when: str | None = None
+
+    @property
+    def name(self) -> str:
+        return f"{self.block}.{self.key}" if self.block else self.key
 
 
-def _reject_unknown(block: dict, allowed: set, where: str) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+REQUIRED = "required"
+
+# the README's config schema lists the same fields; a test keeps the two in step
+CONFIG_FIELDS = (
+    ConfigField("dataset", "kind", "choice", ("gmm", "json", "idx"), REQUIRED),
+    ConfigField("dataset", "classes", "int", "[2, inf)", REQUIRED, "gmm"),
+    ConfigField("dataset", "dim", "int", "[1, inf)", REQUIRED, "gmm"),
+    ConfigField("dataset", "per_class", "int", "[1, inf)", REQUIRED, "gmm"),
+    ConfigField("dataset", "test_per_class", "int", "[1, inf)", None, "gmm"),
+    ConfigField("dataset", "sep", "float", "[0, inf)", REQUIRED, "gmm"),
+    ConfigField("dataset", "seed", "int", "[0, inf)", REQUIRED, "gmm"),
+    ConfigField("dataset", "train", "str", None, REQUIRED, "json"),
+    ConfigField("dataset", "test", "str", None, REQUIRED, "json"),
+    ConfigField("dataset", "train_images", "str", None, REQUIRED, "idx"),
+    ConfigField("dataset", "train_labels", "str", None, REQUIRED, "idx"),
+    ConfigField("dataset", "test_images", "str", None, REQUIRED, "idx"),
+    ConfigField("dataset", "test_labels", "str", None, REQUIRED, "idx"),
+    ConfigField("dataset", "standardize", "bool", None, None),
+    ConfigField("encoder", "layer_dims", "ints", "[1, inf)", REQUIRED),
+    ConfigField("encoder", "activation", "choice", ACTIVATIONS, "softplus"),
+    ConfigField("encoder", "noise_mode", "choice", ("fixed_sigma", "learned_eta"), "fixed_sigma"),
+    ConfigField("encoder", "sigma2", "float", "(0, inf)", 1.0),
+    ConfigField("decoder", "variant", "choice", ("softmax", "naive_bayes"), "naive_bayes"),
+    ConfigField("surrogate", "learn_sigma", "bool", None, True),
+    ConfigField("surrogate", "update", "choice", ("gradient", "alternating"), "gradient"),
+    ConfigField("surrogate", "priors", "choice", ("train", "all"), "train"),
+    ConfigField("loss", "beta", "float", "[0, 1)", None),  # exactly one of beta, beta_prime
+    ConfigField("loss", "beta_prime", "float", "[0, inf)", None),
+    ConfigField("loss", "mc_samples", "int", "[1, inf)", 1),
+    ConfigField("optim", "kind", "choice", ("adam", "sgd"), "adam"),
+    ConfigField("optim", "lr", "float", "(0, inf)", 1e-3),
+    ConfigField("optim", "steps", "int", "[0, inf)", 1000),
+    ConfigField("optim", "batch", "int", "[1, inf)", 64),
+    ConfigField("optim", "log_every", "int", "[1, inf)", 100),
+    ConfigField("", "seed", "int", "[0, inf)", REQUIRED),
+)
+_BLOCKS = tuple(dict.fromkeys(f.block for f in CONFIG_FIELDS if f.block))
+
+
+def _fits(kind: str, allowed: Any, value: Any) -> bool:
+    """Whether ``value`` is of ``kind`` and in ``allowed``; null never is.
+
+    An int is a Python int that is not a bool, or an integral float; a float
+    is an int or a float.  A range never includes its upper bound, so NaN and
+    inf fall outside every range.
+    """
+    if kind == "bool":
+        return isinstance(value, bool)
+    if kind in ("str", "choice"):
+        return isinstance(value, str) and (value in allowed if kind == "choice" else value != "")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind == "int" and isinstance(value, float) and not value.is_integer():  # nor are NaN and inf
+        return False
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+    low, high = (float(bound) for bound in allowed[1:-1].split(","))
+    return (low < number if allowed[0] == "(" else low <= number) and number < high
+
+
+def _checked(f: ConfigField, value: Any) -> Any:
+    """``value`` as field ``f`` stores it: ints as int, the rest as given; ConfigError if it does not fit."""
+    if f.kind == "ints":
+        if not isinstance(value, list) or len(value) < 2:
+            raise ConfigError(f"{f.name} must list at least input and bottleneck sizes, got {value!r}")
+        for i, width in enumerate(value):
+            if not _fits("int", f.allowed, width):
+                raise ConfigError(f"{f.name} entry {i} is {width!r}, not an integer in {f.allowed}")
+        return [int(width) for width in value]
+    if not _fits(f.kind, f.allowed, value):
+        what = {"int": "an integer in ", "float": "a number in ", "choice": "one of ",
+                "bool": "true or false", "str": "a non-empty string"}[f.kind]
+        allowed = ", ".join(map(repr, f.allowed)) if f.kind == "choice" else f.allowed or ""
+        raise ConfigError(f"{f.name} must be {what}{allowed}, got {value!r}")
+    return int(value) if f.kind == "int" else value
 
 
 def validate_config(config: dict) -> dict:
-    """Apply defaults and validate the run configuration; returns a new dict."""
+    """Check ``config`` against :data:`CONFIG_FIELDS` and fill in defaults; returns a new dict.
+
+    Fields are checked in table order, then unknown keys; every rejection is a
+    ConfigError naming the field as ``block.key``.
+    """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(config, _ALLOWED["top"], "config")
-    for key in ("dataset", "encoder", "loss", "seed"):
-        if key not in config:
-            raise ConfigError(f"config is missing required key {key!r}")
-    cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in config.items()}
-    for block, defaults in _CONFIG_DEFAULTS.items():
-        merged = dict(defaults)
-        merged.update(cfg.get(block, {}))
-        cfg[block] = merged
-    for block in ("dataset", "encoder", "decoder", "surrogate", "loss", "optim"):
-        _reject_unknown(cfg[block], _ALLOWED[block], block)
-
-    enc = cfg["encoder"]
-    dims = enc.get("layer_dims")
-    if not isinstance(dims, list) or len(dims) < 2:
-        raise ConfigError("encoder.layer_dims must list at least input and bottleneck sizes")
-    enc["layer_dims"] = [int(d) for d in dims]
-    for i, d in enumerate(enc["layer_dims"]):
-        if d < 1:
-            raise ConfigError(f"encoder.layer_dims entry {i} is {d}; every width must be positive")
-    if enc["noise_mode"] not in ("fixed_sigma", "learned_eta"):
-        raise ConfigError(f"unknown encoder.noise_mode: {enc['noise_mode']!r}")
-    if not 0.0 < float(enc["sigma2"]) < math.inf:
-        raise ConfigError(f"encoder.sigma2 must be positive and finite, got {enc['sigma2']}")
-    if cfg["decoder"]["variant"] not in ("softmax", "naive_bayes"):
-        raise ConfigError(f"unknown decoder.variant: {cfg['decoder']['variant']!r}")
-    if cfg["surrogate"]["update"] not in ("gradient", "alternating"):
-        raise ConfigError(f"unknown surrogate.update: {cfg['surrogate']['update']!r}")
-    if cfg["surrogate"]["priors"] not in ("train", "all"):
-        raise ConfigError(f"unknown surrogate.priors: {cfg['surrogate']['priors']!r}")
-
-    loss = cfg["loss"]
-    if ("beta" in loss) == ("beta_prime" in loss):
-        raise ConfigError("loss must set exactly one of beta, beta_prime")
-    if int(loss["mc_samples"]) < 1:
-        raise ConfigError("loss.mc_samples must be at least 1")
-    if "beta_prime" in loss and not 0.0 <= float(loss["beta_prime"]) < math.inf:
-        raise ConfigError(f"loss.beta_prime must be finite and nonnegative, got {loss['beta_prime']}")
-
-    opt = cfg["optim"]
-    if opt["kind"] not in ("adam", "sgd"):
-        raise ConfigError(f"unknown optim.kind: {opt['kind']!r}")
-    if int(opt["steps"]) < 0 or int(opt["batch"]) < 1:
-        raise ConfigError("optim needs steps >= 0, batch >= 1")
-    if not 0.0 < float(opt["lr"]) < math.inf:
-        raise ConfigError(f"optim.lr must be positive and finite, got {opt['lr']}")
-    if int(opt["log_every"]) < 1:
-        raise ConfigError("optim.log_every must be at least 1")
-
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
-    kind = cfg["dataset"].get("kind")
-    if kind not in ("gmm", "json", "idx"):
-        raise ConfigError(f"unknown dataset.kind: {kind!r}")
+    for block in _BLOCKS:
+        if not isinstance(config.get(block, {}), dict):
+            raise ConfigError(f"{block} must be a JSON object, got {config[block]!r}")
+    kind = config.get("dataset", {}).get("kind")
+    fields = [f for f in CONFIG_FIELDS if f.when in (None, kind)]
+    cfg: dict = {block: {} for block in _BLOCKS}
+    for f in fields:
+        given, into = (config.get(f.block, {}), cfg[f.block]) if f.block else (config, cfg)
+        if f.key in given:
+            into[f.key] = _checked(f, given[f.key])
+        elif f.default == REQUIRED:
+            raise ConfigError(f"config is missing required key {f.name}")
+        elif f.default is not None:
+            into[f.key] = f.default
+    known = {(f.block, f.key) for f in fields} | {("", block) for block in _BLOCKS}
+    unknown = sorted(f"{block}.{key}" if block else str(key) for block in ("", *_BLOCKS)
+                     for key in (config.get(block, {}) if block else config) if (block, key) not in known)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    if ("beta" in cfg["loss"]) == ("beta_prime" in cfg["loss"]):
+        raise ConfigError("loss must set exactly one of loss.beta, loss.beta_prime")
     return cfg
 
 
@@ -530,22 +554,14 @@ def dataset_from_config(dcfg: dict) -> tuple[Dataset, Dataset]:
     """Materialize (train, test) splits from the config's dataset block."""
     kind = dcfg["kind"]
     if kind == "gmm":
-        spec = GmmSpec(
-            class_count=int(dcfg["classes"]),
-            dim=int(dcfg["dim"]),
-            sep=float(dcfg["sep"]),
-            per_class=int(dcfg["per_class"]),
-            seed=int(dcfg["seed"]),
-        )
-        train, test = gen_gmm_splits(spec, int(dcfg.get("test_per_class", dcfg["per_class"])))
+        spec = GmmSpec(dcfg["classes"], dcfg["dim"], float(dcfg["sep"]), dcfg["per_class"], dcfg["seed"])
+        train, test = gen_gmm_splits(spec, dcfg.get("test_per_class", dcfg["per_class"]))
     elif kind == "json":
         train = load_dataset(dcfg["train"])
         test = load_dataset(dcfg["test"])
-    elif kind == "idx":
+    else:  # idx: validate_config admits no other kind
         train = read_idx(dcfg["train_images"], dcfg["train_labels"])
         test = read_idx(dcfg["test_images"], dcfg["test_labels"])
-    else:
-        raise ConfigError(f"unknown dataset.kind: {kind!r}")
     if dcfg.get("standardize", False):
         train, test = standardize(train, test)
     return train, test

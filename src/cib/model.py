@@ -117,6 +117,10 @@ class EncoderModel:
         except OverflowError:
             raise NonFiniteError(f"learned noise variance exp({log_eta2}) overflows") from None
 
+    def embedded(self, codes: np.ndarray, labels: np.ndarray) -> estimators.EmbeddedDataset:
+        """The mixture-bound input of these codes: codes, labels and this encoder's noise variances."""
+        return estimators.EmbeddedDataset(codes=codes, labels=labels, sigma2=self.sigma2, eta2=self.eta2())
+
     def encode_batch(self, x: np.ndarray) -> np.ndarray:
         """Mean embeddings for a batch; returns the (N, d) matrix f(x)."""
         x = np.asarray(x, dtype=np.float64)
@@ -440,10 +444,7 @@ def evaluate(state: ModelState, ds: Dataset) -> EvalResult:
     """
     means = _encode_split(state, ds)
     terms = _terms_of_codes(state, ds, means)
-    embedded = estimators.EmbeddedDataset(
-        codes=means, labels=ds.labels, sigma2=state.encoder.sigma2, eta2=state.encoder.eta2()
-    )
-    report = estimators.bound_report(embedded, estimators.MODE_CITED_SOURCE)
+    report = estimators.bound_report(state.encoder.embedded(means, ds.labels), estimators.MODE_CITED_SOURCE)
     return EvalResult(terms.accuracy, terms.cross_entropy, terms.kl_term, bounds=report)
 
 
@@ -543,10 +544,9 @@ def train(
         opt = _Sgd(state.store.size, float(opt_cfg["lr"]))
 
     n = train_ds.count
-    batch = min(int(opt_cfg["batch"]), n)
-    steps = int(opt_cfg["steps"])
-    log_every = int(opt_cfg["log_every"])
-    mc_samples = int(cfg["loss"]["mc_samples"])
+    batch = min(opt_cfg["batch"], n)
+    steps, log_every = opt_cfg["steps"], opt_cfg["log_every"]
+    mc_samples = cfg["loss"]["mc_samples"]
     alternating = cfg["surrogate"]["update"] == "alternating"
     d = state.encoder.bottleneck_dim
 
@@ -608,7 +608,7 @@ def run_sweep_point(config: dict, index: int, beta_prime: float) -> tuple[Tradeo
     cfg = data_io.validate_config(config)
     cfg["loss"] = {k: v for k, v in cfg["loss"].items() if k not in ("beta", "beta_prime")}
     cfg["loss"]["beta_prime"] = float(beta_prime)
-    cfg["seed"] = derive_seed(int(config["seed"]), index)
+    cfg["seed"] = derive_seed(cfg["seed"], index)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
     run = train(cfg, train_ds, test_ds)
     return tradeoff_point(run, train_ds, test_ds), run

@@ -31,6 +31,7 @@ from cib.discrete_oracle import (
     objective_values,
     optimal_product_surrogate,
 )
+from cib.data_io import ConfigError
 from cib.estimators import MODE_AS_PRINTED
 
 
@@ -663,3 +664,100 @@ def reference_diagnose_nonfinite(state, x, labels, noise, batch_idx):
     bad |= ~np.all(np.isfinite(true_lp), axis=1) | ~np.isfinite(kl)
     first = int(np.flatnonzero(bad)[0]) if np.any(bad) else 0
     return int(batch_idx[first])
+
+
+# --------------------------------------------------------------------- config-validation reference
+
+# The hand-written validate_config that the field table of cib.data_io
+# replaced.  It accepts more than the table (a float step count, a bool seed,
+# any learn_sigma, ...), but every config the table accepts with its int
+# fields given as ints must validate to the same dict under both.
+
+_REFERENCE_DEFAULTS = {
+    "encoder": {"activation": "softplus", "noise_mode": "fixed_sigma", "sigma2": 1.0},
+    "decoder": {"variant": "naive_bayes"},
+    "surrogate": {"learn_sigma": True, "update": "gradient", "priors": "train"},
+    "loss": {"mc_samples": 1},
+    "optim": {"kind": "adam", "lr": 1e-3, "steps": 1000, "batch": 64, "log_every": 100},
+}
+
+_REFERENCE_ALLOWED = {
+    "top": {"dataset", "encoder", "decoder", "surrogate", "loss", "optim", "seed"},
+    "encoder": {"layer_dims", "activation", "noise_mode", "sigma2"},
+    "decoder": {"variant"},
+    "surrogate": {"learn_sigma", "update", "priors"},
+    "loss": {"beta", "beta_prime", "mc_samples"},
+    "optim": {"kind", "lr", "steps", "batch", "log_every"},
+    "dataset": {
+        "kind", "classes", "dim", "per_class", "test_per_class", "sep", "seed",
+        "standardize", "train", "test",
+        "train_images", "train_labels", "test_images", "test_labels",
+    },
+}
+
+
+def _reference_reject_unknown(block: dict, allowed: set, where: str) -> None:
+    unknown = set(block) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def reference_validate_config(config: dict) -> dict:
+    """Apply defaults and validate the run configuration; returns a new dict."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    _reference_reject_unknown(config, _REFERENCE_ALLOWED["top"], "config")
+    for key in ("dataset", "encoder", "loss", "seed"):
+        if key not in config:
+            raise ConfigError(f"config is missing required key {key!r}")
+    cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in config.items()}
+    for block, defaults in _REFERENCE_DEFAULTS.items():
+        merged = dict(defaults)
+        merged.update(cfg.get(block, {}))
+        cfg[block] = merged
+    for block in ("dataset", "encoder", "decoder", "surrogate", "loss", "optim"):
+        _reference_reject_unknown(cfg[block], _REFERENCE_ALLOWED[block], block)
+
+    enc = cfg["encoder"]
+    dims = enc.get("layer_dims")
+    if not isinstance(dims, list) or len(dims) < 2:
+        raise ConfigError("encoder.layer_dims must list at least input and bottleneck sizes")
+    enc["layer_dims"] = [int(d) for d in dims]
+    for i, d in enumerate(enc["layer_dims"]):
+        if d < 1:
+            raise ConfigError(f"encoder.layer_dims entry {i} is {d}; every width must be positive")
+    if enc["noise_mode"] not in ("fixed_sigma", "learned_eta"):
+        raise ConfigError(f"unknown encoder.noise_mode: {enc['noise_mode']!r}")
+    if not 0.0 < float(enc["sigma2"]) < math.inf:
+        raise ConfigError(f"encoder.sigma2 must be positive and finite, got {enc['sigma2']}")
+    if cfg["decoder"]["variant"] not in ("softmax", "naive_bayes"):
+        raise ConfigError(f"unknown decoder.variant: {cfg['decoder']['variant']!r}")
+    if cfg["surrogate"]["update"] not in ("gradient", "alternating"):
+        raise ConfigError(f"unknown surrogate.update: {cfg['surrogate']['update']!r}")
+    if cfg["surrogate"]["priors"] not in ("train", "all"):
+        raise ConfigError(f"unknown surrogate.priors: {cfg['surrogate']['priors']!r}")
+
+    loss = cfg["loss"]
+    if ("beta" in loss) == ("beta_prime" in loss):
+        raise ConfigError("loss must set exactly one of beta, beta_prime")
+    if int(loss["mc_samples"]) < 1:
+        raise ConfigError("loss.mc_samples must be at least 1")
+    if "beta_prime" in loss and not 0.0 <= float(loss["beta_prime"]) < math.inf:
+        raise ConfigError(f"loss.beta_prime must be finite and nonnegative, got {loss['beta_prime']}")
+
+    opt = cfg["optim"]
+    if opt["kind"] not in ("adam", "sgd"):
+        raise ConfigError(f"unknown optim.kind: {opt['kind']!r}")
+    if int(opt["steps"]) < 0 or int(opt["batch"]) < 1:
+        raise ConfigError("optim needs steps >= 0, batch >= 1")
+    if not 0.0 < float(opt["lr"]) < math.inf:
+        raise ConfigError(f"optim.lr must be positive and finite, got {opt['lr']}")
+    if int(opt["log_every"]) < 1:
+        raise ConfigError("optim.log_every must be at least 1")
+
+    if not isinstance(cfg["seed"], int):
+        raise ConfigError("seed must be an integer")
+    kind = cfg["dataset"].get("kind")
+    if kind not in ("gmm", "json", "idx"):
+        raise ConfigError(f"unknown dataset.kind: {kind!r}")
+    return cfg

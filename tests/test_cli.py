@@ -53,6 +53,13 @@ class TestGenData:
         ds = data_io.load_dataset(out)
         assert ds.count == 1000 and ds.class_count == 2
 
+    def test_nonfinite_sep_exits_one_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "d" / "d.json"
+        argv = f"gen-data --classes 2 --dim 2 --per-class 5 --sep nan --seed 0 --out {out}".split()
+        assert run(argv) == 1
+        assert "sep must be finite" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_json_mode_emits_single_document(self, tmp_path, capsys):
         out = tmp_path / "d.json"
         code = run(
@@ -100,6 +107,43 @@ class TestTrain:
         cfg = _write_config(tmp_path, **{block: dict(defaults[block], **{key: value})})
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         assert f"{block}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("optim", "batch", float("inf")),
+        ("loss", "mc_samples", float("inf")),
+        ("", "decoder", [1]),
+        ("surrogate", "learn_sigma", "false"),
+        ("dataset", "standardize", "no"),
+        ("optim", "steps", 2.5),
+        ("encoder", "layer_dims", [2, 2.5, 2]),
+        ("optim", "lr", "0.1"),
+        ("", "seed", True),
+        ("dataset", "seed", 1.5),
+        ("dataset", "classes", "x"),
+        ("loss", "mc_samples", float("nan")),
+        ("dataset", "sep", float("nan")),
+        ("encoder", "activation", "gelu"),
+        ("loss", "beta", 1.0),
+        ("dataset", "per_class", 0),
+        ("dataset", "seed", -1),
+    ])
+    def test_malformed_field_exits_one_naming_it_before_any_directory(self, tmp_path, capsys, block, key, value):
+        cfg = json.loads(_write_config(tmp_path).read_text())
+        if key == "beta":
+            del cfg["loss"]["beta_prime"]
+        (cfg.setdefault(block, {}) if block else cfg)[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert (f"{block}.{key}" if block else key) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_dataset_file_exits_one_before_any_directory(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        cfg = _write_config(tmp_path, dataset={"kind": "json", "train": missing, "test": missing})
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert "missing.json" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_identical_invocations_produce_identical_bytes(self, tmp_path):
@@ -260,6 +304,9 @@ class TestGradcheck:
         assert doc["passed"] is True
         assert set(doc["heads"]) == {"softmax", "naive_bayes"}
 
+    def test_one_class_passes(self, capsys):
+        assert run(["gradcheck", "--classes", "1"]) == 0
+
     def test_impossible_tolerance_fails_with_exit_two(self, capsys):
         assert run(["gradcheck", "--tol", "1e-30"]) == 2
 
@@ -273,6 +320,9 @@ class TestGradcheck:
         (["--tol", "0"], "--tol"),
         (["--tol", "nan"], "--tol"),
         (["--tol", "inf"], "--tol"),
+        (["--seed", "-1"], "--seed"),
+        (["--layers", "2"], "encoder.layer_dims"),
+        (["--mc-samples", "0"], "loss.mc_samples"),
         (["--layers", "2,0,2"], "layer_dims entry 1 is 0"),
         (["--beta-prime", "nan"], "loss.beta_prime"),
         (["--beta-prime", "inf"], "loss.beta_prime"),

@@ -1,14 +1,23 @@
 """Dataset synthesis and the on-disk formats (IDX, checkpoints, metrics, configs)."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cib import data_io, model
+from cib import cli, data_io, model
 from cib.data_io import (
+    CONFIG_FIELDS,
+    REQUIRED,
     CheckpointError,
     ConfigError,
     Dataset,
@@ -23,6 +32,7 @@ from cib.data_io import (
     write_idx,
     write_metrics,
 )
+from helpers import reference_validate_config
 
 
 class TestGenGmm:
@@ -357,3 +367,176 @@ class TestConfig:
         train, _ = data_io.dataset_from_config(dcfg)
         np.testing.assert_allclose(train.features.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(train.features.var(axis=0), 1.0, atol=1e-10)
+
+    def test_gmm_spec_names_a_nonfinite_sep_and_a_negative_seed(self):
+        for sep in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sep must be finite"):
+                GmmSpec(class_count=2, dim=2, sep=sep, per_class=3, seed=0)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            GmmSpec(class_count=2, dim=2, sep=1.0, per_class=3, seed=-1)
+
+    def test_integral_floats_are_stored_as_ints_and_floats_as_given(self):
+        cfg = _tiny_config()
+        cfg["optim"]["steps"] = 3.0
+        cfg["encoder"]["layer_dims"] = [2.0, 3, 2]
+        cfg["encoder"]["sigma2"] = 1
+        out = validate_config(cfg)
+        assert type(out["optim"]["steps"]) is int and out["optim"]["steps"] == 3
+        assert [type(d) for d in out["encoder"]["layer_dims"]] == [int, int, int]
+        assert type(out["encoder"]["sigma2"]) is int  # checkpoint.json keeps "sigma2": 1
+
+    def test_keys_of_another_dataset_kind_are_unknown(self):
+        bad = _tiny_config()
+        bad["dataset"]["train"] = "train.json"
+        with pytest.raises(ConfigError, match="unknown config keys: dataset.train"):
+            validate_config(bad)
+
+
+# ------------------------------------------------------------------ the field table, fuzzed
+
+# derandomized so that a tier-1 failure replays from its test id; no
+# example database is written
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+HOSTILE = [float("nan"), float("inf"), float("-inf"), 2.5, -1, 0, True, "x", [], {}, None]
+
+
+def _int_from(low):
+    return lambda v: type(v) is int and v >= low
+
+
+def _number(ok):
+    return lambda v: type(v) in (int, float) and math.isfinite(v) and ok(v)
+
+
+def _never(v):
+    return False
+
+
+def _is_bool(v):
+    return type(v) is bool
+
+
+# which of the HOSTILE values each field of a gmm config accepts, written out
+# from the README's schema independently of the table
+ACCEPTS = {
+    "dataset.kind": _never,
+    "dataset.classes": _int_from(2),
+    "dataset.dim": _int_from(1),
+    "dataset.per_class": _int_from(1),
+    "dataset.test_per_class": _int_from(1),
+    "dataset.sep": _number(lambda v: v >= 0),
+    "dataset.seed": _int_from(0),
+    "dataset.standardize": _is_bool,
+    "encoder.layer_dims": _never,
+    "encoder.activation": _never,
+    "encoder.noise_mode": _never,
+    "encoder.sigma2": _number(lambda v: v > 0),
+    "decoder.variant": _never,
+    "surrogate.learn_sigma": _is_bool,
+    "surrogate.update": _never,
+    "surrogate.priors": _never,
+    "loss.beta": _number(lambda v: 0 <= v < 1),
+    "loss.beta_prime": _number(lambda v: v >= 0),
+    "loss.mc_samples": _int_from(1),
+    "optim.kind": _never,
+    "optim.lr": _number(lambda v: v > 0),
+    "optim.steps": _int_from(0),
+    "optim.batch": _int_from(1),
+    "optim.log_every": _int_from(1),
+    "seed": _int_from(0),
+}
+GMM_FIELDS = [f for f in CONFIG_FIELDS if f.when in (None, "gmm")]
+
+
+def _set_field(cfg, field, value):
+    (cfg.setdefault(field.block, {}) if field.block else cfg)[field.key] = value
+    return cfg
+
+
+def _train_exit(cfg):
+    """(exit code, stderr, whether the run directory exists) of ``cib train`` on ``cfg``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "run"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["train", "--config", str(path), "--out", str(out)])
+        return code, err.getvalue(), out.exists()
+
+
+def _valid_values(f):
+    """Values field ``f`` accepts: ints for an int field, floats and ints for a float field."""
+    if f.kind == "ints":
+        return st.lists(st.integers(1, 64), min_size=2, max_size=5)
+    if f.kind == "int":
+        low = int(f.allowed[1:].split(",")[0])
+        return st.integers(low, low + 2**40)
+    if f.kind == "float":
+        low, high = (float(b) for b in f.allowed[1:-1].split(","))
+        open_low = f.allowed[0] == "("
+        floats = st.floats(low, min(high, 1e12), exclude_min=open_low, exclude_max=high < math.inf)
+        top = 2**40 if high == math.inf else math.ceil(high) - 1
+        return floats | st.integers(int(low) + open_low, top)
+    if f.kind == "choice":
+        return st.sampled_from(f.allowed)
+    return st.booleans() if f.kind == "bool" else st.text(min_size=1)
+
+
+class TestFieldTable:
+    def test_every_gmm_field_has_an_acceptance_rule(self):
+        assert sorted(f.name for f in GMM_FIELDS) == sorted(ACCEPTS)
+
+    @PROPERTY
+    @given(field=st.sampled_from(GMM_FIELDS), value=st.sampled_from(HOSTILE))
+    def test_hostile_value_exits_one_naming_the_field_before_any_directory(self, field, value):
+        assume(not ACCEPTS[field.name](value))
+        code, err, made = _train_exit(_set_field(_tiny_config(), field, value))
+        assert code == 1
+        assert field.name in err
+        assert not made
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_valid_configs_validate_as_the_hand_written_checks_did(self, data):
+        kind = data.draw(st.sampled_from(["gmm", "json", "idx"]))
+        beta_key, other = data.draw(st.permutations(["beta", "beta_prime"]))
+        cfg = {"dataset": {"kind": kind}}
+        for f in CONFIG_FIELDS:
+            if f.when not in (None, kind) or f.name in ("dataset.kind", f"loss.{other}"):
+                continue
+            if f.block:
+                cfg.setdefault(f.block, {})
+            if f.default == REQUIRED or f.name == f"loss.{beta_key}" or data.draw(st.booleans()):
+                _set_field(cfg, f, data.draw(_valid_values(f)))
+        for block in ("decoder", "surrogate", "optim"):
+            if not cfg[block] and data.draw(st.booleans()):
+                del cfg[block]
+        ours, theirs = validate_config(cfg), reference_validate_config(cfg)
+        assert ours == theirs
+        assert json.dumps(ours, sort_keys=True) == json.dumps(theirs, sort_keys=True)
+
+
+def _readme_schema():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text[text.index("### Config schema"):]
+
+
+def test_readme_config_block_names_every_table_field():
+    schema = _readme_schema()
+    jsonc = schema[schema.index("```jsonc"):].split("```")[1]
+    names, block = set(), None
+    for line in jsonc.splitlines():
+        opener = re.match(r'  "(\w+)":\s*\{', line)
+        if opener:
+            block = opener.group(1)
+        elif re.match(r'  "\w+":', line):
+            block = None
+        keys = re.findall(r'"(\w+)":', line)[1 if opener else 0:]
+        names |= {f"{block}.{key}" if block else key for key in keys}
+    assert names == {f.name for f in CONFIG_FIELDS}
+
+
+def test_readme_field_table_lists_every_table_field():
+    rows = re.findall(r"^\| `([\w.]+)` \|", _readme_schema(), flags=re.M)
+    assert sorted(rows) == sorted(f.name for f in CONFIG_FIELDS)
