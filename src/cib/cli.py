@@ -49,12 +49,6 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _prepare_dir(path: str) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
 def _emit(doc: dict, human_lines: list[str], json_mode: bool) -> None:
     if json_mode:
         print(json.dumps(doc, sort_keys=True, indent=1))
@@ -84,6 +78,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _write_run_dir(out: Path, run: model.TrainResult, point: model.TradeoffPoint) -> None:
+    """Make the run directory and write its three files, once the run is done."""
+    out.mkdir(parents=True, exist_ok=True)
     # by keyword: the traced benchmark (perfbench/layers.py) reads the file size from ``path``
     data_io.save_checkpoint(run.state, path=out / "checkpoint.json")
     data_io.write_metrics(run.metrics, out / "metrics.csv")
@@ -96,7 +92,7 @@ def _cmd_train(args) -> int:
     cfg_path = _require_file(args.config)
     cfg = data_io.load_config(cfg_path)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
-    out = _prepare_dir(args.out)
+    out = Path(args.out)
     run = model.train(cfg, train_ds, test_ds)
     point = model.tradeoff_point(run, train_ds, test_ds)
     _write_run_dir(out, run, point)
@@ -141,9 +137,9 @@ def _cmd_sweep(args) -> int:
         raise _CliError(f"beta' values must be finite and nonnegative, got {args.betas}")
     if args.jobs < 1:
         raise _CliError("--jobs must be at least 1")
-    out = _prepare_dir(args.out)
-    dirs = [_prepare_dir(out / f"point_{i:03d}") for i in range(len(betas))]
-    payloads = [(cfg, i, bp, str(dirs[i])) for i, bp in enumerate(betas)]
+    out = Path(args.out)
+    # each point makes its directory once trained, so a dataset that fails to load leaves none
+    payloads = [(cfg, i, bp, str(out / f"point_{i:03d}")) for i, bp in enumerate(betas)]
     # the pool starts every worker up front, so never ask for more than can run
     workers = min(args.jobs, len(betas), estimators.usable_cores())
     if workers == 1:
@@ -168,6 +164,11 @@ def _cmd_estimate(args) -> int:
     data_path = _require_file(args.data)
     encoder = data_io.load_checkpoint(path=ckpt_path).encoder
     ds = data_io.load_dataset(data_path)
+    if ds.dim != encoder.in_dim:
+        raise _CliError(
+            f"--data {data_path} has dimension {ds.dim}, but --checkpoint {ckpt_path} "
+            f"encodes inputs of dimension {encoder.in_dim}"
+        )
     report = estimators.bound_report(
         encoder.embedded(encoder.encode_batch(ds.features), ds.labels),
         mode=args.mode,
@@ -423,8 +424,9 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    # ConfigError, IdxFormatError and CheckpointError are ValueErrors
-    except (_CliError, FileNotFoundError, ValueError, KeyError) as exc:
+    # ConfigError, IdxFormatError and CheckpointError are ValueErrors; an OSError
+    # (a missing input, an --out below a regular file) names its path
+    except (_CliError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (_NumericalFailure, NonFiniteLossError, NonFiniteError) as exc:

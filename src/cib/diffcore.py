@@ -1,16 +1,16 @@
-"""Reverse-mode differentiation for the training loss of the bottleneck models.
+"""Reverse-mode differentiation of the training loss of the bottleneck models.
 
 Values are float64 numpy arrays: scalars are shape-() arrays, batches are
-2-D ``(batch, dim)`` matrices.  A :class:`Tape` records a few scalar
-primitives and three fused loss ops (the encoder net, the Monte-Carlo
-cross-entropy, the per-row surrogate KL) in topological order together with
-cached forward values; :meth:`Tape.backward` walks the records once in
-reverse and returns a flat gradient aligned with the bound
-:class:`ParamStore`.
+2-D ``(batch, dim)`` matrices.  A :class:`Tape` evaluates the one loss this
+library trains -- the encoder net, the Monte-Carlo cross-entropy and the
+per-row surrogate KL, with ``ce + beta' * mean(kl)`` on top -- and keeps
+what its backward needs; :meth:`Tape.backward` is one straight-line pass
+that returns a flat gradient aligned with the bound :class:`ParamStore`.
+The fused kernels and their adjoints live here, so this module owns the
+order of every floating-point operation of a training step.
 
-This is deliberately not a general autodiff system: no broadcasting rules
-beyond the few ops that need them, no higher-order derivatives, and no op
-the library does not record.
+This is deliberately not a general autodiff system: it records no graph,
+and differentiates no loss but this one.
 """
 
 from __future__ import annotations
@@ -218,226 +218,59 @@ def _softmax_nll_grad(sv, rows, labels, lse, g):
     return g_scores
 
 
-# ---------------------------------------------------------------------- backward rules
-#
-# One rule per op kind.  A rule receives the tape's value list, the node's
-# inputs, aux and id, and the node's adjoint ``g``; it hands the adjoint of
-# each input to ``push``.  Rules never write into ``g`` or into an array they
-# have pushed, so a pushed array may be shared between nodes.
-#
-# The fused rules replay the backward rules of the primitive chains they
-# fuse, node by node in reverse, keeping every product's grouping and the
-# order in which adjoints reach a shared node; a comment names the chain
-# node whose adjoint a line forms.
-
-
-def _bw_pass(v, ins, aux, nid, g, push):
-    for i in ins:
-        push(i, g)
-
-
-def _bw_scale(v, ins, aux, nid, g, push):
-    push(ins[0], g * aux)
-
-
-def _bw_exp(v, ins, aux, nid, g, push):
-    push(ins[0], g * v[nid])
-
-
-def _bw_log(v, ins, aux, nid, g, push):
-    push(ins[0], g / v[ins[0]])
-
-
-def _bw_mean_all(v, ins, aux, nid, g, push):
-    xv = v[ins[0]]
-    push(ins[0], np.full(xv.shape, g / xv.size))
-
-
-def _bw_mlp(v, ins, aux, nid, g, push):
-    activation, inputs, pres, exps = aux
-    for l in range(len(inputs) - 1, -1, -1):
-        w = ins[2 * l]
-        if l:  # the first layer's input is the fixed batch: no adjoint
-            g_in = g @ v[w]
-        push(w, g.T @ inputs[l])
-        push(ins[2 * l + 1], g.sum(axis=0))
-        if l:
-            g = _act_grad(activation, g_in, pres[l - 1], inputs[l], exps[l - 1])
-
-
-def _bw_mc_cross_entropy(v, ins, aux, nid, g, push):
-    means, log_var, p, q = ins
-    head, noise, rows, labels, std, draws, need_std, need_q = aux
-    b = labels.shape[0]
-    g_nll = np.full(b, g / b * (1.0 / noise.shape[0]))  # the batch mean, then the 1/S scale
-    g_p = g_q = g_std = None
-    for s in range(len(draws) - 1, -1, -1):
-        scores, lse, cache = draws[s]
-        g_scores = _softmax_nll_grad(scores, rows, labels, lse, g_nll)
-        if head == "softmax":
-            g_t, gp, gq = g_scores @ v[p], g_scores.T @ cache, g_scores.sum(axis=0)
-        else:
-            g_t, gp, gq = _naive_bayes_grads(cache, g_scores, need_q)
-        # the chain gave each draw its own score leaves, summed from the last draw on;
-        # each draw's reparameterization pushes to the means on its own
-        g_p = gp if g_p is None else g_p + gp
-        if need_q:
-            g_q = gq if g_q is None else g_q + gq
-        push(means, g_t)
-        if need_std:
-            g_eps = np.asarray(np.sum(g_t * noise[s]))  # the draw's noise * std product
-            g_std = g_eps if g_std is None else g_std + g_eps
-    push(p, g_p)
-    if need_q:
-        push(q, g_q)
-    if need_std:
-        push(log_var, g_std * std * 0.5)  # through e^(v / 2)
-
-
-def _bw_kl_to_surrogate_rows(v, ins, aux, nid, g, push):
-    means, log_var, mu, log_sigma = ins
-    labels, diff, sq_dist, ratio, inv_var, need_lv, need_ls = aux
-    d = float(diff.shape[1])
-    g = g * 0.5  # the five summands
-    g_sq_dist = g * inv_var
-    if need_lv or need_ls:
-        g_gap = g * d * ratio  # through e^(v - lv_y)
-    if need_lv:
-        push(log_var, np.asarray(np.sum(g * -d + g_gap)))  # broadcast encoder log-variance
-    g_sq = g_sq_dist[:, None]
-    g_diff = g_sq * diff * 2.0  # the chain's p + p, exactly
-    push(means, g_diff)
-    g_mu = np.zeros(v[mu].shape)
-    np.subtract.at(g_mu, labels, g_diff)  # adds -g_diff row by row
-    push(mu, g_mu)
-    if need_ls:
-        # per-row surrogate log-variance lv_y, then through e^(-lv_y) and e^(v - lv_y); a + (-b) is a - b
-        g_lv_y = g * d - g * sq_dist * inv_var - g_gap
-        g_log_sigma = np.zeros(v[log_sigma].shape)
-        np.add.at(g_log_sigma, labels, g_lv_y * 2.0)
-        push(log_sigma, g_log_sigma)
-
-
 class Tape:
-    """Topologically ordered record of ops with cached values.
+    """One evaluation of the training loss, kept for its backward.
 
-    Node handles are plain ints; inputs always reference strictly earlier
-    nodes.  Construction runs the forward computation eagerly, so reading
-    :meth:`val` is free.  A node is *live* when it depends on a parameter
-    leaf; :meth:`backward` visits live nodes only, and the fused ops form no
-    adjoint for a dead input such as a fixed log-variance.
-
-    Besides a few scalar primitives the tape records three fused ops, which
-    together make the training loss of the whole model family:
+    Five calls record the loss in a fixed order.  Each returns plain arrays
+    and keeps its backward cache in an attribute of its own:
 
     - :meth:`mlp`: the encoder's feed-forward net, all layers;
+    - :meth:`log_var`: the scalar log-variance, fixed or learned;
     - :meth:`mc_cross_entropy`: the Monte-Carlo cross-entropy over all S
       reparameterized draws (draw, class scores, softmax NLL, mean);
-    - :meth:`kl_to_surrogate_rows`: the per-row KL to the class surrogate.
+    - :meth:`kl_to_surrogate_rows`: the per-row KL to the class surrogate;
+    - :meth:`total`: ``ce + beta' * mean(kl rows)``.
 
-    Each performs the numpy operations of the primitive chain it stands for
-    in the same order and under the same ``np.errstate`` scopes, forward and
-    backward, and hands its adjoints to shared nodes in the chain's order, so
-    it gives the chain's values and gradients bit for bit.
+    :meth:`backward` is one straight-line pass over these records.  Forward
+    and backward perform the numpy operations of the primitive chain the
+    loss stands for, in the same order and under the same ``np.errstate``
+    scopes, and adjoints reach a shared input in the chain's order, so the
+    tape gives the chain's values and gradient bit for bit.
 
-    :meth:`param` leaves are views of the bound store, not copies: a tape is
-    valid only until its store changes, so take :meth:`backward` before the
-    parameters are updated.  A tape is single-threaded; build a separate tape
-    per concurrent task.
+    Parameters are named slices of the bound store, read as views, not
+    copies: a tape is valid only until its store changes, so take
+    :meth:`backward` before the parameters are updated.  A tape is
+    single-threaded; build a separate tape per concurrent task.
     """
 
-    _rules: Mapping[str, Callable] = MappingProxyType({
-        "add": _bw_pass,
-        "scale": _bw_scale,
-        "add_const": _bw_pass,
-        "exp": _bw_exp,
-        "log": _bw_log,
-        "mean_all": _bw_mean_all,
-        "mlp": _bw_mlp,
-        "mc_cross_entropy": _bw_mc_cross_entropy,
-        "kl_to_surrogate_rows": _bw_kl_to_surrogate_rows,
-    })
-
-    def __init__(self, store: ParamStore | None = None):
+    def __init__(self, store: ParamStore):
         self.store = store
-        self._kind: list[str] = []
-        self._inputs: list[tuple[int, ...]] = []
-        self._value: list[np.ndarray] = []
-        self._aux: list[object] = []
-        self._live: list[bool] = []
+        self._ops = 0
+        self._mlp = self._log_var = self._ce = self._kl = self._total = None
 
     def __len__(self) -> int:
-        return len(self._kind)
+        """Number of recorded ops that :meth:`backward` replays (a fixed log-variance is none)."""
+        return self._ops
 
-    def val(self, node: int) -> np.ndarray:
-        return self._value[node]
+    def _slice(self, name: str | None, shape: tuple[int, ...]) -> np.ndarray:
+        """The named slice as a view, or zeros of ``shape`` for ``None``."""
+        return np.zeros(shape) if name is None else self.store.get(name)
 
-    def _push(self, kind: str, inputs: tuple[int, ...], value: np.ndarray, aux: object = None) -> int:
-        live = self._live
-        self._kind.append(kind)
-        self._inputs.append(inputs)
-        self._value.append(np.asarray(value, dtype=np.float64))
-        self._aux.append(aux)
-        live.append(kind == "param" or any(live[i] for i in inputs))
-        return len(self._kind) - 1
-
-    # ------------------------------------------------------------------ leaves
-
-    def const(self, value) -> int:
-        return self._push("const", (), np.asarray(value, dtype=np.float64))
-
-    def param(self, name: str) -> int:
-        """Leaf reading the named slice of the bound store (a view, see the class notes)."""
-        if self.store is None:
-            raise ValueError("tape has no bound ParamStore")
-        spec = self.store.spec(name)
-        view = self.store.values[spec.offset : spec.offset + spec.size].reshape(spec.shape)
-        return self._push("param", (), view, aux=spec)
-
-    # ------------------------------------------------------------------ primitives
-
-    def add(self, a: int, b: int) -> int:
-        av, bv = self._value[a], self._value[b]
-        if av.shape != bv.shape:
-            raise ShapeError(f"add: shapes {av.shape} and {bv.shape} differ")
-        return self._push("add", (a, b), av + bv)
-
-    def scale(self, x: int, c: float) -> int:
-        return self._push("scale", (x,), self._value[x] * float(c), aux=float(c))
-
-    def add_const(self, x: int, c: float) -> int:
-        return self._push("add_const", (x,), self._value[x] + float(c), aux=float(c))
-
-    def exp(self, x: int) -> int:
-        # overflow to inf is surfaced by the caller's finiteness check
-        with np.errstate(over="ignore"):
-            return self._push("exp", (x,), np.exp(self._value[x]))
-
-    def log(self, x: int) -> int:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._push("log", (x,), np.log(self._value[x]))
-
-    def mean_all(self, x: int) -> int:
-        xv = self._value[x]
-        return self._push("mean_all", (x,), _mean(xv))
-
-    # ------------------------------------------------------------------ fused loss ops
-
-    def mlp(self, x: np.ndarray, weights: Sequence[int], activation: str) -> int:
+    def mlp(self, x: np.ndarray, names: Sequence[str], activation: str) -> np.ndarray:
         """Output of a feed-forward net on the fixed (B, d_in) batch ``x``.
 
-        ``weights`` holds the nodes W_0, b_0, W_1, b_1, ...: layer l maps h to
+        ``names`` lists the slices W_0, b_0, W_1, b_1, ...: layer l maps h to
         ``h @ W_l.T + b_l``, and every layer but the last then applies
-        ``activation``.  ``x`` is data, not a node, so no adjoint is formed
-        for it.
+        ``activation``.  ``x`` is data, so no adjoint is formed for it.
         """
-        if len(weights) < 2 or len(weights) % 2:
-            raise ValueError("mlp needs (W, b) node pairs")
+        if len(names) < 2 or len(names) % 2:
+            raise ValueError("mlp needs (W, b) slice-name pairs")
+        weights = [self.store.get(name) for name in names]
         h = np.asarray(x, dtype=np.float64)
-        n = len(weights) // 2
+        n = len(names) // 2
         inputs, pres, exps = [], [], []
         for l in range(n):
-            wv, bv = self._value[weights[2 * l]], self._value[weights[2 * l + 1]]
+            wv, bv = weights[2 * l], weights[2 * l + 1]
             if h.ndim != 2 or wv.ndim != 2 or bv.shape != (wv.shape[0],) or h.shape[1] != wv.shape[1]:
                 raise ShapeError(f"mlp layer {l}: x{h.shape} W{wv.shape} b{bv.shape} do not agree")
             inputs.append(h)
@@ -446,24 +279,42 @@ class Tape:
                 pres.append(h)
                 h, e = _activate(h, activation)
                 exps.append(e)
-        return self._push("mlp", tuple(weights), h, aux=(activation, inputs, pres, exps))
+        self._mlp = (names, weights, activation, inputs, pres, exps)
+        self._ops += 1
+        return h
+
+    def log_var(self, sigma2: float, name: str | None = None) -> np.ndarray:
+        """The scalar log-variance: log sigma2, or log(e^(log eta^2) + sigma2) for the slice ``name``."""
+        if name is None:
+            return np.asarray(math.log(sigma2), dtype=np.float64)
+        # overflow to inf is surfaced by the caller's finiteness check
+        with np.errstate(over="ignore"):
+            e = np.exp(self.store.get(name))
+        var = e + float(sigma2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lv = np.log(var)
+        self._log_var = (name, e, var)
+        self._ops += 1
+        return np.asarray(lv)
 
     def mc_cross_entropy(
-        self, means: int, log_var: int, noise: np.ndarray, labels: np.ndarray,
-        head: str, p: int, q: int, log_priors: np.ndarray | None = None,
-    ) -> int:
-        """Monte-Carlo cross-entropy of the labels, a scalar node.
+        self, means: np.ndarray, log_var: np.ndarray, noise: np.ndarray, labels: np.ndarray,
+        head: str, p: str, q: str | None, log_priors: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Monte-Carlo cross-entropy of the labels, a scalar.
 
-        Draw s is ``t_s = means + e^(v/2) noise[s]`` for the (B, d) ``means``,
-        the scalar log-variance node ``log_var`` = v and the fixed (S, B, d)
-        ``noise``; the value is the batch mean of
+        Draw s is ``t_s = means + e^(v/2) noise[s]`` for the (B, d) ``means``
+        of :meth:`mlp`, the scalar ``log_var`` v of :meth:`log_var` and the
+        fixed (S, B, d) ``noise``; the value is the batch mean of
         ``(1/S) sum_s -log softmax(scores(t_s))[y]``.  ``head`` names the score
-        rule: ``"softmax"`` scores ``t @ W.T + b`` with ``p``, ``q`` = W (K, d)
-        and b (K,); ``"naive_bayes"`` scores log p(y) + log N(t; mu_y,
-        sigma_y^2 I) with ``p``, ``q`` = mu (K, d) and log sigma (K,) and the
-        fixed (K,) ``log_priors``.
+        rule: ``"softmax"`` scores ``t @ W.T + b`` with the slices ``p``, ``q``
+        = W (K, d) and b (K,); ``"naive_bayes"`` scores log p(y) + log N(t;
+        mu_y, sigma_y^2 I) with ``p``, ``q`` = mu (K, d) and log sigma (K,)
+        and the fixed (K,) ``log_priors``.  ``q`` None is a zero constant.
         """
-        mv, lv, pv, qv = (self._value[i] for i in (means, log_var, p, q))
+        mv, lv = np.asarray(means, dtype=np.float64), np.asarray(log_var, dtype=np.float64)
+        pv = self.store.get(p)
+        qv = self._slice(q, pv.shape[:1])
         noise = np.asarray(noise, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.intp)
         if (mv.ndim != 2 or lv.shape != () or noise.ndim != 3 or noise.shape[0] < 1
@@ -492,25 +343,26 @@ class Tape:
                 scores, cache = _naive_bayes_scores(t, pv, qv, log_priors)
             nll, lse = _softmax_nll(scores, rows, labels)
             draws.append((scores, lse, cache))
-            if total is None:
-                total = nll
-            else:
-                total += nll
-        ce = _mean(total * (1.0 / noise.shape[0]))
-        aux = (head, noise, rows, labels, std, draws, self._live[log_var], self._live[q])
-        return self._push("mc_cross_entropy", (means, log_var, p, q), ce, aux=aux)
+            total = nll if total is None else total + nll
+        self._ce = (head, p, q, pv, noise, rows, labels, std, draws)
+        self._ops += 1
+        return np.asarray(_mean(total * (1.0 / noise.shape[0])))
 
     def kl_to_surrogate_rows(
-        self, means: int, log_var: int, mu: int, log_sigma: int, labels: np.ndarray
-    ) -> int:
-        """Per-row KL(N(m_i, e^v I) || N(mu_{y_i}, sigma_{y_i}^2 I)), a (B,) node.
+        self, means: np.ndarray, log_var: np.ndarray, mu: str, log_sigma: str | None, labels: np.ndarray
+    ) -> np.ndarray:
+        """Per-row KL(N(m_i, e^v I) || N(mu_{y_i}, sigma_{y_i}^2 I)), a (B,) array.
 
-        ``means`` is (B, d), ``log_var`` the scalar log-variance v, ``mu``
-        (K, d) and ``log_sigma`` (K,).  The chain it fuses is
+        ``means`` is the (B, d) output of :meth:`mlp`, ``log_var`` the scalar
+        v of :meth:`log_var`, and ``mu``, ``log_sigma`` name the (K, d) and
+        (K,) surrogate slices (``log_sigma`` None: every sigma_y is 1).  The
+        chain it stands for is
         0.5 * (d e^(v - lv_y) + |m - mu_y|^2 e^(-lv_y) + d lv_y - d v - d)
         with lv_y = 2 log sigma_y.
         """
-        mv, lv, muv, lsv = (self._value[i] for i in (means, log_var, mu, log_sigma))
+        mv, lv = np.asarray(means, dtype=np.float64), np.asarray(log_var, dtype=np.float64)
+        muv = self.store.get(mu)
+        lsv = self._slice(log_sigma, muv.shape[:1])
         labels = np.asarray(labels, dtype=np.intp)
         if (mv.ndim != 2 or lv.shape != () or muv.ndim != 2 or muv.shape[1] != mv.shape[1]
                 or lsv.shape != (muv.shape[0],) or labels.shape != (mv.shape[0],)):
@@ -530,44 +382,100 @@ class Tape:
         rows += lv_y * d
         rows += lv * -d
         rows += -d
-        aux = (labels, diff, sq_dist, ratio, inv_var, self._live[log_var], self._live[log_sigma])
-        return self._push("kl_to_surrogate_rows", (means, log_var, mu, log_sigma), rows * 0.5, aux=aux)
+        self._kl = (mu, log_sigma, labels, diff, sq_dist, ratio, inv_var)
+        self._ops += 1
+        return rows * 0.5
 
-    # ------------------------------------------------------------------ engine
+    def total(self, ce: np.ndarray, kl_rows: np.ndarray, beta_prime: float) -> tuple[np.ndarray, ...]:
+        """The loss ``ce + beta' * mean(kl_rows)``; returns (total, ce, kl) with kl the mean."""
+        kl = np.asarray(_mean(kl_rows))
+        self._total = (float(beta_prime), kl_rows.shape[0])
+        self._ops += 1
+        return np.asarray(ce + kl * float(beta_prime)), ce, kl
 
-    def backward(self, output: int, seed: float = 1.0) -> np.ndarray:
-        """Accumulate d(output)/d(theta) for every parameter of the bound store.
+    def backward(self) -> np.ndarray:
+        """The flat gradient of the recorded total over the bound store.
 
-        The output node must be scalar.  The walk is sequential and purely a
-        function of the recorded tape, so repeated calls are bit-identical.
-        A node's first incoming adjoint is kept as is and later ones are
-        added out of place; no adjoint array is ever written to.
+        One straight-line pass in the chain's adjoint order: the KL rows
+        reach the means, the surrogate and the log-variance first; the draws
+        then add to the means from the last draw to the first, and their
+        summed score-parameter adjoints follow the KL's; the net comes last.
+        Each slice's adjoint is added once onto a zeroed gradient, so a -0.0
+        adjoint is +0.0 there.  Adjoints of a fixed log-variance or fixed
+        class sigmas are not formed.
         """
-        if self._value[output].shape != ():
-            raise ShapeError(
-                f"backward needs a scalar output node, got shape {self._value[output].shape}"
-            )
-        grad = np.zeros(self.store.size if self.store is not None else 0)
-        adj: list[np.ndarray | None] = [None] * (output + 1)
-        adj[output] = np.asarray(float(seed))
+        if any(r is None for r in (self._mlp, self._ce, self._kl, self._total)):
+            raise ValueError("backward needs a recorded mlp, mc_cross_entropy, kl_to_surrogate_rows and total")
+        store = self.store
+        grad = np.zeros(store.size)
+        beta_prime, b = self._total
+        need_lv = self._log_var is not None
 
-        def push(nid: int, g: np.ndarray) -> None:
-            a = adj[nid]
-            adj[nid] = g if a is None else a + g
+        # KL rows: the adjoint of the scale by beta', then of the mean
+        mu, log_sigma, kl_labels, diff, sq_dist, ratio, inv_var = self._kl
+        need_ls = log_sigma is not None
+        d = float(diff.shape[1])
+        g = np.full(b, beta_prime / b) * 0.5  # the five summands
+        g_sq_dist = g * inv_var
+        if need_lv or need_ls:
+            g_gap = g * d * ratio  # through e^(v - lv_y)
+        if need_lv:
+            g_lv = np.asarray(np.sum(g * -d + g_gap))  # broadcast encoder log-variance
+        g_means = g_sq_dist[:, None] * diff * 2.0  # the chain's p + p, exactly
+        g_mu = np.zeros(store.spec(mu).shape)
+        np.subtract.at(g_mu, kl_labels, g_means)  # adds -g_means row by row
+        adj = {mu: g_mu}  # slice adjoints, the KL's first
+        if need_ls:
+            # per-row surrogate log-variance lv_y, then through e^(-lv_y) and e^(v - lv_y); a + (-b) is a - b
+            g_lv_y = g * d - g * sq_dist * inv_var - g_gap
+            g_log_sigma = np.zeros(store.spec(log_sigma).shape)
+            np.add.at(g_log_sigma, kl_labels, g_lv_y * 2.0)
+            adj[log_sigma] = g_log_sigma
 
-        kinds, inputs, values, auxes, live, rules = (
-            self._kind, self._inputs, self._value, self._aux, self._live, self._rules
-        )
-        for nid in range(output, -1, -1):
-            g = adj[nid]
-            if g is None or not live[nid]:
-                continue
-            kind = kinds[nid]
-            if kind == "param":
-                spec: SliceSpec = auxes[nid]  # type: ignore[assignment]
-                grad[spec.offset : spec.offset + spec.size] += np.asarray(g).ravel()
+        # Monte-Carlo cross-entropy, adjoint 1: the batch mean, then the 1/S scale
+        head, p, q, pv, noise, rows, labels, std, draws = self._ce
+        need_q = q is not None
+        g_nll = np.full(labels.shape[0], 1.0 / labels.shape[0] * (1.0 / noise.shape[0]))
+        g_p = g_q = g_std = None
+        for s in range(len(draws) - 1, -1, -1):
+            scores, lse, cache = draws[s]
+            g_scores = _softmax_nll_grad(scores, rows, labels, lse, g_nll)
+            if head == "softmax":
+                g_t, gp, gq = g_scores @ pv, g_scores.T @ cache, g_scores.sum(axis=0)
             else:
-                rules[kind](values, inputs[nid], auxes[nid], nid, g, push)
+                g_t, gp, gq = _naive_bayes_grads(cache, g_scores, need_q)
+            # the chain gave each draw its own score leaves, summed from the last draw on;
+            # each draw's reparameterization adds to the means on its own
+            g_p = gp if g_p is None else g_p + gp
+            if need_q:
+                g_q = gq if g_q is None else g_q + gq
+            g_means = g_means + g_t
+            if need_lv:
+                g_eps = np.asarray(np.sum(g_t * noise[s]))  # the draw's noise * std product
+                g_std = g_eps if g_std is None else g_std + g_eps
+        adj[p] = adj[p] + g_p if p in adj else g_p
+        if need_q:
+            adj[q] = adj[q] + g_q if q in adj else g_q
+
+        # the learned log-variance log(e^(log eta^2) + sigma2): through e^(v / 2), the log and the exp
+        if need_lv:
+            name, e, var = self._log_var
+            adj[name] = (g_lv + g_std * std * 0.5) / var * e
+
+        # the net, from the last layer
+        names, weights, activation, inputs, pres, exps = self._mlp
+        g = g_means
+        for l in range(len(inputs) - 1, -1, -1):
+            if l:  # the first layer's input is the fixed batch: no adjoint
+                g_in = g @ weights[2 * l]
+            adj[names[2 * l]] = g.T @ inputs[l]
+            adj[names[2 * l + 1]] = g.sum(axis=0)
+            if l:
+                g = _act_grad(activation, g_in, pres[l - 1], inputs[l], exps[l - 1])
+
+        for name, g in adj.items():
+            spec = store.spec(name)
+            grad[spec.offset : spec.offset + spec.size] += np.asarray(g).ravel()
         return grad
 
 
@@ -585,34 +493,34 @@ class GradCheckReport:
     numeric: np.ndarray
 
 
-LossFn = Callable[[ParamStore], tuple[Tape, int]]
+LossFn = Callable[[ParamStore], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 
 def grad_check(lossfn: LossFn, params: ParamStore, eps: float, tol: float) -> GradCheckReport:
-    """Compare the tape gradient of ``lossfn`` to central differences.
+    """Compare the reverse-mode gradient of ``lossfn`` to central differences.
 
-    ``lossfn`` must deterministically map the store to a ``(tape, output)``
-    pair (any randomness frozen by the caller).  The relative error per
-    coordinate is ``|g - fd| / max(1, |g|)``.
+    ``lossfn`` must deterministically map the store to a ``(loss, gradient)``
+    pair (any randomness frozen by the caller): the loss value and a function
+    returning the flat gradient at that point, ``(total, tape.backward)`` for
+    a :class:`Tape`.  Every probe runs the same forward.  The relative error
+    per coordinate is ``|g - fd| / max(1, |g|)``.
     """
     if eps <= 0.0:
         raise ValueError("grad_check: eps must be positive")
-    tape, out = lossfn(params)
-    base_loss = float(tape.val(out))
+    loss, gradient = lossfn(params)
+    base_loss = float(loss)
     if not np.isfinite(base_loss):
         raise NonFiniteError(f"loss is non-finite at the evaluation point: {base_loss}")
-    analytic = tape.backward(out)
+    analytic = gradient()
 
     base = params.values.copy()
     numeric = np.zeros_like(analytic)
     try:
         for k in range(params.size):
             params.values[k] = base[k] + eps
-            t1, o1 = lossfn(params)
-            f1 = float(t1.val(o1))
+            f1 = float(lossfn(params)[0])
             params.values[k] = base[k] - eps
-            t2, o2 = lossfn(params)
-            f2 = float(t2.val(o2))
+            f2 = float(lossfn(params)[0])
             params.values[k] = base[k]
             if not (np.isfinite(f1) and np.isfinite(f2)):
                 raise NonFiniteError(f"loss non-finite while probing coordinate {k}")

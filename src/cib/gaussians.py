@@ -2,8 +2,10 @@
 
 The encoder is isotropic, q(T|x) = N(f(x), sigma^2 I), so a batch of encoder
 outputs is a (N, d) matrix of means with one scalar log-variance.  Its KL to
-the spherical surrogate of each sample's class is exact; the same surrogate
-is the generative side of the naive Bayes decoder.
+the spherical surrogate of each sample's class is exact: on plain arrays
+for evaluation (:func:`kl_to_surrogate`), and recorded on a
+:class:`~cib.diffcore.Tape` for training (:func:`kl_to_surrogate_graph`).
+The same surrogate is the generative side of the naive Bayes decoder.
 """
 
 from __future__ import annotations
@@ -82,20 +84,15 @@ def kl_to_surrogate(means: np.ndarray, log_var: float, s: ClassSurrogate, labels
 
 
 def kl_to_surrogate_graph(
-    tape: Tape,
-    means: int,
-    log_var: int,
-    mu: int,
-    log_sigma: int,
-    labels: np.ndarray,
-) -> int:
-    """Tape node of per-sample KLs to each sample's class surrogate.
+    tape: Tape, means: np.ndarray, log_var: np.ndarray, mu: str, log_sigma: str | None, labels: np.ndarray
+) -> np.ndarray:
+    """Per-sample KLs to each sample's class surrogate, recorded on ``tape``.
 
-    ``means`` is a (B, d) node of encoder means, ``log_var`` a scalar node of
-    the shared isotropic encoder log-variance, ``mu`` a (K, d) node of class
-    means and ``log_sigma`` a (K,) node of class log standard deviations.
-    Returns a (B,) node; the result is exact (no sampling), mirroring
-    :func:`kl_to_surrogate` coordinate-additively over the bottleneck.  It is
-    one fused :meth:`Tape.kl_to_surrogate_rows` node.
+    ``means`` is the (B, d) output of :meth:`Tape.mlp`, ``log_var`` the
+    scalar of :meth:`Tape.log_var`, and ``mu``, ``log_sigma`` name the (K, d)
+    class-mean and (K,) class log-sigma slices (``log_sigma`` None: every
+    sigma_y is 1).  Returns the (B,) KLs; they are exact (no sampling) and
+    mirror :func:`kl_to_surrogate` on plain arrays.  It is one
+    :meth:`Tape.kl_to_surrogate_rows` call.
     """
     return tape.kl_to_surrogate_rows(means, log_var, mu, log_sigma, labels)

@@ -133,17 +133,6 @@ class EncoderModel:
                 h = activate(h, self.activation)
         return h
 
-    def means_graph(self, tape: Tape, x: np.ndarray) -> int:
-        """Tape node of the (N, d) mean embeddings: one :meth:`Tape.mlp` node over the weights."""
-        weights = [tape.param(name) for pair in self.weight_names() for name in pair]
-        return tape.mlp(x, weights, self.activation)
-
-    def log_var_graph(self, tape: Tape) -> int:
-        """Scalar tape node of the bottleneck log-variance."""
-        if self.noise_mode == "fixed_sigma":
-            return tape.const(math.log(self.sigma2))
-        return tape.log(tape.add_const(tape.exp(tape.param("enc.log_eta2")), self.sigma2))
-
 
 @dataclass
 class DecoderHead:
@@ -197,17 +186,6 @@ class DecoderHead:
         with np.errstate(divide="ignore"):
             return np.log(self.priors)
 
-    def score_rule(self, tape: Tape, mu: int, log_sigma: int) -> tuple:
-        """The score arguments of :meth:`Tape.mc_cross_entropy`: ``(head, p, q, log_priors)``.
-
-        The softmax readout records its own W, b leaves; naive Bayes scores
-        with the surrogate's ``mu`` and ``log_sigma`` nodes, which the KL term
-        shares.
-        """
-        if self.variant == "softmax":
-            return "softmax", tape.param("head.W"), tape.param("head.b"), None
-        return "naive_bayes", mu, log_sigma, self.log_priors
-
 
 @dataclass
 class ModelState:
@@ -234,17 +212,22 @@ class ModelState:
 
     def loss_graph(
         self, tape: Tape, x: np.ndarray, labels: np.ndarray, beta_prime: float, noise: np.ndarray
-    ) -> tuple[int, int, int]:
-        means = self.encoder.means_graph(tape, x)
-        log_var = self.encoder.log_var_graph(tape)
-        mu = tape.param("sur.mu")
-        if self.head.learns_sigma:
-            log_sigma = tape.param("sur.log_sigma")
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Record the training loss of the batch on ``tape``; returns (total, ce, kl).
+
+        The softmax readout scores with its own ``head.*`` slices; naive Bayes
+        scores with the surrogate's, which the KL term shares.
+        """
+        enc = self.encoder
+        means = tape.mlp(x, [name for pair in enc.weight_names() for name in pair], enc.activation)
+        log_var = tape.log_var(enc.sigma2, "enc.log_eta2" if enc.noise_mode == "learned_eta" else None)
+        log_sigma = "sur.log_sigma" if self.head.learns_sigma else None
+        if self.head.variant == "softmax":
+            score_rule = ("softmax", "head.W", "head.b", None)
         else:
-            log_sigma = tape.const(np.zeros(self.class_count))
-        score_rule = self.head.score_rule(tape, mu, log_sigma)
+            score_rule = ("naive_bayes", "sur.mu", log_sigma, self.head.log_priors)
         return objectives.cib_loss_graph(
-            tape, means, log_var, labels, score_rule, mu, log_sigma, beta_prime, noise
+            tape, means, log_var, labels, score_rule, "sur.mu", log_sigma, beta_prime, noise
         )
 
 
@@ -303,7 +286,7 @@ def make_loss_fn(
     def lossfn(store: ParamStore):
         tape = Tape(store)
         total, _, _ = state.loss_graph(tape, x, labels, beta_prime, noise)
-        return tape, total
+        return total, tape.backward
 
     return lossfn
 
@@ -566,10 +549,8 @@ def train(
         noise = rng_noise.standard_normal((mc_samples, idx.size, d))
 
         tape = Tape(state.store)
-        total, ce, kl = state.loss_graph(
-            tape, train_ds.features[idx], train_ds.labels[idx], beta_prime, noise
-        )
-        if not np.isfinite(float(tape.val(total))):
+        total, _, _ = state.loss_graph(tape, train_ds.features[idx], train_ds.labels[idx], beta_prime, noise)
+        if not np.isfinite(float(total)):
             sample = _diagnose_nonfinite(
                 state, train_ds.features[idx], train_ds.labels[idx], noise, idx
             )
@@ -578,7 +559,7 @@ def train(
                 step=step,
                 sample_index=sample,
             )
-        grad = tape.backward(total)
+        grad = tape.backward()
         if alternating:
             for spec in sur_slices:
                 grad[spec.offset : spec.offset + spec.size] = 0.0

@@ -7,9 +7,9 @@ The trained objective is, per dataset sample,
 averaged over the batch.  The cross-entropy expectation is estimated with
 reparameterized Monte-Carlo draws; the KL regularizer is computed in closed
 form (both sides are Gaussian), which removes all sampling noise from that
-term and from its gradient.  :func:`cib_loss_graph` builds the loss on a tape
-for training; :func:`cib_loss` gives its per-sample parts on plain arrays for
-evaluation.
+term and from its gradient.  :func:`cib_loss_graph` records the loss on a
+:class:`~cib.diffcore.Tape` for training, which differentiates it;
+:func:`cib_loss` gives its per-sample parts on plain arrays for evaluation.
 """
 
 from __future__ import annotations
@@ -81,35 +81,22 @@ def cib_loss(
 
 
 def cib_loss_graph(
-    tape: Tape,
-    means: int,
-    log_var: int,
-    labels: np.ndarray,
-    score_rule: tuple,
-    mu: int,
-    log_sigma: int,
-    beta_prime: float,
-    noise: np.ndarray,
-) -> tuple[int, int, int]:
-    """Build the differentiable loss on ``tape``; returns (total, ce, kl) nodes.
+    tape: Tape, means: np.ndarray, log_var: np.ndarray, labels: np.ndarray, score_rule: tuple,
+    mu: str, log_sigma: str | None, beta_prime: float, noise: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Record the differentiable loss on ``tape``; returns (total, ce, kl) values.
 
-    ``means`` is the (B, d) encoder-mean node, ``log_var`` the scalar encoder
-    log-variance node, ``score_rule`` the score arguments
-    ``(head, p, q, log_priors)`` of :meth:`Tape.mc_cross_entropy` (see
-    ``DecoderHead.score_rule``), and ``noise`` the frozen (S, B, d)
-    standard-normal draws.  The cross-entropy is one fused node over all
-    draws and the KL one fused node over the batch.  Values on the returned
-    nodes match the batch means of :func:`cib_loss` on the same inputs.
+    ``means`` is the (B, d) output of :meth:`Tape.mlp`, ``log_var`` the
+    scalar of :meth:`Tape.log_var`, ``score_rule`` the score arguments
+    ``(head, p, q, log_priors)`` of :meth:`Tape.mc_cross_entropy`, ``mu`` and
+    ``log_sigma`` the surrogate's slice names, and ``noise`` the frozen
+    (S, B, d) standard-normal draws; a shape that does not fit raises
+    :class:`~cib.diffcore.ShapeError`.  The values match the batch means of
+    :func:`cib_loss` on the same inputs; ``tape.backward()`` then gives the
+    gradient of the total.
     """
     if beta_prime < 0.0:
         raise ValueError("beta_prime must be nonnegative")
-    labels = np.asarray(labels, dtype=np.intp)
-    noise = np.asarray(noise, dtype=np.float64)
-    b, d = tape.val(means).shape
-    if noise.ndim != 3 or noise.shape[1:] != (b, d) or noise.shape[0] < 1:
-        raise ValueError(f"noise must have shape (S, {b}, {d}), got {noise.shape}")
-
     ce = tape.mc_cross_entropy(means, log_var, noise, labels, *score_rule)
-    kl = tape.mean_all(kl_to_surrogate_graph(tape, means, log_var, mu, log_sigma, labels))
-    total = tape.add(ce, tape.scale(kl, float(beta_prime)))
-    return total, ce, kl
+    kl_rows = kl_to_surrogate_graph(tape, means, log_var, mu, log_sigma, labels)
+    return tape.total(ce, kl_rows, beta_prime)

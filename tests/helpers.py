@@ -11,7 +11,7 @@ from cib.diffcore import (
     Tape,
     _act_grad,
     _activate,
-    _bw_pass,
+    _mean,
     _naive_bayes_grads,
     _naive_bayes_scores,
     _softmax_nll,
@@ -126,13 +126,40 @@ def gaussian_quadrature_kl(m1, v1, m2, v2, lo=-12.0, hi=12.0, n=240001):
     return float(np.trapezoid(integrand, t))
 
 
-# --------------------------------------------------------------------- test-only tape ops
+# --------------------------------------------------------------------- reference graph engine
 #
-# The primitive ops of the training-loss chains, and per-draw ops (one score
-# and one NLL node per Monte-Carlo draw).  The library records none of them:
-# its three fused ops (Tape.mlp, Tape.mc_cross_entropy,
-# Tape.kl_to_surrogate_rows) must reproduce the chains below bit for bit,
-# values and gradients.
+# A general reverse-mode tape over the primitive ops of the training-loss
+# chains and the per-draw ops (one score and one NLL node per Monte-Carlo
+# draw).  The library records no graph: its Tape (mlp, log_var,
+# mc_cross_entropy, kl_to_surrogate_rows, total) must reproduce the chains
+# below bit for bit, values and gradients.
+#
+# One backward rule per op kind.  A rule receives the tape's value list, the
+# node's inputs, aux and id, and the node's adjoint ``g``; it hands the
+# adjoint of each input to ``push``.  Rules never write into ``g`` or into an
+# array they have pushed, so a pushed array may be shared between nodes.
+
+
+def _bw_pass(v, ins, aux, nid, g, push):
+    for i in ins:
+        push(i, g)
+
+
+def _bw_scale(v, ins, aux, nid, g, push):
+    push(ins[0], g * aux)
+
+
+def _bw_exp(v, ins, aux, nid, g, push):
+    push(ins[0], g * v[nid])
+
+
+def _bw_log(v, ins, aux, nid, g, push):
+    push(ins[0], g / v[ins[0]])
+
+
+def _bw_mean_all(v, ins, aux, nid, g, push):
+    xv = v[ins[0]]
+    push(ins[0], np.full(xv.shape, g / xv.size))
 
 
 def _bw_affine(v, ins, aux, nid, g, push):
@@ -222,15 +249,24 @@ def _bw_softmax_nll(v, ins, aux, nid, g, push):
     push(ins[0], _softmax_nll_grad(v[ins[0]], rows, labels, lse, g))
 
 
-class ChainTape(Tape):
-    """A :class:`Tape` that also records the primitive and per-draw ops of the reference chains.
+class ChainTape:
+    """Topologically ordered record of the reference chains' ops with cached values.
 
-    Its parameter leaves are copies of the store, not views, so a reference
-    graph shares no memory with the store it is compared on.
+    Node handles are plain ints; inputs always reference strictly earlier
+    nodes.  Construction runs the forward computation eagerly, so reading
+    :meth:`val` is free.  A node is *live* when it depends on a parameter
+    leaf; :meth:`backward` visits live nodes only.  Parameter leaves are
+    copies of the store, not views, so a reference graph shares no memory
+    with the store it is compared on.
     """
 
     _rules = MappingProxyType({
-        **Tape._rules,
+        "add": _bw_pass,
+        "scale": _bw_scale,
+        "add_const": _bw_pass,
+        "exp": _bw_exp,
+        "log": _bw_log,
+        "mean_all": _bw_mean_all,
         "affine": _bw_affine,
         "act": _bw_act,
         "sub": _bw_sub,
@@ -251,10 +287,55 @@ class ChainTape(Tape):
         "softmax_nll": _bw_softmax_nll,
     })
 
+    def __init__(self, store=None):
+        self.store = store
+        self._kind, self._inputs, self._value, self._aux, self._live = [], [], [], [], []
+
+    def __len__(self):
+        return len(self._kind)
+
+    def val(self, node):
+        return self._value[node]
+
+    def _push(self, kind, inputs, value, aux=None):
+        live = self._live
+        self._kind.append(kind)
+        self._inputs.append(inputs)
+        self._value.append(np.asarray(value, dtype=np.float64))
+        self._aux.append(aux)
+        live.append(kind == "param" or any(live[i] for i in inputs))
+        return len(self._kind) - 1
+
+    def const(self, value):
+        return self._push("const", (), np.asarray(value, dtype=np.float64))
+
     def param(self, name):
         if self.store is None:
             raise ValueError("tape has no bound ParamStore")
         return self._push("param", (), self.store.get(name).copy(), aux=self.store.spec(name))
+
+    def add(self, a, b):
+        av, bv = self._value[a], self._value[b]
+        if av.shape != bv.shape:
+            raise ShapeError(f"add: shapes {av.shape} and {bv.shape} differ")
+        return self._push("add", (a, b), av + bv)
+
+    def scale(self, x, c):
+        return self._push("scale", (x,), self._value[x] * float(c), aux=float(c))
+
+    def add_const(self, x, c):
+        return self._push("add_const", (x,), self._value[x] + float(c), aux=float(c))
+
+    def exp(self, x):
+        with np.errstate(over="ignore"):
+            return self._push("exp", (x,), np.exp(self._value[x]))
+
+    def log(self, x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._push("log", (x,), np.log(self._value[x]))
+
+    def mean_all(self, x):
+        return self._push("mean_all", (x,), _mean(self._value[x]))
 
     def affine(self, x, w, b, label="affine"):
         """``x @ W.T + b`` for a batch ``x`` of shape (B, d_in), or ``W x + b``
@@ -390,6 +471,34 @@ class ChainTape(Tape):
         nll, lse = _softmax_nll(sv, rows, labels)
         return self._push("softmax_nll", (scores,), nll, aux=(rows, labels, lse))
 
+    def backward(self, output, seed=1.0):
+        """d(output)/d(theta) for every parameter of the bound store; the output must be scalar.
+
+        Nodes are walked once in reverse.  A node's first incoming adjoint is
+        kept as is and later ones are added out of place; each parameter
+        leaf adds its adjoint onto the zeroed gradient.
+        """
+        if self._value[output].shape != ():
+            raise ShapeError(f"backward needs a scalar output node, got shape {self._value[output].shape}")
+        grad = np.zeros(self.store.size if self.store is not None else 0)
+        adj = [None] * (output + 1)
+        adj[output] = np.asarray(float(seed))
+
+        def push(nid, g):
+            a = adj[nid]
+            adj[nid] = g if a is None else a + g
+
+        for nid in range(output, -1, -1):
+            g = adj[nid]
+            if g is None or not self._live[nid]:
+                continue
+            if self._kind[nid] == "param":
+                spec = self._aux[nid]
+                grad[spec.offset : spec.offset + spec.size] += np.asarray(g).ravel()
+            else:
+                self._rules[self._kind[nid]](self._value, self._inputs[nid], self._aux[nid], nid, g, push)
+        return grad
+
 
 # --------------------------------------------------------------------- reference chains
 
@@ -431,60 +540,114 @@ def chain_softmax_nll(tape, scores, labels):
     return tape.sub(tape.logsumexp_rows(scores), tape.pick(scores, labels))
 
 
-def chain_means(tape, encoder, x):
-    """The encoder net as one affine and one activation node per layer."""
-    h = tape.const(np.asarray(x, dtype=np.float64))
-    for l, (wn, bn) in enumerate(encoder.weight_names()):
-        h = tape.affine(h, tape.param(wn), tape.param(bn), label=wn)
-        if l < len(encoder.layer_dims) - 2:
-            h = tape.activation(h, encoder.activation)
-    return h
+@dataclass(frozen=True)
+class LossSpec:
+    """One training loss over named store slices and fixed inputs, as :class:`cib.diffcore.Tape` takes it.
 
-
-def chain_loss_graph(state, tape, x, labels, beta_prime, noise, per_draw_ops=False):
-    """``ModelState.loss_graph`` on a :class:`ChainTape`; returns (total, ce, kl).
-
-    By default every op is a primitive.  With ``per_draw_ops`` the graph is
-    the one of per-draw fused ops (27 nodes for the acceptance-7 net): each
-    draw records its own reparameterization, its score rule as one
-    ``naive_bayes_scores`` node (or an affine readout) with its own leaves,
-    and one ``softmax_nll`` node, and the KL is one ``kl_to_surrogate_rows``
-    node.
+    ``weights`` names the net's slices W_0, b_0, W_1, b_1, ...; ``log_eta2``
+    the learned noise slice (None: the log-variance is log sigma2);
+    ``score_rule`` is ``(head, p, q, log_priors)`` of
+    ``Tape.mc_cross_entropy``; ``mu`` and ``log_sigma`` name the surrogate
+    (``log_sigma`` None: every sigma_y is 1).
     """
-    learned_sigma = "sur.log_sigma" in state.store.names()
-    labels = np.asarray(labels, dtype=np.intp)
-    means = chain_means(tape, state.encoder, x)
-    log_var = state.encoder.log_var_graph(tape)
-    mu = tape.param("sur.mu")
-    log_sigma = tape.param("sur.log_sigma") if learned_sigma else tape.const(np.zeros(state.class_count))
-    with np.errstate(divide="ignore"):
-        log_priors = np.log(state.priors)
+
+    x: np.ndarray
+    labels: np.ndarray
+    noise: np.ndarray
+    weights: tuple
+    activation: str
+    sigma2: float
+    log_eta2: str | None
+    score_rule: tuple
+    mu: str
+    log_sigma: str | None
+    beta_prime: float
+
+    @classmethod
+    def of_state(cls, state, x, labels, beta_prime, noise):
+        """The loss that ``ModelState.loss_graph`` records for this state and batch."""
+        enc = state.encoder
+        log_sigma = "sur.log_sigma" if "sur.log_sigma" in state.store.names() else None
+        with np.errstate(divide="ignore"):
+            log_priors = np.log(state.priors)
+        if state.head.variant == "softmax":
+            score_rule = ("softmax", "head.W", "head.b", None)
+        else:
+            score_rule = ("naive_bayes", "sur.mu", log_sigma, log_priors)
+        return cls(
+            x=np.asarray(x, dtype=np.float64), labels=np.asarray(labels, dtype=np.intp), noise=noise,
+            weights=tuple(name for pair in enc.weight_names() for name in pair), activation=enc.activation,
+            sigma2=enc.sigma2, log_eta2="enc.log_eta2" if enc.noise_mode == "learned_eta" else None,
+            score_rule=score_rule, mu="sur.mu", log_sigma=log_sigma, beta_prime=beta_prime,
+        )
+
+
+LOSS_PARTS = ("means", "log_var", "ce", "kl_rows", "total", "kl")
+
+
+def fused_loss(store, spec):
+    """The loss of ``spec`` through the library's Tape methods; returns (tape, values by LOSS_PARTS)."""
+    tape = Tape(store)
+    means = tape.mlp(spec.x, spec.weights, spec.activation)
+    log_var = tape.log_var(spec.sigma2, spec.log_eta2)
+    ce = tape.mc_cross_entropy(means, log_var, spec.noise, spec.labels, *spec.score_rule)
+    kl_rows = tape.kl_to_surrogate_rows(means, log_var, spec.mu, spec.log_sigma, spec.labels)
+    total, ce, kl = tape.total(ce, kl_rows, spec.beta_prime)
+    return tape, dict(zip(LOSS_PARTS, (means, log_var, ce, kl_rows, total, kl)))
+
+
+def chain_loss(tape, spec, per_draw_ops=False):
+    """The loss of ``spec`` on a :class:`ChainTape`; returns its nodes by LOSS_PARTS.
+
+    By default every op is a primitive: one affine and one activation node
+    per layer, and the cross-entropy and KL as their primitive chains.  With
+    ``per_draw_ops`` each draw scores with one ``naive_bayes_scores`` node
+    (or an affine readout) and takes one ``softmax_nll`` node.  Either way
+    each draw records its own reparameterization and its own score leaves.
+    """
+    head, p, q, log_priors = spec.score_rule
+    means = tape.const(spec.x)
+    layers = len(spec.weights) // 2
+    for l in range(layers):
+        means = tape.affine(means, tape.param(spec.weights[2 * l]), tape.param(spec.weights[2 * l + 1]),
+                            label=spec.weights[2 * l])
+        if l < layers - 1:
+            means = tape.activation(means, spec.activation)
+    if spec.log_eta2 is None:
+        log_var = tape.const(math.log(spec.sigma2))
+    else:
+        log_var = tape.log(tape.add_const(tape.exp(tape.param(spec.log_eta2)), spec.sigma2))
+    mu = tape.param(spec.mu)
+    k = tape.val(mu).shape[0]
+    log_sigma = tape.const(np.zeros(k)) if spec.log_sigma is None else tape.param(spec.log_sigma)
 
     def scores_graph(t):
-        if state.head.variant == "softmax":
-            return tape.affine(t, tape.param("head.W"), tape.param("head.b"), label="head")
-        head_mu = tape.param("sur.mu")
+        if head == "softmax":
+            return tape.affine(t, tape.param(p), tape.param(q), label="head")
+        head_mu = tape.param(p)
         if per_draw_ops:
-            head_ls = tape.param("sur.log_sigma") if learned_sigma else tape.const(np.zeros(state.class_count))
+            head_ls = tape.const(np.zeros(k)) if q is None else tape.param(q)
             return tape.naive_bayes_scores(t, head_mu, head_ls, log_priors)
-        if learned_sigma:
-            class_log_var = tape.scale(tape.param("sur.log_sigma"), 2.0)
-        else:
-            class_log_var = tape.const(np.zeros(state.class_count))
+        class_log_var = tape.const(np.zeros(k)) if q is None else tape.scale(tape.param(q), 2.0)
         return chain_naive_bayes_scores(tape, t, head_mu, class_log_var, log_priors)
 
     nll = tape.softmax_nll if per_draw_ops else (lambda s, y: chain_softmax_nll(tape, s, y))
     std = tape.exp(tape.scale(log_var, 0.5))
     nll_draws = []
-    for s in range(noise.shape[0]):
-        t = tape.add(means, tape.mul_scalar(tape.const(noise[s]), std))
-        nll_draws.append(nll(scores_graph(t), labels))
-    ce = tape.mean_all(tape.scale(tape.add_n(nll_draws), 1.0 / noise.shape[0]))
-    kl_rows = tape.kl_to_surrogate_rows if per_draw_ops else (
-        lambda *args: chain_kl_to_surrogate_rows(tape, *args))
-    kl = tape.mean_all(kl_rows(means, log_var, mu, log_sigma, labels))
-    total = tape.add(ce, tape.scale(kl, float(beta_prime)))
-    return total, ce, kl
+    for s in range(spec.noise.shape[0]):
+        t = tape.add(means, tape.mul_scalar(tape.const(spec.noise[s]), std))
+        nll_draws.append(nll(scores_graph(t), spec.labels))
+    ce = tape.mean_all(tape.scale(tape.add_n(nll_draws), 1.0 / spec.noise.shape[0]))
+    kl_rows = chain_kl_to_surrogate_rows(tape, means, log_var, mu, log_sigma, spec.labels)
+    kl = tape.mean_all(kl_rows)
+    total = tape.add(ce, tape.scale(kl, float(spec.beta_prime)))
+    return dict(zip(LOSS_PARTS, (means, log_var, ce, kl_rows, total, kl)))
+
+
+def chain_loss_graph(state, tape, x, labels, beta_prime, noise, per_draw_ops=False):
+    """``ModelState.loss_graph`` on a :class:`ChainTape`; returns the (total, ce, kl) nodes."""
+    nodes = chain_loss(tape, LossSpec.of_state(state, x, labels, beta_prime, noise), per_draw_ops)
+    return nodes["total"], nodes["ce"], nodes["kl"]
 
 
 # --------------------------------------------------------------------- mixture-bound reference

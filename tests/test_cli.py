@@ -30,6 +30,13 @@ def _write_config(tmp_path, **overrides):
     return path
 
 
+def _below_a_file(tmp_path):
+    """An --out path whose parent is a regular file."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return blocker / "out"
+
+
 def _write_instance(tmp_path, seed=0, with_samples=False):
     rng = np.random.default_rng(seed)
     joint = random_joint(rng, 3, 2)
@@ -59,6 +66,11 @@ class TestGenData:
         assert run(argv) == 1
         assert "sep must be finite" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_out_below_a_regular_file_exits_one_naming_it(self, tmp_path, capsys):
+        out = _below_a_file(tmp_path) / "d.json"
+        assert run(f"gen-data --classes 2 --dim 2 --per-class 5 --sep 1 --seed 0 --out {out}".split()) == 1
+        assert "blocker" in capsys.readouterr().err
 
     def test_json_mode_emits_single_document(self, tmp_path, capsys):
         out = tmp_path / "d.json"
@@ -146,6 +158,11 @@ class TestTrain:
         assert "missing.json" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_out_below_a_regular_file_exits_one_naming_it(self, tmp_path, capsys):
+        out = _below_a_file(tmp_path)
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+
     def test_identical_invocations_produce_identical_bytes(self, tmp_path):
         cfg = _write_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -230,6 +247,18 @@ class TestSweep:
         assert started == ([] if expected is None else [expected])
         assert len((out / "sweep.csv").read_text().splitlines()) == 1 + len(betas.split(","))
 
+    def test_missing_dataset_file_exits_one_before_any_directory(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        cfg = _write_config(tmp_path, dataset={"kind": "json", "train": missing, "test": missing})
+        assert run(["sweep", "--config", str(cfg), "--betas", "0,1", "--out", str(tmp_path / "s")]) == 1
+        assert "missing.json" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_out_below_a_regular_file_exits_one_naming_it(self, tmp_path, capsys):
+        out = _below_a_file(tmp_path)
+        assert run(["sweep", "--config", str(_write_config(tmp_path)), "--betas", "0", "--out", str(out)]) == 1
+        assert "blocker" in capsys.readouterr().err
+
     def test_bad_betas_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         for betas in ("a,b", "-1", "nan,1", "1,inf"):
@@ -254,6 +283,16 @@ class TestEstimate:
         assert set(doc) == {"mode", "unconditional", "aggregate", "per_class"}
         assert doc["mode"] == "cited-source"
         assert [set(e) for e in doc["per_class"]] == [{"label", "count", "value"}] * 2
+
+    def test_dataset_of_another_dimension_exits_one_naming_both_flags(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 0
+        data = tmp_path / "d3.json"
+        assert run(f"gen-data --classes 2 --dim 3 --per-class 20 --sep 4 --seed 5 --out {data}".split()) == 0
+        capsys.readouterr()
+        assert run(["estimate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert "--data" in err and "--checkpoint" in err and "dimension 3" in err
 
     def test_overflowing_learned_noise_is_a_numerical_failure(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"})
@@ -400,6 +439,10 @@ class TestReport:
         out = tmp_path / "r.csv"
         assert run(["report", "--out", str(out)]) == 0
         assert out.read_text() == ",".join(REPORT_KEYS) + "\n"
+
+    def test_out_below_a_regular_file_exits_one_naming_it(self, tmp_path, capsys):
+        assert run(["report", "--out", str(_below_a_file(tmp_path) / "r.csv")]) == 1
+        assert "blocker" in capsys.readouterr().err
 
     def test_single_run_row_matches_point_json(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

@@ -1,4 +1,4 @@
-"""Tape engine: forward values, reverse-mode gradients, and the checker itself."""
+"""The loss tape, the reference graph engine, and the gradient checker."""
 
 import math
 import zlib
@@ -9,10 +9,12 @@ import pytest
 from cib.diffcore import NonFiniteError, ParamStore, ShapeError, Tape, _act_grad, _activate, grad_check
 from helpers import (
     ChainTape,
+    LossSpec,
     central_difference,
-    chain_kl_to_surrogate_rows,
+    chain_loss,
     chain_naive_bayes_scores,
     chain_softmax_nll,
+    fused_loss,
 )
 
 
@@ -115,7 +117,7 @@ class TestActivations:
 class TestBackwardBasics:
     def test_constant_output_has_zero_gradient(self):
         store = ParamStore([("w", np.ones(3))])
-        tape = Tape(store)
+        tape = ChainTape(store)
         tape.param("w")
         out = tape.const(np.array(5.0))
         np.testing.assert_array_equal(tape.backward(out), np.zeros(3))
@@ -129,10 +131,17 @@ class TestBackwardBasics:
 
     def test_non_scalar_output_rejected(self):
         store = ParamStore([("w", np.ones(3))])
-        tape = Tape(store)
+        tape = ChainTape(store)
         w = tape.param("w")
         with pytest.raises(ShapeError):
             tape.backward(w)
+
+    def test_backward_of_a_partial_loss_rejected(self):
+        store = ParamStore([("W", np.ones((2, 2))), ("b", np.zeros(2))])
+        tape = Tape(store)
+        tape.mlp(np.ones((3, 2)), ("W", "b"), "relu")
+        with pytest.raises(ValueError, match="backward needs"):
+            tape.backward()
 
     def test_seed_scales_gradient(self):
         store = ParamStore([("w", np.array([2.0]))])
@@ -159,12 +168,6 @@ def _loss_through(op_builder, params, seed):
 
 
 LOG_PRIORS3 = np.log([0.2, 0.5, 0.3])
-X53 = np.random.default_rng(6).uniform(-2.0, 2.0, size=(5, 3))
-NOISE252 = np.random.default_rng(5).standard_normal((2, 5, 2))
-
-
-def _mlp(activation, *names):
-    return lambda t: t.mlp(X53, [t.param(n) for n in names], activation)
 
 
 # One entry per op: (name, param arrays, graph builder).
@@ -203,30 +206,16 @@ def _op_cases():
         ("add_rows", {"x": u(4, 3), "c": u(3)}, lambda t: t.add_rows(t.param("x"), t.param("c"))),
         ("logsumexp_rows", {"s": u(4, 3)}, lambda t: t.logsumexp_rows(t.param("s"))),
         ("pick", {"s": u(5, 3)}, lambda t: t.pick(t.param("s"), labels5)),
-        ("kl_to_surrogate_rows", {"m": u(5, 2), "v": u(), "mu": u(3, 2), "ls": u(3)},
-         lambda t: t.kl_to_surrogate_rows(t.param("m"), t.param("v"), t.param("mu"), t.param("ls"), labels5)),
         ("naive_bayes_scores", {"t": u(4, 2), "mu": u(3, 2), "ls": u(3)},
          lambda t: t.naive_bayes_scores(t.param("t"), t.param("mu"), t.param("ls"), LOG_PRIORS3)),
         ("softmax_nll", {"s": u(5, 3)}, lambda t: t.softmax_nll(t.param("s"), labels5)),
-        ("mlp_linear", {"W0": u(2, 3), "b0": u(2)}, _mlp("relu", "W0", "b0")),
-        ("mlp_relu", {"W0": u(4, 3), "b0": u(4), "W1": u(2, 4), "b1": u(2)},
-         _mlp("relu", "W0", "b0", "W1", "b1")),
-        ("mlp_softplus", {"W0": u(4, 3), "b0": u(4), "W1": u(3, 4), "b1": u(3), "W2": u(2, 3), "b2": u(2)},
-         _mlp("softplus", "W0", "b0", "W1", "b1", "W2", "b2")),
-        ("mlp_tanh", {"W0": u(4, 3), "b0": u(4), "W1": u(2, 4), "b1": u(2)},
-         _mlp("tanh", "W0", "b0", "W1", "b1")),
-        ("mc_cross_entropy_softmax", {"m": u(5, 2), "v": u(), "W": u(3, 2), "b": u(3)},
-         lambda t: t.mc_cross_entropy(t.param("m"), t.param("v"), NOISE252, labels5, "softmax",
-                                      t.param("W"), t.param("b"))),
-        ("mc_cross_entropy_naive_bayes", {"m": u(5, 2), "v": u(), "mu": u(3, 2), "ls": u(3)},
-         lambda t: t.mc_cross_entropy(t.param("m"), t.param("v"), NOISE252, labels5, "naive_bayes",
-                                      t.param("mu"), t.param("ls"), LOG_PRIORS3)),
     ]
     return cases
 
 
 @pytest.mark.parametrize("name,params,builder", _op_cases(), ids=lambda c: c if isinstance(c, str) else "")
 def test_primitive_op_gradients_match_central_differences(name, params, builder):
+    """The reference engine's ops, one by one."""
     store = ParamStore(list(params.items()))
     lossfn = _loss_through(builder, params, seed=zlib.crc32(name.encode()))
     tape, out = lossfn(store)
@@ -237,6 +226,61 @@ def test_primitive_op_gradients_match_central_differences(name, params, builder)
         probe.values[:] = theta
         t2, o2 = lossfn(probe)
         return float(t2.val(o2))
+
+    numeric = central_difference(f, store.values, eps=1e-5)
+    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
+    assert rel.max() < 1e-5, f"{name}: max rel {rel.max():.2e}"
+
+
+def _loss_case(seed, dims=(3, 5, 2), activation="softplus", head="naive_bayes", learned=True, draws=2,
+               beta_prime=0.8, batch=6):
+    """Random slices and the loss over them; ``learned`` False fixes the log-variance and the class sigmas."""
+    rng = np.random.default_rng(seed)
+    u = lambda *shape: rng.uniform(-2.0, 2.0, size=shape)
+    d = dims[-1]
+    slices = []
+    for l in range(len(dims) - 1):
+        slices += [(f"W{l}", u(dims[l + 1], dims[l])), (f"b{l}", u(dims[l + 1]))]
+    weights = tuple(name for name, _ in slices)
+    slices.append(("mu", u(3, d)))
+    if learned:
+        slices += [("ls", rng.uniform(-0.5, 0.5, 3)), ("le", u())]
+    if head == "softmax":
+        slices += [("hW", u(3, d)), ("hb", u(3))]
+    ls = "ls" if learned else None
+    spec = LossSpec(
+        x=u(batch, dims[0]), labels=rng.integers(0, 3, batch), noise=rng.standard_normal((draws, batch, d)),
+        weights=weights, activation=activation, sigma2=0.5, log_eta2="le" if learned else None,
+        score_rule=("softmax", "hW", "hb", None) if head == "softmax" else ("naive_bayes", "mu", ls, LOG_PRIORS3),
+        mu="mu", log_sigma=ls, beta_prime=beta_prime,
+    )
+    return ParamStore(slices), spec
+
+
+# One entry per op of the library tape, as the loss that leans on it: (name, loss-case arguments).
+# With beta' = 0 the gradient is the cross-entropy's alone; with the softmax readout the
+# surrogate slices take adjoints from the KL rows alone.
+_TAPE_CASES = [
+    ("mlp_linear", {"dims": (3, 2), "activation": "relu"}),
+    ("mlp_relu", {"dims": (3, 4, 2), "activation": "relu"}),
+    ("mlp_softplus", {"dims": (3, 4, 3, 2), "activation": "softplus"}),
+    ("mlp_tanh", {"dims": (3, 4, 2), "activation": "tanh"}),
+    ("mc_cross_entropy_softmax", {"head": "softmax", "beta_prime": 0.0}),
+    ("mc_cross_entropy_naive_bayes", {"head": "naive_bayes", "beta_prime": 0.0}),
+    ("kl_to_surrogate_rows", {"head": "softmax", "beta_prime": 2.0}),
+]
+
+
+@pytest.mark.parametrize("name,kwargs", _TAPE_CASES, ids=[name for name, _ in _TAPE_CASES])
+def test_tape_gradients_match_central_differences(name, kwargs):
+    store, spec = _loss_case(zlib.crc32(name.encode()), **kwargs)
+    tape, _ = fused_loss(store, spec)
+    analytic = tape.backward()
+
+    def f(theta):
+        probe = store.copy()
+        probe.values[:] = theta
+        return float(fused_loss(probe, spec)[1]["total"])
 
     numeric = central_difference(f, store.values, eps=1e-5)
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
@@ -298,7 +342,7 @@ def test_gradient_is_linear_in_the_loss():
 
 
 def _fused_and_chain(params, fused, chain, seed):
-    """Values and gradients of one op built fused and as its primitive chain."""
+    """Values and gradients of one reference-engine op built fused and as its primitive chain."""
     store = ParamStore(list(params.items()))
     out = []
     for build in (fused, chain):
@@ -310,8 +354,18 @@ def _fused_and_chain(params, fused, chain, seed):
     return out
 
 
+def _tape_and_chain(store, spec):
+    """Values by loss part, gradient and length of the loss on the library tape and as its primitive chain."""
+    tape, values = fused_loss(store, spec)
+    chain = ChainTape(store)
+    nodes = chain_loss(chain, spec)
+    chain_values = {part: chain.val(node) for part, node in nodes.items()}
+    return (values, tape.backward(), len(tape)), (chain_values, chain.backward(nodes["total"]), len(chain))
+
+
 class TestFusedOpsMatchChains:
-    """Each fused op gives its primitive chain's values and gradients exactly."""
+    """Each op of the library tape, and each fused node of the reference engine, gives its primitive chain's
+    values exactly; the tape's whole-loss gradient is the chain's, bit for bit."""
 
     labels = np.array([2, 0, 1, 2, 2, 0])
 
@@ -321,13 +375,10 @@ class TestFusedOpsMatchChains:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_kl_to_surrogate_rows(self, seed):
-        params = self._params(seed, m=(6, 3), v=(), mu=(3, 3), ls=(3,))
-        args = lambda t: (t.param("m"), t.param("v"), t.param("mu"), t.param("ls"), self.labels)
-        (fv, fg, fn), (cv, cg, cn) = _fused_and_chain(
-            params, lambda t: t.kl_to_surrogate_rows(*args(t)),
-            lambda t: chain_kl_to_surrogate_rows(t, *args(t)), seed,
-        )
-        assert np.array_equal(fv, cv) and np.array_equal(fg, cg)
+        store, spec = _loss_case(seed, head="softmax", dims=(3, 3), beta_prime=1.7)
+        (fv, fg, fn), (cv, cg, cn) = _tape_and_chain(store, spec)
+        assert np.array_equal(fv["kl_rows"], cv["kl_rows"]) and fv["kl"] == cv["kl"]
+        assert np.array_equal(fg, cg)
         assert fn < cn
 
     @pytest.mark.parametrize("learned_sigma", [True, False])
@@ -363,83 +414,41 @@ class TestFusedOpsMatchChains:
     @pytest.mark.parametrize("hidden", [0, 1, 2, 3])
     def test_mlp(self, hidden, activation):
         dims = [3, 5, 4, 6][: hidden + 1] + [2]
-        shapes = {}
-        for l in range(len(dims) - 1):
-            shapes[f"W{l}"], shapes[f"b{l}"] = (dims[l + 1], dims[l]), (dims[l + 1],)
-        params = self._params(hidden, **shapes)
-        x = np.random.default_rng(9).uniform(-2.0, 2.0, size=(6, 3))
-
-        def chain(t):
-            h = t.const(x)
-            for l in range(len(dims) - 1):
-                h = t.affine(h, t.param(f"W{l}"), t.param(f"b{l}"))
-                if l < len(dims) - 2:
-                    h = t.activation(h, activation)
-            return h
-
-        (fv, fg, fn), (cv, cg, cn) = _fused_and_chain(
-            params, lambda t: t.mlp(x, [t.param(n) for n in params], activation), chain, hidden,
-        )
-        assert np.array_equal(fv, cv) and np.array_equal(fg, cg)
+        store, spec = _loss_case(hidden, dims=dims, activation=activation)
+        (fv, fg, fn), (cv, cg, cn) = _tape_and_chain(store, spec)
+        assert np.array_equal(fv["means"], cv["means"]) and np.array_equal(fg, cg)
         assert fn < cn
 
     @pytest.mark.parametrize("head", ["softmax", "naive_bayes"])
     @pytest.mark.parametrize("draws", [1, 3])
     @pytest.mark.parametrize("learned", [True, False])
     def test_mc_cross_entropy(self, head, draws, learned):
-        """All S draws in one node; ``learned`` False makes v and the class log sigmas constants."""
-        params = self._params(draws, m=(6, 3), v=(), p=(3, 3), q=(3,))
-        noise = np.random.default_rng(draws).standard_normal((draws, 6, 3))
-        naive_bayes = head == "naive_bayes"
-
-        def leaves(t):
-            v = t.param("v") if learned else t.const(params["v"])
-            q = t.param("q") if learned or not naive_bayes else t.const(np.zeros(3))
-            return t.param("m"), v, t.param("p"), q
-
-        def fused(t):
-            m, v, p, q = leaves(t)
-            return t.mc_cross_entropy(m, v, noise, self.labels, head, p, q, LOG_PRIORS3 if naive_bayes else None)
-
-        def chain(t):
-            m, v, p, q = leaves(t)
-            std = t.exp(t.scale(v, 0.5))
-            nll = []
-            for s in range(draws):
-                point = t.add(m, t.mul_scalar(t.const(noise[s]), std))
-                if naive_bayes:
-                    log_var = t.scale(q, 2.0) if learned else q
-                    scores = chain_naive_bayes_scores(t, point, p, log_var, LOG_PRIORS3)
-                else:
-                    scores = t.affine(point, p, q)
-                nll.append(chain_softmax_nll(t, scores, self.labels))
-            return t.mean_all(t.scale(t.add_n(nll), 1.0 / draws))
-
-        (fv, fg, fn), (cv, cg, cn) = _fused_and_chain(params, fused, chain, draws)
-        assert fv == cv and np.array_equal(fg, cg)
+        """All S draws in one op; ``learned`` False fixes the log-variance and the class sigmas."""
+        store, spec = _loss_case(draws, head=head, draws=draws, learned=learned)
+        (fv, fg, fn), (cv, cg, cn) = _tape_and_chain(store, spec)
+        assert fv["log_var"] == cv["log_var"] and fv["ce"] == cv["ce"] and fv["total"] == cv["total"]
+        assert np.array_equal(fg, cg)
         assert fn < cn
 
     def test_shape_mismatch_rejected(self):
-        store = ParamStore([("m", np.zeros((4, 2))), ("v", np.zeros(())), ("mu", np.zeros((3, 3))),
-                            ("ls", np.zeros(3)), ("p", np.zeros((3, 2)))])
-        tape = ChainTape(store)
-        m, v, mu, ls = (tape.param(n) for n in ("m", "v", "mu", "ls"))
+        store = ParamStore([("mu", np.zeros((3, 3))), ("ls", np.zeros(3)), ("p", np.zeros((3, 2)))])
+        tape = Tape(store)
+        m, v, labels = np.zeros((4, 2)), np.zeros(()), np.zeros(4, dtype=int)
         with pytest.raises(ShapeError):
-            tape.kl_to_surrogate_rows(m, v, mu, ls, np.zeros(4, dtype=int))
+            tape.kl_to_surrogate_rows(m, v, "mu", "ls", labels)
+        chain = ChainTape(store)
         with pytest.raises(ShapeError):
-            tape.naive_bayes_scores(m, mu, ls, LOG_PRIORS3)
+            chain.naive_bayes_scores(chain.const(m), chain.param("mu"), chain.param("ls"), LOG_PRIORS3)
         with pytest.raises(ShapeError):
-            tape.softmax_nll(mu, np.zeros(4, dtype=int))
+            chain.softmax_nll(chain.param("mu"), labels)
         with pytest.raises(ShapeError):
-            tape.mlp(np.zeros((4, 2)), [mu, ls], "relu")
+            tape.mlp(np.zeros((4, 2)), ["mu", "ls"], "relu")
         with pytest.raises(ShapeError):
-            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 3)), np.zeros(4, dtype=int), "softmax", mu, ls)
+            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 3)), labels, "softmax", "mu", "ls")
         with pytest.raises(ShapeError):
-            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 2)), np.zeros(4, dtype=int), "naive_bayes",
-                                  tape.param("p"), ls, LOG_PRIORS3[:2])
+            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 2)), labels, "naive_bayes", "p", "ls", LOG_PRIORS3[:2])
         with pytest.raises(ValueError, match="unknown score head"):
-            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 2)), np.zeros(4, dtype=int), "probit",
-                                  tape.param("p"), ls)
+            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 2)), labels, "probit", "p", "ls")
 
 
 def test_dead_nodes_are_not_visited():
@@ -455,12 +464,13 @@ def test_dead_nodes_are_not_visited():
     np.testing.assert_array_equal(grad, np.full(2, tape.val(dead)))
 
 
-def test_param_leaves_are_views_of_the_store():
-    store = ParamStore([("w", np.arange(3.0)), ("v", np.ones((2, 2)))])
+def test_tape_reads_parameters_as_views_of_the_store():
+    store = ParamStore([("W", np.ones((2, 3))), ("b", np.arange(2.0))])
     tape = Tape(store)
-    w, v = tape.param("w"), tape.param("v")
-    assert np.shares_memory(tape.val(w), store.values) and np.shares_memory(tape.val(v), store.values)
-    assert tape.val(v).shape == (2, 2)
+    tape.mlp(np.ones((4, 3)), ("W", "b"), "relu")
+    weights = tape._mlp[1]
+    assert all(np.shares_memory(w, store.values) for w in weights)
+    assert [w.shape for w in weights] == [(2, 3), (2,)]
 
 
 def test_softplus_derivative_matches_the_two_branch_sigmoid():
@@ -489,16 +499,22 @@ def test_adjoints_are_never_written_in_place():
     np.testing.assert_allclose(g, 2.0 * (4.0 * wv + wv * wv) * (4.0 + 2.0 * wv), rtol=1e-15)
 
 
+def _chain_lossfn(build):
+    """A grad_check loss function over a reference-engine graph: ``build(tape)`` returns the scalar node."""
+
+    def lossfn(store):
+        tape = ChainTape(store)
+        out = build(tape)
+        return tape.val(out), lambda: tape.backward(out)
+
+    return lossfn
+
+
 class TestGradCheck:
     def test_quadratic_loss_is_exact(self):
         rng = np.random.default_rng(9)
         store = ParamStore([("theta", rng.uniform(-2.0, 2.0, size=6))])
-
-        def lossfn(s):
-            tape = ChainTape(s)
-            th = tape.param("theta")
-            return tape, tape.scale(tape.sum_all(tape.mul(th, th)), 0.5)
-
+        lossfn = _chain_lossfn(lambda t: t.scale(t.sum_all(t.mul(t.param("theta"), t.param("theta"))), 0.5))
         report = grad_check(lossfn, store, eps=1e-5, tol=1e-9)
         assert report.passed
         assert report.max_rel_error < 1e-9
@@ -506,26 +522,36 @@ class TestGradCheck:
     def test_zero_eps_rejected(self):
         store = ParamStore([("w", np.ones(1))])
         with pytest.raises(ValueError):
-            grad_check(lambda s: (_t := ChainTape(s), _t.sum_all(_t.param("w")))[0:2], store, eps=0.0, tol=1e-5)
+            grad_check(_chain_lossfn(lambda t: t.sum_all(t.param("w"))), store, eps=0.0, tol=1e-5)
 
     def test_nonfinite_loss_raises(self):
         store = ParamStore([("w", np.array([0.0]))])
-
-        def lossfn(s):
-            tape = ChainTape(s)
-            return tape, tape.sum_all(tape.log(tape.param("w")))
-
         with pytest.raises(NonFiniteError):
-            grad_check(lossfn, store, eps=1e-5, tol=1e-5)
+            grad_check(_chain_lossfn(lambda t: t.sum_all(t.log(t.param("w")))), store, eps=1e-5, tol=1e-5)
 
     def test_restores_parameters_after_probing(self):
         store = ParamStore([("w", np.array([1.0, -2.0])), ("v", np.array([0.5]))])
         before = store.values.copy()
-
-        def lossfn(s):
-            tape = ChainTape(s)
-            return tape, tape.sum_all(tape.mul(tape.param("w"), tape.param("w")))
-
+        lossfn = _chain_lossfn(lambda t: t.sum_all(t.mul(t.param("w"), t.param("w"))))
         report = grad_check(lossfn, store, eps=1e-6, tol=1e-6)
         np.testing.assert_array_equal(store.values, before)
         assert report.worst_name in ("w", "v")
+
+    def test_probes_take_no_gradient(self):
+        """One forward per probe and one gradient at the base point; the tape loss passes."""
+        store, spec = _loss_case(4, head="softmax")
+        forwards, gradients = [], []
+
+        def lossfn(s):
+            tape, values = fused_loss(s, spec)
+            forwards.append(1)
+
+            def gradient():
+                gradients.append(1)
+                return tape.backward()
+
+            return values["total"], gradient
+
+        report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
+        assert report.passed
+        assert len(forwards) == 1 + 2 * store.size and len(gradients) == 1

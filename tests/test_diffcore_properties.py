@@ -1,12 +1,12 @@
-"""Property tests: the adjoint of every op the library's tape records matches central differences."""
+"""Property tests: the library tape's gradient, and the reference tape's adjoints, match central differences."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cib.diffcore import ParamStore, Tape
-from helpers import ChainTape, central_difference
+from cib.diffcore import ParamStore
+from helpers import ChainTape, LossSpec, central_difference, chain_loss, fused_loss
 
 # derandomized so that a tier-1 failure replays from its test id; no
 # example database is written
@@ -25,7 +25,7 @@ def matrix(rows, cols, lo=-2.0, hi=2.0):
 
 
 def _assert_adjoints(params, build, weight_seed):
-    """Backward of sum(w * op(params)) against central differences, with fixed random weights w."""
+    """Reference-tape backward of sum(w * op(params)) against central differences, with fixed random weights w."""
     store = ParamStore(list(params.items()))
     weights = {}
 
@@ -51,6 +51,46 @@ def _assert_adjoints(params, build, weight_seed):
     assert rel.max() < TOL, f"max rel {rel.max():.2e}"
 
 
+def _assert_tape_gradient(store, spec):
+    """The library tape's gradient of the loss ``spec`` against central differences."""
+    tape, _ = fused_loss(store, spec)
+    analytic = tape.backward()
+
+    def f(theta):
+        probe = store.copy()
+        probe.values[:] = theta
+        return float(fused_loss(probe, spec)[1]["total"])
+
+    numeric = central_difference(f, store.values, eps=EPS)
+    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
+    assert rel.max() < TOL, f"max rel {rel.max():.2e}"
+
+
+def _loss(params, x, labels, noise, activation="tanh", head="softmax", learned_lv=True, learned_sigma=True,
+          beta_prime=1.0):
+    """Store and spec of a loss whose net has the slices W0, b0, W1, ... of ``params``.
+
+    Beside them ``params`` holds ``v`` (log eta^2 when ``learned_lv``, else
+    the log-variance itself), the surrogate ``p`` (K, d) and ``q`` (K,), and
+    for the softmax head its readout ``hW``, ``hb``.
+    """
+    weights = tuple(name for name in params if name[0] in "Wb")
+    names = list(weights) + ["p"] + (["q"] if learned_sigma else []) + (["v"] if learned_lv else [])
+    names += ["hW", "hb"] if head == "softmax" else []
+    k = params["p"].shape[0]
+    q = "q" if learned_sigma else None
+    if head == "softmax":
+        score_rule = ("softmax", "hW", "hb", None)
+    else:
+        score_rule = ("naive_bayes", "p", q, np.log(np.full(k, 1.0 / k)))
+    spec = LossSpec(
+        x=x, labels=labels, noise=noise, weights=weights, activation=activation,
+        sigma2=0.1 if learned_lv else float(np.exp(params["v"])), log_eta2="v" if learned_lv else None,
+        score_rule=score_rule, mu="p", log_sigma=q, beta_prime=beta_prime,
+    )
+    return ParamStore([(name, params[name]) for name in names]), spec
+
+
 @st.composite
 def mlp_cases(draw):
     dims = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(2, 4)))]
@@ -64,8 +104,9 @@ def mlp_cases(draw):
 
 
 @PROPERTY
-@given(case=mlp_cases(), weight_seed=st.integers(0, 2**32 - 1))
-def test_mlp_adjoints(case, weight_seed):
+@given(case=mlp_cases(), seed=st.integers(0, 2**32 - 1))
+def test_mlp_adjoints(case, seed):
+    """The net's slices take the adjoint of the means; the rest of the loss is drawn from ``seed``."""
     params, x, activation = case
     if activation == "relu":
         # central differences straddle no kink: every pre-activation clears 0 by far more than EPS
@@ -74,47 +115,52 @@ def test_mlp_adjoints(case, weight_seed):
             h = h @ params[f"W{l}"].T + params[f"b{l}"]
             assume(np.all(np.abs(h) > 1e-3))
             h = np.maximum(h, 0.0)
-    _assert_adjoints(params, lambda t: t.mlp(x, [t.param(n) for n in params], activation), weight_seed)
+    rng = np.random.default_rng(seed)
+    batch, d = x.shape[0], params[f"b{len(params) // 2 - 1}"].shape[0]
+    params.update(v=np.asarray(rng.uniform(-1.0, 1.0)), p=rng.uniform(-1.0, 1.0, (2, d)),
+                  q=rng.uniform(-0.5, 0.5, 2), hW=rng.uniform(-1.0, 1.0, (2, d)), hb=rng.uniform(-1.0, 1.0, 2))
+    noise = rng.standard_normal((2, batch, d))
+    labels = rng.integers(0, 2, batch)
+    _assert_tape_gradient(*_loss(params, x, labels, noise, activation=activation))
 
 
 @st.composite
 def loss_cases(draw):
+    """Means ``m`` as the weights of a linear net on the identity batch, so means == m exactly."""
     batch, dim, classes = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m = draw(matrix(batch, dim))
     params = {
-        "m": draw(matrix(batch, dim)),
+        "W0": np.ascontiguousarray(m.T),
+        "b0": np.zeros(dim),
         "v": np.asarray(draw(values(-1.0, 1.0))),
         "p": draw(matrix(classes, dim)),
         "q": draw(arrays(np.float64, (classes,), elements=values(-0.7, 0.7))),
+        "hW": draw(matrix(classes, dim)),
+        "hb": draw(arrays(np.float64, (classes,), elements=values(-1.0, 1.0))),
     }
     labels = np.asarray(draw(st.lists(st.integers(0, classes - 1), min_size=batch, max_size=batch)))
-    return params, labels
+    return params, np.eye(batch), labels
 
 
 @PROPERTY
 @given(case=loss_cases(), draws=st.integers(1, 3), head=st.sampled_from(["softmax", "naive_bayes"]),
-       noise_seed=st.integers(0, 2**32 - 1), weight_seed=st.integers(0, 2**32 - 1))
-def test_mc_cross_entropy_adjoints(case, draws, head, noise_seed, weight_seed):
-    params, labels = case
-    noise = np.random.default_rng(noise_seed).standard_normal((draws, *params["m"].shape))
-    k = params["q"].shape[0]
-    log_priors = np.log(np.full(k, 1.0 / k)) if head == "naive_bayes" else None
-
-    def build(t):
-        return t.mc_cross_entropy(t.param("m"), t.param("v"), noise, labels, head, t.param("p"), t.param("q"),
-                                  log_priors)
-
-    _assert_adjoints(params, build, weight_seed)
+       learned=st.booleans(), noise_seed=st.integers(0, 2**32 - 1))
+def test_mc_cross_entropy_adjoints(case, draws, head, learned, noise_seed):
+    """beta' = 0: the gradient is the cross-entropy's alone; ``learned`` False fixes v and the class sigmas."""
+    params, x, labels = case
+    noise = np.random.default_rng(noise_seed).standard_normal((draws, x.shape[0], params["p"].shape[1]))
+    _assert_tape_gradient(*_loss(params, x, labels, noise, head=head, learned_lv=learned, learned_sigma=learned,
+                                 beta_prime=0.0))
 
 
 @PROPERTY
-@given(case=loss_cases(), weight_seed=st.integers(0, 2**32 - 1))
-def test_kl_to_surrogate_rows_adjoints(case, weight_seed):
-    params, labels = case
-
-    def build(t):
-        return t.kl_to_surrogate_rows(t.param("m"), t.param("v"), t.param("p"), t.param("q"), labels)
-
-    _assert_adjoints(params, build, weight_seed)
+@given(case=loss_cases(), beta_prime=values(0.5, 3.0), learned=st.booleans())
+def test_kl_to_surrogate_rows_adjoints(case, beta_prime, learned):
+    """With the softmax readout the surrogate slices take adjoints from the KL rows alone."""
+    params, x, labels = case
+    noise = np.ones((1, x.shape[0], params["p"].shape[1]))
+    _assert_tape_gradient(*_loss(params, x, labels, noise, learned_lv=learned, learned_sigma=learned,
+                                 beta_prime=beta_prime))
 
 
 PRIMITIVES = {
@@ -138,15 +184,16 @@ def test_primitive_adjoints(name, rows, cols, data, weight_seed):
 
 
 @PROPERTY
-@given(case=loss_cases())
-def test_library_tape_gives_the_reference_tape_gradient(case):
-    """The adjoints above are taken on the reference tape; the library's own tape, with view leaves, agrees."""
-    params, labels = case
-    store = ParamStore(list(params.items()))
-    grads = []
-    for tape in (Tape(store), ChainTape(store)):
-        rows = tape.kl_to_surrogate_rows(tape.param("m"), tape.param("v"), tape.param("p"), tape.param("q"), labels)
-        ce = tape.mc_cross_entropy(tape.param("m"), tape.param("v"), np.ones((1, *params["m"].shape)), labels,
-                                   "softmax", tape.param("p"), tape.param("q"))
-        grads.append(tape.backward(tape.add(tape.mean_all(rows), tape.scale(ce, 0.5))))
-    assert np.array_equal(grads[0], grads[1])
+@given(case=loss_cases(), head=st.sampled_from(["softmax", "naive_bayes"]), learned=st.booleans(),
+       draws=st.integers(1, 3), beta_prime=values(0.0, 3.0))
+def test_library_tape_gives_the_reference_tape_gradient(case, head, learned, draws, beta_prime):
+    """The adjoints above are taken against central differences; the reference chain agrees bit for bit."""
+    params, x, labels = case
+    noise = np.random.default_rng(draws).standard_normal((draws, x.shape[0], params["p"].shape[1]))
+    store, spec = _loss(params, x, labels, noise, head=head, learned_lv=learned, learned_sigma=learned,
+                        beta_prime=beta_prime)
+    tape, fused = fused_loss(store, spec)
+    chain = ChainTape(store)
+    nodes = chain_loss(chain, spec)
+    assert all(np.array_equal(fused[part], chain.val(node)) for part, node in nodes.items())
+    assert np.array_equal(tape.backward(), chain.backward(nodes["total"]))

@@ -147,39 +147,46 @@ class TestBatched:
 
 class TestKlGraph:
     def _setup(self, seed=0):
+        """A 1-layer net's (3, 2) means of a fixed batch, a learned log-variance, a surrogate, a softmax readout."""
         rng = np.random.default_rng(seed)
         store = ParamStore(
             [
-                ("means", rng.uniform(-2, 2, (3, 2))),
-                ("log_var", rng.uniform(-0.5, 0.5, ())),
+                ("W", rng.uniform(-1, 1, (2, 2))),
+                ("b", rng.uniform(-1, 1, 2)),
+                ("log_eta2", rng.uniform(-0.5, 0.5, ())),
                 ("mu", rng.uniform(-2, 2, (2, 2))),
                 ("log_sigma", rng.uniform(-0.4, 0.4, 2)),
+                ("hW", rng.uniform(-1, 1, (2, 2))),
+                ("hb", rng.uniform(-1, 1, 2)),
             ]
         )
+        x = rng.uniform(-2, 2, (3, 2))
         labels = np.array([0, 1, 1])
-        return store, labels
+        return store, x, labels
 
     def test_values_match_plain_kl(self):
-        store, labels = self._setup()
+        store, x, labels = self._setup()
         tape = Tape(store)
-        node = kl_to_surrogate_graph(
-            tape, tape.param("means"), tape.param("log_var"),
-            tape.param("mu"), tape.param("log_sigma"), labels,
-        )
+        means = tape.mlp(x, ("W", "b"), "tanh")
+        log_var = tape.log_var(0.5, "log_eta2")
+        rows = kl_to_surrogate_graph(tape, means, log_var, "mu", "log_sigma", labels)
         s = ClassSurrogate(store.get("mu"), store.get("log_sigma"), np.array([0.5, 0.5]))
-        expected = kl_to_surrogate(store.get("means"), float(store.get("log_var")), s, labels)
-        np.testing.assert_allclose(tape.val(node), expected, atol=1e-12, rtol=0)
+        expected = kl_to_surrogate(means, float(log_var), s, labels)
+        np.testing.assert_allclose(rows, expected, atol=1e-12, rtol=0)
 
     def test_gradient_wrt_class_means_passes_check(self):
-        store, labels = self._setup(seed=3)
+        """With a softmax readout the surrogate's slices take adjoints from the KL rows alone."""
+        store, x, labels = self._setup(seed=3)
+        noise = np.random.default_rng(4).standard_normal((1, 3, 2))
 
         def lossfn(s):
             tape = Tape(s)
-            node = kl_to_surrogate_graph(
-                tape, tape.param("means"), tape.param("log_var"),
-                tape.param("mu"), tape.param("log_sigma"), labels,
-            )
-            return tape, tape.mean_all(node)
+            means = tape.mlp(x, ("W", "b"), "tanh")
+            log_var = tape.log_var(0.5, "log_eta2")
+            ce = tape.mc_cross_entropy(means, log_var, noise, labels, "softmax", "hW", "hb")
+            rows = kl_to_surrogate_graph(tape, means, log_var, "mu", "log_sigma", labels)
+            total, _, _ = tape.total(ce, rows, 2.0)
+            return total, tape.backward
 
         report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
         assert report.passed, f"max rel error {report.max_rel_error:.2e} at {report.worst_name}"

@@ -85,17 +85,17 @@ class TestEncode:
             state.encoder.encode_batch(np.zeros((1, 3)))
 
     def test_mean_gradient_wrt_weights_passes_check(self):
+        """The tape's net gives ``encode_batch``'s means; with beta' = 0 its weights see only the draws."""
         state = _state(seed=5)
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 2, (3, 2))
-        weights = rng.uniform(-1, 1, (3, 2))
-
-        def lossfn(store):
-            tape = ChainTape(store)
-            means = state.encoder.means_graph(tape, x)
-            return tape, tape.sum_all(tape.mul(means, tape.const(weights)))
-
-        report = grad_check(lossfn, state.store, eps=1e-5, tol=1e-5)
+        labels = rng.integers(0, 2, 3)
+        noise = rng.standard_normal((2, 3, 2))
+        tape = Tape(state.store)
+        enc = state.encoder
+        means = tape.mlp(x, [name for pair in enc.weight_names() for name in pair], enc.activation)
+        assert np.array_equal(means, enc.encode_batch(x))
+        report = grad_check(make_loss_fn(state, x, labels, 0.0, noise), state.store, eps=1e-5, tol=1e-5)
         assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_name}"
 
 
@@ -207,8 +207,8 @@ class TestHeadAccounting:
         labels = rng.integers(0, 2, 5)
         noise = rng.standard_normal((1, 5, 2))
         tape = Tape(state.store)
-        total, _, _ = state.loss_graph(tape, x, labels, 1.0, noise)
-        grad = tape.backward(total)
+        state.loss_graph(tape, x, labels, 1.0, noise)
+        grad = tape.backward()
         assert grad.shape == (state.store.size,)
         touched = {
             name
@@ -239,18 +239,27 @@ class TestFullLossGradient:
         assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_name}"
 
 
+class _ReferenceTape(ChainTape):
+    """A :class:`ChainTape` in the training loop's contract: ``backward()`` differentiates the recorded total."""
+
+    def backward(self):
+        return super().backward(self.total)
+
+
 def _reference_loss_graph(per_draw_ops):
     """A ``ModelState.loss_graph`` stand-in that builds one of the reference graphs."""
 
     def loss_graph(state, tape, x, labels, beta_prime, noise):
-        return chain_loss_graph(state, tape, x, labels, beta_prime, noise, per_draw_ops=per_draw_ops)
+        nodes = chain_loss_graph(state, tape, x, labels, beta_prime, noise, per_draw_ops=per_draw_ops)
+        tape.total = nodes[0]
+        return tuple(tape.val(node) for node in nodes)
 
     return loss_graph
 
 
 def _train_with_reference(monkeypatch, cfg, train_ds, per_draw_ops):
     with monkeypatch.context() as patch:
-        patch.setattr(model, "Tape", ChainTape)
+        patch.setattr(model, "Tape", _ReferenceTape)
         patch.setattr(model.ModelState, "loss_graph", _reference_loss_graph(per_draw_ops))
         return train(cfg, train_ds)
 
@@ -259,8 +268,8 @@ class TestFusedLossGraph:
     """The loss graph of fused nodes equals its reference graphs bit for bit.
 
     The references are the graph of primitive ops and the graph of per-draw
-    fused ops (one affine and activation node per layer, one score and NLL
-    node per draw), built on a :class:`ChainTape` with copied leaves.
+    ops (one score and one NLL node per draw), built on a :class:`ChainTape`
+    with copied leaves.
     """
 
     @pytest.mark.parametrize("head", ["softmax", "naive_bayes"])
@@ -301,13 +310,13 @@ class TestFusedLossGraph:
         labels = rng.integers(0, 3, 8)
         noise = rng.standard_normal((mc_samples, 8, 2))
         fused = Tape(state.store)
-        fused_nodes = state.loss_graph(fused, x, labels, 0.8, noise)
-        fused_grad = fused.backward(fused_nodes[0])
+        fused_values = state.loss_graph(fused, x, labels, 0.8, noise)
+        fused_grad = fused.backward()
         for per_draw_ops in (False, True):
             chain = ChainTape(state.store)
             chain_nodes = chain_loss_graph(state, chain, x, labels, 0.8, noise, per_draw_ops=per_draw_ops)
-            for f, c in zip(fused_nodes, chain_nodes):
-                assert fused.val(f) == chain.val(c)
+            for f, c in zip(fused_values, chain_nodes):
+                assert f == chain.val(c)
             assert np.array_equal(fused_grad, chain.backward(chain_nodes[0]))
             assert len(fused) < len(chain)
 
@@ -359,10 +368,13 @@ class TestFusedLossGraph:
     def test_one_step_calls_each_traced_entry_point_once(self, head, monkeypatch):
         """The benchmark times a step through these names; each must stay on the path."""
         counts = collections.Counter()
+        tape_lengths = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
+                if name == "backward":  # the benchmark records len(tape) as its node count
+                    tape_lengths.append(len(args[0]))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -379,6 +391,7 @@ class TestFusedLossGraph:
         train(cfg, ds_train)
         assert counts == {name: 1 for name in
                           ("loss_graph", "cib_loss_graph", "kl_to_surrogate_graph", "backward", "update")}
+        assert [type(n) for n in tape_lengths] == [int]
 
 
 class TestTrain:

@@ -158,31 +158,34 @@ class TestGraphConsistency:
         b, d, k = 5, 3, 2
         store = ParamStore(
             [
-                ("means", rng.uniform(-2, 2, (b, d))),
-                ("log_var", rng.uniform(-0.5, 0.5, ())),
+                ("W0", rng.uniform(-1, 1, (d, 4))),
+                ("b0", rng.uniform(-1, 1, d)),
+                ("log_eta2", rng.uniform(-0.5, 0.5, ())),
                 ("mu", rng.uniform(-1, 1, (k, d))),
                 ("log_sigma", rng.uniform(-0.3, 0.3, k)),
                 ("W", rng.uniform(-1, 1, (k, d))),
                 ("b", rng.uniform(-1, 1, k)),
             ]
         )
+        x = rng.uniform(-2, 2, (b, 4))
         labels = rng.integers(0, k, b)
         noise = rng.standard_normal((2, b, d))
-        return store, labels, noise
+        return store, x, labels, noise
 
-    def _build(self, store, labels, noise, beta_prime):
+    def _build(self, store, x, labels, noise, beta_prime):
         tape = Tape(store)
-        score_rule = ("softmax", tape.param("W"), tape.param("b"), None)
+        means = tape.mlp(x, ("W0", "b0"), "softplus")
+        log_var = tape.log_var(0.3, "log_eta2")
+        score_rule = ("softmax", "W", "b", None)
         total, ce, kl = cib_loss_graph(
-            tape, tape.param("means"), tape.param("log_var"), labels,
-            score_rule, tape.param("mu"), tape.param("log_sigma"), beta_prime, noise,
+            tape, means, log_var, labels, score_rule, "mu", "log_sigma", beta_prime, noise,
         )
-        return tape, total, ce, kl
+        return tape, means, log_var, total, ce, kl
 
     def test_graph_values_match_plain_loss(self):
-        store, labels, noise = self._random_setup(11)
+        store, x, labels, noise = self._random_setup(11)
         beta_prime = 0.8
-        tape, total, ce, kl = self._build(store, labels, noise, beta_prime)
+        _, means, log_var, total, ce, kl = self._build(store, x, labels, noise, beta_prime)
 
         s = ClassSurrogate(store.get("mu"), store.get("log_sigma"), np.array([0.5, 0.5]))
         w, bb = store.get("W"), store.get("b")
@@ -192,18 +195,18 @@ class TestGraphConsistency:
             mx = scores.max(axis=1, keepdims=True)
             return scores - (mx + np.log(np.exp(scores - mx).sum(axis=1, keepdims=True)))
 
-        lp, kl_rows = cib_loss(labels, store.get("means"), float(store.get("log_var")), decoder, s, noise)
+        lp, kl_rows = cib_loss(labels, means, float(log_var), decoder, s, noise)
         ce_plain, kl_plain = float(-np.mean(lp)), float(np.mean(kl_rows))
-        assert float(tape.val(ce)) == pytest.approx(ce_plain, abs=1e-12)
-        assert float(tape.val(kl)) == pytest.approx(kl_plain, abs=1e-12)
-        assert float(tape.val(total)) == pytest.approx(ce_plain + beta_prime * kl_plain, abs=1e-12)
+        assert float(ce) == pytest.approx(ce_plain, abs=1e-12)
+        assert float(kl) == pytest.approx(kl_plain, abs=1e-12)
+        assert float(total) == pytest.approx(ce_plain + beta_prime * kl_plain, abs=1e-12)
 
     def test_full_graph_passes_gradient_check(self):
-        store, labels, noise = self._random_setup(13)
+        store, x, labels, noise = self._random_setup(13)
 
         def lossfn(s):
-            tape, total, _, _ = self._build(s, labels, noise, 1.3)
-            return tape, total
+            tape, _, _, total, _, _ = self._build(s, x, labels, noise, 1.3)
+            return total, tape.backward
 
         report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
         assert report.passed, f"max rel error {report.max_rel_error:.2e} at {report.worst_name}"
