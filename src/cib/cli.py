@@ -49,6 +49,13 @@ def _require_file(path: str) -> Path:
     return p
 
 
+def _out_dir(path: str) -> Path:
+    blocked = [part for part in (Path(path), *Path(path).parents) if part.exists() and not part.is_dir()]
+    if blocked:
+        raise _CliError(f"--out {path}: {blocked[0]} is not a directory")
+    return Path(path)
+
+
 def _emit(doc: dict, human_lines: list[str], json_mode: bool) -> None:
     if json_mode:
         print(json.dumps(doc, sort_keys=True, indent=1))
@@ -91,8 +98,8 @@ def _write_run_dir(out: Path, run: model.TrainResult, point: model.TradeoffPoint
 def _cmd_train(args) -> int:
     cfg_path = _require_file(args.config)
     cfg = data_io.load_config(cfg_path)
+    out = _out_dir(args.out)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
-    out = Path(args.out)
     run = model.train(cfg, train_ds, test_ds)
     point = model.tradeoff_point(run, train_ds, test_ds)
     _write_run_dir(out, run, point)
@@ -137,7 +144,7 @@ def _cmd_sweep(args) -> int:
         raise _CliError(f"beta' values must be finite and nonnegative, got {args.betas}")
     if args.jobs < 1:
         raise _CliError("--jobs must be at least 1")
-    out = Path(args.out)
+    out = _out_dir(args.out)
     # each point makes its directory once trained, so a dataset that fails to load leaves none
     payloads = [(cfg, i, bp, str(out / f"point_{i:03d}")) for i, bp in enumerate(betas)]
     # the pool starts every worker up front, so never ask for more than can run
@@ -242,13 +249,16 @@ def _cmd_oracle(args) -> int:
     inst_path = _require_file(args.instance)
     try:
         doc = json.loads(inst_path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("the instance is not a JSON object")
         joint = discrete_oracle.DiscreteJoint(np.asarray(doc["p"], dtype=np.float64))
         enc = discrete_oracle.DiscreteEncoder(
             np.asarray(doc["q"], dtype=np.float64), tuple(doc["arities"])
         )
-        samples = [(int(x), int(y)) for x, y in doc["samples"]] if "samples" in doc else None
-        if samples and not all(0 <= x < joint.nx and 0 <= y < joint.ny for x, y in samples):
-            raise ValueError(f"samples need 0 <= x < {joint.nx} and 0 <= y < {joint.ny}")
+        samples = doc.get("samples")
+        if samples and not all(type(x) is int and type(y) is int and 0 <= x < joint.nx and 0 <= y < joint.ny
+                               for x, y in samples):
+            raise ValueError(f"samples must be integer pairs, 0 <= x < {joint.nx} and 0 <= y < {joint.ny}")
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise _CliError(f"{inst_path}: bad oracle instance: {exc}") from exc
 
@@ -256,8 +266,8 @@ def _cmd_oracle(args) -> int:
     ind = discrete_oracle.induced(joint, enc)
     verdicts: dict[str, bool] = {}
     verdicts["chain_rule"] = abs(rep.chain_rule_gap()) < 1e-12
-    quantities = [rep.H_Y, rep.H_Y_given_T, rep.I_XT, rep.I_YT, rep.I_XT_given_Y, rep.I_XY_given_T]
-    verdicts["nonnegativity"] = all(q >= -1e-12 for q in quantities)
+    quantities = {name: value for name, value in dataclasses.asdict(rep).items() if name != "TC_given_y"}
+    verdicts["nonnegativity"] = all(q >= -1e-12 for q in quantities.values())
 
     p_y = joint.p.sum(axis=0)
     if np.any(p_y == 0.0):
@@ -273,15 +283,7 @@ def _cmd_oracle(args) -> int:
         verdicts["surrogate_optimality"] = abs(opt.gap) < 1e-10
 
     out_doc = {
-        "report": {
-            "H_Y": rep.H_Y,
-            "H_Y_given_T": rep.H_Y_given_T,
-            "I_XT": rep.I_XT,
-            "I_YT": rep.I_YT,
-            "I_XT_given_Y": rep.I_XT_given_Y,
-            "I_XY_given_T": rep.I_XY_given_T,
-            "TC_given_y": rep.TC_given_y.tolist(),
-        },
+        "report": {**quantities, "TC_given_y": rep.TC_given_y.tolist()},
         "verdicts": {k: ("pass" if v else "fail") for k, v in verdicts.items()},
     }
     lines = [f"I(X;T)={rep.I_XT:.6f}  I(X;T|Y)={rep.I_XT_given_Y:.6f}  I(Y;T)={rep.I_YT:.6f}"]

@@ -316,13 +316,25 @@ def _dump_json(obj: Any, path: str | Path) -> None:
     write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
+def _load_json(path: str | Path, error: type[ValueError], keys: tuple[str, ...] = ()) -> Any:
+    """The JSON document in ``path``; ``error`` names the path, and any of ``keys`` it lacks."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise error(f"{path}: lacks {', '.join(missing)}")
+    return doc
+
+
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     _dump_json({"features": ds.features.tolist(), "labels": ds.labels.tolist(),
                 "class_count": ds.class_count, "provenance": ds.provenance}, path)
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _load_json(path, ValueError, ("features", "labels", "class_count"))
     return Dataset(
         np.asarray(doc["features"], dtype=np.float64),
         np.asarray(doc["labels"], dtype=np.intp),
@@ -355,10 +367,9 @@ def load_checkpoint(path: str | Path):
     """Rebuild the ``model.ModelState`` a checkpoint file holds; its slices must fit the config."""
     from . import model as _model
 
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format_version: {version!r}")
+    doc = _load_json(path, CheckpointError, ("format_version", "config", "params", "priors"))
+    if doc["format_version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint format_version: {doc['format_version']!r}")
     state = _model.build_state(doc["config"], np.asarray(doc["priors"], dtype=np.float64))
     saved = doc["params"]
     names = set(state.store.names())
@@ -543,11 +554,7 @@ def validate_config(config: dict) -> dict:
 
 
 def load_config(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return validate_config(doc)
+    return validate_config(_load_json(path, ConfigError))
 
 
 def dataset_from_config(dcfg: dict) -> tuple[Dataset, Dataset]:

@@ -13,17 +13,20 @@ The latent alphabet is a product of per-coordinate alphabets; joint outcomes
 are indexed in C order (last coordinate fastest), capped at 64 outcomes so
 exhaustive sums stay sub-second.
 
-Tables are stored C-contiguous, because numpy sums in memory order.  An
-encoder family is evaluated in one stacked pass per alphabet size, and sample
-KLs in one pass over rows; every entropy and KL is still summed whole per
-encoder or row, so the batched values equal the per-encoder ones bit for bit.
-Sample indices outside the encoder's rows, or negative labels, are errors.
+Tables are stored C-contiguous, because numpy sums in memory order.  Every
+information quantity comes from one stacked pass over a (K, nx, nt) stack of
+encoder tables: ``info_report`` is its one-encoder case, ``equivalence_scan``
+runs it once per alphabet size of a family, and ``decomposition_check`` reads
+I(X;T|Y) from it.  Sample KLs take one pass over rows.  Every entropy and KL
+is still summed whole per encoder or row, so batched values equal the
+per-encoder ones bit for bit.
+Non-integer, out-of-range or negative sample indices are errors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterator, Sequence
 
@@ -54,6 +57,11 @@ __all__ = [
 ]
 
 MAX_JOINT_OUTCOMES = 64
+
+
+def _check_rows(joint: DiscreteJoint, enc: DiscreteEncoder) -> None:
+    if enc.nx != joint.nx:
+        raise ValueError(f"encoder covers {enc.nx} feature values, joint has {joint.nx}")
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -142,11 +150,11 @@ class DiscreteEncoder:
 
     def __post_init__(self):
         object.__setattr__(self, "q", np.ascontiguousarray(self.q, dtype=np.float64))
+        if not all(isinstance(a, (int, np.integer)) and type(a) is not bool and a >= 1 for a in self.arities):
+            raise ValueError(f"coordinate arities must be positive integers, got {self.arities}")
         object.__setattr__(self, "arities", tuple(int(a) for a in self.arities))
         if self.q.ndim != 2 or self.q.shape[0] < 1:
             raise ValueError("encoder table must be a nonempty 2-D array")
-        if any(a < 1 for a in self.arities):
-            raise ValueError("coordinate arities must be positive")
         nt = int(np.prod(self.arities))
         if nt != self.q.shape[1]:
             raise ValueError(f"arities {self.arities} imply {nt} outcomes, table has {self.q.shape[1]}")
@@ -182,8 +190,7 @@ class InducedDistributions:
 
 def induced(joint: DiscreteJoint, enc: DiscreteEncoder) -> InducedDistributions:
     """Exact q(T|Y), q(Y|T) and q(T) induced by the encoder."""
-    if enc.nx != joint.nx:
-        raise ValueError(f"encoder covers {enc.nx} feature values, joint has {joint.nx}")
+    _check_rows(joint, enc)
     p_y = joint.p.sum(axis=0)
     joint_yt = joint.p.T @ enc.q  # (ny, nt): q(y, t)
     q_t = joint_yt.sum(axis=0)
@@ -215,34 +222,21 @@ class InfoReport:
         return self.I_XT - self.I_XT_given_Y - self.I_YT
 
 
-def info_report(joint: DiscreteJoint, enc: DiscreteEncoder) -> InfoReport:
-    """All information quantities by exhaustive summation over (x, y, t)."""
-    if enc.nx != joint.nx:
-        raise ValueError(f"encoder covers {enc.nx} feature values, joint has {joint.nx}")
-    p3 = joint.p[:, :, None] * enc.q[:, None, :]  # (nx, ny, nt)
-    h_xyt = entropy(p3)
+def _info_pass(joint: DiscreteJoint, q: np.ndarray) -> tuple[InfoReport, np.ndarray]:
+    """An :class:`InfoReport` of a C-contiguous (K, nx, nt) stack of encoder tables, and q(y, t).
+
+    The five per-encoder quantities are (K,) arrays and ``TC_given_y`` is None.
+    Each entropy is one reduction per encoder, so a value is the same alone and in any stack.
+    """
     h_xy = entropy(joint.p)
     h_x = entropy(joint.p.sum(axis=1))
     h_y = entropy(joint.p.sum(axis=0))
-    p_xt = p3.sum(axis=1)
-    p_yt = p3.sum(axis=0)
-    h_xt = entropy(p_xt)
-    h_yt = entropy(p_yt)
-    h_t = entropy(p_yt.sum(axis=0))
-
-    p_y = joint.p.sum(axis=0)
-    tc = np.zeros(joint.ny)
-    for y in range(joint.ny):
-        if p_y[y] == 0.0:
-            continue
-        cond = (p_yt[y] / p_y[y]).reshape(enc.arities)
-        h_joint = entropy(cond)
-        h_marginals = 0.0
-        for axis in range(cond.ndim):
-            axes = tuple(a for a in range(cond.ndim) if a != axis)
-            h_marginals += entropy(cond.sum(axis=axes))
-        tc[y] = h_marginals - h_joint
-
+    p3 = joint.p[None, :, :, None] * q[:, :, None, :]  # (K, nx, ny, nt)
+    p_yt = p3.sum(axis=1)
+    h_xyt = _entropies(p3)
+    h_xt = _entropies(p3.sum(axis=2))
+    h_yt = _entropies(p_yt)
+    h_t = _entropies(p_yt.sum(axis=1))
     return InfoReport(
         H_Y=h_y,
         H_Y_given_T=h_yt - h_t,
@@ -250,8 +244,29 @@ def info_report(joint: DiscreteJoint, enc: DiscreteEncoder) -> InfoReport:
         I_YT=h_y + h_t - h_yt,
         I_XT_given_Y=h_xy + h_yt - h_y - h_xyt,
         I_XY_given_T=h_xt + h_yt - h_t - h_xyt,
-        TC_given_y=tc,
+        TC_given_y=None,
+    ), p_yt
+
+
+def _coordinate_marginals(table: np.ndarray, arities: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The marginal of each latent coordinate of one distribution over the product alphabet."""
+    cond = table.reshape(arities)
+    return tuple(
+        cond.sum(axis=tuple(a for a in range(cond.ndim) if a != axis)) for axis in range(cond.ndim)
     )
+
+
+def info_report(joint: DiscreteJoint, enc: DiscreteEncoder) -> InfoReport:
+    """All information quantities by exhaustive summation over (x, y, t)."""
+    _check_rows(joint, enc)
+    stacked, p_yt = _info_pass(joint, enc.q[None])
+    p_y = joint.p.sum(axis=0)
+    tc = np.zeros(joint.ny)
+    for y in np.flatnonzero(p_y > 0.0):
+        cond = p_yt[0, y] / p_y[y]
+        tc[y] = sum(entropy(m) for m in _coordinate_marginals(cond, enc.arities)) - entropy(cond)
+    per_encoder = ("H_Y_given_T", "I_XT", "I_YT", "I_XT_given_Y", "I_XY_given_T")
+    return replace(stacked, TC_given_y=tc, **{name: float(getattr(stacked, name)[0]) for name in per_encoder})
 
 
 @dataclass(frozen=True)
@@ -307,36 +322,26 @@ def equivalence_scan(
 
     Ties are resolved as argmin *sets*: every encoder within ``tie_tol`` of
     the family minimum belongs to the set.  The family is evaluated in one
-    stacked pass per latent alphabet size; each encoder's entropies are the
-    sums ``info_report`` forms, so the values match it bit for bit.
+    stacked pass per latent alphabet size, the pass ``info_report`` makes for
+    one encoder, so the values match it bit for bit.
     """
     if not encoders:
         raise ValueError("encoder family must be non-empty")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     for enc in encoders:
-        if enc.nx != joint.nx:
-            raise ValueError(f"encoder covers {enc.nx} feature values, joint has {joint.nx}")
+        _check_rows(joint, enc)
     beta_prime = beta / (1.0 - beta)
-    h_xy = entropy(joint.p)
-    h_x = entropy(joint.p.sum(axis=1))
-    h_y = entropy(joint.p.sum(axis=0))
     groups: dict[int, list[int]] = {}
     for k, enc in enumerate(encoders):
         groups.setdefault(enc.nt, []).append(k)
     l_ib = np.empty(len(encoders))
     l_cib = np.empty(len(encoders))
     for members in groups.values():
-        q = np.stack([encoders[k].q for k in members])
-        p3 = joint.p[None, :, :, None] * q[:, :, None, :]  # (K, nx, ny, nt)
-        p_yt = p3.sum(axis=1)
-        h_xyt = _entropies(p3)
-        h_xt = _entropies(p3.sum(axis=2))
-        h_yt = _entropies(p_yt)
-        h_t = _entropies(p_yt.sum(axis=1))
-        h_y_given_t = h_yt - h_t
-        l_ib[members] = h_y_given_t + beta * (h_x + h_t - h_xt)
-        l_cib[members] = h_y_given_t + beta_prime * (h_xy + h_yt - h_y - h_xyt)
+        stacked, _ = _info_pass(joint, np.stack([encoders[k].q for k in members]))
+        values = objective_values(stacked, beta, beta_prime)
+        l_ib[members] = values.l_ib
+        l_cib[members] = values.l_cib
     argmin_ib = tuple(int(k) for k in np.flatnonzero(l_ib <= l_ib.min() + tie_tol))
     argmin_cib = tuple(int(k) for k in np.flatnonzero(l_cib <= l_cib.min() + tie_tol))
     return EquivalenceScan(
@@ -422,8 +427,7 @@ def decomposition_check(
     A surrogate zero where the induced q(T|Y) has mass yields an infinite KL,
     reported as such on both sides.
     """
-    if enc.nx != joint.nx:
-        raise ValueError(f"encoder covers {enc.nx} feature values, joint has {joint.nx}")
+    _check_rows(joint, enc)
     if surrogate.class_count != joint.ny or surrogate.arities != enc.arities:
         raise ValueError("surrogate must cover the joint's classes and the encoder's alphabet")
     expanded = _expand_all(surrogate)
@@ -437,8 +441,8 @@ def decomposition_check(
     for y in range(joint.ny):
         if p_y[y] > 0.0:
             residual += p_y[y] * kl_discrete(ind.t_given_y[y], expanded[y])
-    rep = info_report(joint, enc)
-    return DecompositionReport(lhs=lhs, i_xt_given_y=rep.I_XT_given_Y, kl_residual=residual)
+    i_xt_given_y = float(_info_pass(joint, enc.q[None])[0].I_XT_given_Y[0])
+    return DecompositionReport(lhs=lhs, i_xt_given_y=i_xt_given_y, kl_residual=residual)
 
 
 def optimal_product_surrogate(t_given_y: np.ndarray, arities: Sequence[int]) -> ProductSurrogate:
@@ -451,37 +455,16 @@ def optimal_product_surrogate(t_given_y: np.ndarray, arities: Sequence[int]) -> 
     arities = tuple(int(a) for a in arities)
     if t_given_y.ndim != 2 or int(np.prod(arities)) != t_given_y.shape[1]:
         raise ValueError("conditional table does not match the arities")
-    factors = []
-    for y in range(t_given_y.shape[0]):
-        cond = t_given_y[y].reshape(arities)
-        class_factors = []
-        for axis in range(cond.ndim):
-            axes = tuple(a for a in range(cond.ndim) if a != axis)
-            class_factors.append(cond.sum(axis=axes))
-        factors.append(tuple(class_factors))
-    return ProductSurrogate(tuple(factors))
-
-
-def _conditional_from_samples(
-    samples: np.ndarray, enc: DiscreteEncoder, class_count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical q(T|Y) rows and class counts from (x_i, y_i) samples."""
-    counts = np.zeros(class_count, dtype=np.int64)
-    t_given_y = np.zeros((class_count, enc.nt))
-    for x, y in samples:
-        counts[y] += 1
-        t_given_y[y] += enc.q[x]
-    if np.any(counts == 0):
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"class {missing} has no samples")
-    return t_given_y / counts[:, None], counts
+    return ProductSurrogate(tuple(_coordinate_marginals(row, arities) for row in t_given_y))
 
 
 def _checked_samples(samples: Sequence[tuple[int, int]], enc: DiscreteEncoder) -> np.ndarray:
-    """Samples as an (N, 2) index array; rejects x outside [0, nx) and y < 0."""
-    samples = np.asarray(samples, dtype=np.intp)
-    if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 1:
-        raise ValueError("samples must be a nonempty sequence of (x, y) pairs")
+    """Samples as an (N, 2) index array; rejects non-integer indices, x outside [0, nx) and y < 0."""
+    pairs = np.asarray(samples, dtype=object)
+    whole = all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in pairs.flat)
+    if not whole or pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
+        raise ValueError("samples must be a nonempty sequence of (x, y) integer index pairs")
+    samples = pairs.astype(np.intp)
     xs, ys = samples.T
     if np.any((xs < 0) | (xs >= enc.nx)):
         raise ValueError(f"sample feature index outside [0, {enc.nx})")
@@ -525,8 +508,12 @@ def surrogate_optimality_check(
     """
     samples = _checked_samples(samples, enc)
     xs, ys = samples.T
-    class_count = int(ys.max()) + 1
-    t_given_y, _ = _conditional_from_samples(samples, enc, class_count)
+    counts = np.bincount(ys)
+    if np.any(counts == 0):
+        raise ValueError(f"class {int(np.flatnonzero(counts == 0)[0])} has no samples")
+    t_given_y = np.zeros((counts.size, enc.nt))
+    np.add.at(t_given_y, ys, enc.q[xs])  # sample by sample, in order
+    t_given_y /= counts[:, None]
     best = optimal_product_surrogate(t_given_y, enc.arities)
     lhs_min = sample_kl_objective(samples, enc, best)
     tc = _kl_rows(t_given_y, _expand_all(best))

@@ -8,8 +8,9 @@ softmax readout, and a naive Bayes classifier fitted to the class surrogate
 parameters, which owns no parameters of its own.  Training minimizes the
 class-conditional bottleneck loss jointly over encoder weights and surrogate
 parameters; every run is a deterministic function of its seed.
-Encoder, surrogate and head share one parameter store and form one
-:class:`ModelState`, the value a run returns and a checkpoint holds.
+Encoder, surrogate and softmax readout share one parameter store, which one
+:class:`ModelState` holds with the decoder rule: the value a run returns and
+a checkpoint holds.
 Evaluation works on the same inputs as training, the (N, d) matrix of encoder
 means and the scalar log-variance: one kernel gives accuracy, cross-entropy
 and KL for metrics rows and trade-off points alike.
@@ -33,7 +34,6 @@ from .objectives import beta_to_beta_prime
 __all__ = [
     "NonFiniteLossError",
     "EncoderModel",
-    "DecoderHead",
     "ModelState",
     "EvalResult",
     "TrainResult",
@@ -135,23 +135,36 @@ class EncoderModel:
 
 
 @dataclass
-class DecoderHead:
-    """Decoder q(y | t): either a softmax readout or a fitted naive Bayes rule.
+class ModelState:
+    """The whole model of a run: config, parameters, encoder and priors.
 
-    The naive Bayes variant scores with the class surrogate's slices and owns
-    no trainable parameters of its own.  The head is where those slices are
-    read: :attr:`learns_sigma` says whether ``sur.log_sigma`` exists (without
-    it every sigma_y is 1), and :meth:`surrogate` builds the surrogate.
+    It is the one value that crosses run boundaries: :func:`train` returns it
+    inside a :class:`TrainResult`, evaluation reads it, and
+    :func:`data_io.save_checkpoint` / :func:`data_io.load_checkpoint` write
+    and rebuild it whole.  The decoder q(y | t) is ``config["decoder"]["variant"]``:
+    a softmax readout over its ``head.*`` slices, or the class surrogate's
+    naive Bayes rule.
     """
 
-    variant: str
+    config: dict
     store: ParamStore
+    encoder: EncoderModel
     priors: np.ndarray
-    bottleneck_dim: int
+
+    @property
+    def class_count(self) -> int:
+        return self.priors.shape[0]
 
     @property
     def learns_sigma(self) -> bool:
+        """Whether ``sur.log_sigma`` exists; without it every sigma_y is 1."""
         return "sur.log_sigma" in self.store.names()
+
+    @functools.cached_property
+    def log_priors(self) -> np.ndarray:
+        """log p(y) of the fixed priors; -inf for a zero prior."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.priors)
 
     def surrogate(self) -> ClassSurrogate:
         """The class surrogate over the current ``sur.*`` slices and the priors; checks both."""
@@ -167,10 +180,10 @@ class DecoderHead:
         posterior.
         """
         t = np.asarray(t, dtype=np.float64)
-        d = self.bottleneck_dim
+        d = self.encoder.bottleneck_dim
         if t.ndim != 2 or t.shape[1] != d:
             raise ValueError(f"points must be (N, {d}), got {t.shape}")
-        if self.variant == "naive_bayes":
+        if self.config["decoder"]["variant"] == "naive_bayes":
             s = self.surrogate()
             log_var = 2.0 * s.class_log_sigma
             diff = t[:, None, :] - s.class_means[None, :, :]
@@ -179,36 +192,6 @@ class DecoderHead:
         else:
             scores = t @ self.store.get("head.W").T + self.store.get("head.b")
         return scores - logsumexp_rows(scores)[:, None]
-
-    @functools.cached_property
-    def log_priors(self) -> np.ndarray:
-        """log p(y) of the fixed priors; -inf for a zero prior."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.priors)
-
-
-@dataclass
-class ModelState:
-    """The whole model of a run: parameters, encoder, decoder head, priors and config.
-
-    It is the one value that crosses run boundaries: :func:`train` returns it
-    inside a :class:`TrainResult`, evaluation reads it, and
-    :func:`data_io.save_checkpoint` / :func:`data_io.load_checkpoint` write
-    and rebuild it whole.
-    """
-
-    config: dict
-    store: ParamStore
-    encoder: EncoderModel
-    head: DecoderHead
-    priors: np.ndarray
-
-    @property
-    def class_count(self) -> int:
-        return self.priors.shape[0]
-
-    def surrogate(self) -> ClassSurrogate:
-        return self.head.surrogate()
 
     def loss_graph(
         self, tape: Tape, x: np.ndarray, labels: np.ndarray, beta_prime: float, noise: np.ndarray
@@ -221,11 +204,11 @@ class ModelState:
         enc = self.encoder
         means = tape.mlp(x, [name for pair in enc.weight_names() for name in pair], enc.activation)
         log_var = tape.log_var(enc.sigma2, "enc.log_eta2" if enc.noise_mode == "learned_eta" else None)
-        log_sigma = "sur.log_sigma" if self.head.learns_sigma else None
-        if self.head.variant == "softmax":
+        log_sigma = "sur.log_sigma" if self.learns_sigma else None
+        if self.config["decoder"]["variant"] == "softmax":
             score_rule = ("softmax", "head.W", "head.b", None)
         else:
-            score_rule = ("naive_bayes", "sur.mu", log_sigma, self.head.log_priors)
+            score_rule = ("naive_bayes", "sur.mu", log_sigma, self.log_priors)
         return objectives.cib_loss_graph(
             tape, means, log_var, labels, score_rule, "sur.mu", log_sigma, beta_prime, noise
         )
@@ -272,10 +255,7 @@ def build_state(config: dict, priors: np.ndarray, rng: np.random.Generator | Non
         sigma2=float(enc_cfg["sigma2"]),
         store=store,
     )
-    head = DecoderHead(
-        variant=cfg["decoder"]["variant"], store=store, priors=priors, bottleneck_dim=d
-    )
-    return ModelState(config=cfg, store=store, encoder=encoder, head=head, priors=priors)
+    return ModelState(config=cfg, store=store, encoder=encoder, priors=priors)
 
 
 def make_loss_fn(
@@ -392,11 +372,11 @@ def _encode_split(state: ModelState, ds: Dataset) -> np.ndarray:
 def _terms_of_codes(state: ModelState, ds: Dataset, means: np.ndarray) -> EvalResult:
     rng = np.random.default_rng(EVAL_NOISE_SEED)
     noise = rng.standard_normal((EVAL_MC_SAMPLES, ds.count, means.shape[1]))
-    predictions = np.argmax(state.head.log_probs(means), axis=1)
+    predictions = np.argmax(state.log_probs(means), axis=1)
     accuracy = float(np.mean(predictions == ds.labels))
 
     true_lp, kl = objectives.cib_loss(
-        ds.labels, means, state.encoder.log_var(), state.head.log_probs, state.surrogate(), noise
+        ds.labels, means, state.encoder.log_var(), state.log_probs, state.surrogate(), noise
     )
     # -inf (a zero-probability true class) is reported as an infinite cross-entropy
     if np.any(np.isnan(true_lp)) or np.any(true_lp == np.inf):
@@ -466,7 +446,7 @@ def _diagnose_nonfinite(
     """Dataset index of the first sample with a non-finite loss contribution."""
     means = state.encoder.encode_batch(x)
     true_lp, kl = objectives.cib_loss(
-        labels, means, state.encoder.log_var(), state.head.log_probs, state.surrogate(), noise
+        labels, means, state.encoder.log_var(), state.log_probs, state.surrogate(), noise
     )
     bad = ~np.all(np.isfinite(means), axis=1) | ~np.all(np.isfinite(true_lp), axis=1) | ~np.isfinite(kl)
     first = int(np.flatnonzero(bad)[0]) if np.any(bad) else 0
@@ -482,7 +462,7 @@ def _alternating_moment_step(state: ModelState, train: Dataset) -> None:
     for y in range(state.class_count):
         rows = means[train.labels == y]
         mu[y] = rows.mean(axis=0)
-        if state.head.learns_sigma:
+        if state.learns_sigma:
             sigma2_y = float(np.mean((rows - mu[y]) ** 2)) + var
             state.store.get("sur.log_sigma")[y] = 0.5 * math.log(sigma2_y)
 

@@ -570,7 +570,7 @@ class LossSpec:
         log_sigma = "sur.log_sigma" if "sur.log_sigma" in state.store.names() else None
         with np.errstate(divide="ignore"):
             log_priors = np.log(state.priors)
-        if state.head.variant == "softmax":
+        if state.config["decoder"]["variant"] == "softmax":
             score_rule = ("softmax", "head.W", "head.b", None)
         else:
             score_rule = ("naive_bayes", "sur.mu", log_sigma, log_priors)
@@ -811,9 +811,9 @@ def reference_loss_terms(state, ds, mc_samples, noise_seed):
     means = state.encoder.encode_batch(ds.features)
     log_var = state.encoder.log_var()
     noise = np.random.default_rng(noise_seed).standard_normal((mc_samples, ds.count, means.shape[1]))
-    accuracy = float(np.mean(np.argmax(state.head.log_probs(means), axis=1) == ds.labels))
+    accuracy = float(np.mean(np.argmax(state.log_probs(means), axis=1) == ds.labels))
     codes = DiagGaussian(means, np.full(means.shape, log_var))
-    true_lp, kl = loss_rows(ds.labels, codes, state.head.log_probs, state.surrogate(), noise)
+    true_lp, kl = loss_rows(ds.labels, codes, state.log_probs, state.surrogate(), noise)
     return accuracy, cross_entropy_term(true_lp), float(np.mean(kl))
 
 
@@ -823,7 +823,7 @@ def reference_diagnose_nonfinite(state, x, labels, noise, batch_idx):
     means = state.encoder.encode_batch(x)
     bad = ~np.all(np.isfinite(means), axis=1)
     codes = DiagGaussian(np.where(bad[:, None], 0.0, means), np.full(means.shape, state.encoder.log_var()))
-    true_lp, kl = loss_rows(labels, codes, state.head.log_probs, state.surrogate(), noise)
+    true_lp, kl = loss_rows(labels, codes, state.log_probs, state.surrogate(), noise)
     bad |= ~np.all(np.isfinite(true_lp), axis=1) | ~np.isfinite(kl)
     first = int(np.flatnonzero(bad)[0]) if np.any(bad) else 0
     return int(batch_idx[first])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cib import cli, data_io, estimators, gaussians, model, objectives
+from cib import cli, data_io, discrete_oracle, estimators, gaussians, model, objectives
 from cib.cli import REPORT_KEYS, run
 from helpers import random_encoder, random_joint
 
@@ -35,6 +35,10 @@ def _below_a_file(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     return blocker / "out"
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("reached although --out is unusable")
 
 
 def _write_instance(tmp_path, seed=0, with_samples=False):
@@ -163,6 +167,13 @@ class TestTrain:
         assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 1
         assert str(out) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at_file", [False, True])
+    def test_unusable_out_exits_one_before_training(self, tmp_path, capsys, monkeypatch, at_file):
+        monkeypatch.setattr(model, "train", _unreachable)
+        out = _below_a_file(tmp_path).parent if at_file else _below_a_file(tmp_path)
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 1
+        assert str(tmp_path / "blocker") in capsys.readouterr().err
+
     def test_identical_invocations_produce_identical_bytes(self, tmp_path):
         cfg = _write_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -259,6 +270,14 @@ class TestSweep:
         assert run(["sweep", "--config", str(_write_config(tmp_path)), "--betas", "0", "--out", str(out)]) == 1
         assert "blocker" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at_file", [False, True])
+    def test_unusable_out_exits_one_before_any_point_trains(self, tmp_path, capsys, monkeypatch, at_file):
+        monkeypatch.setattr(model, "run_sweep_point", _unreachable)
+        out = _below_a_file(tmp_path).parent if at_file else _below_a_file(tmp_path)
+        argv = ["sweep", "--config", str(_write_config(tmp_path)), "--betas", "0,1", "--out", str(out)]
+        assert run(argv) == 1
+        assert str(tmp_path / "blocker") in capsys.readouterr().err
+
     def test_bad_betas_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         for betas in ("a,b", "-1", "nan,1", "1,inf"):
@@ -293,6 +312,25 @@ class TestEstimate:
         assert run(["estimate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data)]) == 1
         err = capsys.readouterr().err
         assert "--data" in err and "--checkpoint" in err and "dimension 3" in err
+
+    def test_unreadable_inputs_exit_one_naming_path_and_key(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 0
+        ckpt = out / "checkpoint.json"
+        garbage, featureless, paramless = (tmp_path / f"{n}.json" for n in ("garbage", "featureless", "paramless"))
+        garbage.write_text("not json")
+        featureless.write_text(json.dumps({"labels": [0, 1], "class_count": 2}))
+        doc = json.loads(ckpt.read_text())
+        del doc["params"]
+        paramless.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for checkpoint, data, named in ((garbage, featureless, [str(garbage)]),
+                                        (paramless, featureless, [str(paramless), "params"]),
+                                        (ckpt, garbage, [str(garbage)]),
+                                        (ckpt, featureless, [str(featureless), "features"])):
+            assert run(["estimate", "--checkpoint", str(checkpoint), "--data", str(data)]) == 1
+            err = capsys.readouterr().err
+            assert all(word in err for word in named), err
 
     def test_overflowing_learned_noise_is_a_numerical_failure(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"})
@@ -423,15 +461,31 @@ class TestOracle:
         path.write_text(json.dumps({"p": [[0.5, 0.6]], "q": [[1.0]], "arities": [1]}))
         assert run(["oracle", "--instance", str(path)]) == 1
 
-    @pytest.mark.parametrize("bad", [[3, 0], [-1, 0], [0, -1], [0, 2]])
+    @pytest.mark.parametrize("bad", [[3, 0], [-1, 0], [0, -1], [0, 2], [1.7, 1], [True, 0]])
     def test_out_of_range_sample_rejected(self, tmp_path, capsys, bad):
-        # the instance has 3 feature values and 2 classes
+        # the instance has 3 feature values and 2 classes; a float or bool index is never cast
         inst = _write_instance(tmp_path, with_samples=True)
         doc = json.loads(inst.read_text())
         doc["samples"].append(bad)
         inst.write_text(json.dumps(doc))
         assert run(["oracle", "--instance", str(inst)]) == 1
-        assert "bad oracle instance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad oracle instance" in err and "samples must be integer pairs" in err
+
+    def test_non_integer_arity_exits_one_naming_arities(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        doc = {"p": random_joint(rng, 3, 2).p.tolist(), "q": random_encoder(rng, 3, (2,)).q.tolist(),
+               "arities": [2.9]}
+        inst = tmp_path / "instance.json"
+        inst.write_text(json.dumps(doc))
+        assert run(["oracle", "--instance", str(inst)]) == 1
+        assert "arities must be positive integers" in capsys.readouterr().err
+
+    def test_non_object_instance_exits_one_naming_it(self, tmp_path, capsys):
+        inst = tmp_path / "instance.json"
+        inst.write_text("[1, 2]")
+        assert run(["oracle", "--instance", str(inst)]) == 1
+        assert "not a JSON object" in capsys.readouterr().err
 
 
 class TestReport:
@@ -556,6 +610,13 @@ class TestTracedEntryPoints:
         per_split = 3 + 2
         assert counts == {"cib_loss": per_split, "kl_to_surrogate": per_split, "encode_batch": per_split,
                           "evaluate": 1, "bound_report": 1}
+
+    def test_oracle_calls_info_report_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        report = discrete_oracle.info_report
+        monkeypatch.setattr(discrete_oracle, "info_report", lambda *args: calls.append(args) or report(*args))
+        assert run(["oracle", "--instance", str(_write_instance(tmp_path, with_samples=True))]) == 0
+        assert len(calls) == 1
 
     def test_every_wrapped_name_exists(self):
         tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "layers.py").read_text())

@@ -461,7 +461,21 @@ class TestFamilyValidation:
 
 
 class TestSampleIndices:
-    """A sample outside the encoder's rows or with a negative label is an error, not a wrap."""
+    """A sample outside the encoder's rows, with a negative label or a non-integer index is an error."""
+
+    @pytest.mark.parametrize("bad", [(0.5, 0), (1, 1.0), (True, 0), (0, np.bool_(True))])
+    def test_non_integer_index_rejected_not_cast(self, bad):
+        rng = np.random.default_rng(22)
+        enc = random_encoder(rng, 3, (2, 2))
+        with pytest.raises(ValueError, match="integer index pairs"):
+            sample_kl_objective([(0, 0), (1, 1), bad], enc, random_product_surrogate(rng, 2, (2, 2)))
+        with pytest.raises(ValueError, match="integer index pairs"):
+            surrogate_optimality_check([(0, 0), (1, 1), bad], enc)
+
+    @pytest.mark.parametrize("arities", [(2.9,), (True, 2), (2.0,)])
+    def test_non_integer_arity_rejected_not_cast(self, arities):
+        with pytest.raises(ValueError, match="arities must be positive integers"):
+            DiscreteEncoder(np.full((2, 2), 0.5), arities)
 
     @pytest.mark.parametrize("bad, message", [((3, 0), "feature index"), ((-1, 0), "feature index"),
                                               ((0, -1), "negative")])

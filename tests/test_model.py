@@ -99,38 +99,38 @@ class TestEncode:
         assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_name}"
 
 
-def _nb_head(means, log_sigma, priors):
-    """A naive Bayes head whose surrogate has these (K, 2) means, (K,) log-sigmas and priors."""
+def _nb_state(means, log_sigma, priors):
+    """A naive Bayes model whose surrogate has these (K, 2) means, (K,) log-sigmas and priors."""
     state = build_state(_config(encoder={"layer_dims": [2, 2]}), np.asarray(priors, dtype=float))
     state.store.set("sur.mu", np.asarray(means, dtype=float))
     state.store.set("sur.log_sigma", np.asarray(log_sigma, dtype=float))
-    return state.head
+    return state
 
 
-def _probs(head, t):
+def _probs(state, t):
     """Class probabilities of a (N, d) batch, or of one point as a (1, d) batch."""
-    return np.exp(head.log_probs(np.atleast_2d(t)))
+    return np.exp(state.log_probs(np.atleast_2d(t)))
 
 
 class TestDecodeNaiveBayes:
     def test_symmetric_classes_split_evenly_at_origin(self):
-        head = _nb_head([[1.0, 1.0], [-1.0, -1.0]], np.zeros(2), [0.5, 0.5])
-        np.testing.assert_allclose(_probs(head, np.zeros(2)), [[0.5, 0.5]], atol=1e-15)
+        state = _nb_state([[1.0, 1.0], [-1.0, -1.0]], np.zeros(2), [0.5, 0.5])
+        np.testing.assert_allclose(_probs(state, np.zeros(2)), [[0.5, 0.5]], atol=1e-15)
         # every point of the perpendicular bisector t = (a, -a) is equidistant from both means
         line = np.array([[a, -a] for a in (-3.0, -0.5, 0.0, 2.0)])
-        np.testing.assert_allclose(_probs(head, line), np.full((4, 2), 0.5), atol=1e-15)
+        np.testing.assert_allclose(_probs(state, line), np.full((4, 2), 0.5), atol=1e-15)
 
     def test_class_mean_is_classified_to_its_class(self):
         means = np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]])
-        head = _nb_head(means, np.zeros(3), np.full(3, 1 / 3))
-        np.testing.assert_array_equal(np.argmax(_probs(head, means), axis=1), [0, 1, 2])
+        state = _nb_state(means, np.zeros(3), np.full(3, 1 / 3))
+        np.testing.assert_array_equal(np.argmax(_probs(state, means), axis=1), [0, 1, 2])
         for y in range(3):
-            assert int(np.argmax(_probs(head, means[y])[0])) == y
+            assert int(np.argmax(_probs(state, means[y])[0])) == y
 
     def test_matches_direct_bayes_rule_from_gaussian_density(self):
         rng = np.random.default_rng(4)
         means, log_sigma, priors = rng.uniform(-2, 2, (3, 2)), rng.uniform(-0.5, 0.5, 3), np.array([0.2, 0.5, 0.3])
-        head = _nb_head(means, log_sigma, priors)
+        state = _nb_state(means, log_sigma, priors)
 
         def density(t, y):
             var = math.exp(2.0 * log_sigma[y])
@@ -140,15 +140,15 @@ class TestDecodeNaiveBayes:
         points = rng.uniform(-3, 3, (20, 2))
         expected = np.array([[priors[y] * density(t, y) for y in range(3)] for t in points])
         expected /= expected.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(_probs(head, points), expected, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(_probs(state, points), expected, atol=1e-12, rtol=0)
         for t, row in zip(points, expected):
-            np.testing.assert_allclose(_probs(head, t), [row], atol=1e-12, rtol=0)
+            np.testing.assert_allclose(_probs(state, t), [row], atol=1e-12, rtol=0)
 
     def test_output_is_a_distribution_even_far_from_means(self):
-        head = _nb_head([[1.0, 0.0], [-1.0, 0.0]], np.zeros(2), [0.5, 0.5])
+        state = _nb_state([[1.0, 0.0], [-1.0, 0.0]], np.zeros(2), [0.5, 0.5])
         points = np.array([[1e4, -1e4], [-250.0, 3.0], [0.0, 0.0]])
         for batch in (points, *points):
-            probs = _probs(head, batch)
+            probs = _probs(state, batch)
             assert np.all(probs >= 0.0)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
@@ -156,28 +156,28 @@ class TestDecodeNaiveBayes:
         # log-space normalization: scaling all priors cannot change the argmax
         rng = np.random.default_rng(11)
         means = rng.uniform(-2, 2, (3, 2))
-        head = _nb_head(means, np.zeros(3), np.full(3, 1 / 3))
+        state = _nb_state(means, np.zeros(3), np.full(3, 1 / 3))
         points = rng.uniform(-5, 5, (10, 2))
         nearest = np.argmin(np.linalg.norm(means[None, :, :] - points[:, None, :], axis=2), axis=1)
-        np.testing.assert_array_equal(np.argmax(_probs(head, points), axis=1), nearest)
+        np.testing.assert_array_equal(np.argmax(_probs(state, points), axis=1), nearest)
         for t, y in zip(points, nearest):
-            assert int(np.argmax(_probs(head, t)[0])) == y
+            assert int(np.argmax(_probs(state, t)[0])) == y
 
 
 class TestDecodeSoftmax:
     def test_zero_parameters_give_uniform(self):
         cfg = _config(decoder={"variant": "softmax"}, encoder={"layer_dims": [2, 2]})
         state = build_state(cfg, np.full(3, 1 / 3))
-        np.testing.assert_allclose(_probs(state.head, np.array([0.7, -0.3])), np.full((1, 3), 1 / 3), atol=1e-15)
+        np.testing.assert_allclose(_probs(state, np.array([0.7, -0.3])), np.full((1, 3), 1 / 3), atol=1e-15)
         batch = np.random.default_rng(2).uniform(-4, 4, (6, 2))
-        np.testing.assert_allclose(_probs(state.head, batch), np.full((6, 3), 1 / 3), atol=1e-15)
+        np.testing.assert_allclose(_probs(state, batch), np.full((6, 3), 1 / 3), atol=1e-15)
 
     def test_large_bias_dominates(self):
         cfg = _config(decoder={"variant": "softmax"}, encoder={"layer_dims": [2, 2]})
         state = build_state(cfg, np.array([0.5, 0.5]))
         state.store.set("head.b", np.array([50.0, 0.0]))
-        assert _probs(state.head, np.zeros(2))[0, 0] > 1.0 - 1e-12
-        assert np.all(_probs(state.head, np.zeros((4, 2)))[:, 0] > 1.0 - 1e-12)
+        assert _probs(state, np.zeros(2))[0, 0] > 1.0 - 1e-12
+        assert np.all(_probs(state, np.zeros((4, 2)))[:, 0] > 1.0 - 1e-12)
 
     def test_normalization_on_random_inputs(self):
         rng = np.random.default_rng(3)
@@ -185,7 +185,7 @@ class TestDecodeSoftmax:
         state = build_state(cfg, np.array([0.5, 0.5]), rng)
         points = rng.uniform(-4, 4, (25, 2))
         for batch in (points, *points):
-            probs = _probs(state.head, batch)
+            probs = _probs(state, batch)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12, rtol=0)
             assert np.all(probs >= 0.0)
 
@@ -561,8 +561,8 @@ class TestEvaluate:
         labels = rng.integers(0, 2, 10)
         ds = Dataset(feats, labels, 2)
         means = state.encoder.encode_batch(feats)
-        hits = sum(int(np.argmax(state.head.log_probs(means[i : i + 1])[0])) == labels[i] for i in range(10))
-        assert int(np.sum(np.argmax(state.head.log_probs(means), axis=1) == labels)) == hits
+        hits = sum(int(np.argmax(state.log_probs(means[i : i + 1])[0])) == labels[i] for i in range(10))
+        assert int(np.sum(np.argmax(state.log_probs(means), axis=1) == labels)) == hits
         assert evaluate(state, ds).accuracy == pytest.approx(hits / 10, abs=0)
 
     def test_loss_terms_match_evaluate_without_bounds(self):
@@ -585,13 +585,13 @@ class TestEvaluate:
     def test_zero_probability_true_class_gives_infinite_cross_entropy(self, monkeypatch):
         state = _state()
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
-        monkeypatch.setattr(state.head, "log_probs", lambda t: np.tile([0.0, -np.inf], (t.shape[0], 1)))
+        monkeypatch.setattr(state, "log_probs", lambda t: np.tile([0.0, -np.inf], (t.shape[0], 1)))
         assert loss_terms(state, ds).cross_entropy == np.inf
 
     def test_nan_log_probability_rejected(self, monkeypatch):
         state = _state()
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
-        monkeypatch.setattr(state.head, "log_probs", lambda t: np.full((t.shape[0], 2), np.nan))
+        monkeypatch.setattr(state, "log_probs", lambda t: np.full((t.shape[0], 2), np.nan))
         with pytest.raises(ValueError, match="finite or -inf"):
             loss_terms(state, ds)
 

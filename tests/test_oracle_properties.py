@@ -90,6 +90,14 @@ def test_decomposition_balances(data, instance):
 
 
 @PROPERTY
+@given(data=st.data(), instance=instances())
+def test_decomposition_compression_is_the_info_report_value(data, instance):
+    joint, enc = instance
+    surrogate = data.draw(product_surrogates(joint.ny, enc.arities))
+    assert decomposition_check(joint, enc, surrogate).i_xt_given_y == info_report(joint, enc).I_XT_given_Y
+
+
+@PROPERTY
 @given(instance=instances())
 def test_optimal_product_residual_is_conditional_total_correlation(instance):
     joint, enc = instance
