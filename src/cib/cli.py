@@ -273,7 +273,7 @@ def _cmd_oracle(args) -> int:
     if np.any(p_y == 0.0):
         raise _CliError(f"{inst_path}: every class needs positive probability")
     best = discrete_oracle.optimal_product_surrogate(ind.t_given_y, enc.arities)
-    decomp = discrete_oracle.decomposition_check(joint, enc, best)
+    decomp = discrete_oracle.decomposition_check(joint, enc, best, rep, ind)
     expected_residual = float(np.sum(p_y * rep.TC_given_y))
     verdicts["decomposition"] = (
         abs(decomp.gap) < 1e-12 and abs(decomp.kl_residual - expected_residual) < 1e-12

@@ -335,12 +335,15 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 
 def load_dataset(path: str | Path) -> Dataset:
     doc = _load_json(path, ValueError, ("features", "labels", "class_count"))
-    return Dataset(
-        np.asarray(doc["features"], dtype=np.float64),
-        np.asarray(doc["labels"], dtype=np.intp),
-        int(doc["class_count"]),
-        doc.get("provenance", {}),
-    )
+    try:
+        return Dataset(
+            np.asarray(doc["features"], dtype=np.float64),
+            np.asarray(doc["labels"], dtype=np.intp),
+            int(doc["class_count"]),
+            doc.get("provenance", {}),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 CHECKPOINT_VERSION = 1
@@ -368,23 +371,26 @@ def load_checkpoint(path: str | Path):
     from . import model as _model
 
     doc = _load_json(path, CheckpointError, ("format_version", "config", "params", "priors"))
-    if doc["format_version"] != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint format_version: {doc['format_version']!r}")
-    state = _model.build_state(doc["config"], np.asarray(doc["priors"], dtype=np.float64))
-    saved = doc["params"]
-    names = set(state.store.names())
-    if set(saved) != names:
-        raise CheckpointError(
-            f"checkpoint slices {sorted(saved)} do not match config slices {sorted(names)}"
-        )
-    for name, entry in saved.items():
-        shape = tuple(entry["shape"])
-        if shape != state.store.spec(name).shape:
-            raise CheckpointError(
-                f"slice {name!r} has shape {shape}, config implies {state.store.spec(name).shape}"
-            )
-        state.store.set(name, np.asarray(entry["values"], dtype=np.float64).reshape(shape))
-    state.surrogate()  # rejects priors that are negative or do not sum to 1, and non-finite sur.* values
+    try:  # every error below names the file
+        if doc["format_version"] != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint format_version: {doc['format_version']!r}")
+        state = _model.build_state(doc["config"], np.asarray(doc["priors"], dtype=np.float64))
+        saved = doc["params"]
+        names = set(state.store.names())
+        if not isinstance(saved, dict) or set(saved) != names:
+            raise CheckpointError(f"checkpoint slices {sorted(saved)} do not match "
+                                  f"config slices {sorted(names)}")
+        for name, entry in saved.items():
+            lacking = [key for key in ("shape", "values") if not isinstance(entry, dict) or key not in entry]
+            if lacking:
+                raise CheckpointError(f"lacks params.{name}.{lacking[0]}")
+            shape, implied = tuple(entry["shape"]), state.store.spec(name).shape
+            if shape != implied:
+                raise CheckpointError(f"slice {name!r} has shape {shape}, config implies {implied}")
+            state.store.set(name, np.asarray(entry["values"], dtype=np.float64).reshape(shape))
+        state.surrogate()  # rejects priors that are negative or do not sum to 1, and non-finite sur.* values
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return state
 
 

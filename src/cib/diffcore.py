@@ -1,13 +1,15 @@
 """Reverse-mode differentiation of the training loss of the bottleneck models.
 
 Values are float64 numpy arrays: scalars are shape-() arrays, batches are
-2-D ``(batch, dim)`` matrices.  A :class:`Tape` evaluates the one loss this
+``(batch, dim)`` matrices, and a store that stacks P parameter vectors
+gives every value a leading P axis.  A :class:`Tape` evaluates the one loss this
 library trains -- the encoder net, the Monte-Carlo cross-entropy and the
 per-row surrogate KL, with ``ce + beta' * mean(kl)`` on top -- and keeps
 what its backward needs; :meth:`Tape.backward` is one straight-line pass
 that returns a flat gradient aligned with the bound :class:`ParamStore`.
 The fused kernels and their adjoints live here, so this module owns the
 order of every floating-point operation of a training step.
+:func:`grad_check` probes through stacked forwards of the same tape.
 
 This is deliberately not a general autodiff system: it records no graph,
 and differentiates no loss but this one.
@@ -39,13 +41,13 @@ ACTIVATIONS = ("relu", "softplus", "tanh")
 
 
 def logsumexp_rows(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Row-wise log(sum(exp(a))) of a matrix, shifted by each row's maximum.
+    """Row-wise log(sum(exp(a))) over the last axis, shifted by each row's maximum.
 
     With ``overwrite`` the shifted exponentials are formed in ``a`` itself.
     """
-    mx = np.maximum.reduce(a, axis=1)  # a.max(axis=1) without its wrapper
-    shifted = np.subtract(a, mx[:, None], out=a if overwrite else None)
-    return mx + np.log(np.exp(shifted, out=shifted).sum(axis=1))
+    mx = np.maximum.reduce(a, axis=-1)  # a.max(axis=-1) without its wrapper
+    shifted = np.subtract(a, mx[..., None], out=a if overwrite else None)
+    return mx + np.log(np.exp(shifted, out=shifted).sum(axis=-1))
 
 
 class ShapeError(ValueError):
@@ -70,7 +72,10 @@ class ParamStore:
 
     Slices are laid out in insertion order, are disjoint, and cover the
     vector exactly.  The layout never changes after construction; only the
-    values may be mutated (e.g. by an optimizer).
+    values may be mutated, in place (e.g. by an optimizer): every slice is
+    one view, made with the store.  A store may also stack P vectors of
+    one layout as (P, size) ``values`` (:meth:`with_values`); its slices are
+    then (P, *shape) views.
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray] | Sequence[tuple[str, np.ndarray]]):
@@ -87,10 +92,16 @@ class ParamStore:
             layout[name] = SliceSpec(offset, a.size, a.shape)
             chunks.append(a.ravel())
             offset += a.size
-        self.values: np.ndarray = np.concatenate(chunks)
-        if not np.all(np.isfinite(self.values)):
+        values = np.concatenate(chunks)
+        if not np.all(np.isfinite(values)):
             raise ValueError("parameter values must be finite")
         self._layout = MappingProxyType(layout)
+        self._bind(values)
+
+    def _bind(self, values: np.ndarray) -> None:
+        self.values = values
+        self._views = {name: values[..., s.offset : s.offset + s.size].reshape(values.shape[:-1] + s.shape)
+                       for name, s in self._layout.items()}
 
     @property
     def layout(self) -> Mapping[str, SliceSpec]:
@@ -98,7 +109,7 @@ class ParamStore:
 
     @property
     def size(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._layout)
@@ -110,9 +121,11 @@ class ParamStore:
             raise KeyError(f"unknown parameter slice: {name!r}") from None
 
     def get(self, name: str) -> np.ndarray:
-        """Return the named block as a reshaped view of the flat vector."""
-        s = self.spec(name)
-        return self.values[s.offset : s.offset + s.size].reshape(s.shape)
+        """Return the named block as a reshaped view of the flat vector (of each stacked vector)."""
+        try:
+            return self._views[name]
+        except KeyError:
+            raise KeyError(f"unknown parameter slice: {name!r}") from None
 
     def set(self, name: str, arr: np.ndarray) -> None:
         s = self.spec(name)
@@ -123,11 +136,15 @@ class ParamStore:
             raise ValueError(f"values for slice {name!r} must be finite")
         self.values[s.offset : s.offset + s.size] = a.ravel()
 
-    def copy(self) -> "ParamStore":
+    def with_values(self, values: np.ndarray) -> "ParamStore":
+        """A store of this layout over ``values``, one (size,) vector or (P, size) stacked ones, not copied."""
         dup = object.__new__(ParamStore)
-        dup.values = self.values.copy()
         dup._layout = self._layout
+        dup._bind(values)
         return dup
+
+    def copy(self) -> "ParamStore":
+        return self.with_values(self.values.copy())
 
 
 def activate(x: np.ndarray, kind: str) -> np.ndarray:
@@ -148,9 +165,9 @@ def _activate(x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
     raise ValueError(f"unsupported activation: {kind!r} (choose from {ACTIVATIONS})")
 
 
-def _mean(x: np.ndarray) -> np.float64:
-    """``np.mean(x)`` of a nonempty float64 array: the same sum and division, without the wrapper."""
-    return x.sum() / x.size
+def _mean(x: np.ndarray) -> np.ndarray:
+    """``np.mean(x, axis=-1)`` of a nonempty float64 array: the same sums and division, without the wrapper."""
+    return x.sum(axis=-1) / x.shape[-1]
 
 
 def _act_grad(kind: str, g: np.ndarray, pre: np.ndarray, out: np.ndarray, e: np.ndarray | None):
@@ -165,17 +182,17 @@ def _act_grad(kind: str, g: np.ndarray, pre: np.ndarray, out: np.ndarray, e: np.
 
 
 def _naive_bayes_scores(tv, muv, lsv, log_priors):
-    """Scores log p(y) + log N(t_b; mu_y, sigma_y^2 I) of a (B, d) batch, and their backward cache."""
-    d = tv.shape[1]
+    """Scores log p(y) + log N(t_b; mu_y, sigma_y^2 I) of a (..., B, d) batch, and their backward cache."""
+    d = tv.shape[-1]
     log_var = lsv * 2.0
-    diff = tv[:, None, :] - muv[None, :, :]
-    sq_dist = np.einsum("bkd,bkd->bk", diff, diff)
+    diff = tv[..., :, None, :] - muv[..., None, :, :]
+    sq_dist = np.einsum("...bkd,...bkd->...bk", diff, diff)
     neg_log_var = log_var * -1.0
     with np.errstate(over="ignore"):
         inv_var = np.exp(neg_log_var)
     half_inv_var = inv_var * 0.5
     offset = log_var * (-0.5 * d) + (log_priors - 0.5 * d * math.log(2.0 * math.pi))
-    scores = offset[None, :] - sq_dist * half_inv_var[None, :]  # (-q) + offset, exactly
+    scores = offset[..., None, :] - sq_dist * half_inv_var[..., None, :]  # (-q) + offset, exactly
     return scores, (diff, sq_dist, inv_var, half_inv_var)
 
 
@@ -202,7 +219,7 @@ def _softmax_nll(sv: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> tuple[
     ``rows`` is ``np.arange(B)``, passed in so that repeated calls share it.
     """
     lse = logsumexp_rows(sv)
-    return lse - sv[rows, labels], lse
+    return lse - sv[..., rows, labels], lse
 
 
 def _softmax_nll_grad(sv, rows, labels, lse, g):
@@ -237,6 +254,11 @@ class Tape:
     scopes, and adjoints reach a shared input in the chain's order, so the
     tape gives the chain's values and gradient bit for bit.
 
+    On a stacked store :meth:`total` returns the (P,) losses of its rows,
+    each equal bit for bit to the loss of that vector alone, and there is no
+    backward.  ``width`` is the most float64 values one intermediate holds
+    per parameter vector, so that a caller can bound a stack.
+
     Parameters are named slices of the bound store, read as views, not
     copies: a tape is valid only until its store changes, so take
     :meth:`backward` before the parameters are updated.  A tape is
@@ -245,6 +267,8 @@ class Tape:
 
     def __init__(self, store: ParamStore):
         self.store = store
+        self.width = 0
+        self._lead = store.values.shape[:-1]  # () or (P,)
         self._ops = 0
         self._mlp = self._log_var = self._ce = self._kl = self._total = None
 
@@ -257,7 +281,7 @@ class Tape:
         return np.zeros(shape) if name is None else self.store.get(name)
 
     def mlp(self, x: np.ndarray, names: Sequence[str], activation: str) -> np.ndarray:
-        """Output of a feed-forward net on the fixed (B, d_in) batch ``x``.
+        """Output of a feed-forward net on the fixed (B, d_in) batch ``x``, (..., B, d_out).
 
         ``names`` lists the slices W_0, b_0, W_1, b_1, ...: layer l maps h to
         ``h @ W_l.T + b_l``, and every layer but the last then applies
@@ -271,10 +295,12 @@ class Tape:
         inputs, pres, exps = [], [], []
         for l in range(n):
             wv, bv = weights[2 * l], weights[2 * l + 1]
-            if h.ndim != 2 or wv.ndim != 2 or bv.shape != (wv.shape[0],) or h.shape[1] != wv.shape[1]:
+            if (h.ndim < 2 or wv.ndim != len(self._lead) + 2 or bv.shape != wv.shape[:-1]
+                    or h.shape[-1] != wv.shape[-1]):
                 raise ShapeError(f"mlp layer {l}: x{h.shape} W{wv.shape} b{bv.shape} do not agree")
             inputs.append(h)
-            h = h @ wv.T + bv
+            h = h @ wv.mT + bv[..., None, :]
+            self.width = max(self.width, h.shape[-2] * h.shape[-1])
             if l < n - 1:
                 pres.append(h)
                 h, e = _activate(h, activation)
@@ -314,31 +340,34 @@ class Tape:
         """
         mv, lv = np.asarray(means, dtype=np.float64), np.asarray(log_var, dtype=np.float64)
         pv = self.store.get(p)
-        qv = self._slice(q, pv.shape[:1])
+        qv = self._slice(q, pv.shape[-2:-1])
         noise = np.asarray(noise, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.intp)
-        if (mv.ndim != 2 or lv.shape != () or noise.ndim != 3 or noise.shape[0] < 1
-                or noise.shape[1:] != mv.shape or labels.shape != (mv.shape[0],)
-                or pv.ndim != 2 or pv.shape[1] != mv.shape[1] or qv.shape != (pv.shape[0],)):
+        if (mv.shape[:-2] != self._lead or lv.shape not in ((), self._lead) or noise.ndim != 3
+                or noise.shape[0] < 1 or noise.shape[1:] != mv.shape[-2:] or labels.shape != mv.shape[-2:-1]
+                or pv.shape[:-2] != self._lead or pv.shape[-1] != mv.shape[-1]
+                or qv.shape not in (pv.shape[:-1], pv.shape[-2:-1])):
             raise ShapeError(
                 f"mc_cross_entropy: means{mv.shape} log_var{lv.shape} noise{noise.shape} "
                 f"labels{labels.shape} head {pv.shape} {qv.shape} do not agree"
             )
         if head == "naive_bayes":
             log_priors = np.asarray(log_priors, dtype=np.float64)
-            if log_priors.shape != qv.shape:
-                raise ShapeError(f"mc_cross_entropy: log_priors{log_priors.shape} for {qv.shape[0]} classes")
+            if log_priors.shape != pv.shape[-2:-1]:
+                raise ShapeError(f"mc_cross_entropy: log_priors{log_priors.shape} for {pv.shape[-2]} classes")
         elif head != "softmax":
             raise ValueError(f"unknown score head: {head!r}")
         with np.errstate(over="ignore"):
             std = np.exp(lv * 0.5)
-        rows = np.arange(mv.shape[0])
+        scale = std[..., None, None] if std.ndim else std  # a stacked row's std spans its (B, d) draws
+        rows = np.arange(mv.shape[-2])
         draws = []
         total = None
+        self.width = max(self.width, rows.size * pv.shape[-2] * (pv.shape[-1] if head == "naive_bayes" else 1))
         for eps in noise:
-            t = mv + eps * std
+            t = mv + eps * scale
             if head == "softmax":
-                scores, cache = t @ pv.T + qv, t
+                scores, cache = t @ pv.mT + qv[..., None, :], t
             else:
                 scores, cache = _naive_bayes_scores(t, pv, qv, log_priors)
             nll, lse = _softmax_nll(scores, rows, labels)
@@ -362,19 +391,21 @@ class Tape:
         """
         mv, lv = np.asarray(means, dtype=np.float64), np.asarray(log_var, dtype=np.float64)
         muv = self.store.get(mu)
-        lsv = self._slice(log_sigma, muv.shape[:1])
+        lsv = self._slice(log_sigma, muv.shape[-2:-1])
         labels = np.asarray(labels, dtype=np.intp)
-        if (mv.ndim != 2 or lv.shape != () or muv.ndim != 2 or muv.shape[1] != mv.shape[1]
-                or lsv.shape != (muv.shape[0],) or labels.shape != (mv.shape[0],)):
+        if (mv.shape[:-2] != self._lead or lv.shape not in ((), self._lead) or muv.shape[:-2] != self._lead
+                or muv.shape[-1] != mv.shape[-1] or lsv.shape not in (muv.shape[:-1], muv.shape[-2:-1])
+                or labels.shape != mv.shape[-2:-1]):
             raise ShapeError(
                 f"kl_to_surrogate_rows: means{mv.shape} log_var{lv.shape} mu{muv.shape} "
                 f"log_sigma{lsv.shape} labels{labels.shape} do not agree"
             )
-        d = float(mv.shape[1])
-        lv_y = lsv[labels] * 2.0
-        diff = mv - muv[labels]
-        sq_dist = (diff * diff).sum(axis=1)
-        # the scalar v broadcasts: each element is the chain's v_b[i] op x
+        d = float(mv.shape[-1])
+        lv_y = lsv.take(labels, axis=-1) * 2.0
+        diff = mv - muv.take(labels, axis=-2)
+        sq_dist = (diff * diff).sum(axis=-1)
+        # the scalar v broadcasts over the rows: each element is the chain's v_b[i] op x
+        lv = lv[..., None] if lv.ndim else lv
         gap, neg_lv_y = lv - lv_y, lv_y * -1.0
         with np.errstate(over="ignore"):
             ratio, inv_var = np.exp(gap), np.exp(neg_lv_y)
@@ -389,7 +420,7 @@ class Tape:
     def total(self, ce: np.ndarray, kl_rows: np.ndarray, beta_prime: float) -> tuple[np.ndarray, ...]:
         """The loss ``ce + beta' * mean(kl_rows)``; returns (total, ce, kl) with kl the mean."""
         kl = np.asarray(_mean(kl_rows))
-        self._total = (float(beta_prime), kl_rows.shape[0])
+        self._total = (float(beta_prime), kl_rows.shape[-1])
         self._ops += 1
         return np.asarray(ce + kl * float(beta_prime)), ce, kl
 
@@ -406,6 +437,8 @@ class Tape:
         """
         if any(r is None for r in (self._mlp, self._ce, self._kl, self._total)):
             raise ValueError("backward needs a recorded mlp, mc_cross_entropy, kl_to_surrogate_rows and total")
+        if self._lead:
+            raise ValueError("backward needs an unstacked store; a stacked store gives losses only")
         store = self.store
         grad = np.zeros(store.size)
         beta_prime, b = self._total
@@ -493,56 +526,51 @@ class GradCheckReport:
     numeric: np.ndarray
 
 
-LossFn = Callable[[ParamStore], tuple[np.ndarray, Callable[[], np.ndarray]]]
+LossFn = Callable[[ParamStore], tuple[np.ndarray, Tape]]
+
+# the most float64 values that one intermediate of a stack of probes may hold
+PROBE_STACK_VALUES = 2**14
 
 
 def grad_check(lossfn: LossFn, params: ParamStore, eps: float, tol: float) -> GradCheckReport:
     """Compare the reverse-mode gradient of ``lossfn`` to central differences.
 
-    ``lossfn`` must deterministically map the store to a ``(loss, gradient)``
-    pair (any randomness frozen by the caller): the loss value and a function
-    returning the flat gradient at that point, ``(total, tape.backward)`` for
-    a :class:`Tape`.  Every probe runs the same forward.  The relative error
-    per coordinate is ``|g - fd| / max(1, |g|)``.
+    ``lossfn`` must deterministically map a store to ``(loss, tape)`` (any
+    randomness frozen by the caller): the loss, (P,) losses of the rows of a
+    stacked store, and the :class:`Tape` that recorded it, or any object with
+    its ``backward()`` and ``width``.  The gradient is taken once, at
+    ``params``, which stays untouched; the 2 * size probes (each coordinate
+    +eps, then -eps) are rows of stacked stores, as many per call as keep
+    every intermediate within PROBE_STACK_VALUES values, and at least one.
+    The relative error per coordinate is ``|g - fd| / max(1, |g|)``.
     """
     if eps <= 0.0:
         raise ValueError("grad_check: eps must be positive")
-    loss, gradient = lossfn(params)
+    loss, tape = lossfn(params)
     base_loss = float(loss)
     if not np.isfinite(base_loss):
         raise NonFiniteError(f"loss is non-finite at the evaluation point: {base_loss}")
-    analytic = gradient()
+    analytic = tape.backward()
 
-    base = params.values.copy()
-    numeric = np.zeros_like(analytic)
-    try:
-        for k in range(params.size):
-            params.values[k] = base[k] + eps
-            f1 = float(lossfn(params)[0])
-            params.values[k] = base[k] - eps
-            f2 = float(lossfn(params)[0])
-            params.values[k] = base[k]
-            if not (np.isfinite(f1) and np.isfinite(f2)):
-                raise NonFiniteError(f"loss non-finite while probing coordinate {k}")
-            numeric[k] = (f1 - f2) / (2.0 * eps)
-    finally:
-        params.values[:] = base
+    n, base = params.size, params.values
+    coords = np.tile(np.arange(n), 2)  # probe j moves coordinate j % n
+    moved = np.concatenate([base + eps, base - eps])
+    losses = np.empty(2 * n)
+    chunk = max(1, PROBE_STACK_VALUES // tape.width)
+    for start in range(0, 2 * n, chunk):
+        probes = np.arange(start, min(start + chunk, 2 * n))
+        rows = np.tile(base, (probes.size, 1))
+        rows[np.arange(probes.size), coords[probes]] = moved[probes]
+        losses[probes] = lossfn(params.with_values(rows))[0]
+    up, down = losses[:n], losses[n:]
+    bad = ~(np.isfinite(up) & np.isfinite(down))
+    if bad.any():
+        raise NonFiniteError(f"loss non-finite while probing coordinate {int(np.argmax(bad))}")
+    numeric = (up - down) / (2.0 * eps)
 
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
     worst = int(np.argmax(rel)) if rel.size else 0
-    worst_name = ""
-    for name, spec in params.layout.items():
-        if spec.offset <= worst < spec.offset + spec.size:
-            worst_name = name
-            break
+    worst_name = next((name for name, s in params.layout.items() if s.offset <= worst < s.offset + s.size), "")
     max_rel = float(rel[worst]) if rel.size else 0.0
-    return GradCheckReport(
-        max_rel_error=max_rel,
-        worst_index=worst,
-        worst_name=worst_name,
-        passed=max_rel < tol,
-        eps=eps,
-        tol=tol,
-        analytic=analytic,
-        numeric=numeric,
-    )
+    return GradCheckReport(max_rel_error=max_rel, worst_index=worst, worst_name=worst_name,
+                           passed=max_rel < tol, eps=eps, tol=tol, analytic=analytic, numeric=numeric)

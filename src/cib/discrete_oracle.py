@@ -420,12 +420,14 @@ class DecompositionReport:
 
 
 def decomposition_check(
-    joint: DiscreteJoint, enc: DiscreteEncoder, surrogate: ProductSurrogate
+    joint: DiscreteJoint, enc: DiscreteEncoder, surrogate: ProductSurrogate,
+    report: InfoReport | None = None, ind: InducedDistributions | None = None,
 ) -> DecompositionReport:
     """Verify lhs = I(X;T|Y) + residual for a per-class product surrogate.
 
     A surrogate zero where the induced q(T|Y) has mass yields an infinite KL,
-    reported as such on both sides.
+    reported as such on both sides.  ``report`` and ``ind``, if given, are
+    ``info_report`` and ``induced`` of this pair, which are then not redone.
     """
     _check_rows(joint, enc)
     if surrogate.class_count != joint.ny or surrogate.arities != enc.arities:
@@ -435,13 +437,16 @@ def decomposition_check(
     lhs = 0.0
     for weight, kl in zip(joint.p[xs, ys], _kl_rows(enc.q[xs], expanded[ys])):
         lhs += weight * kl
-    ind = induced(joint, enc)
+    ind = induced(joint, enc) if ind is None else ind
     p_y = joint.p.sum(axis=0)
     residual = 0.0
     for y in range(joint.ny):
         if p_y[y] > 0.0:
             residual += p_y[y] * kl_discrete(ind.t_given_y[y], expanded[y])
-    i_xt_given_y = float(_info_pass(joint, enc.q[None])[0].I_XT_given_Y[0])
+    if report is None:  # info_report's stacked pass, without its total correlations
+        i_xt_given_y = float(_info_pass(joint, enc.q[None])[0].I_XT_given_Y[0])
+    else:
+        i_xt_given_y = report.I_XT_given_Y
     return DecompositionReport(lhs=lhs, i_xt_given_y=i_xt_given_y, kl_residual=residual)
 
 
@@ -515,8 +520,9 @@ def surrogate_optimality_check(
     np.add.at(t_given_y, ys, enc.q[xs])  # sample by sample, in order
     t_given_y /= counts[:, None]
     best = optimal_product_surrogate(t_given_y, enc.arities)
-    lhs_min = sample_kl_objective(samples, enc, best)
-    tc = _kl_rows(t_given_y, _expand_all(best))
+    expanded = _expand_all(best)
+    lhs_min = float(np.mean(_kl_rows(enc.q[xs], expanded[ys])))  # sample_kl_objective of checked samples
+    tc = _kl_rows(t_given_y, expanded)
     rhs = float(np.mean(_kl_rows(enc.q[xs], t_given_y[ys]) + tc[ys]))
     return OptimalityReport(lhs_min=lhs_min, rhs=rhs, surrogate=best)
 

@@ -266,7 +266,7 @@ def make_loss_fn(
     def lossfn(store: ParamStore):
         tape = Tape(store)
         total, _, _ = state.loss_graph(tape, x, labels, beta_prime, noise)
-        return total, tape.backward
+        return total, tape
 
     return lossfn
 

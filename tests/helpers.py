@@ -2,16 +2,16 @@
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
 from cib.diffcore import (
+    NonFiniteError,
     ShapeError,
     Tape,
     _act_grad,
     _activate,
-    _mean,
     _naive_bayes_grads,
     _naive_bayes_scores,
     _softmax_nll,
@@ -138,6 +138,11 @@ def gaussian_quadrature_kl(m1, v1, m2, v2, lo=-12.0, hi=12.0, n=240001):
 # node's inputs, aux and id, and the node's adjoint ``g``; it hands the
 # adjoint of each input to ``push``.  Rules never write into ``g`` or into an
 # array they have pushed, so a pushed array may be shared between nodes.
+
+
+def _mean(x):
+    """``np.mean(x)`` of a nonempty float64 array, over all of it: the same sum and division."""
+    return x.sum() / x.size
 
 
 def _bw_pass(v, ins, aux, nid, g, push):
@@ -648,6 +653,52 @@ def chain_loss_graph(state, tape, x, labels, beta_prime, noise, per_draw_ops=Fal
     """``ModelState.loss_graph`` on a :class:`ChainTape`; returns the (total, ce, kl) nodes."""
     nodes = chain_loss(tape, LossSpec.of_state(state, x, labels, beta_prime, noise), per_draw_ops)
     return nodes["total"], nodes["ce"], nodes["kl"]
+
+
+# --------------------------------------------------------------------- gradient-check reference
+#
+# grad_check with one unstacked forward per probe, moving one coordinate of
+# the store in place.  The stacked probes of cib.diffcore.grad_check must
+# give its numeric and analytic gradients bit for bit.
+
+
+def loop_grad_check(lossfn, params, eps):
+    """(analytic, numeric) gradients of ``lossfn`` at ``params``, one ``lossfn`` call per probe."""
+    loss, tape = lossfn(params)
+    if not np.isfinite(float(loss)):
+        raise NonFiniteError(f"loss is non-finite at the evaluation point: {float(loss)}")
+    analytic = tape.backward()
+    base = params.values.copy()
+    numeric = np.zeros_like(analytic)
+    try:
+        for k in range(params.size):
+            params.values[k] = base[k] + eps
+            f1 = float(lossfn(params)[0])
+            params.values[k] = base[k] - eps
+            f2 = float(lossfn(params)[0])
+            params.values[k] = base[k]
+            if not (np.isfinite(f1) and np.isfinite(f2)):
+                raise NonFiniteError(f"loss non-finite while probing coordinate {k}")
+            numeric[k] = (f1 - f2) / (2.0 * eps)
+    finally:
+        params.values[:] = base
+    return analytic, numeric
+
+
+def per_row(lossfn):
+    """A ``grad_check`` loss function over a loss that cannot stack.
+
+    ``lossfn`` maps the store of one parameter vector to ``(value, gradient
+    function)``; a stacked store is evaluated row by row.
+    """
+
+    def rows(store):
+        if store.values.ndim == 2:
+            return np.array([float(lossfn(store.with_values(row))[0]) for row in store.values]), None
+        value, gradient = lossfn(store)
+        return value, SimpleNamespace(backward=gradient, width=1)
+
+    return rows
 
 
 # --------------------------------------------------------------------- mixture-bound reference

@@ -332,6 +332,25 @@ class TestEstimate:
             err = capsys.readouterr().err
             assert all(word in err for word in named), err
 
+    def test_malformed_entries_exit_one_naming_file_and_key_path(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 0
+        data = tmp_path / "d.json"
+        assert run(f"gen-data --classes 2 --dim 2 --per-class 5 --sep 4 --seed 5 --out {data}".split()) == 0
+        ckpt, valueless, short = out / "checkpoint.json", tmp_path / "valueless.json", tmp_path / "short.json"
+        doc = json.loads(ckpt.read_text())
+        del doc["params"]["enc.W0"]["values"]
+        valueless.write_text(json.dumps(doc))
+        doc = json.loads(data.read_text())
+        doc["labels"] = doc["labels"][:-1]
+        short.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for checkpoint, dataset, named in ((valueless, data, [str(valueless), "params.enc.W0.values"]),
+                                           (ckpt, short, [str(short), "labels must align"])):
+            assert run(["estimate", "--checkpoint", str(checkpoint), "--data", str(dataset)]) == 1
+            err = capsys.readouterr().err
+            assert all(word in err for word in named), err
+
     def test_overflowing_learned_noise_is_a_numerical_failure(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"})
         out = tmp_path / "run"
@@ -617,6 +636,16 @@ class TestTracedEntryPoints:
         monkeypatch.setattr(discrete_oracle, "info_report", lambda *args: calls.append(args) or report(*args))
         assert run(["oracle", "--instance", str(_write_instance(tmp_path, with_samples=True))]) == 0
         assert len(calls) == 1
+
+    def test_oracle_derives_each_quantity_once(self, tmp_path, monkeypatch, capsys):
+        """q(T|Y), the stacked information pass and the sample check, once per instance."""
+        calls = collections.Counter()
+        for name in ("induced", "_info_pass", "_checked_samples"):
+            fn = getattr(discrete_oracle, name)
+            monkeypatch.setattr(discrete_oracle, name,
+                                lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args))
+        assert run(["oracle", "--instance", str(_write_instance(tmp_path, with_samples=True))]) == 0
+        assert calls == {"induced": 1, "_info_pass": 1, "_checked_samples": 1}
 
     def test_every_wrapped_name_exists(self):
         tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "layers.py").read_text())

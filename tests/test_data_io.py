@@ -208,6 +208,17 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="shape"):
             data_io.load_checkpoint(path)
 
+    def test_missing_slice_entry_names_file_and_key_path(self, tmp_path):
+        state = model.build_state(validate_config(_tiny_config()), np.array([0.5, 0.5]))
+        path = tmp_path / "ckpt.json"
+        data_io.save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        del doc["params"]["enc.W0"]["values"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="params.enc.W0.values") as exc:
+            data_io.load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_loaded_values_match_exactly(self, tmp_path):
         cfg = validate_config(_tiny_config())
         rng = np.random.default_rng(3)
@@ -232,6 +243,18 @@ class TestCheckpoints:
         assert after.cross_entropy == before.cross_entropy
         assert after.kl_term == before.kl_term
         assert after.bounds.unconditional == before.bounds.unconditional
+
+
+class TestDatasetFile:
+    def test_misaligned_labels_name_the_file(self, tmp_path):
+        path = tmp_path / "d.json"
+        data_io.save_dataset(Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2), path)
+        doc = json.loads(path.read_text())
+        doc["labels"] = doc["labels"][:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="labels must align with feature rows") as exc:
+            data_io.load_dataset(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 class TestMetricsCsv:

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from cib import diffcore
 from cib.diffcore import NonFiniteError, ParamStore, ShapeError, Tape, _act_grad, _activate, grad_check
 from helpers import (
     ChainTape,
@@ -15,6 +16,8 @@ from helpers import (
     chain_naive_bayes_scores,
     chain_softmax_nll,
     fused_loss,
+    loop_grad_check,
+    per_row,
 )
 
 
@@ -30,6 +33,16 @@ class TestParamStore:
         store = ParamStore([("w", np.arange(6.0).reshape(2, 3))])
         store.get("w")[0, 0] = 42.0
         assert store.values[0] == 42.0
+        store.values[1] -= 8.0
+        assert store.get("w")[0, 1] == -7.0
+        with pytest.raises(KeyError, match="unknown parameter slice"):
+            store.get("v")
+
+    def test_stacked_values_give_stacked_views(self):
+        store = ParamStore([("w", np.arange(6.0).reshape(2, 3)), ("b", np.ones(2))])
+        stacked = store.with_values(np.stack([store.values, -store.values, 2.0 * store.values]))
+        assert stacked.size == store.size == 8 and stacked.get("b").shape == (3, 2)
+        assert np.array_equal(stacked.get("w")[1], -store.get("w"))
 
     def test_set_checks_shape_and_finiteness(self):
         store = ParamStore([("w", np.zeros(3))])
@@ -507,7 +520,7 @@ def _chain_lossfn(build):
         out = build(tape)
         return tape.val(out), lambda: tape.backward(out)
 
-    return lossfn
+    return per_row(lossfn)
 
 
 class TestGradCheck:
@@ -538,20 +551,79 @@ class TestGradCheck:
         assert report.worst_name in ("w", "v")
 
     def test_probes_take_no_gradient(self):
-        """One forward per probe and one gradient at the base point; the tape loss passes."""
+        """One unstacked forward and one gradient at the base point, and 2 * size stacked probe rows; the tape loss passes."""
         store, spec = _loss_case(4, head="softmax")
-        forwards, gradients = [], []
+        stacks, gradients = [], []
 
         def lossfn(s):
             tape, values = fused_loss(s, spec)
-            forwards.append(1)
+            stacks.append(s.values.shape[:-1])
+            backward = tape.backward
 
             def gradient():
                 gradients.append(1)
-                return tape.backward()
+                return backward()
 
-            return values["total"], gradient
+            tape.backward = gradient
+            return values["total"], tape
 
         report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
         assert report.passed
-        assert len(forwards) == 1 + 2 * store.size and len(gradients) == 1
+        assert stacks.count(()) == 1 and sum(shape[0] for shape in stacks if shape) == 2 * store.size
+        assert len(gradients) == 1
+
+    def test_chunks_that_do_not_divide_the_probes(self, monkeypatch):
+        """Five probe rows per call, and 2 * size is no multiple of 5: both gradients equal one probe at a time."""
+        store, spec = _loss_case(5)
+        stacks = []
+
+        def lossfn(s):
+            tape, values = fused_loss(s, spec)
+            stacks.append(s.values.shape[:-1])
+            return values["total"], tape
+
+        monkeypatch.setattr(diffcore, "PROBE_STACK_VALUES", 5 * fused_loss(store, spec)[0].width + 3)
+        probes = 2 * store.size
+        assert probes % 5
+        report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
+        assert stacks == [()] + [(5,)] * (probes // 5) + [(probes % 5,)]
+        analytic, numeric = loop_grad_check(lossfn, store, 1e-5)
+        assert np.array_equal(report.analytic, analytic) and np.array_equal(report.numeric, numeric)
+
+    def test_first_nonfinite_coordinate_is_named(self, monkeypatch):
+        """Coordinate 4's up probe is non-finite in the first call; coordinate 1's down probe, later, is named."""
+        store = ParamStore([("a", np.array([1.0, 1e-5, 2.0])), ("b", np.array([0.5, 709.78271289338, -1.0]))])
+        lossfn = _chain_lossfn(lambda t: t.add(t.sum_all(t.log(t.param("a"))), t.sum_all(t.exp(t.param("b")))))
+        monkeypatch.setattr(diffcore, "PROBE_STACK_VALUES", 5)  # width 1: five probe rows per call
+        with pytest.raises(NonFiniteError) as stacked:
+            grad_check(lossfn, store, eps=1e-5, tol=1e-5)
+        with pytest.raises(NonFiniteError) as looped:
+            loop_grad_check(lossfn, store.copy(), 1e-5)
+        assert str(stacked.value) == str(looped.value) == "loss non-finite while probing coordinate 1"
+
+    def test_store_is_never_written(self):
+        store, spec = _loss_case(6, head="softmax")
+        store.values.flags.writeable = False
+
+        def lossfn(s):
+            tape, values = fused_loss(s, spec)
+            return values["total"], tape
+
+        assert grad_check(lossfn, store, eps=1e-5, tol=1e-5).passed
+
+
+class TestStackedTape:
+    def test_rows_are_the_losses_of_each_vector_alone(self):
+        store, spec = _loss_case(3)
+        rows = store.values + np.random.default_rng(0).uniform(-0.1, 0.1, (4, store.size))
+        tape, values = fused_loss(store.with_values(rows), spec)
+        assert values["total"].shape == (4,) and values["kl_rows"].shape == (4, spec.labels.size)
+        for i in range(4):
+            alone = fused_loss(store.with_values(rows[i]), spec)[1]
+            assert all(np.array_equal(values[part][i], alone[part]) for part in ("total", "ce", "kl", "kl_rows"))
+
+    def test_backward_rejected(self):
+        store, spec = _loss_case(3, head="softmax")
+        tape, _ = fused_loss(store.with_values(np.stack([store.values] * 2)), spec)
+        with pytest.raises(ValueError, match="stacked"):
+            tape.backward()

@@ -5,8 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cib.diffcore import ParamStore
-from helpers import ChainTape, LossSpec, central_difference, chain_loss, fused_loss
+from cib.data_io import validate_config
+from cib.diffcore import ACTIVATIONS, ParamStore, grad_check
+from cib.model import build_state, make_loss_fn
+from helpers import ChainTape, LossSpec, central_difference, chain_loss, fused_loss, loop_grad_check
 
 # derandomized so that a tier-1 failure replays from its test id; no
 # example database is written
@@ -197,3 +199,36 @@ def test_library_tape_gives_the_reference_tape_gradient(case, head, learned, dra
     nodes = chain_loss(chain, spec)
     assert all(np.array_equal(fused[part], chain.val(node)) for part, node in nodes.items())
     assert np.array_equal(tape.backward(), chain.backward(nodes["total"]))
+
+
+@PROPERTY
+@given(head=st.sampled_from(["softmax", "naive_bayes"]), activation=st.sampled_from(ACTIVATIONS),
+       noise_mode=st.sampled_from(["fixed_sigma", "learned_eta"]), learn_sigma=st.booleans(),
+       draws=st.integers(1, 3), batch=st.integers(1, 9), widths=st.lists(st.integers(1, 9), min_size=2, max_size=3),
+       classes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_probes_equal_one_probe_at_a_time(head, activation, noise_mode, learn_sigma, draws, batch, widths,
+                                                  classes, seed):
+    """Each row of a stacked store's total is that row's loss alone, and grad_check equals the per-probe loop."""
+    cfg = validate_config({
+        "dataset": {"kind": "json", "train": "-", "test": "-"},
+        "encoder": {"layer_dims": widths, "activation": activation, "noise_mode": noise_mode, "sigma2": 0.7},
+        "decoder": {"variant": head}, "surrogate": {"learn_sigma": learn_sigma},
+        "loss": {"beta_prime": 0.9, "mc_samples": draws}, "seed": 0,
+    })
+    rng = np.random.default_rng(seed)
+    state = build_state(cfg, np.full(classes, 1.0 / classes), rng)
+    store = state.store
+    store.set("sur.mu", rng.uniform(-1.0, 1.0, store.spec("sur.mu").shape))
+    if learn_sigma:
+        store.set("sur.log_sigma", rng.uniform(-0.5, 0.5, classes))
+    x = rng.uniform(-2.0, 2.0, (batch, widths[0]))
+    labels = rng.integers(0, classes, batch)
+    lossfn = make_loss_fn(state, x, labels, 0.9, rng.standard_normal((draws, batch, widths[-1])))
+
+    rows = store.values + rng.uniform(-0.3, 0.3, (5, store.size))
+    totals = lossfn(store.with_values(rows))[0]
+    assert totals.shape == (5,)
+    assert all(totals[i] == lossfn(store.with_values(rows[i]))[0] for i in range(5))
+    report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
+    analytic, numeric = loop_grad_check(lossfn, store, 1e-5)
+    assert np.array_equal(report.analytic, analytic) and np.array_equal(report.numeric, numeric)

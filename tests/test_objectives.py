@@ -206,7 +206,7 @@ class TestGraphConsistency:
 
         def lossfn(s):
             tape, _, _, total, _, _ = self._build(s, x, labels, noise, 1.3)
-            return total, tape.backward
+            return total, tape
 
         report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
         assert report.passed, f"max rel error {report.max_rel_error:.2e} at {report.worst_name}"
