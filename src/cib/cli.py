@@ -101,7 +101,7 @@ def _cmd_train(args) -> int:
     out = _out_dir(args.out)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
     run = model.train(cfg, train_ds, test_ds)
-    point = model.tradeoff_point(run, train_ds, test_ds)
+    point = model.tradeoff_point(run, test_ds)
     _write_run_dir(out, run, point)
     final = run.metrics[-1]
     doc = {"out": str(out), "final_step": final.step, "point": point.to_json_dict()}

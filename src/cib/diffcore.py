@@ -4,9 +4,10 @@ Values are float64 numpy arrays: scalars are shape-() arrays, batches are
 ``(batch, dim)`` matrices, and a store that stacks P parameter vectors
 gives every value a leading P axis.  A :class:`Tape` evaluates the one loss this
 library trains -- the encoder net, the Monte-Carlo cross-entropy and the
-per-row surrogate KL, with ``ce + beta' * mean(kl)`` on top -- and keeps
-what its backward needs; :meth:`Tape.backward` is one straight-line pass
-that returns a flat gradient aligned with the bound :class:`ParamStore`.
+per-row surrogate KL, with ``ce + beta' * mean(kl)`` on top -- and, on an
+unstacked store, keeps what its backward needs; :meth:`Tape.backward` is
+one straight-line pass that returns a flat gradient aligned with the bound
+:class:`ParamStore`.
 The fused kernels and their adjoints live here, so this module owns the
 order of every floating-point operation of a training step.
 :func:`grad_check` probes through stacked forwards of the same tape.
@@ -157,9 +158,13 @@ def _activate(x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
     if kind == "relu":
         return np.maximum(x, 0.0), None
     if kind == "softplus":
-        # ln(1+e^x) overflows past ~x=40; use max(x,0)+log1p(e^-|x|)
+        # ln(1+e^x) overflows past ~x=40; use max(x,0)+log1p(e^-|x|), the sum
+        # taken in place so that a stacked forward's peak holds one
+        # temporary fewer
         e = np.exp(-np.abs(x))
-        return np.maximum(x, 0.0) + np.log1p(e), e
+        out = np.maximum(x, 0.0)
+        out += np.log1p(e)
+        return out, e
     if kind == "tanh":
         return np.tanh(x), None
     raise ValueError(f"unsupported activation: {kind!r} (choose from {ACTIVATIONS})")
@@ -256,8 +261,10 @@ class Tape:
 
     On a stacked store :meth:`total` returns the (P,) losses of its rows,
     each equal bit for bit to the loss of that vector alone, and there is no
-    backward.  ``width`` is the most float64 values one intermediate holds
-    per parameter vector, so that a caller can bound a stack.
+    backward, so the tape keeps no caches: each intermediate is freed once
+    the next op has read it.  ``width`` is the most float64 values one
+    intermediate holds per parameter vector, so that a caller can bound a
+    stack.
 
     Parameters are named slices of the bound store, read as views, not
     copies: a tape is valid only until its store changes, so take
@@ -269,6 +276,7 @@ class Tape:
         self.store = store
         self.width = 0
         self._lead = store.values.shape[:-1]  # () or (P,)
+        self._keeps = not self._lead  # backward caches: none on a stacked store
         self._ops = 0
         self._mlp = self._log_var = self._ce = self._kl = self._total = None
 
@@ -298,14 +306,18 @@ class Tape:
             if (h.ndim < 2 or wv.ndim != len(self._lead) + 2 or bv.shape != wv.shape[:-1]
                     or h.shape[-1] != wv.shape[-1]):
                 raise ShapeError(f"mlp layer {l}: x{h.shape} W{wv.shape} b{bv.shape} do not agree")
-            inputs.append(h)
+            if self._keeps:
+                inputs.append(h)
             h = h @ wv.mT + bv[..., None, :]
             self.width = max(self.width, h.shape[-2] * h.shape[-1])
-            if l < n - 1:
+            if l < n - 1 and self._keeps:
                 pres.append(h)
                 h, e = _activate(h, activation)
                 exps.append(e)
-        self._mlp = (names, weights, activation, inputs, pres, exps)
+            elif l < n - 1:
+                h = _activate(h, activation)[0]
+        if self._keeps:
+            self._mlp = (names, weights, activation, inputs, pres, exps)
         self._ops += 1
         return h
 
@@ -319,7 +331,8 @@ class Tape:
         var = e + float(sigma2)
         with np.errstate(divide="ignore", invalid="ignore"):
             lv = np.log(var)
-        self._log_var = (name, e, var)
+        if self._keeps:
+            self._log_var = (name, e, var)
         self._ops += 1
         return np.asarray(lv)
 
@@ -371,9 +384,11 @@ class Tape:
             else:
                 scores, cache = _naive_bayes_scores(t, pv, qv, log_priors)
             nll, lse = _softmax_nll(scores, rows, labels)
-            draws.append((scores, lse, cache))
+            if self._keeps:
+                draws.append((scores, lse, cache))
             total = nll if total is None else total + nll
-        self._ce = (head, p, q, pv, noise, rows, labels, std, draws)
+        if self._keeps:
+            self._ce = (head, p, q, pv, noise, rows, labels, std, draws)
         self._ops += 1
         return np.asarray(_mean(total * (1.0 / noise.shape[0])))
 
@@ -413,7 +428,8 @@ class Tape:
         rows += lv_y * d
         rows += lv * -d
         rows += -d
-        self._kl = (mu, log_sigma, labels, diff, sq_dist, ratio, inv_var)
+        if self._keeps:
+            self._kl = (mu, log_sigma, labels, diff, sq_dist, ratio, inv_var)
         self._ops += 1
         return rows * 0.5
 
@@ -435,10 +451,10 @@ class Tape:
         adjoint is +0.0 there.  Adjoints of a fixed log-variance or fixed
         class sigmas are not formed.
         """
-        if any(r is None for r in (self._mlp, self._ce, self._kl, self._total)):
-            raise ValueError("backward needs a recorded mlp, mc_cross_entropy, kl_to_surrogate_rows and total")
         if self._lead:
             raise ValueError("backward needs an unstacked store; a stacked store gives losses only")
+        if any(r is None for r in (self._mlp, self._ce, self._kl, self._total)):
+            raise ValueError("backward needs a recorded mlp, mc_cross_entropy, kl_to_surrogate_rows and total")
         store = self.store
         grad = np.zeros(store.size)
         beta_prime, b = self._total

@@ -17,14 +17,26 @@ combined with relative frequencies, so the aggregate cannot scale with the
 dataset size.  The printed alternatives (outer 1/N over the restricted sum;
 absolute-count weights) are available behind flags.
 
-Pairwise distances come from direct coordinate differences summed in a fixed
-order, in tiles of rows.  The main process splits the code rows into two
-halves and fills the second on a helper thread (numpy releases the GIL on the
-(rows, N) tiles); a ``cib sweep`` pool worker, or a process with one usable
-core, uses one thread.  Each thread gets tiles of ``max(1, _TILE // threads
-// N)`` rows and its own reused (d, rows, N) buffer, so the total memory stays
-O(d * _TILE) at any N.  Every row's logsumexp is formed whole inside one tile,
-so the bits do not depend on the thread count or the tile size.
+One tiled pass gives a whole report.  Pairwise distances come from direct
+coordinate differences summed in a fixed order, in tiles of code rows
+against every code; the rows are visited in stable label order, so a tile
+seldom spans two classes.  Each tile is exponentiated once, unshifted: the
+codes are finite and every row holds its own zero distance, so a row's
+maximum is -0.0 and the usual log-sum-exp shift would change no bit.  The
+whole row's sum feeds I(X;T); the sub-row over the row's own class (a slice
+when the class's rows are contiguous, else gathered once per tile) feeds
+that class's bound.  :func:`mixture_bound` and :func:`conditional_bound` are
+the same pass over all codes or over one class's codes, taken as one class.
+
+The main process splits the rows into two halves and fills the second on a
+helper thread (numpy releases the GIL on the (rows, N) tiles); a ``cib
+sweep`` pool worker, or a process with one usable core, uses one thread.
+Each thread gets tiles of ``max(_MIN_ROWS, _TILE // threads // N)`` rows and
+its own reused (d, rows, N) buffer, so the buffers hold at most
+``d * max(_TILE, threads * _MIN_ROWS * N)`` values: O(d * _TILE) up to
+N = _TILE / (threads * _MIN_ROWS), O(d * N) above.  Every row's sums are
+formed whole inside one tile, so the bits do not depend on the thread count
+or the tile size.
 """
 
 from __future__ import annotations
@@ -37,8 +49,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-
-from .diffcore import logsumexp_rows
 
 __all__ = [
     "MODE_AS_PRINTED",
@@ -55,7 +65,8 @@ MODE_AS_PRINTED = "as-printed"
 MODE_CITED_SOURCE = "cited-source"
 _MODES = (MODE_AS_PRINTED, MODE_CITED_SOURCE)
 
-_TILE = 1 << 15  # elements per (rows, N) distance tile: memory stays O(d * _TILE) at any N
+_TILE = 1 << 15  # elements per (rows, N) distance tile
+_MIN_ROWS = 4  # rows per tile at least: thinner tiles spend their time in Python under the GIL
 
 
 @dataclass(frozen=True)
@@ -136,24 +147,25 @@ def _bound_threads() -> int:
     return min(2, usable_cores())
 
 
-def _sq_distances(cols: np.ndarray, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
-    """Squared distances from code rows ``start:stop`` to every code row.
+def _sq_distances(points: np.ndarray, cols: np.ndarray, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+    """Squared distances from code columns ``start:stop`` of ``points`` to every code column of ``cols``.
 
-    ``cols`` is the C-contiguous (d, N) transpose of the codes, so each numpy
-    call below runs over a (rows, N) inner axis.  The coordinate squares are
+    ``points`` and ``cols`` are C-contiguous (d, N) transposes of the codes
+    (``points`` may hold the columns in another order), so each numpy call
+    below runs over a (rows, N) inner axis.  The coordinate squares are
     summed in a fixed order: two chains, over the even and over the odd
     coordinates; each full chunk of 8 coordinates enters its chain from last
     to first, the remaining coordinates in order, then the chains are added.
     That is the order of numpy's two-lane ``einsum("bnd,bnd->bn")`` reduction,
     so the bounds keep the bits of the direct-difference einsum they replace.
-    Returns a C-contiguous (rows, N) array; ``logsumexp_rows`` sums along its
-    rows, and another memory order would change that summation order.  The
+    Returns a C-contiguous (rows, N) array; the row sums run along its rows,
+    and another memory order would change that summation order.  The
     differences are formed in the head of ``buf``, a flat float64 array of at
     least d * rows * N elements, and the result is a view into it.
     """
     dim, n = cols.shape
     sq = buf[: dim * (stop - start) * n].reshape(dim, stop - start, n)
-    np.subtract(cols[:, start:stop, None], cols[:, None, :], out=sq)
+    np.subtract(points[:, start:stop, None], cols[:, None, :], out=sq)
     sq *= sq
     full = dim - dim % 8
     chains = []
@@ -170,52 +182,106 @@ def _sq_distances(cols: np.ndarray, start: int, stop: int, buf: np.ndarray) -> n
     return chains[0]
 
 
-def _bound_on_codes(codes: np.ndarray, dim: int, sigma2: float, eta2: float, mode: str) -> float:
-    n = codes.shape[0]
+def _bound_of_sums(sums: np.ndarray, dim: int, sigma2: float, width: float, mode: str) -> float:
+    """The bound from each code's sum of exp(-distance / (2 width)) over its mixture's codes."""
+    inner_logs = np.log(sums)
+    if mode == MODE_CITED_SOURCE:
+        inner_logs -= np.log(sums.size)
+    return float(-np.mean(inner_logs) - dim * np.log(sigma2 / width))
+
+
+def _bounds_on_codes(
+    codes: np.ndarray, labels: np.ndarray, sigma2: float, eta2: float, mode: str
+) -> tuple[float, dict[int, tuple[int, float]]]:
+    """The bound over all codes and each class's (count, bound) over its own codes, from one tiled pass."""
+    n, dim = codes.shape
     width = eta2 + sigma2
-    inner_logs = np.empty(n)
+    classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts)))  # class k is order[starts[k]:starts[k + 1]]
+    # a class's columns: a slice when its rows are contiguous, else their indices
+    spans = [
+        slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+        for idx in (order[a:b] for a, b in zip(starts[:-1], starts[1:]))
+    ]
     cols = np.ascontiguousarray(codes.T)
+    points = cols if (order[:-1] < order[1:]).all() else cols[:, order]  # the rows in label order
+    whole = np.empty(n)  # in row order
+    own = whole if classes.size == 1 else np.empty(n)  # in label order
     threads = _bound_threads()
     # direct pairwise differences (no dot-product expansion: the sqrt in
     # as-printed mode would amplify its cancellation error), one tile of rows
-    # at a time so each thread's (d, rows, N) buffer stays within d * _TILE / threads
-    rows = max(1, _TILE // threads // n)
+    # at a time so each thread's (d, rows, N) buffer stays within
+    # d * max(_TILE / threads, _MIN_ROWS * N)
+    rows = max(_MIN_ROWS, _TILE // threads // n)
 
     def fill(start: int, stop: int, buf: np.ndarray) -> None:
-        """``inner_logs[start:stop]``, tile by tile through one buffer."""
+        """The sums of the rows at label-order positions ``start:stop``, tile by tile through one buffer."""
         for lo in range(start, stop, rows):
             hi = min(lo + rows, stop)
-            kernel = _sq_distances(cols, lo, hi, buf)
+            kernel = _sq_distances(points, cols, lo, hi, buf)
             if mode == MODE_AS_PRINTED:
                 np.sqrt(kernel, out=kernel)
             kernel *= -0.5
             kernel /= width
-            inner_logs[lo:hi] = logsumexp_rows(kernel, overwrite=True)
+            # each row holds its own zero distance, so its maximum is -0.0
+            # and a log-sum-exp shift by it would change no bit
+            np.exp(kernel, out=kernel)
+            whole[order[lo:hi]] = kernel.sum(axis=-1)
+            if own is whole:
+                continue
+            k = int(np.searchsorted(starts, lo, side="right")) - 1
+            while starts[k] < hi:
+                a, b = max(lo, starts[k]), min(hi, starts[k + 1])
+                part, span = kernel[a - lo : b - lo], spans[k]
+                sub = part[:, span] if isinstance(span, slice) else np.take(part, span, axis=1)
+                own[a:b] = sub.sum(axis=-1)
+                k += 1
 
     if threads == 1 or n <= rows:
         fill(0, n, np.empty(dim * min(rows, n) * n))
     else:
-        # each row's logsumexp is formed whole inside one tile, so the bits
-        # do not depend on which thread fills which half; the helper runs in
+        # each row's sums are formed whole inside one tile, so the bits do
+        # not depend on which thread fills which half; the helper runs in
         # a copy of this context so that it keeps the caller's np.errstate.
         # Both buffers come from this thread and every tile is worked in
-        # place, so the helper allocates only row vectors: blocks freed in a
-        # helper thread's malloc arena stay resident and raise peak RSS.
+        # place, so the helper allocates only row vectors and the sub-tiles
+        # it gathers for scattered classes: large blocks freed in a helper
+        # thread's malloc arena stay resident and raise peak RSS.
         half = (n + 1) // 2
         bufs = np.empty((2, dim * min(rows, half) * n))
         with ThreadPoolExecutor(max_workers=1) as helper:
             second = helper.submit(contextvars.copy_context().run, fill, half, n, bufs[1])
             fill(0, half, bufs[0])
             second.result()
-    if mode == MODE_CITED_SOURCE:
-        inner_logs -= np.log(n)
-    return float(-np.mean(inner_logs) - dim * np.log(sigma2 / width))
+    per_class = {
+        int(y): (int(c), _bound_of_sums(own[a:b], dim, sigma2, width, mode))
+        for y, c, a, b in zip(classes, counts, starts[:-1], starts[1:])
+    }
+    return _bound_of_sums(whole, dim, sigma2, width, mode), per_class
+
+
+def _one_class(codes: np.ndarray, sigma2: float, eta2: float, mode: str) -> float:
+    """The bound over ``codes`` alone: the pass with every row in one class."""
+    return _bounds_on_codes(codes, np.zeros(codes.shape[0], dtype=np.intp), sigma2, eta2, mode)[0]
+
+
+def _printed_outer(value: float, n_y: int, data: EmbeddedDataset) -> float:
+    """A class bound with the restricted sum divided by N instead of N_y.
+
+    -(1/N) sum_i log(...) = (N_y/N) * [per-class average of the logs], but
+    the distance-free term is not class-averaged, so rescale only the log
+    part: value = -mean(logs) - const  =>  printed = -(N_y/N) mean(logs) - const.
+    """
+    width = data.eta2 + data.sigma2
+    const = -data.dim * np.log(data.sigma2 / width)
+    return (value - const) * (n_y / data.count) + const
 
 
 def mixture_bound(data: EmbeddedDataset, mode: str = MODE_CITED_SOURCE) -> float:
     """Pairwise-mixture upper bound on I(X;T) over the whole dataset."""
     _check_mode(mode)
-    return _bound_on_codes(data.codes, data.dim, data.sigma2, data.eta2, mode)
+    return _one_class(data.codes, data.sigma2, data.eta2, mode)
 
 
 def conditional_bound(
@@ -235,15 +301,8 @@ def conditional_bound(
     n_y = int(mask.sum())
     if n_y == 0:
         raise ValueError(f"class {y} has no samples")
-    value = _bound_on_codes(data.codes[mask], data.dim, data.sigma2, data.eta2, mode)
-    if printed_outer_normalization:
-        # -(1/N) sum_i log(...) = (N_y/N) * [per-class average of the logs],
-        # but the distance-free term is not class-averaged, so rescale only
-        # the log part: value = -mean(logs) - const  =>  printed = -(N_y/N) mean(logs) - const.
-        width = data.eta2 + data.sigma2
-        const = -data.dim * np.log(data.sigma2 / width)
-        value = (value - const) * (n_y / data.count) + const
-    return value
+    value = _one_class(data.codes[mask], data.sigma2, data.eta2, mode)
+    return _printed_outer(value, n_y, data) if printed_outer_normalization else value
 
 
 def aggregate_conditional(
@@ -277,16 +336,14 @@ def bound_report(
     printed_outer_normalization: bool = False,
     printed_count_weights: bool = False,
 ) -> BoundReport:
-    """Full report: unconditional bound, per-class bounds, and their aggregate."""
+    """Full report: unconditional bound, per-class bounds, and their aggregate, from one tiled pass."""
     _check_mode(mode)
-    per_class: dict[int, tuple[int, float]] = {}
-    for y in np.unique(data.labels):
-        count = int(np.sum(data.labels == y))
-        value = conditional_bound(data, int(y), mode, printed_outer_normalization)
-        per_class[int(y)] = (count, value)
+    unconditional, per_class = _bounds_on_codes(data.codes, data.labels, data.sigma2, data.eta2, mode)
+    if printed_outer_normalization:
+        per_class = {y: (c, _printed_outer(v, c, data)) for y, (c, v) in per_class.items()}
     return BoundReport(
         mode=mode,
-        unconditional=mixture_bound(data, mode),
+        unconditional=unconditional,
         aggregate=aggregate_conditional(per_class, data.count, printed_count_weights),
         per_class=per_class,
     )

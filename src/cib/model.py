@@ -330,9 +330,17 @@ class EvalResult:
 
 @dataclass
 class TrainResult:
+    """A finished run: its model, its metrics rows and its beta'.
+
+    ``final_terms`` is the :func:`loss_terms` evaluation of ``state`` on the
+    train split behind the final metrics row; the trade-off point reads its
+    train-split terms from it instead of evaluating that split again.
+    """
+
     state: ModelState
     metrics: list[MetricsRow]
     beta_prime: float
+    final_terms: EvalResult
 
 
 @dataclass(frozen=True)
@@ -393,8 +401,8 @@ def loss_terms(state: ModelState, ds: Dataset) -> EvalResult:
     Predictions are made from the encoder *mean* (no latent sampling).  The
     cross-entropy uses EVAL_MC_SAMPLES frozen draws, so the whole result is
     deterministic.  Both loss terms come from one :func:`objectives.cib_loss`
-    call on the encoder means.  Metrics rows and the train split of a
-    trade-off point use this, since they keep no bounds.
+    call on the encoder means.  Metrics rows use this, since they keep no
+    bounds; the final row's result is the train split of the trade-off point.
     """
     return _terms_of_codes(state, ds, _encode_split(state, ds))
 
@@ -411,14 +419,18 @@ def evaluate(state: ModelState, ds: Dataset) -> EvalResult:
     return EvalResult(terms.accuracy, terms.cross_entropy, terms.kl_term, bounds=report)
 
 
-def tradeoff_point(run: TrainResult, train_ds: Dataset, test_ds: Dataset) -> TradeoffPoint:
-    """The trade-off point of a finished run: loss terms on both splits, bounds on the test split."""
-    ev_train = loss_terms(run.state, train_ds)
+def tradeoff_point(run: TrainResult, test_ds: Dataset) -> TradeoffPoint:
+    """The trade-off point of a finished run: loss terms on both splits, bounds on the test split.
+
+    The train-split terms are the run's ``final_terms``, the evaluation of
+    the final metrics row on the same state, so only the test split is
+    encoded and evaluated here.
+    """
     ev_test = evaluate(run.state, test_ds)
     return TradeoffPoint(
         beta_prime=run.beta_prime,
-        ce_train=ev_train.cross_entropy,
-        kl_train=ev_train.kl_term,
+        ce_train=run.final_terms.cross_entropy,
+        kl_train=run.final_terms.kl_term,
         ce_test=ev_test.cross_entropy,
         kl_test=ev_test.kl_term,
         acc_test=ev_test.accuracy,
@@ -427,8 +439,7 @@ def tradeoff_point(run: TrainResult, train_ds: Dataset, test_ds: Dataset) -> Tra
     )
 
 
-def _metrics_row(state: ModelState, ds: Dataset, beta_prime: float, step: int) -> MetricsRow:
-    ev = loss_terms(state, ds)
+def _metrics_row(ev: EvalResult, beta_prime: float, step: int) -> MetricsRow:
     return MetricsRow(
         step=step,
         cross_entropy=ev.cross_entropy,
@@ -480,7 +491,8 @@ def train(
     ``shuffle_seed`` overrides that stream (the run seed keeps driving
     initialization and noise), which is how order-invariance is exercised.
     Metrics rows are full train-split evaluations logged at step 0, every
-    ``optim.log_every`` steps, and at the final step.
+    ``optim.log_every`` steps, and at the final step, whose evaluation the
+    result keeps as ``final_terms``.
     """
     cfg = data_io.validate_config(config)
     if cfg["encoder"]["layer_dims"][0] != train_ds.dim:
@@ -517,7 +529,8 @@ def train(
         _alternating_moment_step(state, train_ds)
 
     sur_slices = [state.store.spec(name) for name in state.store.names() if name.startswith("sur.")]
-    metrics: list[MetricsRow] = [_metrics_row(state, train_ds, beta_prime, 0)]
+    terms = loss_terms(state, train_ds)
+    metrics: list[MetricsRow] = [_metrics_row(terms, beta_prime, 0)]
     order = np.empty(0, dtype=np.intp)
     pos = 0
     for step in range(1, steps + 1):
@@ -548,9 +561,10 @@ def train(
             _alternating_moment_step(state, train_ds)
 
         if step % log_every == 0 or step == steps:
-            metrics.append(_metrics_row(state, train_ds, beta_prime, step))
+            terms = loss_terms(state, train_ds)
+            metrics.append(_metrics_row(terms, beta_prime, step))
 
-    return TrainResult(state=state, metrics=metrics, beta_prime=beta_prime)
+    return TrainResult(state=state, metrics=metrics, beta_prime=beta_prime, final_terms=terms)
 
 
 def sweep(config: dict, beta_primes: Sequence[float]) -> list[TradeoffPoint]:
@@ -572,4 +586,4 @@ def run_sweep_point(config: dict, index: int, beta_prime: float) -> tuple[Tradeo
     cfg["seed"] = derive_seed(cfg["seed"], index)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
     run = train(cfg, train_ds, test_ds)
-    return tradeoff_point(run, train_ds, test_ds), run
+    return tradeoff_point(run, test_ds), run

@@ -32,7 +32,7 @@ from cib.discrete_oracle import (
     optimal_product_surrogate,
 )
 from cib.data_io import ConfigError
-from cib.estimators import MODE_AS_PRINTED
+from cib.estimators import MODE_AS_PRINTED, BoundReport, aggregate_conditional
 
 
 def random_joint(rng, nx, ny, floor=0.05):
@@ -704,8 +704,9 @@ def per_row(lossfn):
 # --------------------------------------------------------------------- mixture-bound reference
 #
 # The mixture bound with the pairwise distances of each row block reduced by
-# einsum over a (block, N, d) difference tensor.  The tiled per-coordinate
-# kernel behind cib.estimators must reproduce it bit for bit.
+# einsum over a (block, N, d) difference tensor, and the report built from it
+# one class at a time, each class's bound over its own codes alone.  The one
+# tiled pass behind cib.estimators must reproduce them bit for bit.
 
 
 def einsum_distance_tile(codes, start, stop):
@@ -729,6 +730,44 @@ def einsum_bound_on_codes(codes, dim, sigma2, eta2, mode):
             kernel = -0.5 * d2 / width
             inner_logs[start:stop] = logsumexp_rows(kernel) - np.log(n)
     return float(-np.mean(inner_logs) - dim * np.log(sigma2 / width))
+
+
+def einsum_mixture_bound(data, mode):
+    """``estimators.mixture_bound`` over the einsum reference."""
+    return einsum_bound_on_codes(data.codes, data.dim, data.sigma2, data.eta2, mode)
+
+
+def einsum_conditional_bound(data, y, mode, printed_outer_normalization=False):
+    """``estimators.conditional_bound`` over the einsum reference: one pass over the class's codes."""
+    codes = data.codes[data.labels == y]
+    value = einsum_bound_on_codes(codes, data.dim, data.sigma2, data.eta2, mode)
+    if printed_outer_normalization:
+        width = data.eta2 + data.sigma2
+        const = -data.dim * np.log(data.sigma2 / width)
+        value = (value - const) * (codes.shape[0] / data.count) + const
+    return value
+
+
+def einsum_bound_report(data, mode, printed_outer_normalization=False, printed_count_weights=False):
+    """``estimators.bound_report`` as one einsum pass over all codes plus one per class."""
+    per_class = {
+        int(y): (int(np.sum(data.labels == y)), einsum_conditional_bound(data, y, mode, printed_outer_normalization))
+        for y in np.unique(data.labels)
+    }
+    return BoundReport(
+        mode=mode,
+        unconditional=einsum_mixture_bound(data, mode),
+        aggregate=aggregate_conditional(per_class, data.count, printed_count_weights),
+        per_class=per_class,
+    )
+
+
+# the three public bounds over the einsum reference
+einsum_bounds = SimpleNamespace(
+    mixture_bound=einsum_mixture_bound,
+    conditional_bound=einsum_conditional_bound,
+    bound_report=einsum_bound_report,
+)
 
 
 # --------------------------------------------------------------------- discrete-oracle references

@@ -17,6 +17,7 @@ from cib.estimators import (
     bound_report,
     mixture_bound,
 )
+from helpers import einsum_bound_report
 
 # derandomized so that a tier-1 failure replays from its test id; no
 # example database is written
@@ -91,5 +92,40 @@ def test_report_does_not_depend_on_thread_count_or_tile_size(codes, mode, seed, 
     with mock.patch.object(estimators, "_bound_threads", lambda: 1):
         expected = bound_report(data, mode).to_json_dict()
     with (mock.patch.object(estimators, "_bound_threads", lambda: threads),
-          mock.patch.object(estimators, "_TILE", tile)):
+          mock.patch.object(estimators, "_TILE", tile), mock.patch.object(estimators, "_MIN_ROWS", 1)):
         assert bound_report(data, mode).to_json_dict() == expected
+
+
+@st.composite
+def labelled_codes(draw):
+    """Codes with grouped, shuffled, one-class or singleton labels, some rows duplicated.
+
+    N is drawn on both sides of 128 and 181, where a report first takes more
+    than one tile (and starts its helper thread) with two threads and with one.
+    """
+    arrangement = draw(st.sampled_from(["grouped", "shuffled", "one", "singletons"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(120, 191) if rng.random() < 0.5 else rng.integers(1, 25))
+    codes = rng.normal(scale=rng.uniform(0.1, 5.0), size=(n, int(rng.integers(1, 10))))
+    codes[rng.integers(0, n, size=rng.integers(0, n + 1))] = codes[rng.integers(0, n)]  # duplicates
+    classes = int(rng.integers(2, 8))
+    if arrangement == "grouped":
+        labels = np.sort(rng.integers(0, classes, size=n))
+    elif arrangement == "shuffled":
+        labels = rng.integers(0, classes, size=n)
+    elif arrangement == "one":
+        labels = np.full(n, classes)
+    else:  # each row its own class, in a shuffled order
+        labels = rng.permutation(n)
+    return codes, labels
+
+
+@settings(PROPERTY, max_examples=80)
+@given(drawn=labelled_codes(), mode=MODES, outer=st.booleans(), weights=st.booleans(),
+       threads=st.sampled_from([1, 2]), sigma2=st.floats(0.1, 10.0), eta2=st.floats(0.0, 5.0))
+def test_report_equals_one_einsum_pass_per_class(drawn, mode, outer, weights, threads, sigma2, eta2):
+    codes, labels = drawn
+    data = EmbeddedDataset(codes, labels, sigma2, eta2)
+    with mock.patch.object(estimators, "_bound_threads", lambda: threads):
+        report = bound_report(data, mode, outer, weights)
+    assert report == einsum_bound_report(data, mode, outer, weights)

@@ -1,5 +1,6 @@
 """Mixture bounds against a naive double-loop reference and their invariances."""
 
+import collections
 import math
 import os
 import threading
@@ -17,7 +18,7 @@ from cib.estimators import (
     conditional_bound,
     mixture_bound,
 )
-from helpers import einsum_bound_on_codes, einsum_distance_tile
+from helpers import einsum_bound_on_codes, einsum_bounds, einsum_distance_tile
 
 
 def naive_bound(codes, sigma2, eta2, mode):
@@ -216,15 +217,15 @@ class TestBoundReport:
         print(f"\nas-printed conditioning direction violated on {violations}/10 instances")
 
 
-def _every_bound(data, mode):
-    """Every value the public functions derive from the kernel, in a fixed order."""
-    values = [mixture_bound(data, mode)]
+def _every_bound(data, mode, bounds=estimators):
+    """Every value the public functions of ``bounds`` derive from the kernel, in a fixed order."""
+    values = [bounds.mixture_bound(data, mode)]
     for y in np.unique(data.labels):
-        values.append(conditional_bound(data, int(y), mode))
-        values.append(conditional_bound(data, int(y), mode, printed_outer_normalization=True))
+        values.append(bounds.conditional_bound(data, int(y), mode))
+        values.append(bounds.conditional_bound(data, int(y), mode, printed_outer_normalization=True))
     for outer in (False, True):
         for weights in (False, True):
-            report = bound_report(data, mode, outer, weights)
+            report = bounds.bound_report(data, mode, outer, weights)
             values += [report.unconditional, report.aggregate]
             values += [v for _, (_, v) in sorted(report.per_class.items())]
     return values
@@ -244,10 +245,10 @@ class TestTiledKernel:
             reused = np.full(d * n * n + 5, np.nan)  # shared by every tile, larger than any of them
             for start, stop in ((0, n), (0, 1), (n // 2, n), (n - 1, n)):
                 fresh = np.empty(d * (stop - start) * n)
-                got = estimators._sq_distances(cols, start, stop, fresh)
+                got = estimators._sq_distances(cols, cols, start, stop, fresh)
                 assert got.flags.c_contiguous and np.shares_memory(got, fresh)
                 assert np.array_equal(got, einsum_distance_tile(codes, start, stop))
-                into = estimators._sq_distances(cols, start, stop, reused)
+                into = estimators._sq_distances(cols, cols, start, stop, reused)
                 assert into.flags.c_contiguous and np.shares_memory(into, reused)
                 assert np.array_equal(into, got)
 
@@ -262,10 +263,9 @@ class TestTiledKernel:
             codes[1] = codes[0]
             labels[-1] = 7  # a one-sample class
         data = EmbeddedDataset(codes, labels, sigma2=0.8, eta2=0.35)
-        with monkeypatch.context() as m:
-            m.setattr(estimators, "_bound_on_codes", einsum_bound_on_codes)
-            expected = _every_bound(data, mode)
+        expected = _every_bound(data, mode, einsum_bounds)
         monkeypatch.setattr(estimators, "_bound_threads", lambda: threads)
+        monkeypatch.setattr(estimators, "_MIN_ROWS", 1)
         # several tiles with a ragged last one, one-row tiles, one tile; at
         # N = 2000 wider ragged tiles, and one-row tiles for the unconditional
         # bound only, to keep the test short
@@ -333,10 +333,10 @@ class TestThreads:
         data = _wide_data()
         real = estimators._sq_distances
 
-        def failing(cols, start, stop, buf):
+        def failing(points, cols, start, stop, buf):
             if start <= failing_row < stop:
                 raise RuntimeError(f"injected failure at row {failing_row}")
-            return real(cols, start, stop, buf)
+            return real(points, cols, start, stop, buf)
 
         monkeypatch.setattr(estimators, "_bound_threads", lambda: 2)
         monkeypatch.setattr(estimators, "_TILE", 2 * 300 * 10)  # 10-row tiles, 15 per half
@@ -346,15 +346,50 @@ class TestThreads:
             bound_report(data)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tiles_hold_at_least_min_rows(self, monkeypatch, threads):
+        heights = collections.Counter()
+        real = estimators._sq_distances
+
+        def recording(points, cols, start, stop, buf):
+            heights[stop - start] += 1
+            return real(points, cols, start, stop, buf)
+
+        monkeypatch.setattr(estimators, "_bound_threads", lambda: threads)
+        monkeypatch.setattr(estimators, "_TILE", 300)  # one row per thread without the floor
+        monkeypatch.setattr(estimators, "_sq_distances", recording)
+        bound_report(_wide_data())
+        # every row once, in tiles of _MIN_ROWS rows but for at most one ragged tile per thread
+        assert sum(h * c for h, c in heights.items()) == 300
+        assert max(heights) == estimators._MIN_ROWS > 1
+        assert sum(c for h, c in heights.items() if h < estimators._MIN_ROWS) <= threads
+
+    def test_one_pass_starts_one_helper_for_the_whole_report(self, monkeypatch):
+        data = _wide_data()
+        monkeypatch.setattr(estimators, "_bound_threads", lambda: 2)
+        monkeypatch.setattr(_RecordingExecutor, "started", 0)
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", _RecordingExecutor)
+        pairs = []
+        real = estimators._sq_distances
+
+        def recording(points, cols, start, stop, buf):
+            pairs.append((stop - start) * cols.shape[1])
+            return real(points, cols, start, stop, buf)
+
+        monkeypatch.setattr(estimators, "_sq_distances", recording)
+        bound_report(data)
+        assert _RecordingExecutor.started == 1
+        assert sum(pairs) == data.count**2
+
     def test_helper_keeps_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(estimators, "_bound_threads", lambda: 2)
         monkeypatch.setattr(estimators, "_TILE", 2 * 300 * 10)
         seen = []
         real = estimators._sq_distances
 
-        def recording(cols, start, stop, buf):
+        def recording(points, cols, start, stop, buf):
             seen.append((threading.get_ident(), np.geterr()["under"]))
-            return real(cols, start, stop, buf)
+            return real(points, cols, start, stop, buf)
 
         monkeypatch.setattr(estimators, "_sq_distances", recording)
         with np.errstate(under="raise"):

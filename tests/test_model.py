@@ -543,6 +543,29 @@ class TestEvaluate:
         assert final.accuracy == ev.accuracy
         assert final.total == ev.cross_entropy + result.beta_prime * ev.kl_term
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"optim": {"steps": 0, "batch": 16}},
+            {"surrogate": {"learn_sigma": True, "update": "alternating"}},
+            {"optim": {"steps": 7, "batch": 16, "log_every": 3}, "decoder": {"variant": "softmax"}},
+        ],
+        ids=["logged", "zero-steps", "alternating", "unlogged-last-step"],
+    )
+    def test_tradeoff_point_train_terms_equal_a_fresh_evaluation(self, overrides):
+        cfg = _config(**overrides)
+        train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
+        run = train(cfg, train_ds, test_ds)
+        point = model.tradeoff_point(run, test_ds)
+        fresh = loss_terms(run.state, train_ds)
+        assert run.final_terms == fresh
+        assert point.ce_train == fresh.cross_entropy
+        assert point.kl_train == fresh.kl_term
+        ev = evaluate(run.state, test_ds)
+        assert (point.ce_test, point.kl_test, point.acc_test) == (ev.cross_entropy, ev.kl_term, ev.accuracy)
+        assert (point.ixt, point.ixt_given_y) == (ev.bounds.unconditional, ev.bounds.aggregate)
+
     def test_perfect_separation_gives_unit_accuracy(self):
         cfg = _config(encoder={"layer_dims": [2, 2]})
         state = build_state(cfg, np.array([0.5, 0.5]))
