@@ -41,13 +41,10 @@ __all__ = [
 ACTIVATIONS = ("relu", "softplus", "tanh")
 
 
-def logsumexp_rows(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Row-wise log(sum(exp(a))) over the last axis, shifted by each row's maximum.
-
-    With ``overwrite`` the shifted exponentials are formed in ``a`` itself.
-    """
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))) over the last axis, shifted by each row's maximum."""
     mx = np.maximum.reduce(a, axis=-1)  # a.max(axis=-1) without its wrapper
-    shifted = np.subtract(a, mx[..., None], out=a if overwrite else None)
+    shifted = np.subtract(a, mx[..., None])
     return mx + np.log(np.exp(shifted, out=shifted).sum(axis=-1))
 
 
@@ -261,8 +258,9 @@ class Tape:
 
     On a stacked store :meth:`total` returns the (P,) losses of its rows,
     each equal bit for bit to the loss of that vector alone, and there is no
-    backward, so the tape keeps no caches: each intermediate is freed once
-    the next op has read it.  ``width`` is the most float64 values one
+    backward, so the tape keeps neither the net's layers nor the draws'
+    scores: those caches would hold a stack's largest intermediates alive
+    through the cross-entropy.  ``width`` is the most float64 values one
     intermediate holds per parameter vector, so that a caller can bound a
     stack.
 
@@ -276,7 +274,6 @@ class Tape:
         self.store = store
         self.width = 0
         self._lead = store.values.shape[:-1]  # () or (P,)
-        self._keeps = not self._lead  # backward caches: none on a stacked store
         self._ops = 0
         self._mlp = self._log_var = self._ce = self._kl = self._total = None
 
@@ -306,17 +303,14 @@ class Tape:
             if (h.ndim < 2 or wv.ndim != len(self._lead) + 2 or bv.shape != wv.shape[:-1]
                     or h.shape[-1] != wv.shape[-1]):
                 raise ShapeError(f"mlp layer {l}: x{h.shape} W{wv.shape} b{bv.shape} do not agree")
-            if self._keeps:
-                inputs.append(h)
+            inputs.append(h)
             h = h @ wv.mT + bv[..., None, :]
             self.width = max(self.width, h.shape[-2] * h.shape[-1])
-            if l < n - 1 and self._keeps:
+            if l < n - 1:
                 pres.append(h)
                 h, e = _activate(h, activation)
                 exps.append(e)
-            elif l < n - 1:
-                h = _activate(h, activation)[0]
-        if self._keeps:
+        if not self._lead:  # a stacked store has no backward: its layers are freed here
             self._mlp = (names, weights, activation, inputs, pres, exps)
         self._ops += 1
         return h
@@ -331,8 +325,7 @@ class Tape:
         var = e + float(sigma2)
         with np.errstate(divide="ignore", invalid="ignore"):
             lv = np.log(var)
-        if self._keeps:
-            self._log_var = (name, e, var)
+        self._log_var = (name, e, var)
         self._ops += 1
         return np.asarray(lv)
 
@@ -384,11 +377,10 @@ class Tape:
             else:
                 scores, cache = _naive_bayes_scores(t, pv, qv, log_priors)
             nll, lse = _softmax_nll(scores, rows, labels)
-            if self._keeps:
+            if not self._lead:
                 draws.append((scores, lse, cache))
             total = nll if total is None else total + nll
-        if self._keeps:
-            self._ce = (head, p, q, pv, noise, rows, labels, std, draws)
+        self._ce = (head, p, q, pv, noise, rows, labels, std, draws)
         self._ops += 1
         return np.asarray(_mean(total * (1.0 / noise.shape[0])))
 
@@ -428,8 +420,7 @@ class Tape:
         rows += lv_y * d
         rows += lv * -d
         rows += -d
-        if self._keeps:
-            self._kl = (mu, log_sigma, labels, diff, sq_dist, ratio, inv_var)
+        self._kl = (mu, log_sigma, labels, diff, sq_dist, ratio, inv_var)
         self._ops += 1
         return rows * 0.5
 

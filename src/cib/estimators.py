@@ -23,20 +23,22 @@ against every code; the rows are visited in stable label order, so a tile
 seldom spans two classes.  Each tile is exponentiated once, unshifted: the
 codes are finite and every row holds its own zero distance, so a row's
 maximum is -0.0 and the usual log-sum-exp shift would change no bit.  The
-whole row's sum feeds I(X;T); the sub-row over the row's own class (a slice
-when the class's rows are contiguous, else gathered once per tile) feeds
-that class's bound.  :func:`mixture_bound` and :func:`conditional_bound` are
-the same pass over all codes or over one class's codes, taken as one class.
+whole row's sum feeds I(X;T); the sub-row over the row's own class,
+gathered once per tile, feeds that class's bound.  :func:`mixture_bound`
+and :func:`conditional_bound` are the same pass over all codes or over one
+class's codes, taken as one class.
 
 The main process splits the rows into two halves and fills the second on a
 helper thread (numpy releases the GIL on the (rows, N) tiles); a ``cib
 sweep`` pool worker, or a process with one usable core, uses one thread.
-Each thread gets tiles of ``max(_MIN_ROWS, _TILE // threads // N)`` rows and
-its own reused (d, rows, N) buffer, so the buffers hold at most
-``d * max(_TILE, threads * _MIN_ROWS * N)`` values: O(d * _TILE) up to
-N = _TILE / (threads * _MIN_ROWS), O(d * N) above.  Every row's sums are
-formed whole inside one tile, so the bits do not depend on the thread count
-or the tile size.
+Each thread gets tiles of ``_TILE // threads // N`` rows, raised to
+``_MIN_ROWS`` while such a tile stays within ``_MIN_ROWS * _TILE //
+threads`` elements and to one row at least, and its own reused (d, rows, N)
+buffer, so the buffers hold at most ``d * max(_MIN_ROWS * _TILE, threads *
+N)`` values: O(d * _TILE) up to N = _MIN_ROWS * _TILE / threads, O(d * N)
+above.  The pass also holds one label-ordered (d, N) copy of the codes.
+Every row's sums are formed whole inside one tile, so the bits do not
+depend on the thread count or the tile size.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ MODE_CITED_SOURCE = "cited-source"
 _MODES = (MODE_AS_PRINTED, MODE_CITED_SOURCE)
 
 _TILE = 1 << 15  # elements per (rows, N) distance tile
-_MIN_ROWS = 4  # rows per tile at least: thinner tiles spend their time in Python under the GIL
+# rows per tile at least, up to N = _MIN_ROWS * _TILE / threads: thinner
+# tiles spend their time in Python under the GIL
+_MIN_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -199,21 +203,16 @@ def _bounds_on_codes(
     classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     order = np.argsort(inverse, kind="stable")
     starts = np.concatenate(([0], np.cumsum(counts)))  # class k is order[starts[k]:starts[k + 1]]
-    # a class's columns: a slice when its rows are contiguous, else their indices
-    spans = [
-        slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
-        for idx in (order[a:b] for a, b in zip(starts[:-1], starts[1:]))
-    ]
     cols = np.ascontiguousarray(codes.T)
-    points = cols if (order[:-1] < order[1:]).all() else cols[:, order]  # the rows in label order
+    points = cols[:, order]  # the rows in label order
     whole = np.empty(n)  # in row order
     own = whole if classes.size == 1 else np.empty(n)  # in label order
     threads = _bound_threads()
     # direct pairwise differences (no dot-product expansion: the sqrt in
     # as-printed mode would amplify its cancellation error), one tile of rows
     # at a time so each thread's (d, rows, N) buffer stays within
-    # d * max(_TILE / threads, _MIN_ROWS * N)
-    rows = max(_MIN_ROWS, _TILE // threads // n)
+    # d * max(_MIN_ROWS * _TILE / threads, N)
+    rows = max(1, _TILE // threads // n, min(_MIN_ROWS, _MIN_ROWS * _TILE // threads // n))
 
     def fill(start: int, stop: int, buf: np.ndarray) -> None:
         """The sums of the rows at label-order positions ``start:stop``, tile by tile through one buffer."""
@@ -233,9 +232,8 @@ def _bounds_on_codes(
             k = int(np.searchsorted(starts, lo, side="right")) - 1
             while starts[k] < hi:
                 a, b = max(lo, starts[k]), min(hi, starts[k + 1])
-                part, span = kernel[a - lo : b - lo], spans[k]
-                sub = part[:, span] if isinstance(span, slice) else np.take(part, span, axis=1)
-                own[a:b] = sub.sum(axis=-1)
+                part = kernel[a - lo : b - lo]
+                own[a:b] = np.take(part, order[starts[k] : starts[k + 1]], axis=1).sum(axis=-1)
                 k += 1
 
     if threads == 1 or n <= rows:
@@ -245,9 +243,9 @@ def _bounds_on_codes(
         # not depend on which thread fills which half; the helper runs in
         # a copy of this context so that it keeps the caller's np.errstate.
         # Both buffers come from this thread and every tile is worked in
-        # place, so the helper allocates only row vectors and the sub-tiles
-        # it gathers for scattered classes: large blocks freed in a helper
-        # thread's malloc arena stay resident and raise peak RSS.
+        # place, so the helper allocates only row vectors and the class
+        # sub-tiles it gathers: large blocks freed in a helper thread's
+        # malloc arena stay resident and raise peak RSS.
         half = (n + 1) // 2
         bufs = np.empty((2, dim * min(rows, half) * n))
         with ThreadPoolExecutor(max_workers=1) as helper:

@@ -347,22 +347,31 @@ class TestThreads:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_tiles_hold_at_least_min_rows(self, monkeypatch, threads):
-        heights = collections.Counter()
+    @pytest.mark.parametrize("tile", [600, 150])
+    def test_tiles_hold_at_least_min_rows_while_they_fit_min_rows_tiles(self, monkeypatch, threads, tile):
+        heights, sizes = collections.Counter(), []
         real = estimators._sq_distances
 
         def recording(points, cols, start, stop, buf):
             heights[stop - start] += 1
+            sizes.append(buf.size)
             return real(points, cols, start, stop, buf)
 
         monkeypatch.setattr(estimators, "_bound_threads", lambda: threads)
-        monkeypatch.setattr(estimators, "_TILE", 300)  # one row per thread without the floor
+        # 600: one or two rows per thread without the floor, and four fit the
+        # buffer bound; 150: four rows would not fit it
+        monkeypatch.setattr(estimators, "_TILE", tile)
         monkeypatch.setattr(estimators, "_sq_distances", recording)
-        bound_report(_wide_data())
-        # every row once, in tiles of _MIN_ROWS rows but for at most one ragged tile per thread
+        data = _wide_data()
+        bound_report(data)
         assert sum(h * c for h, c in heights.items()) == 300
-        assert max(heights) == estimators._MIN_ROWS > 1
-        assert sum(c for h, c in heights.items() if h < estimators._MIN_ROWS) <= threads
+        assert max(sizes) <= data.dim * max(estimators._MIN_ROWS * tile // threads, data.count)
+        if tile == 600:
+            # every row once, in tiles of _MIN_ROWS rows but for at most one ragged tile per thread
+            assert max(heights) == estimators._MIN_ROWS > 1
+            assert sum(c for h, c in heights.items() if h < estimators._MIN_ROWS) <= threads
+        else:
+            assert max(heights) < estimators._MIN_ROWS
 
     def test_one_pass_starts_one_helper_for_the_whole_report(self, monkeypatch):
         data = _wide_data()
