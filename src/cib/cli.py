@@ -67,8 +67,18 @@ def _emit(doc: dict, human_lines: list[str], json_mode: bool) -> None:
 # ------------------------------------------------------------------ commands
 
 
+# the gen-data flag behind each GmmSpec field, whose checks name the field first
+_GMM_FLAGS = {
+    "class_count": "--classes", "dim": "--dim", "sep": "--sep", "per_class": "--per-class", "seed": "--seed"
+}
+
+
 def _cmd_gen_data(args) -> int:
-    spec = data_io.GmmSpec(args.classes, args.dim, args.sep, args.per_class, args.seed)
+    try:
+        spec = data_io.GmmSpec(args.classes, args.dim, args.sep, args.per_class, args.seed)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise _CliError(f"{_GMM_FLAGS.get(field, field)} {rest}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ds = data_io.gen_gmm(spec)

@@ -535,7 +535,9 @@ class GradCheckReport:
 
 LossFn = Callable[[ParamStore], tuple[np.ndarray, Tape]]
 
-# the most float64 values that one intermediate of a stack of probes may hold
+# the most float64 values that one intermediate of a stack of probes may hold;
+# the stacked forward holds about four intermediates at its peak, so a stack
+# takes about four times this many values, besides its probe rows
 PROBE_STACK_VALUES = 2**14
 
 
@@ -549,7 +551,11 @@ def grad_check(lossfn: LossFn, params: ParamStore, eps: float, tol: float) -> Gr
     ``params``, which stays untouched; the 2 * size probes (each coordinate
     +eps, then -eps) are rows of stacked stores, as many per call as keep
     every intermediate within PROBE_STACK_VALUES values, and at least one.
-    The relative error per coordinate is ``|g - fd| / max(1, |g|)``.
+    A stacked forward holds about four intermediates at its peak, so a stack
+    takes about four times that bound: at 8-32-3, batch 16, a warm ``cib
+    gradcheck`` peaks at 0.66-0.69 MB (tracemalloc) for 128 KiB intermediates
+    and about 0.1 MB of probe rows.  The relative error per coordinate is
+    ``|g - fd| / max(1, |g|)``.
     """
     if eps <= 0.0:
         raise ValueError("grad_check: eps must be positive")

@@ -24,9 +24,8 @@ seldom spans two classes.  Each tile is exponentiated once, unshifted: the
 codes are finite and every row holds its own zero distance, so a row's
 maximum is -0.0 and the usual log-sum-exp shift would change no bit.  The
 whole row's sum feeds I(X;T); the sub-row over the row's own class,
-gathered once per tile, feeds that class's bound.  :func:`mixture_bound`
-and :func:`conditional_bound` are the same pass over all codes or over one
-class's codes, taken as one class.
+gathered once per tile, feeds that class's bound.  :func:`bound_report` is
+the one way into the pass; :func:`mixture_bound` is its unconditional value.
 
 The main process splits the rows into two halves and fills the second on a
 helper thread (numpy releases the GIL on the (rows, N) tiles); a ``cib
@@ -36,9 +35,9 @@ Each thread gets tiles of ``_TILE // threads // N`` rows, raised to
 threads`` elements and to one row at least, and its own reused (d, rows, N)
 buffer, so the buffers hold at most ``d * max(_MIN_ROWS * _TILE, threads *
 N)`` values: O(d * _TILE) up to N = _MIN_ROWS * _TILE / threads, O(d * N)
-above.  The pass also holds one label-ordered (d, N) copy of the codes.
-Every row's sums are formed whole inside one tile, so the bits do not
-depend on the thread count or the tile size.
+above.  A tile gathers its own rows from the codes, so the pass holds no
+reordered copy of them.  Every row's sums are formed whole inside one
+tile, so the bits do not depend on the thread count or the tile size.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ __all__ = [
     "EmbeddedDataset",
     "BoundReport",
     "mixture_bound",
-    "conditional_bound",
     "aggregate_conditional",
     "bound_report",
 ]
@@ -151,12 +149,11 @@ def _bound_threads() -> int:
     return min(2, usable_cores())
 
 
-def _sq_distances(points: np.ndarray, cols: np.ndarray, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
-    """Squared distances from code columns ``start:stop`` of ``points`` to every code column of ``cols``.
+def _sq_distances(cols: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Squared distances from the code columns ``rows`` of ``cols`` to every code column.
 
-    ``points`` and ``cols`` are C-contiguous (d, N) transposes of the codes
-    (``points`` may hold the columns in another order), so each numpy call
-    below runs over a (rows, N) inner axis.  The coordinate squares are
+    ``cols`` is the C-contiguous (d, N) transpose of the codes, so each numpy
+    call below runs over a (rows, N) inner axis.  The coordinate squares are
     summed in a fixed order: two chains, over the even and over the odd
     coordinates; each full chunk of 8 coordinates enters its chain from last
     to first, the remaining coordinates in order, then the chains are added.
@@ -168,8 +165,8 @@ def _sq_distances(points: np.ndarray, cols: np.ndarray, start: int, stop: int, b
     least d * rows * N elements, and the result is a view into it.
     """
     dim, n = cols.shape
-    sq = buf[: dim * (stop - start) * n].reshape(dim, stop - start, n)
-    np.subtract(points[:, start:stop, None], cols[:, None, :], out=sq)
+    sq = buf[: dim * rows.size * n].reshape(dim, rows.size, n)
+    np.subtract(cols[:, rows, None], cols[:, None, :], out=sq)
     sq *= sq
     full = dim - dim % 8
     chains = []
@@ -204,9 +201,8 @@ def _bounds_on_codes(
     order = np.argsort(inverse, kind="stable")
     starts = np.concatenate(([0], np.cumsum(counts)))  # class k is order[starts[k]:starts[k + 1]]
     cols = np.ascontiguousarray(codes.T)
-    points = cols[:, order]  # the rows in label order
     whole = np.empty(n)  # in row order
-    own = whole if classes.size == 1 else np.empty(n)  # in label order
+    own = np.empty(n)  # in label order
     threads = _bound_threads()
     # direct pairwise differences (no dot-product expansion: the sqrt in
     # as-printed mode would amplify its cancellation error), one tile of rows
@@ -218,7 +214,7 @@ def _bounds_on_codes(
         """The sums of the rows at label-order positions ``start:stop``, tile by tile through one buffer."""
         for lo in range(start, stop, rows):
             hi = min(lo + rows, stop)
-            kernel = _sq_distances(points, cols, lo, hi, buf)
+            kernel = _sq_distances(cols, order[lo:hi], buf)
             if mode == MODE_AS_PRINTED:
                 np.sqrt(kernel, out=kernel)
             kernel *= -0.5
@@ -227,8 +223,6 @@ def _bounds_on_codes(
             # and a log-sum-exp shift by it would change no bit
             np.exp(kernel, out=kernel)
             whole[order[lo:hi]] = kernel.sum(axis=-1)
-            if own is whole:
-                continue
             k = int(np.searchsorted(starts, lo, side="right")) - 1
             while starts[k] < hi:
                 a, b = max(lo, starts[k]), min(hi, starts[k + 1])
@@ -243,9 +237,10 @@ def _bounds_on_codes(
         # not depend on which thread fills which half; the helper runs in
         # a copy of this context so that it keeps the caller's np.errstate.
         # Both buffers come from this thread and every tile is worked in
-        # place, so the helper allocates only row vectors and the class
-        # sub-tiles it gathers: large blocks freed in a helper thread's
-        # malloc arena stay resident and raise peak RSS.
+        # place, so the helper allocates only row vectors, each tile's
+        # (d, rows) code columns and the class sub-tiles it gathers: large
+        # blocks freed in a helper thread's malloc arena stay resident and
+        # raise peak RSS.
         half = (n + 1) // 2
         bufs = np.empty((2, dim * min(rows, half) * n))
         with ThreadPoolExecutor(max_workers=1) as helper:
@@ -257,11 +252,6 @@ def _bounds_on_codes(
         for y, c, a, b in zip(classes, counts, starts[:-1], starts[1:])
     }
     return _bound_of_sums(whole, dim, sigma2, width, mode), per_class
-
-
-def _one_class(codes: np.ndarray, sigma2: float, eta2: float, mode: str) -> float:
-    """The bound over ``codes`` alone: the pass with every row in one class."""
-    return _bounds_on_codes(codes, np.zeros(codes.shape[0], dtype=np.intp), sigma2, eta2, mode)[0]
 
 
 def _printed_outer(value: float, n_y: int, data: EmbeddedDataset) -> float:
@@ -277,30 +267,8 @@ def _printed_outer(value: float, n_y: int, data: EmbeddedDataset) -> float:
 
 
 def mixture_bound(data: EmbeddedDataset, mode: str = MODE_CITED_SOURCE) -> float:
-    """Pairwise-mixture upper bound on I(X;T) over the whole dataset."""
-    _check_mode(mode)
-    return _one_class(data.codes, data.sigma2, data.eta2, mode)
-
-
-def conditional_bound(
-    data: EmbeddedDataset,
-    y: int,
-    mode: str = MODE_CITED_SOURCE,
-    printed_outer_normalization: bool = False,
-) -> float:
-    """Mixture bound restricted to the samples of class ``y``.
-
-    The outer average runs over the class's own samples (1/N_y).  With
-    ``printed_outer_normalization`` the restricted sum is divided by the full
-    dataset size instead, matching the compact published normalization.
-    """
-    _check_mode(mode)
-    mask = data.labels == y
-    n_y = int(mask.sum())
-    if n_y == 0:
-        raise ValueError(f"class {y} has no samples")
-    value = _one_class(data.codes[mask], data.sigma2, data.eta2, mode)
-    return _printed_outer(value, n_y, data) if printed_outer_normalization else value
+    """Pairwise-mixture upper bound on I(X;T): the unconditional value of :func:`bound_report`."""
+    return bound_report(data, mode).unconditional
 
 
 def aggregate_conditional(

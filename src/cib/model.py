@@ -332,15 +332,14 @@ class EvalResult:
 class TrainResult:
     """A finished run: its model, its metrics rows and its beta'.
 
-    ``final_terms`` is the :func:`loss_terms` evaluation of ``state`` on the
-    train split behind the final metrics row; the trade-off point reads its
-    train-split terms from it instead of evaluating that split again.
+    The final metrics row is the :func:`loss_terms` evaluation of ``state``
+    on the train split; the trade-off point reads its train-split terms from
+    it instead of evaluating that split again.
     """
 
     state: ModelState
     metrics: list[MetricsRow]
     beta_prime: float
-    final_terms: EvalResult
 
 
 @dataclass(frozen=True)
@@ -422,15 +421,15 @@ def evaluate(state: ModelState, ds: Dataset) -> EvalResult:
 def tradeoff_point(run: TrainResult, test_ds: Dataset) -> TradeoffPoint:
     """The trade-off point of a finished run: loss terms on both splits, bounds on the test split.
 
-    The train-split terms are the run's ``final_terms``, the evaluation of
-    the final metrics row on the same state, so only the test split is
-    encoded and evaluated here.
+    The train-split terms are the run's final metrics row, an evaluation of
+    the same state, so only the test split is encoded and evaluated here.
     """
+    final = run.metrics[-1]
     ev_test = evaluate(run.state, test_ds)
     return TradeoffPoint(
         beta_prime=run.beta_prime,
-        ce_train=run.final_terms.cross_entropy,
-        kl_train=run.final_terms.kl_term,
+        ce_train=final.cross_entropy,
+        kl_train=final.kl_term,
         ce_test=ev_test.cross_entropy,
         kl_test=ev_test.kl_term,
         acc_test=ev_test.accuracy,
@@ -491,8 +490,7 @@ def train(
     ``shuffle_seed`` overrides that stream (the run seed keeps driving
     initialization and noise), which is how order-invariance is exercised.
     Metrics rows are full train-split evaluations logged at step 0, every
-    ``optim.log_every`` steps, and at the final step, whose evaluation the
-    result keeps as ``final_terms``.
+    ``optim.log_every`` steps, and at the final step.
     """
     cfg = data_io.validate_config(config)
     if cfg["encoder"]["layer_dims"][0] != train_ds.dim:
@@ -529,8 +527,7 @@ def train(
         _alternating_moment_step(state, train_ds)
 
     sur_slices = [state.store.spec(name) for name in state.store.names() if name.startswith("sur.")]
-    terms = loss_terms(state, train_ds)
-    metrics: list[MetricsRow] = [_metrics_row(terms, beta_prime, 0)]
+    metrics: list[MetricsRow] = [_metrics_row(loss_terms(state, train_ds), beta_prime, 0)]
     order = np.empty(0, dtype=np.intp)
     pos = 0
     for step in range(1, steps + 1):
@@ -561,10 +558,9 @@ def train(
             _alternating_moment_step(state, train_ds)
 
         if step % log_every == 0 or step == steps:
-            terms = loss_terms(state, train_ds)
-            metrics.append(_metrics_row(terms, beta_prime, step))
+            metrics.append(_metrics_row(loss_terms(state, train_ds), beta_prime, step))
 
-    return TrainResult(state=state, metrics=metrics, beta_prime=beta_prime, final_terms=terms)
+    return TrainResult(state=state, metrics=metrics, beta_prime=beta_prime)
 
 
 def sweep(config: dict, beta_primes: Sequence[float]) -> list[TradeoffPoint]:

@@ -715,7 +715,7 @@ def einsum_distance_tile(codes, start, stop):
 
 
 def einsum_bound_on_codes(codes, dim, sigma2, eta2, mode):
-    """Drop-in for ``estimators._bound_on_codes``."""
+    """The mixture bound over ``codes`` alone."""
     n = codes.shape[0]
     width = eta2 + sigma2
     inner_logs = np.empty(n)
@@ -738,7 +738,7 @@ def einsum_mixture_bound(data, mode):
 
 
 def einsum_conditional_bound(data, y, mode, printed_outer_normalization=False):
-    """``estimators.conditional_bound`` over the einsum reference: one pass over the class's codes."""
+    """Class ``y``'s bound in ``estimators.bound_report`` over the einsum reference: one pass over its codes."""
     codes = data.codes[data.labels == y]
     value = einsum_bound_on_codes(codes, data.dim, data.sigma2, data.eta2, mode)
     if printed_outer_normalization:
@@ -762,12 +762,8 @@ def einsum_bound_report(data, mode, printed_outer_normalization=False, printed_c
     )
 
 
-# the three public bounds over the einsum reference
-einsum_bounds = SimpleNamespace(
-    mixture_bound=einsum_mixture_bound,
-    conditional_bound=einsum_conditional_bound,
-    bound_report=einsum_bound_report,
-)
+# the two public bounds over the einsum reference
+einsum_bounds = SimpleNamespace(mixture_bound=einsum_mixture_bound, bound_report=einsum_bound_report)
 
 
 # --------------------------------------------------------------------- discrete-oracle references

@@ -71,6 +71,18 @@ class TestGenData:
         assert "sep must be finite" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--classes", "1"), ("--dim", "0"), ("--per-class", "0"), ("--sep", "-1"), ("--seed", "-1")],
+    )
+    def test_out_of_range_flag_exits_one_naming_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d" / "d.json"
+        flags = {"--classes": "2", "--dim": "2", "--per-class": "5", "--sep": "1", "--seed": "0", flag: value}
+        argv = ["gen-data", *(tok for item in flags.items() for tok in item), "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+        assert not out.parent.exists()
+
     def test_out_below_a_regular_file_exits_one_naming_it(self, tmp_path, capsys):
         out = _below_a_file(tmp_path) / "d.json"
         assert run(f"gen-data --classes 2 --dim 2 --per-class 5 --sep 1 --seed 0 --out {out}".split()) == 1

@@ -128,4 +128,5 @@ def test_report_equals_one_einsum_pass_per_class(drawn, mode, outer, weights, th
     data = EmbeddedDataset(codes, labels, sigma2, eta2)
     with mock.patch.object(estimators, "_bound_threads", lambda: threads):
         report = bound_report(data, mode, outer, weights)
+        assert mixture_bound(data, mode) == report.unconditional
     assert report == einsum_bound_report(data, mode, outer, weights)

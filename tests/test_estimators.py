@@ -15,7 +15,6 @@ from cib.estimators import (
     EmbeddedDataset,
     aggregate_conditional,
     bound_report,
-    conditional_bound,
     mixture_bound,
 )
 from helpers import einsum_bound_on_codes, einsum_bounds, einsum_distance_tile
@@ -102,18 +101,23 @@ class TestMixtureBound:
             mixture_bound(_two_cluster(), "exact")
 
 
+def _class_bound(data, y, mode=MODE_CITED_SOURCE, printed_outer_normalization=False):
+    """The bound of class ``y`` alone, as the report gives it."""
+    return bound_report(data, mode, printed_outer_normalization).per_class[y][1]
+
+
 class TestConditionalBound:
     def test_single_class_dataset_equals_unconditional(self):
         data = EmbeddedDataset(np.random.default_rng(0).normal(size=(10, 2)),
                                np.zeros(10, dtype=int), sigma2=1.0, eta2=0.5)
         for mode in (MODE_AS_PRINTED, MODE_CITED_SOURCE):
-            assert conditional_bound(data, 0, mode) == mixture_bound(data, mode)
+            assert _class_bound(data, 0, mode) == mixture_bound(data, mode)
 
     def test_single_sample_class_collapses(self):
         codes = np.array([[0.0, 0.0], [5.0, 5.0], [5.5, 5.0]])
         data = EmbeddedDataset(codes, np.array([0, 1, 1]), sigma2=0.5, eta2=1.5)
         expected = -2.0 * math.log(0.5 / 2.0)
-        assert conditional_bound(data, 0, MODE_AS_PRINTED) == pytest.approx(expected, abs=1e-15)
+        assert _class_bound(data, 0, MODE_AS_PRINTED) == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("mode", [MODE_AS_PRINTED, MODE_CITED_SOURCE])
     def test_per_class_values_match_restricted_naive_sum(self, mode):
@@ -121,7 +125,7 @@ class TestConditionalBound:
         for y in (0, 1):
             codes_y = data.codes[data.labels == y]
             expected = naive_bound(codes_y, data.sigma2, data.eta2, mode)
-            assert conditional_bound(data, y, mode) == pytest.approx(expected, abs=1e-10)
+            assert _class_bound(data, y, mode) == pytest.approx(expected, abs=1e-10)
 
     def test_printed_outer_normalization_scales_log_part(self):
         data = _two_cluster(seed=5)
@@ -129,14 +133,15 @@ class TestConditionalBound:
         const = -data.dim * math.log(data.sigma2 / width)
         for y in (0, 1):
             n_y = int(np.sum(data.labels == y))
-            default = conditional_bound(data, y, MODE_CITED_SOURCE)
-            printed = conditional_bound(data, y, MODE_CITED_SOURCE, printed_outer_normalization=True)
+            default = _class_bound(data, y, MODE_CITED_SOURCE)
+            printed = _class_bound(data, y, MODE_CITED_SOURCE, printed_outer_normalization=True)
             assert printed == pytest.approx((default - const) * n_y / data.count + const, abs=1e-12)
 
-    def test_empty_class_rejected(self):
+    def test_absent_class_has_no_entry(self):
         data = _two_cluster()
-        with pytest.raises(ValueError, match="no samples"):
-            conditional_bound(data, 7)
+        assert sorted(bound_report(data).per_class) == [0, 1]
+        with pytest.raises(KeyError):
+            _class_bound(data, 7)
 
 
 class TestAggregateConditional:
@@ -220,9 +225,6 @@ class TestBoundReport:
 def _every_bound(data, mode, bounds=estimators):
     """Every value the public functions of ``bounds`` derive from the kernel, in a fixed order."""
     values = [bounds.mixture_bound(data, mode)]
-    for y in np.unique(data.labels):
-        values.append(bounds.conditional_bound(data, int(y), mode))
-        values.append(bounds.conditional_bound(data, int(y), mode, printed_outer_normalization=True))
     for outer in (False, True):
         for weights in (False, True):
             report = bounds.bound_report(data, mode, outer, weights)
@@ -243,12 +245,16 @@ class TestTiledKernel:
                 codes[-1] = codes[0]
             cols = np.ascontiguousarray(codes.T)
             reused = np.full(d * n * n + 5, np.nan)  # shared by every tile, larger than any of them
-            for start, stop in ((0, n), (0, 1), (n // 2, n), (n - 1, n)):
-                fresh = np.empty(d * (stop - start) * n)
-                got = estimators._sq_distances(cols, cols, start, stop, fresh)
+            tiles = [(np.arange(start, stop), einsum_distance_tile(codes, start, stop))
+                     for start, stop in ((0, n), (0, 1), (n // 2, n), (n - 1, n))]
+            shuffled = rng.permutation(n)[: (n + 1) // 2]  # rows gathered out of order
+            tiles.append((shuffled, einsum_distance_tile(codes, 0, n)[shuffled]))
+            for rows, expected in tiles:
+                fresh = np.empty(d * rows.size * n)
+                got = estimators._sq_distances(cols, rows, fresh)
                 assert got.flags.c_contiguous and np.shares_memory(got, fresh)
-                assert np.array_equal(got, einsum_distance_tile(codes, start, stop))
-                into = estimators._sq_distances(cols, cols, start, stop, reused)
+                assert np.array_equal(got, expected)
+                into = estimators._sq_distances(cols, rows, reused)
                 assert into.flags.c_contiguous and np.shares_memory(into, reused)
                 assert np.array_equal(into, got)
 
@@ -329,14 +335,15 @@ class TestThreads:
 
     @pytest.mark.parametrize("failing_row", [0, 140, 150, 299])
     def test_failure_in_either_half_raises_and_leaks_no_thread(self, monkeypatch, failing_row):
-        # 300 rows: the calling thread fills rows 0-149, the helper 150-299
+        # 300 rows: the calling thread fills label-order rows 0-149, the helper 150-299
         data = _wide_data()
+        target = np.argsort(data.labels, kind="stable")[failing_row]
         real = estimators._sq_distances
 
-        def failing(points, cols, start, stop, buf):
-            if start <= failing_row < stop:
+        def failing(cols, rows, buf):
+            if target in rows:
                 raise RuntimeError(f"injected failure at row {failing_row}")
-            return real(points, cols, start, stop, buf)
+            return real(cols, rows, buf)
 
         monkeypatch.setattr(estimators, "_bound_threads", lambda: 2)
         monkeypatch.setattr(estimators, "_TILE", 2 * 300 * 10)  # 10-row tiles, 15 per half
@@ -352,10 +359,10 @@ class TestThreads:
         heights, sizes = collections.Counter(), []
         real = estimators._sq_distances
 
-        def recording(points, cols, start, stop, buf):
-            heights[stop - start] += 1
+        def recording(cols, rows, buf):
+            heights[rows.size] += 1
             sizes.append(buf.size)
-            return real(points, cols, start, stop, buf)
+            return real(cols, rows, buf)
 
         monkeypatch.setattr(estimators, "_bound_threads", lambda: threads)
         # 600: one or two rows per thread without the floor, and four fit the
@@ -381,9 +388,9 @@ class TestThreads:
         pairs = []
         real = estimators._sq_distances
 
-        def recording(points, cols, start, stop, buf):
-            pairs.append((stop - start) * cols.shape[1])
-            return real(points, cols, start, stop, buf)
+        def recording(cols, rows, buf):
+            pairs.append(rows.size * cols.shape[1])
+            return real(cols, rows, buf)
 
         monkeypatch.setattr(estimators, "_sq_distances", recording)
         bound_report(data)
@@ -396,9 +403,9 @@ class TestThreads:
         seen = []
         real = estimators._sq_distances
 
-        def recording(points, cols, start, stop, buf):
+        def recording(cols, rows, buf):
             seen.append((threading.get_ident(), np.geterr()["under"]))
-            return real(points, cols, start, stop, buf)
+            return real(cols, rows, buf)
 
         monkeypatch.setattr(estimators, "_sq_distances", recording)
         with np.errstate(under="raise"):

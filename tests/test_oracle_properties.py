@@ -15,6 +15,7 @@ from cib.discrete_oracle import (
     decomposition_check,
     induced,
     info_report,
+    objective_values,
     optimal_product_surrogate,
     perturbed_product_surrogates,
     sample_kl_objective,
@@ -75,6 +76,23 @@ def test_chain_rule_gap_is_zero_and_quantities_nonnegative(instance):
     for value in (rep.H_Y, rep.H_Y_given_T, rep.I_XT, rep.I_YT, rep.I_XT_given_Y, rep.I_XY_given_T):
         assert value >= -1e-12
     assert np.all(rep.TC_given_y >= -1e-12)
+
+
+def _conditional_entropy_y_given_x(p):
+    """H(Y|X) in nats straight from the joint table, with 0 log 0 = 0."""
+    p_x = np.broadcast_to(p.sum(axis=1, keepdims=True), p.shape)
+    cells = p > 0.0
+    return float(-np.sum(p[cells] * np.log(p[cells] / p_x[cells])))
+
+
+@PROPERTY
+@given(instance=instances(), beta=st.floats(0.0, 1.0), beta_prime=st.floats(0.0, 50.0))
+def test_sufficiency_form_differs_from_l_cib_by_h_y_given_x(instance, beta, beta_prime):
+    # the encoder sees only X, so H(Y|T) - I(X;Y|T) = H(Y|X, T) = H(Y|X)
+    joint, _ = instance
+    values = objective_values(info_report(*instance), beta, beta_prime)
+    gap = values.l_cib - values.sufficiency_objective
+    assert gap == pytest.approx(_conditional_entropy_y_given_x(joint.p), abs=1e-12)
 
 
 @PROPERTY
