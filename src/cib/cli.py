@@ -110,7 +110,7 @@ def _cmd_train(args) -> int:
     cfg = data_io.load_config(cfg_path)
     out = _out_dir(args.out)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
-    run = model.train(cfg, train_ds, test_ds)
+    run = model.train([cfg], train_ds, test_ds)[0]
     point = model.tradeoff_point(run, test_ds)
     _write_run_dir(out, run, point)
     final = run.metrics[-1]
@@ -127,11 +127,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _sweep_worker(payload) -> dict:
-    cfg, index, beta_prime, dir_str = payload
-    point, run = model.run_sweep_point(cfg, index, beta_prime)
-    _write_run_dir(Path(dir_str), run, point)
-    return point.to_json_dict()
+def _sweep_worker(payload) -> list:
+    """Train one stack of sweep points; returns (point, run) for each point in order.
+
+    The list stops at the first point that fails, with that point's error in
+    its place, so that the caller can write the points before it and then
+    raise it.
+    """
+    cfg, indices, beta_primes = payload
+    done: list = []
+    try:
+        runs, test_ds = model.sweep_runs(cfg, indices, beta_primes)
+        for run in runs:
+            done.append((model.tradeoff_point(run, test_ds), run))
+    except (ArithmeticError, ValueError) as exc:  # what a point's numbers can raise; the caller raises it
+        done.append(exc)
+    return done
 
 
 def _write_report_csv(points: list[dict], path: Path) -> None:
@@ -155,15 +166,24 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise _CliError("--jobs must be at least 1")
     out = _out_dir(args.out)
-    # each point makes its directory once trained, so a dataset that fails to load leaves none
-    payloads = [(cfg, i, bp, str(out / f"point_{i:03d}")) for i, bp in enumerate(betas)]
     # the pool starts every worker up front, so never ask for more than can run
     workers = min(args.jobs, len(betas), estimators.usable_cores())
+    # each worker trains one stack of consecutive points, so the stacks come back in grid order
+    bounds = [len(betas) * w // workers for w in range(workers + 1)]
+    payloads = [(cfg, range(lo, hi), betas[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
-        points = [_sweep_worker(p) for p in payloads]
+        stacks = [_sweep_worker(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_worker, payloads))
+            stacks = list(pool.map(_sweep_worker, payloads))
+    # directories are written here, in grid order up to the first failing point, whatever --jobs is
+    points = []
+    for i, outcome in enumerate(outcome for stack in stacks for outcome in stack):
+        if isinstance(outcome, Exception):
+            raise outcome
+        point, run = outcome
+        _write_run_dir(out / f"point_{i:03d}", run, point)
+        points.append(point.to_json_dict())
     _write_report_csv(points, out / "sweep.csv")
     doc = {"out": str(out), "points": points}
     lines = [f"swept {len(betas)} points -> {out}", ",".join(REPORT_KEYS)]

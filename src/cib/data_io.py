@@ -195,12 +195,14 @@ def standardize(train: Dataset, test: Dataset | None = None) -> tuple[Dataset, D
     std = train.features.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
 
-    def apply(ds: Dataset, split: str) -> Dataset:
+    def apply(ds: Dataset) -> Dataset:
         prov = dict(ds.provenance)
         prov["standardized"] = True
-        return Dataset((ds.features - mean) / std, ds.labels, ds.class_count, prov)
+        out = ds.features - mean  # one temporary per split; the split's own array is left as it is
+        out /= std
+        return Dataset(out, ds.labels, ds.class_count, prov)
 
-    return apply(train, "train"), (apply(test, "test") if test is not None else None)
+    return apply(train), (apply(test) if test is not None else None)
 
 
 # --------------------------------------------------------------------- IDX

@@ -4,12 +4,13 @@ Values are float64 numpy arrays: scalars are shape-() arrays, batches are
 ``(batch, dim)`` matrices, and a store that stacks P parameter vectors
 gives every value a leading P axis.  A :class:`Tape` evaluates the one loss this
 library trains -- the encoder net, the Monte-Carlo cross-entropy and the
-per-row surrogate KL, with ``ce + beta' * mean(kl)`` on top -- and, on an
-unstacked store, keeps what its backward needs; :meth:`Tape.backward` is
-one straight-line pass that returns a flat gradient aligned with the bound
-:class:`ParamStore`.
+per-row surrogate KL, with ``ce + beta' * mean(kl)`` on top -- and keeps
+what its backward needs; :meth:`Tape.backward` is one straight-line pass
+that returns a flat gradient aligned with the bound :class:`ParamStore`,
+one row per stacked vector, each row the bits that vector gives alone.
 The fused kernels and their adjoints live here, so this module owns the
-order of every floating-point operation of a training step.
+order of every floating-point operation of a training step.  Lockstep
+training of a sweep's points runs through stacked tapes, and
 :func:`grad_check` probes through stacked forwards of the same tape.
 
 This is deliberately not a general autodiff system: it records no graph,
@@ -95,6 +96,13 @@ class ParamStore:
             raise ValueError("parameter values must be finite")
         self._layout = MappingProxyType(layout)
         self._bind(values)
+
+    def __getstate__(self) -> dict:
+        return {"layout": dict(self._layout), "values": self.values}
+
+    def __setstate__(self, state: dict) -> None:
+        self._layout = MappingProxyType(state["layout"])
+        self._bind(state["values"])
 
     def _bind(self, values: np.ndarray) -> None:
         self.values = values
@@ -199,41 +207,42 @@ def _naive_bayes_scores(tv, muv, lsv, log_priors):
 
 
 def _naive_bayes_grads(cache, g, need_log_sigma: bool):
-    """Adjoints of (t, mu, log_sigma) for the score adjoint ``g``; the last is None unless asked for."""
+    """Adjoints of (t, mu, log_sigma) for the (..., B, K) score adjoint ``g``; the last is None unless asked for."""
     diff, sq_dist, inv_var, half_inv_var = cache
-    d = diff.shape[2]
+    d = diff.shape[-1]
     g_log_sigma = None
     if need_log_sigma:
-        g_log_var = g.sum(axis=0) * (-0.5 * d)  # through the offset row
+        g_log_var = g.sum(axis=-2) * (-0.5 * d)  # through the offset row
     g_quad = g * -1.0
-    g_sq_dist = g_quad * half_inv_var[None, :]
+    g_sq_dist = g_quad * half_inv_var[..., None, :]
     if need_log_sigma:
-        g_half_inv_var = (g_quad * sq_dist).sum(axis=0)
+        g_half_inv_var = (g_quad * sq_dist).sum(axis=-2)
         g_log_var = g_log_var - g_half_inv_var * 0.5 * inv_var  # through e^(-log_var); a + (-b) is a - b
         g_log_sigma = g_log_var * 2.0
-    w = 2.0 * g_sq_dist[:, :, None] * diff
-    return w.sum(axis=1), -w.sum(axis=0), g_log_sigma
+    w = 2.0 * g_sq_dist[..., None] * diff
+    return w.sum(axis=-2), -w.sum(axis=-3), g_log_sigma
 
 
-def _softmax_nll(sv: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _softmax_nll(sv: np.ndarray, at: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Per-row negative log-softmax of the labelled class, and the row log-sum-exps.
 
-    ``rows`` is ``np.arange(B)``, passed in so that repeated calls share it.
+    ``at`` indexes each batch row's labelled score: ``(rows, labels)``, led by
+    the stack index of each row on a stacked store.
     """
     lse = logsumexp_rows(sv)
-    return lse - sv[..., rows, labels], lse
+    return lse - sv[at], lse
 
 
-def _softmax_nll_grad(sv, rows, labels, lse, g):
-    """Adjoint of the scores for the (B,) adjoint ``g``: the log-sum-exp's minus ``g`` at the labels.
+def _softmax_nll_grad(sv, at, lse, g):
+    """Adjoint of the scores for the (..., B) adjoint ``g``: the log-sum-exp's minus ``g`` at the labels.
 
     The chain adds the log-sum-exp part onto a matrix that is 0 except for
     -g at the labels, which gives the same sums except that 0.0 + (-0.0) is
     +0.0.  Such a zero reaches the gradient only as a zero, and adding it
     onto the zeroed gradient makes it +0.0 there too.
     """
-    g_scores = np.exp(sv - lse[:, None]) * g[:, None]
-    g_scores[rows, labels] -= g
+    g_scores = np.exp(sv - lse[..., None]) * g[..., None]
+    g_scores[at] -= g
     return g_scores
 
 
@@ -256,11 +265,14 @@ class Tape:
     scopes, and adjoints reach a shared input in the chain's order, so the
     tape gives the chain's values and gradient bit for bit.
 
-    On a stacked store :meth:`total` returns the (P,) losses of its rows,
-    each equal bit for bit to the loss of that vector alone, and there is no
-    backward, so the tape keeps neither the net's layers nor the draws'
-    scores: those caches would hold a stack's largest intermediates alive
-    through the cross-entropy.  ``width`` is the most float64 values one
+    On a store that stacks P parameter vectors every value gains a leading
+    P axis, and so may the batch, labels, noise and beta' (one per row) or
+    not (shared by all rows).  :meth:`total` then returns the (P,) losses and
+    :meth:`backward` the (P, size) gradients of the rows, each equal bit for
+    bit to what that vector alone gives with its own inputs: a row's values
+    go through the same operations in the same order, whether as a slice of
+    a stacked matmul, of a reduction over its own axes or of an ``add.at``
+    indexed by its own row.  ``width`` is the most float64 values one
     intermediate holds per parameter vector, so that a caller can bound a
     stack.
 
@@ -274,6 +286,8 @@ class Tape:
         self.store = store
         self.width = 0
         self._lead = store.values.shape[:-1]  # () or (P,)
+        # the stack index of each row, for gathers along the class axis that follows it
+        self._rows = (np.arange(self._lead[0])[:, None],) if self._lead else ()
         self._ops = 0
         self._mlp = self._log_var = self._ce = self._kl = self._total = None
 
@@ -282,11 +296,19 @@ class Tape:
         return self._ops
 
     def _slice(self, name: str | None, shape: tuple[int, ...]) -> np.ndarray:
-        """The named slice as a view, or zeros of ``shape`` for ``None``."""
-        return np.zeros(shape) if name is None else self.store.get(name)
+        """The named slice as a view, or zeros of its (lead + ``shape``) shape for ``None``."""
+        return np.zeros(self._lead + shape) if name is None else self.store.get(name)
+
+    def _pick(self, a: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The entries of each batch row's class of ``a``, whose class axis follows the lead."""
+        return a[self._rows + (labels,)] if self._lead else a.take(labels, axis=0)
+
+    def _inputs_fit(self, data: np.ndarray, shape: tuple[int, ...]) -> bool:
+        """Whether ``data`` is ``shape``, shared by the rows or one per row."""
+        return data.shape in (shape, self._lead + shape)
 
     def mlp(self, x: np.ndarray, names: Sequence[str], activation: str) -> np.ndarray:
-        """Output of a feed-forward net on the fixed (B, d_in) batch ``x``, (..., B, d_out).
+        """Output of a feed-forward net on the fixed (B, d_in) or (..., B, d_in) batch ``x``, (..., B, d_out).
 
         ``names`` lists the slices W_0, b_0, W_1, b_1, ...: layer l maps h to
         ``h @ W_l.T + b_l``, and every layer but the last then applies
@@ -300,8 +322,8 @@ class Tape:
         inputs, pres, exps = [], [], []
         for l in range(n):
             wv, bv = weights[2 * l], weights[2 * l + 1]
-            if (h.ndim < 2 or wv.ndim != len(self._lead) + 2 or bv.shape != wv.shape[:-1]
-                    or h.shape[-1] != wv.shape[-1]):
+            if (h.ndim < 2 or not self._inputs_fit(h, h.shape[-2:]) or wv.ndim != len(self._lead) + 2
+                    or bv.shape != wv.shape[:-1] or h.shape[-1] != wv.shape[-1]):
                 raise ShapeError(f"mlp layer {l}: x{h.shape} W{wv.shape} b{bv.shape} do not agree")
             inputs.append(h)
             h = h @ wv.mT + bv[..., None, :]
@@ -310,8 +332,7 @@ class Tape:
                 pres.append(h)
                 h, e = _activate(h, activation)
                 exps.append(e)
-        if not self._lead:  # a stacked store has no backward: its layers are freed here
-            self._mlp = (names, weights, activation, inputs, pres, exps)
+        self._mlp = (names, weights, activation, inputs, pres, exps)
         self._ops += 1
         return h
 
@@ -333,12 +354,13 @@ class Tape:
         self, means: np.ndarray, log_var: np.ndarray, noise: np.ndarray, labels: np.ndarray,
         head: str, p: str, q: str | None, log_priors: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Monte-Carlo cross-entropy of the labels, a scalar.
+        """Monte-Carlo cross-entropy of the labels, a scalar (a (P,) array on a stacked store).
 
-        Draw s is ``t_s = means + e^(v/2) noise[s]`` for the (B, d) ``means``
-        of :meth:`mlp`, the scalar ``log_var`` v of :meth:`log_var` and the
-        fixed (S, B, d) ``noise``; the value is the batch mean of
-        ``(1/S) sum_s -log softmax(scores(t_s))[y]``.  ``head`` names the score
+        Draw s is ``t_s = means + e^(v/2) noise[..., s, :, :]`` for the
+        (..., B, d) ``means`` of :meth:`mlp`, the scalar ``log_var`` v of
+        :meth:`log_var` and the fixed (S, B, d) or (..., S, B, d) ``noise``;
+        the value is the batch mean of ``(1/S) sum_s -log softmax(scores(t_s))[y]``
+        for the (B,) or (..., B) ``labels``.  ``head`` names the score
         rule: ``"softmax"`` scores ``t @ W.T + b`` with the slices ``p``, ``q``
         = W (K, d) and b (K,); ``"naive_bayes"`` scores log p(y) + log N(t;
         mu_y, sigma_y^2 I) with ``p``, ``q`` = mu (K, d) and log sigma (K,)
@@ -349,10 +371,10 @@ class Tape:
         qv = self._slice(q, pv.shape[-2:-1])
         noise = np.asarray(noise, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.intp)
-        if (mv.shape[:-2] != self._lead or lv.shape not in ((), self._lead) or noise.ndim != 3
-                or noise.shape[0] < 1 or noise.shape[1:] != mv.shape[-2:] or labels.shape != mv.shape[-2:-1]
-                or pv.shape[:-2] != self._lead or pv.shape[-1] != mv.shape[-1]
-                or qv.shape not in (pv.shape[:-1], pv.shape[-2:-1])):
+        if (mv.shape[:-2] != self._lead or lv.shape not in ((), self._lead) or noise.ndim < 3
+                or noise.shape[-3] < 1 or not self._inputs_fit(noise, noise.shape[-3:-2] + mv.shape[-2:])
+                or not self._inputs_fit(labels, mv.shape[-2:-1])
+                or pv.shape[:-2] != self._lead or pv.shape[-1] != mv.shape[-1] or qv.shape != pv.shape[:-1]):
             raise ShapeError(
                 f"mc_cross_entropy: means{mv.shape} log_var{lv.shape} noise{noise.shape} "
                 f"labels{labels.shape} head {pv.shape} {qv.shape} do not agree"
@@ -366,33 +388,33 @@ class Tape:
         with np.errstate(over="ignore"):
             std = np.exp(lv * 0.5)
         scale = std[..., None, None] if std.ndim else std  # a stacked row's std spans its (B, d) draws
-        rows = np.arange(mv.shape[-2])
+        b, draw_count = mv.shape[-2], noise.shape[-3]
+        at = self._rows + (np.arange(b), labels)  # each row's labelled score
         draws = []
         total = None
-        self.width = max(self.width, rows.size * pv.shape[-2] * (pv.shape[-1] if head == "naive_bayes" else 1))
-        for eps in noise:
-            t = mv + eps * scale
+        self.width = max(self.width, b * pv.shape[-2] * (pv.shape[-1] if head == "naive_bayes" else 1))
+        for s in range(draw_count):
+            t = mv + noise[..., s, :, :] * scale
             if head == "softmax":
                 scores, cache = t @ pv.mT + qv[..., None, :], t
             else:
                 scores, cache = _naive_bayes_scores(t, pv, qv, log_priors)
-            nll, lse = _softmax_nll(scores, rows, labels)
-            if not self._lead:
-                draws.append((scores, lse, cache))
+            nll, lse = _softmax_nll(scores, at)
+            draws.append((scores, lse, cache))
             total = nll if total is None else total + nll
-        self._ce = (head, p, q, pv, noise, rows, labels, std, draws)
+        self._ce = (head, p, q, pv, noise, at, std, draws)
         self._ops += 1
-        return np.asarray(_mean(total * (1.0 / noise.shape[0])))
+        return np.asarray(_mean(total * (1.0 / draw_count)))
 
     def kl_to_surrogate_rows(
         self, means: np.ndarray, log_var: np.ndarray, mu: str, log_sigma: str | None, labels: np.ndarray
     ) -> np.ndarray:
-        """Per-row KL(N(m_i, e^v I) || N(mu_{y_i}, sigma_{y_i}^2 I)), a (B,) array.
+        """Per-row KL(N(m_i, e^v I) || N(mu_{y_i}, sigma_{y_i}^2 I)), a (..., B) array.
 
-        ``means`` is the (B, d) output of :meth:`mlp`, ``log_var`` the scalar
-        v of :meth:`log_var`, and ``mu``, ``log_sigma`` name the (K, d) and
-        (K,) surrogate slices (``log_sigma`` None: every sigma_y is 1).  The
-        chain it stands for is
+        ``means`` is the (..., B, d) output of :meth:`mlp`, ``log_var`` the
+        scalar v of :meth:`log_var`, ``labels`` the (B,) or (..., B) classes,
+        and ``mu``, ``log_sigma`` name the (K, d) and (K,) surrogate slices
+        (``log_sigma`` None: every sigma_y is 1).  The chain it stands for is
         0.5 * (d e^(v - lv_y) + |m - mu_y|^2 e^(-lv_y) + d lv_y - d v - d)
         with lv_y = 2 log sigma_y.
         """
@@ -401,15 +423,15 @@ class Tape:
         lsv = self._slice(log_sigma, muv.shape[-2:-1])
         labels = np.asarray(labels, dtype=np.intp)
         if (mv.shape[:-2] != self._lead or lv.shape not in ((), self._lead) or muv.shape[:-2] != self._lead
-                or muv.shape[-1] != mv.shape[-1] or lsv.shape not in (muv.shape[:-1], muv.shape[-2:-1])
-                or labels.shape != mv.shape[-2:-1]):
+                or muv.shape[-1] != mv.shape[-1] or lsv.shape != muv.shape[:-1]
+                or not self._inputs_fit(labels, mv.shape[-2:-1])):
             raise ShapeError(
                 f"kl_to_surrogate_rows: means{mv.shape} log_var{lv.shape} mu{muv.shape} "
                 f"log_sigma{lsv.shape} labels{labels.shape} do not agree"
             )
         d = float(mv.shape[-1])
-        lv_y = lsv.take(labels, axis=-1) * 2.0
-        diff = mv - muv.take(labels, axis=-2)
+        lv_y = self._pick(lsv, labels) * 2.0
+        diff = mv - self._pick(muv, labels)
         sq_dist = (diff * diff).sum(axis=-1)
         # the scalar v broadcasts over the rows: each element is the chain's v_b[i] op x
         lv = lv[..., None] if lv.ndim else lv
@@ -424,15 +446,21 @@ class Tape:
         self._ops += 1
         return rows * 0.5
 
-    def total(self, ce: np.ndarray, kl_rows: np.ndarray, beta_prime: float) -> tuple[np.ndarray, ...]:
-        """The loss ``ce + beta' * mean(kl_rows)``; returns (total, ce, kl) with kl the mean."""
+    def total(self, ce: np.ndarray, kl_rows: np.ndarray, beta_prime) -> tuple[np.ndarray, ...]:
+        """The loss ``ce + beta' * mean(kl_rows)``; returns (total, ce, kl) with kl the mean.
+
+        ``beta_prime`` is a float, or on a stacked store (P,) values, one per row.
+        """
         kl = np.asarray(_mean(kl_rows))
-        self._total = (float(beta_prime), kl_rows.shape[-1])
+        beta_prime = beta_prime if isinstance(beta_prime, np.ndarray) else float(beta_prime)
+        self._total = (beta_prime, kl_rows.shape[-1])
         self._ops += 1
-        return np.asarray(ce + kl * float(beta_prime)), ce, kl
+        # a diverging run gives inf * 0 here; the caller checks the total's finiteness
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(ce + kl * beta_prime), ce, kl
 
     def backward(self) -> np.ndarray:
-        """The flat gradient of the recorded total over the bound store.
+        """The flat gradient of the recorded total over the bound store, (size,) or (P, size).
 
         One straight-line pass in the chain's adjoint order: the KL rows
         reach the means, the surrogate and the log-variance first; the draws
@@ -442,46 +470,47 @@ class Tape:
         adjoint is +0.0 there.  Adjoints of a fixed log-variance or fixed
         class sigmas are not formed.
         """
-        if self._lead:
-            raise ValueError("backward needs an unstacked store; a stacked store gives losses only")
         if any(r is None for r in (self._mlp, self._ce, self._kl, self._total)):
             raise ValueError("backward needs a recorded mlp, mc_cross_entropy, kl_to_surrogate_rows and total")
-        store = self.store
-        grad = np.zeros(store.size)
+        store, lead = self.store, self._lead
+        grad = np.zeros(store.values.shape)
         beta_prime, b = self._total
         need_lv = self._log_var is not None
 
         # KL rows: the adjoint of the scale by beta', then of the mean
         mu, log_sigma, kl_labels, diff, sq_dist, ratio, inv_var = self._kl
         need_ls = log_sigma is not None
-        d = float(diff.shape[1])
-        g = np.full(b, beta_prime / b) * 0.5  # the five summands
+        d = float(diff.shape[-1])
+        row_scale = beta_prime / b
+        g = np.full(lead + (b,), row_scale[..., None] if isinstance(row_scale, np.ndarray) else row_scale) * 0.5
         g_sq_dist = g * inv_var
         if need_lv or need_ls:
             g_gap = g * d * ratio  # through e^(v - lv_y)
         if need_lv:
-            g_lv = np.asarray(np.sum(g * -d + g_gap))  # broadcast encoder log-variance
-        g_means = g_sq_dist[:, None] * diff * 2.0  # the chain's p + p, exactly
-        g_mu = np.zeros(store.spec(mu).shape)
-        np.subtract.at(g_mu, kl_labels, g_means)  # adds -g_means row by row
+            g_lv = (g * -d + g_gap).sum(axis=-1)  # broadcast encoder log-variance
+        g_means = g_sq_dist[..., None] * diff * 2.0  # the chain's p + p, exactly
+        # ufunc.at visits the index in order, so each row adds its batch rows in the chain's order
+        kl_at = self._rows + (kl_labels,) if lead else kl_labels
+        g_mu = np.zeros(lead + store.spec(mu).shape)
+        np.subtract.at(g_mu, kl_at, g_means)  # adds -g_means row by row
         adj = {mu: g_mu}  # slice adjoints, the KL's first
         if need_ls:
             # per-row surrogate log-variance lv_y, then through e^(-lv_y) and e^(v - lv_y); a + (-b) is a - b
             g_lv_y = g * d - g * sq_dist * inv_var - g_gap
-            g_log_sigma = np.zeros(store.spec(log_sigma).shape)
-            np.add.at(g_log_sigma, kl_labels, g_lv_y * 2.0)
+            g_log_sigma = np.zeros(lead + store.spec(log_sigma).shape)
+            np.add.at(g_log_sigma, kl_at, g_lv_y * 2.0)
             adj[log_sigma] = g_log_sigma
 
         # Monte-Carlo cross-entropy, adjoint 1: the batch mean, then the 1/S scale
-        head, p, q, pv, noise, rows, labels, std, draws = self._ce
+        head, p, q, pv, noise, at, std, draws = self._ce
         need_q = q is not None
-        g_nll = np.full(labels.shape[0], 1.0 / labels.shape[0] * (1.0 / noise.shape[0]))
+        g_nll = np.full(lead + (b,), 1.0 / b * (1.0 / len(draws)))
         g_p = g_q = g_std = None
         for s in range(len(draws) - 1, -1, -1):
             scores, lse, cache = draws[s]
-            g_scores = _softmax_nll_grad(scores, rows, labels, lse, g_nll)
+            g_scores = _softmax_nll_grad(scores, at, lse, g_nll)
             if head == "softmax":
-                g_t, gp, gq = g_scores @ pv, g_scores.T @ cache, g_scores.sum(axis=0)
+                g_t, gp, gq = g_scores @ pv, g_scores.mT @ cache, g_scores.sum(axis=-2)
             else:
                 g_t, gp, gq = _naive_bayes_grads(cache, g_scores, need_q)
             # the chain gave each draw its own score leaves, summed from the last draw on;
@@ -491,7 +520,7 @@ class Tape:
                 g_q = gq if g_q is None else g_q + gq
             g_means = g_means + g_t
             if need_lv:
-                g_eps = np.asarray(np.sum(g_t * noise[s]))  # the draw's noise * std product
+                g_eps = (g_t * noise[..., s, :, :]).sum(axis=(-2, -1))  # the draw's noise * std product
                 g_std = g_eps if g_std is None else g_std + g_eps
         adj[p] = adj[p] + g_p if p in adj else g_p
         if need_q:
@@ -508,14 +537,14 @@ class Tape:
         for l in range(len(inputs) - 1, -1, -1):
             if l:  # the first layer's input is the fixed batch: no adjoint
                 g_in = g @ weights[2 * l]
-            adj[names[2 * l]] = g.T @ inputs[l]
-            adj[names[2 * l + 1]] = g.sum(axis=0)
+            adj[names[2 * l]] = g.mT @ inputs[l]
+            adj[names[2 * l + 1]] = g.sum(axis=-2)
             if l:
                 g = _act_grad(activation, g_in, pres[l - 1], inputs[l], exps[l - 1])
 
         for name, g in adj.items():
             spec = store.spec(name)
-            grad[spec.offset : spec.offset + spec.size] += np.asarray(g).ravel()
+            grad[..., spec.offset : spec.offset + spec.size] += np.asarray(g).reshape(lead + (spec.size,))
         return grad
 
 
@@ -536,8 +565,10 @@ class GradCheckReport:
 LossFn = Callable[[ParamStore], tuple[np.ndarray, Tape]]
 
 # the most float64 values that one intermediate of a stack of probes may hold;
-# the stacked forward holds about four intermediates at its peak, so a stack
-# takes about four times this many values, besides its probe rows
+# the stacked forward holds about four intermediates at its peak, plus the
+# backward cache of every draw but the last (at most one intermediate each),
+# so a stack takes at most about 3 + S times this many values for S draws,
+# besides its probe rows
 PROBE_STACK_VALUES = 2**14
 
 
@@ -551,10 +582,11 @@ def grad_check(lossfn: LossFn, params: ParamStore, eps: float, tol: float) -> Gr
     ``params``, which stays untouched; the 2 * size probes (each coordinate
     +eps, then -eps) are rows of stacked stores, as many per call as keep
     every intermediate within PROBE_STACK_VALUES values, and at least one.
-    A stacked forward holds about four intermediates at its peak, so a stack
-    takes about four times that bound: at 8-32-3, batch 16, a warm ``cib
-    gradcheck`` peaks at 0.66-0.69 MB (tracemalloc) for 128 KiB intermediates
-    and about 0.1 MB of probe rows.  The relative error per coordinate is
+    A stacked forward holds about four intermediates at its peak, plus the
+    backward cache of every draw but the last (at most one intermediate
+    each), so a stack takes at most about 3 + S times that bound for S draws: at 8-32-3, batch 16, a warm ``cib gradcheck``
+    peaks at 0.70 MB (tracemalloc) with one draw and 0.92 MB with four, for
+    128 KiB intermediates and about 0.1 MB of probe rows.  The relative error per coordinate is
     ``|g - fd| / max(1, |g|)``.
     """
     if eps <= 0.0:

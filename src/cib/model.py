@@ -10,7 +10,9 @@ class-conditional bottleneck loss jointly over encoder weights and surrogate
 parameters; every run is a deterministic function of its seed.
 Encoder, surrogate and softmax readout share one parameter store, which one
 :class:`ModelState` holds with the decoder rule: the value a run returns and
-a checkpoint holds.
+a checkpoint holds.  Runs that differ only in beta' and seed, such as a
+sweep's points, train in lockstep as one model over a stacked store, each
+getting the bits it gets when trained alone.
 Evaluation works on the same inputs as training, the (N, d) matrix of encoder
 means and the scalar log-variance: one kernel gives accuracy, cross-entropy
 and KL for metrics rows and trade-off points alike.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +50,7 @@ __all__ = [
     "evaluate",
     "tradeoff_point",
     "sweep",
-    "run_sweep_point",
+    "sweep_runs",
 ]
 
 EVAL_MC_SAMPLES = 16
@@ -289,12 +291,12 @@ def _empirical_priors(train_ds: Dataset, extra: Dataset | None = None) -> np.nda
 
 
 class _Adam:
-    """Adaptive-moment update over the flat parameter vector."""
+    """Adaptive-moment update of the flat parameter vector, elementwise, so stacked vectors update as rows."""
 
-    def __init__(self, size: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shape: tuple[int, ...], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
 
     def update(self, values: np.ndarray, grad: np.ndarray) -> None:
@@ -305,13 +307,20 @@ class _Adam:
         v_hat = self.v / (1.0 - self.beta2**self.t)
         values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
+    def keep(self, rows: list[int]) -> None:
+        """Keep the moments of these stacked rows only."""
+        self.m, self.v = self.m[rows], self.v[rows]
+
 
 class _Sgd:
-    def __init__(self, size: int, lr: float):
+    def __init__(self, shape: tuple[int, ...], lr: float):
         self.lr = lr
 
     def update(self, values: np.ndarray, grad: np.ndarray) -> None:
         values -= self.lr * grad
+
+    def keep(self, rows: list[int]) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -330,16 +339,17 @@ class EvalResult:
 
 @dataclass
 class TrainResult:
-    """A finished run: its model, its metrics rows and its beta'.
+    """A run: its model, its metrics rows, its beta' and the error that ended it early, if any.
 
-    The final metrics row is the :func:`loss_terms` evaluation of ``state``
-    on the train split; the trade-off point reads its train-split terms from
-    it instead of evaluating that split again.
+    The final metrics row of a finished run is the :func:`loss_terms`
+    evaluation of ``state`` on the train split; the trade-off point reads its
+    train-split terms from it instead of evaluating that split again.
     """
 
     state: ModelState
     metrics: list[MetricsRow]
     beta_prime: float
+    error: Exception | None = None
 
 
 @dataclass(frozen=True)
@@ -423,7 +433,10 @@ def tradeoff_point(run: TrainResult, test_ds: Dataset) -> TradeoffPoint:
 
     The train-split terms are the run's final metrics row, an evaluation of
     the same state, so only the test split is encoded and evaluated here.
+    A run that failed raises its error.
     """
+    if run.error is not None:
+        raise run.error
     final = run.metrics[-1]
     ev_test = evaluate(run.state, test_ds)
     return TradeoffPoint(
@@ -477,13 +490,90 @@ def _alternating_moment_step(state: ModelState, train: Dataset) -> None:
             state.store.get("sur.log_sigma")[y] = 0.5 * math.log(sigma2_y)
 
 
+def _without_beta(loss: dict) -> dict:
+    return {key: value for key, value in loss.items() if key not in ("beta", "beta_prime")}
+
+
+def _check_stackable(configs: list[dict]) -> None:
+    """ValueError naming the first block in which the configs differ, beyond beta' and the seed."""
+
+    def shared(cfg: dict) -> dict:
+        return {**cfg, "loss": _without_beta(cfg["loss"]), "seed": None}
+
+    first = shared(configs[0])
+    for cfg in map(shared, configs[1:]):
+        for block, value in first.items():
+            if cfg[block] != value:
+                raise ValueError(f"configs trained as one stack differ in {block}; only beta' and seed may")
+
+
+class _Lockstep:
+    """The runs of :func:`train` still going, with what they share: store, optimizer and beta'.
+
+    One run trains on its own, unstacked store.  More runs train on one
+    stacked (P, size) store whose rows their states view, with (P,) beta'
+    and (P, n) shuffle orders.
+    """
+
+    def __init__(self, runs: list[TrainResult], streams: list[tuple], opt_cfg: dict):
+        self.runs, self.streams, self.order = runs, streams, None
+        self.stacked = len(runs) > 1
+        if self.stacked:
+            self._bind(np.stack([run.state.store.values for run in runs]))
+        else:
+            self.store, self.beta_prime = runs[0].state.store, runs[0].beta_prime
+        optimizer = _Adam if opt_cfg["kind"] == "adam" else _Sgd
+        self.opt = optimizer(self.store.values.shape, float(opt_cfg["lr"]))
+
+    def _bind(self, values: np.ndarray) -> None:
+        """Make ``values`` the stack, and each run's state a view of its row."""
+        self.store = self.runs[0].state.store.with_values(values)
+        for run, row in zip(self.runs, values):
+            store = self.store.with_values(row)
+            run.state = replace(run.state, store=store, encoder=replace(run.state.encoder, store=store))
+        self.beta_prime = np.array([run.beta_prime for run in self.runs])
+
+    def rows(self, arrays: list[np.ndarray]) -> np.ndarray:
+        """One array per run as the stack takes it: stacked, or the one run's own."""
+        return np.stack(arrays) if self.stacked else arrays[0]
+
+    def each(self, work) -> None:
+        """``work(run, j)`` for the j-th run still going; what a run raises becomes its error."""
+        for j, run in enumerate(self.runs):
+            try:
+                work(run, j)
+            except (ArithmeticError, ValueError) as exc:
+                run.error = exc
+
+    def drop_failed(self) -> list[int] | None:
+        """Drop the runs that failed from the stack; returns the rows kept, or None if none failed."""
+        keep = [j for j, run in enumerate(self.runs) if run.error is None]
+        if len(keep) == len(self.runs):
+            return None
+        self.runs = [self.runs[j] for j in keep]
+        self.streams = [self.streams[j] for j in keep]
+        if self.stacked and keep:
+            self._bind(self.store.values[keep])
+            self.opt.keep(keep)
+            self.order = None if self.order is None else self.order[keep]
+        return keep
+
+
 def train(
-    config: dict,
+    configs: Sequence[dict],
     train_ds: Dataset,
     test_ds: Dataset | None = None,
     shuffle_seed: int | None = None,
-) -> TrainResult:
-    """Minimize the bottleneck loss by stochastic gradient; fully seeded.
+) -> list[TrainResult]:
+    """Minimize the bottleneck loss of each config by stochastic gradient, in lockstep; fully seeded.
+
+    The configs may differ only in beta' and seed, as a sweep's points do.
+    Their runs step together as one model over a stacked store, and each
+    gets the bits it gets when trained alone (``train([config], ...)``, on an
+    unstacked store): its own initialization, shuffle and noise streams,
+    batches and metrics rows.  A run whose loss turns non-finite, or whose
+    surrogate update or evaluation fails, leaves the stack with that error
+    in :attr:`TrainResult.error`; the others go on.
 
     Batches are drawn from a per-epoch shuffled order but processed in sorted
     index order, so a full-batch run is independent of the shuffle stream.
@@ -492,7 +582,11 @@ def train(
     Metrics rows are full train-split evaluations logged at step 0, every
     ``optim.log_every`` steps, and at the final step.
     """
-    cfg = data_io.validate_config(config)
+    cfgs = [data_io.validate_config(config) for config in configs]
+    if not cfgs:
+        raise ValueError("train needs at least one config")
+    _check_stackable(cfgs)
+    cfg = cfgs[0]
     if cfg["encoder"]["layer_dims"][0] != train_ds.dim:
         raise ValueError(
             f"encoder expects inputs of dimension {cfg['encoder']['layer_dims'][0]}, "
@@ -500,86 +594,108 @@ def train(
         )
     use_all = cfg["surrogate"]["priors"] == "all" and test_ds is not None
     priors = _empirical_priors(train_ds, test_ds if use_all else None)
-    beta_prime = _resolve_beta_prime(cfg["loss"])
-    seed = cfg["seed"]
 
-    rng_init = np.random.default_rng(derive_seed(seed, _INIT_STREAM))
-    rng_shuffle = np.random.default_rng(
-        derive_seed(seed, _SHUFFLE_STREAM) if shuffle_seed is None else shuffle_seed
-    )
-    rng_noise = np.random.default_rng(derive_seed(seed, _NOISE_STREAM))
-
-    state = build_state(cfg, priors, rng_init)
-    opt_cfg = cfg["optim"]
-    if opt_cfg["kind"] == "adam":
-        opt = _Adam(state.store.size, float(opt_cfg["lr"]))
-    else:
-        opt = _Sgd(state.store.size, float(opt_cfg["lr"]))
+    runs, streams = [], []
+    for c in cfgs:
+        seed = c["seed"]
+        state = build_state(c, priors, np.random.default_rng(derive_seed(seed, _INIT_STREAM)))
+        runs.append(TrainResult(state=state, metrics=[], beta_prime=_resolve_beta_prime(c["loss"])))
+        streams.append((
+            np.random.default_rng(derive_seed(seed, _SHUFFLE_STREAM) if shuffle_seed is None else shuffle_seed),
+            np.random.default_rng(derive_seed(seed, _NOISE_STREAM)),
+        ))
+    lock = _Lockstep(runs, streams, cfg["optim"])
 
     n = train_ds.count
-    batch = min(opt_cfg["batch"], n)
-    steps, log_every = opt_cfg["steps"], opt_cfg["log_every"]
+    batch = min(cfg["optim"]["batch"], n)
+    steps, log_every = cfg["optim"]["steps"], cfg["optim"]["log_every"]
     mc_samples = cfg["loss"]["mc_samples"]
     alternating = cfg["surrogate"]["update"] == "alternating"
-    d = state.encoder.bottleneck_dim
+    d = runs[0].state.encoder.bottleneck_dim
+    sur_slices = [lock.store.spec(name) for name in lock.store.names() if name.startswith("sur.")]
 
+    def moment_step(run, j):
+        _alternating_moment_step(run.state, train_ds)
+
+    def log_row(run, j):
+        run.metrics.append(_metrics_row(loss_terms(run.state, train_ds), run.beta_prime, step))
+
+    step = 0
     if alternating:
-        _alternating_moment_step(state, train_ds)
-
-    sur_slices = [state.store.spec(name) for name in state.store.names() if name.startswith("sur.")]
-    metrics: list[MetricsRow] = [_metrics_row(loss_terms(state, train_ds), beta_prime, 0)]
-    order = np.empty(0, dtype=np.intp)
-    pos = 0
+        lock.each(moment_step)
+    lock.each(log_row)
+    lock.drop_failed()
+    pos = n  # the first step draws the first order
     for step in range(1, steps + 1):
-        if pos + batch > order.size:
-            order = rng_shuffle.permutation(n)
+        if not lock.runs:
+            break
+        if pos + batch > n:
+            lock.order = lock.rows([shuffle.permutation(n) for shuffle, _ in lock.streams])
             pos = 0
-        idx = np.sort(order[pos : pos + batch])
+        idx = np.sort(lock.order[..., pos : pos + batch])
         pos += batch
-        noise = rng_noise.standard_normal((mc_samples, idx.size, d))
+        noise = lock.rows([draws.standard_normal((mc_samples, batch, d)) for _, draws in lock.streams])
+        x, labels = train_ds.features[idx], train_ds.labels[idx]
 
-        tape = Tape(state.store)
-        total, _, _ = state.loss_graph(tape, train_ds.features[idx], train_ds.labels[idx], beta_prime, noise)
-        if not np.isfinite(float(total)):
-            sample = _diagnose_nonfinite(
-                state, train_ds.features[idx], train_ds.labels[idx], noise, idx
-            )
-            raise NonFiniteLossError(
-                f"non-finite loss at step {step} (train sample {sample})",
-                step=step,
-                sample_index=sample,
-            )
+        tape = Tape(lock.store)
+        total, _, _ = lock.runs[0].state.loss_graph(tape, x, labels, lock.beta_prime, noise)
+        if not (np.isfinite(total).all() if lock.stacked else np.isfinite(total)):
+            finite = np.isfinite(total).reshape(-1)  # one flag per run
+
+            def diagnose(run, j):
+                if not finite[j]:
+                    own = (x[j], labels[j], noise[j], idx[j]) if lock.stacked else (x, labels, noise, idx)
+                    sample = _diagnose_nonfinite(run.state, *own)
+                    raise NonFiniteLossError(
+                        f"non-finite loss at step {step} (train sample {sample})", step=step, sample_index=sample
+                    )
+
+            lock.each(diagnose)
+            keep = lock.drop_failed()
+            if not lock.runs:
+                break
+            # the runs left take this step again on the same batches and noise
+            x, labels, noise = x[keep], labels[keep], noise[keep]
+            tape = Tape(lock.store)
+            lock.runs[0].state.loss_graph(tape, x, labels, lock.beta_prime, noise)
         grad = tape.backward()
         if alternating:
             for spec in sur_slices:
-                grad[spec.offset : spec.offset + spec.size] = 0.0
-        opt.update(state.store.values, grad)
+                grad[..., spec.offset : spec.offset + spec.size] = 0.0
+        lock.opt.update(lock.store.values, grad)
         if alternating:
-            _alternating_moment_step(state, train_ds)
-
+            lock.each(moment_step)
         if step % log_every == 0 or step == steps:
-            metrics.append(_metrics_row(loss_terms(state, train_ds), beta_prime, step))
-
-    return TrainResult(state=state, metrics=metrics, beta_prime=beta_prime)
+            lock.each(log_row)
+        lock.drop_failed()
+    return runs
 
 
 def sweep(config: dict, beta_primes: Sequence[float]) -> list[TradeoffPoint]:
-    """Independent runs over the beta' grid; one TradeoffPoint per value.
+    """Independent runs over the beta' grid, trained as one stack; one TradeoffPoint per value.
 
     Each point derives its own run seed from (config seed, point index), so a
-    grid entry is reproducible in isolation.
+    grid entry is reproducible in isolation.  The first point that failed
+    raises its error.
     """
     if len(beta_primes) == 0:
         raise ValueError("beta_prime list must be non-empty")
-    return [run_sweep_point(config, i, bp)[0] for i, bp in enumerate(beta_primes)]
+    runs, test_ds = sweep_runs(config, range(len(beta_primes)), beta_primes)
+    return [tradeoff_point(run, test_ds) for run in runs]
 
 
-def run_sweep_point(config: dict, index: int, beta_prime: float) -> tuple[TradeoffPoint, TrainResult]:
-    """Train and evaluate one sweep entry; returns (point, run)."""
+def sweep_runs(
+    config: dict, indices: Sequence[int], beta_primes: Sequence[float]
+) -> tuple[list[TrainResult], Dataset]:
+    """Train the grid points ``indices`` at ``beta_primes`` as one stack; returns (runs, test split).
+
+    The config's dataset is built once for the whole stack.
+    """
     cfg = data_io.validate_config(config)
-    cfg["loss"] = {k: v for k, v in cfg["loss"].items() if k not in ("beta", "beta_prime")}
-    cfg["loss"]["beta_prime"] = float(beta_prime)
-    cfg["seed"] = derive_seed(cfg["seed"], index)
+    configs = [
+        {**cfg, "loss": {**_without_beta(cfg["loss"]), "beta_prime": float(beta_prime)},
+         "seed": derive_seed(cfg["seed"], index)}
+        for index, beta_prime in zip(indices, beta_primes)
+    ]
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
-    run = train(cfg, train_ds, test_ds)
-    return tradeoff_point(run, test_ds), run
+    return train(configs, train_ds, test_ds), test_ds

@@ -82,7 +82,7 @@ def cib_loss(
 
 def cib_loss_graph(
     tape: Tape, means: np.ndarray, log_var: np.ndarray, labels: np.ndarray, score_rule: tuple,
-    mu: str, log_sigma: str | None, beta_prime: float, noise: np.ndarray,
+    mu: str, log_sigma: str | None, beta_prime, noise: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Record the differentiable loss on ``tape``; returns (total, ce, kl) values.
 
@@ -91,11 +91,12 @@ def cib_loss_graph(
     ``(head, p, q, log_priors)`` of :meth:`Tape.mc_cross_entropy`, ``mu`` and
     ``log_sigma`` the surrogate's slice names, and ``noise`` the frozen
     (S, B, d) standard-normal draws; a shape that does not fit raises
-    :class:`~cib.diffcore.ShapeError`.  The values match the batch means of
-    :func:`cib_loss` on the same inputs; ``tape.backward()`` then gives the
-    gradient of the total.
+    :class:`~cib.diffcore.ShapeError`.  On a stacked tape every array may
+    carry the stack's leading axis, and ``beta_prime`` may be (P,) values.
+    The values match the batch means of :func:`cib_loss` on the same inputs;
+    ``tape.backward()`` then gives the gradient of the total.
     """
-    if beta_prime < 0.0:
+    if (beta_prime < 0.0).any() if isinstance(beta_prime, np.ndarray) else beta_prime < 0.0:
         raise ValueError("beta_prime must be nonnegative")
     ce = tape.mc_cross_entropy(means, log_var, noise, labels, *score_rule)
     kl_rows = kl_to_surrogate_graph(tape, means, log_var, mu, log_sigma, labels)

@@ -250,8 +250,8 @@ def _bw_naive_bayes_scores(v, ins, aux, nid, g, push):
 
 
 def _bw_softmax_nll(v, ins, aux, nid, g, push):
-    rows, labels, lse = aux
-    push(ins[0], _softmax_nll_grad(v[ins[0]], rows, labels, lse, g))
+    at, lse = aux
+    push(ins[0], _softmax_nll_grad(v[ins[0]], at, lse, g))
 
 
 class ChainTape:
@@ -472,9 +472,9 @@ class ChainTape:
         labels = np.asarray(labels, dtype=np.intp)
         if sv.ndim != 2 or labels.shape != (sv.shape[0],):
             raise ShapeError("softmax_nll: need (B,K) scores and (B,) labels")
-        rows = np.arange(sv.shape[0])
-        nll, lse = _softmax_nll(sv, rows, labels)
-        return self._push("softmax_nll", (scores,), nll, aux=(rows, labels, lse))
+        at = (np.arange(sv.shape[0]), labels)
+        nll, lse = _softmax_nll(sv, at)
+        return self._push("softmax_nll", (scores,), nll, aux=(at, lse))
 
     def backward(self, output, seed=1.0):
         """d(output)/d(theta) for every parameter of the bound store; the output must be scalar.

@@ -197,10 +197,10 @@ def test_criterion_7_desk_scale_training():
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
     bayes_accuracy = 1.0 - train_ds.provenance["bayes_error"]
     start = time.perf_counter()
-    first = model.train(cfg, train_ds, test_ds)
+    first = model.train([cfg], train_ds, test_ds)[0]
     elapsed = time.perf_counter() - start
     accuracy = model.evaluate(first.state, test_ds).accuracy
-    second = model.train(cfg, train_ds, test_ds)
+    second = model.train([cfg], train_ds, test_ds)[0]
     identical = first.metrics == second.metrics and np.array_equal(
         first.state.store.values, second.state.store.values
     )

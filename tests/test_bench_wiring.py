@@ -89,3 +89,28 @@ def test_a_tiny_run_fires_every_span_a_workload_needs(tmp_path, monkeypatch, cap
     assert codes == [0] * 6, capsys.readouterr().err
     assert tracer.workers_started == 2
     assert REQUIRED - {s.name for s in spans} == set()
+
+
+def test_the_parallel_sweep_alone_fires_its_workload_spans_in_its_workers(tmp_path, monkeypatch, capsys):
+    """Each workload's spans must fire from its own commands: here, the sweep-parallel sweep's.
+
+    The union above would pass a sweep that bypassed ``model.train``,
+    because ``cib train`` fires that span too.
+    """
+    monkeypatch.setattr(estimators, "usable_cores", lambda: 2)
+    config = _tiny_config(tmp_path)
+    tracer = Tracer()
+    tracer.start("sweep-alone", tmp_path / "spans")
+    try:
+        layers.install(tracer)
+        code = cli.run(["sweep", "--config", str(config), "--betas", "0,1", "--jobs", "2",
+                        "--out", str(tmp_path / "sweep")])
+    finally:
+        tracer.restore()
+        spans = tracer.stop()
+    assert code == 0, capsys.readouterr().err
+    assert set(workloads.WORKLOADS["sweep-parallel"].spans) - {s.name for s in spans} == set()
+    in_workers = {s.name for s in spans if s.sid[0] != tracer.root_pid}
+    assert {"model.train", "diffcore.backward", "model.adam_update"} <= in_workers
+    pools = [s for s in spans if s.name == layers.POOL_SPAN]
+    assert len(pools) == 1 and pools[0].attrs["submitted"] is not None

@@ -5,6 +5,7 @@ import collections
 import hashlib
 import importlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,18 @@ class TestGenData:
 class TestTrain:
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert run(["train", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "run")]) == 1
+
+    def test_diverging_run_prints_only_its_failure(self, tmp_path, capsys):
+        """beta' = 0 times an infinite KL is NaN; the total says nothing of it, the finiteness check does."""
+        cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"},
+                            loss={"beta_prime": 0.0}, optim={"kind": "sgd", "lr": 1e3, "steps": 6, "batch": 8},
+                            seed=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2 and [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "numerical failure: non-finite loss at step 2 (train sample 0)\n"
+        assert not (tmp_path / "run").exists()
 
     def test_writes_run_artifacts(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -284,11 +297,27 @@ class TestSweep:
 
     @pytest.mark.parametrize("at_file", [False, True])
     def test_unusable_out_exits_one_before_any_point_trains(self, tmp_path, capsys, monkeypatch, at_file):
-        monkeypatch.setattr(model, "run_sweep_point", _unreachable)
+        monkeypatch.setattr(model, "sweep_runs", _unreachable)
         out = _below_a_file(tmp_path).parent if at_file else _below_a_file(tmp_path)
         argv = ["sweep", "--config", str(_write_config(tmp_path)), "--betas", "0,1", "--out", str(out)]
         assert run(argv) == 1
         assert str(tmp_path / "blocker") in capsys.readouterr().err
+
+    def test_failing_points_leave_the_same_directories_at_any_jobs(self, tmp_path, capsys, monkeypatch):
+        """The 2nd and 4th points diverge, at steps 5 and 6: only the 1st point's directory is written."""
+        monkeypatch.setattr(estimators, "usable_cores", lambda: 2)
+        cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"},
+                            optim={"kind": "sgd", "lr": 30.0, "steps": 6, "batch": 8, "log_every": 3})
+        seen = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            code = run(["sweep", "--config", str(cfg), "--betas", "0,100,0,1e4", "--out", str(out),
+                        "--jobs", str(jobs)])
+            seen.append((code, capsys.readouterr().err, sorted(p.name for p in out.iterdir())))
+        assert seen[0] == seen[1] == (2, "numerical failure: non-finite loss at step 5 (train sample 0)\n",
+                                      ["point_000"])
+        first = [(tmp_path / f"jobs{jobs}" / "point_000" / "checkpoint.json").read_bytes() for jobs in (1, 2)]
+        assert first[0] == first[1]
 
     def test_bad_betas_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

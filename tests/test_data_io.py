@@ -103,6 +103,20 @@ class TestStandardize:
         s_train, _ = standardize(train)
         np.testing.assert_allclose(s_train.features[:, 0], 0.0, atol=1e-15)
 
+    def test_equals_the_two_temporary_formula_and_leaves_inputs_alone(self):
+        rng = np.random.default_rng(1)
+        features = [rng.normal(-1.0, 3.0, (50, 4)), rng.normal(2.0, 0.5, (20, 4))]
+        features[0][:, 2] = 7.0  # a constant dimension: std is replaced by 1
+        copies = [f.copy() for f in features]
+        train, test = (Dataset(f, np.arange(len(f)) % 2, 2) for f in features)
+        mean, std = features[0].mean(axis=0), features[0].std(axis=0)
+        std = np.where(std < 1e-12, 1.0, std)
+        for split, out in zip((train, test), standardize(train, test)):
+            assert np.array_equal(out.features, (split.features - mean) / std)
+            assert out.features is not split.features
+        assert all(np.array_equal(f, c) for f, c in zip(features, copies))
+        assert train.features is features[0] and test.features is features[1]
+
 
 def _write_label_file(path, labels, magic=0x00000801):
     with open(path, "wb") as f:
@@ -233,7 +247,7 @@ class TestCheckpoints:
     def test_loaded_model_reproduces_evaluation_without_drift(self, tmp_path):
         cfg = validate_config(_tiny_config())
         train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
-        run = model.train(cfg, train_ds, test_ds)
+        run = model.train([cfg], train_ds, test_ds)[0]
         path = tmp_path / "ckpt.json"
         data_io.save_checkpoint(run.state, path)
         loaded = data_io.load_checkpoint(path)

@@ -621,17 +621,3 @@ class TestStackedTape:
         for i in range(4):
             alone = fused_loss(store.with_values(rows[i]), spec)[1]
             assert all(np.array_equal(values[part][i], alone[part]) for part in ("total", "ce", "kl", "kl_rows"))
-
-    def test_keeps_neither_layers_nor_draws(self):
-        """No caches that would hold a stack's largest intermediates alive; an unstacked tape keeps them."""
-        store, spec = _loss_case(3, draws=3)
-        stacked = fused_loss(store.with_values(np.stack([store.values] * 2)), spec)[0]
-        alone = fused_loss(store, spec)[0]
-        assert stacked._mlp is None and stacked._ce[-1] == []
-        assert alone._mlp is not None and len(alone._ce[-1]) == 3
-
-    def test_backward_rejected(self):
-        store, spec = _loss_case(3, head="softmax")
-        tape, _ = fused_loss(store.with_values(np.stack([store.values] * 2)), spec)
-        with pytest.raises(ValueError, match="stacked"):
-            tape.backward()

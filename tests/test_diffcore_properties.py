@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cib.data_io import validate_config
-from cib.diffcore import ACTIVATIONS, ParamStore, grad_check
+from cib.diffcore import ACTIVATIONS, ParamStore, Tape, grad_check
 from cib.model import build_state, make_loss_fn
 from helpers import ChainTape, LossSpec, central_difference, chain_loss, fused_loss, loop_grad_check
 
@@ -232,3 +232,43 @@ def test_stacked_probes_equal_one_probe_at_a_time(head, activation, noise_mode, 
     report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
     analytic, numeric = loop_grad_check(lossfn, store, 1e-5)
     assert np.array_equal(report.analytic, analytic) and np.array_equal(report.numeric, numeric)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(head=st.sampled_from(["softmax", "naive_bayes"]), activation=st.sampled_from(ACTIVATIONS),
+       noise_mode=st.sampled_from(["fixed_sigma", "learned_eta"]), learn_sigma=st.booleans(),
+       stack=st.integers(1, 6), batch=st.integers(1, 70), dim=st.integers(1, 9), classes=st.integers(2, 7),
+       draws=st.integers(1, 4), per_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_backward_equals_each_rows_backward(head, activation, noise_mode, learn_sigma, stack, batch, dim,
+                                                    classes, draws, per_row, seed):
+    """A stacked tape's losses and (P, size) gradient are, row by row, ``==`` those of each vector alone.
+
+    ``per_row`` gives every row its own batch, labels, noise and beta', as
+    lockstep training does; otherwise the rows share them, as gradient-check
+    probes do.
+    """
+    cfg = validate_config({
+        "dataset": {"kind": "json", "train": "-", "test": "-"},
+        "encoder": {"layer_dims": [3, 5, dim], "activation": activation, "noise_mode": noise_mode, "sigma2": 0.7},
+        "decoder": {"variant": head}, "surrogate": {"learn_sigma": learn_sigma},
+        "loss": {"beta_prime": 1.0, "mc_samples": draws}, "seed": 0,
+    })
+    rng = np.random.default_rng(seed)
+    state = build_state(cfg, np.full(classes, 1.0 / classes), rng)
+    rows = rng.uniform(-1.0, 1.0, (stack, state.store.size))
+    lead = (stack,) if per_row else ()
+    x = rng.uniform(-2.0, 2.0, lead + (batch, 3))
+    labels = rng.integers(0, classes, lead + (batch,))
+    noise = rng.standard_normal(lead + (draws, batch, dim))
+    beta_prime = rng.uniform(0.0, 3.0, stack) if per_row else 0.9
+
+    tape = Tape(state.store.with_values(rows))
+    stacked = state.loss_graph(tape, x, labels, beta_prime, noise)
+    grad = tape.backward()
+    assert grad.shape == rows.shape
+    for i in range(stack):
+        own = (lambda a: a[i]) if per_row else (lambda a: a)
+        alone = Tape(state.store.with_values(rows[i]))
+        values = state.loss_graph(alone, own(x), own(labels), float(own(beta_prime)), own(noise))
+        assert all(part[i] == value for part, value in zip(stacked, values))
+        assert np.array_equal(grad[i], alone.backward())

@@ -17,8 +17,8 @@ from cib.model import (
     evaluate,
     loss_terms,
     make_loss_fn,
-    run_sweep_point,
     sweep,
+    sweep_runs,
     train,
 )
 
@@ -261,7 +261,7 @@ def _train_with_reference(monkeypatch, cfg, train_ds, per_draw_ops):
     with monkeypatch.context() as patch:
         patch.setattr(model, "Tape", _ReferenceTape)
         patch.setattr(model.ModelState, "loss_graph", _reference_loss_graph(per_draw_ops))
-        return train(cfg, train_ds)
+        return train([cfg], train_ds)[0]
 
 
 class TestFusedLossGraph:
@@ -325,7 +325,7 @@ class TestFusedLossGraph:
         cfg = _config(decoder={"variant": head}, encoder={"layer_dims": [2, 4, 2], "noise_mode": "learned_eta"},
                       loss={"beta_prime": 1.0, "mc_samples": 2})
         ds_train, _ = data_io.dataset_from_config(cfg["dataset"])
-        fused = train(cfg, ds_train)
+        fused = train([cfg], ds_train)[0]
         chained = _train_with_reference(monkeypatch, cfg, ds_train, per_draw_ops=False)
         assert np.array_equal(fused.state.store.values, chained.state.store.values)
         assert fused.metrics == chained.metrics
@@ -346,7 +346,7 @@ class TestFusedLossGraph:
                 "loss": {"beta_prime": 1.0, "mc_samples": 2}}
         cfg = _config(**{**base, **overrides})
         ds_train, _ = data_io.dataset_from_config(cfg["dataset"])
-        fused = train(cfg, ds_train)
+        fused = train([cfg], ds_train)[0]
         reference = _train_with_reference(monkeypatch, cfg, ds_train, per_draw_ops)
         assert np.array_equal(fused.state.store.values, reference.state.store.values)
         assert fused.metrics == reference.metrics
@@ -359,7 +359,7 @@ class TestFusedLossGraph:
             optim={"steps": 2000, "batch": 64, "log_every": 500},
         )
         ds_train, _ = data_io.dataset_from_config(cfg["dataset"])
-        fused = train(cfg, ds_train)
+        fused = train([cfg], ds_train)[0]
         reference = _train_with_reference(monkeypatch, cfg, ds_train, per_draw_ops=True)
         assert np.array_equal(fused.state.store.values, reference.state.store.values)
         assert fused.metrics == reference.metrics
@@ -388,7 +388,7 @@ class TestFusedLossGraph:
         monkeypatch.setattr(model._Adam, "update", counted("update", model._Adam.update))
         cfg = _config(decoder={"variant": head}, optim={"steps": 1, "batch": 16})
         ds_train, _ = data_io.dataset_from_config(cfg["dataset"])
-        train(cfg, ds_train)
+        train([cfg], ds_train)
         assert counts == {name: 1 for name in
                           ("loss_graph", "cib_loss_graph", "kl_to_surrogate_graph", "backward", "update")}
         assert [type(n) for n in tape_lengths] == [int]
@@ -398,7 +398,7 @@ class TestTrain:
     def test_zero_steps_returns_initialization(self):
         cfg = _config(optim={"steps": 0, "batch": 16})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        result = train(cfg, train_ds)
+        result = train([cfg], train_ds)[0]
         fresh = build_state(cfg, model._empirical_priors(train_ds),
                             np.random.default_rng(derive_seed(cfg["seed"], 0)))
         np.testing.assert_array_equal(result.state.store.values, fresh.store.values)
@@ -407,7 +407,7 @@ class TestTrain:
     def test_same_seed_runs_are_bit_identical(self):
         cfg = _config()
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        a, b = train(cfg, train_ds), train(cfg, train_ds)
+        a, b = train([cfg], train_ds)[0], train([cfg], train_ds)[0]
         assert a.metrics == b.metrics
         np.testing.assert_array_equal(a.state.store.values, b.state.store.values)
 
@@ -415,16 +415,16 @@ class TestTrain:
         # per_class 60 over two classes: batch 120 covers the whole split
         cfg = _config(optim={"steps": 15, "batch": 120})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        a = train(cfg, train_ds, shuffle_seed=1)
-        b = train(cfg, train_ds, shuffle_seed=999)
+        a = train([cfg], train_ds, shuffle_seed=1)[0]
+        b = train([cfg], train_ds, shuffle_seed=999)[0]
         np.testing.assert_array_equal(a.state.store.values, b.state.store.values)
         assert a.metrics == b.metrics
 
     def test_minibatch_depends_on_shuffle_stream(self):
         cfg = _config(optim={"steps": 15, "batch": 16})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        a = train(cfg, train_ds, shuffle_seed=1)
-        b = train(cfg, train_ds, shuffle_seed=999)
+        a = train([cfg], train_ds, shuffle_seed=1)[0]
+        b = train([cfg], train_ds, shuffle_seed=999)[0]
         assert not np.array_equal(a.state.store.values, b.state.store.values)
 
     def test_separable_mixture_reaches_bayes_range_accuracy(self):
@@ -436,7 +436,7 @@ class TestTrain:
             optim={"steps": 300, "batch": 64, "log_every": 100},
         )
         train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
-        result = train(cfg, train_ds, test_ds)
+        result = train([cfg], train_ds, test_ds)[0]
         ev = evaluate(result.state, test_ds)
         # generator's analytic Bayes accuracy is ~0.977; demand most of it
         assert ev.accuracy >= 0.95
@@ -444,10 +444,10 @@ class TestTrain:
     def test_nonfinite_loss_aborts_with_diagnostics(self):
         cfg = _config(optim={"steps": 50, "batch": 16, "lr": 1e12})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        with pytest.raises(NonFiniteLossError) as err:
-            train(cfg, train_ds)
-        assert err.value.step is not None
-        assert err.value.sample_index is not None
+        error = train([cfg], train_ds)[0].error
+        assert isinstance(error, NonFiniteLossError)
+        assert error.step is not None
+        assert error.sample_index is not None
 
     def test_diagnose_nonfinite_names_the_bad_row(self):
         state = _state()
@@ -465,18 +465,18 @@ class TestTrain:
         feats = np.random.default_rng(0).normal(size=(10, 2))
         ds = Dataset(feats, np.zeros(10, dtype=int), 2)
         with pytest.raises(ValueError, match="no samples"):
-            train(_config(), ds)
+            train([_config()], ds)
 
     def test_dimension_mismatch_rejected(self):
         feats = np.random.default_rng(0).normal(size=(10, 3))
         ds = Dataset(feats, np.arange(10) % 2, 2)
         with pytest.raises(ValueError, match="dimension"):
-            train(_config(), ds)
+            train([_config()], ds)
 
     def test_alternating_mode_sets_surrogate_to_class_moments(self):
         cfg = _config(surrogate={"learn_sigma": True, "update": "alternating"})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        result = train(cfg, train_ds)
+        result = train([cfg], train_ds)[0]
         means = result.state.encoder.encode_batch(train_ds.features)
         var = math.exp(result.state.encoder.log_var())
         for y in (0, 1):
@@ -490,21 +490,21 @@ class TestTrain:
     def test_learned_eta_mode_trains_and_keeps_noise_positive(self):
         cfg = _config(encoder={"layer_dims": [2, 4, 2], "noise_mode": "learned_eta", "sigma2": 1e-4})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        result = train(cfg, train_ds)
+        result = train([cfg], train_ds)[0]
         assert result.state.encoder.eta2() > 0.0
         assert math.isfinite(result.state.encoder.log_var())
 
     def test_beta_config_is_converted_to_beta_prime(self):
         cfg = _config(loss={"beta": 0.5}, optim={"steps": 2, "batch": 16})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        result = train(cfg, train_ds)
+        result = train([cfg], train_ds)[0]
         assert result.beta_prime == pytest.approx(1.0, abs=1e-15)
         assert result.metrics[-1].beta_prime == pytest.approx(1.0, abs=1e-15)
 
     def test_fixed_surrogate_sigma_drops_the_parameter(self):
         cfg = _config(surrogate={"learn_sigma": False, "update": "gradient"})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        result = train(cfg, train_ds)
+        result = train([cfg], train_ds)[0]
         assert "sur.log_sigma" not in result.state.store.names()
         np.testing.assert_array_equal(result.state.surrogate().class_log_sigma, [0.0, 0.0])
         assert result.metrics[-1].accuracy > 0.5
@@ -512,7 +512,7 @@ class TestTrain:
     def test_sgd_optimizer_runs_deterministically(self):
         cfg = _config(optim={"kind": "sgd", "lr": 0.05, "steps": 30, "batch": 16})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        a, b = train(cfg, train_ds), train(cfg, train_ds)
+        a, b = train([cfg], train_ds)[0], train([cfg], train_ds)[0]
         np.testing.assert_array_equal(a.state.store.values, b.state.store.values)
         assert a.metrics[-1].total < a.metrics[0].total
 
@@ -521,21 +521,91 @@ class TestTrain:
         train_ds = Dataset(rng.normal(size=(30, 2)), np.repeat([0, 1], [10, 20]), 2)
         test_ds = Dataset(rng.normal(size=(30, 2)), np.repeat([0, 1], [25, 5]), 2)
         cfg_train = _config(optim={"steps": 0, "batch": 8})
-        res_train = train(cfg_train, train_ds, test_ds)
+        res_train = train([cfg_train], train_ds, test_ds)[0]
         np.testing.assert_allclose(res_train.state.priors, [10 / 30, 20 / 30], atol=1e-15)
         cfg_all = _config(
             optim={"steps": 0, "batch": 8},
             surrogate={"learn_sigma": True, "update": "gradient", "priors": "all"},
         )
-        res_all = train(cfg_all, train_ds, test_ds)
+        res_all = train([cfg_all], train_ds, test_ds)[0]
         np.testing.assert_allclose(res_all.state.priors, [35 / 60, 25 / 60], atol=1e-15)
+
+
+def _points(cfg, beta_primes):
+    """The configs of a sweep's points over ``beta_primes``, as :func:`model.sweep_runs` makes them."""
+    loss = {key: value for key, value in cfg["loss"].items() if key not in ("beta", "beta_prime")}
+    return [validate_config({**cfg, "loss": {**loss, "beta_prime": bp}, "seed": derive_seed(cfg["seed"], i)})
+            for i, bp in enumerate(beta_primes)]
+
+
+def _same_run(stacked, alone):
+    """Every metrics row, the final values, beta' and any error equal those of the run trained alone."""
+    assert stacked.metrics == alone.metrics and stacked.beta_prime == alone.beta_prime
+    assert np.array_equal(stacked.state.store.values, alone.state.store.values)
+    assert type(stacked.error) is type(alone.error) and str(stacked.error) == str(alone.error)
+    assert getattr(stacked.error, "step", None) == getattr(alone.error, "step", None)
+
+
+class TestLockstep:
+    """Runs trained as one stack are, point by point, ``==`` the runs trained one config at a time."""
+
+    @pytest.mark.parametrize("shuffle_seed", [None, 11])
+    @pytest.mark.parametrize("overrides", [
+        {"decoder": {"variant": "softmax"}},
+        {"decoder": {"variant": "naive_bayes"}, "loss": {"beta_prime": 1.0, "mc_samples": 3}},
+        {"encoder": {"layer_dims": [2, 5, 3], "activation": "tanh", "noise_mode": "learned_eta"},
+         "decoder": {"variant": "softmax"}},
+        {"encoder": {"layer_dims": [2, 4, 2], "activation": "relu", "noise_mode": "learned_eta", "sigma2": 0.3},
+         "surrogate": {"learn_sigma": False}},
+        {"surrogate": {"learn_sigma": True, "update": "alternating"}},
+        {"optim": {"kind": "sgd", "lr": 0.05, "steps": 23, "batch": 20, "log_every": 7}},
+        {"optim": {"steps": 0, "batch": 16}},
+        {"optim": {"steps": 9, "batch": 120, "log_every": 4}},
+    ], ids=["softmax", "naive-bayes-3-draws", "learned-eta", "fixed-sigma-y", "alternating", "sgd", "zero-steps",
+            "full-batch"])
+    def test_stacked_runs_equal_runs_alone(self, overrides, shuffle_seed):
+        configs = _points(_config(**overrides), [0.0, 0.3, 1.0, 3.0, 10.0])
+        train_ds, test_ds = data_io.dataset_from_config(configs[0]["dataset"])
+        stacked = train(configs, train_ds, test_ds, shuffle_seed=shuffle_seed)
+        assert len(stacked) == 5
+        for cfg, run in zip(configs, stacked):
+            assert run.error is None
+            _same_run(run, train([cfg], train_ds, test_ds, shuffle_seed=shuffle_seed)[0])
+
+    def test_failing_points_leave_the_stack_and_the_rest_go_on(self):
+        """Points fail at different steps, from the loss or from evaluation; each run equals its run alone."""
+        cfg = _config(encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"},
+                      optim={"kind": "sgd", "lr": 30.0, "steps": 20, "batch": 8, "log_every": 3},
+                      dataset={"kind": "gmm", "classes": 2, "dim": 2, "per_class": 12, "sep": 4.0, "seed": 3},
+                      seed=3)
+        configs = _points(cfg, [0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3, 1e4])
+        train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
+        with np.errstate(all="ignore"):
+            stacked = train(configs, train_ds)
+            alone = [train([c], train_ds)[0] for c in configs]
+        failed = {type(run.error).__name__ for run in alone if run.error is not None}
+        assert failed == {"NonFiniteLossError", "NonFiniteError", "ValueError"}
+        assert len({run.error.step for run in alone if isinstance(run.error, NonFiniteLossError)}) > 1
+        assert any(run.error is None for run in alone)
+        for run, solo in zip(stacked, alone):
+            _same_run(run, solo)
+
+    def test_configs_must_differ_only_in_beta_prime_and_seed(self):
+        a, b = _points(_config(), [0.0, 1.0])
+        train_ds, _ = data_io.dataset_from_config(a["dataset"])
+        with pytest.raises(ValueError, match="differ in optim"):
+            train([a, {**b, "optim": {**b["optim"], "lr": 0.5}}], train_ds)
+        with pytest.raises(ValueError, match="differ in loss"):
+            train([a, {**b, "loss": {"beta_prime": 1.0, "mc_samples": 2}}], train_ds)
+        with pytest.raises(ValueError, match="at least one config"):
+            train([], train_ds)
 
 
 class TestEvaluate:
     def test_final_logged_metrics_match_evaluate_exactly(self):
         cfg = _config()
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        result = train(cfg, train_ds)
+        result = train([cfg], train_ds)[0]
         final = result.metrics[-1]
         ev = evaluate(result.state, train_ds)
         assert final.cross_entropy == ev.cross_entropy
@@ -556,7 +626,7 @@ class TestEvaluate:
     def test_tradeoff_point_train_terms_equal_a_fresh_evaluation(self, overrides):
         cfg = _config(**overrides)
         train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
-        run = train(cfg, train_ds, test_ds)
+        run = train([cfg], train_ds, test_ds)[0]
         point = model.tradeoff_point(run, test_ds)
         fresh = loss_terms(run.state, train_ds)
         final = run.metrics[-1]
@@ -593,7 +663,7 @@ class TestEvaluate:
     def test_loss_terms_match_evaluate_without_bounds(self):
         cfg = _config()
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        state = train(cfg, train_ds).state
+        state = train([cfg], train_ds)[0].state
         terms, ev = loss_terms(state, train_ds), evaluate(state, train_ds)
         assert terms.bounds is None and ev.bounds is not None
         assert (terms.accuracy, terms.cross_entropy, terms.kl_term) == (
@@ -603,7 +673,7 @@ class TestEvaluate:
     def test_evaluate_is_deterministic(self):
         cfg = _config()
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        result = train(cfg, train_ds)
+        result = train([cfg], train_ds)[0]
         a, b = evaluate(result.state, train_ds), evaluate(result.state, train_ds)
         assert (a.accuracy, a.cross_entropy, a.kl_term) == (b.accuracy, b.cross_entropy, b.kl_term)
 
@@ -696,7 +766,7 @@ class TestSweep:
         solo["seed"] = derive_seed(cfg["seed"], 0)
         solo["loss"] = {"beta_prime": 0.5, "mc_samples": cfg["loss"]["mc_samples"]}
         train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
-        result = train(validate_config(solo), train_ds, test_ds)
+        result = train([validate_config(solo)], train_ds, test_ds)[0]
         ev = evaluate(result.state, test_ds)
         assert points[0].acc_test == ev.accuracy
         assert points[0].ce_test == ev.cross_entropy
@@ -714,7 +784,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(_config(), [])
         with pytest.raises(ValueError):
-            run_sweep_point(_config(), 0, -1.0)
+            sweep_runs(_config(), [0], [-1.0])
 
 
 class TestDeriveSeed:
