@@ -128,7 +128,7 @@ def _cmd_train(args) -> int:
 
 
 def _sweep_worker(payload) -> list:
-    """Train one stack of sweep points; returns (point, run) for each point in order.
+    """Train a share of consecutive sweep points in lockstep; returns (point, run) for each point in order.
 
     The list stops at the first point that fails, with that point's error in
     its place, so that the caller can write the points before it and then
@@ -168,7 +168,7 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     # the pool starts every worker up front, so never ask for more than can run
     workers = min(args.jobs, len(betas), estimators.usable_cores())
-    # each worker trains one stack of consecutive points, so the stacks come back in grid order
+    # each worker trains a share of consecutive points, so the shares come back in grid order
     bounds = [len(betas) * w // workers for w in range(workers + 1)]
     payloads = [(cfg, range(lo, hi), betas[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:

@@ -273,8 +273,9 @@ class Tape:
     go through the same operations in the same order, whether as a slice of
     a stacked matmul, of a reduction over its own axes or of an ``add.at``
     indexed by its own row.  ``width`` is the most float64 values one
-    intermediate holds per parameter vector, so that a caller can bound a
-    stack.
+    intermediate holds per parameter vector, or all the draws' kept scores
+    and caches together if they hold more, so that a caller can bound a
+    stack whatever the draw count.
 
     Parameters are named slices of the bound store, read as views, not
     copies: a tape is valid only until its store changes, so take
@@ -392,7 +393,10 @@ class Tape:
         at = self._rows + (np.arange(b), labels)  # each row's labelled score
         draws = []
         total = None
-        self.width = max(self.width, b * pv.shape[-2] * (pv.shape[-1] if head == "naive_bayes" else 1))
+        k, d = pv.shape[-2:]
+        # a draw's widest intermediate, and the scores and cache that every draw keeps for the backward
+        kept = b * k * (d + 2) if head == "naive_bayes" else b * (k + d)
+        self.width = max(self.width, b * k * (d if head == "naive_bayes" else 1), draw_count * kept)
         for s in range(draw_count):
             t = mv + noise[..., s, :, :] * scale
             if head == "softmax":
@@ -565,10 +569,8 @@ class GradCheckReport:
 LossFn = Callable[[ParamStore], tuple[np.ndarray, Tape]]
 
 # the most float64 values that one intermediate of a stack of probes may hold;
-# the stacked forward holds about four intermediates at its peak, plus the
-# backward cache of every draw but the last (at most one intermediate each),
-# so a stack takes at most about 3 + S times this many values for S draws,
-# besides its probe rows
+# the stacked forward holds about four intermediates at its peak, so a stack
+# takes about four times this many values, besides its probe rows
 PROBE_STACK_VALUES = 2**14
 
 
@@ -582,11 +584,12 @@ def grad_check(lossfn: LossFn, params: ParamStore, eps: float, tol: float) -> Gr
     ``params``, which stays untouched; the 2 * size probes (each coordinate
     +eps, then -eps) are rows of stacked stores, as many per call as keep
     every intermediate within PROBE_STACK_VALUES values, and at least one.
-    A stacked forward holds about four intermediates at its peak, plus the
-    backward cache of every draw but the last (at most one intermediate
-    each), so a stack takes at most about 3 + S times that bound for S draws: at 8-32-3, batch 16, a warm ``cib gradcheck``
-    peaks at 0.70 MB (tracemalloc) with one draw and 0.92 MB with four, for
-    128 KiB intermediates and about 0.1 MB of probe rows.  The relative error per coordinate is
+    A stacked forward holds about four intermediates at its peak, so a stack
+    takes about four times that bound (``Tape.width`` counts the draws' kept
+    caches together, so the bound holds whatever the draw count): at 8-32-3,
+    batch 16, a warm ``cib gradcheck`` peaks at 0.70 MB (tracemalloc) with
+    one draw and 0.74 MB with four, for 128 KiB intermediates and about
+    0.1 MB of probe rows.  The relative error per coordinate is
     ``|g - fd| / max(1, |g|)``.
     """
     if eps <= 0.0:

@@ -12,7 +12,10 @@ Encoder, surrogate and softmax readout share one parameter store, which one
 :class:`ModelState` holds with the decoder rule: the value a run returns and
 a checkpoint holds.  Runs that differ only in beta' and seed, such as a
 sweep's points, train in lockstep as one model over a stacked store, each
-getting the bits it gets when trained alone.
+getting the bits it gets when trained alone, as a stack of one.  Stacking
+saves numpy call overhead, which is most of a small net's step; a large
+model's runs train in several stacks, so that no array of a step holds more
+than STACK_VALUES values for more than one run.
 Evaluation works on the same inputs as training, the (N, d) matrix of encoder
 means and the scalar log-variance: one kernel gives accuracy, cross-entropy
 and KL for metrics rows and trade-off points alike.
@@ -507,21 +510,29 @@ def _check_stackable(configs: list[dict]) -> None:
                 raise ValueError(f"configs trained as one stack differ in {block}; only beta' and seed may")
 
 
-class _Lockstep:
-    """The runs of :func:`train` still going, with what they share: store, optimizer and beta'.
+# the most float64 values that one array of a lockstep step may hold, at
+# least one run's worth: a stack takes as many runs as keep their parameter
+# vectors, widest layer and kept score draws within it.  Past it a step's
+# time goes to arithmetic rather than to numpy call overhead, so stacking
+# more runs would only multiply the optimizer's and the backward's arrays
+STACK_VALUES = 2**16
 
-    One run trains on its own, unstacked store.  More runs train on one
-    stacked (P, size) store whose rows their states view, with (P,) beta'
-    and (P, n) shuffle orders.
-    """
+
+def _stack_rows(state: ModelState, batch: int, draws: int) -> int:
+    """How many runs of this model one lockstep stack takes, at least one."""
+    enc = state.encoder
+    naive_bayes = state.config["decoder"]["variant"] == "naive_bayes"
+    per_draw = batch * state.class_count * (enc.bottleneck_dim if naive_bayes else 1)
+    widest = max(state.store.size, batch * max(enc.layer_dims), draws * per_draw)
+    return max(1, STACK_VALUES // widest)
+
+
+class _Lockstep:
+    """The runs of one stack still going, with what they share: a (P, size) store, optimizer and (P,) beta'."""
 
     def __init__(self, runs: list[TrainResult], streams: list[tuple], opt_cfg: dict):
         self.runs, self.streams, self.order = runs, streams, None
-        self.stacked = len(runs) > 1
-        if self.stacked:
-            self._bind(np.stack([run.state.store.values for run in runs]))
-        else:
-            self.store, self.beta_prime = runs[0].state.store, runs[0].beta_prime
+        self._bind(np.stack([run.state.store.values for run in runs]))
         optimizer = _Adam if opt_cfg["kind"] == "adam" else _Sgd
         self.opt = optimizer(self.store.values.shape, float(opt_cfg["lr"]))
 
@@ -533,17 +544,14 @@ class _Lockstep:
             run.state = replace(run.state, store=store, encoder=replace(run.state.encoder, store=store))
         self.beta_prime = np.array([run.beta_prime for run in self.runs])
 
-    def rows(self, arrays: list[np.ndarray]) -> np.ndarray:
-        """One array per run as the stack takes it: stacked, or the one run's own."""
-        return np.stack(arrays) if self.stacked else arrays[0]
-
     def each(self, work) -> None:
-        """``work(run, j)`` for the j-th run still going; what a run raises becomes its error."""
+        """``work(run, j)`` for the j-th run still going and not yet failed; what it raises becomes the run's error."""
         for j, run in enumerate(self.runs):
-            try:
-                work(run, j)
-            except (ArithmeticError, ValueError) as exc:
-                run.error = exc
+            if run.error is None:
+                try:
+                    work(run, j)
+                except (ArithmeticError, ValueError) as exc:
+                    run.error = exc
 
     def drop_failed(self) -> list[int] | None:
         """Drop the runs that failed from the stack; returns the rows kept, or None if none failed."""
@@ -552,7 +560,7 @@ class _Lockstep:
             return None
         self.runs = [self.runs[j] for j in keep]
         self.streams = [self.streams[j] for j in keep]
-        if self.stacked and keep:
+        if keep:
             self._bind(self.store.values[keep])
             self.opt.keep(keep)
             self.order = None if self.order is None else self.order[keep]
@@ -569,11 +577,13 @@ def train(
 
     The configs may differ only in beta' and seed, as a sweep's points do.
     Their runs step together as one model over a stacked store, and each
-    gets the bits it gets when trained alone (``train([config], ...)``, on an
-    unstacked store): its own initialization, shuffle and noise streams,
+    gets the bits it gets when trained alone (``train([config], ...)``, a
+    stack of one): its own initialization, shuffle and noise streams,
     batches and metrics rows.  A run whose loss turns non-finite, or whose
     surrogate update or evaluation fails, leaves the stack with that error
-    in :attr:`TrainResult.error`; the others go on.
+    in :attr:`TrainResult.error`; the others go on.  Runs of a large model
+    train in consecutive stacks of :func:`_stack_rows` runs each, so no
+    array of a step outgrows STACK_VALUES for more than one run.
 
     Batches are drawn from a per-epoch shuffled order but processed in sorted
     index order, so a full-batch run is independent of the shuffle stream.
@@ -604,14 +614,20 @@ def train(
             np.random.default_rng(derive_seed(seed, _SHUFFLE_STREAM) if shuffle_seed is None else shuffle_seed),
             np.random.default_rng(derive_seed(seed, _NOISE_STREAM)),
         ))
-    lock = _Lockstep(runs, streams, cfg["optim"])
+    batch = min(cfg["optim"]["batch"], train_ds.count)
+    rows = _stack_rows(runs[0].state, batch, cfg["loss"]["mc_samples"])
+    for lo in range(0, len(runs), rows):
+        _train_stack(_Lockstep(runs[lo : lo + rows], streams[lo : lo + rows], cfg["optim"]), cfg, train_ds, batch)
+    return runs
 
+
+def _train_stack(lock: _Lockstep, cfg: dict, train_ds: Dataset, batch: int) -> None:
+    """Run the steps of :func:`train` on one stack, whose runs keep their rows, results and errors."""
     n = train_ds.count
-    batch = min(cfg["optim"]["batch"], n)
     steps, log_every = cfg["optim"]["steps"], cfg["optim"]["log_every"]
     mc_samples = cfg["loss"]["mc_samples"]
     alternating = cfg["surrogate"]["update"] == "alternating"
-    d = runs[0].state.encoder.bottleneck_dim
+    d = lock.runs[0].state.encoder.bottleneck_dim
     sur_slices = [lock.store.spec(name) for name in lock.store.names() if name.startswith("sur.")]
 
     def moment_step(run, j):
@@ -630,22 +646,23 @@ def train(
         if not lock.runs:
             break
         if pos + batch > n:
-            lock.order = lock.rows([shuffle.permutation(n) for shuffle, _ in lock.streams])
+            lock.order = np.stack([shuffle.permutation(n) for shuffle, _ in lock.streams])
             pos = 0
-        idx = np.sort(lock.order[..., pos : pos + batch])
+        idx = np.sort(lock.order[:, pos : pos + batch])
         pos += batch
-        noise = lock.rows([draws.standard_normal((mc_samples, batch, d)) for _, draws in lock.streams])
+        noise = np.empty((len(lock.runs), mc_samples, batch, d))
+        for row, (_, draws) in zip(noise, lock.streams):
+            draws.standard_normal(out=row)  # the draws of standard_normal((mc_samples, batch, d))
         x, labels = train_ds.features[idx], train_ds.labels[idx]
 
         tape = Tape(lock.store)
         total, _, _ = lock.runs[0].state.loss_graph(tape, x, labels, lock.beta_prime, noise)
-        if not (np.isfinite(total).all() if lock.stacked else np.isfinite(total)):
-            finite = np.isfinite(total).reshape(-1)  # one flag per run
+        finite = np.isfinite(total)
+        if not finite.all():
 
             def diagnose(run, j):
                 if not finite[j]:
-                    own = (x[j], labels[j], noise[j], idx[j]) if lock.stacked else (x, labels, noise, idx)
-                    sample = _diagnose_nonfinite(run.state, *own)
+                    sample = _diagnose_nonfinite(run.state, x[j], labels[j], noise[j], idx[j])
                     raise NonFiniteLossError(
                         f"non-finite loss at step {step} (train sample {sample})", step=step, sample_index=sample
                     )
@@ -661,18 +678,17 @@ def train(
         grad = tape.backward()
         if alternating:
             for spec in sur_slices:
-                grad[..., spec.offset : spec.offset + spec.size] = 0.0
+                grad[:, spec.offset : spec.offset + spec.size] = 0.0
         lock.opt.update(lock.store.values, grad)
         if alternating:
             lock.each(moment_step)
         if step % log_every == 0 or step == steps:
             lock.each(log_row)
         lock.drop_failed()
-    return runs
 
 
 def sweep(config: dict, beta_primes: Sequence[float]) -> list[TradeoffPoint]:
-    """Independent runs over the beta' grid, trained as one stack; one TradeoffPoint per value.
+    """Independent runs over the beta' grid, trained in lockstep; one TradeoffPoint per value.
 
     Each point derives its own run seed from (config seed, point index), so a
     grid entry is reproducible in isolation.  The first point that failed
@@ -687,9 +703,9 @@ def sweep(config: dict, beta_primes: Sequence[float]) -> list[TradeoffPoint]:
 def sweep_runs(
     config: dict, indices: Sequence[int], beta_primes: Sequence[float]
 ) -> tuple[list[TrainResult], Dataset]:
-    """Train the grid points ``indices`` at ``beta_primes`` as one stack; returns (runs, test split).
+    """Train the grid points ``indices`` at ``beta_primes`` in one :func:`train` call; returns (runs, test split).
 
-    The config's dataset is built once for the whole stack.
+    The config's dataset is built once for all of them.
     """
     cfg = data_io.validate_config(config)
     configs = [

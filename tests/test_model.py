@@ -240,19 +240,26 @@ class TestFullLossGradient:
 
 
 class _ReferenceTape(ChainTape):
-    """A :class:`ChainTape` in the training loop's contract: ``backward()`` differentiates the recorded total."""
+    """A :class:`ChainTape` in the training loop's contract for a stack of one run.
+
+    It records the run's row alone, and ``backward()`` differentiates the
+    recorded total into a (1, size) gradient.
+    """
+
+    def __init__(self, store):
+        super().__init__(store.with_values(store.values[0]))
 
     def backward(self):
-        return super().backward(self.total)
+        return super().backward(self.total)[None]
 
 
 def _reference_loss_graph(per_draw_ops):
-    """A ``ModelState.loss_graph`` stand-in that builds one of the reference graphs."""
+    """A ``ModelState.loss_graph`` stand-in that builds one of the reference graphs of a stack's one run."""
 
     def loss_graph(state, tape, x, labels, beta_prime, noise):
-        nodes = chain_loss_graph(state, tape, x, labels, beta_prime, noise, per_draw_ops=per_draw_ops)
+        nodes = chain_loss_graph(state, tape, x[0], labels[0], beta_prime[0], noise[0], per_draw_ops=per_draw_ops)
         tape.total = nodes[0]
-        return tuple(tape.val(node) for node in nodes)
+        return tuple(np.asarray(tape.val(node))[None] for node in nodes)
 
     return loss_graph
 
@@ -589,6 +596,46 @@ class TestLockstep:
         assert any(run.error is None for run in alone)
         for run, solo in zip(stacked, alone):
             _same_run(run, solo)
+
+    @pytest.mark.parametrize("fail_step", [0, 2, 3])
+    def test_a_failed_surrogate_update_ends_its_run_at_once(self, fail_step, monkeypatch):
+        """A point whose moment step fails keeps that error and logs no row at that step, even on a log step."""
+        cfg = _config(surrogate={"learn_sigma": True, "update": "alternating"},
+                      optim={"steps": 6, "batch": 16, "log_every": 3})
+        configs = _points(cfg, [0.0, 1.0, 3.0])
+        train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
+        moment_step, calls = model._alternating_moment_step, collections.Counter()
+        failure = ArithmeticError("surrogate update failed")
+
+        def failing_moment_step(state, ds):
+            beta_prime = state.config["loss"]["beta_prime"]
+            calls[beta_prime] += 1  # one call at step 0, then one per step
+            if beta_prime == 1.0 and calls[beta_prime] == fail_step + 1:
+                raise failure
+            moment_step(state, ds)
+
+        alone = [train([c], train_ds)[0] for c in configs]
+        monkeypatch.setattr(model, "_alternating_moment_step", failing_moment_step)
+        stacked = train(configs, train_ds)
+        assert stacked[1].error is failure
+        assert [row.step for row in stacked[1].metrics] == ([] if fail_step == 0 else [0])
+        for run, solo in zip([stacked[0], stacked[2]], [alone[0], alone[2]]):
+            _same_run(run, solo)
+
+    def test_a_large_model_trains_in_several_stacks(self, monkeypatch):
+        """Past STACK_VALUES the runs train in consecutive stacks, each run still equal to its run alone."""
+        configs = _points(_config(optim={"steps": 5, "batch": 16, "log_every": 2}), [0.0, 0.3, 1.0, 3.0, 10.0])
+        train_ds, _ = data_io.dataset_from_config(configs[0]["dataset"])
+        rows = model._stack_rows(build_state(configs[0], np.array([0.5, 0.5])), 16, 1)
+        monkeypatch.setattr(model, "STACK_VALUES", model.STACK_VALUES // rows * 2)
+        assert model._stack_rows(build_state(configs[0], np.array([0.5, 0.5])), 16, 1) == 2
+        stacks = []
+        lockstep = model._Lockstep
+        monkeypatch.setattr(model, "_Lockstep", lambda runs, *rest: stacks.append(len(runs)) or lockstep(runs, *rest))
+        stacked = train(configs, train_ds)
+        assert stacks == [2, 2, 1]
+        for cfg, run in zip(configs, stacked):
+            _same_run(run, train([cfg], train_ds)[0])
 
     def test_configs_must_differ_only_in_beta_prime_and_seed(self):
         a, b = _points(_config(), [0.0, 1.0])
