@@ -286,9 +286,11 @@ def _cmd_oracle(args) -> int:
             np.asarray(doc["q"], dtype=np.float64), tuple(doc["arities"])
         )
         samples = doc.get("samples")
-        if samples and not all(type(x) is int and type(y) is int and 0 <= x < joint.nx and 0 <= y < joint.ny
-                               for x, y in samples):
-            raise ValueError(f"samples must be integer pairs, 0 <= x < {joint.nx} and 0 <= y < {joint.ny}")
+        if samples:
+            if not all(type(x) is int and type(y) is int and 0 <= x < joint.nx and 0 <= y < joint.ny
+                       for x, y in samples):
+                raise ValueError(f"samples must be integer pairs, 0 <= x < {joint.nx} and 0 <= y < {joint.ny}")
+            samples = np.array(samples, dtype=np.intp)  # checked pairs: the oracle skips its per-entry scan
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise _CliError(f"{inst_path}: bad oracle instance: {exc}") from exc
 

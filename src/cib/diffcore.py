@@ -187,7 +187,7 @@ def _act_grad(kind: str, g: np.ndarray, pre: np.ndarray, out: np.ndarray, e: np.
     if kind == "softplus":
         # the sigmoid as 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, each exact
         # on its half-line; e = e^(-|x|) serves both branches and cannot overflow
-        return g * (np.where(pre >= 0, 1.0, e) / (1.0 + e))
+        return g * (np.maximum(e, pre >= 0) / (1.0 + e))
     return g * (1.0 - out**2)
 
 
@@ -198,11 +198,12 @@ def _naive_bayes_scores(tv, muv, lsv, log_priors):
     diff = tv[..., :, None, :] - muv[..., None, :, :]
     sq_dist = np.einsum("...bkd,...bkd->...bk", diff, diff)
     neg_log_var = log_var * -1.0
-    with np.errstate(over="ignore"):
+    # a diverging run gives inf * 0 below; the caller checks the loss's finiteness
+    with np.errstate(over="ignore", invalid="ignore"):
         inv_var = np.exp(neg_log_var)
-    half_inv_var = inv_var * 0.5
-    offset = log_var * (-0.5 * d) + (log_priors - 0.5 * d * math.log(2.0 * math.pi))
-    scores = offset[..., None, :] - sq_dist * half_inv_var[..., None, :]  # (-q) + offset, exactly
+        half_inv_var = inv_var * 0.5
+        offset = log_var * (-0.5 * d) + (log_priors - 0.5 * d * math.log(2.0 * math.pi))
+        scores = offset[..., None, :] - sq_dist * half_inv_var[..., None, :]  # (-q) + offset, exactly
     return scores, (diff, sq_dist, inv_var, half_inv_var)
 
 
@@ -440,12 +441,13 @@ class Tape:
         # the scalar v broadcasts over the rows: each element is the chain's v_b[i] op x
         lv = lv[..., None] if lv.ndim else lv
         gap, neg_lv_y = lv - lv_y, lv_y * -1.0
-        with np.errstate(over="ignore"):
+        # a diverging run gives inf + -inf below; the caller checks the loss's finiteness
+        with np.errstate(over="ignore", invalid="ignore"):
             ratio, inv_var = np.exp(gap), np.exp(neg_lv_y)
-        rows = ratio * d + sq_dist * inv_var
-        rows += lv_y * d
-        rows += lv * -d
-        rows += -d
+            rows = ratio * d + sq_dist * inv_var
+            rows += lv_y * d
+            rows += lv * -d
+            rows += -d
         self._kl = (mu, log_sigma, labels, diff, sq_dist, ratio, inv_var)
         self._ops += 1
         return rows * 0.5

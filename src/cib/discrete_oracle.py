@@ -17,16 +17,26 @@ Tables are stored C-contiguous, because numpy sums in memory order.  Every
 information quantity comes from one stacked pass over a (K, nx, nt) stack of
 encoder tables: ``info_report`` is its one-encoder case, ``equivalence_scan``
 runs it once per alphabet size of a family, and ``decomposition_check`` reads
-I(X;T|Y) from it.  Sample KLs take one pass over rows.  Every entropy and KL
-is still summed whole per encoder or row, so batched values equal the
+I(X;T|Y) from it.  The pass takes x log x of all its tables at once, and
+``info_report`` the total correlations of all classes.  Sample KLs take one
+unmasked pass over rows; only rows whose sum is not finite (a zero, a
+negative or a NaN) are redone by ``kl_discrete``.  Every entropy and KL is
+still summed whole per encoder or row, so batched values equal the
 per-encoder ones bit for bit.
-Non-integer, out-of-range or negative sample indices are errors.
+
+A ``ProductSurrogate`` checks all its factors in one pass per coordinate.
+``perturbed_product_surrogates`` builds the moves of one coordinate as one
+array, by the arithmetic of a single move; a candidate re-checks only the
+factor it moved and carries its expanded table, so the search pays for its
+KLs, not for checks.
+Non-integer, out-of-range or negative sample indices are errors; an integer
+ndarray is whole by its dtype, anything else is scanned entry by entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Sequence
 
@@ -65,7 +75,8 @@ def _check_rows(joint: DiscreteJoint, enc: DiscreteEncoder) -> None:
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
+    """x log x of a float64 array, elementwise, with 0 log 0 := 0."""
+    out = np.zeros(p.shape)
     mask = p > 0.0
     out[mask] = p[mask] * np.log(p[mask])
     return out
@@ -76,13 +87,19 @@ def entropy(p: np.ndarray) -> float:
     return float(-np.sum(_xlogx(np.asarray(p, dtype=np.float64))))
 
 
-def _entropies(tables: np.ndarray) -> np.ndarray:
-    """``entropy(tables[k])`` for every k of a C-contiguous stack.
+def _entropies(*stacks: np.ndarray) -> list[np.ndarray]:
+    """``entropy(stack[k])`` for every k of each C-contiguous (K, ...) stack.
 
-    Each row of the reshape is one table in C order, summed by one reduction
-    as ``entropy`` sums it, so the values are equal bit for bit.
+    One x log x pass covers every stack, since it is elementwise.  Each row
+    of a stack's reshape is one table in C order, summed by one reduction as
+    ``entropy`` sums it, so the values are equal bit for bit.
     """
-    return -np.sum(_xlogx(tables).reshape(tables.shape[0], -1), axis=1)
+    terms = _xlogx(np.concatenate([s.reshape(-1) for s in stacks]))
+    out, start = [], 0
+    for s in stacks:
+        out.append(-np.add.reduce(terms[start:start + s.size].reshape(s.shape[0], -1), axis=1))
+        start += s.size
+    return out
 
 
 def kl_discrete(p: np.ndarray, q: np.ndarray) -> float:
@@ -100,15 +117,17 @@ def kl_discrete(p: np.ndarray, q: np.ndarray) -> float:
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``kl_discrete(p[i], q[i])`` for every row i of two (rows, n) tables.
 
-    Rows where both sides are strictly positive take one batched sum; the
-    others (zeros, NaN) go through ``kl_discrete`` for its 0 log 0 and +inf.
+    One unmasked pass sums every row, as ``kl_discrete`` sums a row without
+    zeros.  A row with a zero, a negative or a NaN on either side has a NaN
+    or infinite term (0 * -inf, log of a negative, p * -log 0), so its sum is
+    not finite; only rows whose sum is not finite are redone by
+    ``kl_discrete``, for its 0 log 0 and +inf.
     """
-    out = np.empty(p.shape[0])
-    full = np.all(p > 0.0, axis=1) & np.all(q > 0.0, axis=1)
-    pf, qf = p[full], q[full]
-    out[full] = np.sum(pf * (np.log(pf) - np.log(qf)), axis=1)
-    for i in np.flatnonzero(~full):
-        out[i] = kl_discrete(p[i], q[i])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.add.reduce(p * (np.log(p) - np.log(q)), axis=1)
+    if not math.isfinite(np.add.reduce(out)):  # a row is not finite, or the rows' total overflows
+        for i in np.flatnonzero(~np.isfinite(out)):
+            out[i] = kl_discrete(p[i], q[i])
     return out
 
 
@@ -228,17 +247,14 @@ def _info_pass(joint: DiscreteJoint, q: np.ndarray) -> tuple[InfoReport, np.ndar
     The five per-encoder quantities are (K,) arrays and ``TC_given_y`` is None.
     Each entropy is one reduction per encoder, so a value is the same alone and in any stack.
     """
-    h_xy = entropy(joint.p)
-    h_x = entropy(joint.p.sum(axis=1))
-    h_y = entropy(joint.p.sum(axis=0))
     p3 = joint.p[None, :, :, None] * q[:, :, None, :]  # (K, nx, ny, nt)
     p_yt = p3.sum(axis=1)
-    h_xyt = _entropies(p3)
-    h_xt = _entropies(p3.sum(axis=2))
-    h_yt = _entropies(p_yt)
-    h_t = _entropies(p_yt.sum(axis=1))
+    (h_xy,), (h_x,), (h_y,), h_xyt, h_xt, h_yt, h_t = _entropies(
+        joint.p[None], joint.p.sum(axis=1)[None], joint.p.sum(axis=0)[None],
+        p3, p3.sum(axis=2), p_yt, p_yt.sum(axis=1),
+    )
     return InfoReport(
-        H_Y=h_y,
+        H_Y=float(h_y),
         H_Y_given_T=h_yt - h_t,
         I_XT=h_x + h_t - h_xt,
         I_YT=h_y + h_t - h_yt,
@@ -248,11 +264,16 @@ def _info_pass(joint: DiscreteJoint, q: np.ndarray) -> tuple[InfoReport, np.ndar
     ), p_yt
 
 
-def _coordinate_marginals(table: np.ndarray, arities: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The marginal of each latent coordinate of one distribution over the product alphabet."""
-    cond = table.reshape(arities)
+def _coordinate_marginals(tables: np.ndarray, arities: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The (n, arity) marginals of each latent coordinate of a C-contiguous (n, nt) stack of distributions.
+
+    The stack axis is outermost, so each row's marginals are summed in the
+    order of that row alone, and equal them bit for bit.
+    """
+    cond = tables.reshape(tables.shape[0], *arities)
     return tuple(
-        cond.sum(axis=tuple(a for a in range(cond.ndim) if a != axis)) for axis in range(cond.ndim)
+        np.add.reduce(cond, axis=tuple(a + 1 for a in range(len(arities)) if a != axis))
+        for axis in range(len(arities))
     )
 
 
@@ -261,12 +282,20 @@ def info_report(joint: DiscreteJoint, enc: DiscreteEncoder) -> InfoReport:
     _check_rows(joint, enc)
     stacked, p_yt = _info_pass(joint, enc.q[None])
     p_y = joint.p.sum(axis=0)
+    present = np.flatnonzero(p_y > 0.0)
+    conds = p_yt[0, present] / p_y[present, None]  # q(T|y) of every class with mass
+    h_cond, *h_marginals = _entropies(conds, *_coordinate_marginals(conds, enc.arities))
     tc = np.zeros(joint.ny)
-    for y in np.flatnonzero(p_y > 0.0):
-        cond = p_yt[0, y] / p_y[y]
-        tc[y] = sum(entropy(m) for m in _coordinate_marginals(cond, enc.arities)) - entropy(cond)
-    per_encoder = ("H_Y_given_T", "I_XT", "I_YT", "I_XT_given_Y", "I_XY_given_T")
-    return replace(stacked, TC_given_y=tc, **{name: float(getattr(stacked, name)[0]) for name in per_encoder})
+    tc[present] = sum(h_marginals, 0.0) - h_cond
+    return InfoReport(
+        H_Y=stacked.H_Y,
+        H_Y_given_T=float(stacked.H_Y_given_T[0]),
+        I_XT=float(stacked.I_XT[0]),
+        I_YT=float(stacked.I_YT[0]),
+        I_XT_given_Y=float(stacked.I_XT_given_Y[0]),
+        I_XY_given_T=float(stacked.I_XY_given_T[0]),
+        TC_given_y=tc,
+    )
 
 
 @dataclass(frozen=True)
@@ -354,15 +383,38 @@ def equivalence_scan(
     )
 
 
+def _factor_stacks(factors: Sequence[Sequence[np.ndarray]], arities: tuple[int, ...]) -> list[np.ndarray]:
+    """One (classes, arity) array per coordinate, whose row y is class y's factor."""
+    return [np.concatenate([cf[j].ravel() for cf in factors]).reshape(len(factors), a) for j, a in enumerate(arities)]
+
+
+def _not_distributions(rows: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, arity) stack are not distributions.
+
+    A row is one if no entry is negative and its sum, ``row.sum()`` bit for
+    bit, lies within 1e-12 of 1.  A NaN or infinite entry makes the sum NaN
+    or infinite, so the sum test rejects non-finite rows too.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf, or a finite row whose sum overflows
+        sums = np.add.reduce(rows, axis=1)
+    return np.logical_or.reduce(rows < 0.0, axis=1) | ~(np.abs(sums - 1.0) <= 1e-12)
+
+
 @dataclass(frozen=True)
 class ProductSurrogate:
     """Per-class product distribution over the latent coordinates.
 
     ``factors[y][j]`` is the class-y marginal over coordinate j's alphabet.
     ``expand(y)`` multiplies the factors out to a joint table in C order.
+    Construction checks every factor in one pass per coordinate.
     """
 
     factors: tuple[tuple[np.ndarray, ...], ...]
+
+    # not a field: the (classes, nt) expansion a candidate of
+    # perturbed_product_surrogates computed while it was built; like the
+    # checks, it holds while the factor arrays are not written to
+    _table = None
 
     def __post_init__(self):
         frozen = tuple(
@@ -372,13 +424,32 @@ class ProductSurrogate:
         object.__setattr__(self, "factors", frozen)
         if not self.factors:
             raise ValueError("need at least one class")
-        arities = tuple(f.size for f in self.factors[0])
-        for y, class_factors in enumerate(self.factors):
-            if tuple(f.size for f in class_factors) != arities:
-                raise ValueError("all classes must share the coordinate arities")
-            for j, f in enumerate(class_factors):
-                if not np.all(np.isfinite(f)) or np.any(f < 0.0) or abs(float(f.sum()) - 1.0) > 1e-12:
-                    raise ValueError(f"factor (class {y}, coordinate {j}) is not a distribution")
+        arities = tuple(f.size for f in frozen[0])
+        # classes are checked in order, so a bad factor before the first
+        # class of other arities is named first
+        shared = next((y for y, cf in enumerate(frozen) if tuple(f.size for f in cf) != arities), len(frozen))
+        bad = np.array([_not_distributions(f) for f in _factor_stacks(frozen[:shared], arities)]).T
+        if np.logical_or.reduce(bad, axis=None):  # bad is (classes, coordinates)
+            y, j = np.argwhere(bad)[0]
+            raise ValueError(f"factor (class {y}, coordinate {j}) is not a distribution")
+        if shared < len(frozen):
+            raise ValueError("all classes must share the coordinate arities")
+
+    @classmethod
+    def _moved(cls, base: ProductSurrogate, y: int, j: int, factor: np.ndarray,
+               table: np.ndarray | None) -> ProductSurrogate:
+        """``base`` with factor (y, j) replaced by ``factor``, which the caller checked.
+
+        The other factors are ``base``'s, checked when it was built.
+        """
+        factors = list(base.factors)
+        class_factors = list(factors[y])
+        class_factors[j] = factor
+        factors[y] = tuple(class_factors)
+        surrogate = object.__new__(cls)
+        object.__setattr__(surrogate, "factors", tuple(factors))
+        object.__setattr__(surrogate, "_table", table)
+        return surrogate
 
     @property
     def class_count(self) -> int:
@@ -394,7 +465,21 @@ class ProductSurrogate:
 
 def _expand_all(surrogate: ProductSurrogate) -> np.ndarray:
     """(classes, nt) table whose row y is ``surrogate.expand(y)``."""
+    if surrogate._table is not None:
+        return surrogate._table
     return np.stack([surrogate.expand(y) for y in range(surrogate.class_count)])
+
+
+def _expand_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """(rows, nt) table whose row k expands the factors ``columns[0][k]``, ``columns[1][k]``, ...
+
+    The products are taken in ``expand``'s order, ((f0 * f1) * f2) ..., after
+    an exact 1.0 * f0, so every row equals ``expand`` of those factors bit for bit.
+    """
+    rows = np.ones((columns[0].shape[0], 1))
+    for f in columns:
+        rows = (rows[:, :, None] * f[:, None, :]).reshape(rows.shape[0], -1)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -456,26 +541,39 @@ def optimal_product_surrogate(t_given_y: np.ndarray, arities: Sequence[int]) -> 
     This is the product surrogate minimizing the average KL from q(T|Y); the
     attained value per class is exactly the conditional total correlation.
     """
-    t_given_y = np.asarray(t_given_y, dtype=np.float64)
+    t_given_y = np.ascontiguousarray(t_given_y, dtype=np.float64)
     arities = tuple(int(a) for a in arities)
     if t_given_y.ndim != 2 or int(np.prod(arities)) != t_given_y.shape[1]:
         raise ValueError("conditional table does not match the arities")
-    return ProductSurrogate(tuple(_coordinate_marginals(row, arities) for row in t_given_y))
+    marginals = _coordinate_marginals(t_given_y, arities)
+    return ProductSurrogate(tuple(tuple(m[y] for m in marginals) for y in range(t_given_y.shape[0])))
 
 
 def _checked_samples(samples: Sequence[tuple[int, int]], enc: DiscreteEncoder) -> np.ndarray:
-    """Samples as an (N, 2) index array; rejects non-integer indices, x outside [0, nx) and y < 0."""
-    pairs = np.asarray(samples, dtype=object)
-    whole = all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in pairs.flat)
+    """Samples as an (N, 2) index array; rejects non-integer indices, x outside [0, nx) and y < 0.
+
+    A plain ndarray of an integer dtype that fits ``intp`` is whole by its
+    dtype; anything else is scanned entry by entry, and bools are rejected.
+    """
+    if type(samples) is np.ndarray and samples.dtype.kind in "iu" and np.can_cast(samples.dtype, np.intp):
+        pairs, whole = samples, True
+    else:
+        pairs = np.asarray(samples, dtype=object)
+        whole = all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in pairs.flat)
     if not whole or pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
         raise ValueError("samples must be a nonempty sequence of (x, y) integer index pairs")
     samples = pairs.astype(np.intp)
-    xs, ys = samples.T
-    if np.any((xs < 0) | (xs >= enc.nx)):
+    low, high = np.minimum.reduce(samples), np.maximum.reduce(samples)  # per column: x, y
+    if low[0] < 0 or high[0] >= enc.nx:
         raise ValueError(f"sample feature index outside [0, {enc.nx})")
-    if np.any(ys < 0):
+    if low[1] < 0:
         raise ValueError("sample class label is negative")
     return samples
+
+
+def _mean(values: np.ndarray) -> float:
+    """``np.mean`` of a 1-D float array, bit for bit, without its wrapper."""
+    return float(np.add.reduce(values) / values.size)
 
 
 def sample_kl_objective(
@@ -483,9 +581,9 @@ def sample_kl_objective(
 ) -> float:
     """(1/N) sum_i KL(q(T|x_i) || r(T|y_i)) for a candidate product surrogate."""
     xs, ys = _checked_samples(samples, enc).T
-    if np.any(ys >= surrogate.class_count):
+    if np.maximum.reduce(ys) >= surrogate.class_count:
         raise ValueError(f"sample class label outside the surrogate's {surrogate.class_count} classes")
-    return float(np.mean(_kl_rows(enc.q[xs], _expand_all(surrogate)[ys])))
+    return _mean(_kl_rows(enc.q[xs], _expand_all(surrogate)[ys]))
 
 
 @dataclass(frozen=True)
@@ -514,16 +612,18 @@ def surrogate_optimality_check(
     samples = _checked_samples(samples, enc)
     xs, ys = samples.T
     counts = np.bincount(ys)
-    if np.any(counts == 0):
-        raise ValueError(f"class {int(np.flatnonzero(counts == 0)[0])} has no samples")
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise ValueError(f"class {int(empty[0])} has no samples")
     t_given_y = np.zeros((counts.size, enc.nt))
-    np.add.at(t_given_y, ys, enc.q[xs])  # sample by sample, in order
+    q_x = enc.q[xs]
+    np.add.at(t_given_y, ys, q_x)  # sample by sample, in order
     t_given_y /= counts[:, None]
     best = optimal_product_surrogate(t_given_y, enc.arities)
     expanded = _expand_all(best)
-    lhs_min = float(np.mean(_kl_rows(enc.q[xs], expanded[ys])))  # sample_kl_objective of checked samples
+    lhs_min = _mean(_kl_rows(q_x, expanded[ys]))  # sample_kl_objective of checked samples
     tc = _kl_rows(t_given_y, expanded)
-    rhs = float(np.mean(_kl_rows(enc.q[xs], t_given_y[ys]) + tc[ys]))
+    rhs = _mean(_kl_rows(q_x, t_given_y[ys]) + tc[ys])
     return OptimalityReport(lhs_min=lhs_min, rhs=rhs, surrogate=best)
 
 
@@ -535,23 +635,41 @@ def perturbed_product_surrogates(
     For every class, coordinate, and ordered symbol pair (a, b) with mass at
     a, moves min(step, mass_a) from a to b.  Serves as an independent
     line of evidence that no nearby product surrogate beats a claimed optimum.
+
+    The moves of one coordinate, over every class, are one (moves, arity)
+    array, made by the subtract, add and division by the row's sum of a move
+    made alone, and checked in one pass.  A candidate re-checks only the
+    factor it moved, shares the others with ``surrogate``, and carries its
+    expanded table when the alphabet is within ``MAX_JOINT_OUTCOMES``.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    for y, class_factors in enumerate(surrogate.factors):
-        for j, factor in enumerate(class_factors):
-            arity = factor.size
-            for a in range(arity):
-                if factor[a] <= 0.0:
-                    continue
-                delta = min(step, float(factor[a]))
-                for bsym in range(arity):
-                    if bsym == a:
-                        continue
-                    moved = factor.copy()
-                    moved[a] -= delta
-                    moved[bsym] += delta
-                    moved /= moved.sum()
-                    new_factors = [list(cf) for cf in surrogate.factors]
-                    new_factors[y][j] = moved
-                    yield ProductSurrogate(tuple(tuple(cf) for cf in new_factors))
+    classes = surrogate.class_count
+    table = _expand_all(surrogate) if math.prod(surrogate.arities) <= MAX_JOINT_OUTCOMES else None
+    stacks = _factor_stacks(surrogate.factors, surrogate.arities)
+    blocks = []
+    for j, factors in enumerate(stacks):
+        per_source = factors.shape[1] - 1
+        source_class, sources = np.nonzero(factors > 0.0)  # class-major, then source symbol a
+        others = np.arange(per_source)
+        targets = others + (others >= sources[:, None])  # every b != a, in order
+        move_class = np.repeat(source_class, per_source)
+        rows = np.arange(move_class.size)
+        delta = np.repeat(np.minimum(step, factors[source_class, sources]), per_source)
+        moved = factors[move_class]
+        moved[rows, np.repeat(sources, per_source)] -= delta
+        moved[rows, targets.ravel()] += delta
+        moved /= np.add.reduce(moved, axis=1, keepdims=True)
+        tables = None
+        if table is not None and rows.size:
+            tables = np.repeat(table[None], rows.size, axis=0)
+            tables[rows, move_class] = _expand_rows([moved if i == j else f[move_class] for i, f in enumerate(stacks)])
+            tables.flags.writeable = False
+        starts = np.searchsorted(move_class, np.arange(classes + 1)).tolist()  # each class's moves
+        blocks.append((moved, _not_distributions(moved), tables, starts))
+    for y in range(classes):
+        for j, (moved, bad, tables, starts) in enumerate(blocks):
+            for k in range(starts[y], starts[y + 1]):
+                if bad[k]:
+                    raise ValueError(f"factor (class {y}, coordinate {j}) is not a distribution")
+                yield ProductSurrogate._moved(surrogate, y, j, moved[k], None if tables is None else tables[k])

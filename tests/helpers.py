@@ -10,7 +10,6 @@ from cib.diffcore import (
     NonFiniteError,
     ShapeError,
     Tape,
-    _act_grad,
     _activate,
     _naive_bayes_grads,
     _naive_bayes_scores,
@@ -179,9 +178,22 @@ def _bw_affine(v, ins, aux, nid, g, push):
         push(ins[2], g)
 
 
+def where_act_grad(kind, g, pre, out, e):
+    """The activation adjoint with the softplus sigmoid taken by ``np.where``.
+
+    The two-branch sigmoid 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
+    below, from e = e^(-|x|); ``diffcore._act_grad`` must equal it bit for bit.
+    """
+    if kind == "relu":
+        return g * (pre > 0.0)
+    if kind == "softplus":
+        return g * (np.where(pre >= 0, 1.0, e) / (1.0 + e))
+    return g * (1.0 - out**2)
+
+
 def _bw_act(v, ins, aux, nid, g, push):
     kind, e = aux
-    push(ins[0], _act_grad(kind, g, v[ins[0]], v[nid], e))
+    push(ins[0], where_act_grad(kind, g, v[ins[0]], v[nid], e))
 
 
 def _bw_sub(v, ins, aux, nid, g, push):
@@ -813,6 +825,59 @@ def loop_surrogate_optimality_check(samples, enc):
     tc = np.array([kl_discrete(t_given_y[y], best.expand(y)) for y in range(class_count)])
     rhs = float(np.mean([kl_discrete(enc.q[x], t_given_y[y]) + tc[y] for x, y in samples]))
     return OptimalityReport(lhs_min=lhs_min, rhs=rhs, surrogate=best)
+
+
+def loop_product_surrogate_problem(factors):
+    """The message ``ProductSurrogate(factors)`` raises, checking factor by factor, or None if it is valid."""
+    factors = tuple(tuple(np.asarray(f, dtype=np.float64) for f in class_factors) for class_factors in factors)
+    if not factors:
+        return "need at least one class"
+    arities = tuple(f.size for f in factors[0])
+    for y, class_factors in enumerate(factors):
+        if tuple(f.size for f in class_factors) != arities:
+            return "all classes must share the coordinate arities"
+        for j, f in enumerate(class_factors):
+            if not np.all(np.isfinite(f)) or np.any(f < 0.0) or abs(float(f.sum()) - 1.0) > 1e-12:
+                return f"factor (class {y}, coordinate {j}) is not a distribution"
+    return None
+
+
+def loop_perturbed_product_surrogates(surrogate, step=0.01):
+    """``perturbed_product_surrogates`` one move at a time, each candidate built and checked whole."""
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    for y, class_factors in enumerate(surrogate.factors):
+        for j, factor in enumerate(class_factors):
+            arity = factor.size
+            for a in range(arity):
+                if factor[a] <= 0.0:
+                    continue
+                delta = min(step, float(factor[a]))
+                for bsym in range(arity):
+                    if bsym == a:
+                        continue
+                    moved = factor.copy()
+                    moved[a] -= delta
+                    moved[bsym] += delta
+                    moved /= moved.sum()
+                    new_factors = [list(cf) for cf in surrogate.factors]
+                    new_factors[y][j] = moved
+                    yield ProductSurrogate(tuple(tuple(cf) for cf in new_factors))
+
+
+def loop_checked_samples(samples, nx):
+    """``_checked_samples`` scanning every entry's type: the (N, 2) intp array, or the message it raises."""
+    pairs = np.asarray(samples, dtype=object)
+    whole = all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in pairs.flat)
+    if not whole or pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
+        return "samples must be a nonempty sequence of (x, y) integer index pairs"
+    samples = pairs.astype(np.intp)
+    xs, ys = samples.T
+    if np.any((xs < 0) | (xs >= nx)):
+        return f"sample feature index outside [0, {nx})"
+    if np.any(ys < 0):
+        return "sample class label is negative"
+    return samples
 
 
 def loop_decomposition_check(joint, enc, surrogate):

@@ -319,6 +319,16 @@ class TestSweep:
         first = [(tmp_path / f"jobs{jobs}" / "point_000" / "checkpoint.json").read_bytes() for jobs in (1, 2)]
         assert first[0] == first[1]
 
+    def test_diverging_point_prints_only_its_failure(self, tmp_path, capsys):
+        """inf * 0 in the naive-Bayes scores and inf + -inf in the KL rows stay silent; the failure line says it."""
+        cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"},
+                            optim={"kind": "sgd", "lr": 1e3, "steps": 6, "batch": 8, "log_every": 3})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["sweep", "--config", str(cfg), "--betas", "0,100,0,1e4", "--out", str(tmp_path / "s")])
+        assert code == 2 and [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "numerical failure: learned noise variance exp(35806756.08493792) overflows\n"
+
     def test_bad_betas_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         for betas in ("a,b", "-1", "nan,1", "1,inf"):

@@ -18,6 +18,7 @@ from helpers import (
     fused_loss,
     loop_grad_check,
     per_row,
+    where_act_grad,
 )
 
 
@@ -497,6 +498,19 @@ def test_softplus_derivative_matches_the_two_branch_sigmoid():
         reference = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), ex / (1.0 + ex))
     out, e = _activate(x, "softplus")
     assert np.array_equal(_act_grad("softplus", np.ones_like(x), x, out, e), reference)
+
+
+@pytest.mark.parametrize("kind", ["relu", "softplus", "tanh"])
+def test_act_grad_equals_the_where_formula(kind):
+    """np.maximum(e, x >= 0) is np.where(x >= 0, 1.0, e) bit for bit, since e = e^(-|x|) lies in [0, 1]."""
+    rng = np.random.default_rng(8)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2, np.inf, -np.inf, np.nan]
+    x = np.concatenate([rng.standard_normal(100_000) * 10.0 ** rng.uniform(-3.0, 3.0, 100_000), edges])
+    g = np.concatenate([rng.standard_normal(100_000), np.ones(len(edges))])
+    out, e = _activate(x, kind)
+    with np.errstate(invalid="ignore"):
+        ours, theirs = _act_grad(kind, g, x, out, e), where_act_grad(kind, g, x, out, e)
+    assert ours.tobytes() == theirs.tobytes()
 
 
 def test_adjoints_are_never_written_in_place():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cib import discrete_oracle
 from cib.discrete_oracle import (
     DiscreteEncoder,
     DiscreteJoint,
@@ -27,6 +28,7 @@ from cib.cli import run
 from helpers import (
     loop_decomposition_check,
     loop_equivalence_scan,
+    loop_perturbed_product_surrogates,
     loop_sample_kl_objective,
     loop_surrogate_optimality_check,
     random_arities,
@@ -311,6 +313,36 @@ class TestOptimalProductSurrogate:
         assert attained == pytest.approx(tc, abs=1e-13)
         for cand in perturbed_product_surrogates(best, step=0.01):
             assert kl_discrete(table, cand.expand(0)) >= attained - 1e-10
+
+
+    def test_each_candidate_checks_only_its_moved_factor(self, monkeypatch):
+        """A search checks one factor per candidate: the rest were checked when the optimum was built."""
+        rng = np.random.default_rng(15)
+        enc = random_encoder(rng, 4, (2, 3))
+        samples = random_samples(rng, 4, 3, 12)
+        best = surrogate_optimality_check(samples, enc).surrogate
+        checked = []
+        check = discrete_oracle._not_distributions
+        monkeypatch.setattr(discrete_oracle, "_not_distributions", lambda rows: checked.append(rows.shape) or check(rows))
+        candidates = list(perturbed_product_surrogates(best, step=0.01))
+        for cand in candidates:
+            sample_kl_objective(samples, enc, cand)
+        # per class: 2 sources x 1 target on the binary coordinate, 3 x 2 on the ternary one
+        assert len(candidates) == 3 * (2 + 6)
+        assert sum(rows for rows, _ in checked) == len(candidates)
+
+
+    def test_candidates_beyond_the_outcome_cap_expand_on_demand(self):
+        """Over 4^4 = 256 outcomes no table is carried; the moves are still the one-move reference's."""
+        rng = np.random.default_rng(16)
+        base = random_product_surrogate(rng, 2, (4, 4, 4, 4))
+        ours = list(perturbed_product_surrogates(base, step=0.1))
+        theirs = list(loop_perturbed_product_surrogates(base, step=0.1))
+        assert len(ours) == len(theirs) == 2 * 4 * 12
+        for cand, ref in zip(ours, theirs):
+            assert cand._table is None
+            assert all(a.tobytes() == b.tobytes() for cf, rf in zip(cand.factors, ref.factors) for a, b in zip(cf, rf))
+            assert cand.expand(1).tobytes() == ref.expand(1).tobytes()
 
 
 class TestSurrogateOptimality:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,15 +12,20 @@ from cib.discrete_oracle import (
     DiscreteEncoder,
     DiscreteJoint,
     ProductSurrogate,
+    _checked_samples,
+    _expand_all,
+    _kl_rows,
     decomposition_check,
     induced,
     info_report,
+    kl_discrete,
     objective_values,
     optimal_product_surrogate,
     perturbed_product_surrogates,
     sample_kl_objective,
     surrogate_optimality_check,
 )
+from helpers import loop_checked_samples, loop_perturbed_product_surrogates, loop_product_surrogate_problem
 
 # derandomized so that a tier-1 failure replays from its test id; no
 # example database is written
@@ -135,3 +140,121 @@ def test_optimal_product_surrogate_has_zero_gap_and_no_better_neighbour(drawn):
     assert rep.gap == pytest.approx(0.0, abs=1e-10)
     for cand in perturbed_product_surrogates(rep.surrogate, step=0.01):
         assert sample_kl_objective(samples, enc, cand) >= rep.lhs_min - 1e-10
+
+
+# the fast paths against their references in helpers: more examples, since
+# each is cheap and the edge cases are sparse
+FAST_PATH = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# masses below every step but the smallest, zero mass, and the whole mass
+STEPS = st.sampled_from([0.01, 0.05, 0.3, 1.0, 2.0])
+
+
+def _bits(surrogate):
+    return [[(f.shape, f.tobytes()) for f in class_factors] for class_factors in surrogate.factors]
+
+
+@FAST_PATH
+@given(data=st.data(), ny=st.integers(1, 3), arities=ARITIES, step=STEPS)
+def test_candidates_equal_the_one_move_reference(data, ny, arities, step):
+    """Same count, order and factor bits as one move at a time; the carried table is ``expand``'s."""
+    surrogate = data.draw(product_surrogates(ny, arities))
+    ours = list(perturbed_product_surrogates(surrogate, step=step))
+    theirs = list(loop_perturbed_product_surrogates(surrogate, step=step))
+    assert len(ours) == len(theirs)
+    for cand, ref in zip(ours, theirs):
+        assert _bits(cand) == _bits(ref)
+        assert _expand_all(cand).tobytes() == np.stack([ref.expand(y) for y in range(ny)]).tobytes()
+
+
+# NaN, infinities, negatives, and halves off by 2e-12
+ODD_ENTRY = st.sampled_from([np.nan, np.inf, -np.inf, -0.25, -0.0, 0.5, 0.5 + 2e-12, 0.5 - 2e-12, 1.0])
+# moves the sum off 1 by about 0.6, 1.5 or 3 times the 1e-12 tolerance
+SUM_SHIFT = st.sampled_from([0.0, 6e-13, -6e-13, 1.5e-12, -1.5e-12, 3e-12, -3e-12])
+
+
+@st.composite
+def factors(draw, arity):
+    """A distribution, one with its sum shifted or mass pushed below zero, or odd entries."""
+    kind = draw(st.integers(0, 3)) if arity else 3
+    if kind == 3:
+        return draw(arrays(np.float64, (arity,), elements=st.one_of(MASS, ODD_ENTRY)))
+    f = _rows(draw(arrays(np.float64, (arity,), elements=MASS)))
+    if kind == 1:
+        f[0] += draw(SUM_SHIFT)
+    elif kind == 2 and arity > 1:  # the sum stays 1 while an entry may go negative
+        shift = draw(st.sampled_from([0.25, 0.5, 1.5]))
+        f[0] += shift
+        f[1] -= shift
+    return f
+
+
+@st.composite
+def factor_tuples(draw):
+    """Per-class factor tuples: distributions, odd entries, empty factors, other arities."""
+    arities = draw(st.lists(st.integers(0, 4), max_size=3))
+    classes = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = arities if draw(st.integers(0, 4)) else draw(st.lists(st.integers(0, 4), max_size=3))
+        classes.append(tuple(draw(factors(a)) for a in shape))
+    return tuple(classes)
+
+
+@FAST_PATH
+@given(factors=factor_tuples())
+def test_product_surrogate_checks_like_the_per_factor_reference(factors):
+    problem = loop_product_surrogate_problem(factors)
+    if problem is None:
+        ProductSurrogate(factors)
+    else:
+        with pytest.raises(ValueError) as err:
+            ProductSurrogate(factors)
+        assert str(err.value) == problem
+
+
+def _outcome(fn):
+    try:
+        out = fn()
+    except (ValueError, OverflowError) as exc:  # OverflowError: a uint64 beyond intp
+        return type(exc).__name__, str(exc)
+    return ("ValueError", out) if isinstance(out, str) else (out.dtype, out.shape, out.tobytes())
+
+
+ENTRIES = st.one_of(
+    st.integers(-2, 5), st.booleans(), st.floats(-2.0, 5.0),
+    st.integers(-2, 5).map(np.int64), st.integers(0, 5).map(np.uint8), st.booleans().map(np.bool_),
+)
+SAMPLE_ARRAYS = st.one_of(
+    *(arrays(dtype, st.tuples(st.integers(0, 5), st.integers(1, 3)), elements=st.integers(lo, 5))
+      for dtype, lo in ((np.int8, -2), (np.int64, -2), (np.uint8, 0), (np.intp, -2))),
+    arrays(np.uint64, st.tuples(st.integers(1, 3), st.just(2)),
+           elements=st.one_of(st.integers(0, 5), st.just(2**63), st.just(2**64 - 1))),
+    arrays(np.int64, st.integers(0, 4), elements=st.integers(0, 3)),
+    arrays(np.bool_, (3, 2)),
+    arrays(np.float64, (3, 2), elements=st.integers(0, 3).map(float)),
+    arrays(object, (3, 2), elements=ENTRIES),
+)
+
+
+@FAST_PATH
+@given(samples=st.one_of(st.lists(st.lists(ENTRIES, min_size=1, max_size=3), max_size=5), SAMPLE_ARRAYS))
+@example(samples=np.array([[0, 2**63]], dtype=np.uint64))
+@example(samples=np.array([[2**64 - 1, 0]], dtype=np.uint64))
+@example(samples=np.zeros((0, 2), dtype=np.int64))
+@example(samples=[(0, True), (1, 0)])
+@example(samples=[(np.int8(3), np.uint8(1)), (0, 0)])
+def test_checked_samples_accept_and_reject_like_the_object_scan(samples):
+    enc = DiscreteEncoder(np.full((4, 2), 0.5), (2,))
+    assert _outcome(lambda: _checked_samples(samples, enc)) == _outcome(lambda: loop_checked_samples(samples, 4))
+
+
+@FAST_PATH
+@given(data=st.data(), rows=st.integers(0, 6), width=st.integers(1, 5))
+def test_kl_rows_equal_row_by_row_kl_discrete(data, rows, width):
+    """Zeros (0 log 0 and +inf) and NaN entries included."""
+    entries = st.one_of(MASS, st.just(np.nan))
+    p = _rows(data.draw(arrays(np.float64, (rows, width), elements=entries)))
+    q = _rows(data.draw(arrays(np.float64, (rows, width), elements=entries)))
+    ours = _kl_rows(p, q)
+    theirs = np.array([kl_discrete(a, b) for a, b in zip(p, q)], dtype=np.float64)
+    assert ours.tobytes() == theirs.tobytes()
