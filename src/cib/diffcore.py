@@ -1,17 +1,13 @@
 """Reverse-mode differentiation of the training loss of the bottleneck models.
 
-Values are float64 numpy arrays: scalars are shape-() arrays, batches are
-``(batch, dim)`` matrices, and a store that stacks P parameter vectors
-gives every value a leading P axis.  A :class:`Tape` evaluates the one loss this
-library trains -- the encoder net, the Monte-Carlo cross-entropy and the
-per-row surrogate KL, with ``ce + beta' * mean(kl)`` on top -- and keeps
-what its backward needs; :meth:`Tape.backward` is one straight-line pass
-that returns a flat gradient aligned with the bound :class:`ParamStore`,
-one row per stacked vector, each row the bits that vector gives alone.
-The fused kernels and their adjoints live here, so this module owns the
-order of every floating-point operation of a training step.  Lockstep
-training of a sweep's points runs through stacked tapes, and
-:func:`grad_check` probes through stacked forwards of the same tape.
+Values are float64 numpy arrays.  A :class:`Tape` evaluates the one loss
+this library trains -- the encoder net, the Monte-Carlo cross-entropy and
+the per-row surrogate KL, with ``ce + beta' * mean(kl)`` on top -- for a
+:class:`ParamStore` that stacks P >= 1 parameter vectors, and keeps what
+its backward needs; :meth:`Tape.backward` is one straight-line pass that
+returns the (P, size) gradient.  The fused kernels and their adjoints live
+here, so this module owns the order of every floating-point operation of a
+training step.
 
 This is deliberately not a general autodiff system: it records no graph,
 and differentiates no loss but this one.
@@ -248,7 +244,7 @@ def _softmax_nll_grad(sv, at, lse, g):
 
 
 class Tape:
-    """One evaluation of the training loss, kept for its backward.
+    """One evaluation of the training loss over a stack of P parameter vectors, kept for its backward.
 
     Five calls record the loss in a fixed order.  Each returns plain arrays
     and keeps its backward cache in an attribute of its own:
@@ -266,17 +262,17 @@ class Tape:
     scopes, and adjoints reach a shared input in the chain's order, so the
     tape gives the chain's values and gradient bit for bit.
 
-    On a store that stacks P parameter vectors every value gains a leading
-    P axis, and so may the batch, labels, noise and beta' (one per row) or
-    not (shared by all rows).  :meth:`total` then returns the (P,) losses and
-    :meth:`backward` the (P, size) gradients of the rows, each equal bit for
-    bit to what that vector alone gives with its own inputs: a row's values
-    go through the same operations in the same order, whether as a slice of
-    a stacked matmul, of a reduction over its own axes or of an ``add.at``
-    indexed by its own row.  ``width`` is the most float64 values one
-    intermediate holds per parameter vector, or all the draws' kept scores
-    and caches together if they hold more, so that a caller can bound a
-    stack whatever the draw count.
+    The store's values are (P, size), P >= 1, and every value the tape
+    forms has a leading P axis; the batch, labels, noise and beta' are
+    shared by the rows or one per row.  Row p of the (P,) :meth:`total` and
+    the (P, size) :meth:`backward` is bit for bit what vector p gives in a
+    stack of one with its own inputs: its values go through the same
+    operations in the same order, whether as a slice of a stacked matmul, of
+    a reduction over its own axes or of an ``add.at`` indexed by its own
+    row.  ``width`` is the most float64 values one intermediate holds per
+    parameter vector, or all the draws' kept scores and caches together if
+    they hold more, so that a caller can bound a stack whatever the draw
+    count.
 
     Parameters are named slices of the bound store, read as views, not
     copies: a tape is valid only until its store changes, so take
@@ -285,11 +281,13 @@ class Tape:
     """
 
     def __init__(self, store: ParamStore):
+        if store.values.ndim != 2 or not store.values.shape[0]:
+            raise ShapeError(f"a Tape needs a (P, size) stacked store, P >= 1; got values{store.values.shape}")
         self.store = store
         self.width = 0
-        self._lead = store.values.shape[:-1]  # () or (P,)
+        self._lead = store.values.shape[:-1]  # (P,)
         # the stack index of each row, for gathers along the class axis that follows it
-        self._rows = (np.arange(self._lead[0])[:, None],) if self._lead else ()
+        self._rows = np.arange(self._lead[0])[:, None]
         self._ops = 0
         self._mlp = self._log_var = self._ce = self._kl = self._total = None
 
@@ -298,19 +296,15 @@ class Tape:
         return self._ops
 
     def _slice(self, name: str | None, shape: tuple[int, ...]) -> np.ndarray:
-        """The named slice as a view, or zeros of its (lead + ``shape``) shape for ``None``."""
+        """The named slice as a view, or zeros of its (P, *``shape``) shape for ``None``."""
         return np.zeros(self._lead + shape) if name is None else self.store.get(name)
-
-    def _pick(self, a: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """The entries of each batch row's class of ``a``, whose class axis follows the lead."""
-        return a[self._rows + (labels,)] if self._lead else a.take(labels, axis=0)
 
     def _inputs_fit(self, data: np.ndarray, shape: tuple[int, ...]) -> bool:
         """Whether ``data`` is ``shape``, shared by the rows or one per row."""
         return data.shape in (shape, self._lead + shape)
 
     def mlp(self, x: np.ndarray, names: Sequence[str], activation: str) -> np.ndarray:
-        """Output of a feed-forward net on the fixed (B, d_in) or (..., B, d_in) batch ``x``, (..., B, d_out).
+        """Output of a feed-forward net on the fixed (B, d_in) or (P, B, d_in) batch ``x``, (P, B, d_out).
 
         ``names`` lists the slices W_0, b_0, W_1, b_1, ...: layer l maps h to
         ``h @ W_l.T + b_l``, and every layer but the last then applies
@@ -324,7 +318,7 @@ class Tape:
         inputs, pres, exps = [], [], []
         for l in range(n):
             wv, bv = weights[2 * l], weights[2 * l + 1]
-            if (h.ndim < 2 or not self._inputs_fit(h, h.shape[-2:]) or wv.ndim != len(self._lead) + 2
+            if (h.ndim < 2 or not self._inputs_fit(h, h.shape[-2:]) or wv.ndim != 3
                     or bv.shape != wv.shape[:-1] or h.shape[-1] != wv.shape[-1]):
                 raise ShapeError(f"mlp layer {l}: x{h.shape} W{wv.shape} b{bv.shape} do not agree")
             inputs.append(h)
@@ -339,7 +333,7 @@ class Tape:
         return h
 
     def log_var(self, sigma2: float, name: str | None = None) -> np.ndarray:
-        """The scalar log-variance: log sigma2, or log(e^(log eta^2) + sigma2) for the slice ``name``."""
+        """The log-variance: the scalar log sigma2, or (P,) log(e^(log eta^2) + sigma2) for the slice ``name``."""
         if name is None:
             return np.asarray(math.log(sigma2), dtype=np.float64)
         # overflow to inf is surfaced by the caller's finiteness check
@@ -356,13 +350,13 @@ class Tape:
         self, means: np.ndarray, log_var: np.ndarray, noise: np.ndarray, labels: np.ndarray,
         head: str, p: str, q: str | None, log_priors: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Monte-Carlo cross-entropy of the labels, a scalar (a (P,) array on a stacked store).
+        """Monte-Carlo cross-entropy of the labels, (P,).
 
         Draw s is ``t_s = means + e^(v/2) noise[..., s, :, :]`` for the
-        (..., B, d) ``means`` of :meth:`mlp`, the scalar ``log_var`` v of
-        :meth:`log_var` and the fixed (S, B, d) or (..., S, B, d) ``noise``;
+        (P, B, d) ``means`` of :meth:`mlp`, the ``log_var`` v of
+        :meth:`log_var` and the fixed (S, B, d) or (P, S, B, d) ``noise``;
         the value is the batch mean of ``(1/S) sum_s -log softmax(scores(t_s))[y]``
-        for the (B,) or (..., B) ``labels``.  ``head`` names the score
+        for the (B,) or (P, B) ``labels``.  ``head`` names the score
         rule: ``"softmax"`` scores ``t @ W.T + b`` with the slices ``p``, ``q``
         = W (K, d) and b (K,); ``"naive_bayes"`` scores log p(y) + log N(t;
         mu_y, sigma_y^2 I) with ``p``, ``q`` = mu (K, d) and log sigma (K,)
@@ -391,7 +385,7 @@ class Tape:
             std = np.exp(lv * 0.5)
         scale = std[..., None, None] if std.ndim else std  # a stacked row's std spans its (B, d) draws
         b, draw_count = mv.shape[-2], noise.shape[-3]
-        at = self._rows + (np.arange(b), labels)  # each row's labelled score
+        at = (self._rows, np.arange(b), labels)  # each row's labelled score
         draws = []
         total = None
         k, d = pv.shape[-2:]
@@ -414,10 +408,10 @@ class Tape:
     def kl_to_surrogate_rows(
         self, means: np.ndarray, log_var: np.ndarray, mu: str, log_sigma: str | None, labels: np.ndarray
     ) -> np.ndarray:
-        """Per-row KL(N(m_i, e^v I) || N(mu_{y_i}, sigma_{y_i}^2 I)), a (..., B) array.
+        """Per-row KL(N(m_i, e^v I) || N(mu_{y_i}, sigma_{y_i}^2 I)), a (P, B) array.
 
-        ``means`` is the (..., B, d) output of :meth:`mlp`, ``log_var`` the
-        scalar v of :meth:`log_var`, ``labels`` the (B,) or (..., B) classes,
+        ``means`` is the (P, B, d) output of :meth:`mlp`, ``log_var`` the
+        v of :meth:`log_var`, ``labels`` the (B,) or (P, B) classes,
         and ``mu``, ``log_sigma`` name the (K, d) and (K,) surrogate slices
         (``log_sigma`` None: every sigma_y is 1).  The chain it stands for is
         0.5 * (d e^(v - lv_y) + |m - mu_y|^2 e^(-lv_y) + d lv_y - d v - d)
@@ -435,8 +429,8 @@ class Tape:
                 f"log_sigma{lsv.shape} labels{labels.shape} do not agree"
             )
         d = float(mv.shape[-1])
-        lv_y = self._pick(lsv, labels) * 2.0
-        diff = mv - self._pick(muv, labels)
+        lv_y = lsv[self._rows, labels] * 2.0
+        diff = mv - muv[self._rows, labels]
         sq_dist = (diff * diff).sum(axis=-1)
         # the scalar v broadcasts over the rows: each element is the chain's v_b[i] op x
         lv = lv[..., None] if lv.ndim else lv
@@ -453,9 +447,9 @@ class Tape:
         return rows * 0.5
 
     def total(self, ce: np.ndarray, kl_rows: np.ndarray, beta_prime) -> tuple[np.ndarray, ...]:
-        """The loss ``ce + beta' * mean(kl_rows)``; returns (total, ce, kl) with kl the mean.
+        """The (P,) losses ``ce + beta' * mean(kl_rows)``; returns (total, ce, kl) with kl the mean.
 
-        ``beta_prime`` is a float, or on a stacked store (P,) values, one per row.
+        ``beta_prime`` is a float shared by the rows or (P,) values, one per row.
         """
         kl = np.asarray(_mean(kl_rows))
         beta_prime = beta_prime if isinstance(beta_prime, np.ndarray) else float(beta_prime)
@@ -466,7 +460,7 @@ class Tape:
             return np.asarray(ce + kl * beta_prime), ce, kl
 
     def backward(self) -> np.ndarray:
-        """The flat gradient of the recorded total over the bound store, (size,) or (P, size).
+        """The (P, size) gradient of the recorded totals over the bound store.
 
         One straight-line pass in the chain's adjoint order: the KL rows
         reach the means, the surrogate and the log-variance first; the draws
@@ -496,7 +490,7 @@ class Tape:
             g_lv = (g * -d + g_gap).sum(axis=-1)  # broadcast encoder log-variance
         g_means = g_sq_dist[..., None] * diff * 2.0  # the chain's p + p, exactly
         # ufunc.at visits the index in order, so each row adds its batch rows in the chain's order
-        kl_at = self._rows + (kl_labels,) if lead else kl_labels
+        kl_at = (self._rows, kl_labels)
         g_mu = np.zeros(lead + store.spec(mu).shape)
         np.subtract.at(g_mu, kl_at, g_means)  # adds -g_means row by row
         adj = {mu: g_mu}  # slice adjoints, the KL's first
@@ -550,7 +544,7 @@ class Tape:
 
         for name, g in adj.items():
             spec = store.spec(name)
-            grad[..., spec.offset : spec.offset + spec.size] += np.asarray(g).reshape(lead + (spec.size,))
+            grad[:, spec.offset : spec.offset + spec.size] += np.asarray(g).reshape(lead + (spec.size,))
         return grad
 
 
@@ -579,28 +573,24 @@ PROBE_STACK_VALUES = 2**14
 def grad_check(lossfn: LossFn, params: ParamStore, eps: float, tol: float) -> GradCheckReport:
     """Compare the reverse-mode gradient of ``lossfn`` to central differences.
 
-    ``lossfn`` must deterministically map a store to ``(loss, tape)`` (any
-    randomness frozen by the caller): the loss, (P,) losses of the rows of a
-    stacked store, and the :class:`Tape` that recorded it, or any object with
-    its ``backward()`` and ``width``.  The gradient is taken once, at
-    ``params``, which stays untouched; the 2 * size probes (each coordinate
-    +eps, then -eps) are rows of stacked stores, as many per call as keep
-    every intermediate within PROBE_STACK_VALUES values, and at least one.
-    A stacked forward holds about four intermediates at its peak, so a stack
-    takes about four times that bound (``Tape.width`` counts the draws' kept
-    caches together, so the bound holds whatever the draw count): at 8-32-3,
-    batch 16, a warm ``cib gradcheck`` peaks at 0.70 MB (tracemalloc) with
-    one draw and 0.74 MB with four, for 128 KiB intermediates and about
-    0.1 MB of probe rows.  The relative error per coordinate is
-    ``|g - fd| / max(1, |g|)``.
+    ``lossfn`` must deterministically map a (P, size) stacked store to
+    ``(losses, tape)`` (any randomness frozen by the caller): the (P,) losses
+    of its rows and the :class:`Tape` that recorded them, or any object with
+    its ``backward()`` and ``width``.  The gradient is row 0 of one backward
+    on the (size,) ``params`` as a stack of one; ``params`` stays untouched.
+    The 2 * size probes (each coordinate +eps, then -eps) are rows of
+    stacked stores, as many per call as keep every intermediate within
+    PROBE_STACK_VALUES values (``Tape.width`` counts the draws' kept caches
+    together, so the bound holds whatever the draw count), and at least one.
+    The relative error per coordinate is ``|g - fd| / max(1, |g|)``.
     """
     if eps <= 0.0:
         raise ValueError("grad_check: eps must be positive")
-    loss, tape = lossfn(params)
-    base_loss = float(loss)
+    loss, tape = lossfn(params.with_values(params.values[None]))
+    base_loss = float(loss[0])
     if not np.isfinite(base_loss):
         raise NonFiniteError(f"loss is non-finite at the evaluation point: {base_loss}")
-    analytic = tape.backward()
+    analytic = tape.backward()[0]
 
     n, base = params.size, params.values
     coords = np.tile(np.arange(n), 2)  # probe j moves coordinate j % n

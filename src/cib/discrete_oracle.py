@@ -550,7 +550,7 @@ def optimal_product_surrogate(t_given_y: np.ndarray, arities: Sequence[int]) -> 
 
 
 def _checked_samples(samples: Sequence[tuple[int, int]], enc: DiscreteEncoder) -> np.ndarray:
-    """Samples as an (N, 2) index array; rejects non-integer indices, x outside [0, nx) and y < 0.
+    """Samples as an (N, 2) index array; rejects non-integer indices or ones beyond intp, x outside [0, nx) and y < 0.
 
     A plain ndarray of an integer dtype that fits ``intp`` is whole by its
     dtype; anything else is scanned entry by entry, and bools are rejected.
@@ -560,9 +560,13 @@ def _checked_samples(samples: Sequence[tuple[int, int]], enc: DiscreteEncoder) -
     else:
         pairs = np.asarray(samples, dtype=object)
         whole = all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in pairs.flat)
+    bad = ValueError("samples must be a nonempty sequence of (x, y) integer index pairs")
     if not whole or pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
-        raise ValueError("samples must be a nonempty sequence of (x, y) integer index pairs")
-    samples = pairs.astype(np.intp)
+        raise bad
+    try:
+        samples = pairs.astype(np.intp)
+    except OverflowError:  # an integer no index can hold
+        raise bad from None
     low, high = np.minimum.reduce(samples), np.maximum.reduce(samples)  # per column: x, y
     if low[0] < 0 or high[0] >= enc.nx:
         raise ValueError(f"sample feature index outside [0, {enc.nx})")

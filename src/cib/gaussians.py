@@ -88,10 +88,10 @@ def kl_to_surrogate_graph(
 ) -> np.ndarray:
     """Per-sample KLs to each sample's class surrogate, recorded on ``tape``.
 
-    ``means`` is the (B, d) output of :meth:`Tape.mlp`, ``log_var`` the
-    scalar of :meth:`Tape.log_var`, and ``mu``, ``log_sigma`` name the (K, d)
+    ``means`` is the (P, B, d) output of :meth:`Tape.mlp`, ``log_var`` that
+    of :meth:`Tape.log_var`, and ``mu``, ``log_sigma`` name the (K, d)
     class-mean and (K,) class log-sigma slices (``log_sigma`` None: every
-    sigma_y is 1).  Returns the (B,) KLs; they are exact (no sampling) and
+    sigma_y is 1).  Returns the (P, B) KLs; they are exact (no sampling) and
     mirror :func:`kl_to_surrogate` on plain arrays.  It is one
     :meth:`Tape.kl_to_surrogate_rows` call.
     """

@@ -9,13 +9,13 @@ parameters, which owns no parameters of its own.  Training minimizes the
 class-conditional bottleneck loss jointly over encoder weights and surrogate
 parameters; every run is a deterministic function of its seed.
 Encoder, surrogate and softmax readout share one parameter store, which one
-:class:`ModelState` holds with the decoder rule: the value a run returns and
-a checkpoint holds.  Runs that differ only in beta' and seed, such as a
-sweep's points, train in lockstep as one model over a stacked store, each
-getting the bits it gets when trained alone, as a stack of one.  Stacking
-saves numpy call overhead, which is most of a small net's step; a large
-model's runs train in several stacks, so that no array of a step holds more
-than STACK_VALUES values for more than one run.
+:class:`ModelState` holds with its config and priors: the value a run
+returns and a checkpoint holds.  Runs that differ only in beta' and seed,
+such as a sweep's points, train in lockstep over one stacked store, each
+getting the bits it gets in a stack of one.  Stacking saves numpy call
+overhead, which is most of a small net's step; a large model's runs train
+in several stacks, so that no array of a step holds more than STACK_VALUES
+values for more than one run.
 Evaluation works on the same inputs as training, the (N, d) matrix of encoder
 means and the scalar log-variance: one kernel gives accuracy, cross-entropy
 and KL for metrics rows and trade-off points alike.
@@ -141,7 +141,7 @@ class EncoderModel:
 
 @dataclass
 class ModelState:
-    """The whole model of a run: config, parameters, encoder and priors.
+    """The whole model of a run: the validated config, one parameter store and the class priors.
 
     It is the one value that crosses run boundaries: :func:`train` returns it
     inside a :class:`TrainResult`, evaluation reads it, and
@@ -153,8 +153,14 @@ class ModelState:
 
     config: dict
     store: ParamStore
-    encoder: EncoderModel
     priors: np.ndarray
+
+    @functools.cached_property
+    def encoder(self) -> EncoderModel:
+        """The encoder of ``config["encoder"]``, reading the ``enc.*`` slices of this state's store."""
+        enc = self.config["encoder"]
+        return EncoderModel(list(enc["layer_dims"]), enc["activation"], enc["noise_mode"], float(enc["sigma2"]),
+                            self.store)
 
     @property
     def class_count(self) -> int:
@@ -220,7 +226,7 @@ class ModelState:
 
 
 def build_state(config: dict, priors: np.ndarray, rng: np.random.Generator | None = None) -> ModelState:
-    """Construct the parameter store and model objects for a configuration.
+    """The model state of a configuration: its parameter store, config and priors.
 
     With ``rng`` the weights get a fan-balanced uniform initialization and
     everything else starts at zero; without it all slices start at zero
@@ -252,15 +258,7 @@ def build_state(config: dict, priors: np.ndarray, rng: np.random.Generator | Non
         slices.append(("head.W", glorot((k, d))))
         slices.append(("head.b", np.zeros(k)))
 
-    store = ParamStore(slices)
-    encoder = EncoderModel(
-        layer_dims=list(dims),
-        activation=enc_cfg["activation"],
-        noise_mode=enc_cfg["noise_mode"],
-        sigma2=float(enc_cfg["sigma2"]),
-        store=store,
-    )
-    return ModelState(config=cfg, store=store, encoder=encoder, priors=priors)
+    return ModelState(config=cfg, store=ParamStore(slices), priors=priors)
 
 
 def make_loss_fn(
@@ -540,8 +538,7 @@ class _Lockstep:
         """Make ``values`` the stack, and each run's state a view of its row."""
         self.store = self.runs[0].state.store.with_values(values)
         for run, row in zip(self.runs, values):
-            store = self.store.with_values(row)
-            run.state = replace(run.state, store=store, encoder=replace(run.state.encoder, store=store))
+            run.state = replace(run.state, store=self.store.with_values(row))
         self.beta_prime = np.array([run.beta_prime for run in self.runs])
 
     def each(self, work) -> None:

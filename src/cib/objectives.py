@@ -86,15 +86,15 @@ def cib_loss_graph(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Record the differentiable loss on ``tape``; returns (total, ce, kl) values.
 
-    ``means`` is the (B, d) output of :meth:`Tape.mlp`, ``log_var`` the
-    scalar of :meth:`Tape.log_var`, ``score_rule`` the score arguments
+    ``means`` is the (P, B, d) output of :meth:`Tape.mlp`, ``log_var`` that
+    of :meth:`Tape.log_var`, ``score_rule`` the score arguments
     ``(head, p, q, log_priors)`` of :meth:`Tape.mc_cross_entropy`, ``mu`` and
     ``log_sigma`` the surrogate's slice names, and ``noise`` the frozen
     (S, B, d) standard-normal draws; a shape that does not fit raises
-    :class:`~cib.diffcore.ShapeError`.  On a stacked tape every array may
-    carry the stack's leading axis, and ``beta_prime`` may be (P,) values.
-    The values match the batch means of :func:`cib_loss` on the same inputs;
-    ``tape.backward()`` then gives the gradient of the total.
+    :class:`~cib.diffcore.ShapeError`.  The labels, noise and ``beta_prime``
+    may also be given one per row of the tape's stack.  Each row's values
+    match the batch means of :func:`cib_loss` on the same inputs;
+    ``tape.backward()`` then gives the gradient of the totals.
     """
     if (beta_prime < 0.0).any() if isinstance(beta_prime, np.ndarray) else beta_prime < 0.0:
         raise ValueError("beta_prime must be nonnegative")

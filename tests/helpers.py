@@ -603,7 +603,7 @@ LOSS_PARTS = ("means", "log_var", "ce", "kl_rows", "total", "kl")
 
 
 def fused_loss(store, spec):
-    """The loss of ``spec`` through the library's Tape methods; returns (tape, values by LOSS_PARTS)."""
+    """The loss of ``spec`` on a stacked store through the library's Tape; returns (tape, values by LOSS_PARTS)."""
     tape = Tape(store)
     means = tape.mlp(spec.x, spec.weights, spec.activation)
     log_var = tape.log_var(spec.sigma2, spec.log_eta2)
@@ -611,6 +611,20 @@ def fused_loss(store, spec):
     kl_rows = tape.kl_to_surrogate_rows(means, log_var, spec.mu, spec.log_sigma, spec.labels)
     total, ce, kl = tape.total(ce, kl_rows, spec.beta_prime)
     return tape, dict(zip(LOSS_PARTS, (means, log_var, ce, kl_rows, total, kl)))
+
+
+def stack_of_one(store):
+    """The (size,) vector of ``store`` as the (1, size) stack a Tape takes, a view of the same values."""
+    return store.with_values(store.values[None])
+
+
+def fused_loss_alone(store, spec):
+    """:func:`fused_loss` of the (size,) vector of ``store`` as a stack of one; returns (tape, its row's values).
+
+    A fixed log-variance is a scalar shared by all rows, and stays one.
+    """
+    tape, values = fused_loss(stack_of_one(store), spec)
+    return tape, {part: value[0] if np.ndim(value) else value for part, value in values.items()}
 
 
 def chain_loss(tape, spec, per_draw_ops=False):
@@ -669,25 +683,27 @@ def chain_loss_graph(state, tape, x, labels, beta_prime, noise, per_draw_ops=Fal
 
 # --------------------------------------------------------------------- gradient-check reference
 #
-# grad_check with one unstacked forward per probe, moving one coordinate of
-# the store in place.  The stacked probes of cib.diffcore.grad_check must
-# give its numeric and analytic gradients bit for bit.
+# grad_check with one forward of a stack of one per probe, moving one
+# coordinate of the store in place.  The stacked probes of
+# cib.diffcore.grad_check must give its numeric and analytic gradients bit
+# for bit.
 
 
 def loop_grad_check(lossfn, params, eps):
     """(analytic, numeric) gradients of ``lossfn`` at ``params``, one ``lossfn`` call per probe."""
-    loss, tape = lossfn(params)
-    if not np.isfinite(float(loss)):
-        raise NonFiniteError(f"loss is non-finite at the evaluation point: {float(loss)}")
-    analytic = tape.backward()
+    stack = stack_of_one(params)  # a view: moving a coordinate of params moves it here
+    loss, tape = lossfn(stack)
+    if not np.isfinite(float(loss[0])):
+        raise NonFiniteError(f"loss is non-finite at the evaluation point: {float(loss[0])}")
+    analytic = tape.backward()[0]
     base = params.values.copy()
     numeric = np.zeros_like(analytic)
     try:
         for k in range(params.size):
             params.values[k] = base[k] + eps
-            f1 = float(lossfn(params)[0])
+            f1 = float(lossfn(stack)[0][0])
             params.values[k] = base[k] - eps
-            f2 = float(lossfn(params)[0])
+            f2 = float(lossfn(stack)[0][0])
             params.values[k] = base[k]
             if not (np.isfinite(f1) and np.isfinite(f2)):
                 raise NonFiniteError(f"loss non-finite while probing coordinate {k}")
@@ -701,14 +717,14 @@ def per_row(lossfn):
     """A ``grad_check`` loss function over a loss that cannot stack.
 
     ``lossfn`` maps the store of one parameter vector to ``(value, gradient
-    function)``; a stacked store is evaluated row by row.
+    function)``; a stacked store is evaluated row by row, and its backward
+    stacks the rows' gradients.
     """
 
     def rows(store):
-        if store.values.ndim == 2:
-            return np.array([float(lossfn(store.with_values(row))[0]) for row in store.values]), None
-        value, gradient = lossfn(store)
-        return value, SimpleNamespace(backward=gradient, width=1)
+        evaluated = [lossfn(store.with_values(row)) for row in store.values]
+        values = np.array([float(value) for value, _ in evaluated])
+        return values, SimpleNamespace(backward=lambda: np.stack([gradient() for _, gradient in evaluated]), width=1)
 
     return rows
 
@@ -866,9 +882,11 @@ def loop_perturbed_product_surrogates(surrogate, step=0.01):
 
 
 def loop_checked_samples(samples, nx):
-    """``_checked_samples`` scanning every entry's type: the (N, 2) intp array, or the message it raises."""
+    """``_checked_samples`` scanning every entry's type and range: the (N, 2) intp array, or the message it raises."""
     pairs = np.asarray(samples, dtype=object)
-    whole = all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in pairs.flat)
+    intp = np.iinfo(np.intp)
+    whole = all(isinstance(v, (int, np.integer)) and type(v) is not bool and intp.min <= v <= intp.max
+                for v in pairs.flat)
     if not whole or pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
         return "samples must be a nonempty sequence of (x, y) integer index pairs"
     samples = pairs.astype(np.intp)

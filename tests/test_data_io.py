@@ -243,6 +243,7 @@ class TestCheckpoints:
         np.testing.assert_array_equal(loaded.store.values, state.store.values)
         np.testing.assert_array_equal(loaded.priors, state.priors)
         assert loaded.config == state.config
+        assert loaded.encoder.store is loaded.store
 
     def test_loaded_model_reproduces_evaluation_without_drift(self, tmp_path):
         cfg = validate_config(_tiny_config())

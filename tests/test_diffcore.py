@@ -16,8 +16,10 @@ from helpers import (
     chain_naive_bayes_scores,
     chain_softmax_nll,
     fused_loss,
+    fused_loss_alone,
     loop_grad_check,
     per_row,
+    stack_of_one,
     where_act_grad,
 )
 
@@ -152,7 +154,7 @@ class TestBackwardBasics:
 
     def test_backward_of_a_partial_loss_rejected(self):
         store = ParamStore([("W", np.ones((2, 2))), ("b", np.zeros(2))])
-        tape = Tape(store)
+        tape = Tape(stack_of_one(store))
         tape.mlp(np.ones((3, 2)), ("W", "b"), "relu")
         with pytest.raises(ValueError, match="backward needs"):
             tape.backward()
@@ -288,13 +290,13 @@ _TAPE_CASES = [
 @pytest.mark.parametrize("name,kwargs", _TAPE_CASES, ids=[name for name, _ in _TAPE_CASES])
 def test_tape_gradients_match_central_differences(name, kwargs):
     store, spec = _loss_case(zlib.crc32(name.encode()), **kwargs)
-    tape, _ = fused_loss(store, spec)
-    analytic = tape.backward()
+    tape, _ = fused_loss_alone(store, spec)
+    analytic = tape.backward()[0]
 
     def f(theta):
         probe = store.copy()
         probe.values[:] = theta
-        return float(fused_loss(probe, spec)[1]["total"])
+        return float(fused_loss_alone(probe, spec)[1]["total"])
 
     numeric = central_difference(f, store.values, eps=1e-5)
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
@@ -370,11 +372,11 @@ def _fused_and_chain(params, fused, chain, seed):
 
 def _tape_and_chain(store, spec):
     """Values by loss part, gradient and length of the loss on the library tape and as its primitive chain."""
-    tape, values = fused_loss(store, spec)
+    tape, values = fused_loss_alone(store, spec)
     chain = ChainTape(store)
     nodes = chain_loss(chain, spec)
     chain_values = {part: chain.val(node) for part, node in nodes.items()}
-    return (values, tape.backward(), len(tape)), (chain_values, chain.backward(nodes["total"]), len(chain))
+    return (values, tape.backward()[0], len(tape)), (chain_values, chain.backward(nodes["total"]), len(chain))
 
 
 class TestFusedOpsMatchChains:
@@ -446,10 +448,10 @@ class TestFusedOpsMatchChains:
 
     def test_shape_mismatch_rejected(self):
         store = ParamStore([("mu", np.zeros((3, 3))), ("ls", np.zeros(3)), ("p", np.zeros((3, 2)))])
-        tape = Tape(store)
+        tape = Tape(stack_of_one(store))
         m, v, labels = np.zeros((4, 2)), np.zeros(()), np.zeros(4, dtype=int)
         with pytest.raises(ShapeError):
-            tape.kl_to_surrogate_rows(m, v, "mu", "ls", labels)
+            tape.kl_to_surrogate_rows(m[None], v, "mu", "ls", labels)
         chain = ChainTape(store)
         with pytest.raises(ShapeError):
             chain.naive_bayes_scores(chain.const(m), chain.param("mu"), chain.param("ls"), LOG_PRIORS3)
@@ -458,11 +460,11 @@ class TestFusedOpsMatchChains:
         with pytest.raises(ShapeError):
             tape.mlp(np.zeros((4, 2)), ["mu", "ls"], "relu")
         with pytest.raises(ShapeError):
-            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 3)), labels, "softmax", "mu", "ls")
+            tape.mc_cross_entropy(m[None], v, np.zeros((1, 4, 3)), labels, "softmax", "mu", "ls")
         with pytest.raises(ShapeError):
-            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 2)), labels, "naive_bayes", "p", "ls", LOG_PRIORS3[:2])
+            tape.mc_cross_entropy(m[None], v, np.zeros((1, 4, 2)), labels, "naive_bayes", "p", "ls", LOG_PRIORS3[:2])
         with pytest.raises(ValueError, match="unknown score head"):
-            tape.mc_cross_entropy(m, v, np.zeros((1, 4, 2)), labels, "probit", "p", "ls")
+            tape.mc_cross_entropy(m[None], v, np.zeros((1, 4, 2)), labels, "probit", "p", "ls")
 
 
 def test_dead_nodes_are_not_visited():
@@ -480,11 +482,11 @@ def test_dead_nodes_are_not_visited():
 
 def test_tape_reads_parameters_as_views_of_the_store():
     store = ParamStore([("W", np.ones((2, 3))), ("b", np.arange(2.0))])
-    tape = Tape(store)
+    tape = Tape(stack_of_one(store))
     tape.mlp(np.ones((4, 3)), ("W", "b"), "relu")
     weights = tape._mlp[1]
     assert all(np.shares_memory(w, store.values) for w in weights)
-    assert [w.shape for w in weights] == [(2, 3), (2,)]
+    assert [w.shape for w in weights] == [(1, 2, 3), (1, 2)]
 
 
 def test_softplus_derivative_matches_the_two_branch_sigmoid():
@@ -565,7 +567,7 @@ class TestGradCheck:
         assert report.worst_name in ("w", "v")
 
     def test_probes_take_no_gradient(self):
-        """One unstacked forward and one gradient at the base point, and 2 * size stacked probe rows; the tape loss passes."""
+        """One stack-of-one forward and one gradient at the base point, and 2 * size stacked probe rows; the loss passes."""
         store, spec = _loss_case(4, head="softmax")
         stacks, gradients = [], []
 
@@ -583,7 +585,7 @@ class TestGradCheck:
 
         report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
         assert report.passed
-        assert stacks.count(()) == 1 and sum(shape[0] for shape in stacks if shape) == 2 * store.size
+        assert stacks[0] == (1,) and sum(shape[0] for shape in stacks[1:]) == 2 * store.size
         assert len(gradients) == 1
 
     def test_chunks_that_do_not_divide_the_probes(self, monkeypatch):
@@ -596,11 +598,11 @@ class TestGradCheck:
             stacks.append(s.values.shape[:-1])
             return values["total"], tape
 
-        monkeypatch.setattr(diffcore, "PROBE_STACK_VALUES", 5 * fused_loss(store, spec)[0].width + 3)
+        monkeypatch.setattr(diffcore, "PROBE_STACK_VALUES", 5 * fused_loss_alone(store, spec)[0].width + 3)
         probes = 2 * store.size
         assert probes % 5
         report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
-        assert stacks == [()] + [(5,)] * (probes // 5) + [(probes % 5,)]
+        assert stacks == [(1,)] + [(5,)] * (probes // 5) + [(probes % 5,)]
         analytic, numeric = loop_grad_check(lossfn, store, 1e-5)
         assert np.array_equal(report.analytic, analytic) and np.array_equal(report.numeric, numeric)
 
@@ -633,5 +635,12 @@ class TestStackedTape:
         tape, values = fused_loss(store.with_values(rows), spec)
         assert values["total"].shape == (4,) and values["kl_rows"].shape == (4, spec.labels.size)
         for i in range(4):
-            alone = fused_loss(store.with_values(rows[i]), spec)[1]
+            alone = fused_loss_alone(store.with_values(rows[i]), spec)[1]
             assert all(np.array_equal(values[part][i], alone[part]) for part in ("total", "ce", "kl", "kl_rows"))
+
+    def test_only_a_stack_of_one_or_more_vectors_is_taken(self):
+        store, _ = _loss_case(4)
+        for values in (store.values, np.empty((0, store.size)), store.values[None, None]):
+            with pytest.raises(ShapeError, match=r"\(P, size\) stacked store"):
+                Tape(store.with_values(values))
+        assert Tape(stack_of_one(store)).store.values.shape == (1, store.size)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from cib.data_io import validate_config
 from cib.diffcore import ACTIVATIONS, ParamStore, Tape, grad_check
 from cib.model import build_state, make_loss_fn
-from helpers import ChainTape, LossSpec, central_difference, chain_loss, fused_loss, loop_grad_check
+from helpers import ChainTape, LossSpec, central_difference, chain_loss, fused_loss_alone, loop_grad_check
 
 # derandomized so that a tier-1 failure replays from its test id; no
 # example database is written
@@ -55,13 +55,13 @@ def _assert_adjoints(params, build, weight_seed):
 
 def _assert_tape_gradient(store, spec):
     """The library tape's gradient of the loss ``spec`` against central differences."""
-    tape, _ = fused_loss(store, spec)
-    analytic = tape.backward()
+    tape, _ = fused_loss_alone(store, spec)
+    analytic = tape.backward()[0]
 
     def f(theta):
         probe = store.copy()
         probe.values[:] = theta
-        return float(fused_loss(probe, spec)[1]["total"])
+        return float(fused_loss_alone(probe, spec)[1]["total"])
 
     numeric = central_difference(f, store.values, eps=EPS)
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
@@ -194,11 +194,11 @@ def test_library_tape_gives_the_reference_tape_gradient(case, head, learned, dra
     noise = np.random.default_rng(draws).standard_normal((draws, x.shape[0], params["p"].shape[1]))
     store, spec = _loss(params, x, labels, noise, head=head, learned_lv=learned, learned_sigma=learned,
                         beta_prime=beta_prime)
-    tape, fused = fused_loss(store, spec)
+    tape, fused = fused_loss_alone(store, spec)
     chain = ChainTape(store)
     nodes = chain_loss(chain, spec)
     assert all(np.array_equal(fused[part], chain.val(node)) for part, node in nodes.items())
-    assert np.array_equal(tape.backward(), chain.backward(nodes["total"]))
+    assert np.array_equal(tape.backward()[0], chain.backward(nodes["total"]))
 
 
 @PROPERTY
@@ -228,7 +228,7 @@ def test_stacked_probes_equal_one_probe_at_a_time(head, activation, noise_mode, 
     rows = store.values + rng.uniform(-0.3, 0.3, (5, store.size))
     totals = lossfn(store.with_values(rows))[0]
     assert totals.shape == (5,)
-    assert all(totals[i] == lossfn(store.with_values(rows[i]))[0] for i in range(5))
+    assert all(totals[i] == lossfn(store.with_values(rows[i : i + 1]))[0][0] for i in range(5))
     report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)
     analytic, numeric = loop_grad_check(lossfn, store, 1e-5)
     assert np.array_equal(report.analytic, analytic) and np.array_equal(report.numeric, numeric)
@@ -241,7 +241,7 @@ def test_stacked_probes_equal_one_probe_at_a_time(head, activation, noise_mode, 
        draws=st.integers(1, 4), per_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_stacked_backward_equals_each_rows_backward(head, activation, noise_mode, learn_sigma, stack, batch, dim,
                                                     classes, draws, per_row, seed):
-    """A stacked tape's losses and (P, size) gradient are, row by row, ``==`` those of each vector alone.
+    """A stacked tape's losses and (P, size) gradient are, row by row, ``==`` those of each vector in a stack of one.
 
     ``per_row`` gives every row its own batch, labels, noise and beta', as
     lockstep training does; otherwise the rows share them, as gradient-check
@@ -268,7 +268,7 @@ def test_stacked_backward_equals_each_rows_backward(head, activation, noise_mode
     assert grad.shape == rows.shape
     for i in range(stack):
         own = (lambda a: a[i]) if per_row else (lambda a: a)
-        alone = Tape(state.store.with_values(rows[i]))
+        alone = Tape(state.store.with_values(rows[i : i + 1]))
         values = state.loss_graph(alone, own(x), own(labels), float(own(beta_prime)), own(noise))
-        assert all(part[i] == value for part, value in zip(stacked, values))
-        assert np.array_equal(grad[i], alone.backward())
+        assert all(part[i] == value[0] for part, value in zip(stacked, values))
+        assert np.array_equal(grad[i], alone.backward()[0])

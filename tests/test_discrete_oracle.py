@@ -504,6 +504,16 @@ class TestSampleIndices:
         with pytest.raises(ValueError, match="integer index pairs"):
             surrogate_optimality_check([(0, 0), (1, 1), bad], enc)
 
+    @pytest.mark.parametrize("samples", [[(0, 0), (0, 2**70)], [(2**70, 0)], [(-2**70, 0)],
+                                         np.array([[0, 0], [1, 2**63]], dtype=np.uint64)])
+    def test_index_beyond_intp_rejected(self, samples):
+        rng = np.random.default_rng(23)
+        enc = random_encoder(rng, 3, (2, 2))
+        with pytest.raises(ValueError, match="integer index pairs"):
+            sample_kl_objective(samples, enc, random_product_surrogate(rng, 2, (2, 2)))
+        with pytest.raises(ValueError, match="integer index pairs"):
+            surrogate_optimality_check(samples, enc)
+
     @pytest.mark.parametrize("arities", [(2.9,), (True, 2), (2.0,)])
     def test_non_integer_arity_rejected_not_cast(self, arities):
         with pytest.raises(ValueError, match="arities must be positive integers"):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from cib.diffcore import ParamStore, Tape, grad_check
 from cib.gaussians import ClassSurrogate, kl_to_surrogate, kl_to_surrogate_graph
-from helpers import DiagGaussian, gaussian_quadrature_kl, kl_diag, surrogate_component
+from helpers import DiagGaussian, gaussian_quadrature_kl, kl_diag, stack_of_one, surrogate_component
 
 # derandomized so that a tier-1 failure replays from its test id; no
 # example database is written
@@ -166,13 +166,13 @@ class TestKlGraph:
 
     def test_values_match_plain_kl(self):
         store, x, labels = self._setup()
-        tape = Tape(store)
+        tape = Tape(stack_of_one(store))
         means = tape.mlp(x, ("W", "b"), "tanh")
         log_var = tape.log_var(0.5, "log_eta2")
         rows = kl_to_surrogate_graph(tape, means, log_var, "mu", "log_sigma", labels)
         s = ClassSurrogate(store.get("mu"), store.get("log_sigma"), np.array([0.5, 0.5]))
-        expected = kl_to_surrogate(means, float(log_var), s, labels)
-        np.testing.assert_allclose(rows, expected, atol=1e-12, rtol=0)
+        expected = kl_to_surrogate(means[0], float(log_var[0]), s, labels)
+        np.testing.assert_allclose(rows[0], expected, atol=1e-12, rtol=0)
 
     def test_gradient_wrt_class_means_passes_check(self):
         """With a softmax readout the surrogate's slices take adjoints from the KL rows alone."""

@@ -9,7 +9,7 @@ import pytest
 from cib import data_io, diffcore, gaussians, model, objectives
 from cib.data_io import Dataset, validate_config
 from cib.diffcore import NonFiniteError, Tape, grad_check
-from helpers import ChainTape, chain_loss_graph, reference_diagnose_nonfinite, reference_loss_terms
+from helpers import ChainTape, chain_loss_graph, reference_diagnose_nonfinite, reference_loss_terms, stack_of_one
 from cib.model import (
     NonFiniteLossError,
     build_state,
@@ -91,10 +91,10 @@ class TestEncode:
         x = rng.uniform(-2, 2, (3, 2))
         labels = rng.integers(0, 2, 3)
         noise = rng.standard_normal((2, 3, 2))
-        tape = Tape(state.store)
+        tape = Tape(stack_of_one(state.store))
         enc = state.encoder
         means = tape.mlp(x, [name for pair in enc.weight_names() for name in pair], enc.activation)
-        assert np.array_equal(means, enc.encode_batch(x))
+        assert np.array_equal(means[0], enc.encode_batch(x))
         report = grad_check(make_loss_fn(state, x, labels, 0.0, noise), state.store, eps=1e-5, tol=1e-5)
         assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_name}"
 
@@ -206,10 +206,11 @@ class TestHeadAccounting:
         x = rng.uniform(-2, 2, (5, 2))
         labels = rng.integers(0, 2, 5)
         noise = rng.standard_normal((1, 5, 2))
-        tape = Tape(state.store)
+        tape = Tape(stack_of_one(state.store))
         state.loss_graph(tape, x, labels, 1.0, noise)
         grad = tape.backward()
-        assert grad.shape == (state.store.size,)
+        assert grad.shape == (1, state.store.size)
+        grad = grad[0]
         touched = {
             name
             for name in state.store.names()
@@ -316,14 +317,14 @@ class TestFusedLossGraph:
         x = rng.uniform(-2, 2, (8, 3))
         labels = rng.integers(0, 3, 8)
         noise = rng.standard_normal((mc_samples, 8, 2))
-        fused = Tape(state.store)
+        fused = Tape(stack_of_one(state.store))
         fused_values = state.loss_graph(fused, x, labels, 0.8, noise)
-        fused_grad = fused.backward()
+        fused_grad = fused.backward()[0]
         for per_draw_ops in (False, True):
             chain = ChainTape(state.store)
             chain_nodes = chain_loss_graph(state, chain, x, labels, 0.8, noise, per_draw_ops=per_draw_ops)
             for f, c in zip(fused_values, chain_nodes):
-                assert f == chain.val(c)
+                assert f[0] == chain.val(c)
             assert np.array_equal(fused_grad, chain.backward(chain_nodes[0]))
             assert len(fused) < len(chain)
 
@@ -546,9 +547,13 @@ def _points(cfg, beta_primes):
 
 
 def _same_run(stacked, alone):
-    """Every metrics row, the final values, beta' and any error equal those of the run trained alone."""
+    """Every metrics row, the final values, beta' and any error equal those of the run trained alone.
+
+    The stacked run's encoder reads its state's one store, also after failed runs left the stack.
+    """
     assert stacked.metrics == alone.metrics and stacked.beta_prime == alone.beta_prime
     assert np.array_equal(stacked.state.store.values, alone.state.store.values)
+    assert stacked.state.encoder.store is stacked.state.store
     assert type(stacked.error) is type(alone.error) and str(stacked.error) == str(alone.error)
     assert getattr(stacked.error, "step", None) == getattr(alone.error, "step", None)
 

@@ -16,6 +16,7 @@ from helpers import (
     random_encoder,
     random_joint,
     random_product_surrogate,
+    stack_of_one,
 )
 
 
@@ -185,7 +186,7 @@ class TestGraphConsistency:
     def test_graph_values_match_plain_loss(self):
         store, x, labels, noise = self._random_setup(11)
         beta_prime = 0.8
-        _, means, log_var, total, ce, kl = self._build(store, x, labels, noise, beta_prime)
+        _, means, log_var, total, ce, kl = self._build(stack_of_one(store), x, labels, noise, beta_prime)
 
         s = ClassSurrogate(store.get("mu"), store.get("log_sigma"), np.array([0.5, 0.5]))
         w, bb = store.get("W"), store.get("b")
@@ -195,11 +196,11 @@ class TestGraphConsistency:
             mx = scores.max(axis=1, keepdims=True)
             return scores - (mx + np.log(np.exp(scores - mx).sum(axis=1, keepdims=True)))
 
-        lp, kl_rows = cib_loss(labels, means, float(log_var), decoder, s, noise)
+        lp, kl_rows = cib_loss(labels, means[0], float(log_var[0]), decoder, s, noise)
         ce_plain, kl_plain = float(-np.mean(lp)), float(np.mean(kl_rows))
-        assert float(ce) == pytest.approx(ce_plain, abs=1e-12)
-        assert float(kl) == pytest.approx(kl_plain, abs=1e-12)
-        assert float(total) == pytest.approx(ce_plain + beta_prime * kl_plain, abs=1e-12)
+        assert float(ce[0]) == pytest.approx(ce_plain, abs=1e-12)
+        assert float(kl[0]) == pytest.approx(kl_plain, abs=1e-12)
+        assert float(total[0]) == pytest.approx(ce_plain + beta_prime * kl_plain, abs=1e-12)
 
     def test_full_graph_passes_gradient_check(self):
         store, x, labels, noise = self._random_setup(13)
