@@ -1,16 +1,12 @@
 """Reverse-mode differentiation of the training loss of the bottleneck models.
 
-Values are float64 numpy arrays.  A :class:`Tape` evaluates the one loss
-this library trains -- the encoder net, the Monte-Carlo cross-entropy and
-the per-row surrogate KL, with ``ce + beta' * mean(kl)`` on top -- for a
-:class:`ParamStore` that stacks P >= 1 parameter vectors, and keeps what
-its backward needs; :meth:`Tape.backward` is one straight-line pass that
-returns the (P, size) gradient.  The fused kernels and their adjoints live
-here, so this module owns the order of every floating-point operation of a
-training step.
-
-This is deliberately not a general autodiff system: it records no graph,
-and differentiates no loss but this one.
+A :class:`Tape` evaluates the one loss this library trains -- the encoder
+net, the Monte-Carlo cross-entropy and the per-row surrogate KL, with
+``ce + beta' * mean(kl)`` on top -- over P >= 1 stacked parameter vectors
+of a :class:`ParamStore`, and :meth:`Tape.backward` returns its (P, size)
+float64 gradient in one straight-line pass.  This module orders every
+floating-point operation of a training step.  It records no graph and
+differentiates no other loss.
 """
 
 from __future__ import annotations
@@ -65,22 +61,21 @@ class SliceSpec:
 class ParamStore:
     """Flat float64 parameter vector with an immutable named-slice layout.
 
-    Slices are laid out in insertion order, are disjoint, and cover the
-    vector exactly.  The layout never changes after construction; only the
-    values may be mutated, in place (e.g. by an optimizer): every slice is
-    one view, made with the store.  A store may also stack P vectors of
-    one layout as (P, size) ``values`` (:meth:`with_values`); its slices are
-    then (P, *shape) views.
+    Slices are laid out in the order of the (name, array) pairs the store is
+    built from, are disjoint, and cover the vector exactly.  The layout never
+    changes after construction; only the values may be mutated, in place
+    (e.g. by an optimizer): every slice is one view, made with the store.  A
+    store may also stack P vectors of one layout as (P, size) ``values``
+    (:meth:`with_values`); its slices are then (P, *shape) views.
     """
 
-    def __init__(self, arrays: Mapping[str, np.ndarray] | Sequence[tuple[str, np.ndarray]]):
-        items = list(arrays.items()) if isinstance(arrays, Mapping) else list(arrays)
-        if not items:
+    def __init__(self, arrays: Sequence[tuple[str, np.ndarray]]):
+        if not arrays:
             raise ValueError("ParamStore needs at least one named slice")
         layout: dict[str, SliceSpec] = {}
         chunks = []
         offset = 0
-        for name, arr in items:
+        for name, arr in arrays:
             if name in layout:
                 raise ValueError(f"duplicate slice name: {name!r}")
             a = np.asarray(arr, dtype=np.float64)
@@ -246,38 +241,25 @@ def _softmax_nll_grad(sv, at, lse, g):
 class Tape:
     """One evaluation of the training loss over a stack of P parameter vectors, kept for its backward.
 
-    Five calls record the loss in a fixed order.  Each returns plain arrays
-    and keeps its backward cache in an attribute of its own:
+    Five calls record the loss in a fixed order, each keeping its backward
+    cache: :meth:`mlp` (the encoder net), :meth:`log_var`,
+    :meth:`mc_cross_entropy` (all S reparameterized draws),
+    :meth:`kl_to_surrogate_rows` and :meth:`total`.  They and the one
+    straight-line :meth:`backward` perform the numpy operations of the
+    primitive chain the loss stands for, in its order and under its
+    ``np.errstate`` scopes, so the tape gives the chain's values and
+    gradient bit for bit.
 
-    - :meth:`mlp`: the encoder's feed-forward net, all layers;
-    - :meth:`log_var`: the scalar log-variance, fixed or learned;
-    - :meth:`mc_cross_entropy`: the Monte-Carlo cross-entropy over all S
-      reparameterized draws (draw, class scores, softmax NLL, mean);
-    - :meth:`kl_to_surrogate_rows`: the per-row KL to the class surrogate;
-    - :meth:`total`: ``ce + beta' * mean(kl rows)``.
+    Every array the tape takes or forms has the stack's leading P axis.
+    Row p of the (P,) :meth:`total` and the (P, size) :meth:`backward` is
+    bit for bit what vector p gives in a stack of one, through the same
+    operations in the same order.  ``width`` is the most float64 values one
+    intermediate holds per parameter vector, or all the draws' kept scores
+    and caches together if they hold more, so that a caller can bound a
+    stack whatever the draw count.
 
-    :meth:`backward` is one straight-line pass over these records.  Forward
-    and backward perform the numpy operations of the primitive chain the
-    loss stands for, in the same order and under the same ``np.errstate``
-    scopes, and adjoints reach a shared input in the chain's order, so the
-    tape gives the chain's values and gradient bit for bit.
-
-    The store's values are (P, size), P >= 1, and every value the tape
-    forms has a leading P axis; the batch, labels, noise and beta' are
-    shared by the rows or one per row.  Row p of the (P,) :meth:`total` and
-    the (P, size) :meth:`backward` is bit for bit what vector p gives in a
-    stack of one with its own inputs: its values go through the same
-    operations in the same order, whether as a slice of a stacked matmul, of
-    a reduction over its own axes or of an ``add.at`` indexed by its own
-    row.  ``width`` is the most float64 values one intermediate holds per
-    parameter vector, or all the draws' kept scores and caches together if
-    they hold more, so that a caller can bound a stack whatever the draw
-    count.
-
-    Parameters are named slices of the bound store, read as views, not
-    copies: a tape is valid only until its store changes, so take
-    :meth:`backward` before the parameters are updated.  A tape is
-    single-threaded; build a separate tape per concurrent task.
+    Parameters are read as views of the bound store, so take
+    :meth:`backward` before they change.  A tape is single-threaded.
     """
 
     def __init__(self, store: ParamStore):
@@ -299,12 +281,8 @@ class Tape:
         """The named slice as a view, or zeros of its (P, *``shape``) shape for ``None``."""
         return np.zeros(self._lead + shape) if name is None else self.store.get(name)
 
-    def _inputs_fit(self, data: np.ndarray, shape: tuple[int, ...]) -> bool:
-        """Whether ``data`` is ``shape``, shared by the rows or one per row."""
-        return data.shape in (shape, self._lead + shape)
-
     def mlp(self, x: np.ndarray, names: Sequence[str], activation: str) -> np.ndarray:
-        """Output of a feed-forward net on the fixed (B, d_in) or (P, B, d_in) batch ``x``, (P, B, d_out).
+        """Output of a feed-forward net on the fixed (P, B, d_in) batch ``x``, (P, B, d_out).
 
         ``names`` lists the slices W_0, b_0, W_1, b_1, ...: layer l maps h to
         ``h @ W_l.T + b_l``, and every layer but the last then applies
@@ -318,7 +296,7 @@ class Tape:
         inputs, pres, exps = [], [], []
         for l in range(n):
             wv, bv = weights[2 * l], weights[2 * l + 1]
-            if (h.ndim < 2 or not self._inputs_fit(h, h.shape[-2:]) or wv.ndim != 3
+            if (h.ndim != 3 or h.shape[:1] != self._lead or wv.ndim != 3
                     or bv.shape != wv.shape[:-1] or h.shape[-1] != wv.shape[-1]):
                 raise ShapeError(f"mlp layer {l}: x{h.shape} W{wv.shape} b{bv.shape} do not agree")
             inputs.append(h)
@@ -333,9 +311,9 @@ class Tape:
         return h
 
     def log_var(self, sigma2: float, name: str | None = None) -> np.ndarray:
-        """The log-variance: the scalar log sigma2, or (P,) log(e^(log eta^2) + sigma2) for the slice ``name``."""
+        """The (P,) log-variance: log sigma2, or log(e^(log eta^2) + sigma2) for the slice ``name``."""
         if name is None:
-            return np.asarray(math.log(sigma2), dtype=np.float64)
+            return np.full(self._lead, math.log(sigma2))
         # overflow to inf is surfaced by the caller's finiteness check
         with np.errstate(over="ignore"):
             e = np.exp(self.store.get(name))
@@ -344,7 +322,7 @@ class Tape:
             lv = np.log(var)
         self._log_var = (name, e, var)
         self._ops += 1
-        return np.asarray(lv)
+        return lv
 
     def mc_cross_entropy(
         self, means: np.ndarray, log_var: np.ndarray, noise: np.ndarray, labels: np.ndarray,
@@ -352,24 +330,23 @@ class Tape:
     ) -> np.ndarray:
         """Monte-Carlo cross-entropy of the labels, (P,).
 
-        Draw s is ``t_s = means + e^(v/2) noise[..., s, :, :]`` for the
-        (P, B, d) ``means`` of :meth:`mlp`, the ``log_var`` v of
-        :meth:`log_var` and the fixed (S, B, d) or (P, S, B, d) ``noise``;
-        the value is the batch mean of ``(1/S) sum_s -log softmax(scores(t_s))[y]``
-        for the (B,) or (P, B) ``labels``.  ``head`` names the score
-        rule: ``"softmax"`` scores ``t @ W.T + b`` with the slices ``p``, ``q``
-        = W (K, d) and b (K,); ``"naive_bayes"`` scores log p(y) + log N(t;
-        mu_y, sigma_y^2 I) with ``p``, ``q`` = mu (K, d) and log sigma (K,)
-        and the fixed (K,) ``log_priors``.  ``q`` None is a zero constant.
+        Draw s is ``t_s = means + e^(v/2) noise[:, s]`` for the (P, B, d)
+        ``means`` of :meth:`mlp`, the (P,) ``log_var`` v of :meth:`log_var`
+        and the fixed (P, S, B, d) ``noise``; the value is the batch mean of
+        ``(1/S) sum_s -log softmax(scores(t_s))[y]`` for the (P, B)
+        ``labels``.  ``head`` names the score rule: ``"softmax"`` scores
+        ``t @ W.T + b`` with the slices ``p``, ``q`` = W (K, d) and b (K,);
+        ``"naive_bayes"`` scores log p(y) + log N(t; mu_y, sigma_y^2 I) with
+        ``p``, ``q`` = mu (K, d) and log sigma (K,) and the fixed (K,)
+        ``log_priors``.  ``q`` None is a zero constant.
         """
         mv, lv = np.asarray(means, dtype=np.float64), np.asarray(log_var, dtype=np.float64)
         pv = self.store.get(p)
         qv = self._slice(q, pv.shape[-2:-1])
         noise = np.asarray(noise, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.intp)
-        if (mv.shape[:-2] != self._lead or lv.shape not in ((), self._lead) or noise.ndim < 3
-                or noise.shape[-3] < 1 or not self._inputs_fit(noise, noise.shape[-3:-2] + mv.shape[-2:])
-                or not self._inputs_fit(labels, mv.shape[-2:-1])
+        if (mv.shape[:-2] != self._lead or lv.shape != self._lead or noise.ndim != 4 or noise.shape[1] < 1
+                or noise.shape[:1] + noise.shape[2:] != mv.shape or labels.shape != mv.shape[:-1]
                 or pv.shape[:-2] != self._lead or pv.shape[-1] != mv.shape[-1] or qv.shape != pv.shape[:-1]):
             raise ShapeError(
                 f"mc_cross_entropy: means{mv.shape} log_var{lv.shape} noise{noise.shape} "
@@ -383,8 +360,8 @@ class Tape:
             raise ValueError(f"unknown score head: {head!r}")
         with np.errstate(over="ignore"):
             std = np.exp(lv * 0.5)
-        scale = std[..., None, None] if std.ndim else std  # a stacked row's std spans its (B, d) draws
-        b, draw_count = mv.shape[-2], noise.shape[-3]
+        scale = std[:, None, None]  # a row's std spans its (B, d) draws
+        b, draw_count = mv.shape[-2], noise.shape[1]
         at = (self._rows, np.arange(b), labels)  # each row's labelled score
         draws = []
         total = None
@@ -393,7 +370,7 @@ class Tape:
         kept = b * k * (d + 2) if head == "naive_bayes" else b * (k + d)
         self.width = max(self.width, b * k * (d if head == "naive_bayes" else 1), draw_count * kept)
         for s in range(draw_count):
-            t = mv + noise[..., s, :, :] * scale
+            t = mv + noise[:, s] * scale
             if head == "softmax":
                 scores, cache = t @ pv.mT + qv[..., None, :], t
             else:
@@ -403,17 +380,17 @@ class Tape:
             total = nll if total is None else total + nll
         self._ce = (head, p, q, pv, noise, at, std, draws)
         self._ops += 1
-        return np.asarray(_mean(total * (1.0 / draw_count)))
+        return _mean(total * (1.0 / draw_count))
 
     def kl_to_surrogate_rows(
         self, means: np.ndarray, log_var: np.ndarray, mu: str, log_sigma: str | None, labels: np.ndarray
     ) -> np.ndarray:
         """Per-row KL(N(m_i, e^v I) || N(mu_{y_i}, sigma_{y_i}^2 I)), a (P, B) array.
 
-        ``means`` is the (P, B, d) output of :meth:`mlp`, ``log_var`` the
-        v of :meth:`log_var`, ``labels`` the (B,) or (P, B) classes,
-        and ``mu``, ``log_sigma`` name the (K, d) and (K,) surrogate slices
-        (``log_sigma`` None: every sigma_y is 1).  The chain it stands for is
+        ``means`` is the (P, B, d) output of :meth:`mlp`, ``log_var`` the (P,)
+        v of :meth:`log_var` and ``labels`` the (P, B) classes; ``mu`` and
+        ``log_sigma`` name the (K, d) and (K,) surrogate slices (``log_sigma``
+        None: every sigma_y is 1).  The chain it stands for is
         0.5 * (d e^(v - lv_y) + |m - mu_y|^2 e^(-lv_y) + d lv_y - d v - d)
         with lv_y = 2 log sigma_y.
         """
@@ -421,9 +398,8 @@ class Tape:
         muv = self.store.get(mu)
         lsv = self._slice(log_sigma, muv.shape[-2:-1])
         labels = np.asarray(labels, dtype=np.intp)
-        if (mv.shape[:-2] != self._lead or lv.shape not in ((), self._lead) or muv.shape[:-2] != self._lead
-                or muv.shape[-1] != mv.shape[-1] or lsv.shape != muv.shape[:-1]
-                or not self._inputs_fit(labels, mv.shape[-2:-1])):
+        if (mv.shape[:-2] != self._lead or lv.shape != self._lead or muv.shape[:-2] != self._lead
+                or muv.shape[-1] != mv.shape[-1] or lsv.shape != muv.shape[:-1] or labels.shape != mv.shape[:-1]):
             raise ShapeError(
                 f"kl_to_surrogate_rows: means{mv.shape} log_var{lv.shape} mu{muv.shape} "
                 f"log_sigma{lsv.shape} labels{labels.shape} do not agree"
@@ -432,8 +408,8 @@ class Tape:
         lv_y = lsv[self._rows, labels] * 2.0
         diff = mv - muv[self._rows, labels]
         sq_dist = (diff * diff).sum(axis=-1)
-        # the scalar v broadcasts over the rows: each element is the chain's v_b[i] op x
-        lv = lv[..., None] if lv.ndim else lv
+        # a row's v broadcasts over its batch: each element is the chain's v_b[i] op x
+        lv = lv[:, None]
         gap, neg_lv_y = lv - lv_y, lv_y * -1.0
         # a diverging run gives inf + -inf below; the caller checks the loss's finiteness
         with np.errstate(over="ignore", invalid="ignore"):
@@ -446,18 +422,16 @@ class Tape:
         self._ops += 1
         return rows * 0.5
 
-    def total(self, ce: np.ndarray, kl_rows: np.ndarray, beta_prime) -> tuple[np.ndarray, ...]:
-        """The (P,) losses ``ce + beta' * mean(kl_rows)``; returns (total, ce, kl) with kl the mean.
-
-        ``beta_prime`` is a float shared by the rows or (P,) values, one per row.
-        """
-        kl = np.asarray(_mean(kl_rows))
-        beta_prime = beta_prime if isinstance(beta_prime, np.ndarray) else float(beta_prime)
+    def total(self, ce: np.ndarray, kl_rows: np.ndarray, beta_prime: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The (P,) losses ``ce + beta' * mean(kl_rows)`` for the (P,) ``beta_prime``; returns (total, ce, kl)."""
+        if np.shape(beta_prime) != self._lead:
+            raise ShapeError(f"total: beta_prime{np.shape(beta_prime)} for a stack of {self._lead[0]}")
+        kl = _mean(kl_rows)
         self._total = (beta_prime, kl_rows.shape[-1])
         self._ops += 1
         # a diverging run gives inf * 0 here; the caller checks the total's finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.asarray(ce + kl * beta_prime), ce, kl
+            return ce + kl * beta_prime, ce, kl
 
     def backward(self) -> np.ndarray:
         """The (P, size) gradient of the recorded totals over the bound store.
@@ -481,8 +455,7 @@ class Tape:
         mu, log_sigma, kl_labels, diff, sq_dist, ratio, inv_var = self._kl
         need_ls = log_sigma is not None
         d = float(diff.shape[-1])
-        row_scale = beta_prime / b
-        g = np.full(lead + (b,), row_scale[..., None] if isinstance(row_scale, np.ndarray) else row_scale) * 0.5
+        g = np.full(lead + (b,), (beta_prime / b)[:, None]) * 0.5
         g_sq_dist = g * inv_var
         if need_lv or need_ls:
             g_gap = g * d * ratio  # through e^(v - lv_y)
@@ -520,7 +493,7 @@ class Tape:
                 g_q = gq if g_q is None else g_q + gq
             g_means = g_means + g_t
             if need_lv:
-                g_eps = (g_t * noise[..., s, :, :]).sum(axis=(-2, -1))  # the draw's noise * std product
+                g_eps = (g_t * noise[:, s]).sum(axis=(-2, -1))  # the draw's noise * std product
                 g_std = g_eps if g_std is None else g_std + g_eps
         adj[p] = adj[p] + g_p if p in adj else g_p
         if need_q:
@@ -544,7 +517,7 @@ class Tape:
 
         for name, g in adj.items():
             spec = store.spec(name)
-            grad[:, spec.offset : spec.offset + spec.size] += np.asarray(g).reshape(lead + (spec.size,))
+            grad[:, spec.offset : spec.offset + spec.size] += g.reshape(lead + (spec.size,))
         return grad
 
 

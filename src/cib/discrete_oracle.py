@@ -36,8 +36,7 @@ ndarray is whole by its dtype, anything else is scanned entry by entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -405,16 +404,15 @@ class ProductSurrogate:
     """Per-class product distribution over the latent coordinates.
 
     ``factors[y][j]`` is the class-y marginal over coordinate j's alphabet.
-    ``expand(y)`` multiplies the factors out to a joint table in C order.
-    Construction checks every factor in one pass per coordinate.
+    Construction checks every factor in one pass per coordinate, and
+    multiplies them out to the read-only (classes, nt) ``table`` in C order,
+    whose row y is ``expand(y)``.  Like the checks, the table holds while
+    the factor arrays are not written to.  Alphabets above
+    ``MAX_JOINT_OUTCOMES`` outcomes are rejected, as no encoder has one.
     """
 
     factors: tuple[tuple[np.ndarray, ...], ...]
-
-    # not a field: the (classes, nt) expansion a candidate of
-    # perturbed_product_surrogates computed while it was built; like the
-    # checks, it holds while the factor arrays are not written to
-    _table = None
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frozen = tuple(
@@ -428,17 +426,23 @@ class ProductSurrogate:
         # classes are checked in order, so a bad factor before the first
         # class of other arities is named first
         shared = next((y for y, cf in enumerate(frozen) if tuple(f.size for f in cf) != arities), len(frozen))
-        bad = np.array([_not_distributions(f) for f in _factor_stacks(frozen[:shared], arities)]).T
+        stacks = _factor_stacks(frozen[:shared], arities)
+        bad = np.array([_not_distributions(f) for f in stacks]).T
         if np.logical_or.reduce(bad, axis=None):  # bad is (classes, coordinates)
             y, j = np.argwhere(bad)[0]
             raise ValueError(f"factor (class {y}, coordinate {j}) is not a distribution")
         if shared < len(frozen):
             raise ValueError("all classes must share the coordinate arities")
+        nt = math.prod(arities)
+        if nt > MAX_JOINT_OUTCOMES:
+            raise ValueError(f"product alphabet has {nt} outcomes, cap is {MAX_JOINT_OUTCOMES}")
+        table = _expand_rows(len(frozen), stacks)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @classmethod
-    def _moved(cls, base: ProductSurrogate, y: int, j: int, factor: np.ndarray,
-               table: np.ndarray | None) -> ProductSurrogate:
-        """``base`` with factor (y, j) replaced by ``factor``, which the caller checked.
+    def _moved(cls, base: ProductSurrogate, y: int, j: int, factor: np.ndarray, table: np.ndarray) -> ProductSurrogate:
+        """``base`` with factor (y, j) replaced by ``factor``, which the caller checked, and its ``table``.
 
         The other factors are ``base``'s, checked when it was built.
         """
@@ -448,7 +452,7 @@ class ProductSurrogate:
         factors[y] = tuple(class_factors)
         surrogate = object.__new__(cls)
         object.__setattr__(surrogate, "factors", tuple(factors))
-        object.__setattr__(surrogate, "_table", table)
+        object.__setattr__(surrogate, "table", table)
         return surrogate
 
     @property
@@ -460,23 +464,17 @@ class ProductSurrogate:
         return tuple(f.size for f in self.factors[0])
 
     def expand(self, y: int) -> np.ndarray:
-        return reduce(np.multiply.outer, self.factors[y]).ravel()
+        """Class y's joint table over the product alphabet, in C order."""
+        return self.table[y]
 
 
-def _expand_all(surrogate: ProductSurrogate) -> np.ndarray:
-    """(classes, nt) table whose row y is ``surrogate.expand(y)``."""
-    if surrogate._table is not None:
-        return surrogate._table
-    return np.stack([surrogate.expand(y) for y in range(surrogate.class_count)])
+def _expand_rows(count: int, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """(count, nt) table whose row k is the product of the factors ``columns[0][k]``, ``columns[1][k]``, ...
 
-
-def _expand_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """(rows, nt) table whose row k expands the factors ``columns[0][k]``, ``columns[1][k]``, ...
-
-    The products are taken in ``expand``'s order, ((f0 * f1) * f2) ..., after
-    an exact 1.0 * f0, so every row equals ``expand`` of those factors bit for bit.
+    The products are taken as ((f0 * f1) * f2) ..., after an exact 1.0 * f0,
+    with the last coordinate varying fastest; no columns give rows of one 1.0.
     """
-    rows = np.ones((columns[0].shape[0], 1))
+    rows = np.ones((count, 1))
     for f in columns:
         rows = (rows[:, :, None] * f[:, None, :]).reshape(rows.shape[0], -1)
     return rows
@@ -517,7 +515,7 @@ def decomposition_check(
     _check_rows(joint, enc)
     if surrogate.class_count != joint.ny or surrogate.arities != enc.arities:
         raise ValueError("surrogate must cover the joint's classes and the encoder's alphabet")
-    expanded = _expand_all(surrogate)
+    expanded = surrogate.table
     xs, ys = np.nonzero(joint.p > 0.0)  # x-major
     lhs = 0.0
     for weight, kl in zip(joint.p[xs, ys], _kl_rows(enc.q[xs], expanded[ys])):
@@ -583,11 +581,13 @@ def _mean(values: np.ndarray) -> float:
 def sample_kl_objective(
     samples: Sequence[tuple[int, int]], enc: DiscreteEncoder, surrogate: ProductSurrogate
 ) -> float:
-    """(1/N) sum_i KL(q(T|x_i) || r(T|y_i)) for a candidate product surrogate."""
+    """(1/N) sum_i KL(q(T|x_i) || r(T|y_i)) for a candidate product surrogate over the encoder's alphabet."""
+    if surrogate.arities != enc.arities:
+        raise ValueError(f"surrogate arities {surrogate.arities} differ from the encoder's {enc.arities}")
     xs, ys = _checked_samples(samples, enc).T
     if np.maximum.reduce(ys) >= surrogate.class_count:
         raise ValueError(f"sample class label outside the surrogate's {surrogate.class_count} classes")
-    return _mean(_kl_rows(enc.q[xs], _expand_all(surrogate)[ys]))
+    return _mean(_kl_rows(enc.q[xs], surrogate.table[ys]))
 
 
 @dataclass(frozen=True)
@@ -615,7 +615,8 @@ def surrogate_optimality_check(
     """
     samples = _checked_samples(samples, enc)
     xs, ys = samples.T
-    counts = np.bincount(ys)
+    # N samples cannot fill N + 1 classes, so a label >= N leaves a class below N empty
+    counts = np.bincount(np.minimum(ys, ys.size))
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValueError(f"class {int(empty[0])} has no samples")
@@ -624,7 +625,7 @@ def surrogate_optimality_check(
     np.add.at(t_given_y, ys, q_x)  # sample by sample, in order
     t_given_y /= counts[:, None]
     best = optimal_product_surrogate(t_given_y, enc.arities)
-    expanded = _expand_all(best)
+    expanded = best.table
     lhs_min = _mean(_kl_rows(q_x, expanded[ys]))  # sample_kl_objective of checked samples
     tc = _kl_rows(t_given_y, expanded)
     rhs = _mean(_kl_rows(q_x, t_given_y[ys]) + tc[ys])
@@ -643,13 +644,12 @@ def perturbed_product_surrogates(
     The moves of one coordinate, over every class, are one (moves, arity)
     array, made by the subtract, add and division by the row's sum of a move
     made alone, and checked in one pass.  A candidate re-checks only the
-    factor it moved, shares the others with ``surrogate``, and carries its
-    expanded table when the alphabet is within ``MAX_JOINT_OUTCOMES``.
+    factor it moved, shares the others with ``surrogate``, and takes its
+    table from one expansion of every moved row.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     classes = surrogate.class_count
-    table = _expand_all(surrogate) if math.prod(surrogate.arities) <= MAX_JOINT_OUTCOMES else None
     stacks = _factor_stacks(surrogate.factors, surrogate.arities)
     blocks = []
     for j, factors in enumerate(stacks):
@@ -665,9 +665,10 @@ def perturbed_product_surrogates(
         moved[rows, targets.ravel()] += delta
         moved /= np.add.reduce(moved, axis=1, keepdims=True)
         tables = None
-        if table is not None and rows.size:
-            tables = np.repeat(table[None], rows.size, axis=0)
-            tables[rows, move_class] = _expand_rows([moved if i == j else f[move_class] for i, f in enumerate(stacks)])
+        if rows.size:
+            tables = np.repeat(surrogate.table[None], rows.size, axis=0)
+            columns = [moved if i == j else f[move_class] for i, f in enumerate(stacks)]
+            tables[rows, move_class] = _expand_rows(rows.size, columns)
             tables.flags.writeable = False
         starts = np.searchsorted(move_class, np.arange(classes + 1)).tolist()  # each class's moves
         blocks.append((moved, _not_distributions(moved), tables, starts))
@@ -676,4 +677,4 @@ def perturbed_product_surrogates(
             for k in range(starts[y], starts[y + 1]):
                 if bad[k]:
                     raise ValueError(f"factor (class {y}, coordinate {j}) is not a distribution")
-                yield ProductSurrogate._moved(surrogate, y, j, moved[k], None if tables is None else tables[k])
+                yield ProductSurrogate._moved(surrogate, y, j, moved[k], tables[k])

@@ -205,9 +205,9 @@ class ModelState:
         return scores - logsumexp_rows(scores)[:, None]
 
     def loss_graph(
-        self, tape: Tape, x: np.ndarray, labels: np.ndarray, beta_prime: float, noise: np.ndarray
+        self, tape: Tape, x: np.ndarray, labels: np.ndarray, beta_prime: np.ndarray, noise: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Record the training loss of the batch on ``tape``; returns (total, ce, kl).
+        """Record the training loss of the batches on ``tape``; returns (total, ce, kl), one per stacked row.
 
         The softmax readout scores with its own ``head.*`` slices; naive Bayes
         scores with the surrogate's, which the KL term shares.
@@ -264,11 +264,17 @@ def build_state(config: dict, priors: np.ndarray, rng: np.random.Generator | Non
 def make_loss_fn(
     state: ModelState, x: np.ndarray, labels: np.ndarray, beta_prime: float, noise: np.ndarray
 ):
-    """Loss closure over frozen data and noise, in the grad_check contract."""
+    """Loss closure over frozen data and noise, in the grad_check contract.
+
+    Every row of a stacked store gets the same batch, labels and noise, as
+    views that copy nothing, and the same ``beta_prime``.
+    """
 
     def lossfn(store: ParamStore):
         tape = Tape(store)
-        total, _, _ = state.loss_graph(tape, x, labels, beta_prime, noise)
+        p = store.values.shape[0]
+        xs, ys, noises = (np.broadcast_to(a, (p,) + np.shape(a)) for a in (x, labels, noise))
+        total, _, _ = state.loss_graph(tape, xs, ys, np.full(p, beta_prime), noises)
         return total, tape
 
     return lossfn

@@ -82,21 +82,19 @@ def cib_loss(
 
 def cib_loss_graph(
     tape: Tape, means: np.ndarray, log_var: np.ndarray, labels: np.ndarray, score_rule: tuple,
-    mu: str, log_sigma: str | None, beta_prime, noise: np.ndarray,
+    mu: str, log_sigma: str | None, beta_prime: np.ndarray, noise: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Record the differentiable loss on ``tape``; returns (total, ce, kl) values.
+    """Record the differentiable loss on ``tape``; returns the (P,) (total, ce, kl).
 
-    ``means`` is the (P, B, d) output of :meth:`Tape.mlp`, ``log_var`` that
-    of :meth:`Tape.log_var`, ``score_rule`` the score arguments
-    ``(head, p, q, log_priors)`` of :meth:`Tape.mc_cross_entropy`, ``mu`` and
-    ``log_sigma`` the surrogate's slice names, and ``noise`` the frozen
-    (S, B, d) standard-normal draws; a shape that does not fit raises
-    :class:`~cib.diffcore.ShapeError`.  The labels, noise and ``beta_prime``
-    may also be given one per row of the tape's stack.  Each row's values
-    match the batch means of :func:`cib_loss` on the same inputs;
+    ``means`` and ``log_var`` come from :meth:`Tape.mlp` and :meth:`Tape.log_var`,
+    ``score_rule`` is ``(head, p, q, log_priors)`` of :meth:`Tape.mc_cross_entropy`,
+    and ``mu``, ``log_sigma`` name the surrogate's slices.  Every input has
+    the stack's leading P axis: (P, B) labels, (P, S, B, d) frozen noise and
+    (P,) ``beta_prime``; another shape raises :class:`~cib.diffcore.ShapeError`.
+    Each row matches the batch means of :func:`cib_loss` on its inputs;
     ``tape.backward()`` then gives the gradient of the totals.
     """
-    if (beta_prime < 0.0).any() if isinstance(beta_prime, np.ndarray) else beta_prime < 0.0:
+    if np.any(beta_prime < 0.0):
         raise ValueError("beta_prime must be nonnegative")
     ce = tape.mc_cross_entropy(means, log_var, noise, labels, *score_rule)
     kl_rows = kl_to_surrogate_graph(tape, means, log_var, mu, log_sigma, labels)

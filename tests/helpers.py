@@ -1,5 +1,6 @@
 """Shared randomized-instance builders and small numerical oracles."""
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType, SimpleNamespace
@@ -18,6 +19,7 @@ from cib.diffcore import (
     logsumexp_rows,
 )
 from cib.discrete_oracle import (
+    MAX_JOINT_OUTCOMES,
     DecompositionReport,
     DiscreteEncoder,
     DiscreteJoint,
@@ -559,7 +561,7 @@ def chain_softmax_nll(tape, scores, labels):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """One training loss over named store slices and fixed inputs, as :class:`cib.diffcore.Tape` takes it.
+    """One training loss over named store slices and one row's fixed inputs, which :func:`fused_loss` gives every row.
 
     ``weights`` names the net's slices W_0, b_0, W_1, b_1, ...; ``log_eta2``
     the learned noise slice (None: the log-variance is log sigma2);
@@ -602,14 +604,24 @@ class LossSpec:
 LOSS_PARTS = ("means", "log_var", "ce", "kl_rows", "total", "kl")
 
 
+def shared_by_rows(store, *inputs):
+    """Each of ``inputs`` given to every row of the stacked ``store``: (P, *shape) broadcast views, no copies."""
+    p = store.values.shape[0]
+    return [np.broadcast_to(a, (p,) + np.shape(a)) for a in inputs]
+
+
 def fused_loss(store, spec):
-    """The loss of ``spec`` on a stacked store through the library's Tape; returns (tape, values by LOSS_PARTS)."""
+    """The loss of ``spec`` on a stacked store through the library's Tape; returns (tape, values by LOSS_PARTS).
+
+    Every row takes the spec's batch, labels, noise and beta' (:func:`shared_by_rows`).
+    """
     tape = Tape(store)
-    means = tape.mlp(spec.x, spec.weights, spec.activation)
+    x, labels, noise, beta_prime = shared_by_rows(store, spec.x, spec.labels, spec.noise, spec.beta_prime)
+    means = tape.mlp(x, spec.weights, spec.activation)
     log_var = tape.log_var(spec.sigma2, spec.log_eta2)
-    ce = tape.mc_cross_entropy(means, log_var, spec.noise, spec.labels, *spec.score_rule)
-    kl_rows = tape.kl_to_surrogate_rows(means, log_var, spec.mu, spec.log_sigma, spec.labels)
-    total, ce, kl = tape.total(ce, kl_rows, spec.beta_prime)
+    ce = tape.mc_cross_entropy(means, log_var, noise, labels, *spec.score_rule)
+    kl_rows = tape.kl_to_surrogate_rows(means, log_var, spec.mu, spec.log_sigma, labels)
+    total, ce, kl = tape.total(ce, kl_rows, beta_prime)
     return tape, dict(zip(LOSS_PARTS, (means, log_var, ce, kl_rows, total, kl)))
 
 
@@ -619,12 +631,9 @@ def stack_of_one(store):
 
 
 def fused_loss_alone(store, spec):
-    """:func:`fused_loss` of the (size,) vector of ``store`` as a stack of one; returns (tape, its row's values).
-
-    A fixed log-variance is a scalar shared by all rows, and stays one.
-    """
+    """:func:`fused_loss` of the (size,) vector of ``store`` as a stack of one; returns (tape, its row's values)."""
     tape, values = fused_loss(stack_of_one(store), spec)
-    return tape, {part: value[0] if np.ndim(value) else value for part, value in values.items()}
+    return tape, {part: value[0] for part, value in values.items()}
 
 
 def chain_loss(tape, spec, per_draw_ops=False):
@@ -819,10 +828,15 @@ def loop_equivalence_scan(joint, encoders, beta, tie_tol=1e-10):
     return EquivalenceScan(beta, beta_prime, argmin_ib, argmin_cib, l_ib, l_cib)
 
 
+def outer_expand(surrogate, y):
+    """Class y's joint table of a ``ProductSurrogate`` as the outer product of its factors, raveled in C order."""
+    return functools.reduce(np.multiply.outer, surrogate.factors[y]).ravel()
+
+
 def loop_sample_kl_objective(samples, enc, surrogate):
     """``sample_kl_objective`` as one ``kl_discrete`` per sample."""
     samples = np.asarray(samples, dtype=np.intp)
-    expanded = [surrogate.expand(y) for y in range(surrogate.class_count)]
+    expanded = [outer_expand(surrogate, y) for y in range(surrogate.class_count)]
     return float(np.mean([kl_discrete(enc.q[x], expanded[y]) for x, y in samples]))
 
 
@@ -838,7 +852,7 @@ def loop_surrogate_optimality_check(samples, enc):
     t_given_y = t_given_y / counts[:, None]
     best = optimal_product_surrogate(t_given_y, enc.arities)
     lhs_min = loop_sample_kl_objective(samples, enc, best)
-    tc = np.array([kl_discrete(t_given_y[y], best.expand(y)) for y in range(class_count)])
+    tc = np.array([kl_discrete(t_given_y[y], outer_expand(best, y)) for y in range(class_count)])
     rhs = float(np.mean([kl_discrete(enc.q[x], t_given_y[y]) + tc[y] for x, y in samples]))
     return OptimalityReport(lhs_min=lhs_min, rhs=rhs, surrogate=best)
 
@@ -855,6 +869,8 @@ def loop_product_surrogate_problem(factors):
         for j, f in enumerate(class_factors):
             if not np.all(np.isfinite(f)) or np.any(f < 0.0) or abs(float(f.sum()) - 1.0) > 1e-12:
                 return f"factor (class {y}, coordinate {j}) is not a distribution"
+    if math.prod(arities) > MAX_JOINT_OUTCOMES:
+        return f"product alphabet has {math.prod(arities)} outcomes, cap is {MAX_JOINT_OUTCOMES}"
     return None
 
 
@@ -900,7 +916,7 @@ def loop_checked_samples(samples, nx):
 
 def loop_decomposition_check(joint, enc, surrogate):
     """``decomposition_check`` with one ``kl_discrete`` per (x, y) cell, x-major."""
-    expanded = [surrogate.expand(y) for y in range(joint.ny)]
+    expanded = [outer_expand(surrogate, y) for y in range(joint.ny)]
     lhs = 0.0
     for x in range(joint.nx):
         for y in range(joint.ny):

@@ -19,6 +19,7 @@ from helpers import (
     fused_loss_alone,
     loop_grad_check,
     per_row,
+    shared_by_rows,
     stack_of_one,
     where_act_grad,
 )
@@ -155,7 +156,7 @@ class TestBackwardBasics:
     def test_backward_of_a_partial_loss_rejected(self):
         store = ParamStore([("W", np.ones((2, 2))), ("b", np.zeros(2))])
         tape = Tape(stack_of_one(store))
-        tape.mlp(np.ones((3, 2)), ("W", "b"), "relu")
+        tape.mlp(np.ones((1, 3, 2)), ("W", "b"), "relu")
         with pytest.raises(ValueError, match="backward needs"):
             tape.backward()
 
@@ -449,22 +450,23 @@ class TestFusedOpsMatchChains:
     def test_shape_mismatch_rejected(self):
         store = ParamStore([("mu", np.zeros((3, 3))), ("ls", np.zeros(3)), ("p", np.zeros((3, 2)))])
         tape = Tape(stack_of_one(store))
-        m, v, labels = np.zeros((4, 2)), np.zeros(()), np.zeros(4, dtype=int)
+        m, v, labels = np.zeros((4, 2)), np.zeros(1), np.zeros((1, 4), dtype=int)
         with pytest.raises(ShapeError):
             tape.kl_to_surrogate_rows(m[None], v, "mu", "ls", labels)
         chain = ChainTape(store)
         with pytest.raises(ShapeError):
             chain.naive_bayes_scores(chain.const(m), chain.param("mu"), chain.param("ls"), LOG_PRIORS3)
         with pytest.raises(ShapeError):
-            chain.softmax_nll(chain.param("mu"), labels)
+            chain.softmax_nll(chain.param("mu"), labels[0])
         with pytest.raises(ShapeError):
-            tape.mlp(np.zeros((4, 2)), ["mu", "ls"], "relu")
+            tape.mlp(np.zeros((1, 4, 2)), ["mu", "ls"], "relu")
         with pytest.raises(ShapeError):
-            tape.mc_cross_entropy(m[None], v, np.zeros((1, 4, 3)), labels, "softmax", "mu", "ls")
+            tape.mc_cross_entropy(m[None], v, np.zeros((1, 1, 4, 3)), labels, "softmax", "mu", "ls")
         with pytest.raises(ShapeError):
-            tape.mc_cross_entropy(m[None], v, np.zeros((1, 4, 2)), labels, "naive_bayes", "p", "ls", LOG_PRIORS3[:2])
+            tape.mc_cross_entropy(m[None], v, np.zeros((1, 1, 4, 2)), labels, "naive_bayes", "p", "ls",
+                                  LOG_PRIORS3[:2])
         with pytest.raises(ValueError, match="unknown score head"):
-            tape.mc_cross_entropy(m[None], v, np.zeros((1, 4, 2)), labels, "probit", "p", "ls")
+            tape.mc_cross_entropy(m[None], v, np.zeros((1, 1, 4, 2)), labels, "probit", "p", "ls")
 
 
 def test_dead_nodes_are_not_visited():
@@ -483,7 +485,7 @@ def test_dead_nodes_are_not_visited():
 def test_tape_reads_parameters_as_views_of_the_store():
     store = ParamStore([("W", np.ones((2, 3))), ("b", np.arange(2.0))])
     tape = Tape(stack_of_one(store))
-    tape.mlp(np.ones((4, 3)), ("W", "b"), "relu")
+    tape.mlp(np.ones((1, 4, 3)), ("W", "b"), "relu")
     weights = tape._mlp[1]
     assert all(np.shares_memory(w, store.values) for w in weights)
     assert [w.shape for w in weights] == [(1, 2, 3), (1, 2)]
@@ -637,6 +639,33 @@ class TestStackedTape:
         for i in range(4):
             alone = fused_loss_alone(store.with_values(rows[i]), spec)[1]
             assert all(np.array_equal(values[part][i], alone[part]) for part in ("total", "ce", "kl", "kl_rows"))
+
+    @pytest.mark.parametrize("stack", [1, 3])
+    @pytest.mark.parametrize("learned", [True, False])
+    def test_every_input_has_the_stack_axis(self, stack, learned):
+        """Each op rejects the form of an input that all rows would share; a fixed log-variance is (P,) too."""
+        store, spec = _loss_case(8, learned=learned)
+        stacked = store.with_values(np.repeat(store.values[None], stack, axis=0))
+        x, labels, noise, beta_prime = shared_by_rows(stacked, spec.x, spec.labels, spec.noise, spec.beta_prime)
+        tape = Tape(stacked)
+        with pytest.raises(ShapeError, match="mlp layer 0"):
+            tape.mlp(spec.x, spec.weights, spec.activation)
+        means = tape.mlp(x, spec.weights, spec.activation)
+        log_var = tape.log_var(spec.sigma2, spec.log_eta2)
+        assert log_var.shape == (stack,)
+        if not learned:
+            assert log_var.tolist() == [math.log(spec.sigma2)] * stack
+        for shared_noise, shared_labels in ((spec.noise, labels), (noise, spec.labels)):
+            with pytest.raises(ShapeError, match="mc_cross_entropy"):
+                tape.mc_cross_entropy(means, log_var, shared_noise, shared_labels, *spec.score_rule)
+        ce = tape.mc_cross_entropy(means, log_var, noise, labels, *spec.score_rule)
+        with pytest.raises(ShapeError, match="kl_to_surrogate_rows"):
+            tape.kl_to_surrogate_rows(means, log_var, spec.mu, spec.log_sigma, spec.labels)
+        kl_rows = tape.kl_to_surrogate_rows(means, log_var, spec.mu, spec.log_sigma, labels)
+        with pytest.raises(ShapeError, match="total"):
+            tape.total(ce, kl_rows, spec.beta_prime)
+        assert tape.total(ce, kl_rows, beta_prime)[0].shape == (stack,)
+        assert len(tape) == 4 + learned
 
     def test_only_a_stack_of_one_or_more_vectors_is_taken(self):
         store, _ = _loss_case(4)

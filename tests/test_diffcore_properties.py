@@ -8,7 +8,15 @@ from hypothesis.extra.numpy import arrays
 from cib.data_io import validate_config
 from cib.diffcore import ACTIVATIONS, ParamStore, Tape, grad_check
 from cib.model import build_state, make_loss_fn
-from helpers import ChainTape, LossSpec, central_difference, chain_loss, fused_loss_alone, loop_grad_check
+from helpers import (
+    ChainTape,
+    LossSpec,
+    central_difference,
+    chain_loss,
+    fused_loss_alone,
+    loop_grad_check,
+    shared_by_rows,
+)
 
 # derandomized so that a tier-1 failure replays from its test id; no
 # example database is written
@@ -244,8 +252,9 @@ def test_stacked_backward_equals_each_rows_backward(head, activation, noise_mode
     """A stacked tape's losses and (P, size) gradient are, row by row, ``==`` those of each vector in a stack of one.
 
     ``per_row`` gives every row its own batch, labels, noise and beta', as
-    lockstep training does; otherwise the rows share them, as gradient-check
-    probes do.
+    lockstep training does; otherwise every row gets the same ones as
+    broadcast views, as gradient-check probes do.  A row alone takes a copy
+    of its inputs, so a view gives the bits of a copy.
     """
     cfg = validate_config({
         "dataset": {"kind": "json", "train": "-", "test": "-"},
@@ -263,12 +272,12 @@ def test_stacked_backward_equals_each_rows_backward(head, activation, noise_mode
     beta_prime = rng.uniform(0.0, 3.0, stack) if per_row else 0.9
 
     tape = Tape(state.store.with_values(rows))
-    stacked = state.loss_graph(tape, x, labels, beta_prime, noise)
+    inputs = (x, labels, beta_prime, noise) if per_row else shared_by_rows(tape.store, x, labels, beta_prime, noise)
+    stacked = state.loss_graph(tape, *inputs)
     grad = tape.backward()
     assert grad.shape == rows.shape
     for i in range(stack):
-        own = (lambda a: a[i]) if per_row else (lambda a: a)
         alone = Tape(state.store.with_values(rows[i : i + 1]))
-        values = state.loss_graph(alone, own(x), own(labels), float(own(beta_prime)), own(noise))
+        values = state.loss_graph(alone, *(a[i : i + 1].copy() for a in inputs))
         assert all(part[i] == value[0] for part, value in zip(stacked, values))
         assert np.array_equal(grad[i], alone.backward()[0])

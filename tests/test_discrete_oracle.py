@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from cib.cli import run
 from helpers import (
     loop_decomposition_check,
     loop_equivalence_scan,
-    loop_perturbed_product_surrogates,
     loop_sample_kl_objective,
     loop_surrogate_optimality_check,
     random_arities,
@@ -332,17 +332,12 @@ class TestOptimalProductSurrogate:
         assert sum(rows for rows, _ in checked) == len(candidates)
 
 
-    def test_candidates_beyond_the_outcome_cap_expand_on_demand(self):
-        """Over 4^4 = 256 outcomes no table is carried; the moves are still the one-move reference's."""
+    def test_alphabets_beyond_the_outcome_cap_are_rejected(self):
+        """No encoder has 4^4 = 256 outcomes, so no surrogate has either; 4^3 = 64 is the cap."""
         rng = np.random.default_rng(16)
-        base = random_product_surrogate(rng, 2, (4, 4, 4, 4))
-        ours = list(perturbed_product_surrogates(base, step=0.1))
-        theirs = list(loop_perturbed_product_surrogates(base, step=0.1))
-        assert len(ours) == len(theirs) == 2 * 4 * 12
-        for cand, ref in zip(ours, theirs):
-            assert cand._table is None
-            assert all(a.tobytes() == b.tobytes() for cf, rf in zip(cand.factors, ref.factors) for a, b in zip(cf, rf))
-            assert cand.expand(1).tobytes() == ref.expand(1).tobytes()
+        with pytest.raises(ValueError, match="product alphabet has 256 outcomes, cap is 64"):
+            random_product_surrogate(rng, 2, (4, 4, 4, 4))
+        assert random_product_surrogate(rng, 2, (4, 4, 4)).table.shape == (2, 64)
 
 
 class TestSurrogateOptimality:
@@ -382,6 +377,18 @@ class TestSurrogateOptimality:
         enc = random_encoder(rng, 3, (2,))
         with pytest.raises(ValueError, match="no samples"):
             surrogate_optimality_check([(0, 0), (1, 2)], enc)
+
+    def test_a_far_label_names_the_empty_class_in_bounded_memory(self):
+        """Two samples cannot fill the classes up to 10^7: class 1 is named without 10^7 counts."""
+        enc = random_encoder(np.random.default_rng(18), 3, (2,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^class 1 has no samples$"):
+                surrogate_optimality_check([(0, 0), (1, 10**7)], enc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # nt from 1 to 64; (4,) and (2, 2), (8,) and (2, 2, 2), (64,) and (2,) * 6
@@ -525,6 +532,15 @@ class TestSampleIndices:
         enc = random_encoder(np.random.default_rng(20), 3, (2, 2))
         with pytest.raises(ValueError, match=message):
             surrogate_optimality_check([(0, 0), (1, 1), bad], enc)
+
+    @pytest.mark.parametrize("arities", [(1,), (2, 2)])
+    def test_sample_kl_objective_rejects_another_alphabet(self, arities):
+        """Scored over the encoder's (4,) alphabet, a (1,) surrogate once gave -1.306, a negative KL."""
+        rng = np.random.default_rng(24)
+        enc = random_encoder(rng, 3, (4,))
+        surrogate = random_product_surrogate(rng, 2, arities)
+        with pytest.raises(ValueError, match=r"surrogate arities .* differ from the encoder's \(4,\)"):
+            sample_kl_objective([(0, 0), (1, 1)], enc, surrogate)
 
     @pytest.mark.parametrize("bad, message", [((3, 0), "feature index"), ((-1, 0), "feature index"),
                                               ((0, -1), "negative"), ((0, 2), "2 classes")])

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from cib.diffcore import ParamStore, Tape, grad_check
 from cib.gaussians import ClassSurrogate, kl_to_surrogate, kl_to_surrogate_graph
-from helpers import DiagGaussian, gaussian_quadrature_kl, kl_diag, stack_of_one, surrogate_component
+from helpers import DiagGaussian, gaussian_quadrature_kl, kl_diag, shared_by_rows, stack_of_one, surrogate_component
 
 # derandomized so that a tier-1 failure replays from its test id; no
 # example database is written
@@ -167,9 +167,9 @@ class TestKlGraph:
     def test_values_match_plain_kl(self):
         store, x, labels = self._setup()
         tape = Tape(stack_of_one(store))
-        means = tape.mlp(x, ("W", "b"), "tanh")
+        means = tape.mlp(x[None], ("W", "b"), "tanh")
         log_var = tape.log_var(0.5, "log_eta2")
-        rows = kl_to_surrogate_graph(tape, means, log_var, "mu", "log_sigma", labels)
+        rows = kl_to_surrogate_graph(tape, means, log_var, "mu", "log_sigma", labels[None])
         s = ClassSurrogate(store.get("mu"), store.get("log_sigma"), np.array([0.5, 0.5]))
         expected = kl_to_surrogate(means[0], float(log_var[0]), s, labels)
         np.testing.assert_allclose(rows[0], expected, atol=1e-12, rtol=0)
@@ -181,11 +181,12 @@ class TestKlGraph:
 
         def lossfn(s):
             tape = Tape(s)
-            means = tape.mlp(x, ("W", "b"), "tanh")
+            xs, ys, noises, beta_prime = shared_by_rows(s, x, labels, noise, 2.0)
+            means = tape.mlp(xs, ("W", "b"), "tanh")
             log_var = tape.log_var(0.5, "log_eta2")
-            ce = tape.mc_cross_entropy(means, log_var, noise, labels, "softmax", "hW", "hb")
-            rows = kl_to_surrogate_graph(tape, means, log_var, "mu", "log_sigma", labels)
-            total, _, _ = tape.total(ce, rows, 2.0)
+            ce = tape.mc_cross_entropy(means, log_var, noises, ys, "softmax", "hW", "hb")
+            rows = kl_to_surrogate_graph(tape, means, log_var, "mu", "log_sigma", ys)
+            total, _, _ = tape.total(ce, rows, beta_prime)
             return total, tape
 
         report = grad_check(lossfn, store, eps=1e-5, tol=1e-5)

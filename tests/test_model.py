@@ -9,7 +9,14 @@ import pytest
 from cib import data_io, diffcore, gaussians, model, objectives
 from cib.data_io import Dataset, validate_config
 from cib.diffcore import NonFiniteError, Tape, grad_check
-from helpers import ChainTape, chain_loss_graph, reference_diagnose_nonfinite, reference_loss_terms, stack_of_one
+from helpers import (
+    ChainTape,
+    chain_loss_graph,
+    reference_diagnose_nonfinite,
+    reference_loss_terms,
+    shared_by_rows,
+    stack_of_one,
+)
 from cib.model import (
     NonFiniteLossError,
     build_state,
@@ -93,7 +100,7 @@ class TestEncode:
         noise = rng.standard_normal((2, 3, 2))
         tape = Tape(stack_of_one(state.store))
         enc = state.encoder
-        means = tape.mlp(x, [name for pair in enc.weight_names() for name in pair], enc.activation)
+        means = tape.mlp(x[None], [name for pair in enc.weight_names() for name in pair], enc.activation)
         assert np.array_equal(means[0], enc.encode_batch(x))
         report = grad_check(make_loss_fn(state, x, labels, 0.0, noise), state.store, eps=1e-5, tol=1e-5)
         assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_name}"
@@ -207,7 +214,7 @@ class TestHeadAccounting:
         labels = rng.integers(0, 2, 5)
         noise = rng.standard_normal((1, 5, 2))
         tape = Tape(stack_of_one(state.store))
-        state.loss_graph(tape, x, labels, 1.0, noise)
+        state.loss_graph(tape, *shared_by_rows(tape.store, x, labels, 1.0, noise))
         grad = tape.backward()
         assert grad.shape == (1, state.store.size)
         grad = grad[0]
@@ -318,7 +325,7 @@ class TestFusedLossGraph:
         labels = rng.integers(0, 3, 8)
         noise = rng.standard_normal((mc_samples, 8, 2))
         fused = Tape(stack_of_one(state.store))
-        fused_values = state.loss_graph(fused, x, labels, 0.8, noise)
+        fused_values = state.loss_graph(fused, *shared_by_rows(fused.store, x, labels, 0.8, noise))
         fused_grad = fused.backward()[0]
         for per_draw_ops in (False, True):
             chain = ChainTape(state.store)

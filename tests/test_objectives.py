@@ -16,6 +16,7 @@ from helpers import (
     random_encoder,
     random_joint,
     random_product_surrogate,
+    shared_by_rows,
     stack_of_one,
 )
 
@@ -175,6 +176,7 @@ class TestGraphConsistency:
 
     def _build(self, store, x, labels, noise, beta_prime):
         tape = Tape(store)
+        x, labels, beta_prime, noise = shared_by_rows(store, x, labels, beta_prime, noise)
         means = tape.mlp(x, ("W0", "b0"), "softplus")
         log_var = tape.log_var(0.3, "log_eta2")
         score_rule = ("softmax", "W", "b", None)

@@ -13,7 +13,6 @@ from cib.discrete_oracle import (
     DiscreteJoint,
     ProductSurrogate,
     _checked_samples,
-    _expand_all,
     _kl_rows,
     decomposition_check,
     induced,
@@ -25,7 +24,12 @@ from cib.discrete_oracle import (
     sample_kl_objective,
     surrogate_optimality_check,
 )
-from helpers import loop_checked_samples, loop_perturbed_product_surrogates, loop_product_surrogate_problem
+from helpers import (
+    loop_checked_samples,
+    loop_perturbed_product_surrogates,
+    loop_product_surrogate_problem,
+    outer_expand,
+)
 
 # derandomized so that a tier-1 failure replays from its test id; no
 # example database is written
@@ -157,14 +161,15 @@ def _bits(surrogate):
 @FAST_PATH
 @given(data=st.data(), ny=st.integers(1, 3), arities=ARITIES, step=STEPS)
 def test_candidates_equal_the_one_move_reference(data, ny, arities, step):
-    """Same count, order and factor bits as one move at a time; the carried table is ``expand``'s."""
+    """Same count, order and factor bits as one move at a time; the carried table is the factors' outer product."""
     surrogate = data.draw(product_surrogates(ny, arities))
     ours = list(perturbed_product_surrogates(surrogate, step=step))
     theirs = list(loop_perturbed_product_surrogates(surrogate, step=step))
     assert len(ours) == len(theirs)
     for cand, ref in zip(ours, theirs):
         assert _bits(cand) == _bits(ref)
-        assert _expand_all(cand).tobytes() == np.stack([ref.expand(y) for y in range(ny)]).tobytes()
+        expanded = np.stack([outer_expand(ref, y) for y in range(ny)])
+        assert cand.table.tobytes() == ref.table.tobytes() == expanded.tobytes()
 
 
 # NaN, infinities, negatives, and halves off by 2e-12
