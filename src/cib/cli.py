@@ -100,9 +100,7 @@ def _write_run_dir(out: Path, run: model.TrainResult, point: model.TradeoffPoint
     # by keyword: the traced benchmark (perfbench/layers.py) reads the file size from ``path``
     data_io.save_checkpoint(run.state, path=out / "checkpoint.json")
     data_io.write_metrics(run.metrics, out / "metrics.csv")
-    data_io.write_text_atomic(
-        out / "point.json", json.dumps(point.to_json_dict(), sort_keys=True, indent=1) + "\n"
-    )
+    data_io.write_json(point.to_json_dict(), out / "point.json")
 
 
 def _cmd_train(args) -> int:
@@ -277,10 +275,8 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst_path = _require_file(args.instance)
+    doc = data_io.read_json(inst_path, ValueError, ("p", "q", "arities"))
     try:
-        doc = json.loads(inst_path.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError("the instance is not a JSON object")
         joint = discrete_oracle.DiscreteJoint(np.asarray(doc["p"], dtype=np.float64))
         enc = discrete_oracle.DiscreteEncoder(
             np.asarray(doc["q"], dtype=np.float64), tuple(doc["arities"])
@@ -291,7 +287,7 @@ def _cmd_oracle(args) -> int:
                        for x, y in samples):
                 raise ValueError(f"samples must be integer pairs, 0 <= x < {joint.nx} and 0 <= y < {joint.ny}")
             samples = np.array(samples, dtype=np.intp)  # checked pairs: the oracle skips its per-entry scan
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise _CliError(f"{inst_path}: bad oracle instance: {exc}") from exc
 
     rep = discrete_oracle.info_report(joint, enc)
@@ -327,22 +323,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _point_problem(doc) -> str | None:
-    """Why a parsed point.json cannot be a trade-off point, or None if it can."""
-    if not isinstance(doc, dict):
-        return "point.json is not a JSON object"
-    lacking = [key for key in POINT_KEYS if key not in doc]
-    if lacking:
-        return f"point.json lacks {', '.join(lacking)}"
-    bad = [
-        key for key in POINT_KEYS
-        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)) or not math.isfinite(doc[key])
-    ]
-    if bad:
-        return f"point.json holds non-finite or non-numeric values for {', '.join(bad)}"
-    return None
-
-
 def _cmd_report(args) -> int:
     problems: list[str] = []
     points: list[dict] = []
@@ -356,16 +336,16 @@ def _cmd_report(args) -> int:
         if absent:
             problems.append(f"{run_dir}: missing {', '.join(absent)}")
             continue
+        path = rd / "point.json"
         try:
-            doc = json.loads((rd / "point.json").read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            problems.append(f"{run_dir}: point.json is not valid JSON ({exc})")
+            doc = data_io.read_json(path, ValueError, POINT_KEYS)
+        except ValueError as exc:  # names the path
+            problems.append(str(exc))
             continue
-        problem = _point_problem(doc)
-        if problem:
-            problems.append(f"{run_dir}: {problem}")
-            continue
-        points.append(doc)
+        try:
+            points.append(model.TradeoffPoint(**{k: doc[k] for k in POINT_KEYS}).to_json_dict())
+        except ValueError as exc:
+            problems.append(f"{path}: {exc}")
     if problems:
         raise _CliError("unusable run directories:\n  " + "\n  ".join(problems))
     out = Path(args.out)

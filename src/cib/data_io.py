@@ -3,9 +3,11 @@
 All on-disk artifacts are deterministic functions of their inputs: floats are
 serialized with ``repr`` (shortest decimal that round-trips, never more than
 17 significant digits), JSON keys are sorted, and nothing except an explicit
-provenance field carries wall-clock state.  A checkpoint holds one
-``model.ModelState`` whole: :func:`save_checkpoint` writes it and
-:func:`load_checkpoint` returns it.
+provenance field carries wall-clock state.  Every JSON document of the
+workbench is written by :func:`write_json` and read by :func:`read_json`,
+whose errors name the file.  A checkpoint holds one ``model.ModelState``
+whole: :func:`save_checkpoint` writes it and :func:`load_checkpoint`
+returns it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ __all__ = [
     "load_checkpoint",
     "write_metrics",
     "write_text_atomic",
+    "write_json",
+    "read_json",
     "read_metrics",
     "load_config",
     "validate_config",
@@ -314,29 +318,34 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 # --------------------------------------------------------------------- JSON documents
 
 
-def _dump_json(obj: Any, path: str | Path) -> None:
+def write_json(obj: Any, path: str | Path) -> None:
+    """Write ``obj`` to ``path`` atomically: sorted keys, indent 1, a trailing newline."""
     write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _load_json(path: str | Path, error: type[ValueError], keys: tuple[str, ...] = ()) -> Any:
-    """The JSON document in ``path``; ``error`` names the path, and any of ``keys`` it lacks."""
+def read_json(path: str | Path, error: type[ValueError], keys: tuple[str, ...] = ()) -> Any:
+    """The JSON document in ``path``; ``error`` names the path if it is invalid or not an object with ``keys``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise error(f"{path}: invalid JSON ({exc})") from exc
-    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if keys and not isinstance(doc, dict):
+        raise error(f"{path}: is not a JSON object")
+    missing = [key for key in keys if key not in doc]
     if missing:
         raise error(f"{path}: lacks {', '.join(missing)}")
     return doc
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    _dump_json({"features": ds.features.tolist(), "labels": ds.labels.tolist(),
+    write_json({"features": ds.features.tolist(), "labels": ds.labels.tolist(),
                 "class_count": ds.class_count, "provenance": ds.provenance}, path)
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    doc = _load_json(path, ValueError, ("features", "labels", "class_count"))
+    doc = read_json(path, ValueError, ("features", "labels", "class_count"))
+    if not _fits("int", "[1, inf)", doc["class_count"]):
+        raise ValueError(f"{path}: class_count must be an integer in [1, inf), got {doc['class_count']!r}")
     try:
         return Dataset(
             np.asarray(doc["features"], dtype=np.float64),
@@ -365,14 +374,14 @@ def save_checkpoint(state, path: str | Path) -> None:
     }
     doc = {"format_version": CHECKPOINT_VERSION, "config": state.config, "params": params,
            "priors": state.priors.tolist()}
-    _dump_json(doc, path)
+    write_json(doc, path)
 
 
 def load_checkpoint(path: str | Path):
     """Rebuild the ``model.ModelState`` a checkpoint file holds; its slices must fit the config."""
     from . import model as _model
 
-    doc = _load_json(path, CheckpointError, ("format_version", "config", "params", "priors"))
+    doc = read_json(path, CheckpointError, ("format_version", "config", "params", "priors"))
     try:  # every error below names the file
         if doc["format_version"] != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format_version: {doc['format_version']!r}")
@@ -562,7 +571,7 @@ def validate_config(config: dict) -> dict:
 
 
 def load_config(path: str | Path) -> dict:
-    return validate_config(_load_json(path, ConfigError))
+    return validate_config(read_json(path, ConfigError))
 
 
 def dataset_from_config(dcfg: dict) -> tuple[Dataset, Dataset]:

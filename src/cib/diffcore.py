@@ -125,13 +125,14 @@ class ParamStore:
             raise KeyError(f"unknown parameter slice: {name!r}") from None
 
     def set(self, name: str, arr: np.ndarray) -> None:
-        s = self.spec(name)
+        """Write ``arr``, of the slice's own shape, into the named slice (of every stacked vector)."""
+        shape = self.spec(name).shape
         a = np.asarray(arr, dtype=np.float64)
-        if a.shape != s.shape:
-            raise ShapeError(f"slice {name!r} has shape {s.shape}, got {a.shape}")
+        if a.shape != shape:
+            raise ShapeError(f"slice {name!r} has shape {shape}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError(f"values for slice {name!r} must be finite")
-        self.values[s.offset : s.offset + s.size] = a.ravel()
+        self._views[name][...] = a
 
     def with_values(self, values: np.ndarray) -> "ParamStore":
         """A store of this layout over ``values``, one (size,) vector or (P, size) stacked ones, not copied."""
@@ -557,8 +558,8 @@ def grad_check(lossfn: LossFn, params: ParamStore, eps: float, tol: float) -> Gr
     together, so the bound holds whatever the draw count), and at least one.
     The relative error per coordinate is ``|g - fd| / max(1, |g|)``.
     """
-    if eps <= 0.0:
-        raise ValueError("grad_check: eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"grad_check: eps must be positive and finite, got {eps}")
     loss, tape = lossfn(params.with_values(params.values[None]))
     base_loss = float(loss[0])
     if not np.isfinite(base_loss):

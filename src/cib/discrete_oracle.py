@@ -142,7 +142,7 @@ class DiscreteJoint:
             raise ValueError("joint table must be a nonempty 2-D array")
         if np.any(self.p < 0.0):
             raise ValueError("joint probabilities must be nonnegative")
-        if abs(float(self.p.sum()) - 1.0) > 1e-12:
+        if not abs(float(self.p.sum()) - 1.0) <= 1e-12:  # a NaN entry fails it too
             raise ValueError(f"joint table sums to {float(self.p.sum())}, not 1")
 
     @property
@@ -181,7 +181,7 @@ class DiscreteEncoder:
         if np.any(self.q < 0.0):
             raise ValueError("encoder probabilities must be nonnegative")
         rows = self.q.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-12):
+        if not np.all(np.abs(rows - 1.0) <= 1e-12):  # a NaN entry fails it too
             raise ValueError("each encoder row must sum to 1")
 
     @property
@@ -315,8 +315,8 @@ def objective_values(report: InfoReport, beta: float, beta_prime: float) -> Obje
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    if beta_prime < 0.0:
-        raise ValueError(f"beta_prime must be nonnegative, got {beta_prime}")
+    if not 0.0 <= beta_prime < math.inf:
+        raise ValueError(f"beta_prime must be nonnegative and finite, got {beta_prime}")
     return ObjectiveValues(
         l_ib=report.H_Y_given_T + beta * report.I_XT,
         l_cib=report.H_Y_given_T + beta_prime * report.I_XT_given_Y,
@@ -647,8 +647,8 @@ def perturbed_product_surrogates(
     factor it moved, shares the others with ``surrogate``, and takes its
     table from one expansion of every moved row.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not step > 0.0:  # NaN fails it too
+        raise ValueError(f"step must be positive, got {step}")
     classes = surrogate.class_count
     stacks = _factor_stacks(surrogate.factors, surrogate.arities)
     blocks = []

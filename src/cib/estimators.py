@@ -94,10 +94,10 @@ class EmbeddedDataset:
             raise ValueError("codes must be finite")
         if self.labels.shape != (self.codes.shape[0],):
             raise ValueError("labels must align with code rows")
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.eta2 < 0.0:
-            raise ValueError(f"eta2 must be nonnegative, got {self.eta2}")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not 0.0 <= self.eta2 < np.inf:
+            raise ValueError(f"eta2 must be nonnegative and finite, got {self.eta2}")
 
     @property
     def count(self) -> int:

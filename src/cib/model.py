@@ -361,7 +361,7 @@ class TrainResult:
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """One sweep entry: loss terms, accuracy, and information-plane bounds."""
+    """One sweep entry: loss terms, accuracy, and information-plane bounds, each a finite number."""
 
     beta_prime: float
     ce_train: float
@@ -373,10 +373,12 @@ class TradeoffPoint:
     ixt_given_y: float
 
     def __post_init__(self):
+        bad = [name for name, v in vars(self).items()
+               if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite or non-numeric values for {', '.join(bad)}")
         if not 0.0 <= self.acc_test <= 1.0:
             raise ValueError(f"accuracy must lie in [0, 1], got {self.acc_test}")
-        if not (np.isfinite(self.ixt) and np.isfinite(self.ixt_given_y)):
-            raise ValueError("information-plane bounds must be finite")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -592,6 +594,7 @@ def train(
     index order, so a full-batch run is independent of the shuffle stream.
     ``shuffle_seed`` overrides that stream (the run seed keeps driving
     initialization and noise), which is how order-invariance is exercised.
+    A ``test_ds`` that does not fit the model fails before the first step.
     Metrics rows are full train-split evaluations logged at step 0, every
     ``optim.log_every`` steps, and at the final step.
     """
@@ -600,11 +603,13 @@ def train(
         raise ValueError("train needs at least one config")
     _check_stackable(cfgs)
     cfg = cfgs[0]
-    if cfg["encoder"]["layer_dims"][0] != train_ds.dim:
-        raise ValueError(
-            f"encoder expects inputs of dimension {cfg['encoder']['layer_dims'][0]}, "
-            f"dataset has {train_ds.dim}"
-        )
+    in_dim = cfg["encoder"]["layer_dims"][0]
+    for split, ds in (("train", train_ds), ("test", test_ds)):
+        if ds is not None and ds.dim != in_dim:
+            raise ValueError(f"encoder expects inputs of dimension {in_dim}, the {split} split has {ds.dim}")
+    if test_ds is not None and int(test_ds.labels.max()) >= train_ds.class_count:
+        raise ValueError(f"the test split has label {int(test_ds.labels.max())}, "
+                         f"but the train split has {train_ds.class_count} classes")
     use_all = cfg["surrogate"]["priors"] == "all" and test_ds is not None
     priors = _empirical_priors(train_ds, test_ds if use_all else None)
 

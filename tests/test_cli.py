@@ -2,14 +2,19 @@
 
 import ast
 import collections
+import contextlib
 import hashlib
 import importlib
+import io
 import json
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cib import cli, data_io, discrete_oracle, estimators, gaussians, model, objectives
 from cib.cli import REPORT_KEYS, run
@@ -29,6 +34,16 @@ def _write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _write_split_config(tmp_path, test_labels=(0, 1, 2), test_dim=2, priors="train"):
+    """A json-dataset config whose train split has 2 classes in dimension 2, and a test split as given."""
+    train, test = tmp_path / "train.json", tmp_path / "test.json"
+    data_io.save_dataset(data_io.Dataset(np.eye(8, 2), np.arange(8) % 2, 2), train)
+    data_io.save_dataset(data_io.Dataset(np.zeros((len(test_labels), test_dim)), np.array(test_labels),
+                                         max(test_labels) + 1), test)
+    return _write_config(tmp_path, dataset={"kind": "json", "train": str(train), "test": str(test)},
+                         surrogate={"priors": priors})
 
 
 def _below_a_file(tmp_path):
@@ -208,6 +223,29 @@ class TestTrain:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+    def test_infinite_test_cross_entropy_exits_one_leaving_no_directory(self, tmp_path, capsys, monkeypatch):
+        """A zero-probability true class makes ce_test infinite, which point.json cannot hold as JSON."""
+        monkeypatch.setattr(model.ModelState, "log_probs",
+                            lambda self, t: np.tile([0.0, -np.inf], (t.shape[0], 1)))
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 1
+        assert "ce_test" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("priors", ["train", "all"])
+    @pytest.mark.parametrize("test_labels,test_dim,named", [
+        ((0, 1, 2), 2, "the test split has label 2, but the train split has 2 classes"),
+        ((0, 1), 3, "the test split has 3"),
+    ])
+    def test_test_split_that_does_not_fit_exits_one_before_training(
+        self, tmp_path, capsys, monkeypatch, priors, test_labels, test_dim, named
+    ):
+        monkeypatch.setattr(model, "_train_stack", _unreachable)
+        cfg = _write_split_config(tmp_path, test_labels, test_dim, priors)
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_acceptance_7_artifacts_are_byte_stable(self, tmp_path):
         # sha256 of the bytes this config has always written; the loss terms
         # and bounds must not change in their last bit
@@ -242,6 +280,15 @@ class TestSweep:
         csv = (out / "sweep.csv").read_text().splitlines()
         assert csv[0] == "beta_prime,ce_test,kl_test,acc_test,ixt,ixt_given_y"
         assert len(csv) == 3
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("priors", ["train", "all"])
+    def test_test_split_with_an_unknown_label_exits_one_naming_it(self, tmp_path, capsys, jobs, priors):
+        cfg = _write_split_config(tmp_path, priors=priors)
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--config", str(cfg), "--betas", "0,1", "--out", str(out), "--jobs", jobs]) == 1
+        assert "the test split has label 2" in capsys.readouterr().err
+        assert not (out / "point_000").exists()
 
     def test_parallel_jobs_match_sequential(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -558,7 +605,38 @@ class TestOracle:
         assert "not a JSON object" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("table", ["p", "q"])
+    def test_nan_table_entry_exits_one_naming_the_instance(self, tmp_path, capsys, table):
+        inst = _write_instance(tmp_path)
+        doc = json.loads(inst.read_text())
+        doc[table][0][0] = float("nan")
+        inst.write_text(json.dumps(doc))
+        assert run(["oracle", "--instance", str(inst)]) == 1
+        err = capsys.readouterr().err
+        assert "bad oracle instance" in err and str(inst) in err
+
+
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**53), 2**53))
+
+
 class TestReport:
+    @settings(max_examples=60, deadline=None)
+    @given(point=st.fixed_dictionaries(
+        {key: st.floats(0.0, 1.0) if key == "acc_test" else _FINITE for key in cli.POINT_KEYS}
+    ))
+    def test_any_finite_written_point_reports_its_own_values(self, point):
+        with tempfile.TemporaryDirectory() as tmp:
+            rundir, out = Path(tmp) / "run", Path(tmp) / "r.csv"
+            rundir.mkdir()
+            (rundir / "checkpoint.json").write_text("{}")
+            (rundir / "metrics.csv").write_text("")
+            data_io.write_json(point, rundir / "point.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["report", "--runs", str(rundir), "--out", str(out)]) == 0
+            header, row = out.read_text().splitlines()
+        assert header == ",".join(REPORT_KEYS)
+        assert [float(v) for v in row.split(",")] == [float(point[key]) for key in REPORT_KEYS]
+
     def test_empty_run_list_writes_header_only(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert run(["report", "--out", str(out)]) == 0

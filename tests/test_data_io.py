@@ -272,6 +272,50 @@ class TestDatasetFile:
         assert str(exc.value).startswith(f"{path}: ")
 
 
+    @pytest.mark.parametrize("class_count", [2.7, True, "2", 0, None])
+    def test_class_count_that_is_not_a_positive_integer_names_the_file(self, tmp_path, class_count):
+        path = tmp_path / "d.json"
+        data_io.save_dataset(Dataset(np.zeros((2, 1)), np.array([0, 1]), 2), path)
+        doc = json.loads(path.read_text())
+        doc["class_count"] = class_count
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="class_count must be an integer in") as exc:
+            data_io.load_dataset(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+
+class TestJsonDocuments:
+    def test_write_json_is_canonical(self, tmp_path):
+        path = tmp_path / "d.json"
+        data_io.write_json({"b": [1.5, 2], "a": 0.1}, path)
+        assert path.read_text() == '{\n "a": 0.1,\n "b": [\n  1.5,\n  2\n ]\n}\n'
+        assert data_io.read_json(path, ValueError, ("a", "b")) == {"a": 0.1, "b": [1.5, 2]}
+
+    @pytest.mark.parametrize("text,keys,message", [
+        ("[1, 2]", ("p",), "is not a JSON object"),
+        ('{"p": 1}', ("p", "q", "r"), "lacks q, r"),
+        ("{", (), "invalid JSON"),
+    ])
+    def test_read_json_names_the_path(self, tmp_path, text, keys, message):
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message) as exc:
+            data_io.read_json(path, ConfigError, keys)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_read_json_names_the_path_of_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        with pytest.raises(ConfigError, match="invalid JSON") as exc:
+            data_io.read_json(path, ConfigError)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_read_json_without_keys_returns_any_document(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text("[1, 2]")
+        assert data_io.read_json(path, ValueError) == [1, 2]
+
+
 class TestMetricsCsv:
     def test_empty_series_writes_header_only(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -55,6 +55,16 @@ class TestParamStore:
         with pytest.raises(ValueError):
             store.set("w", np.array([1.0, np.nan, 0.0]))
 
+    @pytest.mark.parametrize("rows", [None, 3, 6])
+    def test_set_writes_the_slice_of_every_stacked_vector(self, rows):
+        store = ParamStore([("a", np.zeros(2)), ("b", np.zeros(())), ("c", np.zeros(3)), ("d", np.zeros(2))])
+        if rows is not None:
+            store = store.with_values(np.zeros((rows, store.size)))
+        store.set("b", 0.5)
+        store.set("c", np.ones(3))
+        expected = [0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0]
+        assert np.array_equal(store.values, np.broadcast_to(expected, store.values.shape))
+
     def test_rejects_duplicate_names_and_nonfinite_init(self):
         with pytest.raises(ValueError):
             ParamStore([("a", np.zeros(1)), ("a", np.zeros(1))])
@@ -554,6 +564,12 @@ class TestGradCheck:
         store = ParamStore([("w", np.ones(1))])
         with pytest.raises(ValueError):
             grad_check(_chain_lossfn(lambda t: t.sum_all(t.param("w"))), store, eps=0.0, tol=1e-5)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-5])
+    def test_eps_that_is_not_positive_and_finite_rejected_naming_it(self, eps):
+        store = ParamStore([("w", np.ones(1))])
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            grad_check(_chain_lossfn(lambda t: t.sum_all(t.param("w"))), store, eps=eps, tol=1e-5)
 
     def test_nonfinite_loss_raises(self):
         store = ParamStore([("w", np.array([0.0]))])

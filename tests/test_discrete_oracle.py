@@ -55,6 +55,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             DiscreteEncoder(np.array([[0.5, 0.4]]), (2,))
 
+    @pytest.mark.parametrize("make", [
+        lambda: DiscreteJoint(np.array([[np.nan, 0.5], [0.25, 0.25]])),
+        lambda: DiscreteEncoder(np.array([[np.nan, 0.5], [0.5, 0.5]]), (2,)),
+    ])
+    def test_nan_entry_rejected(self, make):
+        with pytest.raises(ValueError, match="sum"):
+            make()
+
     def test_arities_must_match_columns(self):
         with pytest.raises(ValueError):
             DiscreteEncoder(np.array([[0.5, 0.5]]), (3,))
@@ -182,6 +190,13 @@ class TestObjectiveValues:
             objective_values(rep, beta=1.5, beta_prime=0.0)
         with pytest.raises(ValueError):
             objective_values(rep, beta=0.5, beta_prime=-1.0)
+
+    @pytest.mark.parametrize("beta_prime", [float("nan"), float("inf"), -1.0])
+    def test_beta_prime_out_of_range_rejected_naming_it(self, beta_prime):
+        rng = np.random.default_rng(7)
+        rep = info_report(random_joint(rng, 2, 2), random_encoder(rng, 2, (2,)))
+        with pytest.raises(ValueError, match="beta_prime must be nonnegative and finite"):
+            objective_values(rep, beta=0.5, beta_prime=beta_prime)
 
 
 class TestEquivalenceScan:
@@ -314,6 +329,12 @@ class TestOptimalProductSurrogate:
         for cand in perturbed_product_surrogates(best, step=0.01):
             assert kl_discrete(table, cand.expand(0)) >= attained - 1e-10
 
+
+    @pytest.mark.parametrize("step", [float("nan"), 0.0, -0.01])
+    def test_step_that_is_not_positive_rejected_naming_it(self, step):
+        best = optimal_product_surrogate(np.array([[0.4, 0.1, 0.2, 0.3]]), (2, 2))
+        with pytest.raises(ValueError, match="step must be positive"):
+            next(perturbed_product_surrogates(best, step=step))
 
     def test_each_candidate_checks_only_its_moved_factor(self, monkeypatch):
         """A search checks one factor per candidate: the rest were checked when the optimum was built."""

@@ -50,6 +50,15 @@ def _two_cluster(n=64, d=3, seed=0):
     return EmbeddedDataset(codes=codes, labels=labels, sigma2=0.8, eta2=0.3)
 
 
+@pytest.mark.parametrize("sigma2,eta2,named", [
+    (float("nan"), 0.0, "sigma2"), (float("inf"), 0.0, "sigma2"), (0.0, 0.0, "sigma2"),
+    (1.0, float("nan"), "eta2"), (1.0, float("inf"), "eta2"), (1.0, -0.5, "eta2"),
+])
+def test_noise_variance_out_of_range_rejected_naming_it(sigma2, eta2, named):
+    with pytest.raises(ValueError, match=f"^{named} must be"):
+        EmbeddedDataset(np.zeros((2, 1)), np.array([0, 1]), sigma2=sigma2, eta2=eta2)
+
+
 class TestMixtureBound:
     def test_single_sample_as_printed_collapses(self):
         data = EmbeddedDataset(np.array([[1.0, 2.0]]), np.array([0]), sigma2=0.5, eta2=1.5)

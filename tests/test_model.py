@@ -817,6 +817,39 @@ class TestEvaluationKernel:
             assert model._diagnose_nonfinite(*args) == reference_diagnose_nonfinite(*args) == 109
 
 
+_POINT_FIELDS = tuple(model.TradeoffPoint.__dataclass_fields__)
+
+
+class TestTradeoffPoint:
+    @pytest.mark.parametrize("field", _POINT_FIELDS)
+    @pytest.mark.parametrize("value", [True, "0.5", None, float("nan"), float("inf"), -float("inf")])
+    def test_field_that_is_not_a_finite_number_rejected_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=f"non-finite or non-numeric values for {field}$"):
+            model.TradeoffPoint(**dict(dict.fromkeys(_POINT_FIELDS, 0.5), **{field: value}))
+
+    def test_names_every_bad_field_before_the_accuracy_range(self):
+        with pytest.raises(ValueError, match="values for ce_test, acc_test$"):
+            model.TradeoffPoint(**dict(dict.fromkeys(_POINT_FIELDS, 0.5), ce_test=math.inf, acc_test=False))
+        with pytest.raises(ValueError, match="accuracy must lie in"):
+            model.TradeoffPoint(**dict(dict.fromkeys(_POINT_FIELDS, 1), acc_test=2))
+
+
+class TestSplitsMustFit:
+    @pytest.mark.parametrize("priors", ["train", "all"])
+    def test_test_split_label_beyond_the_train_classes_fails_before_training(self, monkeypatch, priors):
+        monkeypatch.setattr(model, "_train_stack", lambda *args: pytest.fail("trained"))
+        cfg = _config(surrogate={"priors": priors})
+        train_ds = Dataset(np.eye(4, 2), np.array([0, 1, 0, 1]), 2)
+        with pytest.raises(ValueError, match="the test split has label 2, but the train split has 2 classes"):
+            train([cfg], train_ds, Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), 3))
+
+    def test_test_split_of_another_dimension_fails_before_training(self, monkeypatch):
+        monkeypatch.setattr(model, "_train_stack", lambda *args: pytest.fail("trained"))
+        train_ds = Dataset(np.eye(4, 2), np.array([0, 1, 0, 1]), 2)
+        with pytest.raises(ValueError, match="dimension 2, the test split has 3"):
+            train([_config()], train_ds, Dataset(np.zeros((2, 3)), np.array([0, 1]), 2))
+
+
 class TestSweep:
     def test_single_point_matches_standalone_run(self):
         cfg = _config(optim={"steps": 25, "batch": 16, "log_every": 10})
