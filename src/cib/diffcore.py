@@ -35,7 +35,30 @@ ACTIVATIONS = ("relu", "softplus", "tanh")
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(a))) over the last axis, shifted by each row's maximum."""
+    """Row-wise log(sum(exp(a))) over the last axis, shifted by each row's maximum.
+
+    A last axis of 1 to 7 entries is reduced in column passes, with numpy's
+    reduction's bits: a running ``np.maximum`` over the columns, one
+    ``exp(column - max)`` per column, the exps added column by column from the
+    first, then ``max + log(sum)``.  Below 8 entries numpy sums a row in that
+    order, sequentially from its first entry.  It also pays its inner-loop
+    set-up once per row, so at (1000, 2) its reductions are bound by that
+    per-row cost, not by their arithmetic; the passes pay it once per column.
+    From 8 entries up numpy sums in 8 interleaved lanes, so a wider (or an
+    empty) last axis keeps numpy's reduction.  So does a call where some
+    row's maximum is NaN: which NaN numpy's maximum returns there depends on
+    its SIMD width.
+    """
+    k = a.shape[-1]
+    if 0 < k < 8:
+        mx = a[..., 0]
+        for j in range(1, k):
+            mx = np.maximum(mx, a[..., j])
+        if not np.isnan(mx).any():
+            total = np.exp(a[..., 0] - mx)
+            for j in range(1, k):
+                total = total + np.exp(a[..., j] - mx)
+            return mx + np.log(total)
     mx = np.maximum.reduce(a, axis=-1)  # a.max(axis=-1) without its wrapper
     shifted = np.subtract(a, mx[..., None])
     return mx + np.log(np.exp(shifted, out=shifted).sum(axis=-1))

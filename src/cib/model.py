@@ -373,8 +373,7 @@ class TradeoffPoint:
     ixt_given_y: float
 
     def __post_init__(self):
-        bad = [name for name, v in vars(self).items()
-               if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)]
+        bad = [name for name, v in vars(self).items() if not _finite_number(v)]
         if bad:
             raise ValueError(f"non-finite or non-numeric values for {', '.join(bad)}")
         if not 0.0 <= self.acc_test <= 1.0:
@@ -382,6 +381,16 @@ class TradeoffPoint:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+def _finite_number(v) -> bool:
+    """Whether ``v`` is a finite int or float; an int beyond float range is not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # int too large to convert to float
+        return False
 
 
 def _encode_split(state: ModelState, ds: Dataset) -> np.ndarray:

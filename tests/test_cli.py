@@ -620,7 +620,7 @@ _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integer
 
 
 class TestReport:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(point=st.fixed_dictionaries(
         {key: st.floats(0.0, 1.0) if key == "acc_test" else _FINITE for key in cli.POINT_KEYS}
     ))
@@ -683,6 +683,7 @@ class TestReport:
         (lambda p: p.update(ce_test=float("nan")), "ce_test"),
         (lambda p: p.update(kl_train=float("inf")), "kl_train"),
         (lambda p: p.update(acc_test="0.5"), "acc_test"),
+        (lambda p: p.update(ixt=10**400), "ixt"),  # an int beyond float range
     ])
     def test_unusable_point_json_rejected_naming_the_directory(self, tmp_path, capsys, edit, named):
         good, bad = tmp_path / "good_run", tmp_path / "bad_run"
@@ -698,7 +699,8 @@ class TestReport:
         assert run(["report", "--runs", str(good), "--out", str(out)]) == 0
         assert run(["report", "--runs", str(good), str(bad), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "bad_run" in err and named in err and "good_run" not in err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(bad / "point.json") in err and named in err and "good_run" not in err
 
 
 class TestUsage:

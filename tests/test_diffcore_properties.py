@@ -1,12 +1,12 @@
 """Property tests: the library tape's gradient, and the reference tape's adjoints, match central differences."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cib.data_io import validate_config
-from cib.diffcore import ACTIVATIONS, ParamStore, Tape, grad_check
+from cib.diffcore import ACTIVATIONS, ParamStore, Tape, grad_check, logsumexp_rows
 from cib.model import build_state, make_loss_fn
 from helpers import (
     ChainTape,
@@ -15,6 +15,7 @@ from helpers import (
     chain_loss,
     fused_loss_alone,
     loop_grad_check,
+    numpy_logsumexp_rows,
     shared_by_rows,
 )
 
@@ -281,3 +282,40 @@ def test_stacked_backward_equals_each_rows_backward(head, activation, noise_mode
         values = state.loss_graph(alone, *(a[i : i + 1].copy() for a in inputs))
         assert all(part[i] == value[0] for part, value in zip(stacked, values))
         assert np.array_equal(grad[i], alone.backward()[0])
+
+
+SPECIALS = (np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0)
+
+
+@st.composite
+def score_arrays(draw):
+    """(N, K) or (P, B, K) scores, K from 1 to 20, with infinities, NaNs of either sign and zeros of either sign.
+
+    The entries are seeded uniform draws, so that most rows round
+    differently when summed in another order, and then some are overwritten
+    by special or arbitrary floats.
+    """
+    width = draw(st.integers(1, 20))
+    lead = draw(st.one_of(st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 5), st.integers(1, 12))))
+    a = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-4.0, 4.0, lead + (width,))
+    entry = st.tuples(st.integers(0, a.size - 1), st.one_of(st.sampled_from(SPECIALS), st.floats()))
+    for i, value in draw(st.lists(entry, max_size=a.size)):
+        a.flat[i] = value
+    return np.asfortranarray(a) if draw(st.booleans()) else a
+
+
+@settings(PROPERTY, max_examples=300)
+@example(a=np.array([[-np.nan, 0.0], [0.0, -np.nan], [np.inf, np.inf], [-np.inf, -np.inf], [-0.0, -0.0]]))
+@example(a=np.array([[-np.nan, 1.0, np.nan, 2.0, -np.nan, 0.5, np.inf]]))
+@given(a=score_arrays())
+def test_logsumexp_rows_gives_numpys_reduction(a):
+    """``logsumexp_rows`` gives numpy's reduction's values and sign bits, NaN included, on either side of width 8.
+
+    Below 8 entries it takes column passes that reproduce numpy's row-sum
+    order; a numpy release that changes that order fails here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = logsumexp_rows(a), numpy_logsumexp_rows(a)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -822,7 +822,7 @@ _POINT_FIELDS = tuple(model.TradeoffPoint.__dataclass_fields__)
 
 class TestTradeoffPoint:
     @pytest.mark.parametrize("field", _POINT_FIELDS)
-    @pytest.mark.parametrize("value", [True, "0.5", None, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("value", [True, "0.5", None, float("nan"), float("inf"), -float("inf"), 10**400, -10**400])
     def test_field_that_is_not_a_finite_number_rejected_naming_it(self, field, value):
         with pytest.raises(ValueError, match=f"non-finite or non-numeric values for {field}$"):
             model.TradeoffPoint(**dict(dict.fromkeys(_POINT_FIELDS, 0.5), **{field: value}))
