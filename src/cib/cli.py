@@ -288,10 +288,11 @@ def _cmd_oracle(args) -> int:
             np.asarray(doc["q"], dtype=np.float64), tuple(doc["arities"])
         )
         samples = doc.get("samples")
-        if samples:
-            if not all(type(x) is int and type(y) is int and 0 <= x < joint.nx and 0 <= y < joint.ny
-                       for x, y in samples):
-                raise ValueError(f"samples must be integer pairs, 0 <= x < {joint.nx} and 0 <= y < {joint.ny}")
+        if "samples" in doc:
+            if not (isinstance(samples, list) and samples and all(
+                    type(x) is int and type(y) is int and 0 <= x < joint.nx and 0 <= y < joint.ny for x, y in samples)):
+                raise ValueError(f"samples must be integer pairs, 0 <= x < {joint.nx} and 0 <= y < {joint.ny}, "
+                                 "in a nonempty list")
             samples = np.array(samples, dtype=np.intp)  # checked pairs: the oracle skips its per-entry scan
     except (TypeError, ValueError) as exc:
         raise _CliError(f"{inst_path}: bad oracle instance: {exc}") from exc

@@ -275,7 +275,8 @@ def write_idx(
     """Write an IDX pair; features in [0, 1] are quantized back to bytes.
 
     Features that came from :func:`read_idx` (multiples of 1/255) round-trip
-    bit-exactly.
+    bit-exactly.  The labels must be one integer in [0, 255] per row; they
+    are checked before any byte is written.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -283,8 +284,10 @@ def write_idx(
     n = features.shape[0]
     if features.shape != (n, rows * cols):
         raise ValueError(f"features {features.shape} do not match image shape {image_shape}")
-    if np.any(features < 0.0) or np.any(features > 1.0):
+    if not np.all((features >= 0.0) & (features <= 1.0)):  # NaN too
         raise ValueError("features must lie in [0, 1]")
+    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer) or np.any((labels < 0) | (labels > 255)):
+        raise ValueError(f"labels must be {n} integers in [0, 255], one per row; got {labels.dtype} {labels.shape}")
     pixels = np.rint(features * 255.0).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, rows, cols))

@@ -11,17 +11,19 @@ parameters; every run is a deterministic function of its seed.
 Encoder, surrogate and softmax readout share one parameter store, which one
 :class:`ModelState` holds with its config and priors: the value a run
 returns and a checkpoint holds.  Runs that differ only in beta' and seed,
-such as a sweep's points, train in lockstep over one stacked store, each
-getting the bits it gets in a stack of one.  Stacking saves numpy call
-overhead, which is most of a small net's step; a large model's runs train
-in several stacks, so that no array of a step holds more than STACK_VALUES
-values for more than one run.
+such as a sweep's points, train in lockstep over one stacked store.
+Stacking saves numpy call overhead, which is most of a small net's step; a
+large model's runs train in several stacks, so that no array of a step
+holds more than STACK_VALUES values for more than one run.
 Evaluation works on the same inputs as training: a stack's (P, N, d) encoder
 means and (P,) log-variances, P >= 1.  One kernel gives accuracy,
 cross-entropy and KL for metrics rows and trade-off points alike, scoring
 all the models of a stack in one pass over the split's evaluation noise,
-which is drawn once per split; a model that fails keeps the error it gets
-alone, and the others go on.
+which is drawn once per split.
+A stack, of runs in training or of models in evaluation, runs whole or each
+of its members runs alone: the first failure of any member ends it, and
+each member runs again as a stack of one, to the bits and the error it gets
+alone, at the cost of the stack's work up to that failure.
 """
 
 from __future__ import annotations
@@ -334,10 +336,6 @@ class _Adam:
         v_hat = self.v / (1.0 - self.beta2**self.t)
         values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def keep(self, rows: list[int]) -> None:
-        """Keep the moments of these stacked rows only."""
-        self.m, self.v = self.m[rows], self.v[rows]
-
 
 class _Sgd:
     def __init__(self, shape: tuple[int, ...], lr: float):
@@ -345,9 +343,6 @@ class _Sgd:
 
     def update(self, values: np.ndarray, grad: np.ndarray) -> None:
         values -= self.lr * grad
-
-    def keep(self, rows: list[int]) -> None:
-        pass
 
 
 @dataclass(frozen=True)
@@ -434,10 +429,11 @@ def _stack_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray | 
     The models share their config up to beta' and seed, and their priors.
     They are encoded and scored together, in passes of :func:`_stack_rows`
     models (a pass over N rows is a step of batch N and one draw) over the
-    split's shared (S, N, d) ``noise`` (drawn here when None), and each gets
-    the values and the error it gets in a stack of one.  No models, models
-    that differ in more than beta' and seed or in their priors, and a split
-    that does not fit the model raise.
+    split's shared (S, N, d) ``noise`` (drawn here when None).  A pass in
+    which any model fails a check scores each model again alone, to the
+    values and error it gets there, at the cost of one more pass per model.
+    No models, models that differ in more than beta' and seed or in their
+    priors, and a split that does not fit the model raise.
     """
     if not states:
         raise ValueError("an evaluation needs at least one model")
@@ -456,42 +452,35 @@ def _stack_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray | 
 
 
 def _pass_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray) -> list:
-    """One pass of :func:`_stack_terms`: a model that fails a check leaves it, and the others go on."""
+    """One pass of :func:`_stack_terms`: its models scored as one stack or, if any fails a check, each alone."""
     stack = _stacked(states)
     means = stack.encoder.encode_batch(ds.features)
-    naive_bayes = stack.config["decoder"]["variant"] == "naive_bayes"
-    outcomes: list = [None] * len(states)
-    log_vars = {}
-    for j, state in enumerate(states):
-        try:
-            if not np.all(np.isfinite(means[j])):
-                raise ValueError("encoder codes must be finite")
-            if naive_bayes:
-                state.surrogate()  # naive-Bayes scores read the surrogate, so it is checked first
-            log_vars[j] = state.encoder.log_var()
-            state.surrogate()
-        except (ArithmeticError, ValueError) as exc:
-            outcomes[j] = exc
-    live = list(log_vars)
-    if not live:
-        return outcomes
-    if len(live) < len(states):
-        stack, means = _stacked([states[j] for j in live]), means[live]
-    predictions = np.argmax(stack.log_probs(means), axis=-1)
-    true_lp, kl = objectives.cib_loss(
-        ds.labels, means, np.array(list(log_vars.values())), stack.log_probs, stack.surrogate(), noise
-    )
-    for i, j in enumerate(live):
-        # -inf (a zero-probability true class) is reported as an infinite cross-entropy
-        if np.any(np.isnan(true_lp[i])) or np.any(true_lp[i] == np.inf):
-            outcomes[j] = ValueError("log-probabilities must be finite or -inf")
-            continue
-        kl_term = float(np.mean(kl[i]))
-        if not kl_term >= -1e-9:
-            outcomes[j] = ValueError(f"kl_term must be nonnegative, got {kl_term}")
-            continue
-        accuracy = float(np.mean(predictions[i] == ds.labels))
-        outcomes[j] = (EvalResult(accuracy, float(-np.mean(true_lp[i])), kl_term), means[i])
+    try:
+        if not np.all(np.isfinite(means)):
+            raise ValueError("encoder codes must be finite")
+        if stack.config["decoder"]["variant"] == "naive_bayes":
+            stack.surrogate()  # naive-Bayes scores read the surrogate, so it is checked first
+        log_vars = np.array([state.encoder.log_var() for state in states])
+        surrogate = stack.surrogate()
+    except (ArithmeticError, ValueError) as exc:
+        outcomes: list = [exc]
+    else:
+        predictions = np.argmax(stack.log_probs(means), axis=-1)
+        true_lp, kl = objectives.cib_loss(ds.labels, means, log_vars, stack.log_probs, surrogate, noise)
+        outcomes = []
+        for i, codes in enumerate(means):
+            # -inf (a zero-probability true class) is reported as an infinite cross-entropy
+            if np.any(np.isnan(true_lp[i])) or np.any(true_lp[i] == np.inf):
+                outcomes.append(ValueError("log-probabilities must be finite or -inf"))
+                continue
+            kl_term = float(np.mean(kl[i]))
+            if not kl_term >= -1e-9:
+                outcomes.append(ValueError(f"kl_term must be nonnegative, got {kl_term}"))
+                continue
+            accuracy = float(np.mean(predictions[i] == ds.labels))
+            outcomes.append((EvalResult(accuracy, float(-np.mean(true_lp[i])), kl_term), codes))
+    if len(states) > 1 and any(isinstance(outcome, Exception) for outcome in outcomes):
+        return [outcome for state in states for outcome in _pass_terms([state], ds, noise)]
     return outcomes
 
 
@@ -515,9 +504,10 @@ def evaluate(states: Sequence[ModelState], ds: Dataset) -> list[EvalResult | Exc
 
     The models share their config up to beta' and seed; a single model is a
     stack of one.  The split is encoded and scored in one stacked pass over
-    evaluation noise drawn once, and each entry is the model's result or the
-    error it gets alone.  The bounds cost O(N^2) in the split size, one
-    report per model; only the test split of a trade-off point needs them.
+    evaluation noise drawn once (a pass with a failing model is scored again
+    model by model), and each entry is the model's result or the error it
+    gets alone.  The bounds cost O(N^2) in the split size, one report per
+    model; only the test split of a trade-off point needs them.
     """
     outcomes = _stack_terms(states, ds)
     results: list = []
@@ -652,45 +642,6 @@ def _stack_rows(state: ModelState, batch: int, draws: int) -> int:
     return max(1, STACK_VALUES // widest)
 
 
-class _Lockstep:
-    """The runs of one stack still going, with what they share: a (P, size) store, optimizer and (P,) beta'."""
-
-    def __init__(self, runs: list[TrainResult], streams: list[tuple], opt_cfg: dict):
-        self.runs, self.streams, self.order = runs, streams, None
-        self._bind(np.stack([run.state.store.values for run in runs]))
-        optimizer = _Adam if opt_cfg["kind"] == "adam" else _Sgd
-        self.opt = optimizer(self.store.values.shape, float(opt_cfg["lr"]))
-
-    def _bind(self, values: np.ndarray) -> None:
-        """Make ``values`` the stack, and each run's state a view of its row."""
-        self.store = self.runs[0].state.store.with_values(values)
-        for run, row in zip(self.runs, values):
-            run.state = replace(run.state, store=self.store.with_values(row))
-        self.beta_prime = np.array([run.beta_prime for run in self.runs])
-
-    def each(self, work) -> None:
-        """``work(run, j)`` for the j-th run still going and not yet failed; what it raises becomes the run's error."""
-        for j, run in enumerate(self.runs):
-            if run.error is None:
-                try:
-                    work(run, j)
-                except (ArithmeticError, ValueError) as exc:
-                    run.error = exc
-
-    def drop_failed(self) -> list[int] | None:
-        """Drop the runs that failed from the stack; returns the rows kept, or None if none failed."""
-        keep = [j for j, run in enumerate(self.runs) if run.error is None]
-        if len(keep) == len(self.runs):
-            return None
-        self.runs = [self.runs[j] for j in keep]
-        self.streams = [self.streams[j] for j in keep]
-        if keep:
-            self._bind(self.store.values[keep])
-            self.opt.keep(keep)
-            self.order = None if self.order is None else self.order[keep]
-        return keep
-
-
 def train(
     configs: Sequence[dict],
     train_ds: Dataset,
@@ -703,11 +654,13 @@ def train(
     Their runs step together as one model over a stacked store, and each
     gets the bits it gets when trained alone (``train([config], ...)``, a
     stack of one): its own initialization, shuffle and noise streams,
-    batches and metrics rows.  A run whose loss turns non-finite, or whose
-    surrogate update or evaluation fails, leaves the stack with that error
-    in :attr:`TrainResult.error`; the others go on.  Runs of a large model
-    train in consecutive stacks of :func:`_stack_rows` runs each, so no
-    array of a step outgrows STACK_VALUES for more than one run.
+    batches and metrics rows.  A stack runs whole, or each of its runs
+    alone: the first run whose loss turns non-finite, or whose surrogate
+    update or metrics row fails, ends the stack, and each of its runs trains
+    again alone, to the values and error (:attr:`TrainResult.error`) it
+    gets there, at the cost of the steps up to that failure.  Runs of a
+    large model train in consecutive stacks of :func:`_stack_rows` runs
+    each, so no array of a step outgrows STACK_VALUES for more than one run.
 
     Batches are drawn from a per-epoch shuffled order but processed in sorted
     index order, so a full-batch run is independent of the shuffle stream.
@@ -729,101 +682,103 @@ def train(
     if test_ds is not None and int(test_ds.labels.max()) >= train_ds.class_count:
         raise ValueError(f"the test split has label {int(test_ds.labels.max())}, "
                          f"but the train split has {train_ds.class_count} classes")
-    # drawn first: held through every stack, it then sits below their arrays, which the heap can give back
-    eval_noise = _eval_noise(train_ds.count, cfg["encoder"]["layer_dims"][-1])
     use_all = cfg["surrogate"]["priors"] == "all" and test_ds is not None
     priors = _empirical_priors(train_ds, test_ds if use_all else None)
 
-    runs, streams = [], []
-    for c in cfgs:
-        seed = c["seed"]
-        state = build_state(c, priors, np.random.default_rng(derive_seed(seed, _INIT_STREAM)))
-        runs.append(TrainResult(state=state, metrics=[], beta_prime=_resolve_beta_prime(c["loss"])))
-        streams.append((
-            np.random.default_rng(derive_seed(seed, _SHUFFLE_STREAM) if shuffle_seed is None else shuffle_seed),
-            np.random.default_rng(derive_seed(seed, _NOISE_STREAM)),
-        ))
     batch = min(cfg["optim"]["batch"], train_ds.count)
-    rows = _stack_rows(runs[0].state, batch, cfg["loss"]["mc_samples"])
-    for lo in range(0, len(runs), rows):
-        lock = _Lockstep(runs[lo : lo + rows], streams[lo : lo + rows], cfg["optim"])
-        _train_stack(lock, cfg, train_ds, batch, eval_noise)
+    rows = _stack_rows(build_state(cfg, priors), batch, cfg["loss"]["mc_samples"])
+    runs: list[TrainResult] = []
+    for lo in range(0, len(cfgs), rows):
+        stack = cfgs[lo : lo + rows]
+        done = _train_stack(stack, priors, train_ds, batch, shuffle_seed)
+        if len(stack) > 1 and any(run.error is not None for run in done):
+            done = [_train_stack([c], priors, train_ds, batch, shuffle_seed)[0] for c in stack]
+        runs += done
     return runs
 
 
-def _train_stack(lock: _Lockstep, cfg: dict, train_ds: Dataset, batch: int, eval_noise: np.ndarray) -> None:
-    """Run the steps of :func:`train` on one stack, whose runs keep their rows, results and errors.
+def _train_stack(
+    cfgs: Sequence[dict], priors: np.ndarray, train_ds: Dataset, batch: int, shuffle_seed: int | None
+) -> list[TrainResult]:
+    """Run the steps of :func:`train` on one stack of runs, together, until the first failure of any run.
 
-    A metrics row evaluates every run still going in one stacked pass over
-    the train split's ``eval_noise``.
+    That run keeps its error, and every run its metrics rows and values up
+    to there.  A metrics row evaluates the whole stack in one pass over the
+    train split's evaluation noise, drawn once per stack.
     """
-    n = train_ds.count
+    cfg, seeds = cfgs[0], [c["seed"] for c in cfgs]
+    n, d = train_ds.count, cfg["encoder"]["layer_dims"][-1]
+    # drawn before the stack's arrays: a 784-256-8 sweep of stacks of one peaks 1.4 MB lower than drawn after
+    eval_noise = _eval_noise(n, d)
+    states = [build_state(c, priors, np.random.default_rng(derive_seed(c["seed"], _INIT_STREAM))) for c in cfgs]
+    store = states[0].store.with_values(np.stack([state.store.values for state in states]))
+    # each run's state reads its row of the stacked store
+    runs = [TrainResult(replace(state, store=store.with_values(row)), [], _resolve_beta_prime(state.config["loss"]))
+            for state, row in zip(states, store.values)]
+    shuffles = [np.random.default_rng(derive_seed(seed, _SHUFFLE_STREAM) if shuffle_seed is None else shuffle_seed)
+                for seed in seeds]
+    draws = [np.random.default_rng(derive_seed(seed, _NOISE_STREAM)) for seed in seeds]
+    opt = (_Adam if cfg["optim"]["kind"] == "adam" else _Sgd)(store.values.shape, float(cfg["optim"]["lr"]))
+    beta_prime = np.array([run.beta_prime for run in runs])
     steps, log_every = cfg["optim"]["steps"], cfg["optim"]["log_every"]
-    mc_samples = cfg["loss"]["mc_samples"]
     alternating = cfg["surrogate"]["update"] == "alternating"
-    d = lock.runs[0].state.encoder.bottleneck_dim
-    sur_slices = [lock.store.spec(name) for name in lock.store.names() if name.startswith("sur.")]
+    sur_slices = [store.spec(name) for name in store.names() if name.startswith("sur.")]
 
-    def moment_step(run, j):
-        _alternating_moment_step(run.state, train_ds)
+    def each(work) -> bool:
+        """``work(j, run)`` for each run until one fails, which keeps its error; whether none failed."""
+        for j, run in enumerate(runs):
+            try:
+                work(j, run)
+            except (ArithmeticError, ValueError) as exc:
+                run.error = exc
+                return False
+        return True
 
-    def log_rows():
-        live = [run for run in lock.runs if run.error is None]
-        for run, outcome in zip(live, _stack_terms([run.state for run in live], train_ds, eval_noise) if live else ()):
+    def moment_steps() -> bool:
+        return not alternating or each(lambda j, run: _alternating_moment_step(run.state, train_ds))
+
+    def log_rows(step: int) -> bool:
+        for run, outcome in zip(runs, _stack_terms([run.state for run in runs], train_ds, eval_noise)):
             if isinstance(outcome, Exception):
                 run.error = outcome
-            else:
-                run.metrics.append(_metrics_row(outcome[0], run.beta_prime, step))
+                return False
+            run.metrics.append(_metrics_row(outcome[0], run.beta_prime, step))
+        return True
 
-    step = 0
-    if alternating:
-        lock.each(moment_step)
-    log_rows()
-    lock.drop_failed()
+    if not (moment_steps() and log_rows(0)):
+        return runs
     pos = n  # the first step draws the first order
     for step in range(1, steps + 1):
-        if not lock.runs:
-            break
         if pos + batch > n:
-            lock.order = np.stack([shuffle.permutation(n) for shuffle, _ in lock.streams])
+            order = np.stack([shuffle.permutation(n) for shuffle in shuffles])
             pos = 0
-        idx = np.sort(lock.order[:, pos : pos + batch])
+        idx = np.sort(order[:, pos : pos + batch])
         pos += batch
-        noise = np.empty((len(lock.runs), mc_samples, batch, d))
-        for row, (_, draws) in zip(noise, lock.streams):
-            draws.standard_normal(out=row)  # the draws of standard_normal((mc_samples, batch, d))
+        noise = np.empty((len(runs), cfg["loss"]["mc_samples"], batch, d))
+        for row, stream in zip(noise, draws):
+            stream.standard_normal(out=row)  # the draws of standard_normal((mc_samples, batch, d))
         x, labels = train_ds.features[idx], train_ds.labels[idx]
 
-        tape = Tape(lock.store)
-        total, _, _ = lock.runs[0].state.loss_graph(tape, x, labels, lock.beta_prime, noise)
-        finite = np.isfinite(total)
-        if not finite.all():
+        tape = Tape(store)
+        total, _, _ = runs[0].state.loss_graph(tape, x, labels, beta_prime, noise)
+        if not np.all(np.isfinite(total)):
 
-            def diagnose(run, j):
-                if not finite[j]:
+            def diagnose(j, run):
+                if not np.isfinite(total[j]):
                     sample = _diagnose_nonfinite(run.state, x[j], labels[j], noise[j], idx[j])
-                    raise NonFiniteLossError(
-                        f"non-finite loss at step {step} (train sample {sample})", step=step, sample_index=sample
-                    )
+                    raise NonFiniteLossError(f"non-finite loss at step {step} (train sample {sample})",
+                                             step=step, sample_index=sample)
 
-            lock.each(diagnose)
-            keep = lock.drop_failed()
-            if not lock.runs:
-                break
-            # the runs left take this step again on the same batches and noise
-            x, labels, noise = x[keep], labels[keep], noise[keep]
-            tape = Tape(lock.store)
-            lock.runs[0].state.loss_graph(tape, x, labels, lock.beta_prime, noise)
+            each(diagnose)
+            return runs
         grad = tape.backward()
         if alternating:
             for spec in sur_slices:
                 grad[:, spec.offset : spec.offset + spec.size] = 0.0
-        lock.opt.update(lock.store.values, grad)
-        if alternating:
-            lock.each(moment_step)
-        if step % log_every == 0 or step == steps:
-            log_rows()
-        lock.drop_failed()
+        opt.update(store.values, grad)
+        if not moment_steps() or ((step % log_every == 0 or step == steps) and not log_rows(step)):
+            return runs
+    return runs
 
 
 def sweep(config: dict, beta_primes: Sequence[float]) -> list[TradeoffPoint]:

@@ -366,6 +366,39 @@ class TestSweep:
         first = [(tmp_path / f"jobs{jobs}" / "point_000" / "checkpoint.json").read_bytes() for jobs in (1, 2)]
         assert first[0] == first[1]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_failing_stack_writes_frozen_bytes(self, tmp_path, capsys, monkeypatch, jobs):
+        """sha256 of what a diverging 8-point sweep has always written and printed.
+
+        Points 0-4 finish; point 5 fails in its metrics row at step 18, point
+        6 in its loss at step 3 and point 7 in its loss at step 4.  At
+        --jobs 1 they are one stack; at --jobs 2 points 0-3 are a stack that
+        finishes and points 4-7 one that fails.
+        """
+        monkeypatch.setattr(estimators, "usable_cores", lambda: 2)
+        cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"},
+                            optim={"kind": "sgd", "lr": 30.0, "steps": 20, "batch": 8, "log_every": 3})
+        out = tmp_path / "sweep"
+        with np.errstate(all="ignore"):
+            code = run(["sweep", "--config", str(cfg), "--betas", "0,3,0,1,1,10,1e3,100", "--out", str(out),
+                        "--jobs", jobs])
+        captured = capsys.readouterr()
+        files = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            files.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+        assert sorted(p.name for p in out.iterdir()) == [f"point_{i:03d}" for i in range(5)]
+        assert {
+            "code": code,
+            "stdout": hashlib.sha256(captured.out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(captured.err.encode()).hexdigest(),
+            "files": files.hexdigest(),
+        } == {
+            "code": 1,
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "stderr": "aeae05a2afb20d2be32774a2fd8de5a9a44686c669be5f12f34382276441e2f1",
+            "files": "a5c55038b9e0820cfa4affdaaf2a1bbb2b82bb316428c93bf39a0223cbd813cb",
+        }
+
     def test_each_share_is_written_as_it_returns(self, tmp_path, monkeypatch):
         """The parent writes share 0's point directories before it reads share 1's result."""
         out = tmp_path / "s"
@@ -677,6 +710,15 @@ class TestOracle:
         assert run(["oracle", "--instance", str(inst)]) == 1
         err = capsys.readouterr().err
         assert "bad oracle instance" in err and "samples must be integer pairs" in err
+
+    @pytest.mark.parametrize("samples", [[], 0, False, "", {}, None, "01", {"01": 1}, 5])
+    def test_samples_that_are_not_a_nonempty_list_of_pairs_rejected_naming_the_file(self, tmp_path, capsys, samples):
+        inst = _write_instance(tmp_path)
+        inst.write_text(json.dumps({**json.loads(inst.read_text()), "samples": samples}))
+        assert run(["oracle", "--instance", str(inst)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {inst}: bad oracle instance: ")
+        assert "samples must be integer pairs" in err and "in a nonempty list" in err
 
     def test_non_integer_arity_exits_one_naming_arities(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -158,6 +158,25 @@ class TestIdx:
         np.testing.assert_array_equal(again.features, ds.features)
         np.testing.assert_array_equal(again.labels, ds.labels)
 
+    @pytest.mark.parametrize("labels", [[0, 300], [-1, 0], [0.0, 0.5], [0.0, 1.0], [True, False], [0, 1, 1], [0],
+                                        [[0], [1]]])
+    def test_labels_that_a_label_byte_cannot_hold_rejected_before_writing(self, tmp_path, labels):
+        """Each would be written as another label (300 as 44, -1 as 255, 0.5 as 0) or as an unreadable pair."""
+        with pytest.raises(ValueError, match="labels must be 2 integers in \\[0, 255\\], one per row"):
+            write_idx(tmp_path / "im", tmp_path / "lb", np.zeros((2, 1)), np.array(labels), (1, 1))
+        assert not (tmp_path / "im").exists() and not (tmp_path / "lb").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_features_outside_the_unit_interval_rejected_before_writing(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="features must lie in \\[0, 1\\]"):
+            write_idx(tmp_path / "im", tmp_path / "lb", np.array([[0.5], [bad]]), np.array([0, 1]), (1, 1))
+        assert not (tmp_path / "im").exists()
+
+    def test_labels_at_the_byte_range_ends_round_trip(self, tmp_path):
+        labels = np.array([0, 255, 7], dtype=np.int64)
+        write_idx(tmp_path / "im", tmp_path / "lb", np.zeros((3, 1)), labels, (1, 1))
+        np.testing.assert_array_equal(read_idx(tmp_path / "im", tmp_path / "lb").labels, labels)
+
     def test_wrong_magic_rejected(self, tmp_path):
         _write_image_file(tmp_path / "im", 1, 1, 1, [7], magic=0x00000802)
         _write_label_file(tmp_path / "lb", [0])

@@ -559,7 +559,7 @@ def _points(cfg, beta_primes):
 def _same_run(stacked, alone):
     """Every metrics row, the final values, beta' and any error equal those of the run trained alone.
 
-    The stacked run's encoder reads its state's one store, also after failed runs left the stack.
+    The stacked run's encoder reads its state's one store, also when a failure in its stack made it train alone.
     """
     assert stacked.metrics == alone.metrics and stacked.beta_prime == alone.beta_prime
     assert np.array_equal(stacked.state.store.values, alone.state.store.values)
@@ -595,7 +595,10 @@ class TestLockstep:
             _same_run(run, train([cfg], train_ds, test_ds, shuffle_seed=shuffle_seed)[0])
 
     def test_failing_points_leave_the_stack_and_the_rest_go_on(self):
-        """Points fail at different steps, from the loss or from evaluation; each run equals its run alone."""
+        """Points fail at different steps, from the loss or from evaluation; each run equals its run alone.
+
+        The first failure ends the stack, and every point of it is trained again alone.
+        """
         cfg = _config(encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"},
                       optim={"kind": "sgd", "lr": 30.0, "steps": 20, "batch": 8, "log_every": 3},
                       dataset={"kind": "gmm", "classes": 2, "dim": 2, "per_class": 12, "sep": 4.0, "seed": 3},
@@ -614,7 +617,10 @@ class TestLockstep:
 
     @pytest.mark.parametrize("fail_step", [0, 2, 3])
     def test_a_failed_surrogate_update_ends_its_run_at_once(self, fail_step, monkeypatch):
-        """A point whose moment step fails keeps that error and logs no row at that step, even on a log step."""
+        """A point whose moment step fails keeps that error and logs no row at that step, even on a log step.
+
+        The calls are counted per stack, so the point fails at the same step in its stack and alone.
+        """
         cfg = _config(surrogate={"learn_sigma": True, "update": "alternating"},
                       optim={"steps": 6, "batch": 16, "log_every": 3})
         configs = _points(cfg, [0.0, 1.0, 3.0])
@@ -629,8 +635,14 @@ class TestLockstep:
                 raise failure
             moment_step(state, ds)
 
+        def counted_train_stack(*args):
+            calls.clear()
+            return train_stack(*args)
+
         alone = [train([c], train_ds)[0] for c in configs]
+        train_stack = model._train_stack
         monkeypatch.setattr(model, "_alternating_moment_step", failing_moment_step)
+        monkeypatch.setattr(model, "_train_stack", counted_train_stack)
         stacked = train(configs, train_ds)
         assert stacked[1].error is failure
         assert [row.step for row in stacked[1].metrics] == ([] if fail_step == 0 else [0])
@@ -645,12 +657,114 @@ class TestLockstep:
         monkeypatch.setattr(model, "STACK_VALUES", model.STACK_VALUES // rows * 2)
         assert model._stack_rows(build_state(configs[0], np.array([0.5, 0.5])), 16, 1) == 2
         stacks = []
-        lockstep = model._Lockstep
-        monkeypatch.setattr(model, "_Lockstep", lambda runs, *rest: stacks.append(len(runs)) or lockstep(runs, *rest))
+        train_stack = model._train_stack
+        monkeypatch.setattr(model, "_train_stack",
+                            lambda cfgs, *rest: stacks.append(len(cfgs)) or train_stack(cfgs, *rest))
         stacked = train(configs, train_ds)
         assert stacks == [2, 2, 1]
         for cfg, run in zip(configs, stacked):
             _same_run(run, train([cfg], train_ds)[0])
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["loss", "moment step", "metrics row"]), points=st.integers(2, 5),
+           alternating=st.booleans(), data=st.data())
+    def test_an_injected_failure_leaves_every_run_equal_to_its_run_alone(self, kind, points, alternating, data):
+        """A run of a stack fails, in a way and at a step drawn here; every run is ``==`` its run alone.
+
+        The failure is keyed to the run and counted per :func:`model._train_stack` call, so the failing
+        run fails the same way in its stack and alone.
+        """
+        steps, log_every = 6, 2
+        alternating = alternating or kind == "moment step"
+        update = "alternating" if alternating else "gradient"
+        configs = _points(_config(surrogate={"learn_sigma": True, "update": update},
+                                  optim={"steps": steps, "batch": 16, "log_every": log_every}),
+                          [0.1 * (i + 1) for i in range(points)])
+        train_ds, _ = data_io.dataset_from_config(configs[0]["dataset"])
+        target = configs[data.draw(st.integers(0, points - 1))]
+        if kind == "loss":
+            at = data.draw(st.integers(1, steps))  # the step whose loss turns NaN
+        elif kind == "moment step":
+            at = data.draw(st.integers(0, steps))  # the step whose surrogate update fails
+        else:
+            at = data.draw(st.integers(0, steps // log_every))  # the metrics row that fails
+        failure = ArithmeticError(f"injected {kind} failure")
+        calls = collections.Counter()
+        train_stack, loss_graph, moment_step, stack_terms = (
+            model._train_stack, model.ModelState.loss_graph, model._alternating_moment_step, model._stack_terms)
+
+        def counted_train_stack(*args):
+            calls.clear()
+            return train_stack(*args)
+
+        def failing_loss_graph(self, tape, x, labels, beta_prime, noise):
+            total, ce, kl = loss_graph(self, tape, x, labels, beta_prime, noise)
+            calls["loss"] += 1  # one call a step
+            if calls["loss"] == at:
+                total[beta_prime == target["loss"]["beta_prime"]] = np.nan
+            return total, ce, kl
+
+        def failing_moment_step(state, ds):
+            calls["moment step", state.config["seed"]] += 1  # one call at step 0, then one per step
+            if state.config["seed"] == target["seed"] and calls["moment step", target["seed"]] == at + 1:
+                raise failure
+            moment_step(state, ds)
+
+        def failing_stack_terms(states, ds, noise=None):
+            outcomes = stack_terms(states, ds, noise)
+            calls["metrics row"] += 1  # one call a metrics row
+            return [failure if calls["metrics row"] == at + 1 and state.config["seed"] == target["seed"] else outcome
+                    for state, outcome in zip(states, outcomes)]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_train_stack", counted_train_stack)
+            if kind == "loss":
+                mp.setattr(model.ModelState, "loss_graph", failing_loss_graph)
+            elif kind == "moment step":
+                mp.setattr(model, "_alternating_moment_step", failing_moment_step)
+            else:
+                mp.setattr(model, "_stack_terms", failing_stack_terms)
+            stacked = train(configs, train_ds)
+            alone = [train([cfg], train_ds)[0] for cfg in configs]
+        failed = [run.error for run in stacked]
+        assert sum(error is not None for error in failed) == 1
+        error = failed[configs.index(target)]
+        assert error is failure if kind != "loss" else error.step == at
+        for run, solo in zip(stacked, alone):
+            _same_run(run, solo)
+
+    def test_a_stack_without_failures_trains_and_evaluates_in_one_call_each(self, monkeypatch):
+        """A fallback to runs alone, about P times slower, would show here as more calls."""
+        configs = _points(_config(), [0.0, 0.3, 1.0, 3.0, 10.0])
+        train_ds, test_ds = data_io.dataset_from_config(configs[0]["dataset"])
+        calls = collections.Counter()
+        for name in ("_train_stack", "_pass_terms"):
+            monkeypatch.setattr(model, name, lambda *args, name=name, fn=getattr(model, name):
+                                calls.update([name]) or fn(*args))
+        runs = train(configs, train_ds, test_ds)
+        assert all(run.error is None for run in runs)
+        assert calls == {"_train_stack": 1, "_pass_terms": 3}  # metrics rows at steps 0, 20 and 40
+        model.tradeoff_points(runs, test_ds)
+        assert calls == {"_train_stack": 1, "_pass_terms": 4}
+
+    @pytest.mark.parametrize("site", ["tape", "evaluation kernel"])
+    def test_a_program_error_is_no_run_failure_and_propagates(self, monkeypatch, site):
+        """A ShapeError is a ValueError, but a broken contract, not a failing run: train and evaluate raise it."""
+        configs = _points(_config(), [0.0, 1.0, 3.0])
+        train_ds, _ = data_io.dataset_from_config(configs[0]["dataset"])
+        states = [run.state for run in train(configs, train_ds)]
+
+        def broken(*args):
+            raise diffcore.ShapeError("broken contract")
+
+        if site == "tape":
+            monkeypatch.setattr(model.ModelState, "loss_graph", broken)
+        else:
+            monkeypatch.setattr(objectives, "cib_loss", broken)
+            with pytest.raises(diffcore.ShapeError, match="broken contract"):
+                evaluate(states, train_ds)
+        with pytest.raises(diffcore.ShapeError, match="broken contract"):
+            train(configs, train_ds)
 
     def test_configs_must_differ_only_in_beta_prime_and_seed(self):
         a, b = _points(_config(), [0.0, 1.0])
