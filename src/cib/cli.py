@@ -110,7 +110,9 @@ def _cmd_train(args) -> int:
     out = _out_dir(args.out)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
     run = model.train([cfg], train_ds, test_ds)[0]
-    point = model.tradeoff_point(run, test_ds)
+    point = model.tradeoff_points([run], test_ds)[0]
+    if isinstance(point, Exception):
+        raise point
     _write_run_dir(out, run, point)
     final = run.metrics[-1]
     doc = {"out": str(out), "final_step": final.step, "point": point.to_json_dict()}
@@ -129,23 +131,13 @@ def _cmd_train(args) -> int:
 def _sweep_worker(payload) -> list:
     """Train a share of consecutive sweep points in lockstep; returns (point, run) for each point in order.
 
-    The share's points come from one stacked test-split evaluation.  The
-    list stops at the first point that fails, with that point's error in its
-    place, so that the caller can write the points before it and then raise it.
+    The share's points come from one stacked test-split evaluation; a point
+    that failed has its error in place of the point, which the caller raises
+    once it has written the points before it.
     """
     cfg, indices, beta_primes = payload
-    try:
-        runs, test_ds = model.sweep_runs(cfg, indices, beta_primes)
-        points = model.tradeoff_points(runs, test_ds)
-    except (ArithmeticError, ValueError) as exc:  # what a point's numbers can raise; the caller raises it
-        return [exc]
-    done: list = []
-    for point, run in zip(points, runs):
-        if isinstance(point, Exception):
-            done.append(point)
-            break
-        done.append((point, run))
-    return done
+    runs, test_ds = model.sweep_runs(cfg, indices, beta_primes)
+    return list(zip(model.tradeoff_points(runs, test_ds), runs))
 
 
 def _write_report_csv(points: list[dict], path: Path) -> None:
@@ -182,10 +174,9 @@ def _cmd_sweep(args) -> int:
         if workers > 1:
             shares = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(_sweep_worker, payloads)
         for share in shares:
-            for outcome in share:
-                if isinstance(outcome, Exception):
-                    raise outcome
-                point, run = outcome
+            for point, run in share:
+                if isinstance(point, Exception):
+                    raise point
                 _write_run_dir(out / f"point_{len(points):03d}", run, point)
                 points.append(point.to_json_dict())
     _write_report_csv(points, out / "sweep.csv")
@@ -210,8 +201,10 @@ def _cmd_estimate(args) -> int:
             f"--data {data_path} has dimension {ds.dim}, but --checkpoint {ckpt_path} "
             f"encodes inputs of dimension {encoder.in_dim}"
         )
+    with np.errstate(over="ignore", invalid="ignore"):  # the bound report rejects non-finite codes
+        codes = encoder.encode_batch(ds.features)
     report = estimators.bound_report(
-        encoder.embedded(encoder.encode_batch(ds.features), ds.labels),
+        encoder.embedded(codes, ds.labels),
         mode=args.mode,
         printed_outer_normalization=args.printed_normalization,
         printed_count_weights=args.printed_weights,

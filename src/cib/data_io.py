@@ -276,7 +276,8 @@ def write_idx(
 
     Features that came from :func:`read_idx` (multiples of 1/255) round-trip
     bit-exactly.  The labels must be one integer in [0, 255] per row; they
-    are checked before any byte is written.
+    are checked before any byte is written.  Both files are written whole
+    before either replaces a previous one.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -289,33 +290,38 @@ def write_idx(
     if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer) or np.any((labels < 0) | (labels > 255)):
         raise ValueError(f"labels must be {n} integers in [0, 255], one per row; got {labels.dtype} {labels.shape}")
     pixels = np.rint(features * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", _IDX_LABELS_MAGIC, n))
-        f.write(labels.astype(np.uint8).tobytes())
+    _write_atomic({
+        images_path: struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, rows, cols) + pixels.tobytes(),
+        labels_path: struct.pack(">II", _IDX_LABELS_MAGIC, n) + labels.astype(np.uint8).tobytes(),
+    })
 
 
-# --------------------------------------------------------------------- atomic text files
+# --------------------------------------------------------------------- atomic files
+
+
+def _write_atomic(payloads: dict[str | Path, bytes]) -> None:
+    """Write each payload to its path so that every file is either complete or as it was.
+
+    Each payload goes to a temporary file in its path's directory; once all
+    are written, each replaces its path in one rename.  If anything fails,
+    the temporary files are removed.
+    """
+    tmps = {Path(path): Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp") for path in payloads}
+    try:
+        for tmp, data in zip(tmps.values(), payloads.values()):
+            with open(tmp, "wb") as f:
+                f.write(data)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` so that the file is either complete or absent.
-
-    The text goes to a temporary file in the same directory, which then
-    replaces ``path`` in one rename; if writing fails, the temporary file is
-    removed and a previous ``path`` is left as it was.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write ``text`` to ``path`` in UTF-8 so that the file is either complete or as it was."""
+    _write_atomic({path: text.encode("utf-8")})
 
 
 # --------------------------------------------------------------------- JSON documents

@@ -220,12 +220,10 @@ def _naive_bayes_scores(tv, muv, lsv, log_priors):
     diff = tv[..., :, None, :] - muv[..., None, :, :]
     sq_dist = np.einsum("...bkd,...bkd->...bk", diff, diff)
     neg_log_var = log_var * -1.0
-    # a diverging run gives inf * 0 below; the caller checks the loss's finiteness
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv_var = np.exp(neg_log_var)
-        half_inv_var = inv_var * 0.5
-        offset = log_var * (-0.5 * d) + (log_priors - 0.5 * d * math.log(2.0 * math.pi))
-        scores = offset[..., None, :] - sq_dist * half_inv_var[..., None, :]  # (-q) + offset, exactly
+    inv_var = np.exp(neg_log_var)
+    half_inv_var = inv_var * 0.5
+    offset = log_var * (-0.5 * d) + (log_priors - 0.5 * d * math.log(2.0 * math.pi))
+    scores = offset[..., None, :] - sq_dist * half_inv_var[..., None, :]  # (-q) + offset, exactly
     return scores, (diff, sq_dist, inv_var, half_inv_var)
 
 
@@ -277,9 +275,9 @@ class Tape:
     :meth:`mc_cross_entropy` (all S reparameterized draws),
     :meth:`kl_to_surrogate_rows` and :meth:`total`.  They and the one
     straight-line :meth:`backward` perform the numpy operations of the
-    primitive chain the loss stands for, in its order and under its
-    ``np.errstate`` scopes, so the tape gives the chain's values and
-    gradient bit for bit.
+    primitive chain the loss stands for, in its order, so the tape gives
+    the chain's values and gradient bit for bit.  It sets no numpy error
+    state: whatever computes a run sets it once and checks the loss.
 
     Every array the tape takes or forms has the stack's leading P axis.
     Row p of the (P,) :meth:`total` and the (P, size) :meth:`backward` is
@@ -345,12 +343,9 @@ class Tape:
         """The (P,) log-variance: log sigma2, or log(e^(log eta^2) + sigma2) for the slice ``name``."""
         if name is None:
             return np.full(self._lead, math.log(sigma2))
-        # overflow to inf is surfaced by the caller's finiteness check
-        with np.errstate(over="ignore"):
-            e = np.exp(self.store.get(name))
+        e = np.exp(self.store.get(name))
         var = e + float(sigma2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lv = np.log(var)
+        lv = np.log(var)
         self._log_var = (name, e, var)
         self._ops += 1
         return lv
@@ -389,8 +384,7 @@ class Tape:
                 raise ShapeError(f"mc_cross_entropy: log_priors{log_priors.shape} for {pv.shape[-2]} classes")
         elif head != "softmax":
             raise ValueError(f"unknown score head: {head!r}")
-        with np.errstate(over="ignore"):
-            std = np.exp(lv * 0.5)
+        std = np.exp(lv * 0.5)
         scale = std[:, None, None]  # a row's std spans its (B, d) draws
         b, draw_count = mv.shape[-2], noise.shape[1]
         at = (self._rows, np.arange(b), labels)  # each row's labelled score
@@ -442,13 +436,11 @@ class Tape:
         # a row's v broadcasts over its batch: each element is the chain's v_b[i] op x
         lv = lv[:, None]
         gap, neg_lv_y = lv - lv_y, lv_y * -1.0
-        # a diverging run gives inf + -inf below; the caller checks the loss's finiteness
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio, inv_var = np.exp(gap), np.exp(neg_lv_y)
-            rows = ratio * d + sq_dist * inv_var
-            rows += lv_y * d
-            rows += lv * -d
-            rows += -d
+        ratio, inv_var = np.exp(gap), np.exp(neg_lv_y)
+        rows = ratio * d + sq_dist * inv_var
+        rows += lv_y * d
+        rows += lv * -d
+        rows += -d
         self._kl = (mu, log_sigma, labels, diff, sq_dist, ratio, inv_var)
         self._ops += 1
         return rows * 0.5
@@ -460,9 +452,7 @@ class Tape:
         kl = _mean(kl_rows)
         self._total = (beta_prime, kl_rows.shape[-1])
         self._ops += 1
-        # a diverging run gives inf * 0 here; the caller checks the total's finiteness
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ce + kl * beta_prime, ce, kl
+        return ce + kl * beta_prime, ce, kl
 
     def backward(self) -> np.ndarray:
         """The (P, size) gradient of the recorded totals over the bound store.
@@ -574,6 +564,7 @@ LossFn = Callable[[ParamStore], tuple[np.ndarray, Tape]]
 PROBE_STACK_VALUES = 2**14
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def grad_check(lossfn: LossFn, params: ParamStore, eps: float, tol: float) -> GradCheckReport:
     """Compare the reverse-mode gradient of ``lossfn`` to central differences.
 

@@ -405,8 +405,8 @@ class ProductSurrogate:
 
     ``factors[y][j]`` is the class-y marginal over coordinate j's alphabet.
     Construction checks every factor in one pass per coordinate, and
-    multiplies them out to the read-only (classes, nt) ``table`` in C order,
-    whose row y is ``expand(y)``.  Like the checks, the table holds while
+    multiplies them out to the read-only (classes, nt) ``table``: row y is
+    class y's joint table over the product alphabet, in C order.  Like the checks, the table holds while
     the factor arrays are not written to.  Alphabets above
     ``MAX_JOINT_OUTCOMES`` outcomes are rejected, as no encoder has one.
     """
@@ -462,10 +462,6 @@ class ProductSurrogate:
     @property
     def arities(self) -> tuple[int, ...]:
         return tuple(f.size for f in self.factors[0])
-
-    def expand(self, y: int) -> np.ndarray:
-        """Class y's joint table over the product alphabet, in C order."""
-        return self.table[y]
 
 
 def _expand_rows(count: int, columns: Sequence[np.ndarray]) -> np.ndarray:

@@ -25,7 +25,7 @@ codes are finite and every row holds its own zero distance, so a row's
 maximum is -0.0 and the usual log-sum-exp shift would change no bit.  The
 whole row's sum feeds I(X;T); the sub-row over the row's own class,
 gathered once per tile, feeds that class's bound.  :func:`bound_report` is
-the one way into the pass; :func:`mixture_bound` is its unconditional value.
+the one way into the pass: the bound on I(X;T) alone is its ``unconditional``.
 
 The main process splits the rows into two halves and fills the second on a
 helper thread (numpy releases the GIL on the (rows, N) tiles); a ``cib
@@ -56,7 +56,6 @@ __all__ = [
     "MODE_CITED_SOURCE",
     "EmbeddedDataset",
     "BoundReport",
-    "mixture_bound",
     "aggregate_conditional",
     "bound_report",
 ]
@@ -264,11 +263,6 @@ def _printed_outer(value: float, n_y: int, data: EmbeddedDataset) -> float:
     width = data.eta2 + data.sigma2
     const = -data.dim * np.log(data.sigma2 / width)
     return (value - const) * (n_y / data.count) + const
-
-
-def mixture_bound(data: EmbeddedDataset, mode: str = MODE_CITED_SOURCE) -> float:
-    """Pairwise-mixture upper bound on I(X;T): the unconditional value of :func:`bound_report`."""
-    return bound_report(data, mode).unconditional
 
 
 def aggregate_conditional(

@@ -24,6 +24,10 @@ A stack, of runs in training or of models in evaluation, runs whole or each
 of its members runs alone: the first failure of any member ends it, and
 each member runs again as a stack of one, to the bits and the error it gets
 alone, at the cost of the stack's work up to that failure.
+A run's failure is its one error: overflow, inf * 0 and inf - inf inside a
+run are not numpy warnings, because the run's finiteness checks report
+them.  The two places that compute a run's numbers, :func:`_train_stack`
+and :func:`_stack_terms`, each state this once with ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ __all__ = [
     "train",
     "loss_terms",
     "evaluate",
-    "tradeoff_point",
     "tradeoff_points",
     "sweep",
     "sweep_runs",
@@ -423,6 +426,7 @@ def _stacked(states: Sequence[ModelState]) -> ModelState:
     return ModelState(first.config, first.store.with_values(values), first.priors)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _stack_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray | None = None) -> list:
     """Loss terms of the models of one stack on ``ds``: per model an (EvalResult, (N, d) codes) pair or its error.
 
@@ -555,14 +559,6 @@ def tradeoff_points(runs: Sequence[TrainResult], test_ds: Dataset) -> list[Trade
     return points
 
 
-def tradeoff_point(run: TrainResult, test_ds: Dataset) -> TradeoffPoint:
-    """The trade-off point of one finished run, a stack of one; a run or point that failed raises its error."""
-    point = tradeoff_points([run], test_ds)[0]
-    if isinstance(point, Exception):
-        raise point
-    return point
-
-
 def _metrics_row(ev: EvalResult, beta_prime: float, step: int) -> MetricsRow:
     return MetricsRow(
         step=step,
@@ -642,12 +638,7 @@ def _stack_rows(state: ModelState, batch: int, draws: int) -> int:
     return max(1, STACK_VALUES // widest)
 
 
-def train(
-    configs: Sequence[dict],
-    train_ds: Dataset,
-    test_ds: Dataset | None = None,
-    shuffle_seed: int | None = None,
-) -> list[TrainResult]:
+def train(configs: Sequence[dict], train_ds: Dataset, test_ds: Dataset | None = None) -> list[TrainResult]:
     """Minimize the bottleneck loss of each config by stochastic gradient, in lockstep; fully seeded.
 
     The configs may differ only in beta' and seed, as a sweep's points do.
@@ -664,8 +655,6 @@ def train(
 
     Batches are drawn from a per-epoch shuffled order but processed in sorted
     index order, so a full-batch run is independent of the shuffle stream.
-    ``shuffle_seed`` overrides that stream (the run seed keeps driving
-    initialization and noise), which is how order-invariance is exercised.
     A ``test_ds`` that does not fit the model fails before the first step.
     Metrics rows are full train-split evaluations logged at step 0, every
     ``optim.log_every`` steps, and at the final step.
@@ -690,16 +679,15 @@ def train(
     runs: list[TrainResult] = []
     for lo in range(0, len(cfgs), rows):
         stack = cfgs[lo : lo + rows]
-        done = _train_stack(stack, priors, train_ds, batch, shuffle_seed)
+        done = _train_stack(stack, priors, train_ds, batch)
         if len(stack) > 1 and any(run.error is not None for run in done):
-            done = [_train_stack([c], priors, train_ds, batch, shuffle_seed)[0] for c in stack]
+            done = [_train_stack([c], priors, train_ds, batch)[0] for c in stack]
         runs += done
     return runs
 
 
-def _train_stack(
-    cfgs: Sequence[dict], priors: np.ndarray, train_ds: Dataset, batch: int, shuffle_seed: int | None
-) -> list[TrainResult]:
+@np.errstate(over="ignore", invalid="ignore")
+def _train_stack(cfgs: Sequence[dict], priors: np.ndarray, train_ds: Dataset, batch: int) -> list[TrainResult]:
     """Run the steps of :func:`train` on one stack of runs, together, until the first failure of any run.
 
     That run keeps its error, and every run its metrics rows and values up
@@ -715,8 +703,7 @@ def _train_stack(
     # each run's state reads its row of the stacked store
     runs = [TrainResult(replace(state, store=store.with_values(row)), [], _resolve_beta_prime(state.config["loss"]))
             for state, row in zip(states, store.values)]
-    shuffles = [np.random.default_rng(derive_seed(seed, _SHUFFLE_STREAM) if shuffle_seed is None else shuffle_seed)
-                for seed in seeds]
+    shuffles = [np.random.default_rng(derive_seed(seed, _SHUFFLE_STREAM)) for seed in seeds]
     draws = [np.random.default_rng(derive_seed(seed, _NOISE_STREAM)) for seed in seeds]
     opt = (_Adam if cfg["optim"]["kind"] == "adam" else _Sgd)(store.values.shape, float(cfg["optim"]["lr"]))
     beta_prime = np.array([run.beta_prime for run in runs])

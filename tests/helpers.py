@@ -775,11 +775,6 @@ def einsum_bound_on_codes(codes, dim, sigma2, eta2, mode):
     return float(-np.mean(inner_logs) - dim * np.log(sigma2 / width))
 
 
-def einsum_mixture_bound(data, mode):
-    """``estimators.mixture_bound`` over the einsum reference."""
-    return einsum_bound_on_codes(data.codes, data.dim, data.sigma2, data.eta2, mode)
-
-
 def einsum_conditional_bound(data, y, mode, printed_outer_normalization=False):
     """Class ``y``'s bound in ``estimators.bound_report`` over the einsum reference: one pass over its codes."""
     codes = data.codes[data.labels == y]
@@ -799,14 +794,14 @@ def einsum_bound_report(data, mode, printed_outer_normalization=False, printed_c
     }
     return BoundReport(
         mode=mode,
-        unconditional=einsum_mixture_bound(data, mode),
+        unconditional=einsum_bound_on_codes(data.codes, data.dim, data.sigma2, data.eta2, mode),
         aggregate=aggregate_conditional(per_class, data.count, printed_count_weights),
         per_class=per_class,
     )
 
 
-# the two public bounds over the einsum reference
-einsum_bounds = SimpleNamespace(mixture_bound=einsum_mixture_bound, bound_report=einsum_bound_report)
+# the public bound report over the einsum reference
+einsum_bounds = SimpleNamespace(bound_report=einsum_bound_report)
 
 
 # --------------------------------------------------------------------- discrete-oracle references

@@ -7,6 +7,9 @@ import hashlib
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -67,6 +70,19 @@ def _write_instance(tmp_path, seed=0, with_samples=False):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _digests(code, captured, out):
+    """The exit code and the sha256 of stdout, stderr and every file under ``out`` with its relative path."""
+    files = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        files.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+    return {
+        "code": code,
+        "stdout": hashlib.sha256(captured.out.encode()).hexdigest(),
+        "stderr": hashlib.sha256(captured.err.encode()).hexdigest(),
+        "files": files.hexdigest(),
+    }
 
 
 class TestGenData:
@@ -379,24 +395,36 @@ class TestSweep:
         cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"},
                             optim={"kind": "sgd", "lr": 30.0, "steps": 20, "batch": 8, "log_every": 3})
         out = tmp_path / "sweep"
-        with np.errstate(all="ignore"):
-            code = run(["sweep", "--config", str(cfg), "--betas", "0,3,0,1,1,10,1e3,100", "--out", str(out),
-                        "--jobs", jobs])
-        captured = capsys.readouterr()
-        files = hashlib.sha256()
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            files.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+        code = run(["sweep", "--config", str(cfg), "--betas", "0,3,0,1,1,10,1e3,100", "--out", str(out),
+                    "--jobs", jobs])
         assert sorted(p.name for p in out.iterdir()) == [f"point_{i:03d}" for i in range(5)]
-        assert {
-            "code": code,
-            "stdout": hashlib.sha256(captured.out.encode()).hexdigest(),
-            "stderr": hashlib.sha256(captured.err.encode()).hexdigest(),
-            "files": files.hexdigest(),
-        } == {
+        assert _digests(code, capsys.readouterr(), out) == {
             "code": 1,
             "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "stderr": "aeae05a2afb20d2be32774a2fd8de5a9a44686c669be5f12f34382276441e2f1",
             "files": "a5c55038b9e0820cfa4affdaaf2a1bbb2b82bb316428c93bf39a0223cbd813cb",
+        }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_succeeding_sweep_writes_frozen_bytes(self, tmp_path, capsys, monkeypatch, jobs):
+        """sha256 of what a finishing 5-point sweep has always written and printed.
+
+        At --jobs 2 points 0-1 and 2-4 are the two shares.  The --out path is
+        relative, so that stdout, which names it, does not depend on the
+        temporary directory.
+        """
+        monkeypatch.setattr(estimators, "usable_cores", lambda: 2)
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 4, 2], "noise_mode": "learned_eta"},
+                            optim={"steps": 12, "batch": 8, "log_every": 4})
+        code = run(["sweep", "--config", str(cfg), "--betas", "0,0.3,1,3,10", "--out", "sweep", "--jobs", jobs])
+        assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+            *(f"point_{i:03d}" for i in range(5)), "sweep.csv"]
+        assert _digests(code, capsys.readouterr(), tmp_path / "sweep") == {
+            "code": 0,
+            "stdout": "1c88cc66de073c1877bdeadff9887656d3400a035440b204617e0e1fa3a3305b",
+            "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "files": "09dd77fe806b77d86ce5f95e94e8440a192b7d230c126f4c31d21ffa296f2b67",
         }
 
     def test_each_share_is_written_as_it_returns(self, tmp_path, monkeypatch):
@@ -488,15 +516,56 @@ class TestSweep:
                 assert (out / f"point_{i:03d}" / "point.json").read_bytes() == (
                     tmp_path / f"alone{i}" / "point.json").read_bytes()
 
-    def test_diverging_point_prints_only_its_failure(self, tmp_path, capsys):
-        """inf * 0 in the naive-Bayes scores and inf + -inf in the KL rows stay silent; the failure line says it."""
+    @pytest.mark.parametrize("lr,steps,betas,code,err", [
+        (1e3, 6, "0,100,0,1e4", 2, "numerical failure: learned noise variance exp(35806756.08493792) overflows\n"),
+        (30.0, 20, "0,3,0,1,1,10,1e3,100", 1, "error: encoder codes must be finite\n"),
+        (30.0, 20, "0,0.1,0.3,1,3,10,30,100,1e3,1e4", 2,
+         "numerical failure: learned noise variance exp(7.532778854391603e+118) overflows\n"),
+    ], ids=["4-points-lr-1e3", "8-points-lr-30", "10-points-lr-30"])
+    def test_diverging_point_prints_only_its_failure(self, tmp_path, capsys, lr, steps, betas, code, err):
+        """Overflow, inf * 0 and inf + -inf in training and evaluation stay silent; the failure line says it."""
         cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"},
-                            optim={"kind": "sgd", "lr": 1e3, "steps": 6, "batch": 8, "log_every": 3})
+                            optim={"kind": "sgd", "lr": lr, "steps": steps, "batch": 8, "log_every": 3})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run(["sweep", "--config", str(cfg), "--betas", "0,100,0,1e4", "--out", str(tmp_path / "s")])
-        assert code == 2 and [str(w.message) for w in caught] == []
-        assert capsys.readouterr().err == "numerical failure: learned noise variance exp(35806756.08493792) overflows\n"
+            got = run(["sweep", "--config", str(cfg), "--betas", betas, "--out", str(tmp_path / "s")])
+        assert (got, [str(w.message) for w in caught], capsys.readouterr().err) == (code, [], err)
+
+    def test_diverging_workers_print_only_the_failure(self, tmp_path):
+        """Forked workers share the process's stderr: a diverging --jobs 2 sweep run as a command prints one line."""
+        cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"},
+                            optim={"kind": "sgd", "lr": 30.0, "steps": 20, "batch": 8, "log_every": 3})
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "cib.cli", "sweep", "--config", str(cfg), "--betas", "0,3,0,1,1,10,1e3,100",
+             "--out", str(tmp_path / "s"), "--jobs", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: encoder codes must be finite\n")
+
+    @settings(max_examples=48, deadline=None, derandomize=True, database=None)
+    @given(head=st.sampled_from(["softmax", "naive_bayes"]), noise_mode=st.sampled_from(["fixed_sigma", "learned_eta"]),
+           activation=st.sampled_from(["relu", "softplus", "tanh"]),
+           update=st.sampled_from(["gradient", "alternating"]), kind=st.sampled_from(["sgd", "adam"]),
+           lr=st.sampled_from([3.0, 30.0, 1e3]))
+    def test_no_sweep_warns_as_it_diverges(self, head, noise_mode, activation, update, kind, lr):
+        """Across heads, noise modes, activations, surrogate updates and optimizers, numpy warns of nothing.
+
+        A sweep that finishes prints nothing on stderr; one that diverges prints its one failure line.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _write_config(Path(tmp), encoder={"layer_dims": [2, 3, 2], "activation": activation,
+                                                    "noise_mode": noise_mode},
+                                decoder={"variant": head}, surrogate={"update": update},
+                                optim={"kind": kind, "lr": lr, "steps": 6, "batch": 8, "log_every": 3})
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = run(["sweep", "--config", str(cfg), "--betas", "0,100,0,1e4", "--out", str(Path(tmp) / "s")])
+        assert [f"{Path(w.filename).name}:{w.lineno}: {w.message}" for w in caught] == []
+        assert err.getvalue().count("\n") == (code != 0)
 
     def test_bad_betas_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -585,6 +654,18 @@ class TestEstimate:
         code = run(["estimate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data)])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflowing_codes_print_only_the_failure(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 0
+        data = tmp_path / "d.json"
+        data_io.save_dataset(data_io.Dataset(np.full((4, 2), 1.7e308), np.array([0, 1, 0, 1]), 2), data)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["estimate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data)])
+        assert (code, [str(w.message) for w in caught], capsys.readouterr().err) == (
+            1, [], "error: codes must be finite\n")
 
     def test_priors_not_summing_to_one_exit_one(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

@@ -394,6 +394,27 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
+    @pytest.mark.parametrize("failure", ["replace", "labels write"])
+    def test_failed_idx_write_keeps_the_previous_pair_and_leaves_no_temporary(self, tmp_path, monkeypatch, failure):
+        """Neither file of the pair is replaced unless both are written whole."""
+        images, labels = tmp_path / "im", tmp_path / "lb"
+        write_idx(images, labels, np.zeros((2, 1)), np.array([0, 1]), (1, 1))
+        before = images.read_bytes(), labels.read_bytes()
+        if failure == "replace":
+            def refuse(*args):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(data_io.os, "replace", refuse)
+        else:
+            real_open = open
+            monkeypatch.setattr(data_io, "open", lambda path, *a, **k: (
+                self._FailingFile(real_open(path, *a, **k)) if Path(path).name.startswith(".lb")
+                else real_open(path, *a, **k)), raising=False)
+        with pytest.raises(OSError):
+            write_idx(images, labels, np.ones((3, 1)), np.array([1, 0, 1]), (1, 1))
+        assert (images.read_bytes(), labels.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["im", "lb"]
+
     def test_replaces_an_existing_file(self, tmp_path):
         path = tmp_path / "a.txt"
         data_io.write_text_atomic(path, "old\n")

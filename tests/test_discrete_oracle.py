@@ -322,12 +322,12 @@ class TestOptimalProductSurrogate:
         table = _rand_simplex(rng, 4)
         arities = (2, 2)
         best = optimal_product_surrogate(table[None, :], arities)
-        attained = kl_discrete(table, best.expand(0))
+        attained = kl_discrete(table, best.table[0])
         cond = table.reshape(arities)
         tc = entropy(cond.sum(axis=1)) + entropy(cond.sum(axis=0)) - entropy(table)
         assert attained == pytest.approx(tc, abs=1e-13)
         for cand in perturbed_product_surrogates(best, step=0.01):
-            assert kl_discrete(table, cand.expand(0)) >= attained - 1e-10
+            assert kl_discrete(table, cand.table[0]) >= attained - 1e-10
 
 
     @pytest.mark.parametrize("step", [float("nan"), 0.0, -0.01])

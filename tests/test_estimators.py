@@ -15,7 +15,6 @@ from cib.estimators import (
     EmbeddedDataset,
     aggregate_conditional,
     bound_report,
-    mixture_bound,
 )
 from helpers import einsum_bound_on_codes, einsum_bounds, einsum_distance_tile
 
@@ -63,18 +62,18 @@ class TestMixtureBound:
     def test_single_sample_as_printed_collapses(self):
         data = EmbeddedDataset(np.array([[1.0, 2.0]]), np.array([0]), sigma2=0.5, eta2=1.5)
         expected = -2.0 * math.log(0.5 / 2.0)
-        assert mixture_bound(data, MODE_AS_PRINTED) == pytest.approx(expected, abs=1e-15)
+        assert bound_report(data, MODE_AS_PRINTED).unconditional == pytest.approx(expected, abs=1e-15)
 
     def test_single_sample_zero_eta_is_zero(self):
         data = EmbeddedDataset(np.array([[1.0, 2.0]]), np.array([0]), sigma2=0.5, eta2=0.0)
-        assert mixture_bound(data, MODE_AS_PRINTED) == 0.0
-        assert mixture_bound(data, MODE_CITED_SOURCE) == 0.0
+        assert bound_report(data, MODE_AS_PRINTED).unconditional == 0.0
+        assert bound_report(data, MODE_CITED_SOURCE).unconditional == 0.0
 
     @pytest.mark.parametrize("mode", [MODE_AS_PRINTED, MODE_CITED_SOURCE])
     def test_matches_naive_double_loop(self, mode):
         data = _two_cluster()
         expected = naive_bound(data.codes, data.sigma2, data.eta2, mode)
-        assert mixture_bound(data, mode) == pytest.approx(expected, abs=1e-10)
+        assert bound_report(data, mode).unconditional == pytest.approx(expected, abs=1e-10)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -82,8 +81,8 @@ class TestMixtureBound:
         perm = rng.permutation(data.count)
         shuffled = EmbeddedDataset(data.codes[perm], data.labels[perm], data.sigma2, data.eta2)
         for mode in (MODE_AS_PRINTED, MODE_CITED_SOURCE):
-            assert mixture_bound(shuffled, mode) == pytest.approx(
-                mixture_bound(data, mode), abs=1e-12
+            assert bound_report(shuffled, mode).unconditional == pytest.approx(
+                bound_report(data, mode).unconditional, abs=1e-12
             )
 
     def test_translation_invariance(self):
@@ -91,8 +90,8 @@ class TestMixtureBound:
         moved = EmbeddedDataset(data.codes + np.array([10.0, -3.0, 0.25]), data.labels,
                                 data.sigma2, data.eta2)
         for mode in (MODE_AS_PRINTED, MODE_CITED_SOURCE):
-            assert mixture_bound(moved, mode) == pytest.approx(
-                mixture_bound(data, mode), abs=1e-12
+            assert bound_report(moved, mode).unconditional == pytest.approx(
+                bound_report(data, mode).unconditional, abs=1e-12
             )
 
     def test_invalid_noise_rejected(self):
@@ -107,7 +106,7 @@ class TestMixtureBound:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            mixture_bound(_two_cluster(), "exact")
+            bound_report(_two_cluster(), "exact")
 
 
 def _class_bound(data, y, mode=MODE_CITED_SOURCE, printed_outer_normalization=False):
@@ -120,7 +119,7 @@ class TestConditionalBound:
         data = EmbeddedDataset(np.random.default_rng(0).normal(size=(10, 2)),
                                np.zeros(10, dtype=int), sigma2=1.0, eta2=0.5)
         for mode in (MODE_AS_PRINTED, MODE_CITED_SOURCE):
-            assert _class_bound(data, 0, mode) == mixture_bound(data, mode)
+            assert _class_bound(data, 0, mode) == bound_report(data, mode).unconditional
 
     def test_single_sample_class_collapses(self):
         codes = np.array([[0.0, 0.0], [5.0, 5.0], [5.5, 5.0]])
@@ -215,7 +214,8 @@ class TestBoundReport:
 
     def test_modes_agree_for_single_point(self):
         data = EmbeddedDataset(np.array([[0.5, -1.0]]), np.array([0]), sigma2=0.4, eta2=0.6)
-        assert mixture_bound(data, MODE_AS_PRINTED) == mixture_bound(data, MODE_CITED_SOURCE)
+        assert bound_report(data, MODE_AS_PRINTED).unconditional == bound_report(
+            data, MODE_CITED_SOURCE).unconditional
 
     def test_as_printed_direction_violations_are_reported_not_asserted(self, capsys):
         # the compact published form does not provably bound the mutual
@@ -233,7 +233,7 @@ class TestBoundReport:
 
 def _every_bound(data, mode, bounds=estimators):
     """Every value the public functions of ``bounds`` derive from the kernel, in a fixed order."""
-    values = [bounds.mixture_bound(data, mode)]
+    values = [bounds.bound_report(data, mode).unconditional]
     for outer in (False, True):
         for weights in (False, True):
             report = bounds.bound_report(data, mode, outer, weights)
@@ -288,7 +288,7 @@ class TestTiledKernel:
         for tile in (ragged, 1, estimators._TILE):
             monkeypatch.setattr(estimators, "_TILE", tile)
             if tile == 1 and n > 100:
-                assert mixture_bound(data, mode) == expected[0]
+                assert bound_report(data, mode).unconditional == expected[0]
             else:
                 assert _every_bound(data, mode) == expected
 
@@ -332,14 +332,14 @@ class TestThreads:
         monkeypatch.setattr(_RecordingExecutor, "started", 0)
         monkeypatch.setattr(estimators, "ThreadPoolExecutor", _RecordingExecutor)
         assert estimators._bound_threads() == (1 if cores == 1 or pool_worker else 2)
-        assert mixture_bound(data) == expected
+        assert bound_report(data).unconditional == expected
         assert _RecordingExecutor.started == helpers
 
     def test_one_tile_starts_no_helper(self, monkeypatch):
         monkeypatch.setattr(estimators, "_bound_threads", lambda: 2)
         monkeypatch.setattr(_RecordingExecutor, "started", 0)
         monkeypatch.setattr(estimators, "ThreadPoolExecutor", _RecordingExecutor)
-        mixture_bound(_wide_data(n=40))  # 40 * 40 elements fit one tile of _TILE // 2
+        bound_report(_wide_data(n=40))  # 40 * 40 elements fit one tile of _TILE // 2
         assert _RecordingExecutor.started == 0
 
     @pytest.mark.parametrize("failing_row", [0, 140, 150, 299])
@@ -418,6 +418,6 @@ class TestThreads:
 
         monkeypatch.setattr(estimators, "_sq_distances", recording)
         with np.errstate(under="raise"):
-            mixture_bound(_wide_data())
+            bound_report(_wide_data())
         assert len({ident for ident, _ in seen}) == 2
         assert {mode for _, mode in seen} == {"raise"}

@@ -429,20 +429,22 @@ class TestTrain:
         assert a.metrics == b.metrics
         np.testing.assert_array_equal(a.state.store.values, b.state.store.values)
 
-    def test_full_batch_is_invariant_to_sample_order(self):
+    def test_full_batch_is_invariant_to_sample_order(self, monkeypatch):
         # per_class 60 over two classes: batch 120 covers the whole split
         cfg = _config(optim={"steps": 15, "batch": 120})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        a = train([cfg], train_ds, shuffle_seed=1)[0]
-        b = train([cfg], train_ds, shuffle_seed=999)[0]
+        a = train([cfg], train_ds)[0]
+        monkeypatch.setattr(model, "_SHUFFLE_STREAM", 999)
+        b = train([cfg], train_ds)[0]
         np.testing.assert_array_equal(a.state.store.values, b.state.store.values)
         assert a.metrics == b.metrics
 
-    def test_minibatch_depends_on_shuffle_stream(self):
+    def test_minibatch_depends_on_shuffle_stream(self, monkeypatch):
         cfg = _config(optim={"steps": 15, "batch": 16})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        a = train([cfg], train_ds, shuffle_seed=1)[0]
-        b = train([cfg], train_ds, shuffle_seed=999)[0]
+        a = train([cfg], train_ds)[0]
+        monkeypatch.setattr(model, "_SHUFFLE_STREAM", 999)
+        b = train([cfg], train_ds)[0]
         assert not np.array_equal(a.state.store.values, b.state.store.values)
 
     def test_separable_mixture_reaches_bayes_range_accuracy(self):
@@ -571,7 +573,7 @@ def _same_run(stacked, alone):
 class TestLockstep:
     """Runs trained as one stack are, point by point, ``==`` the runs trained one config at a time."""
 
-    @pytest.mark.parametrize("shuffle_seed", [None, 11])
+    @pytest.mark.parametrize("shuffle_stream", [None, 11])
     @pytest.mark.parametrize("overrides", [
         {"decoder": {"variant": "softmax"}},
         {"decoder": {"variant": "naive_bayes"}, "loss": {"beta_prime": 1.0, "mc_samples": 3}},
@@ -585,14 +587,16 @@ class TestLockstep:
         {"optim": {"steps": 9, "batch": 120, "log_every": 4}},
     ], ids=["softmax", "naive-bayes-3-draws", "learned-eta", "fixed-sigma-y", "alternating", "sgd", "zero-steps",
             "full-batch"])
-    def test_stacked_runs_equal_runs_alone(self, overrides, shuffle_seed):
+    def test_stacked_runs_equal_runs_alone(self, overrides, shuffle_stream, monkeypatch):
+        if shuffle_stream is not None:
+            monkeypatch.setattr(model, "_SHUFFLE_STREAM", shuffle_stream)
         configs = _points(_config(**overrides), [0.0, 0.3, 1.0, 3.0, 10.0])
         train_ds, test_ds = data_io.dataset_from_config(configs[0]["dataset"])
-        stacked = train(configs, train_ds, test_ds, shuffle_seed=shuffle_seed)
+        stacked = train(configs, train_ds, test_ds)
         assert len(stacked) == 5
         for cfg, run in zip(configs, stacked):
             assert run.error is None
-            _same_run(run, train([cfg], train_ds, test_ds, shuffle_seed=shuffle_seed)[0])
+            _same_run(run, train([cfg], train_ds, test_ds)[0])
 
     def test_failing_points_leave_the_stack_and_the_rest_go_on(self):
         """Points fail at different steps, from the loss or from evaluation; each run equals its run alone.
@@ -605,9 +609,8 @@ class TestLockstep:
                       seed=3)
         configs = _points(cfg, [0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3, 1e4])
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        with np.errstate(all="ignore"):
-            stacked = train(configs, train_ds)
-            alone = [train([c], train_ds)[0] for c in configs]
+        stacked = train(configs, train_ds)
+        alone = [train([c], train_ds)[0] for c in configs]
         failed = {type(run.error).__name__ for run in alone if run.error is not None}
         assert failed == {"NonFiniteLossError", "NonFiniteError", "ValueError"}
         assert len({run.error.step for run in alone if isinstance(run.error, NonFiniteLossError)}) > 1
@@ -803,7 +806,7 @@ class TestEvaluate:
         cfg = _config(**overrides)
         train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
         run = train([cfg], train_ds, test_ds)[0]
-        point = model.tradeoff_point(run, test_ds)
+        [point] = model.tradeoff_points([run], test_ds)
         fresh = loss_terms(run.state, train_ds)
         final = run.metrics[-1]
         assert (final.cross_entropy, final.kl_term, final.accuracy) == (
@@ -886,10 +889,9 @@ class TestEvaluate:
         state.store.set("enc.b0", np.full(4, 1e300))
         state.store.set("enc.W1", np.full((2, 4), 1e300))  # the second layer overflows
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="codes must be finite"):
-                loss_terms(state, ds)
-            [outcome] = evaluate([state], ds)
+        with pytest.raises(ValueError, match="codes must be finite"):
+            loss_terms(state, ds)
+        [outcome] = evaluate([state], ds)
         assert isinstance(outcome, ValueError) and "codes must be finite" in str(outcome)
 
 
@@ -993,9 +995,8 @@ class TestStackedEvaluation:
         states[2].store.set("enc.log_eta2", np.array(800.0))
         states[3].store.get("sur.log_sigma")[1] = np.nan
         states[4].store.set("sur.mu", np.full((3, 2), 1e200))  # every score -inf
-        with np.errstate(all="ignore"):
-            stacked = evaluate(states, ds)
-            alone = [evaluate([state], ds)[0] for state in states]
+        stacked = evaluate(states, ds)
+        alone = [evaluate([state], ds)[0] for state in states]
         errors = [type(ev).__name__ if isinstance(ev, Exception) else None for ev in stacked]
         assert errors == [None, "ValueError", "NonFiniteError", "ValueError", "ValueError", None]
         for got, solo in zip(stacked, alone):
