@@ -1,9 +1,11 @@
 """Batch command-line surface for experiments and verification runs.
 
-Exit codes: 0 on success, 1 on validation errors (bad flags, missing or
-malformed files), 2 on numerical failures (non-finite training loss, a
-failed identity check, a failed gradient check).  With ``--json`` every
-command prints exactly one JSON document on stdout and nothing else.
+Exit codes: 0 on success, 1 on validation errors (bad flags, configs,
+files, shapes or labels), 2 on numerical failures: a run's numbers that are
+not finite (training loss, learned noise, encoder codes, class surrogate,
+log-probabilities, KL term, trade-off point), a failed identity check or a
+failed gradient check.  With ``--json`` every command prints exactly one
+JSON document on stdout and nothing else.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io, discrete_oracle, estimators, model
-from .diffcore import ACTIVATIONS, NonFiniteError, grad_check
-from .model import NonFiniteLossError
+from .diffcore import ACTIVATIONS, grad_check
 
 __all__ = ["run", "main"]
 
@@ -34,8 +35,8 @@ class _CliError(Exception):
     """Validation problem: bad usage, bad paths, malformed inputs."""
 
 
-class _NumericalFailure(Exception):
-    """The command ran, but a mathematical check failed."""
+class _NumericalFailure(ArithmeticError):
+    """The command ran, but a mathematical check failed: exit 2, like a run's non-finite numbers."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -443,7 +444,7 @@ def run(argv: list[str]) -> int:
     except (_CliError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (_NumericalFailure, NonFiniteLossError, NonFiniteError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -408,7 +408,7 @@ def load_checkpoint(path: str | Path):
             if shape != implied:
                 raise CheckpointError(f"slice {name!r} has shape {shape}, config implies {implied}")
             state.store.set(name, np.asarray(entry["values"], dtype=np.float64).reshape(shape))
-        state.surrogate()  # rejects priors that are negative or do not sum to 1, and non-finite sur.* values
+        state.surrogate()  # rejects priors that are negative, NaN or do not sum to 1; set() rejected non-finite slices
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     return state

@@ -69,7 +69,7 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A loss or forward value is NaN or infinite."""
+    """A run's number is NaN, infinite or out of its range."""
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .diffcore import NonFiniteError
+
 __all__ = [
     "MODE_AS_PRINTED",
     "MODE_CITED_SOURCE",
@@ -90,7 +92,7 @@ class EmbeddedDataset:
         if self.codes.ndim != 2 or self.codes.shape[0] < 1 or self.codes.shape[1] < 1:
             raise ValueError(f"codes must be a nonempty (N, d) matrix, got shape {self.codes.shape}")
         if not np.all(np.isfinite(self.codes)):
-            raise ValueError("codes must be finite")
+            raise NonFiniteError("codes must be finite")
         if self.labels.shape != (self.codes.shape[0],):
             raise ValueError("labels must align with code rows")
         if not 0.0 < self.sigma2 < np.inf:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Tape
+from .diffcore import NonFiniteError, Tape
 
 __all__ = [
     "ClassSurrogate",
@@ -45,13 +45,9 @@ class ClassSurrogate:
         rows = self.class_means.shape[:-1]
         if self.class_means.ndim not in (2, 3) or self.class_log_sigma.shape != rows or self.priors.shape != rows[-1:]:
             raise ValueError("class_means must be ([P,] K, d) with ([P,] K) log-sigmas and (K,) priors")
-        if not (
-            np.all(np.isfinite(self.class_means))
-            and np.all(np.isfinite(self.class_log_sigma))
-            and np.all(np.isfinite(self.priors))
-        ):
-            raise ValueError("ClassSurrogate parameters must be finite")
-        if np.any(self.priors < 0.0) or abs(float(self.priors.sum()) - 1.0) > 1e-12:
+        if not (np.all(np.isfinite(self.class_means)) and np.all(np.isfinite(self.class_log_sigma))):
+            raise NonFiniteError("ClassSurrogate parameters must be finite")
+        if not (np.all(self.priors >= 0.0) and abs(float(self.priors.sum()) - 1.0) <= 1e-12):  # False for NaN
             raise ValueError("priors must be nonnegative and sum to 1")
 
     @property

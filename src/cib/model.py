@@ -24,10 +24,13 @@ A stack, of runs in training or of models in evaluation, runs whole or each
 of its members runs alone: the first failure of any member ends it, and
 each member runs again as a stack of one, to the bits and the error it gets
 alone, at the cost of the stack's work up to that failure.
-A run's failure is its one error: overflow, inf * 0 and inf - inf inside a
-run are not numpy warnings, because the run's finiteness checks report
-them.  The two places that compute a run's numbers, :func:`_train_stack`
-and :func:`_stack_terms`, each state this once with ``np.errstate``.
+A run's failure is its one error, an ``ArithmeticError``: a non-finite
+loss or eta^2, or a failed check of its codes, surrogate, log-probabilities,
+KL or trade-off point (:class:`NonFiniteError`); a ``ValueError`` inside a
+run is a broken contract and propagates.  Overflow, inf * 0 and inf - inf
+inside a run are not numpy warnings, because these checks report them;
+:func:`_train_stack` and :func:`_stack_terms` each state this once with
+``np.errstate``.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ EVAL_NOISE_SEED = 202_408
 _MASK64 = (1 << 64) - 1
 
 
-class NonFiniteLossError(ArithmeticError):
+class NonFiniteLossError(NonFiniteError):
     """Training produced a NaN/inf loss; carries the offending sample index."""
 
     def __init__(self, message: str, step: int | None = None, sample_index: int | None = None):
@@ -461,12 +464,10 @@ def _pass_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray) ->
     means = stack.encoder.encode_batch(ds.features)
     try:
         if not np.all(np.isfinite(means)):
-            raise ValueError("encoder codes must be finite")
-        if stack.config["decoder"]["variant"] == "naive_bayes":
-            stack.surrogate()  # naive-Bayes scores read the surrogate, so it is checked first
+            raise NonFiniteError("encoder codes must be finite")
+        surrogate = stack.surrogate()  # naive-Bayes scores read it, so it is checked before the log-variances
         log_vars = np.array([state.encoder.log_var() for state in states])
-        surrogate = stack.surrogate()
-    except (ArithmeticError, ValueError) as exc:
+    except ArithmeticError as exc:
         outcomes: list = [exc]
     else:
         predictions = np.argmax(stack.log_probs(means), axis=-1)
@@ -475,11 +476,11 @@ def _pass_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray) ->
         for i, codes in enumerate(means):
             # -inf (a zero-probability true class) is reported as an infinite cross-entropy
             if np.any(np.isnan(true_lp[i])) or np.any(true_lp[i] == np.inf):
-                outcomes.append(ValueError("log-probabilities must be finite or -inf"))
+                outcomes.append(NonFiniteError("log-probabilities must be finite or -inf"))
                 continue
             kl_term = float(np.mean(kl[i]))
             if not kl_term >= -1e-9:
-                outcomes.append(ValueError(f"kl_term must be nonnegative, got {kl_term}"))
+                outcomes.append(NonFiniteError(f"kl_term must be nonnegative, got {kl_term}"))
                 continue
             accuracy = float(np.mean(predictions[i] == ds.labels))
             outcomes.append((EvalResult(accuracy, float(-np.mean(true_lp[i])), kl_term), codes))
@@ -516,13 +517,10 @@ def evaluate(states: Sequence[ModelState], ds: Dataset) -> list[EvalResult | Exc
     outcomes = _stack_terms(states, ds)
     results: list = []
     for state, outcome in zip(states, outcomes):
-        if not isinstance(outcome, Exception):
+        if not isinstance(outcome, Exception):  # its codes and eta^2 passed their checks in the pass
             terms, means = outcome
-            try:
-                report = estimators.bound_report(state.encoder.embedded(means, ds.labels), estimators.MODE_CITED_SOURCE)
-                outcome = replace(terms, bounds=report)
-            except (ArithmeticError, ValueError) as exc:
-                outcome = exc
+            report = estimators.bound_report(state.encoder.embedded(means, ds.labels), estimators.MODE_CITED_SOURCE)
+            outcome = replace(terms, bounds=report)
         results.append(outcome)
     return results
 
@@ -553,8 +551,8 @@ def tradeoff_points(runs: Sequence[TrainResult], test_ds: Dataset) -> list[Trade
                     ixt=outcome.bounds.unconditional,
                     ixt_given_y=outcome.bounds.aggregate,
                 )
-            except ValueError as exc:
-                outcome = exc
+            except ValueError as exc:  # cib report's input check; here the values are the run's numbers
+                outcome = NonFiniteError(str(exc))
         points.append(outcome)
     return points
 
@@ -716,7 +714,7 @@ def _train_stack(cfgs: Sequence[dict], priors: np.ndarray, train_ds: Dataset, ba
         for j, run in enumerate(runs):
             try:
                 work(j, run)
-            except (ArithmeticError, ValueError) as exc:
+            except ArithmeticError as exc:
                 run.error = exc
                 return False
         return True

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -37,6 +38,14 @@ def _write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _write_diverging_config(tmp_path, head, noise_mode, activation, update, kind, lr):
+    """A 2-3-2 config of 6 steps that diverges at some step sizes and finishes at others."""
+    return _write_config(tmp_path,
+                         encoder={"layer_dims": [2, 3, 2], "activation": activation, "noise_mode": noise_mode},
+                         decoder={"variant": head}, surrogate={"update": update},
+                         optim={"kind": kind, "lr": lr, "steps": 6, "batch": 8, "log_every": 3})
 
 
 def _write_split_config(tmp_path, test_labels=(0, 1, 2), test_dim=2, priors="train"):
@@ -239,12 +248,12 @@ class TestTrain:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-    def test_infinite_test_cross_entropy_exits_one_leaving_no_directory(self, tmp_path, capsys, monkeypatch):
+    def test_infinite_test_cross_entropy_exits_two_leaving_no_directory(self, tmp_path, capsys, monkeypatch):
         """A zero-probability true class makes ce_test infinite, which point.json cannot hold as JSON."""
         monkeypatch.setattr(model.ModelState, "log_probs",
                             lambda self, t: np.tile([0.0, -np.inf], t.shape[:-1] + (1,)))
         out = tmp_path / "run"
-        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 1
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 2
         assert "ce_test" in capsys.readouterr().err
         assert not out.exists()
 
@@ -399,9 +408,9 @@ class TestSweep:
                     "--jobs", jobs])
         assert sorted(p.name for p in out.iterdir()) == [f"point_{i:03d}" for i in range(5)]
         assert _digests(code, capsys.readouterr(), out) == {
-            "code": 1,
+            "code": 2,
             "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "stderr": "aeae05a2afb20d2be32774a2fd8de5a9a44686c669be5f12f34382276441e2f1",
+            "stderr": "f66c7b337693f1f84edf390a88f600a7b8ed19324cdb6562c7f0e0af133417e4",
             "files": "a5c55038b9e0820cfa4affdaaf2a1bbb2b82bb316428c93bf39a0223cbd813cb",
         }
 
@@ -503,7 +512,7 @@ class TestSweep:
             armed.clear()
             alone.append(run(["train", "--config", str(path), "--out", str(tmp_path / f"alone{i}")]))
             alone.append(capsys.readouterr().err)
-        assert alone[1::2] == ["", "", alone[5], ""] and alone[0::2] == [0, 0, 1, 0]
+        assert alone[1::2] == ["", "", alone[5], ""] and alone[0::2] == [0, 0, 2, 0]
         assert ("codes must be finite" if failure == "nonfinite-codes" else "ce_test") in alone[5]
         for jobs in (1, 2):
             armed.clear()
@@ -518,7 +527,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("lr,steps,betas,code,err", [
         (1e3, 6, "0,100,0,1e4", 2, "numerical failure: learned noise variance exp(35806756.08493792) overflows\n"),
-        (30.0, 20, "0,3,0,1,1,10,1e3,100", 1, "error: encoder codes must be finite\n"),
+        (30.0, 20, "0,3,0,1,1,10,1e3,100", 2, "numerical failure: encoder codes must be finite\n"),
         (30.0, 20, "0,0.1,0.3,1,3,10,30,100,1e3,1e4", 2,
          "numerical failure: learned noise variance exp(7.532778854391603e+118) overflows\n"),
     ], ids=["4-points-lr-1e3", "8-points-lr-30", "10-points-lr-30"])
@@ -542,30 +551,45 @@ class TestSweep:
              "--out", str(tmp_path / "s"), "--jobs", "2"],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: encoder codes must be finite\n")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "numerical failure: encoder codes must be finite\n")
 
-    @settings(max_examples=48, deadline=None, derandomize=True, database=None)
-    @given(head=st.sampled_from(["softmax", "naive_bayes"]), noise_mode=st.sampled_from(["fixed_sigma", "learned_eta"]),
-           activation=st.sampled_from(["relu", "softplus", "tanh"]),
-           update=st.sampled_from(["gradient", "alternating"]), kind=st.sampled_from(["sgd", "adam"]),
-           lr=st.sampled_from([3.0, 30.0, 1e3]))
-    def test_no_sweep_warns_as_it_diverges(self, head, noise_mode, activation, update, kind, lr):
-        """Across heads, noise modes, activations, surrogate updates and optimizers, numpy warns of nothing.
+    def test_no_sweep_warns_as_it_diverges(self, tmp_path):
+        """Across heads, noise modes, activations, surrogate updates, optimizers and step sizes, numpy warns of nothing.
 
-        A sweep that finishes prints nothing on stderr; one that diverges prints its one failure line.
+        A sweep that finishes prints nothing on stderr; one that diverges prints its one failure line and exits 2.
         """
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = _write_config(Path(tmp), encoder={"layer_dims": [2, 3, 2], "activation": activation,
-                                                    "noise_mode": noise_mode},
-                                decoder={"variant": head}, surrogate={"update": update},
-                                optim={"kind": kind, "lr": lr, "steps": 6, "batch": 8, "log_every": 3})
+        bad = {}
+        for i, grid in enumerate(itertools.product(["softmax", "naive_bayes"], ["fixed_sigma", "learned_eta"],
+                                                   ["relu", "softplus", "tanh"], ["gradient", "alternating"],
+                                                   ["sgd", "adam"], [3.0, 30.0, 1e3])):
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
                 warnings.simplefilter("always")
-                code = run(["sweep", "--config", str(cfg), "--betas", "0,100,0,1e4", "--out", str(Path(tmp) / "s")])
-        assert [f"{Path(w.filename).name}:{w.lineno}: {w.message}" for w in caught] == []
-        assert err.getvalue().count("\n") == (code != 0)
+                code = run(["sweep", "--config", str(_write_diverging_config(tmp_path, *grid)),
+                            "--betas", "0,100,0,1e4", "--out", str(tmp_path / f"s{i}")])
+            warned = [f"{Path(w.filename).name}:{w.lineno}: {w.message}" for w in caught]
+            if warned or err.getvalue().count("\n") != (code != 0) or code not in (0, 2):
+                bad[grid] = (code, warned, err.getvalue())
+        assert bad == {}
+
+    @pytest.mark.parametrize("head,noise_mode,activation,kind,lr,message", [
+        ("softmax", "fixed_sigma", "softplus", "sgd", 3.0, "ClassSurrogate parameters must be finite"),
+        ("softmax", "fixed_sigma", "softplus", "sgd", 30.0, "encoder codes must be finite"),
+        ("softmax", "fixed_sigma", "tanh", "sgd", 3.0, "kl_term must be nonnegative, got nan"),
+        ("softmax", "learned_eta", "tanh", "adam", 1e3, "non-finite or non-numeric values for kl_train, kl_test"),
+        ("naive_bayes", "fixed_sigma", "softplus", "sgd", 3.0, "log-probabilities must be finite or -inf"),
+        ("naive_bayes", "fixed_sigma", "tanh", "sgd", 3.0, "log-probabilities must be finite or -inf"),
+        ("naive_bayes", "learned_eta", "tanh", "sgd", 30.0, "log-probabilities must be finite or -inf"),
+        ("naive_bayes", "learned_eta", "tanh", "sgd", 1e3, "log-probabilities must be finite or -inf"),
+    ])
+    def test_every_check_on_a_runs_numbers_exits_two(self, tmp_path, capsys, head, noise_mode, activation, kind, lr,
+                                                     message):
+        """Each check on a diverging run's codes, surrogate, log-probabilities, KL or point is a numerical failure."""
+        cfg = _write_diverging_config(tmp_path, head, noise_mode, activation, "gradient", kind, lr)
+        code = run(["sweep", "--config", str(cfg), "--betas", "0,100,0,1e4", "--out", str(tmp_path / "s")])
+        assert (code, capsys.readouterr().err) == (2, f"numerical failure: {message}\n")
 
     def test_bad_betas_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -665,7 +689,7 @@ class TestEstimate:
             warnings.simplefilter("always")
             code = run(["estimate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data)])
         assert (code, [str(w.message) for w in caught], capsys.readouterr().err) == (
-            1, [], "error: codes must be finite\n")
+            2, [], "numerical failure: codes must be finite\n")
 
     def test_priors_not_summing_to_one_exit_one(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cib import estimators
+from cib.diffcore import NonFiniteError
 from cib.estimators import (
     MODE_AS_PRINTED,
     MODE_CITED_SOURCE,
@@ -99,6 +100,10 @@ class TestMixtureBound:
             EmbeddedDataset(np.zeros((2, 2)), np.zeros(2, dtype=int), sigma2=0.0)
         with pytest.raises(ValueError):
             EmbeddedDataset(np.zeros((2, 2)), np.zeros(2, dtype=int), sigma2=1.0, eta2=-0.1)
+
+    def test_nonfinite_codes_are_a_numerical_failure(self):
+        with pytest.raises(NonFiniteError, match="codes must be finite"):
+            EmbeddedDataset(np.array([[0.0, np.inf], [1.0, 0.0]]), np.zeros(2, dtype=int), sigma2=1.0)
 
     def test_zero_width_codes_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

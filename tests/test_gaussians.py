@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cib.diffcore import ParamStore, Tape, grad_check
+from cib.diffcore import NonFiniteError, ParamStore, Tape, grad_check
 from cib.gaussians import ClassSurrogate, kl_to_surrogate, kl_to_surrogate_graph
 from helpers import DiagGaussian, gaussian_quadrature_kl, kl_diag, shared_by_rows, stack_of_one, surrogate_component
 
@@ -46,6 +46,15 @@ class TestClassSurrogate:
             ClassSurrogate(np.zeros((2, 2)), np.zeros(2), np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             ClassSurrogate(np.zeros((2, 2)), np.zeros(2), np.array([-0.1, 1.1]))
+
+    def test_nonfinite_parameters_are_numbers_and_nonfinite_priors_inputs(self):
+        """Trained means and log-sigmas fail as a run's numbers (exit 2); priors are an input (exit 1)."""
+        for mu, log_sigma in ((np.full((2, 2), np.nan), np.zeros(2)), (np.zeros((2, 2)), np.array([0.0, np.inf]))):
+            with pytest.raises(NonFiniteError, match="parameters must be finite"):
+                ClassSurrogate(mu, log_sigma, np.array([0.5, 0.5]))
+        for priors in ([np.nan, 1.0], [0.5, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+                ClassSurrogate(np.zeros((2, 2)), np.zeros(2), np.array(priors))
 
     def test_matching_encoder_output_has_zero_kl(self):
         s = _surrogate()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cib import data_io, diffcore, gaussians, model, objectives
+from cib import data_io, diffcore, estimators, gaussians, model, objectives
 from cib.data_io import Dataset, validate_config
 from cib.diffcore import NonFiniteError, Tape, grad_check
 from helpers import (
@@ -612,7 +612,7 @@ class TestLockstep:
         stacked = train(configs, train_ds)
         alone = [train([c], train_ds)[0] for c in configs]
         failed = {type(run.error).__name__ for run in alone if run.error is not None}
-        assert failed == {"NonFiniteLossError", "NonFiniteError", "ValueError"}
+        assert failed == {"NonFiniteLossError", "NonFiniteError"}
         assert len({run.error.step for run in alone if isinstance(run.error, NonFiniteLossError)}) > 1
         assert any(run.error is None for run in alone)
         for run, solo in zip(stacked, alone):
@@ -750,24 +750,32 @@ class TestLockstep:
         model.tradeoff_points(runs, test_ds)
         assert calls == {"_train_stack": 1, "_pass_terms": 4}
 
-    @pytest.mark.parametrize("site", ["tape", "evaluation kernel"])
-    def test_a_program_error_is_no_run_failure_and_propagates(self, monkeypatch, site):
-        """A ShapeError is a ValueError, but a broken contract, not a failing run: train and evaluate raise it."""
-        configs = _points(_config(), [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("owner,name,error", [
+        (model.ModelState, "loss_graph", diffcore.ShapeError),
+        (objectives, "cib_loss", diffcore.ShapeError),
+        (model, "_alternating_moment_step", ValueError),
+        (estimators, "bound_report", ValueError),
+    ], ids=["tape", "evaluation kernel", "moment step", "bound report"])
+    def test_a_program_error_is_no_run_failure_and_propagates(self, monkeypatch, owner, name, error):
+        """A ValueError, such as a ShapeError, is a broken contract, not a failing run: train and evaluate raise it.
+
+        Only an ArithmeticError is a run's failure.
+        """
+        update = "alternating" if name == "_alternating_moment_step" else "gradient"
+        configs = _points(_config(surrogate={"update": update}), [0.0, 1.0, 3.0])
         train_ds, _ = data_io.dataset_from_config(configs[0]["dataset"])
         states = [run.state for run in train(configs, train_ds)]
 
         def broken(*args):
-            raise diffcore.ShapeError("broken contract")
+            raise error("broken contract")
 
-        if site == "tape":
-            monkeypatch.setattr(model.ModelState, "loss_graph", broken)
-        else:
-            monkeypatch.setattr(objectives, "cib_loss", broken)
-            with pytest.raises(diffcore.ShapeError, match="broken contract"):
+        monkeypatch.setattr(owner, name, broken)
+        if name in ("cib_loss", "bound_report"):
+            with pytest.raises(error, match="broken contract"):
                 evaluate(states, train_ds)
-        with pytest.raises(diffcore.ShapeError, match="broken contract"):
-            train(configs, train_ds)
+        if name != "bound_report":  # training evaluates no bounds
+            with pytest.raises(error, match="broken contract"):
+                train(configs, train_ds)
 
     def test_configs_must_differ_only_in_beta_prime_and_seed(self):
         a, b = _points(_config(), [0.0, 1.0])
@@ -866,7 +874,7 @@ class TestEvaluate:
         state = _state()
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
         monkeypatch.setattr(model.ModelState, "log_probs", lambda self, t: np.full(t.shape[:-1] + (2,), np.nan))
-        with pytest.raises(ValueError, match="finite or -inf"):
+        with pytest.raises(NonFiniteError, match="finite or -inf"):
             loss_terms(state, ds)
 
     def test_negative_kl_rejected(self, monkeypatch):
@@ -879,20 +887,20 @@ class TestEvaluate:
             return true_lp, np.full_like(kl, -1e-6)
 
         monkeypatch.setattr(objectives, "cib_loss", shifted)
-        with pytest.raises(ValueError, match="kl_term must be nonnegative"):
+        with pytest.raises(NonFiniteError, match="kl_term must be nonnegative"):
             loss_terms(state, ds)
         [outcome] = evaluate([state], ds)
-        assert isinstance(outcome, ValueError) and "kl_term must be nonnegative" in str(outcome)
+        assert isinstance(outcome, NonFiniteError) and "kl_term must be nonnegative" in str(outcome)
 
     def test_nonfinite_codes_rejected(self):
         state = _state()
         state.store.set("enc.b0", np.full(4, 1e300))
         state.store.set("enc.W1", np.full((2, 4), 1e300))  # the second layer overflows
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
-        with pytest.raises(ValueError, match="codes must be finite"):
+        with pytest.raises(NonFiniteError, match="codes must be finite"):
             loss_terms(state, ds)
         [outcome] = evaluate([state], ds)
-        assert isinstance(outcome, ValueError) and "codes must be finite" in str(outcome)
+        assert isinstance(outcome, NonFiniteError) and "codes must be finite" in str(outcome)
 
 
 class TestEvaluationKernel:
@@ -998,7 +1006,7 @@ class TestStackedEvaluation:
         stacked = evaluate(states, ds)
         alone = [evaluate([state], ds)[0] for state in states]
         errors = [type(ev).__name__ if isinstance(ev, Exception) else None for ev in stacked]
-        assert errors == [None, "ValueError", "NonFiniteError", "ValueError", "ValueError", None]
+        assert errors == [None, "NonFiniteError", "NonFiniteError", "NonFiniteError", "NonFiniteError", None]
         for got, solo in zip(stacked, alone):
             if isinstance(got, Exception):
                 assert type(got) is type(solo) and str(got) == str(solo)
