@@ -195,17 +195,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_estimate(args) -> int:
     ckpt_path = _require_file(args.checkpoint)
     data_path = _require_file(args.data)
-    encoder = data_io.load_checkpoint(path=ckpt_path).encoder
+    state = data_io.load_checkpoint(path=ckpt_path)
     ds = data_io.load_dataset(data_path)
-    if ds.dim != encoder.in_dim:
+    if ds.dim != state.in_dim:
         raise _CliError(
             f"--data {data_path} has dimension {ds.dim}, but --checkpoint {ckpt_path} "
-            f"encodes inputs of dimension {encoder.in_dim}"
+            f"encodes inputs of dimension {state.in_dim}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # the bound report rejects non-finite codes
-        codes = encoder.encode_batch(ds.features)
+        codes = state.encode_batch(ds.features)
     report = estimators.bound_report(
-        encoder.embedded(codes, ds.labels),
+        state.embedded(codes, ds.labels),
         mode=args.mode,
         printed_outer_normalization=args.printed_normalization,
         printed_count_weights=args.printed_weights,

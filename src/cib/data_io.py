@@ -355,14 +355,19 @@ def load_dataset(path: str | Path) -> Dataset:
     doc = read_json(path, ValueError, ("features", "labels", "class_count"))
     if not _fits("int", "[1, inf)", doc["class_count"]):
         raise ValueError(f"{path}: class_count must be an integer in [1, inf), got {doc['class_count']!r}")
+    labels, provenance = doc["labels"], doc.get("provenance", {})
+    if not isinstance(labels, list) or not all(type(v) is int for v in labels):
+        raise ValueError(f"{path}: labels must be a list of integers")
+    if not isinstance(provenance, dict):
+        raise ValueError(f"{path}: provenance must be a JSON object, got {provenance!r}")
     try:
         return Dataset(
             np.asarray(doc["features"], dtype=np.float64),
-            np.asarray(doc["labels"], dtype=np.intp),
+            np.asarray(labels, dtype=np.intp),
             int(doc["class_count"]),
-            doc.get("provenance", {}),
+            provenance,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond int64 or float range
         raise ValueError(f"{path}: {exc}") from exc
 
 

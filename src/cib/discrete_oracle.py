@@ -41,6 +41,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .objectives import beta_to_beta_prime
+
 __all__ = [
     "MAX_JOINT_OUTCOMES",
     "DiscreteJoint",
@@ -359,7 +361,7 @@ def equivalence_scan(
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     for enc in encoders:
         _check_rows(joint, enc)
-    beta_prime = beta / (1.0 - beta)
+    beta_prime = beta_to_beta_prime(beta)
     groups: dict[int, list[int]] = {}
     for k, enc in enumerate(encoders):
         groups.setdefault(enc.nt, []).append(k)

@@ -50,7 +50,6 @@ from .objectives import beta_to_beta_prime
 
 __all__ = [
     "NonFiniteLossError",
-    "EncoderModel",
     "ModelState",
     "EvalResult",
     "TrainResult",
@@ -98,35 +97,46 @@ _INIT_STREAM, _SHUFFLE_STREAM, _NOISE_STREAM = 0, 1, 2
 
 
 @dataclass
-class EncoderModel:
-    """Feed-forward encoder f(x) with an isotropic noise model on its output."""
+class ModelState:
+    """The whole model of a run: the validated config, one parameter store and the class priors.
 
-    layer_dims: list[int]
-    activation: str
-    noise_mode: str
-    sigma2: float
+    It is the one value that crosses run boundaries: :func:`train` returns it
+    inside a :class:`TrainResult`, evaluation reads it, and
+    :func:`data_io.save_checkpoint` / :func:`data_io.load_checkpoint` write
+    and rebuild it whole.  The encoder f(x) is ``config["encoder"]`` over the
+    ``enc.*`` slices.  The decoder q(y | t) is ``config["decoder"]["variant"]``:
+    a softmax readout over its ``head.*`` slices, or the class surrogate's
+    naive Bayes rule.
+    """
+
+    config: dict
     store: ParamStore
+    priors: np.ndarray
 
     @property
     def in_dim(self) -> int:
-        return self.layer_dims[0]
+        return self.config["encoder"]["layer_dims"][0]
 
     @property
     def bottleneck_dim(self) -> int:
-        return self.layer_dims[-1]
+        return self.config["encoder"]["layer_dims"][-1]
 
     def weight_names(self) -> list[tuple[str, str]]:
-        return [(f"enc.W{l}", f"enc.b{l}") for l in range(len(self.layer_dims) - 1)]
+        return [(f"enc.W{l}", f"enc.b{l}") for l in range(len(self.config["encoder"]["layer_dims"]) - 1)]
+
+    @property
+    def sigma2(self) -> float:
+        return float(self.config["encoder"]["sigma2"])
 
     def log_var(self) -> float:
         """Log of the isotropic bottleneck variance."""
-        if self.noise_mode == "fixed_sigma":
+        if self.config["encoder"]["noise_mode"] == "fixed_sigma":
             return math.log(self.sigma2)
         return math.log(self.eta2() + self.sigma2)
 
     def eta2(self) -> float:
         """Learned noise variance exp(log eta^2); NonFiniteError if it overflows a float."""
-        if self.noise_mode == "fixed_sigma":
+        if self.config["encoder"]["noise_mode"] == "fixed_sigma":
             return 0.0
         log_eta2 = float(self.store.get("enc.log_eta2"))
         try:
@@ -144,6 +154,7 @@ class EncoderModel:
         A stacked store encodes the same (N, in) batch with each of its P
         nets; each net's product is the one it gets alone.
         """
+        enc = self.config["encoder"]
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"inputs must be (N, {self.in_dim}), got {x.shape}")
@@ -151,33 +162,9 @@ class EncoderModel:
         for l, (wn, bn) in enumerate(self.weight_names()):
             h = h @ self.store.get(wn).mT
             h += self.store.get(bn)[..., None, :]
-            if l < len(self.layer_dims) - 2:
-                h = activate(h, self.activation)
+            if l < len(enc["layer_dims"]) - 2:
+                h = activate(h, enc["activation"])
         return h
-
-
-@dataclass
-class ModelState:
-    """The whole model of a run: the validated config, one parameter store and the class priors.
-
-    It is the one value that crosses run boundaries: :func:`train` returns it
-    inside a :class:`TrainResult`, evaluation reads it, and
-    :func:`data_io.save_checkpoint` / :func:`data_io.load_checkpoint` write
-    and rebuild it whole.  The decoder q(y | t) is ``config["decoder"]["variant"]``:
-    a softmax readout over its ``head.*`` slices, or the class surrogate's
-    naive Bayes rule.
-    """
-
-    config: dict
-    store: ParamStore
-    priors: np.ndarray
-
-    @functools.cached_property
-    def encoder(self) -> EncoderModel:
-        """The encoder of ``config["encoder"]``, reading the ``enc.*`` slices of this state's store."""
-        enc = self.config["encoder"]
-        return EncoderModel(list(enc["layer_dims"]), enc["activation"], enc["noise_mode"], float(enc["sigma2"]),
-                            self.store)
 
     @property
     def class_count(self) -> int:
@@ -216,7 +203,7 @@ class ModelState:
         unchecked, once per draw, and :meth:`surrogate` checks them.
         """
         t = np.asarray(t, dtype=np.float64)
-        d = self.encoder.bottleneck_dim
+        d = self.bottleneck_dim
         if t.ndim != self.store.values.ndim + 1 or t.shape[-1] != d:
             raise ValueError(f"points must be ([P,] N, {d}) like the store's stack, got {t.shape}")
         if self.config["decoder"]["variant"] == "naive_bayes":
@@ -240,9 +227,9 @@ class ModelState:
         The softmax readout scores with its own ``head.*`` slices; naive Bayes
         scores with the surrogate's, which the KL term shares.
         """
-        enc = self.encoder
-        means = tape.mlp(x, [name for pair in enc.weight_names() for name in pair], enc.activation)
-        log_var = tape.log_var(enc.sigma2, "enc.log_eta2" if enc.noise_mode == "learned_eta" else None)
+        enc = self.config["encoder"]
+        means = tape.mlp(x, [name for pair in self.weight_names() for name in pair], enc["activation"])
+        log_var = tape.log_var(self.sigma2, "enc.log_eta2" if enc["noise_mode"] == "learned_eta" else None)
         log_sigma = "sur.log_sigma" if self.learns_sigma else None
         if self.config["decoder"]["variant"] == "softmax":
             score_rule = ("softmax", "head.W", "head.b", None)
@@ -251,6 +238,10 @@ class ModelState:
         return objectives.cib_loss_graph(
             tape, means, log_var, labels, score_rule, "sur.mu", log_sigma, beta_prime, noise
         )
+
+
+# perfbench/layers.py wraps model.EncoderModel.encode_batch, a name tests/test_bench_wiring.py requires to exist
+EncoderModel = ModelState
 
 
 def build_state(config: dict, priors: np.ndarray, rng: np.random.Generator | None = None) -> ModelState:
@@ -325,22 +316,25 @@ def _empirical_priors(train_ds: Dataset, extra: Dataset | None = None) -> np.nda
     return counts / counts.sum()
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class _Adam:
     """Adaptive-moment update of the flat parameter vector, elementwise, so stacked vectors update as rows."""
 
-    def __init__(self, shape: tuple[int, ...], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, shape: tuple[int, ...], lr: float):
+        self.lr = lr
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
 
     def update(self, values: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * grad
+        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
+        values -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 class _Sgd:
@@ -447,13 +441,12 @@ def _stack_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray | 
     _check_stackable([state.config for state in states])
     if not all(np.array_equal(state.priors, states[0].priors) for state in states[1:]):
         raise ValueError("models evaluated as one stack differ in their priors")
-    enc = states[0].encoder
-    if ds.dim != enc.in_dim:
-        raise ValueError(f"dataset dimension {ds.dim} does not match encoder input {enc.in_dim}")
+    if ds.dim != states[0].in_dim:
+        raise ValueError(f"dataset dimension {ds.dim} does not match encoder input {states[0].in_dim}")
     if int(ds.labels.max()) >= states[0].class_count:
         raise ValueError("dataset labels exceed the model's class count")
     if noise is None:
-        noise = _eval_noise(ds.count, enc.bottleneck_dim)
+        noise = _eval_noise(ds.count, states[0].bottleneck_dim)
     rows = _stack_rows(states[0], ds.count, 1)
     return [outcome for lo in range(0, len(states), rows) for outcome in _pass_terms(states[lo : lo + rows], ds, noise)]
 
@@ -461,12 +454,12 @@ def _stack_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray | 
 def _pass_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray) -> list:
     """One pass of :func:`_stack_terms`: its models scored as one stack or, if any fails a check, each alone."""
     stack = _stacked(states)
-    means = stack.encoder.encode_batch(ds.features)
+    means = stack.encode_batch(ds.features)
     try:
         if not np.all(np.isfinite(means)):
             raise NonFiniteError("encoder codes must be finite")
         surrogate = stack.surrogate()  # naive-Bayes scores read it, so it is checked before the log-variances
-        log_vars = np.array([state.encoder.log_var() for state in states])
+        log_vars = np.array([state.log_var() for state in states])
     except ArithmeticError as exc:
         outcomes: list = [exc]
     else:
@@ -519,7 +512,7 @@ def evaluate(states: Sequence[ModelState], ds: Dataset) -> list[EvalResult | Exc
     for state, outcome in zip(states, outcomes):
         if not isinstance(outcome, Exception):  # its codes and eta^2 passed their checks in the pass
             terms, means = outcome
-            report = estimators.bound_report(state.encoder.embedded(means, ds.labels), estimators.MODE_CITED_SOURCE)
+            report = estimators.bound_report(state.embedded(means, ds.labels), estimators.MODE_CITED_SOURCE)
             outcome = replace(terms, bounds=report)
         results.append(outcome)
     return results
@@ -574,9 +567,9 @@ def _diagnose_nonfinite(
 ) -> int:
     """Dataset index of the first sample with a non-finite loss contribution."""
     stack = _stacked([state])
-    means = stack.encoder.encode_batch(x)
+    means = stack.encode_batch(x)
     true_lp, kl = objectives.cib_loss(
-        labels, means, np.array([state.encoder.log_var()]), stack.log_probs, stack.surrogate(), noise
+        labels, means, np.array([state.log_var()]), stack.log_probs, stack.surrogate(), noise
     )
     bad = ~np.all(np.isfinite(means[0]), axis=1) | ~np.all(np.isfinite(true_lp[0]), axis=1) | ~np.isfinite(kl[0])
     first = int(np.flatnonzero(bad)[0]) if np.any(bad) else 0
@@ -585,8 +578,8 @@ def _diagnose_nonfinite(
 
 def _alternating_moment_step(state: ModelState, train: Dataset) -> None:
     """M-step: set each class surrogate to the moments of its current codes."""
-    means = state.encoder.encode_batch(train.features)
-    var = math.exp(state.encoder.log_var())
+    means = state.encode_batch(train.features)
+    var = math.exp(state.log_var())
     mu = state.store.get("sur.mu")
     d = means.shape[1]
     for y in range(state.class_count):
@@ -629,10 +622,9 @@ def _stack_rows(state: ModelState, batch: int, draws: int) -> int:
     A step of ``batch`` rows keeps ``draws`` score draws; an evaluation pass
     over N rows scores one draw at a time.
     """
-    enc = state.encoder
     naive_bayes = state.config["decoder"]["variant"] == "naive_bayes"
-    per_draw = batch * state.class_count * (enc.bottleneck_dim if naive_bayes else 1)
-    widest = max(state.store.size, batch * max(enc.layer_dims), draws * per_draw)
+    per_draw = batch * state.class_count * (state.bottleneck_dim if naive_bayes else 1)
+    widest = max(state.store.size, batch * max(state.config["encoder"]["layer_dims"]), draws * per_draw)
     return max(1, STACK_VALUES // widest)
 
 

@@ -591,7 +591,7 @@ class LossSpec:
     @classmethod
     def of_state(cls, state, x, labels, beta_prime, noise):
         """The loss that ``ModelState.loss_graph`` records for this state and batch."""
-        enc = state.encoder
+        enc = state.config["encoder"]
         log_sigma = "sur.log_sigma" if "sur.log_sigma" in state.store.names() else None
         with np.errstate(divide="ignore"):
             log_priors = np.log(state.priors)
@@ -601,8 +601,8 @@ class LossSpec:
             score_rule = ("naive_bayes", "sur.mu", log_sigma, log_priors)
         return cls(
             x=np.asarray(x, dtype=np.float64), labels=np.asarray(labels, dtype=np.intp), noise=noise,
-            weights=tuple(name for pair in enc.weight_names() for name in pair), activation=enc.activation,
-            sigma2=enc.sigma2, log_eta2="enc.log_eta2" if enc.noise_mode == "learned_eta" else None,
+            weights=tuple(name for pair in state.weight_names() for name in pair), activation=enc["activation"],
+            sigma2=state.sigma2, log_eta2="enc.log_eta2" if enc["noise_mode"] == "learned_eta" else None,
             score_rule=score_rule, mu="sur.mu", log_sigma=log_sigma, beta_prime=beta_prime,
         )
 
@@ -994,8 +994,8 @@ def cross_entropy_term(true_class_log_probs):
 
 def reference_loss_terms(state, ds, mc_samples, noise_seed):
     """(accuracy, cross_entropy, kl_term) of ``model.loss_terms`` through DiagGaussian objects."""
-    means = state.encoder.encode_batch(ds.features)
-    log_var = state.encoder.log_var()
+    means = state.encode_batch(ds.features)
+    log_var = state.log_var()
     noise = np.random.default_rng(noise_seed).standard_normal((mc_samples, ds.count, means.shape[1]))
     accuracy = float(np.mean(np.argmax(state.log_probs(means), axis=1) == ds.labels))
     codes = DiagGaussian(means, np.full(means.shape, log_var))
@@ -1006,9 +1006,9 @@ def reference_loss_terms(state, ds, mc_samples, noise_seed):
 @np.errstate(over="ignore", invalid="ignore")
 def reference_diagnose_nonfinite(state, x, labels, noise, batch_idx):
     """``model._diagnose_nonfinite`` with placeholder codes for rows already known bad."""
-    means = state.encoder.encode_batch(x)
+    means = state.encode_batch(x)
     bad = ~np.all(np.isfinite(means), axis=1)
-    codes = DiagGaussian(np.where(bad[:, None], 0.0, means), np.full(means.shape, state.encoder.log_var()))
+    codes = DiagGaussian(np.where(bad[:, None], 0.0, means), np.full(means.shape, state.log_var()))
     true_lp, kl = loss_rows(labels, codes, state.log_probs, state.surrogate(), noise)
     bad |= ~np.all(np.isfinite(true_lp), axis=1) | ~np.isfinite(kl)
     first = int(np.flatnonzero(bad)[0]) if np.any(bad) else 0

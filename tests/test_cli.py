@@ -227,6 +227,20 @@ class TestTrain:
         assert "missing.json" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_provenance_that_is_not_an_object_exits_one_before_any_directory(self, tmp_path, capsys, standardize):
+        data = tmp_path / "d.json"
+        data_io.save_dataset(data_io.Dataset(np.eye(8, 2), np.arange(8) % 2, 2), data)
+        doc = json.loads(data.read_text())
+        doc["provenance"] = 5
+        data.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path, dataset={"kind": "json", "train": str(data), "test": str(data),
+                                               "standardize": standardize})
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ") and str(data) in err, err
+        assert not (tmp_path / "run").exists()
+
     def test_out_below_a_regular_file_exits_one_naming_it(self, tmp_path, capsys):
         out = _below_a_file(tmp_path)
         assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 1
@@ -485,7 +499,7 @@ class TestSweep:
         [failing], _ = model.sweep_runs(cfg, [2], [betas[2]])
         target = failing.state.store.values.copy()
         armed = []  # set once training is done, in this process or a forked worker
-        tradeoff_points, encode_batch, log_probs = (model.tradeoff_points, model.EncoderModel.encode_batch,
+        tradeoff_points, encode_batch, log_probs = (model.tradeoff_points, model.ModelState.encode_batch,
                                                     model.ModelState.log_probs)
 
         def hit(store):
@@ -503,7 +517,7 @@ class TestSweep:
 
         monkeypatch.setattr(model, "tradeoff_points", lambda *args: armed.append(1) or tradeoff_points(*args))
         if failure == "nonfinite-codes":
-            monkeypatch.setattr(model.EncoderModel, "encode_batch", poisoned_codes)
+            monkeypatch.setattr(model.ModelState, "encode_batch", poisoned_codes)
         else:
             monkeypatch.setattr(model.ModelState, "log_probs", poisoned_log_probs)
 
@@ -988,7 +1002,7 @@ class TestTracedEntryPoints:
         monkeypatch.setattr(model, "evaluate", counted("evaluate", model.evaluate))
         monkeypatch.setattr(estimators, "bound_report", counted("bound_report", estimators.bound_report))
         monkeypatch.setattr(
-            model.EncoderModel, "encode_batch", counted("encode_batch", model.EncoderModel.encode_batch)
+            model.ModelState, "encode_batch", counted("encode_batch", model.ModelState.encode_batch)
         )
         cfg = _write_config(tmp_path)  # 6 steps logged every 3: metrics rows at steps 0, 3 and 6
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0

