@@ -13,6 +13,7 @@ returns it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -360,9 +361,16 @@ def load_dataset(path: str | Path) -> Dataset:
         raise ValueError(f"{path}: labels must be a list of integers")
     if not isinstance(provenance, dict):
         raise ValueError(f"{path}: provenance must be a JSON object, got {provenance!r}")
+    features = doc["features"]
+    if isinstance(features, list) and all(isinstance(row, list) for row in features):
+        # numpy would read true, false and "1" as 1.0, 0.0 and 1.0
+        others = set(map(type, itertools.chain.from_iterable(features))) - {int, float}
+        if others:
+            raise ValueError(f"{path}: features must be rows of JSON numbers, "
+                             f"not {', '.join(sorted(kind.__name__ for kind in others))}")
     try:
         return Dataset(
-            np.asarray(doc["features"], dtype=np.float64),
+            np.asarray(features, dtype=np.float64),
             np.asarray(labels, dtype=np.intp),
             int(doc["class_count"]),
             provenance,

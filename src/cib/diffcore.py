@@ -11,6 +11,7 @@ differentiates no other loss.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -33,14 +34,19 @@ __all__ = [
 
 ACTIVATIONS = ("relu", "softplus", "tanh")
 
+# The literal operands of a training step's ufuncs, as 0-d float64 arrays:
+# the same values and so the same bits, but numpy converts a Python float
+# operand on every call, which costs a (1, 64) multiply about half its time.
+_ZERO, _HALF, _ONE, _TWO, _MINUS_ONE = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0, -1.0))
+
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise log(sum(exp(a))) over the last axis, shifted by each row's maximum.
 
     A last axis of 1 to 7 entries is reduced in column passes, with numpy's
-    reduction's bits: a running ``np.maximum`` over the columns, one
-    ``exp(column - max)`` per column, the exps added column by column from the
-    first, then ``max + log(sum)``.  Below 8 entries numpy sums a row in that
+    reduction's bits: a running ``np.maximum`` over the columns, one ``exp``
+    of the whole array less each row's max (each element ``exp(a_j - max)``),
+    the exps added column by column from the first, then ``max + log(sum)``.  Below 8 entries numpy sums a row in that
     order, sequentially from its first entry.  It also pays its inner-loop
     set-up once per row, so at (1000, 2) its reductions are bound by that
     per-row cost, not by their arithmetic; the passes pay it once per column.
@@ -55,13 +61,15 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
         for j in range(1, k):
             mx = np.maximum(mx, a[..., j])
         if not np.isnan(mx).any():
-            total = np.exp(a[..., 0] - mx)
+            e = np.subtract(a, mx[..., None])
+            np.exp(e, out=e)  # each element exp(a_j - max), as a column pass gives it
+            total = e[..., 0]
             for j in range(1, k):
-                total = total + np.exp(a[..., j] - mx)
+                total = total + e[..., j]
             return mx + np.log(total)
     mx = np.maximum.reduce(a, axis=-1)  # a.max(axis=-1) without its wrapper
     shifted = np.subtract(a, mx[..., None])
-    return mx + np.log(np.exp(shifted, out=shifted).sum(axis=-1))
+    return mx + np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=-1))
 
 
 class ShapeError(ValueError):
@@ -182,14 +190,14 @@ def _activate(x: np.ndarray, kind: str, in_place: bool = False) -> tuple[np.ndar
     """
     out = x if in_place else None
     if kind == "relu":
-        return np.maximum(x, 0.0, out=out), None
+        return np.maximum(x, _ZERO, out=out), None
     if kind == "softplus":
         # ln(1+e^x) overflows past ~x=40; use max(x,0)+log1p(e^-|x|), the sum
         # taken in place so that a stacked forward's peak holds one
         # temporary fewer
         e = np.abs(x, out=np.empty_like(x))  # an array even for a 0-d x, so that it can be written over
         np.exp(np.negative(e, out=e), out=e)
-        out = np.maximum(x, 0.0, out=out)
+        out = np.maximum(x, _ZERO, out=out)
         out += np.log1p(e, out=e if in_place else None)
         return out, None if in_place else e
     if kind == "tanh":
@@ -197,31 +205,39 @@ def _activate(x: np.ndarray, kind: str, in_place: bool = False) -> tuple[np.ndar
     raise ValueError(f"unsupported activation: {kind!r} (choose from {ACTIVATIONS})")
 
 
+@functools.lru_cache(maxsize=256)
+def _arange(n: int) -> np.ndarray:
+    """``np.arange(n)``, read-only and made once per length: the index arrays of a step's gathers."""
+    a = np.arange(n)
+    a.flags.writeable = False
+    return a
+
+
 def _mean(x: np.ndarray) -> np.ndarray:
     """``np.mean(x, axis=-1)`` of a nonempty float64 array: the same sums and division, without the wrapper."""
-    return x.sum(axis=-1) / x.shape[-1]
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
 def _act_grad(kind: str, g: np.ndarray, pre: np.ndarray, out: np.ndarray, e: np.ndarray | None):
     """Adjoint of ``pre`` through ``out, e = _activate(pre, kind)`` for the output adjoint ``g``."""
     if kind == "relu":
-        return g * (pre > 0.0)
+        return g * (pre > _ZERO)
     if kind == "softplus":
         # the sigmoid as 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, each exact
         # on its half-line; e = e^(-|x|) serves both branches and cannot overflow
-        return g * (np.maximum(e, pre >= 0) / (1.0 + e))
-    return g * (1.0 - out**2)
+        return g * (np.maximum(e, pre >= _ZERO) / (_ONE + e))
+    return g * (_ONE - out**2)
 
 
 def _naive_bayes_scores(tv, muv, lsv, log_priors):
     """Scores log p(y) + log N(t_b; mu_y, sigma_y^2 I) of a (..., B, d) batch, and their backward cache."""
     d = tv.shape[-1]
-    log_var = lsv * 2.0
+    log_var = lsv * _TWO
     diff = tv[..., :, None, :] - muv[..., None, :, :]
     sq_dist = np.einsum("...bkd,...bkd->...bk", diff, diff)
-    neg_log_var = log_var * -1.0
+    neg_log_var = log_var * _MINUS_ONE
     inv_var = np.exp(neg_log_var)
-    half_inv_var = inv_var * 0.5
+    half_inv_var = inv_var * _HALF
     offset = log_var * (-0.5 * d) + (log_priors - 0.5 * d * math.log(2.0 * math.pi))
     scores = offset[..., None, :] - sq_dist * half_inv_var[..., None, :]  # (-q) + offset, exactly
     return scores, (diff, sq_dist, inv_var, half_inv_var)
@@ -233,15 +249,15 @@ def _naive_bayes_grads(cache, g, need_log_sigma: bool):
     d = diff.shape[-1]
     g_log_sigma = None
     if need_log_sigma:
-        g_log_var = g.sum(axis=-2) * (-0.5 * d)  # through the offset row
-    g_quad = g * -1.0
+        g_log_var = np.add.reduce(g, axis=-2) * (-0.5 * d)  # through the offset row
+    g_quad = g * _MINUS_ONE
     g_sq_dist = g_quad * half_inv_var[..., None, :]
     if need_log_sigma:
-        g_half_inv_var = (g_quad * sq_dist).sum(axis=-2)
-        g_log_var = g_log_var - g_half_inv_var * 0.5 * inv_var  # through e^(-log_var); a + (-b) is a - b
-        g_log_sigma = g_log_var * 2.0
-    w = 2.0 * g_sq_dist[..., None] * diff
-    return w.sum(axis=-2), -w.sum(axis=-3), g_log_sigma
+        g_half_inv_var = np.add.reduce(g_quad * sq_dist, axis=-2)
+        g_log_var = g_log_var - g_half_inv_var * _HALF * inv_var  # through e^(-log_var); a + (-b) is a - b
+        g_log_sigma = g_log_var * _TWO
+    w = _TWO * g_sq_dist[..., None] * diff
+    return np.add.reduce(w, axis=-2), -np.add.reduce(w, axis=-3), g_log_sigma
 
 
 def _softmax_nll(sv: np.ndarray, at: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -257,10 +273,11 @@ def _softmax_nll(sv: np.ndarray, at: tuple) -> tuple[np.ndarray, np.ndarray]:
 def _softmax_nll_grad(sv, at, lse, g):
     """Adjoint of the scores for the (..., B) adjoint ``g``: the log-sum-exp's minus ``g`` at the labels.
 
-    The chain adds the log-sum-exp part onto a matrix that is 0 except for
-    -g at the labels, which gives the same sums except that 0.0 + (-0.0) is
-    +0.0.  Such a zero reaches the gradient only as a zero, and adding it
-    onto the zeroed gradient makes it +0.0 there too.
+    A 0-d ``g`` is one adjoint that every row shares.  The chain adds the
+    log-sum-exp part onto a matrix that is 0 except for -g at the labels,
+    which gives the same sums except that 0.0 + (-0.0) is +0.0.  Such a zero
+    reaches the gradient only as a zero, and :meth:`Tape.backward` makes it
+    +0.0 there too.
     """
     g_scores = np.exp(sv - lse[..., None]) * g[..., None]
     g_scores[at] -= g
@@ -298,7 +315,7 @@ class Tape:
         self.width = 0
         self._lead = store.values.shape[:-1]  # (P,)
         # the stack index of each row, for gathers along the class axis that follows it
-        self._rows = np.arange(self._lead[0])[:, None]
+        self._rows = _arange(self._lead[0])[:, None]
         self._ops = 0
         self._mlp = self._log_var = self._ce = self._kl = self._total = None
 
@@ -366,7 +383,7 @@ class Tape:
         ``p``, ``q`` = mu (K, d) and log sigma (K,) and the fixed (K,)
         ``log_priors``.  ``q`` None is a zero constant.
         """
-        mv, lv = np.asarray(means, dtype=np.float64), np.asarray(log_var, dtype=np.float64)
+        mv, lv = means, log_var
         pv = self.store.get(p)
         qv = self._slice(q, pv.shape[-2:-1])
         noise = np.asarray(noise, dtype=np.float64)
@@ -384,10 +401,10 @@ class Tape:
                 raise ShapeError(f"mc_cross_entropy: log_priors{log_priors.shape} for {pv.shape[-2]} classes")
         elif head != "softmax":
             raise ValueError(f"unknown score head: {head!r}")
-        std = np.exp(lv * 0.5)
+        std = np.exp(lv * _HALF)
         scale = std[:, None, None]  # a row's std spans its (B, d) draws
         b, draw_count = mv.shape[-2], noise.shape[1]
-        at = (self._rows, np.arange(b), labels)  # each row's labelled score
+        at = (self._rows, _arange(b), labels)  # each row's labelled score
         draws = []
         total = None
         k, d = pv.shape[-2:]
@@ -419,7 +436,7 @@ class Tape:
         0.5 * (d e^(v - lv_y) + |m - mu_y|^2 e^(-lv_y) + d lv_y - d v - d)
         with lv_y = 2 log sigma_y.
         """
-        mv, lv = np.asarray(means, dtype=np.float64), np.asarray(log_var, dtype=np.float64)
+        mv, lv = means, log_var
         muv = self.store.get(mu)
         lsv = self._slice(log_sigma, muv.shape[-2:-1])
         labels = np.asarray(labels, dtype=np.intp)
@@ -430,12 +447,12 @@ class Tape:
                 f"log_sigma{lsv.shape} labels{labels.shape} do not agree"
             )
         d = float(mv.shape[-1])
-        lv_y = lsv[self._rows, labels] * 2.0
+        lv_y = lsv[self._rows, labels] * _TWO
         diff = mv - muv[self._rows, labels]
-        sq_dist = (diff * diff).sum(axis=-1)
+        sq_dist = np.add.reduce(diff * diff, axis=-1)
         # a row's v broadcasts over its batch: each element is the chain's v_b[i] op x
         lv = lv[:, None]
-        gap, neg_lv_y = lv - lv_y, lv_y * -1.0
+        gap, neg_lv_y = lv - lv_y, lv_y * _MINUS_ONE
         ratio, inv_var = np.exp(gap), np.exp(neg_lv_y)
         rows = ratio * d + sq_dist * inv_var
         rows += lv_y * d
@@ -443,7 +460,7 @@ class Tape:
         rows += -d
         self._kl = (mu, log_sigma, labels, diff, sq_dist, ratio, inv_var)
         self._ops += 1
-        return rows * 0.5
+        return rows * _HALF
 
     def total(self, ce: np.ndarray, kl_rows: np.ndarray, beta_prime: np.ndarray) -> tuple[np.ndarray, ...]:
         """The (P,) losses ``ce + beta' * mean(kl_rows)`` for the (P,) ``beta_prime``; returns (total, ce, kl)."""
@@ -461,14 +478,14 @@ class Tape:
         reach the means, the surrogate and the log-variance first; the draws
         then add to the means from the last draw to the first, and their
         summed score-parameter adjoints follow the KL's; the net comes last.
-        Each slice's adjoint is added once onto a zeroed gradient, so a -0.0
-        adjoint is +0.0 there.  Adjoints of a fixed log-variance or fixed
-        class sigmas are not formed.
+        The gradient is the slices' adjoints concatenated in layout order, a
+        slice the loss does not reach as zeros, plus 0.0: a -0.0 adjoint is
+        +0.0 there, as adding it onto a zeroed gradient makes it.  Adjoints of
+        a fixed log-variance or fixed class sigmas are not formed.
         """
-        if any(r is None for r in (self._mlp, self._ce, self._kl, self._total)):
+        if None in (self._mlp, self._ce, self._kl, self._total):  # each a recorded op's tuple, or None
             raise ValueError("backward needs a recorded mlp, mc_cross_entropy, kl_to_surrogate_rows and total")
         store, lead = self.store, self._lead
-        grad = np.zeros(store.values.shape)
         beta_prime, b = self._total
         need_lv = self._log_var is not None
 
@@ -476,13 +493,13 @@ class Tape:
         mu, log_sigma, kl_labels, diff, sq_dist, ratio, inv_var = self._kl
         need_ls = log_sigma is not None
         d = float(diff.shape[-1])
-        g = np.full(lead + (b,), (beta_prime / b)[:, None]) * 0.5
+        g = (beta_prime / b)[:, None] * _HALF  # (P, 1): every use broadcasts it over the batch before a sum
         g_sq_dist = g * inv_var
         if need_lv or need_ls:
             g_gap = g * d * ratio  # through e^(v - lv_y)
         if need_lv:
-            g_lv = (g * -d + g_gap).sum(axis=-1)  # broadcast encoder log-variance
-        g_means = g_sq_dist[..., None] * diff * 2.0  # the chain's p + p, exactly
+            g_lv = np.add.reduce(g * -d + g_gap, axis=-1)  # broadcast encoder log-variance
+        g_means = g_sq_dist[..., None] * diff * _TWO  # the chain's p + p, exactly
         # ufunc.at visits the index in order, so each row adds its batch rows in the chain's order
         kl_at = (self._rows, kl_labels)
         g_mu = np.zeros(lead + store.spec(mu).shape)
@@ -492,19 +509,19 @@ class Tape:
             # per-row surrogate log-variance lv_y, then through e^(-lv_y) and e^(v - lv_y); a + (-b) is a - b
             g_lv_y = g * d - g * sq_dist * inv_var - g_gap
             g_log_sigma = np.zeros(lead + store.spec(log_sigma).shape)
-            np.add.at(g_log_sigma, kl_at, g_lv_y * 2.0)
+            np.add.at(g_log_sigma, kl_at, g_lv_y * _TWO)
             adj[log_sigma] = g_log_sigma
 
         # Monte-Carlo cross-entropy, adjoint 1: the batch mean, then the 1/S scale
         head, p, q, pv, noise, at, std, draws = self._ce
         need_q = q is not None
-        g_nll = np.full(lead + (b,), 1.0 / b * (1.0 / len(draws)))
+        g_nll = np.array(1.0 / b * (1.0 / len(draws)))  # 0-d: each row's adjoint, broadcast
         g_p = g_q = g_std = None
         for s in range(len(draws) - 1, -1, -1):
             scores, lse, cache = draws[s]
             g_scores = _softmax_nll_grad(scores, at, lse, g_nll)
             if head == "softmax":
-                g_t, gp, gq = g_scores @ pv, g_scores.mT @ cache, g_scores.sum(axis=-2)
+                g_t, gp, gq = g_scores @ pv, g_scores.mT @ cache, np.add.reduce(g_scores, axis=-2)
             else:
                 g_t, gp, gq = _naive_bayes_grads(cache, g_scores, need_q)
             # the chain gave each draw its own score leaves, summed from the last draw on;
@@ -514,7 +531,7 @@ class Tape:
                 g_q = gq if g_q is None else g_q + gq
             g_means = g_means + g_t
             if need_lv:
-                g_eps = (g_t * noise[:, s]).sum(axis=(-2, -1))  # the draw's noise * std product
+                g_eps = np.add.reduce(g_t * noise[:, s], axis=(-2, -1))  # the draw's noise * std product
                 g_std = g_eps if g_std is None else g_std + g_eps
         adj[p] = adj[p] + g_p if p in adj else g_p
         if need_q:
@@ -523,7 +540,7 @@ class Tape:
         # the learned log-variance log(e^(log eta^2) + sigma2): through e^(v / 2), the log and the exp
         if need_lv:
             name, e, var = self._log_var
-            adj[name] = (g_lv + g_std * std * 0.5) / var * e
+            adj[name] = (g_lv + g_std * std * _HALF) / var * e
 
         # the net, from the last layer
         names, weights, activation, inputs, pres, exps = self._mlp
@@ -532,13 +549,13 @@ class Tape:
             if l:  # the first layer's input is the fixed batch: no adjoint
                 g_in = g @ weights[2 * l]
             adj[names[2 * l]] = g.mT @ inputs[l]
-            adj[names[2 * l + 1]] = g.sum(axis=-2)
+            adj[names[2 * l + 1]] = np.add.reduce(g, axis=-2)
             if l:
                 g = _act_grad(activation, g_in, pres[l - 1], inputs[l], exps[l - 1])
 
-        for name, g in adj.items():
-            spec = store.spec(name)
-            grad[:, spec.offset : spec.offset + spec.size] += g.reshape(lead + (spec.size,))
+        grad = np.concatenate([adj[name].reshape(lead + (-1,)) if name in adj else np.zeros(lead + (spec.size,))
+                               for name, spec in store.layout.items()], axis=-1)
+        grad += _ZERO
         return grad
 
 

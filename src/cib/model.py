@@ -124,6 +124,11 @@ class ModelState:
     def weight_names(self) -> list[tuple[str, str]]:
         return [(f"enc.W{l}", f"enc.b{l}") for l in range(len(self.config["encoder"]["layer_dims"]) - 1)]
 
+    @functools.cached_property
+    def _net_names(self) -> tuple[str, ...]:
+        """The net's slice names W_0, b_0, W_1, b_1, ... in the order :meth:`Tape.mlp` takes them."""
+        return tuple(name for pair in self.weight_names() for name in pair)
+
     @property
     def sigma2(self) -> float:
         return float(self.config["encoder"]["sigma2"])
@@ -173,7 +178,7 @@ class ModelState:
     @property
     def learns_sigma(self) -> bool:
         """Whether ``sur.log_sigma`` exists; without it every sigma_y is 1."""
-        return "sur.log_sigma" in self.store.names()
+        return "sur.log_sigma" in self.store.layout
 
     @functools.cached_property
     def log_priors(self) -> np.ndarray:
@@ -228,7 +233,7 @@ class ModelState:
         scores with the surrogate's, which the KL term shares.
         """
         enc = self.config["encoder"]
-        means = tape.mlp(x, [name for pair in self.weight_names() for name in pair], enc["activation"])
+        means = tape.mlp(x, self._net_names, enc["activation"])
         log_var = tape.log_var(self.sigma2, "enc.log_eta2" if enc["noise_mode"] == "learned_eta" else None)
         log_sigma = "sur.log_sigma" if self.learns_sigma else None
         if self.config["decoder"]["variant"] == "softmax":
@@ -676,6 +681,16 @@ def train(configs: Sequence[dict], train_ds: Dataset, test_ds: Dataset | None = 
     return runs
 
 
+def _batch_blocks(order: np.ndarray, batch: int) -> np.ndarray:
+    """The (P, n // batch, batch) batches of one epoch's (P, n) shuffled orders, each sorted.
+
+    Step j of the epoch takes block j: entries j * batch up to (j + 1) *
+    batch of each order, in ascending index order.  The last n % batch
+    entries of an order go unused.
+    """
+    return np.sort(order[:, : order.shape[1] // batch * batch].reshape(order.shape[0], -1, batch), axis=-1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _train_stack(cfgs: Sequence[dict], priors: np.ndarray, train_ds: Dataset, batch: int) -> list[TrainResult]:
     """Run the steps of :func:`train` on one stack of runs, together, until the first failure of any run.
@@ -724,13 +739,14 @@ def _train_stack(cfgs: Sequence[dict], priors: np.ndarray, train_ds: Dataset, ba
 
     if not (moment_steps() and log_rows(0)):
         return runs
-    pos = n  # the first step draws the first order
+    per_epoch = n // batch
+    block = per_epoch  # the first step draws the first order
     for step in range(1, steps + 1):
-        if pos + batch > n:
-            order = np.stack([shuffle.permutation(n) for shuffle in shuffles])
-            pos = 0
-        idx = np.sort(order[:, pos : pos + batch])
-        pos += batch
+        if block == per_epoch:
+            blocks = _batch_blocks(np.stack([shuffle.permutation(n) for shuffle in shuffles]), batch)
+            block = 0
+        idx = blocks[:, block]
+        block += 1
         noise = np.empty((len(runs), cfg["loss"]["mc_samples"], batch, d))
         for row, stream in zip(noise, draws):
             stream.standard_normal(out=row)  # the draws of standard_normal((mc_samples, batch, d))
@@ -738,7 +754,7 @@ def _train_stack(cfgs: Sequence[dict], priors: np.ndarray, train_ds: Dataset, ba
 
         tape = Tape(store)
         total, _, _ = runs[0].state.loss_graph(tape, x, labels, beta_prime, noise)
-        if not np.all(np.isfinite(total)):
+        if not np.isfinite(total).all():
 
             def diagnose(j, run):
                 if not np.isfinite(total[j]):

@@ -96,7 +96,7 @@ def cib_loss_graph(
     Each row matches the batch means of :func:`cib_loss` on its inputs;
     ``tape.backward()`` then gives the gradient of the totals.
     """
-    if np.any(beta_prime < 0.0):
+    if (beta_prime < 0.0).any():
         raise ValueError("beta_prime must be nonnegative")
     ce = tape.mc_cross_entropy(means, log_var, noise, labels, *score_rule)
     kl_rows = kl_to_surrogate_graph(tape, means, log_var, mu, log_sigma, labels)

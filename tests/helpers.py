@@ -696,6 +696,23 @@ def chain_loss_graph(state, tape, x, labels, beta_prime, noise, per_draw_ops=Fal
     return nodes["total"], nodes["ce"], nodes["kl"]
 
 
+# --------------------------------------------------------------------- batch-order reference
+#
+# The batches of one training epoch as a per-step loop takes them: each step
+# sorts the next ``batch`` entries of each shuffled order.
+# cib.model._batch_blocks sorts an epoch's blocks at once and must give the
+# same indices.
+
+
+def per_step_batches(order, batch):
+    """The (P, n // batch, batch) batches that steps take from the (P, n) orders, one sort per step."""
+    steps, pos = [], 0
+    while pos + batch <= order.shape[1]:
+        steps.append(np.sort(order[:, pos : pos + batch]))
+        pos += batch
+    return np.stack(steps, axis=1)
+
+
 # --------------------------------------------------------------------- gradient-check reference
 #
 # grad_check with one forward of a stack of one per probe, moving one

@@ -671,9 +671,14 @@ class TestEstimate:
         doc = json.loads(data.read_text())
         doc["labels"] = doc["labels"][:-1]
         short.write_text(json.dumps(doc))
+        doc["labels"].append(0)
+        doc["features"][0][1] = True
+        boolean = tmp_path / "boolean.json"
+        boolean.write_text(json.dumps(doc))
         capsys.readouterr()
         for checkpoint, dataset, named in ((valueless, data, [str(valueless), "params.enc.W0.values"]),
-                                           (ckpt, short, [str(short), "labels must align"])):
+                                           (ckpt, short, [str(short), "labels must align"]),
+                                           (ckpt, boolean, [str(boolean), "features must be rows of JSON numbers"])):
             assert run(["estimate", "--checkpoint", str(checkpoint), "--data", str(dataset)]) == 1
             err = capsys.readouterr().err
             assert all(word in err for word in named), err

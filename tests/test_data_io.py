@@ -308,6 +308,29 @@ class TestDatasetFile:
             data_io.load_dataset(path)
         assert str(exc.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("row,kinds", [
+        ([True, False], "bool"),  # numpy would read them as 1.0 and 0.0
+        ([0.5, "1"], "str"),
+        ([None, 2], "NoneType"),
+        ([[1.0], 2], "list"),
+        ([False, "0"], "bool, str"),
+    ])
+    def test_features_that_are_not_numbers_name_the_file(self, tmp_path, row, kinds):
+        path = tmp_path / "d.json"
+        data_io.save_dataset(Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2), path)
+        doc = json.loads(path.read_text())
+        doc["features"][1] = row
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"features must be rows of JSON numbers, not {kinds}$") as exc:
+            data_io.load_dataset(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_integer_and_float_features_load_as_float64(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"features": [[1, 2.5], [-3, 0]], "labels": [0, 1], "class_count": 2}))
+        ds = data_io.load_dataset(path)
+        assert ds.features.dtype == np.float64 and ds.features.tolist() == [[1.0, 2.5], [-3.0, 0.0]]
+
     @pytest.mark.parametrize("provenance", [5, [1, 2], "gmm", None])
     def test_provenance_that_is_not_an_object_names_the_file(self, tmp_path, provenance):
         path = tmp_path / "d.json"

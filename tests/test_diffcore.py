@@ -170,6 +170,34 @@ class TestBackwardBasics:
         with pytest.raises(ValueError, match="backward needs"):
             tape.backward()
 
+    def test_negative_zero_adjoints_reach_the_gradient_as_positive_zeros(self):
+        """A naive-Bayes class that no row is labelled with and whose posterior underflows to 0.
+
+        Its score adjoint is +0.0 on every row.  The head scores with slices
+        of its own, so the class's mean adjoint, -sum(+0.0), and its
+        log-sigma adjoint, sum(+0.0) * (-d / 2) - (+0.0), are -0.0 and reach
+        the gradient as they are; it holds them as +0.0, as adding them onto
+        zeros does.  (numpy adds a reduction onto +0.0, so a sum of -0.0
+        entries is +0.0 and a relu's -0.0 adjoints never reach it.)
+        """
+        store = ParamStore([
+            ("W", np.array([[1.0, 0.5], [-0.3, 0.8]])), ("b", np.array([0.5, -1.0])),
+            ("mu", np.array([[0.5, -0.5], [1.0, 0.0]])), ("ls", np.array([0.1, -0.2])),
+            ("nb_mu", np.array([[0.0, 0.0], [1e3, 1e3]])), ("nb_ls", np.array([0.0, -1.0])),
+        ])
+        rng = np.random.default_rng(3)
+        x, labels = rng.normal(size=(1, 6, 2)), np.zeros((1, 6), dtype=np.intp)
+        tape = Tape(stack_of_one(store))
+        means = tape.mlp(x, ("W", "b"), "relu")
+        log_var = tape.log_var(1.0)
+        ce = tape.mc_cross_entropy(means, log_var, rng.normal(size=(1, 2, 6, 2)), labels, "naive_bayes",
+                                   "nb_mu", "nb_ls", np.log([0.5, 0.5]))
+        tape.total(ce, tape.kl_to_surrogate_rows(means, log_var, "mu", "ls", labels), np.array([0.7]))
+        grad = tape.backward()[0]
+        unused = [store.spec("nb_mu").offset + 2, store.spec("nb_mu").offset + 3, store.spec("nb_ls").offset + 1]
+        assert (grad[unused] == 0.0).all()
+        assert not np.signbit(grad[grad == 0.0]).any()
+
     def test_seed_scales_gradient(self):
         store = ParamStore([("w", np.array([2.0]))])
         tape = ChainTape(store)

@@ -15,6 +15,7 @@ from cib.diffcore import NonFiniteError, Tape, grad_check
 from helpers import (
     ChainTape,
     chain_loss_graph,
+    per_step_batches,
     reference_diagnose_nonfinite,
     reference_loss_terms,
     shared_by_rows,
@@ -276,9 +277,11 @@ def _reference_loss_graph(per_draw_ops):
 
 
 def _train_with_reference(monkeypatch, cfg, train_ds, per_draw_ops):
+    """``train`` of one config over the reference graphs, taking its batches one sort per step."""
     with monkeypatch.context() as patch:
         patch.setattr(model, "Tape", _ReferenceTape)
         patch.setattr(model.ModelState, "loss_graph", _reference_loss_graph(per_draw_ops))
+        patch.setattr(model, "_batch_blocks", per_step_batches)
         return train([cfg], train_ds)[0]
 
 
@@ -358,7 +361,10 @@ class TestFusedLossGraph:
          "decoder": {"variant": "softmax"}},
         {"surrogate": {"learn_sigma": True, "update": "alternating"}},
         {"optim": {"kind": "sgd", "lr": 0.05, "steps": 40, "batch": 16, "log_every": 20}},
-    ], ids=["softmax", "naive_bayes", "relu-3-layers-S3-fixed-sigma-y", "tanh-softmax-eta", "alternating", "sgd"])
+        {"optim": {"steps": 9, "batch": 120, "log_every": 4}},
+        {"optim": {"steps": 20, "batch": 50, "log_every": 10}},
+    ], ids=["softmax", "naive_bayes", "relu-3-layers-S3-fixed-sigma-y", "tanh-softmax-eta", "alternating", "sgd",
+            "full-batch", "batch-50-of-120"])
     def test_training_matches_reference(self, overrides, per_draw_ops, monkeypatch):
         base = {"encoder": {"layer_dims": [2, 4, 2], "noise_mode": "learned_eta"},
                 "loss": {"beta_prime": 1.0, "mc_samples": 2}}
@@ -590,9 +596,20 @@ class TestLockstep:
         train_ds, test_ds = data_io.dataset_from_config(configs[0]["dataset"])
         stacked = train(configs, train_ds, test_ds)
         assert len(stacked) == 5
+        monkeypatch.setattr(model, "_batch_blocks", per_step_batches)  # the runs alone sort each step's batch
         for cfg, run in zip(configs, stacked):
             assert run.error is None
             _same_run(run, train([cfg], train_ds, test_ds)[0])
+
+    @pytest.mark.parametrize("p,n,batch", [(1, 120, 16), (1, 120, 120), (3, 120, 16), (3, 120, 120), (3, 10, 3),
+                                           (2, 7, 1), (3, 1, 1)])
+    def test_an_epochs_batch_blocks_equal_per_step_sorts(self, p, n, batch):
+        """One sort of an epoch's blocks gives each step the batch that sorting it alone gives."""
+        rng = np.random.default_rng(1000 * p + 10 * n + batch)
+        order = np.stack([rng.permutation(n) for _ in range(p)])
+        blocks = model._batch_blocks(order, batch)
+        assert blocks.shape == (p, n // batch, batch)
+        assert np.array_equal(blocks, per_step_batches(order, batch))
 
     def test_failing_points_leave_the_stack_and_the_rest_go_on(self):
         """Points fail at different steps, from the loss or from evaluation; each run equals its run alone.
