@@ -102,7 +102,7 @@ def _write_run_dir(out: Path, run: model.TrainResult, point: model.TradeoffPoint
     # by keyword: the traced benchmark (perfbench/layers.py) reads the file size from ``path``
     data_io.save_checkpoint(run.state, path=out / "checkpoint.json")
     data_io.write_metrics(run.metrics, out / "metrics.csv")
-    data_io.write_json(point.to_json_dict(), out / "point.json")
+    data_io.write_json(dataclasses.asdict(point), out / "point.json")
 
 
 def _cmd_train(args) -> int:
@@ -116,7 +116,7 @@ def _cmd_train(args) -> int:
         raise point
     _write_run_dir(out, run, point)
     final = run.metrics[-1]
-    doc = {"out": str(out), "final_step": final.step, "point": point.to_json_dict()}
+    doc = {"out": str(out), "final_step": final.step, "point": dataclasses.asdict(point)}
     _emit(
         doc,
         [
@@ -179,7 +179,7 @@ def _cmd_sweep(args) -> int:
                 if isinstance(point, Exception):
                     raise point
                 _write_run_dir(out / f"point_{len(points):03d}", run, point)
-                points.append(point.to_json_dict())
+                points.append(dataclasses.asdict(point))
     _write_report_csv(points, out / "sweep.csv")
     doc = {"out": str(out), "points": points}
     lines = [f"swept {len(betas)} points -> {out}", ",".join(REPORT_KEYS)]
@@ -344,7 +344,7 @@ def _cmd_report(args) -> int:
             problems.append(str(exc))
             continue
         try:
-            points.append(model.TradeoffPoint(**{k: doc[k] for k in POINT_KEYS}).to_json_dict())
+            points.append(dataclasses.asdict(model.TradeoffPoint(**{k: doc[k] for k in POINT_KEYS})))
         except ValueError as exc:
             problems.append(f"{path}: {exc}")
     if problems:

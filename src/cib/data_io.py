@@ -20,7 +20,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -216,40 +216,38 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
-def _read_exact(f, n: int, path: str) -> bytes:
+def _read_exact(f, n: int, path: Path) -> bytes:
     data = f.read(n)
     if len(data) != n:
         raise IdxFormatError(f"{path}: truncated payload (wanted {n} bytes, got {len(data)})")
     return data
 
 
+def _read_idx_file(path: Path, magic: int, kind: str, dims: int) -> tuple[tuple[int, ...], bytes]:
+    """The ``dims`` header sizes and the payload of one IDX file of ``kind`` ("image" or "label")."""
+    with open(path, "rb") as f:
+        (found,) = struct.unpack(">I", _read_exact(f, 4, path))
+        if found != magic:
+            raise IdxFormatError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
+        sizes = struct.unpack(f">{dims}I", _read_exact(f, 4 * dims, path))
+        payload = _read_exact(f, math.prod(sizes), path)
+        if f.read(1):
+            raise IdxFormatError(f"{path}: trailing bytes after payload")
+    return sizes, payload
+
+
 def read_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     """Parse a big-endian IDX image/label file pair into a dataset.
 
     Pixels are scaled from bytes to [0, 1].  Wrong magic numbers, truncated
-    payloads, and image/label count mismatches each raise a distinct error.
+    payloads, trailing bytes, images without pixels and image/label count
+    mismatches each raise a distinct error naming the file.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
-    with open(images_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, str(images_path)))
-        if magic != _IDX_IMAGES_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}"
-            )
-        n, rows, cols = struct.unpack(">III", _read_exact(f, 12, str(images_path)))
-        payload = _read_exact(f, n * rows * cols, str(images_path))
-        if f.read(1):
-            raise IdxFormatError(f"{images_path}: trailing bytes after payload")
-    with open(labels_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, str(labels_path)))
-        if magic != _IDX_LABELS_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}"
-            )
-        (n_labels,) = struct.unpack(">I", _read_exact(f, 4, str(labels_path)))
-        label_bytes = _read_exact(f, n_labels, str(labels_path))
-        if f.read(1):
-            raise IdxFormatError(f"{labels_path}: trailing bytes after payload")
+    (n, rows, cols), payload = _read_idx_file(images_path, _IDX_IMAGES_MAGIC, "image", 3)
+    if not payload:
+        raise IdxFormatError(f"{images_path}: no pixels ({n} images of {rows} x {cols})")
+    (n_labels,), label_bytes = _read_idx_file(labels_path, _IDX_LABELS_MAGIC, "label", 1)
     if n != n_labels:
         raise IdxFormatError(f"{images_path}: {n} images but {n_labels} labels")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
@@ -262,8 +260,7 @@ def read_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
         "images_sha256": hashlib.sha256(payload).hexdigest(),
         "labels_sha256": hashlib.sha256(label_bytes).hexdigest(),
     }
-    class_count = int(labels.max()) + 1 if n else 1
-    return Dataset(pixels / 255.0, labels, class_count, provenance)
+    return Dataset(pixels / 255.0, labels, int(labels.max()) + 1, provenance)
 
 
 def write_idx(
@@ -347,6 +344,16 @@ def read_json(path: str | Path, error: type[ValueError], keys: tuple[str, ...] =
     return doc
 
 
+def _require_numbers(entries: Iterable, message: str) -> None:
+    """Raise a ValueError with ``message`` and the offending types unless every entry is an int or a float.
+
+    numpy would also read the JSON values true, false and "1" as 1.0, 0.0 and 1.0.
+    """
+    others = set(map(type, entries)) - {int, float}
+    if others:
+        raise ValueError(f"{message}, not {', '.join(sorted(kind.__name__ for kind in others))}")
+
+
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     write_json({"features": ds.features.tolist(), "labels": ds.labels.tolist(),
                 "class_count": ds.class_count, "provenance": ds.provenance}, path)
@@ -363,11 +370,7 @@ def load_dataset(path: str | Path) -> Dataset:
         raise ValueError(f"{path}: provenance must be a JSON object, got {provenance!r}")
     features = doc["features"]
     if isinstance(features, list) and all(isinstance(row, list) for row in features):
-        # numpy would read true, false and "1" as 1.0, 0.0 and 1.0
-        others = set(map(type, itertools.chain.from_iterable(features))) - {int, float}
-        if others:
-            raise ValueError(f"{path}: features must be rows of JSON numbers, "
-                             f"not {', '.join(sorted(kind.__name__ for kind in others))}")
+        _require_numbers(itertools.chain.from_iterable(features), f"{path}: features must be rows of JSON numbers")
     try:
         return Dataset(
             np.asarray(features, dtype=np.float64),
@@ -407,7 +410,9 @@ def load_checkpoint(path: str | Path):
     try:  # every error below names the file
         if doc["format_version"] != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format_version: {doc['format_version']!r}")
-        state = _model.build_state(doc["config"], np.asarray(doc["priors"], dtype=np.float64))
+        priors = doc["priors"]
+        _require_numbers(priors if isinstance(priors, list) else [priors], "priors must be JSON numbers")
+        state = _model.build_state(doc["config"], np.asarray(priors, dtype=np.float64))
         saved = doc["params"]
         names = set(state.store.names())
         if not isinstance(saved, dict) or set(saved) != names:
@@ -420,7 +425,10 @@ def load_checkpoint(path: str | Path):
             shape, implied = tuple(entry["shape"]), state.store.spec(name).shape
             if shape != implied:
                 raise CheckpointError(f"slice {name!r} has shape {shape}, config implies {implied}")
-            state.store.set(name, np.asarray(entry["values"], dtype=np.float64).reshape(shape))
+            values = entry["values"]
+            _require_numbers(values if isinstance(values, list) else [values],
+                             f"params.{name}.values must be JSON numbers")
+            state.store.set(name, np.asarray(values, dtype=np.float64).reshape(shape))
         state.surrogate()  # rejects priors that are negative, NaN or do not sum to 1; set() rejected non-finite slices
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc

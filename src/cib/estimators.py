@@ -14,8 +14,11 @@ form and its source disagree:
 The conditional variant restricts the bound to one class at a time; by
 default each class is averaged over its own sample count and classes are
 combined with relative frequencies, so the aggregate cannot scale with the
-dataset size.  The printed alternatives (outer 1/N over the restricted sum;
-absolute-count weights) are available behind flags.
+dataset size.  :func:`bound_report` forms the printed alternatives behind
+its flags: ``printed_outer_normalization`` divides each restricted sum by N
+instead of N_y, which scales the log part of a class's bound by N_y / N (its
+distance-free term is not class-averaged), and ``printed_count_weights``
+combines the classes with absolute counts, so the aggregate scales with N.
 
 One tiled pass gives a whole report.  Pairwise distances come from direct
 coordinate differences summed in a fixed order, in tiles of code rows
@@ -58,7 +61,6 @@ __all__ = [
     "MODE_CITED_SOURCE",
     "EmbeddedDataset",
     "BoundReport",
-    "aggregate_conditional",
     "bound_report",
 ]
 
@@ -128,11 +130,6 @@ class BoundReport:
                 for y, (c, v) in sorted(self.per_class.items())
             ],
         }
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
 
 
 def usable_cores() -> int:
@@ -255,57 +252,29 @@ def _bounds_on_codes(
     return _bound_of_sums(whole, dim, sigma2, width, mode), per_class
 
 
-def _printed_outer(value: float, n_y: int, data: EmbeddedDataset) -> float:
-    """A class bound with the restricted sum divided by N instead of N_y.
-
-    -(1/N) sum_i log(...) = (N_y/N) * [per-class average of the logs], but
-    the distance-free term is not class-averaged, so rescale only the log
-    part: value = -mean(logs) - const  =>  printed = -(N_y/N) mean(logs) - const.
-    """
-    width = data.eta2 + data.sigma2
-    const = -data.dim * np.log(data.sigma2 / width)
-    return (value - const) * (n_y / data.count) + const
-
-
-def aggregate_conditional(
-    per_class: Mapping[int, tuple[int, float]],
-    total: int,
-    printed_count_weights: bool = False,
-) -> float:
-    """Combine per-class bounds into a bound on I(X;T|Y).
-
-    ``per_class`` maps label -> (count, value).  The default weighting is by
-    relative class frequency N_y / N; ``printed_count_weights`` switches to
-    the absolute-count weighting of the compact published form (which scales
-    with N).
-    """
-    if not per_class:
-        raise ValueError("need at least one class")
-    counts = np.array([c for c, _ in per_class.values()], dtype=np.int64)
-    if np.any(counts <= 0):
-        raise ValueError("class counts must be positive")
-    if int(counts.sum()) != total:
-        raise ValueError(f"class counts sum to {int(counts.sum())}, expected {total}")
-    values = np.array([v for _, v in per_class.values()], dtype=np.float64)
-    if printed_count_weights:
-        return float(np.sum(counts * values))
-    return float(np.sum((counts / total) * values))
-
-
 def bound_report(
     data: EmbeddedDataset,
     mode: str = MODE_CITED_SOURCE,
     printed_outer_normalization: bool = False,
     printed_count_weights: bool = False,
 ) -> BoundReport:
-    """Full report: unconditional bound, per-class bounds, and their aggregate, from one tiled pass."""
-    _check_mode(mode)
+    """Full report: unconditional bound, per-class bounds, and their aggregate, from one tiled pass.
+
+    The per-class values and the aggregate take the printed forms that the
+    flags select (see the module docstring).
+    """
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     unconditional, per_class = _bounds_on_codes(data.codes, data.labels, data.sigma2, data.eta2, mode)
     if printed_outer_normalization:
-        per_class = {y: (c, _printed_outer(v, c, data)) for y, (c, v) in per_class.items()}
+        const = -data.dim * np.log(data.sigma2 / (data.eta2 + data.sigma2))
+        per_class = {y: (c, (v - const) * (c / data.count) + const) for y, (c, v) in per_class.items()}
+    counts = np.array([c for c, _ in per_class.values()], dtype=np.int64)
+    values = np.array([v for _, v in per_class.values()], dtype=np.float64)
+    weights = counts if printed_count_weights else counts / data.count
     return BoundReport(
         mode=mode,
         unconditional=unconditional,
-        aggregate=aggregate_conditional(per_class, data.count, printed_count_weights),
+        aggregate=float(np.sum(weights * values)),
         per_class=per_class,
     )

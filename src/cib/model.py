@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ __all__ = [
     "build_state",
     "make_loss_fn",
     "train",
-    "loss_terms",
     "evaluate",
     "tradeoff_points",
     "sweep",
@@ -354,8 +353,8 @@ class _Sgd:
 class EvalResult:
     """Deterministic metrics of one model on one dataset.
 
-    ``bounds`` holds the O(N^2) information-plane bounds when :func:`evaluate`
-    computed them, and is None from :func:`loss_terms`, which skips them.
+    ``bounds`` holds the O(N^2) information-plane bounds from :func:`evaluate`,
+    and is None from :func:`_stack_terms`, which skips them.
     """
 
     accuracy: float
@@ -368,7 +367,7 @@ class EvalResult:
 class TrainResult:
     """A run: its model, its metrics rows, its beta' and the error that ended it early, if any.
 
-    The final metrics row of a finished run is the :func:`loss_terms`
+    The final metrics row of a finished run is the :func:`_stack_terms`
     evaluation of ``state`` on the train split; the trade-off point reads its
     train-split terms from it instead of evaluating that split again.
     """
@@ -398,9 +397,6 @@ class TradeoffPoint:
             raise ValueError(f"non-finite or non-numeric values for {', '.join(bad)}")
         if not 0.0 <= self.acc_test <= 1.0:
             raise ValueError(f"accuracy must lie in [0, 1], got {self.acc_test}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _finite_number(v) -> bool:
@@ -487,30 +483,17 @@ def _pass_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray) ->
     return outcomes
 
 
-def loss_terms(state: ModelState, ds: Dataset) -> EvalResult:
-    """Accuracy, Monte-Carlo cross-entropy and exact KL term; ``bounds`` is None.
-
-    Predictions are made from the encoder *mean* (no latent sampling).  The
-    cross-entropy uses EVAL_MC_SAMPLES frozen draws, so the whole result is
-    deterministic.  Both loss terms come from one :func:`objectives.cib_loss`
-    call on the encoder means: this is the evaluation of a stack of one.
-    Metrics rows, which keep no bounds, evaluate their whole stack at once.
-    """
-    outcome = _stack_terms([state], ds)[0]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome[0]
-
-
 def evaluate(states: Sequence[ModelState], ds: Dataset) -> list[EvalResult | Exception]:
-    """:func:`loss_terms` plus the pairwise-mixture bound report of the same codes, for each model of a stack.
+    """Loss terms and the pairwise-mixture bound report of the same codes, for each model of a stack.
 
-    The models share their config up to beta' and seed; a single model is a
-    stack of one.  The split is encoded and scored in one stacked pass over
-    evaluation noise drawn once (a pass with a failing model is scored again
-    model by model), and each entry is the model's result or the error it
-    gets alone.  The bounds cost O(N^2) in the split size, one report per
-    model; only the test split of a trade-off point needs them.
+    Predictions come from the encoder *mean*; both loss terms come from one
+    :func:`objectives.cib_loss` call over EVAL_MC_SAMPLES frozen draws, so
+    the result is deterministic.  The models share their config up to beta'
+    and seed; a single model is a stack of one.  The split is scored in one
+    stacked pass (a pass with a failing model is scored again model by
+    model), and each entry is the model's result or the error it gets alone.
+    The bounds cost O(N^2) in the split size, so metrics rows, which keep
+    none, read the loss terms of :func:`_stack_terms` instead.
     """
     outcomes = _stack_terms(states, ds)
     results: list = []

@@ -32,7 +32,7 @@ from cib.discrete_oracle import (
     optimal_product_surrogate,
 )
 from cib.data_io import ConfigError
-from cib.estimators import MODE_AS_PRINTED, BoundReport, aggregate_conditional
+from cib.estimators import MODE_AS_PRINTED, BoundReport
 
 
 def numpy_logsumexp_rows(a):
@@ -809,10 +809,14 @@ def einsum_bound_report(data, mode, printed_outer_normalization=False, printed_c
         int(y): (int(np.sum(data.labels == y)), einsum_conditional_bound(data, y, mode, printed_outer_normalization))
         for y in np.unique(data.labels)
     }
+    counts = np.array([c for c, _ in per_class.values()], dtype=np.int64)
+    values = np.array([v for _, v in per_class.values()], dtype=np.float64)
+    # relative frequencies N_y / N, or the printed absolute counts N_y
+    weights = counts if printed_count_weights else counts / data.count
     return BoundReport(
         mode=mode,
         unconditional=einsum_bound_on_codes(data.codes, data.dim, data.sigma2, data.eta2, mode),
-        aggregate=aggregate_conditional(per_class, data.count, printed_count_weights),
+        aggregate=float(np.sum(weights * values)),
         per_class=per_class,
     )
 
@@ -1010,7 +1014,7 @@ def cross_entropy_term(true_class_log_probs):
 
 
 def reference_loss_terms(state, ds, mc_samples, noise_seed):
-    """(accuracy, cross_entropy, kl_term) of ``model.loss_terms`` through DiagGaussian objects."""
+    """(accuracy, cross_entropy, kl_term) of ``model.evaluate`` through DiagGaussian objects."""
     means = state.encode_batch(ds.features)
     log_var = state.log_var()
     noise = np.random.default_rng(noise_seed).standard_normal((mc_samples, ds.count, means.shape[1]))

@@ -736,6 +736,55 @@ class TestEstimate:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["mode"] == "as-printed"
 
+    def test_every_mode_and_printed_form_prints_frozen_bytes(self, tmp_path, capsys):
+        # sha256 of what estimate has always printed for a learned-eta
+        # checkpoint on classes of unequal size: both modes, each printed
+        # form, as human output and as --json
+        cfg = _write_config(tmp_path,
+                            dataset={"kind": "gmm", "classes": 3, "dim": 2, "per_class": 10, "sep": 4.0, "seed": 3},
+                            encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"})
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        full = data_io.gen_gmm(data_io.GmmSpec(3, 2, 4.0, 9, 5))
+        keep = (full.labels != 0) | (np.arange(full.count) % 3 == 0)  # 3, 9 and 9 rows per class
+        data = tmp_path / "d.json"
+        data_io.save_dataset(data_io.Dataset(full.features[keep], full.labels[keep], 3), data)
+        capsys.readouterr()
+        digests = {}
+        for mode, *flags in itertools.product(("cited-source", "as-printed"), ([], ["--printed-normalization"]),
+                                              ([], ["--printed-weights"]), ([], ["--json"])):
+            argv = ["--mode", mode, *itertools.chain(*flags)]
+            assert run(["estimate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data), *argv]) == 0
+            digests[" ".join(argv)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == {
+            "--mode cited-source": "0f45ed418a914ce9e9e508df90bc7dbfac5434cdb5a4909c35a5d439c67acadd",
+            "--mode cited-source --printed-normalization":
+                "88facee8d124afc319fa4180fa2121f8c3e68797db0034f011b3937fdf995019",
+            "--mode cited-source --printed-weights": "fa5b2f342093e2039f0cabe2649681bcccd6dcc7bcd966827626b7ca5be08200",
+            "--mode cited-source --printed-normalization --printed-weights":
+                "72133e690f861782ee22b365d848c121e82c371e05e31d828eef33788f51b206",
+            "--mode cited-source --json": "e76d30655107775814d035fab90fb675a48e54965d3de0a563caf43298c1375c",
+            "--mode cited-source --printed-normalization --json":
+                "2a61b1899592b9fce7017311d21293a1721db8938c591967b8c9603d5ed7bfe8",
+            "--mode cited-source --printed-weights --json":
+                "626e3f5fddf5acfe00db5d850d83f694a4621ac7cddaece8637ca8623705d5c2",
+            "--mode cited-source --printed-normalization --printed-weights --json":
+                "473cbb0c3ad492d74a82cd209c94fc6f7bc218ee55619bde09525f52d8f895f9",
+            "--mode as-printed": "83720d9adfa67873e41199a196bd1787f8fdb95aaad7ac9cc93235ec6e572b07",
+            "--mode as-printed --printed-normalization":
+                "6a20a9d97babd77e2b295cf8a0621cfdb677dd5d508923d28ad925280f9eb214",
+            "--mode as-printed --printed-weights": "b57f7c45db05f3172941e12a6c0c1946fd98d6e9f2d139c396df5e0853890551",
+            "--mode as-printed --printed-normalization --printed-weights":
+                "3723355597f46cdde11468d3d751e286214f3ebae02fc98adad9d2d6394c8bc5",
+            "--mode as-printed --json": "c5076b3a9d38fa75b3b6f055c8d7dc5fb86f58dfb73a24b0a2bbe1e57727dcd1",
+            "--mode as-printed --printed-normalization --json":
+                "90cc6f75f193dbcf1f8ce5bf031b60aaa816120f466e4254bef03281c263a6fa",
+            "--mode as-printed --printed-weights --json":
+                "b95cfb4096bf68dbab59c58bdb08228f1d93d993997297d98fd4564a0bdfc418",
+            "--mode as-printed --printed-normalization --printed-weights --json":
+                "9b98cab7f7475080027480ac6ed143bfd034447d07be18cd5872914e99a190c7",
+        }
+
 
 class TestGradcheck:
     def test_default_check_passes(self, capsys):

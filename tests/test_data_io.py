@@ -177,18 +177,49 @@ class TestIdx:
         write_idx(tmp_path / "im", tmp_path / "lb", np.zeros((3, 1)), labels, (1, 1))
         np.testing.assert_array_equal(read_idx(tmp_path / "im", tmp_path / "lb").labels, labels)
 
-    def test_wrong_magic_rejected(self, tmp_path):
-        _write_image_file(tmp_path / "im", 1, 1, 1, [7], magic=0x00000802)
-        _write_label_file(tmp_path / "lb", [0])
-        with pytest.raises(IdxFormatError, match="magic"):
+    _MAGIC = {"im": struct.pack(">I", 0x00000803), "lb": struct.pack(">I", 0x00000801)}
+
+    @classmethod
+    def _pair(cls, tmp_path, broken=None, header=None, payload=None):
+        """Two 1 x 1 images and their labels, with ``broken``'s header or payload (after its magic) replaced."""
+        files = {"im": (struct.pack(">III", 2, 1, 1), bytes([7, 9])), "lb": (struct.pack(">I", 2), bytes([0, 1]))}
+        for name, (sizes, body) in files.items():
+            if name == broken and header is not None:  # a short header ends the file
+                sizes, body = header, b""
+            if name == broken and payload is not None:
+                body = payload
+            (tmp_path / name).write_bytes(cls._MAGIC[name] + sizes + body)
+        return tmp_path / "im", tmp_path / "lb"
+
+    @pytest.mark.parametrize("broken,kind", [("im", "image"), ("lb", "label")])
+    def test_wrong_magic_rejected_naming_the_file(self, tmp_path, broken, kind):
+        self._pair(tmp_path)
+        path = tmp_path / broken
+        path.write_bytes(struct.pack(">I", 0x00000802) + path.read_bytes()[4:])
+        with pytest.raises(IdxFormatError, match=re.escape(f"{path}: bad {kind} magic 0x00000802, expected 0x")):
             read_idx(tmp_path / "im", tmp_path / "lb")
 
-    def test_truncated_payload_rejected(self, tmp_path):
-        with open(tmp_path / "im", "wb") as f:
-            f.write(struct.pack(">IIII", 0x00000803, 2, 2, 2))
-            f.write(bytes([1, 2, 3]))  # needs 8
-        _write_label_file(tmp_path / "lb", [0, 1])
-        with pytest.raises(IdxFormatError, match="truncated"):
+    @pytest.mark.parametrize("broken,header,payload,wanted", [
+        ("im", None, bytes([7]), "wanted 2 bytes, got 1"),
+        ("lb", None, bytes([0]), "wanted 2 bytes, got 1"),
+        ("im", struct.pack(">II", 2, 1), None, "wanted 12 bytes, got 8"),
+        ("lb", b"\0\0", None, "wanted 4 bytes, got 2"),
+    ], ids=["image-payload", "label-payload", "image-header", "label-header"])
+    def test_truncated_file_rejected_naming_it(self, tmp_path, broken, header, payload, wanted):
+        with pytest.raises(IdxFormatError, match=re.escape(f"{tmp_path / broken}: truncated payload ({wanted})")):
+            read_idx(*self._pair(tmp_path, broken, header, payload))
+
+    @pytest.mark.parametrize("broken,payload", [("im", bytes([7, 9, 0])), ("lb", bytes([0, 1, 1]))], ids=["im", "lb"])
+    def test_trailing_bytes_rejected_naming_the_file(self, tmp_path, broken, payload):
+        with pytest.raises(IdxFormatError, match=re.escape(f"{tmp_path / broken}: trailing bytes after payload")):
+            read_idx(*self._pair(tmp_path, broken, payload=payload))
+
+    @pytest.mark.parametrize("n,rows,cols", [(0, 1, 1), (0, 28, 28), (2, 0, 1), (2, 1, 0)])
+    def test_images_without_pixels_rejected_naming_the_images_file(self, tmp_path, n, rows, cols):
+        """An empty pair would otherwise reach the dataset check, which names no file."""
+        _write_image_file(tmp_path / "im", n, rows, cols, [])
+        _write_label_file(tmp_path / "lb", [0] * n)
+        with pytest.raises(IdxFormatError, match=re.escape(f"{tmp_path / 'im'}: no pixels ({n} images of {rows} x {cols})")):
             read_idx(tmp_path / "im", tmp_path / "lb")
 
     def test_count_mismatch_rejected(self, tmp_path):
@@ -251,6 +282,43 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="params.enc.W0.values") as exc:
             data_io.load_checkpoint(path)
         assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("key,value,message", [
+        # numpy would read each of these as a slice or priors of float64 numbers
+        ("enc.W0", lambda v: ["0.25", True, *v[2:]], "params.enc.W0.values must be JSON numbers, not bool, str"),
+        ("enc.b0", lambda v: [None, *v[1:]], "params.enc.b0.values must be JSON numbers, not NoneType"),
+        ("enc.b0", lambda v: [[x] for x in v], "params.enc.b0.values must be JSON numbers, not list"),
+        ("enc.log_eta2", lambda v: "0.5", "params.enc.log_eta2.values must be JSON numbers, not str"),
+        ("priors", lambda v: ["0.5", 0.5], "priors must be JSON numbers, not str"),
+        ("priors", lambda v: [True, 0], "priors must be JSON numbers, not bool"),
+    ], ids=["str-and-bool", "null", "nested", "scalar-str", "str-prior", "bool-priors"])
+    def test_entries_that_are_not_numbers_name_file_and_key(self, tmp_path, key, value, message):
+        cfg = _tiny_config()
+        cfg["encoder"]["noise_mode"] = "learned_eta"
+        state = model.build_state(validate_config(cfg), np.array([0.5, 0.5]), np.random.default_rng(4))
+        path = tmp_path / "ckpt.json"
+        data_io.save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        if key == "priors":
+            doc["priors"] = value(doc["priors"])
+        else:
+            doc["params"][key]["values"] = value(doc["params"][key]["values"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"{message}$") as exc:
+            data_io.load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_integer_values_and_priors_load_as_float64(self, tmp_path):
+        state = model.build_state(validate_config(_tiny_config()), np.array([0.5, 0.5]))
+        path = tmp_path / "ckpt.json"
+        data_io.save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        doc["params"]["enc.b0"]["values"] = [1, -2, 0]
+        doc["priors"] = [1, 0]
+        path.write_text(json.dumps(doc))
+        loaded = data_io.load_checkpoint(path)
+        assert loaded.store.get("enc.b0").tolist() == [1.0, -2.0, 0.0] and loaded.priors.tolist() == [1.0, 0.0]
+        assert loaded.priors.dtype == np.float64
 
     def test_loaded_values_match_exactly(self, tmp_path):
         cfg = validate_config(_tiny_config())

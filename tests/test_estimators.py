@@ -14,7 +14,6 @@ from cib.estimators import (
     MODE_AS_PRINTED,
     MODE_CITED_SOURCE,
     EmbeddedDataset,
-    aggregate_conditional,
     bound_report,
 )
 from helpers import einsum_bound_on_codes, einsum_bounds, einsum_distance_tile
@@ -157,37 +156,11 @@ class TestConditionalBound:
             _class_bound(data, 7)
 
 
-class TestAggregateConditional:
-    def test_single_class_returns_its_bound(self):
-        assert aggregate_conditional({0: (12, 3.25)}, 12) == 3.25
-
-    def test_equal_counts_equal_bounds_is_identity(self):
-        assert aggregate_conditional({0: (5, 1.5), 1: (5, 1.5)}, 10) == pytest.approx(1.5, abs=1e-15)
-
-    def test_three_class_weighted_sum(self):
-        rng = np.random.default_rng(9)
-        counts = [3, 5, 7]
-        values = rng.uniform(0.0, 2.0, 3)
-        per_class = {y: (counts[y], float(values[y])) for y in range(3)}
-        expected = sum(c * v for c, v in zip(counts, values)) / 15
-        assert aggregate_conditional(per_class, 15) == pytest.approx(expected, abs=1e-12)
-
-    def test_printed_count_weights(self):
-        per_class = {0: (3, 1.0), 1: (2, 2.0)}
-        assert aggregate_conditional(per_class, 5, printed_count_weights=True) == pytest.approx(
-            3.0 * 1.0 + 2.0 * 2.0, abs=1e-15
-        )
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="sum to"):
-            aggregate_conditional({0: (3, 1.0)}, 5)
-
-    def test_nonpositive_count_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_conditional({0: (0, 1.0)}, 0)
-
-
 class TestBoundReport:
+    def test_unknown_mode_rejected_naming_both_modes(self):
+        with pytest.raises(ValueError, match="unknown mode 'printed'; expected one of .*as-printed.*cited-source"):
+            bound_report(_two_cluster(), "printed")
+
     def test_single_class_aggregate_equals_unconditional_exactly(self):
         rng = np.random.default_rng(14)
         data = EmbeddedDataset(rng.normal(size=(20, 2)), np.zeros(20, dtype=int),

@@ -26,7 +26,6 @@ from cib.model import (
     build_state,
     derive_seed,
     evaluate,
-    loss_terms,
     make_loss_fn,
     sweep,
     sweep_runs,
@@ -828,7 +827,7 @@ class TestEvaluate:
         train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
         run = train([cfg], train_ds, test_ds)[0]
         [point] = model.tradeoff_points([run], test_ds)
-        fresh = loss_terms(run.state, train_ds)
+        fresh = evaluate([run.state], train_ds)[0]
         final = run.metrics[-1]
         assert (final.cross_entropy, final.kl_term, final.accuracy) == (
             fresh.cross_entropy, fresh.kl_term, fresh.accuracy)
@@ -860,16 +859,6 @@ class TestEvaluate:
         assert int(np.sum(np.argmax(state.log_probs(means), axis=1) == labels)) == hits
         assert evaluate([state], ds)[0].accuracy == pytest.approx(hits / 10, abs=0)
 
-    def test_loss_terms_match_evaluate_without_bounds(self):
-        cfg = _config()
-        train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
-        state = train([cfg], train_ds)[0].state
-        terms, ev = loss_terms(state, train_ds), evaluate([state], train_ds)[0]
-        assert terms.bounds is None and ev.bounds is not None
-        assert (terms.accuracy, terms.cross_entropy, terms.kl_term) == (
-            ev.accuracy, ev.cross_entropy, ev.kl_term
-        )
-
     def test_evaluate_is_deterministic(self):
         cfg = _config()
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
@@ -881,14 +870,14 @@ class TestEvaluate:
         state = _state()
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
         monkeypatch.setattr(model.ModelState, "log_probs", lambda self, t: np.tile([0.0, -np.inf], t.shape[:-1] + (1,)))
-        assert loss_terms(state, ds).cross_entropy == np.inf
+        assert evaluate([state], ds)[0].cross_entropy == np.inf
 
     def test_nan_log_probability_rejected(self, monkeypatch):
         state = _state()
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
         monkeypatch.setattr(model.ModelState, "log_probs", lambda self, t: np.full(t.shape[:-1] + (2,), np.nan))
-        with pytest.raises(NonFiniteError, match="finite or -inf"):
-            loss_terms(state, ds)
+        [outcome] = evaluate([state], ds)
+        assert isinstance(outcome, NonFiniteError) and "finite or -inf" in str(outcome)
 
     def test_negative_kl_rejected(self, monkeypatch):
         state = _state()
@@ -900,8 +889,6 @@ class TestEvaluate:
             return true_lp, np.full_like(kl, -1e-6)
 
         monkeypatch.setattr(objectives, "cib_loss", shifted)
-        with pytest.raises(NonFiniteError, match="kl_term must be nonnegative"):
-            loss_terms(state, ds)
         [outcome] = evaluate([state], ds)
         assert isinstance(outcome, NonFiniteError) and "kl_term must be nonnegative" in str(outcome)
 
@@ -910,8 +897,6 @@ class TestEvaluate:
         state.store.set("enc.b0", np.full(4, 1e300))
         state.store.set("enc.W1", np.full((2, 4), 1e300))  # the second layer overflows
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
-        with pytest.raises(NonFiniteError, match="codes must be finite"):
-            loss_terms(state, ds)
         [outcome] = evaluate([state], ds)
         assert isinstance(outcome, NonFiniteError) and "codes must be finite" in str(outcome)
 
@@ -944,8 +929,7 @@ class TestEvaluationKernel:
         for mc in (1, 3, 16):
             monkeypatch.setattr(model, "EVAL_MC_SAMPLES", mc)
             expected = reference_loss_terms(state, ds, mc, model.EVAL_NOISE_SEED)
-            terms, ev = loss_terms(state, ds), evaluate([state], ds)[0]
-            assert (terms.accuracy, terms.cross_entropy, terms.kl_term) == expected
+            ev = evaluate([state], ds)[0]
             assert (ev.accuracy, ev.cross_entropy, ev.kl_term) == expected
 
             x, labels = ds.features[:12].copy(), ds.labels[:12]
@@ -1006,7 +990,7 @@ class TestStackedEvaluation:
         for state, got in zip(states, stacked):
             [alone] = evaluate([state], ds)
             expected = reference_loss_terms(state, ds, model.EVAL_MC_SAMPLES, model.EVAL_NOISE_SEED)
-            assert _terms(got) == _terms(alone) == _terms(loss_terms(state, ds)) == expected
+            assert _terms(got) == _terms(alone) == expected
             assert got.bounds.to_json_dict() == alone.bounds.to_json_dict()
 
     def test_a_failing_model_keeps_its_error_alone_and_the_others_go_on(self):
