@@ -130,15 +130,11 @@ def _cmd_train(args) -> int:
 
 
 def _sweep_worker(payload) -> list:
-    """Train a share of consecutive sweep points in lockstep; returns (point, run) for each point in order.
+    """Train a share of consecutive sweep points with :func:`model.sweep`; (point, run) for each, in order.
 
-    The share's points come from one stacked test-split evaluation; a point
-    that failed has its error in place of the point, which the caller raises
-    once it has written the points before it.
+    The caller raises a failed point's error once it has written the points before it.
     """
-    cfg, indices, beta_primes = payload
-    runs, test_ds = model.sweep_runs(cfg, indices, beta_primes)
-    return list(zip(model.tradeoff_points(runs, test_ds), runs))
+    return model.sweep(*payload)
 
 
 def _write_report_csv(points: list[dict], path: Path) -> None:
@@ -277,10 +273,10 @@ def _cmd_oracle(args) -> int:
     inst_path = _require_file(args.instance)
     doc = data_io.read_json(inst_path, ValueError, ("p", "q", "arities"))
     try:
-        joint = discrete_oracle.DiscreteJoint(np.asarray(doc["p"], dtype=np.float64))
-        enc = discrete_oracle.DiscreteEncoder(
-            np.asarray(doc["q"], dtype=np.float64), tuple(doc["arities"])
-        )
+        p = data_io.json_floats(doc["p"], "p must be rows of JSON numbers", rows=True)
+        joint = discrete_oracle.DiscreteJoint(p)
+        q = data_io.json_floats(doc["q"], "q must be rows of JSON numbers", rows=True)
+        enc = discrete_oracle.DiscreteEncoder(q, tuple(doc["arities"]))
         samples = doc.get("samples")
         if "samples" in doc:
             if not (isinstance(samples, list) and samples and all(
@@ -292,7 +288,7 @@ def _cmd_oracle(args) -> int:
         raise _CliError(f"{inst_path}: bad oracle instance: {exc}") from exc
 
     rep = discrete_oracle.info_report(joint, enc)
-    ind = discrete_oracle.induced(joint, enc)
+    t_given_y = discrete_oracle.induced(joint, enc)
     verdicts: dict[str, bool] = {}
     verdicts["chain_rule"] = abs(rep.chain_rule_gap()) < 1e-12
     quantities = {name: value for name, value in dataclasses.asdict(rep).items() if name != "TC_given_y"}
@@ -301,8 +297,8 @@ def _cmd_oracle(args) -> int:
     p_y = joint.p.sum(axis=0)
     if np.any(p_y == 0.0):
         raise _CliError(f"{inst_path}: every class needs positive probability")
-    best = discrete_oracle.optimal_product_surrogate(ind.t_given_y, enc.arities)
-    decomp = discrete_oracle.decomposition_check(joint, enc, best, rep, ind)
+    best = discrete_oracle.optimal_product_surrogate(t_given_y, enc.arities)
+    decomp = discrete_oracle.decomposition_check(joint, enc, best, rep, t_given_y)
     expected_residual = float(np.sum(p_y * rep.TC_given_y))
     verdicts["decomposition"] = (
         abs(decomp.gap) < 1e-12 and abs(decomp.kl_residual - expected_residual) < 1e-12

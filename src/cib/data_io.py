@@ -20,7 +20,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "write_text_atomic",
     "write_json",
     "read_json",
+    "json_floats",
     "read_metrics",
     "load_config",
     "validate_config",
@@ -216,24 +217,30 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
-def _read_exact(f, n: int, path: Path) -> bytes:
+def _read_header(f, n: int, path: Path) -> bytes:
     data = f.read(n)
     if len(data) != n:
-        raise IdxFormatError(f"{path}: truncated payload (wanted {n} bytes, got {len(data)})")
+        raise IdxFormatError(f"{path}: truncated header (wanted {n} bytes, got {len(data)})")
     return data
 
 
 def _read_idx_file(path: Path, magic: int, kind: str, dims: int) -> tuple[tuple[int, ...], bytes]:
-    """The ``dims`` header sizes and the payload of one IDX file of ``kind`` ("image" or "label")."""
+    """The ``dims`` header sizes and the payload of one IDX file of ``kind`` ("image" or "label").
+
+    The payload the header declares is checked against the bytes the file
+    holds before any of it is read.
+    """
     with open(path, "rb") as f:
-        (found,) = struct.unpack(">I", _read_exact(f, 4, path))
+        (found,) = struct.unpack(">I", _read_header(f, 4, path))
         if found != magic:
             raise IdxFormatError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
-        sizes = struct.unpack(f">{dims}I", _read_exact(f, 4 * dims, path))
-        payload = _read_exact(f, math.prod(sizes), path)
-        if f.read(1):
+        sizes = struct.unpack(f">{dims}I", _read_header(f, 4 * dims, path))
+        size, left = math.prod(sizes), os.fstat(f.fileno()).st_size - f.tell()
+        if size > left:
+            raise IdxFormatError(f"{path}: truncated payload (wanted {size} bytes, got {left})")
+        if size < left:
             raise IdxFormatError(f"{path}: trailing bytes after payload")
-    return sizes, payload
+        return sizes, f.read(size)
 
 
 def read_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
@@ -344,14 +351,28 @@ def read_json(path: str | Path, error: type[ValueError], keys: tuple[str, ...] =
     return doc
 
 
-def _require_numbers(entries: Iterable, message: str) -> None:
-    """Raise a ValueError with ``message`` and the offending types unless every entry is an int or a float.
+def json_floats(value: Any, message: str, rows: bool = False) -> np.ndarray:
+    """A JSON value read as a float64 array, once every entry is a JSON int or float.
 
-    numpy would also read the JSON values true, false and "1" as 1.0, 0.0 and 1.0.
+    The entries are those of a list, a lone value, or (``rows``) those of a
+    list of lists; a ``rows`` value of another shape is left to numpy and the
+    caller's shape check.  Any other entry, which numpy would also read (true,
+    false and "1" as 1.0, 0.0 and 1.0), is a ValueError of ``message`` and the
+    offending types, and so is an int beyond the float range.
     """
+    if not rows:
+        entries = value if isinstance(value, list) else [value]
+    elif isinstance(value, list) and all(isinstance(row, list) for row in value):
+        entries = itertools.chain.from_iterable(value)
+    else:
+        entries = ()
     others = set(map(type, entries)) - {int, float}
     if others:
         raise ValueError(f"{message}, not {', '.join(sorted(kind.__name__ for kind in others))}")
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{message}, not an integer beyond the float range") from None
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
@@ -368,17 +389,14 @@ def load_dataset(path: str | Path) -> Dataset:
         raise ValueError(f"{path}: labels must be a list of integers")
     if not isinstance(provenance, dict):
         raise ValueError(f"{path}: provenance must be a JSON object, got {provenance!r}")
-    features = doc["features"]
-    if isinstance(features, list) and all(isinstance(row, list) for row in features):
-        _require_numbers(itertools.chain.from_iterable(features), f"{path}: features must be rows of JSON numbers")
     try:
         return Dataset(
-            np.asarray(features, dtype=np.float64),
+            json_floats(doc["features"], "features must be rows of JSON numbers", rows=True),
             np.asarray(labels, dtype=np.intp),
             int(doc["class_count"]),
             provenance,
         )
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond int64 or float range
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a label beyond int64
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -410,9 +428,7 @@ def load_checkpoint(path: str | Path):
     try:  # every error below names the file
         if doc["format_version"] != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format_version: {doc['format_version']!r}")
-        priors = doc["priors"]
-        _require_numbers(priors if isinstance(priors, list) else [priors], "priors must be JSON numbers")
-        state = _model.build_state(doc["config"], np.asarray(priors, dtype=np.float64))
+        state = _model.build_state(doc["config"], json_floats(doc["priors"], "priors must be JSON numbers"))
         saved = doc["params"]
         names = set(state.store.names())
         if not isinstance(saved, dict) or set(saved) != names:
@@ -425,11 +441,8 @@ def load_checkpoint(path: str | Path):
             shape, implied = tuple(entry["shape"]), state.store.spec(name).shape
             if shape != implied:
                 raise CheckpointError(f"slice {name!r} has shape {shape}, config implies {implied}")
-            values = entry["values"]
-            _require_numbers(values if isinstance(values, list) else [values],
-                             f"params.{name}.values must be JSON numbers")
-            state.store.set(name, np.asarray(values, dtype=np.float64).reshape(shape))
-        state.surrogate()  # rejects priors that are negative, NaN or do not sum to 1; set() rejected non-finite slices
+            values = json_floats(entry["values"], f"params.{name}.values must be JSON numbers")
+            state.store.set(name, values.reshape(shape))  # set() rejects non-finite slices
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     return state

@@ -47,7 +47,6 @@ __all__ = [
     "MAX_JOINT_OUTCOMES",
     "DiscreteJoint",
     "DiscreteEncoder",
-    "InducedDistributions",
     "InfoReport",
     "ObjectiveValues",
     "EquivalenceScan",
@@ -195,34 +194,15 @@ class DiscreteEncoder:
         return self.q.shape[1]
 
 
-@dataclass(frozen=True)
-class InducedDistributions:
-    """Bayes-rule marginalizations of the encoder through the joint.
-
-    Rows conditioned on an outcome of probability zero are undefined and
-    filled with NaN rather than fabricated.
-    """
-
-    t_given_y: np.ndarray
-    y_given_t: np.ndarray
-    t_marginal: np.ndarray
-
-
-def induced(joint: DiscreteJoint, enc: DiscreteEncoder) -> InducedDistributions:
-    """Exact q(T|Y), q(Y|T) and q(T) induced by the encoder."""
+def induced(joint: DiscreteJoint, enc: DiscreteEncoder) -> np.ndarray:
+    """Exact (ny, nt) q(T|Y) induced by the encoder; a class of probability zero has a NaN row."""
     _check_rows(joint, enc)
     p_y = joint.p.sum(axis=0)
     joint_yt = joint.p.T @ enc.q  # (ny, nt): q(y, t)
-    q_t = joint_yt.sum(axis=0)
-
     t_given_y = np.full_like(joint_yt, np.nan)
     pos_y = p_y > 0.0
     t_given_y[pos_y] = joint_yt[pos_y] / p_y[pos_y, None]
-
-    y_given_t = np.full((enc.nt, joint.ny), np.nan)
-    pos_t = q_t > 0.0
-    y_given_t[pos_t] = joint_yt.T[pos_t] / q_t[pos_t, None]
-    return InducedDistributions(t_given_y=t_given_y, y_given_t=y_given_t, t_marginal=q_t)
+    return t_given_y
 
 
 @dataclass(frozen=True)
@@ -502,13 +482,13 @@ class DecompositionReport:
 
 def decomposition_check(
     joint: DiscreteJoint, enc: DiscreteEncoder, surrogate: ProductSurrogate,
-    report: InfoReport | None = None, ind: InducedDistributions | None = None,
+    report: InfoReport | None = None, t_given_y: np.ndarray | None = None,
 ) -> DecompositionReport:
     """Verify lhs = I(X;T|Y) + residual for a per-class product surrogate.
 
     A surrogate zero where the induced q(T|Y) has mass yields an infinite KL,
-    reported as such on both sides.  ``report`` and ``ind``, if given, are
-    ``info_report`` and ``induced`` of this pair, which are then not redone.
+    reported as such on both sides.  ``report`` and ``t_given_y``, if given,
+    are ``info_report`` and ``induced`` of this pair, which are then not redone.
     """
     _check_rows(joint, enc)
     if surrogate.class_count != joint.ny or surrogate.arities != enc.arities:
@@ -518,12 +498,12 @@ def decomposition_check(
     lhs = 0.0
     for weight, kl in zip(joint.p[xs, ys], _kl_rows(enc.q[xs], expanded[ys])):
         lhs += weight * kl
-    ind = induced(joint, enc) if ind is None else ind
+    t_given_y = induced(joint, enc) if t_given_y is None else t_given_y
     p_y = joint.p.sum(axis=0)
     residual = 0.0
     for y in range(joint.ny):
         if p_y[y] > 0.0:
-            residual += p_y[y] * kl_discrete(ind.t_given_y[y], expanded[y])
+            residual += p_y[y] * kl_discrete(t_given_y[y], expanded[y])
     if report is None:  # info_report's stacked pass, without its total correlations
         i_xt_given_y = float(_info_pass(joint, enc.q[None])[0].I_XT_given_Y[0])
     else:

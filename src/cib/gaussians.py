@@ -6,7 +6,7 @@ stack of P models gives (P, N, d) means with (P,) log-variances.  Its KL to
 the spherical surrogate of each sample's class is exact: on plain arrays
 for evaluation (:func:`kl_to_surrogate`), and recorded on a
 :class:`~cib.diffcore.Tape` for training (:func:`kl_to_surrogate_graph`).
-The same surrogate is the generative side of the naive Bayes decoder.
+With the model's priors it is the naive Bayes decoder's generative side.
 """
 
 from __future__ import annotations
@@ -26,29 +26,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassSurrogate:
-    """Per-class spherical Gaussians (mu_y, sigma_y^2 I) plus class priors.
+    """Per-class spherical Gaussians (mu_y, sigma_y^2 I).
 
     ``class_log_sigma[..., y]`` is the log *standard deviation* of class y;
     the covariance is isotropic, so a single scalar per class suffices.  The
-    surrogates of a stack of P models share the (K,) priors and stack the
-    rest: (P, K, d) class means and (P, K) log-sigmas.
+    surrogates of a stack of P models stack both: (P, K, d) class means and
+    (P, K) log-sigmas.  The class priors belong to the model, which checks
+    them where they enter it (``model.build_state``).
     """
 
     class_means: np.ndarray
     class_log_sigma: np.ndarray
-    priors: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "class_means", np.asarray(self.class_means, dtype=np.float64))
         object.__setattr__(self, "class_log_sigma", np.asarray(self.class_log_sigma, dtype=np.float64))
-        object.__setattr__(self, "priors", np.asarray(self.priors, dtype=np.float64))
-        rows = self.class_means.shape[:-1]
-        if self.class_means.ndim not in (2, 3) or self.class_log_sigma.shape != rows or self.priors.shape != rows[-1:]:
-            raise ValueError("class_means must be ([P,] K, d) with ([P,] K) log-sigmas and (K,) priors")
+        if self.class_means.ndim not in (2, 3) or self.class_log_sigma.shape != self.class_means.shape[:-1]:
+            raise ValueError("class_means must be ([P,] K, d) with ([P,] K) log-sigmas")
         if not (np.all(np.isfinite(self.class_means)) and np.all(np.isfinite(self.class_log_sigma))):
             raise NonFiniteError("ClassSurrogate parameters must be finite")
-        if not (np.all(self.priors >= 0.0) and abs(float(self.priors.sum()) - 1.0) <= 1e-12):  # False for NaN
-            raise ValueError("priors must be nonnegative and sum to 1")
 
     @property
     def class_count(self) -> int:

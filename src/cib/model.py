@@ -63,7 +63,6 @@ __all__ = [
     "evaluate",
     "tradeoff_points",
     "sweep",
-    "sweep_runs",
 ]
 
 EVAL_MC_SAMPLES = 16
@@ -186,11 +185,11 @@ class ModelState:
             return np.log(self.priors)
 
     def surrogate(self) -> ClassSurrogate:
-        """The class surrogate over the current ``sur.*`` slices and the priors; checks both.
+        """The class surrogate over the current ``sur.*`` slices, checked finite.
 
         A stacked store gives the stacked (P, K, d) surrogate.
         """
-        return ClassSurrogate(*self._surrogate_slices(), self.priors)
+        return ClassSurrogate(*self._surrogate_slices())
 
     def _surrogate_slices(self) -> tuple[np.ndarray, np.ndarray]:
         """The unchecked class means and log-sigmas of the store; without ``sur.log_sigma`` the log-sigmas are 0."""
@@ -251,7 +250,8 @@ EncoderModel = ModelState
 def build_state(config: dict, priors: np.ndarray, rng: np.random.Generator | None = None) -> ModelState:
     """The model state of a configuration: its parameter store, config and priors.
 
-    With ``rng`` the weights get a fan-balanced uniform initialization and
+    Every state is built here, so here its (K,) priors are checked.  With
+    ``rng`` the weights get a fan-balanced uniform initialization and
     everything else starts at zero; without it all slices start at zero
     (checkpoint loading overwrites them).
     """
@@ -259,6 +259,8 @@ def build_state(config: dict, priors: np.ndarray, rng: np.random.Generator | Non
     enc_cfg = cfg["encoder"]
     dims = enc_cfg["layer_dims"]
     priors = np.asarray(priors, dtype=np.float64)
+    if priors.ndim != 1 or not (np.all(priors >= 0.0) and abs(float(priors.sum()) - 1.0) <= 1e-12):  # NaN fails
+        raise ValueError("priors must be nonnegative and sum to 1")
     k = priors.shape[0]
     d = dims[-1]
 
@@ -757,30 +759,15 @@ def _train_stack(cfgs: Sequence[dict], priors: np.ndarray, train_ds: Dataset, ba
     return runs
 
 
-def sweep(config: dict, beta_primes: Sequence[float]) -> list[TradeoffPoint]:
-    """Independent runs over the beta' grid, trained in lockstep; one TradeoffPoint per value.
-
-    Each point derives its own run seed from (config seed, point index), so a
-    grid entry is reproducible in isolation.  The points come from one
-    :func:`tradeoff_points` call; the first point that failed raises its
-    error.
-    """
-    if len(beta_primes) == 0:
-        raise ValueError("beta_prime list must be non-empty")
-    runs, test_ds = sweep_runs(config, range(len(beta_primes)), beta_primes)
-    points = tradeoff_points(runs, test_ds)
-    for point in points:
-        if isinstance(point, Exception):
-            raise point
-    return points
-
-
-def sweep_runs(
+def sweep(
     config: dict, indices: Sequence[int], beta_primes: Sequence[float]
-) -> tuple[list[TrainResult], Dataset]:
-    """Train the grid points ``indices`` at ``beta_primes`` in one :func:`train` call; returns (runs, test split).
+) -> list[tuple[TradeoffPoint | Exception, TrainResult]]:
+    """Train the grid points ``indices`` at ``beta_primes`` in one :func:`train` call; (point, run) in grid order.
 
-    The config's dataset is built once for all of them.
+    Each point derives its own run seed from (config seed, grid index), so a
+    grid entry is reproducible in isolation.  The config's dataset is built
+    once for all of them, and the points come from one :func:`tradeoff_points`
+    call; a point that failed has its error in place of the point.
     """
     cfg = data_io.validate_config(config)
     configs = [
@@ -789,4 +776,5 @@ def sweep_runs(
         for index, beta_prime in zip(indices, beta_primes)
     ]
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
-    return train(configs, train_ds, test_ds), test_ds
+    runs = train(configs, train_ds, test_ds)
+    return list(zip(tradeoff_points(runs, test_ds), runs))

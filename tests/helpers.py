@@ -944,12 +944,12 @@ def loop_decomposition_check(joint, enc, surrogate):
         for y in range(joint.ny):
             if joint.p[x, y] > 0.0:
                 lhs += joint.p[x, y] * kl_discrete(enc.q[x], expanded[y])
-    ind = induced(joint, enc)
+    t_given_y = induced(joint, enc)
     p_y = joint.p.sum(axis=0)
     residual = 0.0
     for y in range(joint.ny):
         if p_y[y] > 0.0:
-            residual += p_y[y] * kl_discrete(ind.t_given_y[y], expanded[y])
+            residual += p_y[y] * kl_discrete(t_given_y[y], expanded[y])
     rep = info_report(joint, enc)
     return DecompositionReport(lhs=lhs, i_xt_given_y=rep.I_XT_given_Y, kl_residual=residual)
 

@@ -85,8 +85,7 @@ def test_criterion_3_surrogate_kl_decomposition():
         arities = random_arities(rng, max_outcomes=16)
         joint = random_joint(rng, nx, ny)
         enc = random_encoder(rng, nx, arities)
-        ind = induced(joint, enc)
-        best = optimal_product_surrogate(ind.t_given_y, arities)
+        best = optimal_product_surrogate(induced(joint, enc), arities)
         decomp = decomposition_check(joint, enc, best)
         worst_gap = max(worst_gap, abs(decomp.gap))
         rep = info_report(joint, enc)
@@ -215,7 +214,9 @@ def test_criterion_7_desk_scale_training():
 
 def test_criterion_8_sweep_compression_direction():
     cfg = _reference_config()
-    points = model.sweep(cfg, [0.0, 0.3, 1.0, 3.0, 10.0])
+    betas = [0.0, 0.3, 1.0, 3.0, 10.0]
+    points = [point for point, _ in model.sweep(cfg, range(len(betas)), betas)]
+    assert not any(isinstance(point, Exception) for point in points), points
     first, last = points[0], points[-1]
     ok = last.ixt_given_y < first.ixt_given_y
     _report(

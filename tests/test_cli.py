@@ -383,7 +383,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("at_file", [False, True])
     def test_unusable_out_exits_one_before_any_point_trains(self, tmp_path, capsys, monkeypatch, at_file):
-        monkeypatch.setattr(model, "sweep_runs", _unreachable)
+        monkeypatch.setattr(model, "sweep", _unreachable)
         out = _below_a_file(tmp_path).parent if at_file else _below_a_file(tmp_path)
         argv = ["sweep", "--config", str(_write_config(tmp_path)), "--betas", "0,1", "--out", str(out)]
         assert run(argv) == 1
@@ -496,7 +496,7 @@ class TestSweep:
             path = tmp_path / f"solo{i}.json"
             path.write_text(json.dumps({**cfg, "loss": {"beta_prime": beta_prime}, "seed": model.derive_seed(3, i)}))
             solo.append(path)
-        [failing], _ = model.sweep_runs(cfg, [2], [betas[2]])
+        [(_, failing)] = model.sweep(cfg, [2], [betas[2]])
         target = failing.state.store.values.copy()
         armed = []  # set once training is done, in this process or a forked worker
         tradeoff_points, encode_batch, log_probs = (model.tradeoff_points, model.ModelState.encode_batch,
@@ -682,6 +682,26 @@ class TestEstimate:
             assert run(["estimate", "--checkpoint", str(checkpoint), "--data", str(dataset)]) == 1
             err = capsys.readouterr().err
             assert all(word in err for word in named), err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(priors=1.0), "priors must be nonnegative and sum to 1"),
+        (lambda doc: doc["priors"].__setitem__(0, 10**400),
+         "priors must be JSON numbers, not an integer beyond the float range"),
+        (lambda doc: doc["params"]["enc.W0"]["values"].__setitem__(0, 10**400),
+         "params.enc.W0.values must be JSON numbers, not an integer beyond the float range"),
+    ], ids=["bare-number-priors", "huge-prior", "huge-value"])
+    def test_checkpoint_numbers_outside_the_format_exit_one_naming_the_file(self, tmp_path, capsys, edit, message):
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 0
+        data = tmp_path / "d.json"
+        assert run(f"gen-data --classes 2 --dim 2 --per-class 5 --sep 4 --seed 5 --out {data}".split()) == 0
+        ckpt = out / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        edit(doc)
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["estimate", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
 
     def test_overflowing_learned_noise_is_a_numerical_failure(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, encoder={"layer_dims": [2, 3, 2], "noise_mode": "learned_eta"})
@@ -918,6 +938,23 @@ class TestOracle:
         assert run(["oracle", "--instance", str(inst)]) == 1
         err = capsys.readouterr().err
         assert "bad oracle instance" in err and str(inst) in err
+
+
+    @pytest.mark.parametrize("table,entry,kind", [
+        ("p", "0.25", "str"),  # numpy would read "0.25" as 0.25, and true and false as 1.0 and 0.0
+        ("q", True, "bool"),
+        ("p", 10**400, "an integer beyond the float range"),
+        ("q", -(10**400), "an integer beyond the float range"),
+    ])
+    def test_table_entries_that_are_not_numbers_exit_one_naming_file_and_key(self, tmp_path, capsys, table,
+                                                                             entry, kind):
+        inst = _write_instance(tmp_path)
+        doc = json.loads(inst.read_text())
+        doc[table][0][0] = entry
+        inst.write_text(json.dumps(doc))
+        assert run(["oracle", "--instance", str(inst)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {inst}: bad oracle instance: {table} must be rows of JSON numbers, not {kind}\n"
 
 
 _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**53), 2**53))

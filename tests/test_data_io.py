@@ -206,8 +206,21 @@ class TestIdx:
         ("lb", b"\0\0", None, "wanted 4 bytes, got 2"),
     ], ids=["image-payload", "label-payload", "image-header", "label-header"])
     def test_truncated_file_rejected_naming_it(self, tmp_path, broken, header, payload, wanted):
-        with pytest.raises(IdxFormatError, match=re.escape(f"{tmp_path / broken}: truncated payload ({wanted})")):
+        part = "payload" if header is None else "header"
+        with pytest.raises(IdxFormatError, match=re.escape(f"{tmp_path / broken}: truncated {part} ({wanted})")):
             read_idx(*self._pair(tmp_path, broken, header, payload))
+
+    @pytest.mark.parametrize("broken,sizes,wanted", [
+        ("im", (2**32 - 1,) * 3, (2**32 - 1) ** 3),  # beyond what one read can ask for
+        ("im", (65535, 65535, 255), 65535 * 65535 * 255),  # 1.1 TB
+        ("lb", (2**32 - 1,), 2**32 - 1),
+    ], ids=["image-overflow", "image-terabyte", "label-4gb"])
+    def test_payload_larger_than_the_file_rejected_before_reading(self, tmp_path, broken, sizes, wanted):
+        """The header's declared payload is compared with the file's length; 10 payload bytes follow it."""
+        header = struct.pack(f">{len(sizes)}I", *sizes)
+        with pytest.raises(IdxFormatError, match=re.escape(f"{tmp_path / broken}: truncated payload "
+                                                           f"(wanted {wanted} bytes, got 10)")):
+            read_idx(*self._pair(tmp_path, broken, payload=bytes(10), header=header))
 
     @pytest.mark.parametrize("broken,payload", [("im", bytes([7, 9, 0])), ("lb", bytes([0, 1, 1]))], ids=["im", "lb"])
     def test_trailing_bytes_rejected_naming_the_file(self, tmp_path, broken, payload):
@@ -291,7 +304,10 @@ class TestCheckpoints:
         ("enc.log_eta2", lambda v: "0.5", "params.enc.log_eta2.values must be JSON numbers, not str"),
         ("priors", lambda v: ["0.5", 0.5], "priors must be JSON numbers, not str"),
         ("priors", lambda v: [True, 0], "priors must be JSON numbers, not bool"),
-    ], ids=["str-and-bool", "null", "nested", "scalar-str", "str-prior", "bool-priors"])
+        ("enc.W0", lambda v: [10**400, *v[1:]],
+         "params.enc.W0.values must be JSON numbers, not an integer beyond the float range"),
+        ("priors", lambda v: [-(10**400), 1], "priors must be JSON numbers, not an integer beyond the float range"),
+    ], ids=["str-and-bool", "null", "nested", "scalar-str", "str-prior", "bool-priors", "huge-value", "huge-prior"])
     def test_entries_that_are_not_numbers_name_file_and_key(self, tmp_path, key, value, message):
         cfg = _tiny_config()
         cfg["encoder"]["noise_mode"] = "learned_eta"
@@ -307,6 +323,30 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=f"{message}$") as exc:
             data_io.load_checkpoint(path)
         assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("priors", [[0.5, 0.6], [-0.5, 1.5], [float("nan"), 1.0], 1.0],
+                             ids=["sum", "negative", "nan", "bare-number"])
+    def test_priors_that_are_not_a_distribution_name_the_file(self, tmp_path, priors):
+        state = model.build_state(validate_config(_tiny_config()), np.array([0.5, 0.5]))
+        path = tmp_path / "ckpt.json"
+        data_io.save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        doc["priors"] = priors
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: priors must be nonnegative and sum to 1")):
+            data_io.load_checkpoint(path)
+
+    def test_bad_priors_are_reported_before_bad_slices(self, tmp_path):
+        """The priors are checked where they enter the model, before its slices are read."""
+        state = model.build_state(validate_config(_tiny_config()), np.array([0.5, 0.5]))
+        path = tmp_path / "ckpt.json"
+        data_io.save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        doc["priors"] = [0.5, 0.6]
+        doc["params"]["enc.W0"]["values"][0] = float("inf")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: priors must be nonnegative and sum to 1")):
+            data_io.load_checkpoint(path)
 
     def test_integer_values_and_priors_load_as_float64(self, tmp_path):
         state = model.build_state(validate_config(_tiny_config()), np.array([0.5, 0.5]))
@@ -382,6 +422,7 @@ class TestDatasetFile:
         ([None, 2], "NoneType"),
         ([[1.0], 2], "list"),
         ([False, "0"], "bool, str"),
+        ([10**400, 0], "an integer beyond the float range"),
     ])
     def test_features_that_are_not_numbers_name_the_file(self, tmp_path, row, kinds):
         path = tmp_path / "d.json"

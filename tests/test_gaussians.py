@@ -1,5 +1,6 @@
 """Class surrogates and the closed-form KL from isotropic encoder outputs to them."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,14 +22,13 @@ def _surrogate():
     return ClassSurrogate(
         class_means=np.array([[1.0, -1.0], [-0.5, 2.0]]),
         class_log_sigma=np.array([0.2, -0.3]),
-        priors=np.array([0.4, 0.6]),
     )
 
 
 def _kl_stack(surrogates):
-    """The stacked surrogate of models that share their priors."""
+    """The stacked surrogate of these models."""
     return ClassSurrogate(np.stack([s.class_means for s in surrogates]),
-                          np.stack([s.class_log_sigma for s in surrogates]), surrogates[0].priors)
+                          np.stack([s.class_log_sigma for s in surrogates]))
 
 
 def _kl_alone(means, log_var, s, labels):
@@ -41,20 +41,12 @@ def _kl_1d(m, v, m_y, v_y):
 
 
 class TestClassSurrogate:
-    def test_prior_validation(self):
-        with pytest.raises(ValueError):
-            ClassSurrogate(np.zeros((2, 2)), np.zeros(2), np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            ClassSurrogate(np.zeros((2, 2)), np.zeros(2), np.array([-0.1, 1.1]))
-
-    def test_nonfinite_parameters_are_numbers_and_nonfinite_priors_inputs(self):
-        """Trained means and log-sigmas fail as a run's numbers (exit 2); priors are an input (exit 1)."""
+    def test_nonfinite_parameters_are_numbers(self):
+        """Trained means and log-sigmas fail as a run's numbers (exit 2); the priors are checked by the model."""
         for mu, log_sigma in ((np.full((2, 2), np.nan), np.zeros(2)), (np.zeros((2, 2)), np.array([0.0, np.inf]))):
             with pytest.raises(NonFiniteError, match="parameters must be finite"):
-                ClassSurrogate(mu, log_sigma, np.array([0.5, 0.5]))
-        for priors in ([np.nan, 1.0], [0.5, np.nan], [np.inf, 0.0]):
-            with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
-                ClassSurrogate(np.zeros((2, 2)), np.zeros(2), np.array(priors))
+                ClassSurrogate(mu, log_sigma)
+        assert [field.name for field in dataclasses.fields(ClassSurrogate)] == ["class_means", "class_log_sigma"]
 
     def test_matching_encoder_output_has_zero_kl(self):
         s = _surrogate()
@@ -101,7 +93,7 @@ class TestClassSurrogate:
             assert kl[i] == pytest.approx(per_coord, abs=1e-12)
 
     def test_matches_numeric_integration(self):
-        s = ClassSurrogate(np.array([[0.0]]), np.array([0.0]), np.array([1.0]))
+        s = ClassSurrogate(np.array([[0.0]]), np.array([0.0]))
         kl = _kl_alone(np.array([[1.0]]), math.log(0.25), s, [0])
         assert kl[0] == pytest.approx(gaussian_quadrature_kl(1.0, 0.25, 0.0, 1.0), abs=1e-6)
 
@@ -120,7 +112,7 @@ def kl_instances(draw, coord=COORD, log_var=LOG_VAR):
     class_means = draw(arrays(np.float64, (k, d), elements=coord))
     class_log_sigma = draw(arrays(np.float64, (k,), elements=log_var)) / 2.0
     labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
-    s = ClassSurrogate(class_means, class_log_sigma, np.full(k, 1.0 / k))
+    s = ClassSurrogate(class_means, class_log_sigma)
     return means, draw(log_var), s, labels
 
 
@@ -169,7 +161,7 @@ def test_stacked_rows_equal_their_stacks_of_one(p, n, d, k, data):
     log_var = data.draw(arrays(np.float64, (p,), elements=LOG_VAR))
     surrogates = [
         ClassSurrogate(data.draw(arrays(np.float64, (k, d), elements=COORD)),
-                       data.draw(arrays(np.float64, (k,), elements=LOG_VAR)) / 2.0, np.full(k, 1.0 / k))
+                       data.draw(arrays(np.float64, (k,), elements=LOG_VAR)) / 2.0)
         for _ in range(p)
     ]
     labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
@@ -216,7 +208,7 @@ class TestKlGraph:
         means = tape.mlp(x[None], ("W", "b"), "tanh")
         log_var = tape.log_var(0.5, "log_eta2")
         rows = kl_to_surrogate_graph(tape, means, log_var, "mu", "log_sigma", labels[None])
-        s = ClassSurrogate(store.get("mu")[None], store.get("log_sigma")[None], np.array([0.5, 0.5]))
+        s = ClassSurrogate(store.get("mu")[None], store.get("log_sigma")[None])
         expected = kl_to_surrogate(means, log_var, s, labels)
         np.testing.assert_allclose(rows, expected, atol=1e-12, rtol=0)
 

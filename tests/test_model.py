@@ -28,7 +28,6 @@ from cib.model import (
     evaluate,
     make_loss_fn,
     sweep,
-    sweep_runs,
     train,
 )
 
@@ -198,6 +197,18 @@ class TestDecodeSoftmax:
             probs = _probs(state, batch)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12, rtol=0)
             assert np.all(probs >= 0.0)
+
+
+class TestBuildState:
+    @pytest.mark.parametrize("priors", [[0.5, 0.6], [-0.1, 1.1], [np.nan, 1.0], [0.5, np.nan], [np.inf, 0.0], 1.0,
+                                        [[0.5, 0.5]], []])
+    def test_priors_that_are_not_a_distribution_rejected(self, priors):
+        with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+            build_state(_config(), np.array(priors))
+
+    def test_priors_summing_to_one_within_1e_12_accepted(self):
+        state = build_state(_config(), np.array([0.5, 0.5 + 1e-13]))
+        assert state.priors.tolist() == [0.5, 0.5 + 1e-13] and state.class_count == 2
 
 
 class TestHeadAccounting:
@@ -557,7 +568,7 @@ class TestTrain:
 
 
 def _points(cfg, beta_primes):
-    """The configs of a sweep's points over ``beta_primes``, as :func:`model.sweep_runs` makes them."""
+    """The configs of a sweep's points over ``beta_primes``, as :func:`model.sweep` makes them."""
     loss = {key: value for key, value in cfg["loss"].items() if key not in ("beta", "beta_prime")}
     return [validate_config({**cfg, "loss": {**loss, "beta_prime": bp}, "seed": derive_seed(cfg["seed"], i)})
             for i, bp in enumerate(beta_primes)]
@@ -1060,30 +1071,31 @@ class TestSplitsMustFit:
 class TestSweep:
     def test_single_point_matches_standalone_run(self):
         cfg = _config(optim={"steps": 25, "batch": 16, "log_every": 10})
-        points = sweep(cfg, [0.5])
+        [(point, run)] = sweep(cfg, [0], [0.5])
         solo = dict(cfg)
         solo["seed"] = derive_seed(cfg["seed"], 0)
         solo["loss"] = {"beta_prime": 0.5, "mc_samples": cfg["loss"]["mc_samples"]}
         train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
         result = train([validate_config(solo)], train_ds, test_ds)[0]
+        _same_run(run, result)
         ev = evaluate([result.state], test_ds)[0]
-        assert points[0].acc_test == ev.accuracy
-        assert points[0].ce_test == ev.cross_entropy
-        assert points[0].ixt == ev.bounds.unconditional
+        assert point.acc_test == ev.accuracy
+        assert point.ce_test == ev.cross_entropy
+        assert point.ixt == ev.bounds.unconditional
 
     def test_points_at_equal_index_and_value_are_identical(self):
         cfg = _config(optim={"steps": 10, "batch": 16, "log_every": 10})
-        first = sweep(cfg, [0.0])
-        both = sweep(cfg, [0.0, 0.0])
-        assert first[0] == both[0]
+        [(first, _)] = sweep(cfg, [0], [0.0])
+        (zeroth, _), (other, _) = sweep(cfg, [0, 1], [0.0, 0.0])
+        assert first == zeroth
         # same beta' at a different index trains with a different derived seed
-        assert both[1] != both[0]
+        assert other != zeroth
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep(_config(), [])
+            sweep(_config(), [], [])
         with pytest.raises(ValueError):
-            sweep_runs(_config(), [0], [-1.0])
+            sweep(_config(), [0], [-1.0])
 
 
 class TestDeriveSeed:

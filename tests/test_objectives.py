@@ -42,13 +42,12 @@ def _toy_surrogate():
     return ClassSurrogate(
         class_means=np.array([[1.0, 0.0], [-1.0, 0.5]]),
         class_log_sigma=np.array([0.1, -0.2]),
-        priors=np.array([0.5, 0.5]),
     )
 
 
 def _alone(labels, means, log_var, decoder, s, noise):
     """``cib_loss`` of one model, a stack of one, whose ``decoder`` scores (N, d) points."""
-    stacked = ClassSurrogate(s.class_means[None], s.class_log_sigma[None], s.priors)
+    stacked = ClassSurrogate(s.class_means[None], s.class_log_sigma[None])
     lp, kl = cib_loss(labels, np.asarray(means, dtype=np.float64)[None], np.array([log_var]),
                       lambda t: decoder(t[0])[None], stacked, noise)
     return lp[0], kl[0]
@@ -143,9 +142,7 @@ class TestCibLoss:
             _alone([2], np.zeros((1, 2)), 0.0, _uniform_decoder(2), _toy_surrogate(), np.zeros((1, 1, 2)))
 
     def test_kl_term_matches_quadrature_in_one_dimension(self):
-        s = ClassSurrogate(
-            class_means=np.array([[0.0]]), class_log_sigma=np.array([0.0]), priors=np.array([1.0])
-        )
+        s = ClassSurrogate(class_means=np.array([[0.0]]), class_log_sigma=np.array([0.0]))
         _, kl = _alone([0], np.array([[1.0]]), math.log(0.25), _uniform_decoder(1), s, np.zeros((1, 1, 1)))
         oracle_value = gaussian_quadrature_kl(1.0, 0.25, 0.0, 1.0)
         assert kl[0] == pytest.approx(oracle_value, abs=1e-6)
@@ -201,7 +198,7 @@ class TestGraphConsistency:
         beta_prime = 0.8
         _, means, log_var, total, ce, kl = self._build(stack_of_one(store), x, labels, noise, beta_prime)
 
-        s = ClassSurrogate(store.get("mu"), store.get("log_sigma"), np.array([0.5, 0.5]))
+        s = ClassSurrogate(store.get("mu"), store.get("log_sigma"))
         w, bb = store.get("W"), store.get("b")
 
         def decoder(t):

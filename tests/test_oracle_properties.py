@@ -128,7 +128,7 @@ def test_decomposition_compression_is_the_info_report_value(data, instance):
 @given(instance=instances())
 def test_optimal_product_residual_is_conditional_total_correlation(instance):
     joint, enc = instance
-    best = optimal_product_surrogate(induced(joint, enc).t_given_y, enc.arities)
+    best = optimal_product_surrogate(induced(joint, enc), enc.arities)
     rep = decomposition_check(joint, enc, best)
     expected = float(np.sum(joint.p.sum(axis=0) * info_report(joint, enc).TC_given_y))
     assert rep.kl_residual == pytest.approx(expected, abs=1e-12)
