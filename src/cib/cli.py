@@ -277,12 +277,11 @@ def _cmd_oracle(args) -> int:
         joint = discrete_oracle.DiscreteJoint(p)
         q = data_io.json_floats(doc["q"], "q must be rows of JSON numbers", rows=True)
         enc = discrete_oracle.DiscreteEncoder(q, tuple(doc["arities"]))
-        samples = doc.get("samples")
+        samples, (nx, ny) = doc.get("samples"), joint.p.shape
         if "samples" in doc:
             if not (isinstance(samples, list) and samples and all(
-                    type(x) is int and type(y) is int and 0 <= x < joint.nx and 0 <= y < joint.ny for x, y in samples)):
-                raise ValueError(f"samples must be integer pairs, 0 <= x < {joint.nx} and 0 <= y < {joint.ny}, "
-                                 "in a nonempty list")
+                    type(x) is int and type(y) is int and 0 <= x < nx and 0 <= y < ny for x, y in samples)):
+                raise ValueError(f"samples must be integer pairs, 0 <= x < {nx} and 0 <= y < {ny}, in a nonempty list")
             samples = np.array(samples, dtype=np.intp)  # checked pairs: the oracle skips its per-entry scan
     except (TypeError, ValueError) as exc:
         raise _CliError(f"{inst_path}: bad oracle instance: {exc}") from exc
@@ -291,15 +290,15 @@ def _cmd_oracle(args) -> int:
     t_given_y = discrete_oracle.induced(joint, enc)
     verdicts: dict[str, bool] = {}
     verdicts["chain_rule"] = abs(rep.chain_rule_gap()) < 1e-12
-    quantities = {name: value for name, value in dataclasses.asdict(rep).items() if name != "TC_given_y"}
+    quantities = {name: value for name, value in vars(rep).items() if name != "TC_given_y"}
     verdicts["nonnegativity"] = all(q >= -1e-12 for q in quantities.values())
 
     p_y = joint.p.sum(axis=0)
-    if np.any(p_y == 0.0):
+    if np.logical_or.reduce(p_y == 0.0):
         raise _CliError(f"{inst_path}: every class needs positive probability")
     best = discrete_oracle.optimal_product_surrogate(t_given_y, enc.arities)
     decomp = discrete_oracle.decomposition_check(joint, enc, best, rep, t_given_y)
-    expected_residual = float(np.sum(p_y * rep.TC_given_y))
+    expected_residual = float(np.add.reduce(p_y * rep.TC_given_y))
     verdicts["decomposition"] = (
         abs(decomp.gap) < 1e-12 and abs(decomp.kl_residual - expected_residual) < 1e-12
     )

@@ -396,7 +396,9 @@ def load_dataset(path: str | Path) -> Dataset:
             int(doc["class_count"]),
             provenance,
         )
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a label beyond int64
+    except OverflowError:  # the features passed json_floats, so a label is beyond int64
+        raise ValueError(f"{path}: labels must lie in [0, {doc['class_count']}), not an integer beyond int64") from None
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

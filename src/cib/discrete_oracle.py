@@ -17,14 +17,15 @@ Tables are stored C-contiguous, because numpy sums in memory order.  Every
 information quantity comes from one stacked pass over a (K, nx, nt) stack of
 encoder tables: ``info_report`` is its one-encoder case, ``equivalence_scan``
 runs it once per alphabet size of a family, and ``decomposition_check`` reads
-I(X;T|Y) from it.  The pass takes x log x of all its tables at once, and
-``info_report`` the total correlations of all classes.  Sample KLs take one
+I(X;T|Y) from it.  The pass takes x log x of all its tables at once, with
+``info_report``'s class tables for the total correlations.  Sample KLs take one
 unmasked pass over rows; only rows whose sum is not finite (a zero, a
 negative or a NaN) are redone by ``kl_discrete``.  Every entropy and KL is
 still summed whole per encoder or row, so batched values equal the
 per-encoder ones bit for bit.
 
-A ``ProductSurrogate`` checks all its factors in one pass per coordinate.
+A ``ProductSurrogate`` checks its factors in one pass per coordinate; an optimal one is
+built from the (classes, arity) marginal stacks it sums.  Each check takes its KLs in one pass.
 ``perturbed_product_surrogates`` builds the moves of one coordinate as one
 array, by the arithmetic of a single move; a candidate re-checks only the
 factor it moved and carries its expanded table, so the search pays for its
@@ -76,10 +77,9 @@ def _check_rows(joint: DiscreteJoint, enc: DiscreteEncoder) -> None:
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
     """x log x of a float64 array, elementwise, with 0 log 0 := 0."""
-    out = np.zeros(p.shape)
     mask = p > 0.0
-    out[mask] = p[mask] * np.log(p[mask])
-    return out
+    out = np.log(p, out=np.zeros(p.shape), where=mask)
+    return np.multiply(out, p, out=out, where=mask)
 
 
 def entropy(p: np.ndarray) -> float:
@@ -94,7 +94,7 @@ def _entropies(*stacks: np.ndarray) -> list[np.ndarray]:
     of a stack's reshape is one table in C order, summed by one reduction as
     ``entropy`` sums it, so the values are equal bit for bit.
     """
-    terms = _xlogx(np.concatenate([s.reshape(-1) for s in stacks]))
+    terms = _xlogx(np.concatenate(stacks, axis=None))
     out, start = [], 0
     for s in stacks:
         out.append(-np.add.reduce(terms[start:start + s.size].reshape(s.shape[0], -1), axis=1))
@@ -141,10 +141,11 @@ class DiscreteJoint:
         object.__setattr__(self, "p", np.ascontiguousarray(self.p, dtype=np.float64))
         if self.p.ndim != 2 or self.p.shape[0] < 1 or self.p.shape[1] < 1:
             raise ValueError("joint table must be a nonempty 2-D array")
-        if np.any(self.p < 0.0):
+        if np.logical_or.reduce(self.p < 0.0, axis=None):
             raise ValueError("joint probabilities must be nonnegative")
-        if not abs(float(self.p.sum()) - 1.0) <= 1e-12:  # a NaN entry fails it too
-            raise ValueError(f"joint table sums to {float(self.p.sum())}, not 1")
+        total = float(np.add.reduce(self.p, axis=None))
+        if not abs(total - 1.0) <= 1e-12:  # a NaN entry fails it too
+            raise ValueError(f"joint table sums to {total}, not 1")
 
     @property
     def nx(self) -> int:
@@ -174,15 +175,14 @@ class DiscreteEncoder:
         object.__setattr__(self, "arities", tuple(int(a) for a in self.arities))
         if self.q.ndim != 2 or self.q.shape[0] < 1:
             raise ValueError("encoder table must be a nonempty 2-D array")
-        nt = int(np.prod(self.arities))
+        nt = math.prod(self.arities)
         if nt != self.q.shape[1]:
             raise ValueError(f"arities {self.arities} imply {nt} outcomes, table has {self.q.shape[1]}")
         if nt > MAX_JOINT_OUTCOMES:
             raise ValueError(f"product alphabet has {nt} outcomes, cap is {MAX_JOINT_OUTCOMES}")
-        if np.any(self.q < 0.0):
+        if np.logical_or.reduce(self.q < 0.0, axis=None):
             raise ValueError("encoder probabilities must be nonnegative")
-        rows = self.q.sum(axis=1)
-        if not np.all(np.abs(rows - 1.0) <= 1e-12):  # a NaN entry fails it too
+        if not np.logical_and.reduce(np.abs(np.add.reduce(self.q, axis=1) - 1.0) <= 1e-12):  # a NaN entry fails it too
             raise ValueError("each encoder row must sum to 1")
 
     @property
@@ -198,10 +198,9 @@ def induced(joint: DiscreteJoint, enc: DiscreteEncoder) -> np.ndarray:
     """Exact (ny, nt) q(T|Y) induced by the encoder; a class of probability zero has a NaN row."""
     _check_rows(joint, enc)
     p_y = joint.p.sum(axis=0)
-    joint_yt = joint.p.T @ enc.q  # (ny, nt): q(y, t)
-    t_given_y = np.full_like(joint_yt, np.nan)
-    pos_y = p_y > 0.0
-    t_given_y[pos_y] = joint_yt[pos_y] / p_y[pos_y, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a class of probability zero divides 0 by 0
+        t_given_y = (joint.p.T @ enc.q) / p_y[:, None]  # q(y, t) / p(y)
+    t_given_y[~(p_y > 0.0)] = np.nan
     return t_given_y
 
 
@@ -222,18 +221,30 @@ class InfoReport:
         return self.I_XT - self.I_XT_given_Y - self.I_YT
 
 
-def _info_pass(joint: DiscreteJoint, q: np.ndarray) -> tuple[InfoReport, np.ndarray]:
-    """An :class:`InfoReport` of a C-contiguous (K, nx, nt) stack of encoder tables, and q(y, t).
+def _info_pass(joint: DiscreteJoint, q: np.ndarray, arities: tuple[int, ...] | None = None) -> InfoReport:
+    """An :class:`InfoReport` of a C-contiguous (K, nx, nt) stack of encoder tables.
 
-    The five per-encoder quantities are (K,) arrays and ``TC_given_y`` is None.
+    The five per-encoder quantities are (K,) arrays.  ``TC_given_y`` is None,
+    unless the ``arities`` of a one-encoder stack are given: then the
+    entropies of each class's q(T|y) and of its coordinate marginals join the
+    one x log x pass, and ``TC_given_y`` holds the total correlations.
     Each entropy is one reduction per encoder, so a value is the same alone and in any stack.
     """
     p3 = joint.p[None, :, :, None] * q[:, :, None, :]  # (K, nx, ny, nt)
     p_yt = p3.sum(axis=1)
-    (h_xy,), (h_x,), (h_y,), h_xyt, h_xt, h_yt, h_t = _entropies(
-        joint.p[None], joint.p.sum(axis=1)[None], joint.p.sum(axis=0)[None],
-        p3, p3.sum(axis=2), p_yt, p_yt.sum(axis=1),
+    p_y = joint.p.sum(axis=0)
+    conds, tc = (), None
+    if arities is not None:
+        present = (p_y > 0.0).nonzero()[0]
+        cond = p_yt[0, present] / p_y[present, None]  # q(T|y) of every class with mass
+        conds = (cond, *_coordinate_marginals(cond, arities))
+    (h_xy,), (h_x,), (h_y,), h_xyt, h_xt, h_yt, h_t, *h_conds = _entropies(
+        joint.p[None], joint.p.sum(axis=1)[None], p_y[None],
+        p3, p3.sum(axis=2), p_yt, p_yt.sum(axis=1), *conds,
     )
+    if conds:
+        tc = np.zeros(joint.ny)
+        tc[present] = sum(h_conds[1:], 0.0) - h_conds[0]
     return InfoReport(
         H_Y=float(h_y),
         H_Y_given_T=h_yt - h_t,
@@ -241,8 +252,8 @@ def _info_pass(joint: DiscreteJoint, q: np.ndarray) -> tuple[InfoReport, np.ndar
         I_YT=h_y + h_t - h_yt,
         I_XT_given_Y=h_xy + h_yt - h_y - h_xyt,
         I_XY_given_T=h_xt + h_yt - h_t - h_xyt,
-        TC_given_y=None,
-    ), p_yt
+        TC_given_y=tc,
+    )
 
 
 def _coordinate_marginals(tables: np.ndarray, arities: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -261,13 +272,7 @@ def _coordinate_marginals(tables: np.ndarray, arities: tuple[int, ...]) -> tuple
 def info_report(joint: DiscreteJoint, enc: DiscreteEncoder) -> InfoReport:
     """All information quantities by exhaustive summation over (x, y, t)."""
     _check_rows(joint, enc)
-    stacked, p_yt = _info_pass(joint, enc.q[None])
-    p_y = joint.p.sum(axis=0)
-    present = np.flatnonzero(p_y > 0.0)
-    conds = p_yt[0, present] / p_y[present, None]  # q(T|y) of every class with mass
-    h_cond, *h_marginals = _entropies(conds, *_coordinate_marginals(conds, enc.arities))
-    tc = np.zeros(joint.ny)
-    tc[present] = sum(h_marginals, 0.0) - h_cond
+    stacked = _info_pass(joint, enc.q[None], enc.arities)
     return InfoReport(
         H_Y=stacked.H_Y,
         H_Y_given_T=float(stacked.H_Y_given_T[0]),
@@ -275,7 +280,7 @@ def info_report(joint: DiscreteJoint, enc: DiscreteEncoder) -> InfoReport:
         I_YT=float(stacked.I_YT[0]),
         I_XT_given_Y=float(stacked.I_XT_given_Y[0]),
         I_XY_given_T=float(stacked.I_XY_given_T[0]),
-        TC_given_y=tc,
+        TC_given_y=stacked.TC_given_y,
     )
 
 
@@ -348,7 +353,7 @@ def equivalence_scan(
     l_ib = np.empty(len(encoders))
     l_cib = np.empty(len(encoders))
     for members in groups.values():
-        stacked, _ = _info_pass(joint, np.stack([encoders[k].q for k in members]))
+        stacked = _info_pass(joint, np.stack([encoders[k].q for k in members]))
         values = objective_values(stacked, beta, beta_prime)
         l_ib[members] = values.l_ib
         l_cib[members] = values.l_cib
@@ -386,10 +391,11 @@ class ProductSurrogate:
     """Per-class product distribution over the latent coordinates.
 
     ``factors[y][j]`` is the class-y marginal over coordinate j's alphabet.
-    Construction checks every factor in one pass per coordinate, and
-    multiplies them out to the read-only (classes, nt) ``table``: row y is
-    class y's joint table over the product alphabet, in C order.  Like the checks, the table holds while
-    the factor arrays are not written to.  Alphabets above
+    Construction checks every factor in one pass per coordinate's stack (the
+    one ``optimal_product_surrogate`` hands over as it is), and multiplies them
+    out to the read-only (classes, nt) ``table``: row y is class y's joint table
+    over the product alphabet, in C order.  Like the checks, the table holds
+    while the factor arrays are not written to.  Alphabets above
     ``MAX_JOINT_OUTCOMES`` outcomes are rejected, as no encoder has one.
     """
 
@@ -402,25 +408,20 @@ class ProductSurrogate:
             for class_factors in self.factors
         )
         object.__setattr__(self, "factors", frozen)
-        if not self.factors:
-            raise ValueError("need at least one class")
-        arities = tuple(f.size for f in frozen[0])
+        arities = tuple(f.size for f in frozen[0]) if frozen else ()
         # classes are checked in order, so a bad factor before the first
         # class of other arities is named first
         shared = next((y for y, cf in enumerate(frozen) if tuple(f.size for f in cf) != arities), len(frozen))
-        stacks = _factor_stacks(frozen[:shared], arities)
-        bad = np.array([_not_distributions(f) for f in stacks]).T
-        if np.logical_or.reduce(bad, axis=None):  # bad is (classes, coordinates)
-            y, j = np.argwhere(bad)[0]
-            raise ValueError(f"factor (class {y}, coordinate {j}) is not a distribution")
-        if shared < len(frozen):
-            raise ValueError("all classes must share the coordinate arities")
-        nt = math.prod(arities)
-        if nt > MAX_JOINT_OUTCOMES:
-            raise ValueError(f"product alphabet has {nt} outcomes, cap is {MAX_JOINT_OUTCOMES}")
-        table = _expand_rows(len(frozen), stacks)
-        table.flags.writeable = False
+        table = _checked_table(len(frozen), _factor_stacks(frozen[:shared], arities), shared < len(frozen))
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _of_stacks(cls, count: int, stacks: Sequence[np.ndarray]) -> ProductSurrogate:
+        """The surrogate whose factor (y, j) is ``stacks[j][y]``, checked as the constructor checks it."""
+        surrogate = object.__new__(cls)
+        object.__setattr__(surrogate, "table", _checked_table(count, stacks))
+        object.__setattr__(surrogate, "factors", tuple(tuple(f[y] for f in stacks) for y in range(count)))
+        return surrogate
 
     @classmethod
     def _moved(cls, base: ProductSurrogate, y: int, j: int, factor: np.ndarray, table: np.ndarray) -> ProductSurrogate:
@@ -444,6 +445,25 @@ class ProductSurrogate:
     @property
     def arities(self) -> tuple[int, ...]:
         return tuple(f.size for f in self.factors[0])
+
+
+def _checked_table(count: int, stacks: Sequence[np.ndarray], mixed: bool = False) -> np.ndarray:
+    """The read-only table of ``count`` classes from their (classes, arity) factor stacks, once they pass:
+    classes, then each factor in class order, then one arity (``mixed`` fails it), then the outcome cap."""
+    if not count:
+        raise ValueError("need at least one class")
+    bad = np.array([_not_distributions(f) for f in stacks]).T
+    if np.logical_or.reduce(bad, axis=None):  # bad is (classes, coordinates)
+        y, j = np.argwhere(bad)[0]
+        raise ValueError(f"factor (class {y}, coordinate {j}) is not a distribution")
+    if mixed:
+        raise ValueError("all classes must share the coordinate arities")
+    nt = math.prod(f.shape[1] for f in stacks)
+    if nt > MAX_JOINT_OUTCOMES:
+        raise ValueError(f"product alphabet has {nt} outcomes, cap is {MAX_JOINT_OUTCOMES}")
+    table = _expand_rows(count, stacks)
+    table.flags.writeable = False
+    return table
 
 
 def _expand_rows(count: int, columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -493,19 +513,20 @@ def decomposition_check(
     _check_rows(joint, enc)
     if surrogate.class_count != joint.ny or surrogate.arities != enc.arities:
         raise ValueError("surrogate must cover the joint's classes and the encoder's alphabet")
-    expanded = surrogate.table
-    xs, ys = np.nonzero(joint.p > 0.0)  # x-major
-    lhs = 0.0
-    for weight, kl in zip(joint.p[xs, ys], _kl_rows(enc.q[xs], expanded[ys])):
-        lhs += weight * kl
+    xs, ys = (joint.p > 0.0).nonzero()  # x-major
     t_given_y = induced(joint, enc) if t_given_y is None else t_given_y
     p_y = joint.p.sum(axis=0)
+    present = (p_y > 0.0).nonzero()[0]
+    # the cells' KLs, then the classes', in one pass
+    kls = _kl_rows(np.concatenate((enc.q[xs], t_given_y[present])), surrogate.table[np.concatenate((ys, present))])
+    lhs = 0.0
+    for weight, kl in zip(joint.p[xs, ys], kls):
+        lhs += weight * kl
     residual = 0.0
-    for y in range(joint.ny):
-        if p_y[y] > 0.0:
-            residual += p_y[y] * kl_discrete(t_given_y[y], expanded[y])
+    for weight, kl in zip(p_y[present], kls[xs.size:]):
+        residual += weight * kl
     if report is None:  # info_report's stacked pass, without its total correlations
-        i_xt_given_y = float(_info_pass(joint, enc.q[None])[0].I_XT_given_Y[0])
+        i_xt_given_y = float(_info_pass(joint, enc.q[None]).I_XT_given_Y[0])
     else:
         i_xt_given_y = report.I_XT_given_Y
     return DecompositionReport(lhs=lhs, i_xt_given_y=i_xt_given_y, kl_residual=residual)
@@ -519,10 +540,9 @@ def optimal_product_surrogate(t_given_y: np.ndarray, arities: Sequence[int]) -> 
     """
     t_given_y = np.ascontiguousarray(t_given_y, dtype=np.float64)
     arities = tuple(int(a) for a in arities)
-    if t_given_y.ndim != 2 or int(np.prod(arities)) != t_given_y.shape[1]:
+    if t_given_y.ndim != 2 or math.prod(arities) != t_given_y.shape[1]:
         raise ValueError("conditional table does not match the arities")
-    marginals = _coordinate_marginals(t_given_y, arities)
-    return ProductSurrogate(tuple(tuple(m[y] for m in marginals) for y in range(t_given_y.shape[0])))
+    return ProductSurrogate._of_stacks(t_given_y.shape[0], _coordinate_marginals(t_given_y, arities))
 
 
 def _checked_samples(samples: Sequence[tuple[int, int]], enc: DiscreteEncoder) -> np.ndarray:
@@ -540,10 +560,10 @@ def _checked_samples(samples: Sequence[tuple[int, int]], enc: DiscreteEncoder) -
     if not whole or pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
         raise bad
     try:
-        samples = pairs.astype(np.intp)
+        samples = pairs.astype(np.intp, copy=False)
     except OverflowError:  # an integer no index can hold
         raise bad from None
-    low, high = np.minimum.reduce(samples), np.maximum.reduce(samples)  # per column: x, y
+    low, high = np.minimum.reduce(samples).tolist(), np.maximum.reduce(samples).tolist()  # per column: x, y
     if low[0] < 0 or high[0] >= enc.nx:
         raise ValueError(f"sample feature index outside [0, {enc.nx})")
     if low[1] < 0:
@@ -595,7 +615,7 @@ def surrogate_optimality_check(
     xs, ys = samples.T
     # N samples cannot fill N + 1 classes, so a label >= N leaves a class below N empty
     counts = np.bincount(np.minimum(ys, ys.size))
-    empty = np.flatnonzero(counts == 0)
+    empty = (counts == 0).nonzero()[0]
     if empty.size:
         raise ValueError(f"class {int(empty[0])} has no samples")
     t_given_y = np.zeros((counts.size, enc.nt))
@@ -604,9 +624,12 @@ def surrogate_optimality_check(
     t_given_y /= counts[:, None]
     best = optimal_product_surrogate(t_given_y, enc.arities)
     expanded = best.table
-    lhs_min = _mean(_kl_rows(q_x, expanded[ys]))  # sample_kl_objective of checked samples
-    tc = _kl_rows(t_given_y, expanded)
-    rhs = _mean(_kl_rows(q_x, t_given_y[ys]) + tc[ys])
+    # in one pass: each sample's KL to its class's surrogate (sample_kl_objective
+    # of checked samples), each class's total correlation, each sample's KL to q(T|y)
+    kls = _kl_rows(np.concatenate((q_x, t_given_y, q_x)), np.concatenate((expanded[ys], expanded, t_given_y[ys])))
+    n, classes = ys.size, counts.size
+    lhs_min = _mean(kls[:n])
+    rhs = _mean(kls[n + classes:] + kls[n:n + classes][ys])
     return OptimalityReport(lhs_min=lhs_min, rhs=rhs, surrogate=best)
 
 
@@ -632,23 +655,23 @@ def perturbed_product_surrogates(
     blocks = []
     for j, factors in enumerate(stacks):
         per_source = factors.shape[1] - 1
-        source_class, sources = np.nonzero(factors > 0.0)  # class-major, then source symbol a
+        source_class, sources = (factors > 0.0).nonzero()  # class-major, then source symbol a
         others = np.arange(per_source)
         targets = others + (others >= sources[:, None])  # every b != a, in order
-        move_class = np.repeat(source_class, per_source)
+        move_class = source_class.repeat(per_source)
         rows = np.arange(move_class.size)
-        delta = np.repeat(np.minimum(step, factors[source_class, sources]), per_source)
+        delta = np.minimum(step, factors[source_class, sources]).repeat(per_source)
         moved = factors[move_class]
-        moved[rows, np.repeat(sources, per_source)] -= delta
+        moved[rows, sources.repeat(per_source)] -= delta
         moved[rows, targets.ravel()] += delta
         moved /= np.add.reduce(moved, axis=1, keepdims=True)
         tables = None
         if rows.size:
-            tables = np.repeat(surrogate.table[None], rows.size, axis=0)
+            tables = surrogate.table[None].repeat(rows.size, axis=0)
             columns = [moved if i == j else f[move_class] for i, f in enumerate(stacks)]
             tables[rows, move_class] = _expand_rows(rows.size, columns)
             tables.flags.writeable = False
-        starts = np.searchsorted(move_class, np.arange(classes + 1)).tolist()  # each class's moves
+        starts = move_class.searchsorted(np.arange(classes + 1)).tolist()  # each class's moves
         blocks.append((moved, _not_distributions(moved), tables, starts))
     for y in range(classes):
         for j, (moved, bad, tables, starts) in enumerate(blocks):

@@ -23,8 +23,13 @@ from cib.discrete_oracle import (
     DiscreteEncoder,
     DiscreteJoint,
     EquivalenceScan,
+    InfoReport,
     OptimalityReport,
     ProductSurrogate,
+    _coordinate_marginals,
+    _expand_rows,
+    _kl_rows,
+    _not_distributions,
     induced,
     info_report,
     kl_discrete,
@@ -952,6 +957,111 @@ def loop_decomposition_check(joint, enc, surrogate):
             residual += p_y[y] * kl_discrete(t_given_y[y], expanded[y])
     rep = info_report(joint, enc)
     return DecompositionReport(lhs=lhs, i_xt_given_y=rep.I_XT_given_Y, kl_residual=residual)
+
+
+# --------------------------------------------------------------------- unstacked oracle forms
+#
+# The oracle's passes before they were stacked: x log x by a masked gather and
+# scatter, the class tables in a second x log x pass, q(T|Y) filled through a
+# mask, the surrogate checked from per-class factor tuples, one ``kl_discrete``
+# per class for the decomposition residual, and three KL passes in the
+# optimality check.  The stacked passes must equal them bit for bit.
+
+
+def masked_xlogx(p):
+    """x log x of the positive entries, gathered and scattered back; 0 elsewhere."""
+    out = np.zeros(p.shape)
+    mask = p > 0.0
+    out[mask] = p[mask] * np.log(p[mask])
+    return out
+
+
+def _masked_entropies(*stacks):
+    terms = masked_xlogx(np.concatenate([s.reshape(-1) for s in stacks]))
+    out, start = [], 0
+    for s in stacks:
+        out.append(-np.add.reduce(terms[start:start + s.size].reshape(s.shape[0], -1), axis=1))
+        start += s.size
+    return out
+
+
+def two_pass_info_report(joint, enc):
+    """``info_report`` with the class tables of the total correlations in a second x log x pass."""
+    p3 = joint.p[None, :, :, None] * enc.q[None, :, None, :]
+    p_yt = p3.sum(axis=1)
+    (h_xy,), (h_x,), (h_y,), (h_xyt,), (h_xt,), (h_yt,), (h_t,) = _masked_entropies(
+        joint.p[None], joint.p.sum(axis=1)[None], joint.p.sum(axis=0)[None], p3, p3.sum(axis=2), p_yt,
+        p_yt.sum(axis=1),
+    )
+    p_y = joint.p.sum(axis=0)
+    present = np.flatnonzero(p_y > 0.0)
+    conds = p_yt[0, present] / p_y[present, None]
+    h_cond, *h_marginals = _masked_entropies(conds, *_coordinate_marginals(conds, enc.arities))
+    tc = np.zeros(joint.ny)
+    tc[present] = sum(h_marginals, 0.0) - h_cond
+    return InfoReport(
+        H_Y=float(h_y), H_Y_given_T=float(h_yt - h_t), I_XT=float(h_x + h_t - h_xt), I_YT=float(h_y + h_t - h_yt),
+        I_XT_given_Y=float(h_xy + h_yt - h_y - h_xyt), I_XY_given_T=float(h_xt + h_yt - h_t - h_xyt), TC_given_y=tc,
+    )
+
+
+def masked_induced(joint, enc):
+    """``induced`` filled with NaN, then the rows of the classes with mass divided."""
+    p_y = joint.p.sum(axis=0)
+    joint_yt = joint.p.T @ enc.q
+    t_given_y = np.full_like(joint_yt, np.nan)
+    pos_y = p_y > 0.0
+    t_given_y[pos_y] = joint_yt[pos_y] / p_y[pos_y, None]
+    return t_given_y
+
+
+def factor_tuple_surrogate(factors):
+    """``ProductSurrogate(factors)`` checked and expanded from per-class factor tuples: its factors and its table."""
+    frozen = tuple(tuple(np.asarray(f, dtype=np.float64) for f in class_factors) for class_factors in factors)
+    if not frozen:
+        raise ValueError("need at least one class")
+    arities = tuple(f.size for f in frozen[0])
+    shared = next((y for y, cf in enumerate(frozen) if tuple(f.size for f in cf) != arities), len(frozen))
+    stacks = [np.concatenate([cf[j].ravel() for cf in frozen[:shared]]).reshape(shared, a)
+              for j, a in enumerate(arities)]
+    bad = np.array([_not_distributions(f) for f in stacks]).T
+    if np.logical_or.reduce(bad, axis=None):
+        y, j = np.argwhere(bad)[0]
+        raise ValueError(f"factor (class {y}, coordinate {j}) is not a distribution")
+    if shared < len(frozen):
+        raise ValueError("all classes must share the coordinate arities")
+    if math.prod(arities) > MAX_JOINT_OUTCOMES:
+        raise ValueError(f"product alphabet has {math.prod(arities)} outcomes, cap is {MAX_JOINT_OUTCOMES}")
+    return SimpleNamespace(factors=frozen, table=_expand_rows(len(frozen), stacks))
+
+
+def per_class_decomposition_check(joint, enc, surrogate, report, t_given_y):
+    """``decomposition_check`` with one ``kl_discrete`` per class for the residual."""
+    xs, ys = np.nonzero(joint.p > 0.0)
+    lhs = 0.0
+    for weight, kl in zip(joint.p[xs, ys], _kl_rows(enc.q[xs], surrogate.table[ys])):
+        lhs += weight * kl
+    p_y = joint.p.sum(axis=0)
+    residual = 0.0
+    for y in range(joint.ny):
+        if p_y[y] > 0.0:
+            residual += p_y[y] * kl_discrete(t_given_y[y], surrogate.table[y])
+    return DecompositionReport(lhs=lhs, i_xt_given_y=report.I_XT_given_Y, kl_residual=residual)
+
+
+def three_pass_optimality_check(samples, enc):
+    """``surrogate_optimality_check`` of checked samples with three KL passes: lhs_min, rhs and the surrogate."""
+    xs, ys = np.asarray(samples, dtype=np.intp).T
+    counts = np.bincount(ys)
+    t_given_y = np.zeros((counts.size, enc.nt))
+    np.add.at(t_given_y, ys, enc.q[xs])
+    t_given_y /= counts[:, None]
+    marginals = _coordinate_marginals(t_given_y, enc.arities)
+    best = factor_tuple_surrogate(tuple(tuple(m[y] for m in marginals) for y in range(counts.size)))
+    lhs_min = float(np.add.reduce(_kl_rows(enc.q[xs], best.table[ys])) / ys.size)
+    tc = _kl_rows(t_given_y, best.table)
+    rhs = float(np.add.reduce(_kl_rows(enc.q[xs], t_given_y[ys]) + tc[ys]) / ys.size)
+    return lhs_min, rhs, best
 
 
 # --------------------------------------------------------------------- evaluation reference

@@ -683,6 +683,20 @@ class TestEstimate:
             err = capsys.readouterr().err
             assert all(word in err for word in named), err
 
+    def test_labels_beyond_int64_exit_one_naming_file_and_key(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 0
+        data = tmp_path / "d.json"
+        assert run(f"gen-data --classes 2 --dim 2 --per-class 5 --sep 4 --seed 5 --out {data}".split()) == 0
+        capsys.readouterr()
+        doc = json.loads(data.read_text())
+        for label in (2**63, 10**400, -2**63 - 1):
+            doc["labels"][1] = label
+            data.write_text(json.dumps(doc))
+            assert run(["estimate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {data}: labels must lie in [0, 2), not an integer beyond int64\n"), label
+
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc.update(priors=1.0), "priors must be nonnegative and sum to 1"),
         (lambda doc: doc["priors"].__setitem__(0, 10**400),
@@ -955,6 +969,35 @@ class TestOracle:
         assert run(["oracle", "--instance", str(inst)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {inst}: bad oracle instance: {table} must be rows of JSON numbers, not {kind}\n"
+
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"p": []}, "bad oracle instance: joint table must be a nonempty 2-D array"),
+        ({"q": []}, "bad oracle instance: encoder table must be a nonempty 2-D array"),
+        ({"q": [[1.25, -0.25, 0.0, 0.0], [0.25] * 4, [0.25] * 4]},
+         "bad oracle instance: encoder probabilities must be nonnegative"),
+        ({"p": [[0.5, 0.0], [0.25, 0.0], [0.25, 0.0]]}, "every class needs positive probability"),
+    ], ids=["empty-p", "empty-q", "negative-q", "class-without-mass"])
+    def test_tables_the_oracle_cannot_use_exit_one_naming_the_instance(self, tmp_path, capsys, edit, message):
+        inst = _write_instance(tmp_path, with_samples=True)
+        inst.write_text(json.dumps({**json.loads(inst.read_text()), **edit}))
+        assert run(["oracle", "--instance", str(inst), "--json"]) == 1
+        assert capsys.readouterr() == ("", f"error: {inst}: {message}\n")
+
+    def test_a_failing_verdict_prints_the_report_and_exits_two_naming_it(self, tmp_path, monkeypatch, capsys):
+        check = discrete_oracle.surrogate_optimality_check
+
+        def off_by_one(samples, enc):
+            rep = check(samples, enc)
+            return discrete_oracle.OptimalityReport(rep.lhs_min + 1.0, rep.rhs, rep.surrogate)
+
+        monkeypatch.setattr(discrete_oracle, "surrogate_optimality_check", off_by_one)
+        assert run(["oracle", "--instance", str(_write_instance(tmp_path, with_samples=True)), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["verdicts"] == {
+            "chain_rule": "pass", "nonnegativity": "pass", "decomposition": "pass", "surrogate_optimality": "fail"
+        }
+        assert err == "numerical failure: oracle checks failed: surrogate_optimality\n"
 
 
 _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**53), 2**53))

@@ -404,7 +404,9 @@ class TestDatasetFile:
         (["0", "1", "0"], "labels must be a list of integers"),
         ([0, None, 1], "labels must be a list of integers"),
         ("010", "labels must be a list of integers"),
-        ([0, 10**30, 1], "too large"),
+        ([0, 10**30, 1], r"labels must lie in \[0, 2\), not an integer beyond int64"),
+        ([0, 2**63, 1], r"labels must lie in \[0, 2\), not an integer beyond int64"),
+        ([0, -2**63 - 1, 1], r"labels must lie in \[0, 2\), not an integer beyond int64"),
     ])
     def test_labels_that_are_not_integers_name_the_file(self, tmp_path, labels, message):
         path = tmp_path / "d.json"

@@ -75,6 +75,10 @@ class TestValidation:
     def test_kl_support_mismatch_is_infinite(self):
         assert kl_discrete(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == math.inf
 
+    def test_kl_of_distributions_of_other_sizes_rejected(self):
+        with pytest.raises(ValueError, match="^distributions have different sizes: 2 vs 1$"):
+            kl_discrete(np.array([0.5, 0.5]), np.array([1.0]))
+
     def test_entropy_of_point_mass_is_zero(self):
         assert entropy(np.array([1.0, 0.0, 0.0])) == 0.0
 
@@ -274,6 +278,16 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="not a distribution"):
             optimal_product_surrogate(t_given_y, (2,))
 
+    @pytest.mark.parametrize("factors", [
+        ((np.array([0.5, 0.5]),),),  # one class for two
+        ((np.array([1.0]), np.array([0.5, 0.5])), (np.array([1.0]), np.array([0.5, 0.5]))),  # arities (1, 2)
+    ])
+    def test_surrogate_of_other_classes_or_alphabet_rejected(self, factors):
+        joint = DiscreteJoint(np.array([[0.25, 0.25], [0.25, 0.25]]))
+        enc = DiscreteEncoder(np.array([[0.5, 0.5], [0.5, 0.5]]), (2,))
+        with pytest.raises(ValueError, match="^surrogate must cover the joint's classes and the encoder's alphabet$"):
+            decomposition_check(joint, enc, ProductSurrogate(factors))
+
     def test_unsupported_surrogate_reports_infinity(self):
         joint = DiscreteJoint(np.array([[0.5, 0.5]]))
         enc = DiscreteEncoder(np.array([[0.5, 0.5]]), (2,))
@@ -339,6 +353,22 @@ class TestOptimalProductSurrogate:
         assert len(candidates) == 3 * (2 + 6)
         assert sum(rows for rows, _ in checked) == len(candidates)
 
+
+    @pytest.mark.parametrize("table,arities", [
+        (np.full((2, 3), 1.0 / 3.0), (2,)),
+        (np.full(4, 0.25), (4,)),  # one row, not a stack of rows
+        (np.full((2, 4), 0.25), (2, 3)),
+    ])
+    def test_table_that_does_not_match_the_arities_rejected(self, table, arities):
+        with pytest.raises(ValueError, match="^conditional table does not match the arities$"):
+            optimal_product_surrogate(table, arities)
+
+    def test_a_factor_written_after_construction_fails_in_its_moves(self):
+        """The candidates check the factor they moved, so one written into after the checks cannot pass as a move."""
+        surrogate = ProductSurrogate(((np.array([0.5, 0.5]), np.array([0.25, 0.75])),))
+        surrogate.factors[0][1][:] = [1.5, -0.5]
+        with pytest.raises(ValueError, match=r"^factor \(class 0, coordinate 1\) is not a distribution$"):
+            list(perturbed_product_surrogates(surrogate, step=0.01))
 
     def test_alphabets_beyond_the_outcome_cap_are_rejected(self):
         """No encoder has 4^4 = 256 outcomes, so no surrogate has either; 4^3 = 64 is the cap."""

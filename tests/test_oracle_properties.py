@@ -14,6 +14,7 @@ from cib.discrete_oracle import (
     ProductSurrogate,
     _checked_samples,
     _kl_rows,
+    _xlogx,
     decomposition_check,
     induced,
     info_report,
@@ -25,11 +26,19 @@ from cib.discrete_oracle import (
     surrogate_optimality_check,
 )
 from helpers import (
+    factor_tuple_surrogate,
     loop_checked_samples,
     loop_perturbed_product_surrogates,
     loop_product_surrogate_problem,
+    masked_induced,
+    masked_xlogx,
     outer_expand,
+    per_class_decomposition_check,
+    three_pass_optimality_check,
+    two_pass_info_report,
 )
+
+REPORT_FIELDS = ("H_Y", "H_Y_given_T", "I_XT", "I_YT", "I_XT_given_Y", "I_XY_given_T")
 
 # derandomized so that a tier-1 failure replays from its test id; no
 # example database is written
@@ -266,3 +275,96 @@ def test_kl_rows_equal_row_by_row_kl_discrete(data, rows, width):
     ours = _kl_rows(p, q)
     theirs = np.array([kl_discrete(a, b) for a, b in zip(p, q)], dtype=np.float64)
     assert ours.tobytes() == theirs.tobytes()
+
+
+# the stacked passes against their unstacked forms in helpers: negative zeros,
+# zero cells, classes without mass, NaN rows and infinite KLs included
+STACKED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+SIGNED_MASS = st.one_of(MASS, st.just(-0.0))
+
+
+def _float_bits(*values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+@st.composite
+def open_instances(draw):
+    """Like ``instances``, with negative zeros, and often a class without mass when there are two or more."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    arities = draw(ARITIES)
+    p = _rows(draw(arrays(np.float64, (ny, nx), elements=SIGNED_MASS)))
+    if ny > 1 and draw(st.booleans()):
+        p[draw(st.integers(0, ny - 1))] = draw(st.sampled_from([0.0, -0.0]))
+    q = _rows(draw(arrays(np.float64, (nx, math.prod(arities)), elements=SIGNED_MASS)))
+    return DiscreteJoint(p.T / p.sum()), DiscreteEncoder(q, arities)
+
+
+@STACKED
+@given(p=arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 6)),
+                elements=st.one_of(MASS, ODD_ENTRY, st.sampled_from([5e-324, 2.2e-308, 1e308]))))
+def test_xlogx_equals_the_masked_form(p):
+    with np.errstate(over="ignore"):  # 1e308 log 1e308 overflows in both
+        assert _xlogx(p).tobytes() == masked_xlogx(p).tobytes()
+
+
+@STACKED
+@given(instance=open_instances())
+def test_info_report_and_induced_equal_their_unstacked_forms(instance):
+    ours, theirs = info_report(*instance), two_pass_info_report(*instance)
+    assert _float_bits(*(getattr(ours, name) for name in REPORT_FIELDS)) == \
+        _float_bits(*(getattr(theirs, name) for name in REPORT_FIELDS))
+    assert ours.TC_given_y.tobytes() == theirs.TC_given_y.tobytes()
+    assert induced(*instance).tobytes() == masked_induced(*instance).tobytes()  # NaN rows bit for bit
+
+
+@STACKED
+@given(data=st.data(), count=st.integers(0, 3), arities=st.lists(st.integers(0, 5), max_size=3))
+def test_surrogate_from_stacks_equals_the_factor_tuples(data, count, arities):
+    """Table and factor bits, or the first message, of the stack path, the constructor and the per-class tuples."""
+    stacks = [np.array([data.draw(factors(a)) for _ in range(count)]).reshape(count, a) for a in arities]
+    as_tuples = tuple(tuple(stack[y] for stack in stacks) for y in range(count))
+
+    def outcome(build):
+        try:
+            surrogate = build()
+        except ValueError as exc:
+            return str(exc)
+        return surrogate.table.tobytes(), surrogate.table.shape, _bits(surrogate)
+
+    ours = outcome(lambda: ProductSurrogate._of_stacks(count, stacks))
+    assert ours == outcome(lambda: ProductSurrogate(as_tuples)) == outcome(lambda: factor_tuple_surrogate(as_tuples))
+    if not isinstance(ours, str):
+        assert not ProductSurrogate._of_stacks(count, stacks).table.flags.writeable
+
+
+@st.composite
+def conditionals(draw, joint, enc):
+    """The induced q(T|Y), or a table with zero cells, negative zeros and NaN rows."""
+    if draw(st.booleans()):
+        return induced(joint, enc)
+    table = _rows(draw(arrays(np.float64, (joint.ny, enc.nt), elements=SIGNED_MASS)))
+    table[draw(arrays(np.bool_, joint.ny))] = np.nan
+    return table
+
+
+@STACKED
+@given(data=st.data(), instance=open_instances())
+def test_decomposition_equals_the_per_class_residual(data, instance):
+    """Surrogate zeros where q has mass give infinite KLs on either side."""
+    joint, enc = instance
+    surrogate = data.draw(product_surrogates(joint.ny, enc.arities))
+    t_given_y, report = data.draw(conditionals(joint, enc)), info_report(joint, enc)
+    ours = decomposition_check(joint, enc, surrogate, report, t_given_y)
+    theirs = per_class_decomposition_check(joint, enc, surrogate, report, t_given_y)
+    assert _float_bits(ours.lhs, ours.i_xt_given_y, ours.kl_residual) == \
+        _float_bits(theirs.lhs, theirs.i_xt_given_y, theirs.kl_residual)
+
+
+@STACKED
+@given(drawn=sampled_encoders())
+def test_optimality_check_equals_its_three_kl_passes(drawn):
+    enc, samples = drawn
+    ours = surrogate_optimality_check(samples, enc)
+    lhs_min, rhs, best = three_pass_optimality_check(samples, enc)
+    assert _float_bits(ours.lhs_min, ours.rhs) == _float_bits(lhs_min, rhs)
+    assert (ours.surrogate.table.tobytes(), _bits(ours.surrogate)) == (best.table.tobytes(), _bits(best))
