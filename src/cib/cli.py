@@ -31,30 +31,15 @@ REPORT_KEYS = ("beta_prime", "ce_test", "kl_test", "acc_test", "ixt", "ixt_given
 POINT_KEYS = tuple(f.name for f in dataclasses.fields(model.TradeoffPoint))
 
 
-class _CliError(Exception):
-    """Validation problem: bad usage, bad paths, malformed inputs."""
-
-
-class _NumericalFailure(ArithmeticError):
-    """The command ran, but a mathematical check failed: exit 2, like a run's non-finite numbers."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliError(f"{self.prog}: {message}")
-
-
-def _require_file(path: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise _CliError(f"no such file: {path}")
-    return p
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _out_dir(path: str) -> Path:
     blocked = [part for part in (Path(path), *Path(path).parents) if part.exists() and not part.is_dir()]
     if blocked:
-        raise _CliError(f"--out {path}: {blocked[0]} is not a directory")
+        raise ValueError(f"--out {path}: {blocked[0]} is not a directory")
     return Path(path)
 
 
@@ -80,7 +65,7 @@ def _cmd_gen_data(args) -> int:
         spec = data_io.GmmSpec(args.classes, args.dim, args.sep, args.per_class, args.seed)
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
-        raise _CliError(f"{_GMM_FLAGS.get(field, field)} {rest}") from exc
+        raise ValueError(f"{_GMM_FLAGS.get(field, field)} {rest}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ds = data_io.gen_gmm(spec)
@@ -106,8 +91,7 @@ def _write_run_dir(out: Path, run: model.TrainResult, point: model.TradeoffPoint
 
 
 def _cmd_train(args) -> int:
-    cfg_path = _require_file(args.config)
-    cfg = data_io.load_config(cfg_path)
+    cfg = data_io.load_config(args.config)
     out = _out_dir(args.out)
     train_ds, test_ds = data_io.dataset_from_config(cfg["dataset"])
     run = model.train([cfg], train_ds, test_ds)[0]
@@ -145,18 +129,17 @@ def _write_report_csv(points: list[dict], path: Path) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    cfg_path = _require_file(args.config)
-    cfg = data_io.load_config(cfg_path)
+    cfg = data_io.load_config(args.config)
     try:
         betas = [float(tok) for tok in args.betas.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise _CliError(f"--betas must be a comma-separated list of numbers: {exc}") from exc
+        raise ValueError(f"--betas must be a comma-separated list of numbers: {exc}") from exc
     if not betas:
-        raise _CliError("--betas must list at least one value")
+        raise ValueError("--betas must list at least one value")
     if not all(0.0 <= b < math.inf for b in betas):
-        raise _CliError(f"beta' values must be finite and nonnegative, got {args.betas}")
+        raise ValueError(f"beta' values must be finite and nonnegative, got {args.betas}")
     if args.jobs < 1:
-        raise _CliError("--jobs must be at least 1")
+        raise ValueError("--jobs must be at least 1")
     out = _out_dir(args.out)
     # the pool starts every worker up front, so never ask for more than can run
     workers = min(args.jobs, len(betas), estimators.usable_cores())
@@ -189,13 +172,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    ckpt_path = _require_file(args.checkpoint)
-    data_path = _require_file(args.data)
-    state = data_io.load_checkpoint(path=ckpt_path)
-    ds = data_io.load_dataset(data_path)
+    state = data_io.load_checkpoint(path=args.checkpoint)
+    ds = data_io.load_dataset(args.data)
     if ds.dim != state.in_dim:
-        raise _CliError(
-            f"--data {data_path} has dimension {ds.dim}, but --checkpoint {ckpt_path} "
+        raise ValueError(
+            f"--data {args.data} has dimension {ds.dim}, but --checkpoint {args.checkpoint} "
             f"encodes inputs of dimension {state.in_dim}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # the bound report rejects non-finite codes
@@ -221,14 +202,14 @@ def _cmd_gradcheck(args) -> int:
     try:
         dims = [int(tok) for tok in args.layers.split(",")]
     except ValueError as exc:
-        raise _CliError(f"--layers must be a comma-separated list of ints: {exc}") from exc
+        raise ValueError(f"--layers must be a comma-separated list of ints: {exc}") from exc
     for flag, value, low in (("--batch", args.batch, 1), ("--classes", args.classes, 1),
                              ("--seed", args.seed, 0)):
         if value < low:
-            raise _CliError(f"{flag} must be at least {low}, got {value}")
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
     for flag, value in (("--eps", args.eps), ("--tol", args.tol)):
         if not (math.isfinite(value) and value > 0.0):
-            raise _CliError(f"{flag} must be positive and finite, got {value}")
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
     heads = ["softmax", "naive_bayes"] if args.head == "both" else [args.head]
     # the batch is drawn below, so the dataset block is a placeholder; the
     # table checks the flags that land in the config before anything is drawn
@@ -265,13 +246,12 @@ def _cmd_gradcheck(args) -> int:
     _emit(doc, lines, args.json)
     if not all_passed:
         worst = max(r["max_rel_error"] for r in results.values())
-        raise _NumericalFailure(f"gradient check failed: max rel error {worst:.3e} >= tol {args.tol}")
+        raise ArithmeticError(f"gradient check failed: max rel error {worst:.3e} >= tol {args.tol}")
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    inst_path = _require_file(args.instance)
-    doc = data_io.read_json(inst_path, ValueError, ("p", "q", "arities"))
+    doc = data_io.read_json(args.instance, ValueError, ("p", "q", "arities"))
     try:
         p = data_io.json_floats(doc["p"], "p must be rows of JSON numbers", rows=True)
         joint = discrete_oracle.DiscreteJoint(p)
@@ -284,7 +264,7 @@ def _cmd_oracle(args) -> int:
                 raise ValueError(f"samples must be integer pairs, 0 <= x < {nx} and 0 <= y < {ny}, in a nonempty list")
             samples = np.array(samples, dtype=np.intp)  # checked pairs: the oracle skips its per-entry scan
     except (TypeError, ValueError) as exc:
-        raise _CliError(f"{inst_path}: bad oracle instance: {exc}") from exc
+        raise ValueError(f"{args.instance}: bad oracle instance: {exc}") from exc
 
     rep = discrete_oracle.info_report(joint, enc)
     t_given_y = discrete_oracle.induced(joint, enc)
@@ -295,7 +275,7 @@ def _cmd_oracle(args) -> int:
 
     p_y = joint.p.sum(axis=0)
     if np.logical_or.reduce(p_y == 0.0):
-        raise _CliError(f"{inst_path}: every class needs positive probability")
+        raise ValueError(f"{args.instance}: every class needs positive probability")
     best = discrete_oracle.optimal_product_surrogate(t_given_y, enc.arities)
     decomp = discrete_oracle.decomposition_check(joint, enc, best, rep, t_given_y)
     expected_residual = float(np.add.reduce(p_y * rep.TC_given_y))
@@ -315,7 +295,7 @@ def _cmd_oracle(args) -> int:
     _emit(out_doc, lines, args.json)
     if not all(verdicts.values()):
         failed = [name for name, ok in verdicts.items() if not ok]
-        raise _NumericalFailure(f"oracle checks failed: {', '.join(failed)}")
+        raise ArithmeticError(f"oracle checks failed: {', '.join(failed)}")
     return 0
 
 
@@ -343,7 +323,7 @@ def _cmd_report(args) -> int:
         except ValueError as exc:
             problems.append(f"{path}: {exc}")
     if problems:
-        raise _CliError("unusable run directories:\n  " + "\n  ".join(problems))
+        raise ValueError("unusable run directories:\n  " + "\n  ".join(problems))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_report_csv(points, out)
@@ -435,8 +415,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     # ConfigError, IdxFormatError and CheckpointError are ValueErrors; an OSError
-    # (a missing input, an --out below a regular file) names its path
-    except (_CliError, OSError, ValueError, KeyError) as exc:
+    # (a missing or unreadable input, an --out below a regular file) names its path
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

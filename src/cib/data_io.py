@@ -191,24 +191,30 @@ def gen_gmm_splits(spec: GmmSpec, test_per_class: int) -> tuple[Dataset, Dataset
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def standardize(train: Dataset, test: Dataset | None = None) -> tuple[Dataset, Dataset | None]:
     """Zero-mean unit-variance features from train statistics.
 
     The test split is transformed with the train split's moments.  Constant
-    feature dimensions are centered but left unscaled.
+    feature dimensions are centered but left unscaled.  Features whose
+    moments or standardized values overflow are a ValueError naming
+    ``dataset.standardize`` and the split, not a numpy warning.
     """
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
 
-    def apply(ds: Dataset) -> Dataset:
+    def apply(ds: Dataset, split: str) -> Dataset:
         prov = dict(ds.provenance)
         prov["standardized"] = True
         out = ds.features - mean  # one temporary per split; the split's own array is left as it is
         out /= std
-        return Dataset(out, ds.labels, ds.class_count, prov)
+        try:
+            return Dataset(out, ds.labels, ds.class_count, prov)
+        except ValueError:  # the split's labels and shape already passed: its features are not finite
+            raise ValueError(f"dataset.standardize: the {split} split's standardized features are not finite") from None
 
-    return apply(train), (apply(test) if test is not None else None)
+    return apply(train, "train"), (apply(test, "test") if test is not None else None)
 
 
 # --------------------------------------------------------------------- IDX

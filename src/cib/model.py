@@ -119,22 +119,17 @@ class ModelState:
     def bottleneck_dim(self) -> int:
         return self.config["encoder"]["layer_dims"][-1]
 
-    def weight_names(self) -> list[tuple[str, str]]:
-        return [(f"enc.W{l}", f"enc.b{l}") for l in range(len(self.config["encoder"]["layer_dims"]) - 1)]
-
     @functools.cached_property
-    def _net_names(self) -> tuple[str, ...]:
+    def net_names(self) -> tuple[str, ...]:
         """The net's slice names W_0, b_0, W_1, b_1, ... in the order :meth:`Tape.mlp` takes them."""
-        return tuple(name for pair in self.weight_names() for name in pair)
+        return tuple(f"enc.{kind}{l}" for l in range(len(self.config["encoder"]["layer_dims"]) - 1) for kind in "Wb")
 
     @property
     def sigma2(self) -> float:
         return float(self.config["encoder"]["sigma2"])
 
     def log_var(self) -> float:
-        """Log of the isotropic bottleneck variance."""
-        if self.config["encoder"]["noise_mode"] == "fixed_sigma":
-            return math.log(self.sigma2)
+        """Log of the isotropic bottleneck variance; eta^2 is 0.0 under fixed noise, and 0.0 + sigma^2 is sigma^2."""
         return math.log(self.eta2() + self.sigma2)
 
     def eta2(self) -> float:
@@ -161,8 +156,8 @@ class ModelState:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"inputs must be (N, {self.in_dim}), got {x.shape}")
-        h = x
-        for l, (wn, bn) in enumerate(self.weight_names()):
+        h, names = x, iter(self.net_names)
+        for l, (wn, bn) in enumerate(zip(names, names)):
             h = h @ self.store.get(wn).mT
             h += self.store.get(bn)[..., None, :]
             if l < len(enc["layer_dims"]) - 2:
@@ -231,7 +226,7 @@ class ModelState:
         scores with the surrogate's, which the KL term shares.
         """
         enc = self.config["encoder"]
-        means = tape.mlp(x, self._net_names, enc["activation"])
+        means = tape.mlp(x, self.net_names, enc["activation"])
         log_var = tape.log_var(self.sigma2, "enc.log_eta2" if enc["noise_mode"] == "learned_eta" else None)
         log_sigma = "sur.log_sigma" if self.learns_sigma else None
         if self.config["decoder"]["variant"] == "softmax":
@@ -427,29 +422,17 @@ def _stacked(states: Sequence[ModelState]) -> ModelState:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _stack_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray | None = None) -> list:
+def _stack_terms(states: Sequence[ModelState], ds: Dataset, noise: np.ndarray) -> list:
     """Loss terms of the models of one stack on ``ds``: per model an (EvalResult, (N, d) codes) pair or its error.
 
-    The models share their config up to beta' and seed, and their priors.
-    They are encoded and scored together, in passes of :func:`_stack_rows`
-    models (a pass over N rows is a step of batch N and one draw) over the
-    split's shared (S, N, d) ``noise`` (drawn here when None).  A pass in
-    which any model fails a check scores each model again alone, to the
-    values and error it gets there, at the cost of one more pass per model.
-    No models, models that differ in more than beta' and seed or in their
-    priors, and a split that does not fit the model raise.
+    The models are a checked stack that fits ``ds`` (:func:`evaluate` checks
+    its input, :func:`train` its runs').  They are encoded and scored
+    together, in passes of :func:`_stack_rows` models (a pass over N rows is
+    a step of batch N and one draw) over the split's shared (S, N, d)
+    ``noise``.  A pass in which any model fails a check scores each model
+    again alone, to the values and error it gets there, at the cost of one
+    more pass per model.
     """
-    if not states:
-        raise ValueError("an evaluation needs at least one model")
-    _check_stackable([state.config for state in states])
-    if not all(np.array_equal(state.priors, states[0].priors) for state in states[1:]):
-        raise ValueError("models evaluated as one stack differ in their priors")
-    if ds.dim != states[0].in_dim:
-        raise ValueError(f"dataset dimension {ds.dim} does not match encoder input {states[0].in_dim}")
-    if int(ds.labels.max()) >= states[0].class_count:
-        raise ValueError("dataset labels exceed the model's class count")
-    if noise is None:
-        noise = _eval_noise(ds.count, states[0].bottleneck_dim)
     rows = _stack_rows(states[0], ds.count, 1)
     return [outcome for lo in range(0, len(states), rows) for outcome in _pass_terms(states[lo : lo + rows], ds, noise)]
 
@@ -495,9 +478,20 @@ def evaluate(states: Sequence[ModelState], ds: Dataset) -> list[EvalResult | Exc
     stacked pass (a pass with a failing model is scored again model by
     model), and each entry is the model's result or the error it gets alone.
     The bounds cost O(N^2) in the split size, so metrics rows, which keep
-    none, read the loss terms of :func:`_stack_terms` instead.
+    none, read the loss terms of :func:`_stack_terms` instead.  No models,
+    models that differ in more than beta' and seed or in their priors, and a
+    split that does not fit the model raise ValueError.
     """
-    outcomes = _stack_terms(states, ds)
+    if not states:
+        raise ValueError("an evaluation needs at least one model")
+    _check_stackable([state.config for state in states])
+    if not all(np.array_equal(state.priors, states[0].priors) for state in states[1:]):
+        raise ValueError("models evaluated as one stack differ in their priors")
+    if ds.dim != states[0].in_dim:
+        raise ValueError(f"dataset dimension {ds.dim} does not match encoder input {states[0].in_dim}")
+    if int(ds.labels.max()) >= states[0].class_count:
+        raise ValueError("dataset labels exceed the model's class count")
+    outcomes = _stack_terms(states, ds, _eval_noise(ds.count, states[0].bottleneck_dim))
     results: list = []
     for state, outcome in zip(states, outcomes):
         if not isinstance(outcome, Exception):  # its codes and eta^2 passed their checks in the pass

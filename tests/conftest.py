@@ -4,8 +4,9 @@ With ``CIB_TRACE_LINES=1`` in the environment, every line that runs in a
 function of the package is recorded, in this process and its threads, and
 the session ends by listing the function-body lines that never ran, per
 file.  Pool workers and subprocesses are not traced, so what only they run
-is listed too.  The list is a report, not a check.  Without the variable
-nothing is installed and the run is as fast as it was.
+is listed too.  A line that never ran fails the session: it exits nonzero
+even when every test passed.  Without the variable nothing is installed
+and the run is as fast as it was.
 
     CIB_TRACE_LINES=1 PYTHONPATH=src python -m pytest -q
 """
@@ -15,6 +16,8 @@ import os
 import sys
 import threading
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cib"
 
@@ -56,20 +59,27 @@ class LineTracer:
         sys.settrace(enter)
         threading.settrace(enter)
 
+    def unrun(self) -> tuple[dict[str, list[int]], int]:
+        """The function-body lines of each file that never ran, and the count of function-body lines."""
+        lines = {name: function_lines(Path(name)) for name in self.ran}
+        return {name: sorted(lines[name] - ran) for name, ran in self.ran.items()}, sum(map(len, lines.values()))
+
     def report(self, write) -> None:
-        total = unrun_total = 0
-        for name, ran in self.ran.items():
-            unrun = sorted(function_lines(Path(name)) - ran)
-            total += len(function_lines(Path(name)))
-            unrun_total += len(unrun)
-            if unrun:
-                write(f"{Path(name).name}: {len(unrun)} unrun: {', '.join(map(str, unrun))}")
-        write(f"src/cib: {unrun_total} of {total} function-body lines never ran in this process")
+        unrun, total = self.unrun()
+        for name, missed in unrun.items():
+            if missed:
+                write(f"{Path(name).name}: {len(missed)} unrun: {', '.join(map(str, missed))}")
+        write(f"src/cib: {sum(map(len, unrun.values()))} of {total} function-body lines never ran in this process")
 
 
 TRACER = LineTracer() if os.environ.get("CIB_TRACE_LINES") else None
 if TRACER is not None:
     TRACER.start()
+
+
+def pytest_sessionfinish(session):
+    if TRACER is not None and session.exitstatus == pytest.ExitCode.OK and any(TRACER.unrun()[0].values()):
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -606,7 +606,7 @@ class LossSpec:
             score_rule = ("naive_bayes", "sur.mu", log_sigma, log_priors)
         return cls(
             x=np.asarray(x, dtype=np.float64), labels=np.asarray(labels, dtype=np.intp), noise=noise,
-            weights=tuple(name for pair in state.weight_names() for name in pair), activation=enc["activation"],
+            weights=state.net_names, activation=enc["activation"],
             sigma2=state.sigma2, log_eta2="enc.log_eta2" if enc["noise_mode"] == "learned_eta" else None,
             score_rule=score_rule, mu="sur.mu", log_sigma=log_sigma, beta_prime=beta_prime,
         )

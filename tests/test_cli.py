@@ -285,6 +285,46 @@ class TestTrain:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1, 2]")
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_standardizing_features_beyond_float_range_prints_one_line(self, tmp_path, capsys):
+        """The train split's mean overflows to inf: one error naming dataset.standardize, no numpy warning."""
+        data = tmp_path / "d.json"
+        assert run(f"gen-data --classes 2 --dim 2 --per-class 5 --sep 1e308 --seed 0 --out {data}".split()) == 0
+        cfg = _write_config(tmp_path, dataset={"kind": "json", "train": str(data), "test": str(data),
+                                               "standardize": True})
+        capsys.readouterr()
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr() == (
+            "", "error: dataset.standardize: the train split's standardized features are not finite\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_trains_from_an_idx_pair_as_from_the_same_rows_in_json(self, tmp_path, capsys):
+        """An IDX dataset block gives the metrics and point of a JSON block holding the rows read_idx returns."""
+        rng = np.random.default_rng(4)
+        block = {}
+        for split, n in (("train", 12), ("test", 8)):
+            labels = np.arange(n) % 2
+            pixels = rng.integers(0, 128, (n, 4)) + 127 * labels[:, None]  # the classes differ in brightness
+            images, label_file = tmp_path / f"{split}-images", tmp_path / f"{split}-labels"
+            data_io.write_idx(images, label_file, pixels / 255.0, labels, (2, 2))
+            block[f"{split}_images"], block[f"{split}_labels"] = str(images), str(label_file)
+            data_io.save_dataset(data_io.read_idx(images, label_file), tmp_path / f"{split}.json")
+        encoder = {"layer_dims": [4, 3, 2]}
+        idx_cfg = _write_config(tmp_path, dataset={"kind": "idx", **block}, encoder=encoder)
+        assert run(["train", "--config", str(idx_cfg), "--out", str(tmp_path / "idx")]) == 0
+        json_cfg = _write_config(tmp_path, dataset={"kind": "json", "train": str(tmp_path / "train.json"),
+                                                    "test": str(tmp_path / "test.json")}, encoder=encoder)
+        assert run(["train", "--config", str(json_cfg), "--out", str(tmp_path / "json")]) == 0
+        for name in ("metrics.csv", "point.json"):
+            assert (tmp_path / "idx" / name).read_bytes() == (tmp_path / "json" / name).read_bytes()
+        assert json.loads((tmp_path / "idx" / "checkpoint.json").read_text())["config"]["dataset"]["kind"] == "idx"
+
     def test_acceptance_7_artifacts_are_byte_stable(self, tmp_path):
         # sha256 of the bytes this config has always written; the loss terms
         # and bounds must not change in their last bit
@@ -605,6 +645,16 @@ class TestSweep:
         code = run(["sweep", "--config", str(cfg), "--betas", "0,100,0,1e4", "--out", str(tmp_path / "s")])
         assert (code, capsys.readouterr().err) == (2, f"numerical failure: {message}\n")
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--betas", ","], "--betas must list at least one value"),
+        (["--betas", "0,1", "--jobs", "0"], "--jobs must be at least 1"),
+    ])
+    def test_an_empty_grid_or_no_workers_exits_one_naming_the_flag(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s"
+        assert run(["sweep", "--config", str(_write_config(tmp_path)), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_bad_betas_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         for betas in ("a,b", "-1", "nan,1", "1,inf"):
@@ -744,6 +794,29 @@ class TestEstimate:
         assert (code, [str(w.message) for w in caught], capsys.readouterr().err) == (
             2, [], "numerical failure: codes must be finite\n")
 
+    def test_entries_the_model_cannot_use_exit_one_naming_the_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 0
+        ckpt, data = out / "checkpoint.json", tmp_path / "d.json"
+        data_io.save_dataset(data_io.Dataset(np.eye(4, 2), np.array([0, 1, 0, 1]), 2), data)
+        good = json.loads(data.read_text())
+        nan, label, renamed = (tmp_path / f"{n}.json" for n in ("nan", "label", "renamed"))
+        nan.write_text(json.dumps({**good, "features": [[float("nan"), 0.0], *good["features"][1:]]}))
+        label.write_text(json.dumps({**good, "labels": [0, 1, 0, 2]}))
+        doc = json.loads(ckpt.read_text())
+        doc["params"]["enc.W9"] = doc["params"].pop("enc.W1")
+        renamed.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for checkpoint, dataset, message in (
+            (ckpt, nan, f"{nan}: features must be finite"),
+            (ckpt, label, f"{label}: labels must lie in [0, 2)"),
+            (renamed, data, f"{renamed}: checkpoint slices ['enc.W0', 'enc.W9', 'enc.b0', 'enc.b1', 'sur.log_sigma', "
+                            "'sur.mu'] do not match config slices ['enc.W0', 'enc.W1', 'enc.b0', 'enc.b1', "
+                            "'sur.log_sigma', 'sur.mu']"),
+        ):
+            assert run(["estimate", "--checkpoint", str(checkpoint), "--data", str(dataset)]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_priors_not_summing_to_one_exit_one(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         out = tmp_path / "run"
@@ -845,6 +918,7 @@ class TestGradcheck:
         (["--tol", "inf"], "--tol"),
         (["--seed", "-1"], "--seed"),
         (["--layers", "2"], "encoder.layer_dims"),
+        (["--layers", "a,b"], "--layers must be a comma-separated list of ints: invalid literal for int()"),
         (["--mc-samples", "0"], "loss.mc_samples"),
         (["--layers", "2,0,2"], "layer_dims entry 1 is 0"),
         (["--beta-prime", "nan"], "loss.beta_prime"),
@@ -977,7 +1051,10 @@ class TestOracle:
         ({"q": [[1.25, -0.25, 0.0, 0.0], [0.25] * 4, [0.25] * 4]},
          "bad oracle instance: encoder probabilities must be nonnegative"),
         ({"p": [[0.5, 0.0], [0.25, 0.0], [0.25, 0.0]]}, "every class needs positive probability"),
-    ], ids=["empty-p", "empty-q", "negative-q", "class-without-mass"])
+        ({"p": [[1e308, 1e308]]}, "bad oracle instance: joint table sums to inf, not 1"),
+        ({"q": [[1e308, 1e308, 0.0, 0.0], [0.25] * 4, [0.25] * 4]},
+         "bad oracle instance: each encoder row must sum to 1"),
+    ], ids=["empty-p", "empty-q", "negative-q", "class-without-mass", "p-sum-overflows", "q-row-sum-overflows"])
     def test_tables_the_oracle_cannot_use_exit_one_naming_the_instance(self, tmp_path, capsys, edit, message):
         inst = _write_instance(tmp_path, with_samples=True)
         inst.write_text(json.dumps({**json.loads(inst.read_text()), **edit}))
@@ -1096,6 +1173,41 @@ class TestUsage:
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("flag", ["train --config", "sweep --config", "estimate --checkpoint",
+                                      "estimate --data", "oracle --instance"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_an_input_the_os_cannot_read_exits_one_with_its_message(self, tmp_path, capsys, flag, kind):
+        """The read's own OSError names the path; a valid file stands in for every other input."""
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 0
+        data = tmp_path / "d.json"
+        assert run(f"gen-data --classes 2 --dim 2 --per-class 5 --sep 4 --seed 5 --out {data}".split()) == 0
+        inputs = {"train --config": ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "r2")],
+                  "sweep --config": ["--config", str(tmp_path / "config.json"), "--betas", "1",
+                                     "--out", str(tmp_path / "s")],
+                  "estimate --checkpoint": ["--checkpoint", str(out / "checkpoint.json"), "--data", str(data)],
+                  "estimate --data": ["--checkpoint", str(out / "checkpoint.json"), "--data", str(data)],
+                  "oracle --instance": ["--instance", str(_write_instance(tmp_path))]}
+        command, name = flag.split()
+        argv = inputs[flag]
+        bad = tmp_path / "absent.json"
+        if kind == "directory":
+            bad.mkdir()
+        argv[argv.index(name) + 1] = str(bad)
+        capsys.readouterr()
+        assert run([command, *argv]) == 1
+        reason = "No such file or directory" if kind == "missing" else "Is a directory"
+        assert capsys.readouterr() == ("", f"error: [Errno {2 if kind == 'missing' else 21}] {reason}: '{bad}'\n")
+        assert not (tmp_path / "r2").exists() and not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("argv,code", [(["gradcheck", "--layers", "2,2", "--head", "softmax"], 0),
+                                           (["frobnicate"], 1)])
+    def test_main_exits_with_the_code_of_run(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["cib", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == code
 
     def test_cached_parser_leaves_no_state_between_runs(self, tmp_path, capsys):
         assert cli._build_parser() is cli._build_parser()

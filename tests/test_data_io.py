@@ -77,6 +77,10 @@ class TestGenGmm:
             mu_test = test.features[test.labels == y].mean(axis=0)
             assert np.linalg.norm(mu_train - mu_test) < 0.2
 
+    def test_a_test_split_needs_a_row_per_class(self):
+        with pytest.raises(ValueError, match="test_per_class must be positive"):
+            gen_gmm_splits(GmmSpec(class_count=2, dim=2, sep=1.0, per_class=5, seed=0), 0)
+
     def test_two_class_mean_distance_equals_separation(self):
         for dim in (2, 3, 7):
             spec = GmmSpec(class_count=2, dim=dim, sep=4.0, per_class=20000, seed=13)
@@ -144,6 +148,11 @@ class TestIdx:
         ds = read_idx(tmp_path / "im", tmp_path / "lb")
         assert ds.features.shape == (2, 4)
         np.testing.assert_allclose(ds.features[1], np.arange(4, 8) / 255.0, atol=0)
+
+    def test_write_rejects_features_that_do_not_fit_the_image_shape(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^features \(2, 4\) do not match image shape \(3, 3\)$"):
+            write_idx(tmp_path / "im", tmp_path / "lb", np.zeros((2, 4)), np.array([0, 1]), (3, 3))
+        assert not (tmp_path / "im").exists() and not (tmp_path / "lb").exists()
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -508,6 +517,13 @@ class TestMetricsCsv:
         path = tmp_path / "m.csv"
         write_metrics([MetricsRow(1, 0.5, 0.25, 1.0, 0.75, 0.9)], path)
         assert len(path.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("text", ["", "1,0.5,0.25,1.0,0.75,0.9\n"])
+    def test_a_file_without_the_header_rejected_naming_it(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing metrics header$"):
+            data_io.read_metrics(path)
 
     def test_parse_back_is_exact(self, tmp_path):
         rows = [

@@ -1,6 +1,7 @@
 """The loss tape, the reference graph engine, and the gradient checker."""
 
 import math
+import pickle
 import zlib
 
 import numpy as np
@@ -64,6 +65,22 @@ class TestParamStore:
         store.set("c", np.ones(3))
         expected = [0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0]
         assert np.array_equal(store.values, np.broadcast_to(expected, store.values.shape))
+
+    def test_rejects_no_slices_and_unknown_names(self):
+        with pytest.raises(ValueError, match="at least one named slice"):
+            ParamStore([])
+        with pytest.raises(KeyError, match="unknown parameter slice: 'nope'"):
+            ParamStore([("a", np.zeros(1))]).spec("nope")
+
+    def test_a_pickled_stack_keeps_slices_that_view_its_values(self):
+        """What a pool worker receives: the layout and values, with every slice rebound as a view."""
+        store = ParamStore([("w", np.arange(6.0).reshape(2, 3)), ("b", np.ones(2))])
+        stacked = store.with_values(np.stack([store.values, -store.values]))
+        back = pickle.loads(pickle.dumps(stacked))
+        assert dict(back.layout) == dict(stacked.layout) and np.array_equal(back.values, stacked.values)
+        back.values[1] = 5.0
+        assert np.array_equal(back.get("w")[1], np.full((2, 3), 5.0)) and np.array_equal(back.get("b")[0], np.ones(2))
+        assert np.array_equal(stacked.values[1], -store.values)  # the copy shares nothing with the original
 
     def test_rejects_duplicate_names_and_nonfinite_init(self):
         with pytest.raises(ValueError):
@@ -675,6 +692,12 @@ class TestGradCheck:
 
 
 class TestStackedTape:
+    @pytest.mark.parametrize("names", [[], ["W"], ["W", "b", "W"]])
+    def test_mlp_takes_weight_and_bias_pairs(self, names):
+        tape = Tape(stack_of_one(ParamStore([("W", np.zeros((2, 2))), ("b", np.zeros(2))])))
+        with pytest.raises(ValueError, match="mlp needs \\(W, b\\) slice-name pairs"):
+            tape.mlp(np.zeros((1, 3, 2)), names, "softplus")
+
     def test_rows_are_the_losses_of_each_vector_alone(self):
         store, spec = _loss_case(3)
         rows = store.values + np.random.default_rng(0).uniform(-0.1, 0.1, (4, store.size))

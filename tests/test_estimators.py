@@ -59,6 +59,10 @@ def test_noise_variance_out_of_range_rejected_naming_it(sigma2, eta2, named):
 
 
 class TestMixtureBound:
+    def test_labels_must_align_with_code_rows(self):
+        with pytest.raises(ValueError, match="labels must align with code rows"):
+            EmbeddedDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), sigma2=1.0)
+
     def test_single_sample_as_printed_collapses(self):
         data = EmbeddedDataset(np.array([[1.0, 2.0]]), np.array([0]), sigma2=0.5, eta2=1.5)
         expected = -2.0 * math.log(0.5 / 2.0)

@@ -48,6 +48,11 @@ class TestClassSurrogate:
                 ClassSurrogate(mu, log_sigma)
         assert [field.name for field in dataclasses.fields(ClassSurrogate)] == ["class_means", "class_log_sigma"]
 
+    @pytest.mark.parametrize("mu_shape,log_sigma_shape", [((2, 2), (3,)), ((2,), ()), ((1, 1, 2, 2), (1, 1, 2))])
+    def test_means_and_log_sigmas_of_other_shapes_rejected(self, mu_shape, log_sigma_shape):
+        with pytest.raises(ValueError, match=r"class_means must be \(\[P,\] K, d\) with \(\[P,\] K\) log-sigmas"):
+            ClassSurrogate(np.zeros(mu_shape), np.zeros(log_sigma_shape))
+
     def test_matching_encoder_output_has_zero_kl(self):
         s = _surrogate()
         kl = _kl_alone(s.class_means[[1]], 2.0 * s.class_log_sigma[1], s, [1])

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -101,7 +102,7 @@ class TestEncode:
         labels = rng.integers(0, 2, 3)
         noise = rng.standard_normal((2, 3, 2))
         tape = Tape(stack_of_one(state.store))
-        weights = [name for pair in state.weight_names() for name in pair]
+        weights = state.net_names
         means = tape.mlp(x[None], weights, state.config["encoder"]["activation"])
         assert np.array_equal(means[0], state.encode_batch(x))
         report = grad_check(make_loss_fn(state, x, labels, 0.0, noise), state.store, eps=1e-5, tol=1e-5)
@@ -171,6 +172,14 @@ class TestDecodeNaiveBayes:
         np.testing.assert_array_equal(np.argmax(_probs(state, points), axis=1), nearest)
         for t, y in zip(points, nearest):
             assert int(np.argmax(_probs(state, t)[0])) == y
+
+
+@pytest.mark.parametrize("variant", ["naive_bayes", "softmax"])
+@pytest.mark.parametrize("shape", [(3,), (3, 3), (1, 3, 2)])
+def test_log_probs_rejects_points_of_another_shape(variant, shape):
+    state = _state(_config(decoder={"variant": variant}))
+    with pytest.raises(ValueError, match=re.escape(f"points must be ([P,] N, 2) like the store's stack, got {shape}")):
+        state.log_probs(np.zeros(shape))
 
 
 class TestDecodeSoftmax:
@@ -259,6 +268,12 @@ class TestFullLossGradient:
         lossfn = make_loss_fn(state, x, labels, 1.3, noise)
         report = grad_check(lossfn, state.store, eps=1e-5, tol=1e-5)
         assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_name}"
+
+    def test_a_negative_beta_prime_rejected(self):
+        state = _state()
+        lossfn = make_loss_fn(state, np.zeros((3, 2)), np.array([0, 1, 0]), -1.0, np.zeros((1, 3, 2)))
+        with pytest.raises(ValueError, match="^beta_prime must be nonnegative$"):
+            lossfn(stack_of_one(state.store))
 
 
 class _ReferenceTape(ChainTape):
@@ -1033,6 +1048,16 @@ class TestStackedEvaluation:
         with pytest.raises(ValueError, match="differ in surrogate; only beta' and seed may"):
             evaluate([states[0], other], ds)
         evaluate(states, ds)  # the same model and priors, differing in their values only
+
+
+    def test_a_split_that_does_not_fit_the_model_rejected(self):
+        states, _ = _eval_stack("softmax", "fixed_sigma", False, 2, 2, 2, 25, seed=5)
+        wide = Dataset(np.zeros((4, 4)), np.array([0, 1, 0, 1]), 2)
+        with pytest.raises(ValueError, match="^dataset dimension 4 does not match encoder input 3$"):
+            evaluate(states, wide)
+        unknown = Dataset(np.zeros((4, 3)), np.array([0, 1, 2, 1]), 3)
+        with pytest.raises(ValueError, match="^dataset labels exceed the model's class count$"):
+            evaluate(states, unknown)
 
 
 _POINT_FIELDS = tuple(model.TradeoffPoint.__dataclass_fields__)
