@@ -251,7 +251,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    doc = data_io.read_json(args.instance, ValueError, ("p", "q", "arities"))
+    doc = data_io.read_json(args.instance, ("p", "q", "arities"))
     try:
         p = data_io.json_floats(doc["p"], "p must be rows of JSON numbers", rows=True)
         joint = discrete_oracle.DiscreteJoint(p)
@@ -314,7 +314,7 @@ def _cmd_report(args) -> int:
             continue
         path = rd / "point.json"
         try:
-            doc = data_io.read_json(path, ValueError, POINT_KEYS)
+            doc = data_io.read_json(path, POINT_KEYS)
         except ValueError as exc:  # names the path
             problems.append(str(exc))
             continue
@@ -414,8 +414,8 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    # ConfigError, IdxFormatError and CheckpointError are ValueErrors; an OSError
-    # (a missing or unreadable input, an --out below a regular file) names its path
+    # a bad input is a ValueError; an OSError (a missing or unreadable input,
+    # an --out below a regular file) names its path
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,9 +27,6 @@ import numpy as np
 from .diffcore import ACTIVATIONS
 
 __all__ = [
-    "IdxFormatError",
-    "CheckpointError",
-    "ConfigError",
     "ConfigField",
     "CONFIG_FIELDS",
     "REQUIRED",
@@ -56,18 +53,6 @@ __all__ = [
     "validate_config",
     "dataset_from_config",
 ]
-
-
-class IdxFormatError(ValueError):
-    """An IDX file violates the binary format contract."""
-
-
-class CheckpointError(ValueError):
-    """A checkpoint file cannot be loaded against the requested configuration."""
-
-
-class ConfigError(ValueError):
-    """A run configuration document is malformed."""
 
 
 @dataclass(frozen=True)
@@ -198,7 +183,8 @@ def standardize(train: Dataset, test: Dataset | None = None) -> tuple[Dataset, D
     The test split is transformed with the train split's moments.  Constant
     feature dimensions are centered but left unscaled.  Features whose
     moments or standardized values overflow are a ValueError naming
-    ``dataset.standardize`` and the split, not a numpy warning.
+    ``dataset.standardize`` and the split, not a numpy warning; so is a
+    train-split spread that overflows, which would scale its column to zeros.
     """
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
@@ -214,7 +200,10 @@ def standardize(train: Dataset, test: Dataset | None = None) -> tuple[Dataset, D
         except ValueError:  # the split's labels and shape already passed: its features are not finite
             raise ValueError(f"dataset.standardize: the {split} split's standardized features are not finite") from None
 
-    return apply(train, "train"), (apply(test, "test") if test is not None else None)
+    scaled = apply(train, "train")
+    if not np.isfinite(std).all():  # x / inf is finite, so apply() does not see it
+        raise ValueError("dataset.standardize: the train split's feature spread is not finite")
+    return scaled, (apply(test, "test") if test is not None else None)
 
 
 # --------------------------------------------------------------------- IDX
@@ -226,7 +215,7 @@ _IDX_LABELS_MAGIC = 0x00000801
 def _read_header(f, n: int, path: Path) -> bytes:
     data = f.read(n)
     if len(data) != n:
-        raise IdxFormatError(f"{path}: truncated header (wanted {n} bytes, got {len(data)})")
+        raise ValueError(f"{path}: truncated header (wanted {n} bytes, got {len(data)})")
     return data
 
 
@@ -239,13 +228,13 @@ def _read_idx_file(path: Path, magic: int, kind: str, dims: int) -> tuple[tuple[
     with open(path, "rb") as f:
         (found,) = struct.unpack(">I", _read_header(f, 4, path))
         if found != magic:
-            raise IdxFormatError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
+            raise ValueError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
         sizes = struct.unpack(f">{dims}I", _read_header(f, 4 * dims, path))
         size, left = math.prod(sizes), os.fstat(f.fileno()).st_size - f.tell()
         if size > left:
-            raise IdxFormatError(f"{path}: truncated payload (wanted {size} bytes, got {left})")
+            raise ValueError(f"{path}: truncated payload (wanted {size} bytes, got {left})")
         if size < left:
-            raise IdxFormatError(f"{path}: trailing bytes after payload")
+            raise ValueError(f"{path}: trailing bytes after payload")
         return sizes, f.read(size)
 
 
@@ -259,10 +248,10 @@ def read_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     images_path, labels_path = Path(images_path), Path(labels_path)
     (n, rows, cols), payload = _read_idx_file(images_path, _IDX_IMAGES_MAGIC, "image", 3)
     if not payload:
-        raise IdxFormatError(f"{images_path}: no pixels ({n} images of {rows} x {cols})")
+        raise ValueError(f"{images_path}: no pixels ({n} images of {rows} x {cols})")
     (n_labels,), label_bytes = _read_idx_file(labels_path, _IDX_LABELS_MAGIC, "label", 1)
     if n != n_labels:
-        raise IdxFormatError(f"{images_path}: {n} images but {n_labels} labels")
+        raise ValueError(f"{images_path}: {n} images but {n_labels} labels")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.intp)
     provenance = {
@@ -343,17 +332,17 @@ def write_json(obj: Any, path: str | Path) -> None:
     write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def read_json(path: str | Path, error: type[ValueError], keys: tuple[str, ...] = ()) -> Any:
-    """The JSON document in ``path``; ``error`` names the path if it is invalid or not an object with ``keys``."""
+def read_json(path: str | Path, keys: tuple[str, ...] = ()) -> Any:
+    """The JSON document in ``path``; a ValueError names the path if it is invalid or not an object with ``keys``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
-        raise error(f"{path}: invalid JSON ({exc})") from exc
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if keys and not isinstance(doc, dict):
-        raise error(f"{path}: is not a JSON object")
+        raise ValueError(f"{path}: is not a JSON object")
     missing = [key for key in keys if key not in doc]
     if missing:
-        raise error(f"{path}: lacks {', '.join(missing)}")
+        raise ValueError(f"{path}: lacks {', '.join(missing)}")
     return doc
 
 
@@ -387,7 +376,7 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    doc = read_json(path, ValueError, ("features", "labels", "class_count"))
+    doc = read_json(path, ("features", "labels", "class_count"))
     if not _fits("int", "[1, inf)", doc["class_count"]):
         raise ValueError(f"{path}: class_count must be an integer in [1, inf), got {doc['class_count']!r}")
     labels, provenance = doc["labels"], doc.get("provenance", {})
@@ -432,27 +421,27 @@ def load_checkpoint(path: str | Path):
     """Rebuild the ``model.ModelState`` a checkpoint file holds; its slices must fit the config."""
     from . import model as _model
 
-    doc = read_json(path, CheckpointError, ("format_version", "config", "params", "priors"))
+    doc = read_json(path, ("format_version", "config", "params", "priors"))
     try:  # every error below names the file
         if doc["format_version"] != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint format_version: {doc['format_version']!r}")
+            raise ValueError(f"unsupported checkpoint format_version: {doc['format_version']!r}")
         state = _model.build_state(doc["config"], json_floats(doc["priors"], "priors must be JSON numbers"))
         saved = doc["params"]
         names = set(state.store.names())
         if not isinstance(saved, dict) or set(saved) != names:
-            raise CheckpointError(f"checkpoint slices {sorted(saved)} do not match "
-                                  f"config slices {sorted(names)}")
+            raise ValueError(f"checkpoint slices {sorted(saved)} do not match "
+                             f"config slices {sorted(names)}")
         for name, entry in saved.items():
             lacking = [key for key in ("shape", "values") if not isinstance(entry, dict) or key not in entry]
             if lacking:
-                raise CheckpointError(f"lacks params.{name}.{lacking[0]}")
+                raise ValueError(f"lacks params.{name}.{lacking[0]}")
             shape, implied = tuple(entry["shape"]), state.store.spec(name).shape
             if shape != implied:
-                raise CheckpointError(f"slice {name!r} has shape {shape}, config implies {implied}")
+                raise ValueError(f"slice {name!r} has shape {shape}, config implies {implied}")
             values = json_floats(entry["values"], f"params.{name}.values must be JSON numbers")
             state.store.set(name, values.reshape(shape))  # set() rejects non-finite slices
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     return state
 
 
@@ -573,19 +562,19 @@ def _fits(kind: str, allowed: Any, value: Any) -> bool:
 
 
 def _checked(f: ConfigField, value: Any) -> Any:
-    """``value`` as field ``f`` stores it: ints as int, the rest as given; ConfigError if it does not fit."""
+    """``value`` as field ``f`` stores it: ints as int, the rest as given; a ValueError if it does not fit."""
     if f.kind == "ints":
         if not isinstance(value, list) or len(value) < 2:
-            raise ConfigError(f"{f.name} must list at least input and bottleneck sizes, got {value!r}")
+            raise ValueError(f"{f.name} must list at least input and bottleneck sizes, got {value!r}")
         for i, width in enumerate(value):
             if not _fits("int", f.allowed, width):
-                raise ConfigError(f"{f.name} entry {i} is {width!r}, not an integer in {f.allowed}")
+                raise ValueError(f"{f.name} entry {i} is {width!r}, not an integer in {f.allowed}")
         return [int(width) for width in value]
     if not _fits(f.kind, f.allowed, value):
         what = {"int": "an integer in ", "float": "a number in ", "choice": "one of ",
                 "bool": "true or false", "str": "a non-empty string"}[f.kind]
         allowed = ", ".join(map(repr, f.allowed)) if f.kind == "choice" else f.allowed or ""
-        raise ConfigError(f"{f.name} must be {what}{allowed}, got {value!r}")
+        raise ValueError(f"{f.name} must be {what}{allowed}, got {value!r}")
     return int(value) if f.kind == "int" else value
 
 
@@ -593,13 +582,13 @@ def validate_config(config: dict) -> dict:
     """Check ``config`` against :data:`CONFIG_FIELDS` and fill in defaults; returns a new dict.
 
     Fields are checked in table order, then unknown keys; every rejection is a
-    ConfigError naming the field as ``block.key``.
+    ValueError naming the field as ``block.key``.
     """
     if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     for block in _BLOCKS:
         if not isinstance(config.get(block, {}), dict):
-            raise ConfigError(f"{block} must be a JSON object, got {config[block]!r}")
+            raise ValueError(f"{block} must be a JSON object, got {config[block]!r}")
     kind = config.get("dataset", {}).get("kind")
     fields = [f for f in CONFIG_FIELDS if f.when in (None, kind)]
     cfg: dict = {block: {} for block in _BLOCKS}
@@ -608,21 +597,26 @@ def validate_config(config: dict) -> dict:
         if f.key in given:
             into[f.key] = _checked(f, given[f.key])
         elif f.default == REQUIRED:
-            raise ConfigError(f"config is missing required key {f.name}")
+            raise ValueError(f"config is missing required key {f.name}")
         elif f.default is not None:
             into[f.key] = f.default
     known = {(f.block, f.key) for f in fields} | {("", block) for block in _BLOCKS}
     unknown = sorted(f"{block}.{key}" if block else str(key) for block in ("", *_BLOCKS)
                      for key in (config.get(block, {}) if block else config) if (block, key) not in known)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     if ("beta" in cfg["loss"]) == ("beta_prime" in cfg["loss"]):
-        raise ConfigError("loss must set exactly one of loss.beta, loss.beta_prime")
+        raise ValueError("loss must set exactly one of loss.beta, loss.beta_prime")
     return cfg
 
 
 def load_config(path: str | Path) -> dict:
-    return validate_config(read_json(path, ConfigError))
+    """The validated config in ``path``; every error names the file."""
+    doc = read_json(path)
+    try:
+        return validate_config(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def dataset_from_config(dcfg: dict) -> tuple[Dataset, Dataset]:

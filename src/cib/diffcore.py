@@ -20,7 +20,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "ShapeError",
     "NonFiniteError",
     "SliceSpec",
     "ParamStore",
@@ -70,10 +69,6 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     mx = np.maximum.reduce(a, axis=-1)  # a.max(axis=-1) without its wrapper
     shifted = np.subtract(a, mx[..., None])
     return mx + np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=-1))
-
-
-class ShapeError(ValueError):
-    """Operand shapes violate an op's contract."""
 
 
 class NonFiniteError(ArithmeticError):
@@ -143,24 +138,18 @@ class ParamStore:
         return tuple(self._layout)
 
     def spec(self, name: str) -> SliceSpec:
-        try:
-            return self._layout[name]
-        except KeyError:
-            raise KeyError(f"unknown parameter slice: {name!r}") from None
+        return self._layout[name]
 
     def get(self, name: str) -> np.ndarray:
         """Return the named block as a reshaped view of the flat vector (of each stacked vector)."""
-        try:
-            return self._views[name]
-        except KeyError:
-            raise KeyError(f"unknown parameter slice: {name!r}") from None
+        return self._views[name]
 
     def set(self, name: str, arr: np.ndarray) -> None:
         """Write ``arr``, of the slice's own shape, into the named slice (of every stacked vector)."""
         shape = self.spec(name).shape
         a = np.asarray(arr, dtype=np.float64)
         if a.shape != shape:
-            raise ShapeError(f"slice {name!r} has shape {shape}, got {a.shape}")
+            raise ValueError(f"slice {name!r} has shape {shape}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError(f"values for slice {name!r} must be finite")
         self._views[name][...] = a
@@ -310,7 +299,7 @@ class Tape:
 
     def __init__(self, store: ParamStore):
         if store.values.ndim != 2 or not store.values.shape[0]:
-            raise ShapeError(f"a Tape needs a (P, size) stacked store, P >= 1; got values{store.values.shape}")
+            raise ValueError(f"a Tape needs a (P, size) stacked store, P >= 1; got values{store.values.shape}")
         self.store = store
         self.width = 0
         self._lead = store.values.shape[:-1]  # (P,)
@@ -344,7 +333,7 @@ class Tape:
             wv, bv = weights[2 * l], weights[2 * l + 1]
             if (h.ndim != 3 or h.shape[:1] != self._lead or wv.ndim != 3
                     or bv.shape != wv.shape[:-1] or h.shape[-1] != wv.shape[-1]):
-                raise ShapeError(f"mlp layer {l}: x{h.shape} W{wv.shape} b{bv.shape} do not agree")
+                raise ValueError(f"mlp layer {l}: x{h.shape} W{wv.shape} b{bv.shape} do not agree")
             inputs.append(h)
             h = h @ wv.mT + bv[..., None, :]
             self.width = max(self.width, h.shape[-2] * h.shape[-1])
@@ -391,14 +380,14 @@ class Tape:
         if (mv.shape[:-2] != self._lead or lv.shape != self._lead or noise.ndim != 4 or noise.shape[1] < 1
                 or noise.shape[:1] + noise.shape[2:] != mv.shape or labels.shape != mv.shape[:-1]
                 or pv.shape[:-2] != self._lead or pv.shape[-1] != mv.shape[-1] or qv.shape != pv.shape[:-1]):
-            raise ShapeError(
+            raise ValueError(
                 f"mc_cross_entropy: means{mv.shape} log_var{lv.shape} noise{noise.shape} "
                 f"labels{labels.shape} head {pv.shape} {qv.shape} do not agree"
             )
         if head == "naive_bayes":
             log_priors = np.asarray(log_priors, dtype=np.float64)
             if log_priors.shape != pv.shape[-2:-1]:
-                raise ShapeError(f"mc_cross_entropy: log_priors{log_priors.shape} for {pv.shape[-2]} classes")
+                raise ValueError(f"mc_cross_entropy: log_priors{log_priors.shape} for {pv.shape[-2]} classes")
         elif head != "softmax":
             raise ValueError(f"unknown score head: {head!r}")
         std = np.exp(lv * _HALF)
@@ -442,7 +431,7 @@ class Tape:
         labels = np.asarray(labels, dtype=np.intp)
         if (mv.shape[:-2] != self._lead or lv.shape != self._lead or muv.shape[:-2] != self._lead
                 or muv.shape[-1] != mv.shape[-1] or lsv.shape != muv.shape[:-1] or labels.shape != mv.shape[:-1]):
-            raise ShapeError(
+            raise ValueError(
                 f"kl_to_surrogate_rows: means{mv.shape} log_var{lv.shape} mu{muv.shape} "
                 f"log_sigma{lsv.shape} labels{labels.shape} do not agree"
             )
@@ -465,7 +454,7 @@ class Tape:
     def total(self, ce: np.ndarray, kl_rows: np.ndarray, beta_prime: np.ndarray) -> tuple[np.ndarray, ...]:
         """The (P,) losses ``ce + beta' * mean(kl_rows)`` for the (P,) ``beta_prime``; returns (total, ce, kl)."""
         if np.shape(beta_prime) != self._lead:
-            raise ShapeError(f"total: beta_prime{np.shape(beta_prime)} for a stack of {self._lead[0]}")
+            raise ValueError(f"total: beta_prime{np.shape(beta_prime)} for a stack of {self._lead[0]}")
         kl = _mean(kl_rows)
         self._total = (beta_prime, kl_rows.shape[-1])
         self._ops += 1

@@ -92,7 +92,7 @@ def cib_loss_graph(
     ``score_rule`` is ``(head, p, q, log_priors)`` of :meth:`Tape.mc_cross_entropy`,
     and ``mu``, ``log_sigma`` name the surrogate's slices.  Every input has
     the stack's leading P axis: (P, B) labels, (P, S, B, d) frozen noise and
-    (P,) ``beta_prime``; another shape raises :class:`~cib.diffcore.ShapeError`.
+    (P,) ``beta_prime``; another shape raises a ``ValueError``.
     Each row matches the batch means of :func:`cib_loss` on its inputs;
     ``tape.backward()`` then gives the gradient of the totals.
     """

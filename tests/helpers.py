@@ -9,7 +9,6 @@ import numpy as np
 
 from cib.diffcore import (
     NonFiniteError,
-    ShapeError,
     Tape,
     _activate,
     _naive_bayes_grads,
@@ -36,7 +35,6 @@ from cib.discrete_oracle import (
     objective_values,
     optimal_product_surrogate,
 )
-from cib.data_io import ConfigError
 from cib.estimators import MODE_AS_PRINTED, BoundReport
 
 
@@ -347,7 +345,7 @@ class ChainTape:
     def add(self, a, b):
         av, bv = self._value[a], self._value[b]
         if av.shape != bv.shape:
-            raise ShapeError(f"add: shapes {av.shape} and {bv.shape} differ")
+            raise ValueError(f"add: shapes {av.shape} and {bv.shape} differ")
         return self._push("add", (a, b), av + bv)
 
     def scale(self, x, c):
@@ -372,7 +370,7 @@ class ChainTape:
         for a single vector of shape (d_in,)."""
         xv, wv, bv = self._value[x], self._value[w], self._value[b]
         if wv.ndim != 2 or bv.shape != (wv.shape[0],) or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[1]:
-            raise ShapeError(f"affine {label!r}: x{xv.shape} W{wv.shape} b{bv.shape} do not agree")
+            raise ValueError(f"affine {label!r}: x{xv.shape} W{wv.shape} b{bv.shape} do not agree")
         out = xv @ wv.T + bv if xv.ndim == 2 else wv @ xv + bv
         return self._push("affine", (x, w, b), out, aux=label)
 
@@ -383,7 +381,7 @@ class ChainTape:
     def _binary(self, kind, a, b):
         av, bv = self._value[a], self._value[b]
         if av.shape != bv.shape:
-            raise ShapeError(f"{kind}: shapes {av.shape} and {bv.shape} differ")
+            raise ValueError(f"{kind}: shapes {av.shape} and {bv.shape} differ")
         op = {"sub": np.subtract, "mul": np.multiply}[kind]
         return self._push(kind, (a, b), op(av, bv))
 
@@ -399,7 +397,7 @@ class ChainTape:
         shape = self._value[nodes[0]].shape
         for n in nodes[1:]:
             if self._value[n].shape != shape:
-                raise ShapeError("add_n: all operands must share one shape")
+                raise ValueError("add_n: all operands must share one shape")
         out = self._value[nodes[0]].copy()
         for n in nodes[1:]:
             out += self._value[n]
@@ -414,40 +412,40 @@ class ChainTape:
     def bcast(self, s, shape):
         sv = self._value[s]
         if sv.shape != ():
-            raise ShapeError("bcast: input must be a scalar node")
+            raise ValueError("bcast: input must be a scalar node")
         return self._push("bcast", (s,), np.full(shape, sv), aux=tuple(shape))
 
     def mul_scalar(self, x, s):
         sv = self._value[s]
         if sv.shape != ():
-            raise ShapeError("mul_scalar: second input must be a scalar node")
+            raise ValueError("mul_scalar: second input must be a scalar node")
         return self._push("mul_scalar", (x, s), self._value[x] * sv)
 
     def take(self, v, idx):
         vv = self._value[v]
         if vv.ndim != 1:
-            raise ShapeError("take: input must be a vector")
+            raise ValueError("take: input must be a vector")
         idx = np.asarray(idx, dtype=np.intp)
         return self._push("take", (v,), vv[idx], aux=idx)
 
     def take_rows(self, m, idx):
         mv = self._value[m]
         if mv.ndim != 2:
-            raise ShapeError("take_rows: input must be a matrix")
+            raise ValueError("take_rows: input must be a matrix")
         idx = np.asarray(idx, dtype=np.intp)
         return self._push("take_rows", (m,), mv[idx], aux=idx)
 
     def row_sum(self, x):
         xv = self._value[x]
         if xv.ndim != 2:
-            raise ShapeError("row_sum: input must be a matrix")
+            raise ValueError("row_sum: input must be a matrix")
         return self._push("row_sum", (x,), xv.sum(axis=1))
 
     def pairwise_sqdist(self, t, m):
         """Squared Euclidean distances between rows of t (B,d) and rows of m (K,d)."""
         tv, mv = self._value[t], self._value[m]
         if tv.ndim != 2 or mv.ndim != 2 or tv.shape[1] != mv.shape[1]:
-            raise ShapeError(f"pairwise_sqdist: shapes {tv.shape} and {mv.shape} do not agree")
+            raise ValueError(f"pairwise_sqdist: shapes {tv.shape} and {mv.shape} do not agree")
         diff = tv[:, None, :] - mv[None, :, :]
         return self._push("pairwise_sqdist", (t, m), np.einsum("bkd,bkd->bk", diff, diff))
 
@@ -455,27 +453,27 @@ class ChainTape:
         """Multiply each column k of x (B,K) by w[k]."""
         xv, wv = self._value[x], self._value[w]
         if xv.ndim != 2 or wv.shape != (xv.shape[1],):
-            raise ShapeError(f"mul_rows: shapes {xv.shape} and {wv.shape} do not agree")
+            raise ValueError(f"mul_rows: shapes {xv.shape} and {wv.shape} do not agree")
         return self._push("mul_rows", (x, w), xv * wv[None, :])
 
     def add_rows(self, x, c):
         """Add c (K,) to every row of x (B,K)."""
         xv, cv = self._value[x], self._value[c]
         if xv.ndim != 2 or cv.shape != (xv.shape[1],):
-            raise ShapeError(f"add_rows: shapes {xv.shape} and {cv.shape} do not agree")
+            raise ValueError(f"add_rows: shapes {xv.shape} and {cv.shape} do not agree")
         return self._push("add_rows", (x, c), xv + cv[None, :])
 
     def logsumexp_rows(self, s):
         sv = self._value[s]
         if sv.ndim != 2:
-            raise ShapeError("logsumexp_rows: input must be a matrix")
+            raise ValueError("logsumexp_rows: input must be a matrix")
         return self._push("logsumexp_rows", (s,), numpy_logsumexp_rows(sv))
 
     def pick(self, s, labels):
         sv = self._value[s]
         labels = np.asarray(labels, dtype=np.intp)
         if sv.ndim != 2 or labels.shape != (sv.shape[0],):
-            raise ShapeError("pick: need (B,K) scores and (B,) labels")
+            raise ValueError("pick: need (B,K) scores and (B,) labels")
         return self._push("pick", (s,), sv[np.arange(sv.shape[0]), labels], aux=labels)
 
     def naive_bayes_scores(self, t, mu, log_sigma, log_priors):
@@ -484,7 +482,7 @@ class ChainTape:
         log_priors = np.asarray(log_priors, dtype=np.float64)
         if (tv.ndim != 2 or muv.ndim != 2 or tv.shape[1] != muv.shape[1]
                 or lsv.shape != (muv.shape[0],) or log_priors.shape != lsv.shape):
-            raise ShapeError(
+            raise ValueError(
                 f"naive_bayes_scores: t{tv.shape} mu{muv.shape} log_sigma{lsv.shape} "
                 f"log_priors{log_priors.shape} do not agree"
             )
@@ -496,7 +494,7 @@ class ChainTape:
         sv = self._value[scores]
         labels = np.asarray(labels, dtype=np.intp)
         if sv.ndim != 2 or labels.shape != (sv.shape[0],):
-            raise ShapeError("softmax_nll: need (B,K) scores and (B,) labels")
+            raise ValueError("softmax_nll: need (B,K) scores and (B,) labels")
         at = (np.arange(sv.shape[0]), labels)
         nll, lse = _softmax_nll(sv, at)
         return self._push("softmax_nll", (scores,), nll, aux=(at, lse))
@@ -509,7 +507,7 @@ class ChainTape:
         leaf adds its adjoint onto the zeroed gradient.
         """
         if self._value[output].shape != ():
-            raise ShapeError(f"backward needs a scalar output node, got shape {self._value[output].shape}")
+            raise ValueError(f"backward needs a scalar output node, got shape {self._value[output].shape}")
         grad = np.zeros(self.store.size if self.store is not None else 0)
         adj = [None] * (output + 1)
         adj[output] = np.asarray(float(seed))
@@ -1179,17 +1177,17 @@ _REFERENCE_ALLOWED = {
 def _reference_reject_unknown(block: dict, allowed: set, where: str) -> None:
     unknown = set(block) - allowed
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
 
 
 def reference_validate_config(config: dict) -> dict:
     """Apply defaults and validate the run configuration; returns a new dict."""
     if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     _reference_reject_unknown(config, _REFERENCE_ALLOWED["top"], "config")
     for key in ("dataset", "encoder", "loss", "seed"):
         if key not in config:
-            raise ConfigError(f"config is missing required key {key!r}")
+            raise ValueError(f"config is missing required key {key!r}")
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in config.items()}
     for block, defaults in _REFERENCE_DEFAULTS.items():
         merged = dict(defaults)
@@ -1201,43 +1199,43 @@ def reference_validate_config(config: dict) -> dict:
     enc = cfg["encoder"]
     dims = enc.get("layer_dims")
     if not isinstance(dims, list) or len(dims) < 2:
-        raise ConfigError("encoder.layer_dims must list at least input and bottleneck sizes")
+        raise ValueError("encoder.layer_dims must list at least input and bottleneck sizes")
     enc["layer_dims"] = [int(d) for d in dims]
     for i, d in enumerate(enc["layer_dims"]):
         if d < 1:
-            raise ConfigError(f"encoder.layer_dims entry {i} is {d}; every width must be positive")
+            raise ValueError(f"encoder.layer_dims entry {i} is {d}; every width must be positive")
     if enc["noise_mode"] not in ("fixed_sigma", "learned_eta"):
-        raise ConfigError(f"unknown encoder.noise_mode: {enc['noise_mode']!r}")
+        raise ValueError(f"unknown encoder.noise_mode: {enc['noise_mode']!r}")
     if not 0.0 < float(enc["sigma2"]) < math.inf:
-        raise ConfigError(f"encoder.sigma2 must be positive and finite, got {enc['sigma2']}")
+        raise ValueError(f"encoder.sigma2 must be positive and finite, got {enc['sigma2']}")
     if cfg["decoder"]["variant"] not in ("softmax", "naive_bayes"):
-        raise ConfigError(f"unknown decoder.variant: {cfg['decoder']['variant']!r}")
+        raise ValueError(f"unknown decoder.variant: {cfg['decoder']['variant']!r}")
     if cfg["surrogate"]["update"] not in ("gradient", "alternating"):
-        raise ConfigError(f"unknown surrogate.update: {cfg['surrogate']['update']!r}")
+        raise ValueError(f"unknown surrogate.update: {cfg['surrogate']['update']!r}")
     if cfg["surrogate"]["priors"] not in ("train", "all"):
-        raise ConfigError(f"unknown surrogate.priors: {cfg['surrogate']['priors']!r}")
+        raise ValueError(f"unknown surrogate.priors: {cfg['surrogate']['priors']!r}")
 
     loss = cfg["loss"]
     if ("beta" in loss) == ("beta_prime" in loss):
-        raise ConfigError("loss must set exactly one of beta, beta_prime")
+        raise ValueError("loss must set exactly one of beta, beta_prime")
     if int(loss["mc_samples"]) < 1:
-        raise ConfigError("loss.mc_samples must be at least 1")
+        raise ValueError("loss.mc_samples must be at least 1")
     if "beta_prime" in loss and not 0.0 <= float(loss["beta_prime"]) < math.inf:
-        raise ConfigError(f"loss.beta_prime must be finite and nonnegative, got {loss['beta_prime']}")
+        raise ValueError(f"loss.beta_prime must be finite and nonnegative, got {loss['beta_prime']}")
 
     opt = cfg["optim"]
     if opt["kind"] not in ("adam", "sgd"):
-        raise ConfigError(f"unknown optim.kind: {opt['kind']!r}")
+        raise ValueError(f"unknown optim.kind: {opt['kind']!r}")
     if int(opt["steps"]) < 0 or int(opt["batch"]) < 1:
-        raise ConfigError("optim needs steps >= 0, batch >= 1")
+        raise ValueError("optim needs steps >= 0, batch >= 1")
     if not 0.0 < float(opt["lr"]) < math.inf:
-        raise ConfigError(f"optim.lr must be positive and finite, got {opt['lr']}")
+        raise ValueError(f"optim.lr must be positive and finite, got {opt['lr']}")
     if int(opt["log_every"]) < 1:
-        raise ConfigError("optim.log_every must be at least 1")
+        raise ValueError("optim.log_every must be at least 1")
 
     if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
+        raise ValueError("seed must be an integer")
     kind = cfg["dataset"].get("kind")
     if kind not in ("gmm", "json", "idx"):
-        raise ConfigError(f"unknown dataset.kind: {kind!r}")
+        raise ValueError(f"unknown dataset.kind: {kind!r}")
     return cfg

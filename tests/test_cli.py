@@ -289,7 +289,7 @@ class TestTrain:
         cfg = tmp_path / "config.json"
         cfg.write_text("[1, 2]")
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
-        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+        assert capsys.readouterr().err == f"error: {cfg}: config must be a JSON object\n"
         assert not (tmp_path / "run").exists()
 
     def test_standardizing_features_beyond_float_range_prints_one_line(self, tmp_path, capsys):
@@ -302,6 +302,18 @@ class TestTrain:
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr() == (
             "", "error: dataset.standardize: the train split's standardized features are not finite\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_a_train_spread_beyond_float_range_exits_one(self, tmp_path, capsys):
+        """Column 0's variance overflows although its mean is 0: one error, not a column scaled to zeros."""
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"features": [[1.5e308, 1.0], [-1.5e308, 2.0]], "labels": [0, 1],
+                                    "class_count": 2}))
+        cfg = _write_config(tmp_path, dataset={"kind": "json", "train": str(data), "test": str(data),
+                                               "standardize": True})
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr() == (
+            "", "error: dataset.standardize: the train split's feature spread is not finite\n")
         assert not (tmp_path / "run").exists()
 
     def test_trains_from_an_idx_pair_as_from_the_same_rows_in_json(self, tmp_path, capsys):
@@ -368,6 +380,13 @@ class TestSweep:
         assert run(["sweep", "--config", str(cfg), "--betas", "0,1", "--out", str(out), "--jobs", jobs]) == 1
         assert "the test split has label 2" in capsys.readouterr().err
         assert not (out / "point_000").exists()
+
+    def test_config_without_a_required_key_exits_one_naming_file_and_key(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, dataset={"kind": "gmm", "classes": 2, "dim": 2, "sep": 4.0, "seed": 3})
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--config", str(cfg), "--betas", "0,1", "--out", str(out), "--jobs", "2"]) == 1
+        assert capsys.readouterr() == ("", f"error: {cfg}: config is missing required key dataset.per_class\n")
+        assert not out.exists()
 
     def test_parallel_jobs_match_sequential(self, tmp_path):
         cfg = _write_config(tmp_path)

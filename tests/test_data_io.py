@@ -7,6 +7,7 @@ import math
 import re
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,8 @@ from cib import cli, data_io, model
 from cib.data_io import (
     CONFIG_FIELDS,
     REQUIRED,
-    CheckpointError,
-    ConfigError,
     Dataset,
     GmmSpec,
-    IdxFormatError,
     MetricsRow,
     gen_gmm,
     gen_gmm_splits,
@@ -121,6 +119,13 @@ class TestStandardize:
         assert all(np.array_equal(f, c) for f, c in zip(features, copies))
         assert train.features is features[0] and test.features is features[1]
 
+    def test_a_spread_beyond_float_range_is_an_error_not_a_column_of_zeros(self):
+        train = Dataset(np.array([[1.5e308, 1.0], [-1.5e308, 2.0]]), np.array([0, 1]), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning before it
+            with pytest.raises(ValueError, match="^dataset.standardize: the train split's feature spread is not finite$"):
+                standardize(train)
+
 
 def _write_label_file(path, labels, magic=0x00000801):
     with open(path, "wb") as f:
@@ -205,7 +210,7 @@ class TestIdx:
         self._pair(tmp_path)
         path = tmp_path / broken
         path.write_bytes(struct.pack(">I", 0x00000802) + path.read_bytes()[4:])
-        with pytest.raises(IdxFormatError, match=re.escape(f"{path}: bad {kind} magic 0x00000802, expected 0x")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad {kind} magic 0x00000802, expected 0x")):
             read_idx(tmp_path / "im", tmp_path / "lb")
 
     @pytest.mark.parametrize("broken,header,payload,wanted", [
@@ -216,7 +221,7 @@ class TestIdx:
     ], ids=["image-payload", "label-payload", "image-header", "label-header"])
     def test_truncated_file_rejected_naming_it(self, tmp_path, broken, header, payload, wanted):
         part = "payload" if header is None else "header"
-        with pytest.raises(IdxFormatError, match=re.escape(f"{tmp_path / broken}: truncated {part} ({wanted})")):
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / broken}: truncated {part} ({wanted})")):
             read_idx(*self._pair(tmp_path, broken, header, payload))
 
     @pytest.mark.parametrize("broken,sizes,wanted", [
@@ -227,13 +232,13 @@ class TestIdx:
     def test_payload_larger_than_the_file_rejected_before_reading(self, tmp_path, broken, sizes, wanted):
         """The header's declared payload is compared with the file's length; 10 payload bytes follow it."""
         header = struct.pack(f">{len(sizes)}I", *sizes)
-        with pytest.raises(IdxFormatError, match=re.escape(f"{tmp_path / broken}: truncated payload "
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / broken}: truncated payload "
                                                            f"(wanted {wanted} bytes, got 10)")):
             read_idx(*self._pair(tmp_path, broken, payload=bytes(10), header=header))
 
     @pytest.mark.parametrize("broken,payload", [("im", bytes([7, 9, 0])), ("lb", bytes([0, 1, 1]))], ids=["im", "lb"])
     def test_trailing_bytes_rejected_naming_the_file(self, tmp_path, broken, payload):
-        with pytest.raises(IdxFormatError, match=re.escape(f"{tmp_path / broken}: trailing bytes after payload")):
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / broken}: trailing bytes after payload")):
             read_idx(*self._pair(tmp_path, broken, payload=payload))
 
     @pytest.mark.parametrize("n,rows,cols", [(0, 1, 1), (0, 28, 28), (2, 0, 1), (2, 1, 0)])
@@ -241,13 +246,13 @@ class TestIdx:
         """An empty pair would otherwise reach the dataset check, which names no file."""
         _write_image_file(tmp_path / "im", n, rows, cols, [])
         _write_label_file(tmp_path / "lb", [0] * n)
-        with pytest.raises(IdxFormatError, match=re.escape(f"{tmp_path / 'im'}: no pixels ({n} images of {rows} x {cols})")):
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'im'}: no pixels ({n} images of {rows} x {cols})")):
             read_idx(tmp_path / "im", tmp_path / "lb")
 
     def test_count_mismatch_rejected(self, tmp_path):
         _write_image_file(tmp_path / "im", 2, 1, 1, [1, 2])
         _write_label_file(tmp_path / "lb", [0, 1, 1])
-        with pytest.raises(IdxFormatError, match="labels"):
+        with pytest.raises(ValueError, match="labels"):
             read_idx(tmp_path / "im", tmp_path / "lb")
 
 
@@ -280,7 +285,7 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         doc["format_version"] = 2
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="format_version"):
+        with pytest.raises(ValueError, match="format_version"):
             data_io.load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
@@ -291,7 +296,7 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         doc["params"]["enc.W0"]["shape"] = [2, 3]
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="shape"):
+        with pytest.raises(ValueError, match="shape"):
             data_io.load_checkpoint(path)
 
     def test_missing_slice_entry_names_file_and_key_path(self, tmp_path):
@@ -301,7 +306,7 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         del doc["params"]["enc.W0"]["values"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="params.enc.W0.values") as exc:
+        with pytest.raises(ValueError, match="params.enc.W0.values") as exc:
             data_io.load_checkpoint(path)
         assert str(exc.value).startswith(f"{path}: ")
 
@@ -329,7 +334,7 @@ class TestCheckpoints:
         else:
             doc["params"][key]["values"] = value(doc["params"][key]["values"])
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match=f"{message}$") as exc:
+        with pytest.raises(ValueError, match=f"{message}$") as exc:
             data_io.load_checkpoint(path)
         assert str(exc.value).startswith(f"{path}: ")
 
@@ -342,7 +347,7 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         doc["priors"] = priors
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match=re.escape(f"{path}: priors must be nonnegative and sum to 1")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: priors must be nonnegative and sum to 1")):
             data_io.load_checkpoint(path)
 
     def test_bad_priors_are_reported_before_bad_slices(self, tmp_path):
@@ -354,7 +359,7 @@ class TestCheckpoints:
         doc["priors"] = [0.5, 0.6]
         doc["params"]["enc.W0"]["values"][0] = float("inf")
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match=re.escape(f"{path}: priors must be nonnegative and sum to 1")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: priors must be nonnegative and sum to 1")):
             data_io.load_checkpoint(path)
 
     def test_integer_values_and_priors_load_as_float64(self, tmp_path):
@@ -480,7 +485,7 @@ class TestJsonDocuments:
         path = tmp_path / "d.json"
         data_io.write_json({"b": [1.5, 2], "a": 0.1}, path)
         assert path.read_text() == '{\n "a": 0.1,\n "b": [\n  1.5,\n  2\n ]\n}\n'
-        assert data_io.read_json(path, ValueError, ("a", "b")) == {"a": 0.1, "b": [1.5, 2]}
+        assert data_io.read_json(path, ("a", "b")) == {"a": 0.1, "b": [1.5, 2]}
 
     @pytest.mark.parametrize("text,keys,message", [
         ("[1, 2]", ("p",), "is not a JSON object"),
@@ -490,21 +495,21 @@ class TestJsonDocuments:
     def test_read_json_names_the_path(self, tmp_path, text, keys, message):
         path = tmp_path / "d.json"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=message) as exc:
-            data_io.read_json(path, ConfigError, keys)
+        with pytest.raises(ValueError, match=message) as exc:
+            data_io.read_json(path, keys)
         assert str(exc.value).startswith(f"{path}: ")
 
     def test_read_json_names_the_path_of_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_bytes(b'{"a": "\xff"}')
-        with pytest.raises(ConfigError, match="invalid JSON") as exc:
-            data_io.read_json(path, ConfigError)
+        with pytest.raises(ValueError, match="invalid JSON") as exc:
+            data_io.read_json(path)
         assert str(exc.value).startswith(f"{path}: ")
 
     def test_read_json_without_keys_returns_any_document(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text("[1, 2]")
-        assert data_io.read_json(path, ValueError) == [1, 2]
+        assert data_io.read_json(path) == [1, 2]
 
 
 class TestMetricsCsv:
@@ -614,46 +619,65 @@ class TestConfig:
     def test_missing_required_key_rejected(self):
         bad = _tiny_config()
         del bad["encoder"]
-        with pytest.raises(ConfigError, match="encoder"):
+        with pytest.raises(ValueError, match="encoder"):
             validate_config(bad)
 
     def test_beta_and_beta_prime_are_exclusive(self):
         bad = _tiny_config()
         bad["loss"] = {"beta": 0.5, "beta_prime": 1.0}
-        with pytest.raises(ConfigError, match="exactly one"):
+        with pytest.raises(ValueError, match="exactly one"):
             validate_config(bad)
         bad["loss"] = {}
-        with pytest.raises(ConfigError, match="exactly one"):
+        with pytest.raises(ValueError, match="exactly one"):
             validate_config(bad)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     def test_beta_prime_must_be_finite_and_nonnegative(self, value):
         bad = _tiny_config()
         bad["loss"] = {"beta_prime": value}
-        with pytest.raises(ConfigError, match="loss.beta_prime"):
+        with pytest.raises(ValueError, match="loss.beta_prime"):
             validate_config(bad)
 
     def test_nonpositive_layer_width_named(self):
         bad = _tiny_config()
         bad["encoder"]["layer_dims"] = [2, 0, 2]
-        with pytest.raises(ConfigError, match="layer_dims entry 1 is 0"):
+        with pytest.raises(ValueError, match="layer_dims entry 1 is 0"):
             validate_config(bad)
 
     def test_unknown_keys_rejected(self):
         bad = _tiny_config()
         bad["extra"] = 1
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(ValueError, match="unknown"):
             validate_config(bad)
         bad2 = _tiny_config()
         bad2["optim"]["momentum"] = 0.9
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(ValueError, match="unknown"):
             validate_config(bad2)
 
     def test_load_config_reports_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError, match="invalid JSON"):
+        with pytest.raises(ValueError, match="invalid JSON"):
             data_io.load_config(path)
+
+    def test_load_config_names_the_file_once_and_library_callers_do_not(self, tmp_path):
+        """load_config prefixes validate_config's errors with the path; read_json's errors carry it already."""
+        bad = _tiny_config()
+        del bad["encoder"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bad))
+        message = "config is missing required key encoder.layer_dims"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            data_io.load_config(path)
+        train_ds, _ = data_io.dataset_from_config(validate_config(_tiny_config())["dataset"])
+        for call in (lambda: validate_config(bad), lambda: model.build_state(bad, [0.5, 0.5]),
+                     lambda: model.train([bad], train_ds), lambda: model.sweep(bad, [0], [1.0])):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: invalid JSON')}") as exc:
+            data_io.load_config(path)
+        assert str(exc.value).count(str(path)) == 1
 
     def test_dataset_from_config_generates_splits(self):
         cfg = validate_config(_tiny_config())
@@ -689,7 +713,7 @@ class TestConfig:
     def test_keys_of_another_dataset_kind_are_unknown(self):
         bad = _tiny_config()
         bad["dataset"]["train"] = "train.json"
-        with pytest.raises(ConfigError, match="unknown config keys: dataset.train"):
+        with pytest.raises(ValueError, match="unknown config keys: dataset.train"):
             validate_config(bad)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cib import diffcore
-from cib.diffcore import NonFiniteError, ParamStore, ShapeError, Tape, _act_grad, _activate, grad_check
+from cib.diffcore import NonFiniteError, ParamStore, Tape, _act_grad, _activate, grad_check
 from helpers import (
     ChainTape,
     LossSpec,
@@ -40,7 +40,7 @@ class TestParamStore:
         assert store.values[0] == 42.0
         store.values[1] -= 8.0
         assert store.get("w")[0, 1] == -7.0
-        with pytest.raises(KeyError, match="unknown parameter slice"):
+        with pytest.raises(KeyError, match="^'v'$"):
             store.get("v")
 
     def test_stacked_values_give_stacked_views(self):
@@ -51,7 +51,7 @@ class TestParamStore:
 
     def test_set_checks_shape_and_finiteness(self):
         store = ParamStore([("w", np.zeros(3))])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=r"^slice 'w' has shape \(3,\), got \(4,\)$"):
             store.set("w", np.zeros(4))
         with pytest.raises(ValueError):
             store.set("w", np.array([1.0, np.nan, 0.0]))
@@ -69,7 +69,7 @@ class TestParamStore:
     def test_rejects_no_slices_and_unknown_names(self):
         with pytest.raises(ValueError, match="at least one named slice"):
             ParamStore([])
-        with pytest.raises(KeyError, match="unknown parameter slice: 'nope'"):
+        with pytest.raises(KeyError, match="^'nope'$"):
             ParamStore([("a", np.zeros(1))]).spec("nope")
 
     def test_a_pickled_stack_keeps_slices_that_view_its_values(self):
@@ -105,7 +105,7 @@ class TestAffine:
     def test_dimension_mismatch_names_the_layer(self):
         store = ParamStore([("W", np.zeros((2, 3))), ("b", np.zeros(2))])
         tape = ChainTape(store)
-        with pytest.raises(ShapeError, match="enc.layer0"):
+        with pytest.raises(ValueError, match="enc.layer0"):
             tape.affine(tape.const([1.0, 2.0]), tape.param("W"), tape.param("b"), label="enc.layer0")
 
     def test_gradient_wrt_weight_matrix_matches_central_differences(self):
@@ -177,7 +177,7 @@ class TestBackwardBasics:
         store = ParamStore([("w", np.ones(3))])
         tape = ChainTape(store)
         w = tape.param("w")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=r"^backward needs a scalar output node, got shape \(3,\)$"):
             tape.backward(w)
 
     def test_backward_of_a_partial_loss_rejected(self):
@@ -506,18 +506,18 @@ class TestFusedOpsMatchChains:
         store = ParamStore([("mu", np.zeros((3, 3))), ("ls", np.zeros(3)), ("p", np.zeros((3, 2)))])
         tape = Tape(stack_of_one(store))
         m, v, labels = np.zeros((4, 2)), np.zeros(1), np.zeros((1, 4), dtype=int)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=r"^kl_to_surrogate_rows: means\(1, 4, 2\) .* do not agree$"):
             tape.kl_to_surrogate_rows(m[None], v, "mu", "ls", labels)
         chain = ChainTape(store)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=r"^naive_bayes_scores: t\(4, 2\) mu\(3, 3\) .* do not agree$"):
             chain.naive_bayes_scores(chain.const(m), chain.param("mu"), chain.param("ls"), LOG_PRIORS3)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=r"^softmax_nll: need \(B,K\) scores and \(B,\) labels$"):
             chain.softmax_nll(chain.param("mu"), labels[0])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=r"^mlp layer 0: x\(1, 4, 2\) W\(1, 3, 3\) b\(1, 3\) do not agree$"):
             tape.mlp(np.zeros((1, 4, 2)), ["mu", "ls"], "relu")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=r"^mc_cross_entropy: .* noise\(1, 1, 4, 3\) .* do not agree$"):
             tape.mc_cross_entropy(m[None], v, np.zeros((1, 1, 4, 3)), labels, "softmax", "mu", "ls")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=r"^mc_cross_entropy: log_priors\(2,\) for 3 classes$"):
             tape.mc_cross_entropy(m[None], v, np.zeros((1, 1, 4, 2)), labels, "naive_bayes", "p", "ls",
                                   LOG_PRIORS3[:2])
         with pytest.raises(ValueError, match="unknown score head"):
@@ -715,7 +715,7 @@ class TestStackedTape:
         stacked = store.with_values(np.repeat(store.values[None], stack, axis=0))
         x, labels, noise, beta_prime = shared_by_rows(stacked, spec.x, spec.labels, spec.noise, spec.beta_prime)
         tape = Tape(stacked)
-        with pytest.raises(ShapeError, match="mlp layer 0"):
+        with pytest.raises(ValueError, match="mlp layer 0"):
             tape.mlp(spec.x, spec.weights, spec.activation)
         means = tape.mlp(x, spec.weights, spec.activation)
         log_var = tape.log_var(spec.sigma2, spec.log_eta2)
@@ -723,13 +723,13 @@ class TestStackedTape:
         if not learned:
             assert log_var.tolist() == [math.log(spec.sigma2)] * stack
         for shared_noise, shared_labels in ((spec.noise, labels), (noise, spec.labels)):
-            with pytest.raises(ShapeError, match="mc_cross_entropy"):
+            with pytest.raises(ValueError, match="mc_cross_entropy"):
                 tape.mc_cross_entropy(means, log_var, shared_noise, shared_labels, *spec.score_rule)
         ce = tape.mc_cross_entropy(means, log_var, noise, labels, *spec.score_rule)
-        with pytest.raises(ShapeError, match="kl_to_surrogate_rows"):
+        with pytest.raises(ValueError, match="kl_to_surrogate_rows"):
             tape.kl_to_surrogate_rows(means, log_var, spec.mu, spec.log_sigma, spec.labels)
         kl_rows = tape.kl_to_surrogate_rows(means, log_var, spec.mu, spec.log_sigma, labels)
-        with pytest.raises(ShapeError, match="total"):
+        with pytest.raises(ValueError, match="total"):
             tape.total(ce, kl_rows, spec.beta_prime)
         assert tape.total(ce, kl_rows, beta_prime)[0].shape == (stack,)
         assert len(tape) == 4 + learned
@@ -737,6 +737,6 @@ class TestStackedTape:
     def test_only_a_stack_of_one_or_more_vectors_is_taken(self):
         store, _ = _loss_case(4)
         for values in (store.values, np.empty((0, store.size)), store.values[None, None]):
-            with pytest.raises(ShapeError, match=r"\(P, size\) stacked store"):
+            with pytest.raises(ValueError, match=r"\(P, size\) stacked store"):
                 Tape(store.with_values(values))
         assert Tape(stack_of_one(store)).store.values.shape == (1, store.size)

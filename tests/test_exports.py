@@ -26,6 +26,13 @@ def test_module_exports_resolve(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
+def test_the_only_exception_classes_are_the_run_failures():
+    """A bad input or a broken contract is a plain ValueError; only a run's numbers have classes of their own."""
+    defined = {obj.__name__ for name in MODULES for obj in vars(importlib.import_module(f"cib.{name}")).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == f"cib.{name}"}
+    assert defined == {"NonFiniteError", "NonFiniteLossError"}
+
+
 def _private_reads(tree: ast.Module) -> list[str]:
     """``module._name`` reads and ``from .module import _name`` imports of another cib module's private names."""
     modules = set()

@@ -789,13 +789,13 @@ class TestLockstep:
         assert calls == {"_train_stack": 1, "_pass_terms": 4}
 
     @pytest.mark.parametrize("owner,name,error", [
-        (model.ModelState, "loss_graph", diffcore.ShapeError),
-        (objectives, "cib_loss", diffcore.ShapeError),
+        (model.ModelState, "loss_graph", ValueError),
+        (objectives, "cib_loss", ValueError),
         (model, "_alternating_moment_step", ValueError),
         (estimators, "bound_report", ValueError),
     ], ids=["tape", "evaluation kernel", "moment step", "bound report"])
     def test_a_program_error_is_no_run_failure_and_propagates(self, monkeypatch, owner, name, error):
-        """A ValueError, such as a ShapeError, is a broken contract, not a failing run: train and evaluate raise it.
+        """A ValueError, such as a failed shape check, is a broken contract, not a failing run: train and evaluate raise it.
 
         Only an ArithmeticError is a run's failure.
         """
