@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +44,7 @@ def _out_dir(path: str) -> Path:
 
 def _emit(doc: dict, human_lines: list[str], json_mode: bool) -> None:
     if json_mode:
-        print(json.dumps(doc, sort_keys=True, indent=1))
+        print(data_io.json_text(doc))
     else:
         for line in human_lines:
             print(line)

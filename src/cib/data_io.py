@@ -3,11 +3,13 @@
 All on-disk artifacts are deterministic functions of their inputs: floats are
 serialized with ``repr`` (shortest decimal that round-trips, never more than
 17 significant digits), JSON keys are sorted, and nothing except an explicit
-provenance field carries wall-clock state.  Every JSON document of the
-workbench is written by :func:`write_json` and read by :func:`read_json`,
-whose errors name the file.  A checkpoint holds one ``model.ModelState``
-whole: :func:`save_checkpoint` writes it and :func:`load_checkpoint`
-returns it.
+provenance field carries wall-clock state.  Every JSON file and every
+``--json`` document of the workbench is the text of json's
+``dumps(doc, sort_keys=True, indent=1)``, produced by the one writer
+:func:`json_text` (files through :func:`write_json`), and every JSON file is
+read by :func:`read_json`, whose errors name the file.  A checkpoint holds
+one ``model.ModelState`` whole: :func:`save_checkpoint` writes it and
+:func:`load_checkpoint` returns it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "load_checkpoint",
     "write_metrics",
     "write_text_atomic",
+    "json_text",
     "write_json",
     "read_json",
     "json_floats",
@@ -327,9 +330,59 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 # --------------------------------------------------------------------- JSON documents
 
 
+_STR_TEXT = json.encoder.encode_basestring_ascii  # json's own C string writer
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's words for these float reprs
+
+
+def _text(obj: Any, newline: str) -> str:
+    """The JSON text of ``obj``: items start lines at ``newline`` plus a space, the closing bracket at ``newline``."""
+    if isinstance(obj, str):
+        return _STR_TEXT(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    inner = newline + " "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        body = ""
+        if kinds == {float}:
+            body = sep.join(map(float.__repr__, obj))
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        if not body or "n" in body:  # mixed items, or a nan or inf repr (it holds an "n"): item by item
+            body = sep.join([_text(item, inner) for item in obj])
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # a key that is not a str fails the sort or the string writer with a TypeError
+        body = sep.join([_STR_TEXT(key) + ": " + _text(obj[key], inner) for key in sorted(obj)])
+        return "{" + inner + body + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def json_text(doc: Any) -> str:
+    """The text of json's ``dumps(doc, sort_keys=True, indent=1)``, without its pure-Python encoder.
+
+    Keys must be ``str``; another key, or a value json cannot write, is a TypeError.
+    """
+    return _text(doc, "\n")
+
+
 def write_json(obj: Any, path: str | Path) -> None:
-    """Write ``obj`` to ``path`` atomically: sorted keys, indent 1, a trailing newline."""
-    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    """Write ``obj`` to ``path`` atomically: the text of :func:`json_text` and a trailing newline."""
+    write_text_atomic(path, json_text(obj) + "\n")
 
 
 def read_json(path: str | Path, keys: tuple[str, ...] = ()) -> Any:

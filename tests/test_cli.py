@@ -138,6 +138,23 @@ class TestGenData:
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] == 10
 
+    def test_dataset_file_and_json_document_are_byte_stable(self, tmp_path, capsys, monkeypatch):
+        """sha256 of the dataset file gen-data has always written, and of its --json document.
+
+        The --out path is relative, so that stdout, which names it, does not
+        depend on the temporary directory.
+        """
+        monkeypatch.chdir(tmp_path)
+        code = run("gen-data --classes 3 --dim 4 --per-class 50 --sep 2.5 --seed 11 --out d.json --json".split())
+        assert code == 0
+        assert {
+            "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+            "d.json": hashlib.sha256((tmp_path / "d.json").read_bytes()).hexdigest(),
+        } == {
+            "stdout": "1bca3b42a147808ecd291a241600ff15bf2b07fb9ffbb1c6094f05bf9e4949b4",
+            "d.json": "7c208045790ef8798642a8148dced7f91ccdc611b968e25a1ebf0546ff6a0c2f",
+        }
+
 
 class TestTrain:
     def test_missing_config_exits_one(self, tmp_path, capsys):
@@ -356,6 +373,29 @@ class TestTrain:
         assert digests == {
             "metrics.csv": "259ac96d0983aa6418590b9fbd6242347b78e54b9084f7910d54899bfead5f02",
             "point.json": "28e0410adf881cba9d2951d9cfe589ed158adccf51b837ecadf7c32e8d867a6e",
+        }
+
+    def test_acceptance_7_checkpoint_and_json_document_are_byte_stable(self, tmp_path, capsys, monkeypatch):
+        """sha256 of the checkpoint and the --json document the acceptance-7 config has always written.
+
+        The --out path is relative, so that stdout, which names it, does not
+        depend on the temporary directory.
+        """
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_config(
+            tmp_path,
+            dataset={"kind": "gmm", "classes": 2, "dim": 2, "per_class": 500, "sep": 4.0, "seed": 7},
+            encoder={"layer_dims": [2, 8, 2]},
+            optim={"steps": 2000, "batch": 64, "log_every": 500},
+            seed=7,
+        )
+        assert run(["train", "--config", str(cfg), "--out", "run", "--json"]) == 0
+        assert {
+            "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+            "checkpoint.json": hashlib.sha256((tmp_path / "run" / "checkpoint.json").read_bytes()).hexdigest(),
+        } == {
+            "stdout": "a74ecb229ff93e82d388eb1a479c06a118d892e9c9a01c424fdbe3178e57a365",
+            "checkpoint.json": "9d163c4d453beb9896c4c0af78668aba76596c412da7586b75efc0a22e7904ca",
         }
 
 class TestSweep:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cib import cli, data_io, model
@@ -480,7 +480,53 @@ class TestDatasetFile:
         assert str(exc.value).startswith(f"{path}: ")
 
 
+# text whose characters json escapes: non-ASCII, quotes, backslashes, control characters and lone surrogates
+_JSON_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800", "\udfff", "\U0001f600"]),
+))
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+)
+_JSON_INTS = st.one_of(st.integers(), st.sampled_from([-1, 2**64, -(2**64) - 1, 2**200]))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# lists of exact floats or exact ints, each with or without a nan or inf among them
+_ONE_KIND_LISTS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+    st.tuples(st.lists(st.floats(allow_nan=False, allow_infinity=False)), _NON_FINITE, st.integers(0, 5)).map(
+        lambda t: [*t[0][:t[2]], t[1], *t[0][t[2]:]]),
+    st.lists(st.integers(), min_size=1),
+    st.tuples(st.lists(st.integers(), min_size=1), _NON_FINITE).map(lambda t: [*t[0], t[1]]),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _JSON_FLOATS, _JSON_INTS, _JSON_TEXT, _ONE_KIND_LISTS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=12,
+)
+# every other document is nested at least three deep
+_JSON_DOCS = st.one_of(_JSON_VALUES, _JSON_VALUES.map(lambda v: {"a": [(v,)]}))
+
+
 class TestJsonDocuments:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_JSON_DOCS)
+    @example(doc={"f": [0.5, math.nan], "i": [1, -(2**70)], "e": [[], {}, ()], "t": (1.5, -math.inf, np.float64(2.0))})
+    def test_json_text_is_the_text_of_json_dumps(self, doc):
+        assert data_io.json_text(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("doc,message", [
+        (np.int64(1), "^Object of type int64 is not JSON serializable$"),
+        ({"a": [1.0, np.int64(1)]}, "^Object of type int64 is not JSON serializable$"),
+        ({1: "a"}, "must be a string"),  # json would write the key as "1"; every document the program writes has str keys
+    ])
+    def test_write_json_refuses_what_it_cannot_write_and_leaves_no_file(self, tmp_path, doc, message):
+        with pytest.raises(TypeError, match=message):
+            data_io.write_json(doc, tmp_path / "d.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_json_is_canonical(self, tmp_path):
         path = tmp_path / "d.json"
         data_io.write_json({"b": [1.5, 2], "a": 0.1}, path)
