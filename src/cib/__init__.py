@@ -10,7 +10,7 @@ from . import data_io, diffcore, discrete_oracle, estimators, gaussians, model, 
 from .data_io import Dataset, GmmSpec
 from .diffcore import ParamStore, Tape, grad_check
 from .estimators import EmbeddedDataset, bound_report
-from .gaussians import ClassSurrogate, kl_to_surrogate
+from .gaussians import kl_to_surrogate
 from .model import TradeoffPoint, evaluate, sweep, train
 from .objectives import beta_to_beta_prime, cib_loss
 
@@ -31,7 +31,6 @@ __all__ = [
     "grad_check",
     "EmbeddedDataset",
     "bound_report",
-    "ClassSurrogate",
     "kl_to_surrogate",
     "TradeoffPoint",
     "evaluate",

@@ -255,11 +255,14 @@ def _cmd_oracle(args) -> int:
         p = data_io.json_floats(doc["p"], "p must be rows of JSON numbers", rows=True)
         joint = discrete_oracle.DiscreteJoint(p)
         q = data_io.json_floats(doc["q"], "q must be rows of JSON numbers", rows=True)
+        if not isinstance(doc["arities"], list):
+            raise ValueError(f"arities must be a list of positive integers, got {doc['arities']!r}")
         enc = discrete_oracle.DiscreteEncoder(q, tuple(doc["arities"]))
         samples, (nx, ny) = doc.get("samples"), joint.p.shape
         if "samples" in doc:
             if not (isinstance(samples, list) and samples and all(
-                    type(x) is int and type(y) is int and 0 <= x < nx and 0 <= y < ny for x, y in samples)):
+                    type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+                    and 0 <= e[0] < nx and 0 <= e[1] < ny for e in samples)):
                 raise ValueError(f"samples must be integer pairs, 0 <= x < {nx} and 0 <= y < {ny}, in a nonempty list")
             samples = np.array(samples, dtype=np.intp)  # checked pairs: the oracle skips its per-entry scan
     except (TypeError, ValueError) as exc:

@@ -527,11 +527,12 @@ def read_metrics(path: str | Path) -> list[MetricsRow]:
     if not lines or lines[0] != METRICS_HEADER:
         raise ValueError(f"{path}: missing metrics header")
     rows = []
-    for line in lines[1:]:
-        step, ce, kl, bp, total, acc = line.split(",")
-        rows.append(
-            MetricsRow(int(step), float(ce), float(kl), float(bp), float(total), float(acc))
-        )
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            step, ce, kl, bp, total, acc = line.split(",")
+            rows.append(MetricsRow(int(step), float(ce), float(kl), float(bp), float(total), float(acc)))
+        except ValueError:
+            raise ValueError(f"{path}: line {number} is not a row of {METRICS_HEADER}: {line!r}") from None
     return rows
 
 

@@ -397,11 +397,12 @@ class ProductSurrogate:
     """Per-class product distribution over the latent coordinates.
 
     ``factors[y][j]`` is the class-y marginal over coordinate j's alphabet.
-    Construction checks every factor in one pass per coordinate's stack (the
-    one ``optimal_product_surrogate`` hands over as it is), and multiplies them
-    out to the read-only (classes, nt) ``table``: row y is class y's joint table
-    over the product alphabet, in C order.  Like the checks, the table holds
-    while the factor arrays are not written to.  Alphabets above
+    Construction copies them into one read-only (classes, arity) stack per
+    coordinate (``optimal_product_surrogate`` hands over the ones it summed),
+    checks each stack in one pass and multiplies them out to the read-only
+    (classes, nt) ``table``: row y is class y's joint table over the product
+    alphabet, in C order.  A factor is a read-only row of its stack, so the
+    checks and the table always hold.  Alphabets above
     ``MAX_JOINT_OUTCOMES`` outcomes are rejected, as no encoder has one.
     """
 
@@ -409,38 +410,36 @@ class ProductSurrogate:
     table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        frozen = tuple(
-            tuple(np.asarray(f, dtype=np.float64) for f in class_factors)
-            for class_factors in self.factors
-        )
-        object.__setattr__(self, "factors", frozen)
-        arities = tuple(f.size for f in frozen[0]) if frozen else ()
+        given = tuple(tuple(np.asarray(f, dtype=np.float64) for f in class_factors) for class_factors in self.factors)
+        arities = tuple(f.size for f in given[0]) if given else ()
         # classes are checked in order, so a bad factor before the first
         # class of other arities is named first
-        shared = next((y for y, cf in enumerate(frozen) if tuple(f.size for f in cf) != arities), len(frozen))
-        table = _checked_table(len(frozen), _factor_stacks(frozen[:shared], arities), shared < len(frozen))
-        object.__setattr__(self, "table", table)
+        shared = next((y for y, cf in enumerate(given) if tuple(f.size for f in cf) != arities), len(given))
+        self._set_stacks(len(given), _factor_stacks(given[:shared], arities), shared < len(given))
+
+    def _set_stacks(self, count: int, stacks: Sequence[np.ndarray], mixed: bool = False) -> None:
+        """Check the (classes, arity) ``stacks`` as :func:`_checked_table` does, freeze them and take their rows."""
+        object.__setattr__(self, "table", _checked_table(count, stacks, mixed))
+        for f in stacks:
+            f.flags.writeable = False
+        object.__setattr__(self, "factors", tuple(tuple(f[y] for f in stacks) for y in range(count)))
 
     @classmethod
     def _of_stacks(cls, count: int, stacks: Sequence[np.ndarray]) -> ProductSurrogate:
-        """The surrogate whose factor (y, j) is ``stacks[j][y]``, checked as the constructor checks it."""
+        """The surrogate whose factor (y, j) is ``stacks[j][y]``, checked as the constructor checks it, and frozen."""
         surrogate = object.__new__(cls)
-        object.__setattr__(surrogate, "table", _checked_table(count, stacks))
-        object.__setattr__(surrogate, "factors", tuple(tuple(f[y] for f in stacks) for y in range(count)))
+        surrogate._set_stacks(count, stacks)
         return surrogate
 
     @classmethod
     def _moved(cls, base: ProductSurrogate, y: int, j: int, factor: np.ndarray, table: np.ndarray) -> ProductSurrogate:
-        """``base`` with factor (y, j) replaced by ``factor``, which the caller checked, and its ``table``.
+        """``base`` with factor (y, j) replaced by ``factor``, a read-only move of it, and its ``table``.
 
         The other factors are ``base``'s, checked when it was built.
         """
-        factors = list(base.factors)
-        class_factors = list(factors[y])
-        class_factors[j] = factor
-        factors[y] = tuple(class_factors)
+        class_factors = base.factors[y][:j] + (factor,) + base.factors[y][j + 1 :]
         surrogate = object.__new__(cls)
-        object.__setattr__(surrogate, "factors", tuple(factors))
+        object.__setattr__(surrogate, "factors", base.factors[:y] + (class_factors,) + base.factors[y + 1 :])
         object.__setattr__(surrogate, "table", table)
         return surrogate
 
@@ -648,11 +647,11 @@ def perturbed_product_surrogates(
     a, moves min(step, mass_a) from a to b.  Serves as an independent
     line of evidence that no nearby product surrogate beats a claimed optimum.
 
-    The moves of one coordinate, over every class, are one (moves, arity)
-    array, made by the subtract, add and division by the row's sum of a move
-    made alone, and checked in one pass.  A candidate re-checks only the
-    factor it moved, shares the others with ``surrogate``, and takes its
-    table from one expansion of every moved row.
+    The moves of one coordinate, over every class, are one read-only
+    (moves, arity) array, made by the subtract, add and division by the row's
+    sum of a move made alone.  A move of a checked factor stays nonnegative
+    with a sum within a few ulps of 1, so no candidate is checked again.  Each
+    shares its other factors and takes its table from one expansion of all moves.
     """
     if not step > 0.0:  # NaN fails it too
         raise ValueError(f"step must be positive, got {step}")
@@ -671,6 +670,7 @@ def perturbed_product_surrogates(
         moved[rows, sources.repeat(per_source)] -= delta
         moved[rows, targets.ravel()] += delta
         moved /= np.add.reduce(moved, axis=1, keepdims=True)
+        moved.flags.writeable = False
         tables = None
         if rows.size:
             tables = surrogate.table[None].repeat(rows.size, axis=0)
@@ -678,10 +678,8 @@ def perturbed_product_surrogates(
             tables[rows, move_class] = _expand_rows(rows.size, columns)
             tables.flags.writeable = False
         starts = move_class.searchsorted(np.arange(classes + 1)).tolist()  # each class's moves
-        blocks.append((moved, _not_distributions(moved), tables, starts))
+        blocks.append((moved, tables, starts))
     for y in range(classes):
-        for j, (moved, bad, tables, starts) in enumerate(blocks):
+        for j, (moved, tables, starts) in enumerate(blocks):
             for k in range(starts[y], starts[y + 1]):
-                if bad[k]:
-                    raise ValueError(f"factor (class {y}, coordinate {j}) is not a distribution")
                 yield ProductSurrogate._moved(surrogate, y, j, moved[k], tables[k])

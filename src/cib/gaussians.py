@@ -1,86 +1,55 @@
-"""The spherical class surrogates r(T|Y) and the closed-form KL to them.
+"""The closed-form KL from isotropic encoder outputs to the spherical class surrogates r(T|Y).
 
-The encoder is isotropic, q(T|x) = N(f(x), sigma^2 I), so a batch of encoder
-outputs is a (N, d) matrix of means with one scalar log-variance, and a
-stack of P models gives (P, N, d) means with (P,) log-variances.  Its KL to
-the spherical surrogate of each sample's class is exact: on plain arrays
-for evaluation (:func:`kl_to_surrogate`), and recorded on a
-:class:`~cib.diffcore.Tape` for training (:func:`kl_to_surrogate_graph`).
-With the model's priors it is the naive Bayes decoder's generative side.
+A batch of encoder outputs q(T|x) = N(f(x), sigma^2 I) is a (N, d) matrix of
+means with one scalar log-variance, and a stack of P models gives (P, N, d)
+means with (P,) log-variances.  Class y's surrogate N(mu_y, sigma_y^2 I) is
+two slices of the model, its (K, d) class means and (K,) log-sigmas, stacked
+to (P, K, d) and (P, K) (:meth:`cib.model.ModelState.surrogate`).  The KL is
+exact: on plain arrays for evaluation (:func:`kl_to_surrogate`), and recorded
+on a :class:`~cib.diffcore.Tape` for training (:func:`kl_to_surrogate_graph`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .diffcore import NonFiniteError, Tape
+from .diffcore import Tape
 
 __all__ = [
-    "ClassSurrogate",
     "kl_to_surrogate",
     "kl_to_surrogate_graph",
 ]
 
 
-@dataclass(frozen=True)
-class ClassSurrogate:
-    """Per-class spherical Gaussians (mu_y, sigma_y^2 I).
-
-    ``class_log_sigma[..., y]`` is the log *standard deviation* of class y;
-    the covariance is isotropic, so a single scalar per class suffices.  The
-    surrogates of a stack of P models stack both: (P, K, d) class means and
-    (P, K) log-sigmas.  The class priors belong to the model, which checks
-    them where they enter it (``model.build_state``).
-    """
-
-    class_means: np.ndarray
-    class_log_sigma: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "class_means", np.asarray(self.class_means, dtype=np.float64))
-        object.__setattr__(self, "class_log_sigma", np.asarray(self.class_log_sigma, dtype=np.float64))
-        if self.class_means.ndim not in (2, 3) or self.class_log_sigma.shape != self.class_means.shape[:-1]:
-            raise ValueError("class_means must be ([P,] K, d) with ([P,] K) log-sigmas")
-        if not (np.all(np.isfinite(self.class_means)) and np.all(np.isfinite(self.class_log_sigma))):
-            raise NonFiniteError("ClassSurrogate parameters must be finite")
-
-    @property
-    def class_count(self) -> int:
-        return self.class_means.shape[-2]
-
-    @property
-    def dim(self) -> int:
-        return self.class_means.shape[-1]
-
-
-def kl_to_surrogate(means: np.ndarray, log_var: np.ndarray, s: ClassSurrogate, labels: np.ndarray) -> np.ndarray:
+def kl_to_surrogate(
+    means: np.ndarray, log_var: np.ndarray, mu: np.ndarray, log_sigma: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
     """Per-row KL( N(means[p, i], exp(log_var[p]) I) || r_p(T | labels[i]) ) of a stack, in closed form.
 
     ``means`` is the (P, N, d) stack of encoder means, ``log_var`` the (P,)
-    log-variances and ``s`` the stacked (P, K, d) surrogate; the (N,) labels
-    are shared by the stack.  Returns the (P, N) KLs.
+    log-variances, ``mu`` and ``log_sigma`` the stacked (P, K, d) class means
+    and (P, K) log-sigmas; the (N,) labels are shared.  Returns the (P, N) KLs.
     """
     means = np.asarray(means, dtype=np.float64)
     log_var = np.asarray(log_var, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    log_sigma = np.asarray(log_sigma, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
-    if means.ndim != 3 or s.class_means.shape[:-2] != means.shape[:1] or means.shape[2] != s.dim:
-        raise ValueError(
-            f"dimension mismatch: codes {means.shape} vs stacked surrogate {s.class_means.shape}; need (P, N, d)"
-        )
+    if log_sigma.shape != mu.shape[:-1]:
+        raise ValueError(f"need one log-sigma per class mean, got {log_sigma.shape} for means {mu.shape}")
+    if means.ndim != 3 or mu.shape[:-2] != means.shape[:1] or means.shape[2] != mu.shape[-1]:
+        raise ValueError(f"dimension mismatch: codes {means.shape} vs stacked surrogate {mu.shape}; need (P, N, d)")
     if log_var.shape != means.shape[:1]:
         raise ValueError(f"need one log-variance per stacked row, got {log_var.shape} for {means.shape[0]} rows")
     if labels.shape != means.shape[1:2]:
         raise ValueError(f"need one label per code, got {labels.shape} for {means.shape[1]} codes")
-    unknown = (labels < 0) | (labels >= s.class_count)
+    classes = mu.shape[-2]
+    unknown = (labels < 0) | (labels >= classes)
     if np.any(unknown):
-        raise ValueError(
-            f"unknown class label {int(labels[unknown][0])}; surrogate covers 0..{s.class_count - 1}"
-        )
-    lv_y = 2.0 * s.class_log_sigma[:, labels]
+        raise ValueError(f"unknown class label {int(labels[unknown][0])}; surrogate covers 0..{classes - 1}")
+    lv_y = 2.0 * log_sigma[:, labels]
     dl = log_var[:, None, None] - lv_y[..., None]
-    z = (means - s.class_means[:, labels]) ** 2 * np.exp(-lv_y)[..., None]
+    z = (means - mu[:, labels]) ** 2 * np.exp(-lv_y)[..., None]
     return 0.5 * np.sum(np.exp(dl) + z - 1.0 - dl, axis=-1)
 
 

@@ -45,7 +45,6 @@ import numpy as np
 from . import data_io, estimators, objectives
 from .data_io import Dataset, MetricsRow
 from .diffcore import NonFiniteError, ParamStore, Tape, activate, logsumexp_rows
-from .gaussians import ClassSurrogate
 from .objectives import beta_to_beta_prime
 
 __all__ = [
@@ -179,12 +178,15 @@ class ModelState:
         with np.errstate(divide="ignore"):
             return np.log(self.priors)
 
-    def surrogate(self) -> ClassSurrogate:
-        """The class surrogate over the current ``sur.*`` slices, checked finite.
+    def surrogate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class surrogate r(T|Y), checked finite: the (K, d) class means and (K,) log standard deviations.
 
-        A stacked store gives the stacked (P, K, d) surrogate.
+        They are the store's ``sur.*`` slices; a stacked store gives (P, K, d) and (P, K).
         """
-        return ClassSurrogate(*self._surrogate_slices())
+        mu, log_sigma = self._surrogate_slices()
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(log_sigma))):
+            raise NonFiniteError("ClassSurrogate parameters must be finite")
+        return mu, log_sigma
 
     def _surrogate_slices(self) -> tuple[np.ndarray, np.ndarray]:
         """The unchecked class means and log-sigmas of the store; without ``sur.log_sigma`` the log-sigmas are 0."""

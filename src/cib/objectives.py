@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diffcore import Tape
-from .gaussians import ClassSurrogate, kl_to_surrogate, kl_to_surrogate_graph
+from .gaussians import kl_to_surrogate, kl_to_surrogate_graph
 
 __all__ = [
     "beta_to_beta_prime",
@@ -49,7 +49,7 @@ def cib_loss(
     means: np.ndarray,
     log_var: np.ndarray,
     log_probs: Callable[[np.ndarray], np.ndarray],
-    surrogate: ClassSurrogate,
+    surrogate: tuple[np.ndarray, np.ndarray],
     noise: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample loss parts of a stack: (P, N, S) true-class log-probs and (P, N) exact KLs.
@@ -57,10 +57,11 @@ def cib_loss(
     ``means`` is the (P, N, d) stack of encoder means and ``log_var`` its (P,)
     log-variances, one per stacked model.  ``log_probs`` maps a (P, N, d)
     stack of bottleneck points to (P, N, K) class log-probabilities, and
-    ``surrogate`` is the stacked (P, K, d) class surrogate.  The (N,) labels
-    and the frozen (S, N, d) standard-normal ``noise``, one reparameterized
-    draw per sample and slice, are shared by the stack.  The KLs come from
-    one :func:`kl_to_surrogate` call, so only the cross-entropy half carries
+    ``surrogate`` is the stacked (P, K, d) class means and (P, K) log-sigmas
+    of :meth:`cib.model.ModelState.surrogate`.  The (N,) labels and the frozen
+    (S, N, d) standard-normal ``noise``, one reparameterized draw per sample
+    and slice, are shared by the stack.  The KLs come from one
+    :func:`kl_to_surrogate` call, so only the cross-entropy half carries
     Monte-Carlo error.  Non-finite values are returned, not rejected, so
     callers can locate the rows that produced them.
     """
@@ -72,7 +73,7 @@ def cib_loss(
     if noise.ndim != 3 or noise.shape[0] < 1 or noise.shape[1:] != (n, d):
         raise ValueError(f"noise must have shape (S, {n}, {d}), got {noise.shape}")
     labels = np.asarray(labels, dtype=np.intp)
-    kl = kl_to_surrogate(means, log_var, surrogate, labels)
+    kl = kl_to_surrogate(means, log_var, *surrogate, labels)
 
     std = np.exp(0.5 * np.asarray(log_var, dtype=np.float64))[:, None, None]
     rows = np.arange(n)

@@ -1094,12 +1094,13 @@ def kl_diag(g1, g2):
 
 
 def surrogate_component(s, y):
-    """The class-y surrogates expanded to one DiagGaussian per label."""
+    """The class-y surrogates of the (class means, log-sigmas) pair ``s``, expanded to one DiagGaussian per label."""
+    mu, log_sigma = s
     y = np.asarray(y, dtype=np.intp)
-    if np.any((y < 0) | (y >= s.class_count)):
+    if np.any((y < 0) | (y >= mu.shape[-2])):
         raise ValueError("unknown class label")
-    log_var = np.repeat((2.0 * s.class_log_sigma[y])[..., None], s.dim, axis=-1)
-    return DiagGaussian(s.class_means[y], log_var)
+    log_var = np.repeat((2.0 * log_sigma[y])[..., None], mu.shape[-1], axis=-1)
+    return DiagGaussian(mu[y], log_var)
 
 
 def loss_rows(labels, encodings, decoder, surrogate, noise):

@@ -1051,7 +1051,8 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "bad oracle instance" in err and "samples must be integer pairs" in err
 
-    @pytest.mark.parametrize("samples", [[], 0, False, "", {}, None, "01", {"01": 1}, 5])
+    @pytest.mark.parametrize("samples", [[], 0, False, "", {}, None, "01", {"01": 1}, 5, [[0, 0, 1]], [[0]], [5],
+                                         [[0, 1], "01"], [{"0": 0, "1": 1}]])
     def test_samples_that_are_not_a_nonempty_list_of_pairs_rejected_naming_the_file(self, tmp_path, capsys, samples):
         inst = _write_instance(tmp_path)
         inst.write_text(json.dumps({**json.loads(inst.read_text()), "samples": samples}))
@@ -1068,6 +1069,14 @@ class TestOracle:
         inst.write_text(json.dumps(doc))
         assert run(["oracle", "--instance", str(inst)]) == 1
         assert "arities must be positive integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arities", [4, None, "2", {"2": 1}])
+    def test_arities_that_are_not_a_list_rejected_naming_the_file(self, tmp_path, capsys, arities):
+        inst = _write_instance(tmp_path)
+        inst.write_text(json.dumps({**json.loads(inst.read_text()), "arities": arities}))
+        assert run(["oracle", "--instance", str(inst)]) == 1
+        message = f"bad oracle instance: arities must be a list of positive integers, got {arities!r}"
+        assert capsys.readouterr().err == f"error: {inst}: {message}\n"
 
     def test_non_object_instance_exits_one_naming_it(self, tmp_path, capsys):
         inst = tmp_path / "instance.json"

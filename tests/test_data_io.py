@@ -576,6 +576,14 @@ class TestMetricsCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing metrics header$"):
             data_io.read_metrics(path)
 
+    @pytest.mark.parametrize("row", ["1,2,3", "1,2,3,4,5,6,7", "", "1.5,2,3,4,5,6", "1,2,3,4,5,x"])
+    def test_a_malformed_row_rejected_naming_the_file_and_line(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{data_io.METRICS_HEADER}\n1,0.5,0.25,1.0,0.75,0.9\n{row}\n")
+        message = f"{path}: line 3 is not a row of {data_io.METRICS_HEADER}: {row!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            data_io.read_metrics(path)
+
     def test_parse_back_is_exact(self, tmp_path):
         rows = [
             MetricsRow(0, 1.0 / 3.0, math.pi, 0.3, 1.0 / 3.0 + 0.3 * math.pi, 2.0 / 3.0),

@@ -337,8 +337,8 @@ class TestOptimalProductSurrogate:
         with pytest.raises(ValueError, match="step must be positive"):
             next(perturbed_product_surrogates(best, step=step))
 
-    def test_each_candidate_checks_only_its_moved_factor(self, monkeypatch):
-        """A search checks one factor per candidate: the rest were checked when the optimum was built."""
+    def test_the_search_checks_no_candidate_again(self, monkeypatch):
+        """A move of a checked factor is a distribution, so the search checks nothing; each moved factor passes."""
         rng = np.random.default_rng(15)
         enc = random_encoder(rng, 4, (2, 3))
         samples = random_samples(rng, 4, 3, 12)
@@ -351,7 +351,9 @@ class TestOptimalProductSurrogate:
             sample_kl_objective(samples, enc, cand)
         # per class: 2 sources x 1 target on the binary coordinate, 3 x 2 on the ternary one
         assert len(candidates) == 3 * (2 + 6)
-        assert sum(rows for rows, _ in checked) == len(candidates)
+        assert checked == []
+        for j in range(2):
+            assert not check(np.array([cf[j] for cand in candidates for cf in cand.factors])).any()
 
 
     @pytest.mark.parametrize("table,arities", [
@@ -363,12 +365,17 @@ class TestOptimalProductSurrogate:
         with pytest.raises(ValueError, match="^conditional table does not match the arities$"):
             optimal_product_surrogate(table, arities)
 
-    def test_a_factor_written_after_construction_fails_in_its_moves(self):
-        """The candidates check the factor they moved, so one written into after the checks cannot pass as a move."""
-        surrogate = ProductSurrogate(((np.array([0.5, 0.5]), np.array([0.25, 0.75])),))
-        surrogate.factors[0][1][:] = [1.5, -0.5]
-        with pytest.raises(ValueError, match=r"^factor \(class 0, coordinate 1\) is not a distribution$"):
-            list(perturbed_product_surrogates(surrogate, step=0.01))
+    def test_factors_are_read_only_copies(self):
+        """A checked surrogate stays checked: its factors, the optimum's and every candidate's, cannot be written."""
+        given = np.array([0.25, 0.75])
+        surrogate = ProductSurrogate(((np.array([0.5, 0.5]), given),))
+        given[:] = [1.5, -0.5]
+        assert surrogate.factors[0][1].tolist() == [0.25, 0.75]
+        best = optimal_product_surrogate(np.array([[0.4, 0.1, 0.2, 0.3]]), (2, 2))
+        for s in (surrogate, best, *perturbed_product_surrogates(best, step=0.01)):
+            for f in s.factors[0]:
+                with pytest.raises(ValueError, match="read-only"):
+                    f[:] = [1.5, -0.5]
 
     def test_alphabets_beyond_the_outcome_cap_are_rejected(self):
         """No encoder has 4^4 = 256 outcomes, so no surrogate has either; 4^3 = 64 is the cap."""

@@ -1,6 +1,5 @@
-"""Class surrogates and the closed-form KL from isotropic encoder outputs to them."""
+"""The closed-form KL from isotropic encoder outputs to the class surrogates."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cib.diffcore import NonFiniteError, ParamStore, Tape, grad_check
-from cib.gaussians import ClassSurrogate, kl_to_surrogate, kl_to_surrogate_graph
+from cib.diffcore import ParamStore, Tape, grad_check
+from cib.gaussians import kl_to_surrogate, kl_to_surrogate_graph
 from helpers import DiagGaussian, gaussian_quadrature_kl, kl_diag, shared_by_rows, stack_of_one, surrogate_component
 
 # derandomized so that a tier-1 failure replays from its test id; no
@@ -19,43 +18,33 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 
 
 def _surrogate():
-    return ClassSurrogate(
-        class_means=np.array([[1.0, -1.0], [-0.5, 2.0]]),
-        class_log_sigma=np.array([0.2, -0.3]),
-    )
+    """(class means, class log-sigmas) of two classes in two dimensions."""
+    return np.array([[1.0, -1.0], [-0.5, 2.0]]), np.array([0.2, -0.3])
 
 
 def _kl_stack(surrogates):
-    """The stacked surrogate of these models."""
-    return ClassSurrogate(np.stack([s.class_means for s in surrogates]),
-                          np.stack([s.class_log_sigma for s in surrogates]))
+    """The stacked (class means, log-sigmas) of these models."""
+    return np.stack([mu for mu, _ in surrogates]), np.stack([log_sigma for _, log_sigma in surrogates])
 
 
 def _kl_alone(means, log_var, s, labels):
     """``kl_to_surrogate`` of one model: a stack of one."""
-    return kl_to_surrogate(np.asarray(means, dtype=np.float64)[None], np.array([log_var]), _kl_stack([s]), labels)[0]
+    return kl_to_surrogate(np.asarray(means, dtype=np.float64)[None], np.array([log_var]), *_kl_stack([s]), labels)[0]
 
 
 def _kl_1d(m, v, m_y, v_y):
     return 0.5 * (v / v_y + (m - m_y) ** 2 / v_y - 1.0 - math.log(v / v_y))
 
 
-class TestClassSurrogate:
-    def test_nonfinite_parameters_are_numbers(self):
-        """Trained means and log-sigmas fail as a run's numbers (exit 2); the priors are checked by the model."""
-        for mu, log_sigma in ((np.full((2, 2), np.nan), np.zeros(2)), (np.zeros((2, 2)), np.array([0.0, np.inf]))):
-            with pytest.raises(NonFiniteError, match="parameters must be finite"):
-                ClassSurrogate(mu, log_sigma)
-        assert [field.name for field in dataclasses.fields(ClassSurrogate)] == ["class_means", "class_log_sigma"]
-
-    @pytest.mark.parametrize("mu_shape,log_sigma_shape", [((2, 2), (3,)), ((2,), ()), ((1, 1, 2, 2), (1, 1, 2))])
+class TestKlToSurrogate:
+    @pytest.mark.parametrize("mu_shape,log_sigma_shape", [((1, 2, 2), (1, 3)), ((1, 2, 2), (2,)), ((1, 2), (1, 2))])
     def test_means_and_log_sigmas_of_other_shapes_rejected(self, mu_shape, log_sigma_shape):
-        with pytest.raises(ValueError, match=r"class_means must be \(\[P,\] K, d\) with \(\[P,\] K\) log-sigmas"):
-            ClassSurrogate(np.zeros(mu_shape), np.zeros(log_sigma_shape))
+        with pytest.raises(ValueError, match=r"need one log-sigma per class mean, got \(.*\) for means \(.*\)"):
+            kl_to_surrogate(np.zeros((1, 3, 2)), np.zeros(1), np.zeros(mu_shape), np.zeros(log_sigma_shape), [0, 1, 0])
 
     def test_matching_encoder_output_has_zero_kl(self):
-        s = _surrogate()
-        kl = _kl_alone(s.class_means[[1]], 2.0 * s.class_log_sigma[1], s, [1])
+        s = mu, log_sigma = _surrogate()
+        kl = _kl_alone(mu[[1]], 2.0 * log_sigma[1], s, [1])
         assert kl.tolist() == [0.0]
 
     def test_agrees_with_expanded_diag_gaussian(self):
@@ -80,25 +69,25 @@ class TestClassSurrogate:
             _kl_alone(np.zeros((3, 2)), 0.0, _surrogate(), [0, 1])
         s = _surrogate()
         with pytest.raises(ValueError, match="dimension"):  # the stack axis is required, on both sides
-            kl_to_surrogate(np.zeros((3, 2)), np.zeros(1), s, [0, 1, 0])
+            kl_to_surrogate(np.zeros((3, 2)), np.zeros(1), *s, [0, 1, 0])
         with pytest.raises(ValueError, match="dimension"):
-            kl_to_surrogate(np.zeros((2, 3, 2)), np.zeros(2), s, [0, 1, 0])
+            kl_to_surrogate(np.zeros((2, 3, 2)), np.zeros(2), *s, [0, 1, 0])
         with pytest.raises(ValueError, match="one log-variance per stacked row"):
-            kl_to_surrogate(np.zeros((1, 3, 2)), 0.0, _kl_stack([s]), [0, 1, 0])
+            kl_to_surrogate(np.zeros((1, 3, 2)), 0.0, *_kl_stack([s]), [0, 1, 0])
 
     def test_additive_over_coordinates(self):
         # spherical target => KL is the sum of per-coordinate 1-D KLs
         rng = np.random.default_rng(8)
-        s = _surrogate()
+        s = mu, log_sigma = _surrogate()
         means, log_var = rng.uniform(-2, 2, (2, 2)), 0.37
         kl = _kl_alone(means, log_var, s, [0, 1])
         for i, y in enumerate((0, 1)):
-            v_y = math.exp(2.0 * s.class_log_sigma[y])
-            per_coord = sum(_kl_1d(means[i, j], math.exp(log_var), s.class_means[y, j], v_y) for j in range(2))
+            v_y = math.exp(2.0 * log_sigma[y])
+            per_coord = sum(_kl_1d(means[i, j], math.exp(log_var), mu[y, j], v_y) for j in range(2))
             assert kl[i] == pytest.approx(per_coord, abs=1e-12)
 
     def test_matches_numeric_integration(self):
-        s = ClassSurrogate(np.array([[0.0]]), np.array([0.0]))
+        s = np.array([[0.0]]), np.array([0.0])
         kl = _kl_alone(np.array([[1.0]]), math.log(0.25), s, [0])
         assert kl[0] == pytest.approx(gaussian_quadrature_kl(1.0, 0.25, 0.0, 1.0), abs=1e-6)
 
@@ -111,14 +100,13 @@ LOG_VAR = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infini
 
 @st.composite
 def kl_instances(draw, coord=COORD, log_var=LOG_VAR):
-    """(means, log_var, surrogate, labels): N codes of dimension d against K classes."""
+    """(means, log_var, (class means, log-sigmas), labels): N codes of dimension d against K classes."""
     n, d, k = draw(st.integers(1, 12)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
     means = draw(arrays(np.float64, (n, d), elements=coord))
     class_means = draw(arrays(np.float64, (k, d), elements=coord))
     class_log_sigma = draw(arrays(np.float64, (k,), elements=log_var)) / 2.0
     labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
-    s = ClassSurrogate(class_means, class_log_sigma)
-    return means, draw(log_var), s, labels
+    return means, draw(log_var), (class_means, class_log_sigma), labels
 
 
 @PROPERTY
@@ -139,12 +127,13 @@ GRID_LOG_VAR = st.integers(-16, 16).map(lambda i: i / 8.0)
 def test_kl_is_zero_iff_code_matches_its_class_surrogate(inst, data):
     # on a grid of step 1/8 a mismatch is never lost to rounding
     means, log_var, s, labels = inst
+    mu, log_sigma = s
     match_rows = np.array(data.draw(st.lists(st.booleans(), min_size=labels.size, max_size=labels.size)))
-    means = np.where(match_rows[:, None], s.class_means[labels], means)
+    means = np.where(match_rows[:, None], mu[labels], means)
     if data.draw(st.booleans()):
-        log_var = 2.0 * float(s.class_log_sigma[labels[0]])
+        log_var = 2.0 * float(log_sigma[labels[0]])
     kl = _kl_alone(means, log_var, s, labels)
-    matches = np.all(means == s.class_means[labels], axis=1) & (log_var == 2.0 * s.class_log_sigma[labels])
+    matches = np.all(means == mu[labels], axis=1) & (log_var == 2.0 * log_sigma[labels])
     assert ((kl == 0.0) == matches).all()
 
 
@@ -165,12 +154,12 @@ def test_stacked_rows_equal_their_stacks_of_one(p, n, d, k, data):
     means = data.draw(arrays(np.float64, (p, n, d), elements=COORD))
     log_var = data.draw(arrays(np.float64, (p,), elements=LOG_VAR))
     surrogates = [
-        ClassSurrogate(data.draw(arrays(np.float64, (k, d), elements=COORD)),
-                       data.draw(arrays(np.float64, (k,), elements=LOG_VAR)) / 2.0)
+        (data.draw(arrays(np.float64, (k, d), elements=COORD)),
+         data.draw(arrays(np.float64, (k,), elements=LOG_VAR)) / 2.0)
         for _ in range(p)
     ]
     labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
-    stacked = kl_to_surrogate(means, log_var, _kl_stack(surrogates), labels)
+    stacked = kl_to_surrogate(means, log_var, *_kl_stack(surrogates), labels)
     assert stacked.shape == (p, n)
     for row, m, lv, s in zip(stacked, means, log_var, surrogates):
         expanded = kl_diag(DiagGaussian(m, np.full(m.shape, lv)), surrogate_component(s, labels))
@@ -213,8 +202,7 @@ class TestKlGraph:
         means = tape.mlp(x[None], ("W", "b"), "tanh")
         log_var = tape.log_var(0.5, "log_eta2")
         rows = kl_to_surrogate_graph(tape, means, log_var, "mu", "log_sigma", labels[None])
-        s = ClassSurrogate(store.get("mu")[None], store.get("log_sigma")[None])
-        expected = kl_to_surrogate(means, log_var, s, labels)
+        expected = kl_to_surrogate(means, log_var, store.get("mu")[None], store.get("log_sigma")[None], labels)
         np.testing.assert_allclose(rows, expected, atol=1e-12, rtol=0)
 
     def test_gradient_wrt_class_means_passes_check(self):

@@ -530,13 +530,12 @@ class TestTrain:
         result = train([cfg], train_ds)[0]
         means = result.state.encode_batch(train_ds.features)
         var = math.exp(result.state.log_var())
+        mu, log_sigma = result.state.surrogate()
         for y in (0, 1):
             rows = means[train_ds.labels == y]
-            np.testing.assert_allclose(result.state.surrogate().class_means[y], rows.mean(axis=0), atol=1e-12)
+            np.testing.assert_allclose(mu[y], rows.mean(axis=0), atol=1e-12)
             expected_sigma2 = float(np.mean((rows - rows.mean(axis=0)) ** 2)) + var
-            assert result.state.surrogate().class_log_sigma[y] == pytest.approx(
-                0.5 * math.log(expected_sigma2), abs=1e-12
-            )
+            assert log_sigma[y] == pytest.approx(0.5 * math.log(expected_sigma2), abs=1e-12)
 
     def test_learned_eta_mode_trains_and_keeps_noise_positive(self):
         cfg = _config(encoder={"layer_dims": [2, 4, 2], "noise_mode": "learned_eta", "sigma2": 1e-4})
@@ -557,7 +556,7 @@ class TestTrain:
         train_ds, _ = data_io.dataset_from_config(cfg["dataset"])
         result = train([cfg], train_ds)[0]
         assert "sur.log_sigma" not in result.state.store.names()
-        np.testing.assert_array_equal(result.state.surrogate().class_log_sigma, [0.0, 0.0])
+        np.testing.assert_array_equal(result.state.surrogate()[1], [0.0, 0.0])
         assert result.metrics[-1].accuracy > 0.5
 
     def test_sgd_optimizer_runs_deterministically(self):
@@ -925,6 +924,34 @@ class TestEvaluate:
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
         [outcome] = evaluate([state], ds)
         assert isinstance(outcome, NonFiniteError) and "codes must be finite" in str(outcome)
+
+    @staticmethod
+    def _nonfinite_case(log_eta2, bad=("sur.mu", (1, 0), np.nan)):
+        """A learned-eta model with one non-finite surrogate entry and this log eta^2, a split and a batch of it."""
+        state = _state(_config(encoder={"layer_dims": [2, 4, 2], "noise_mode": "learned_eta", "sigma2": 0.5}))
+        name, at, value = bad
+        state.store.get(name)[at] = value
+        state.store.set("enc.log_eta2", np.array(log_eta2))
+        ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
+        return state, ds, (state, ds.features, ds.labels, np.zeros((1, 4, 2)), np.arange(4))
+
+    @pytest.mark.parametrize("bad", [("sur.mu", (1, 0), np.nan), ("sur.log_sigma", 0, np.inf)])
+    def test_nonfinite_surrogate_fails_evaluation_and_diagnosis(self, bad):
+        state, ds, batch = self._nonfinite_case(0.0, bad)
+        with pytest.raises(NonFiniteError, match="^ClassSurrogate parameters must be finite$"):
+            state.surrogate()
+        [outcome] = evaluate([state], ds)
+        assert type(outcome) is NonFiniteError and str(outcome) == "ClassSurrogate parameters must be finite"
+        with pytest.raises(NonFiniteError, match="^ClassSurrogate parameters must be finite$"):
+            model._diagnose_nonfinite(*batch)
+
+    def test_evaluation_checks_the_surrogate_before_the_noise_variance(self):
+        """Naive-Bayes scores read the surrogate, so evaluation checks it first; the diagnosis reads log_var first."""
+        state, ds, batch = self._nonfinite_case(1e300)
+        [outcome] = evaluate([state], ds)
+        assert type(outcome) is NonFiniteError and str(outcome) == "ClassSurrogate parameters must be finite"
+        with pytest.raises(NonFiniteError, match=r"^learned noise variance exp\(1e\+300\) overflows$"):
+            model._diagnose_nonfinite(*batch)
 
 
 class TestEvaluationKernel:

@@ -7,7 +7,6 @@ import pytest
 
 from cib import discrete_oracle as oracle
 from cib.diffcore import ParamStore, Tape, grad_check
-from cib.gaussians import ClassSurrogate
 from cib.objectives import beta_to_beta_prime, cib_loss, cib_loss_graph
 from helpers import (
     DiagGaussian,
@@ -39,15 +38,13 @@ class TestBetaMaps:
 
 
 def _toy_surrogate():
-    return ClassSurrogate(
-        class_means=np.array([[1.0, 0.0], [-1.0, 0.5]]),
-        class_log_sigma=np.array([0.1, -0.2]),
-    )
+    """(class means, class log-sigmas) of two classes in two dimensions."""
+    return np.array([[1.0, 0.0], [-1.0, 0.5]]), np.array([0.1, -0.2])
 
 
 def _alone(labels, means, log_var, decoder, s, noise):
     """``cib_loss`` of one model, a stack of one, whose ``decoder`` scores (N, d) points."""
-    stacked = ClassSurrogate(s.class_means[None], s.class_log_sigma[None])
+    stacked = s[0][None], s[1][None]
     lp, kl = cib_loss(labels, np.asarray(means, dtype=np.float64)[None], np.array([log_var]),
                       lambda t: decoder(t[0])[None], stacked, noise)
     return lp[0], kl[0]
@@ -69,14 +66,14 @@ class TestCibLoss:
         assert float(-np.mean(lp)) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matching_surrogate_gives_zero_kl(self):
-        s = _toy_surrogate()
-        _, kl = _alone([0], s.class_means[[0]], 2.0 * s.class_log_sigma[0], _uniform_decoder(2), s,
+        s = mu, log_sigma = _toy_surrogate()
+        _, kl = _alone([0], mu[[0]], 2.0 * log_sigma[0], _uniform_decoder(2), s,
                          np.zeros((1, 1, 2)))
         assert kl.tolist() == [0.0]
 
     def test_two_sample_batch_matches_manual_summation(self):
         rng = np.random.default_rng(77)
-        s = _toy_surrogate()
+        s = mu, log_sigma = _toy_surrogate()
         means = np.array([[0.3, -0.4], [-1.2, 0.9]])
         log_var = -0.35
         labels = [1, 0]
@@ -98,9 +95,9 @@ class TestCibLoss:
             for smp in range(mc):
                 t = means[i] + std * noise[smp, i]
                 assert lp[i, smp] == pytest.approx(decoder(t[None, :])[0, y], abs=1e-12)
-            v_y = math.exp(2.0 * s.class_log_sigma[y])
+            v_y = math.exp(2.0 * log_sigma[y])
             kl_i = sum(
-                0.5 * (v / v_y + (means[i, j] - s.class_means[y, j]) ** 2 / v_y - 1.0 - math.log(v / v_y))
+                0.5 * (v / v_y + (means[i, j] - mu[y, j]) ** 2 / v_y - 1.0 - math.log(v / v_y))
                 for j in range(2)
             )
             assert kl[i] == pytest.approx(kl_i, abs=1e-12)
@@ -142,7 +139,7 @@ class TestCibLoss:
             _alone([2], np.zeros((1, 2)), 0.0, _uniform_decoder(2), _toy_surrogate(), np.zeros((1, 1, 2)))
 
     def test_kl_term_matches_quadrature_in_one_dimension(self):
-        s = ClassSurrogate(class_means=np.array([[0.0]]), class_log_sigma=np.array([0.0]))
+        s = np.array([[0.0]]), np.array([0.0])
         _, kl = _alone([0], np.array([[1.0]]), math.log(0.25), _uniform_decoder(1), s, np.zeros((1, 1, 1)))
         oracle_value = gaussian_quadrature_kl(1.0, 0.25, 0.0, 1.0)
         assert kl[0] == pytest.approx(oracle_value, abs=1e-6)
@@ -198,7 +195,7 @@ class TestGraphConsistency:
         beta_prime = 0.8
         _, means, log_var, total, ce, kl = self._build(stack_of_one(store), x, labels, noise, beta_prime)
 
-        s = ClassSurrogate(store.get("mu"), store.get("log_sigma"))
+        s = store.get("mu"), store.get("log_sigma")
         w, bb = store.get("W"), store.get("b")
 
         def decoder(t):
